@@ -11,8 +11,6 @@
 package bench
 
 import (
-	"encoding/json"
-	"os"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -23,7 +21,6 @@ import (
 	"sdnfv/internal/flowtable"
 	"sdnfv/internal/nf"
 	"sdnfv/internal/packet"
-	"sdnfv/internal/portio"
 	"sdnfv/internal/traffic"
 )
 
@@ -365,223 +362,6 @@ func BenchmarkAblationLoadBalance(b *testing.B) {
 	}
 }
 
-// benchResult is one workload's measurement in a BENCH_*.json snapshot
-// (same schema as internal/flowtable's BENCH_flowtable.json).
-type benchResult struct {
-	Name    string  `json:"name"`
-	NsPerOp float64 `json:"ns_per_op"`
-	Ops     int     `json:"ops"`
-}
-
-// benchSnapshot is the BENCH_portio.json schema.
-type benchSnapshot struct {
-	Package   string        `json:"package"`
-	Timestamp time.Time     `json:"timestamp"`
-	Results   []benchResult `json:"results"`
-}
-
-// benchIngress is a peer-side counting Ingress for the portio backends:
-// it stands in for the receiving host so the bench measures the wire,
-// not a second engine.
-type benchIngress struct{ delivered *atomic.Int64 }
-
-func (s *benchIngress) Ingest([]byte) error { s.delivered.Add(1); return nil }
-func (s *benchIngress) IngestBurst(fs [][]byte) (int, int) {
-	s.delivered.Add(int64(len(fs)))
-	return len(fs), len(fs)
-}
-func (s *benchIngress) FrameCap() int { return 2048 }
-
-// portIOThroughput pushes n packets through a 1-NF chain whose egress
-// port is wired by attach, and returns delivered packets/second.
-// attach binds a backend behind port 1 and returns (flush, cleanup):
-// flush drains the sending side onto the wire (Binding.Close), cleanup
-// tears down the receiving side. Timing stops at the last delivery, so
-// the drain tail is measured, not the stabilization polling.
-func portIOThroughput(b *testing.B, n int,
-	attach func(*testing.B, *dataplane.Host, *atomic.Int64) (flush, cleanup func())) float64 {
-	b.Helper()
-	h := dataplane.NewHost(dataplane.Config{PoolSize: 2048, TXThreads: 1})
-	var delivered atomic.Int64
-	_, _ = h.AddNF(10, &nf.BatchAdapter{FnName: "noop", RO: true}, 0)
-	_, _ = h.Table().Add(flowtable.Rule{Scope: flowtable.Port(0), Match: flowtable.MatchAll,
-		Actions: []flowtable.Action{flowtable.Forward(10)}})
-	_, _ = h.Table().Add(flowtable.Rule{Scope: flowtable.ServiceID(10), Match: flowtable.MatchAll,
-		Actions: []flowtable.Action{flowtable.Out(1)}})
-	if err := h.Start(); err != nil {
-		b.Fatal(err)
-	}
-	defer h.Stop()
-	flush, cleanup := attach(b, h, &delivered)
-	defer cleanup()
-	factory := traffic.NewFactory()
-	frame, _ := factory.Frame(traffic.Flow(1, 256, 0), 0)
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		for h.Inject(0, frame) != nil {
-			time.Sleep(time.Microsecond)
-		}
-	}
-	h.WaitIdle(5 * time.Second)
-	flush()
-	// Socket backends may still be pumping the wire tail; rate against
-	// the moment deliveries stop, not the moment we notice they stopped.
-	last, lastChange := delivered.Load(), time.Now()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cur := delivered.Load(); cur != last {
-			last, lastChange = cur, time.Now()
-		}
-		if time.Since(lastChange) > 100*time.Millisecond {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return float64(last) / lastChange.Sub(start).Seconds()
-}
-
-// BenchmarkPortIOSnapshot measures egress throughput per port backend —
-// the pre-portio closure bind as baseline, then each driver — and
-// writes BENCH_portio.json next to BENCH_flowtable.json for the
-// recorded perf trajectory. ChanSync vs DirectBind is the acceptance
-// check that the driver seam adds no cost to the in-process path.
-func BenchmarkPortIOSnapshot(b *testing.B) {
-	const n = 20000
-	results := map[string]benchResult{}
-	record := func(name string, attach func(*testing.B, *dataplane.Host, *atomic.Int64) (func(), func())) {
-		b.Run(name, func(b *testing.B) {
-			var pps float64
-			for i := 0; i < b.N; i++ {
-				pps = portIOThroughput(b, n, attach)
-			}
-			b.ReportMetric(pps, "pkts/s")
-			results[name] = benchResult{Name: name, NsPerOp: 1e9 / pps, Ops: n}
-		})
-	}
-
-	record("DirectBind", func(b *testing.B, h *dataplane.Host, delivered *atomic.Int64) (func(), func()) {
-		h.BindPort(1, func(int, []byte, *dataplane.Desc) { delivered.Add(1) })
-		return func() {}, func() {}
-	})
-
-	chanAttach := func(depth int) func(*testing.B, *dataplane.Host, *atomic.Int64) (func(), func()) {
-		return func(b *testing.B, h *dataplane.Host, delivered *atomic.Int64) (func(), func()) {
-			da, db := portio.NewChanPair(depth)
-			if err := db.Open(&benchIngress{delivered: delivered}); err != nil {
-				b.Fatal(err)
-			}
-			bind, err := portio.Bind(h, 1, da)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return func() { bind.Close() }, func() { db.Close() }
-		}
-	}
-	record("ChanSync", chanAttach(0))
-	record("ChanQueued", chanAttach(1024))
-
-	record("UDPLoopback", func(b *testing.B, h *dataplane.Host, delivered *atomic.Int64) (func(), func()) {
-		recv := portio.NewUDP(portio.UDPConfig{Listen: "127.0.0.1:0"})
-		if err := recv.Open(&benchIngress{delivered: delivered}); err != nil {
-			b.Fatal(err)
-		}
-		send := portio.NewUDP(portio.UDPConfig{
-			Listen: "127.0.0.1:0", Peer: recv.LocalAddr().String(), QueueDepth: 1024,
-		})
-		bind, err := portio.Bind(h, 1, send)
-		if err != nil {
-			recv.Close()
-			b.Fatal(err)
-		}
-		return func() { bind.Close() }, func() { recv.Close() }
-	})
-
-	snap := benchSnapshot{Package: "portio", Timestamp: time.Now().UTC()}
-	for _, name := range []string{"DirectBind", "ChanSync", "ChanQueued", "UDPLoopback"} {
-		if r, ok := results[name]; ok {
-			snap.Results = append(snap.Results, r)
-		}
-	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_portio.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkDataplaneSnapshot records the dataplane perf trajectory:
-// full-pipeline throughput (lookup cache on and off) plus the two
-// portio reference points (in-process channel, real UDP socket), written
-// to BENCH_dataplane.json alongside BENCH_portio.json so CI archives a
-// per-PR snapshot of both the engine and the wire seam.
-func BenchmarkDataplaneSnapshot(b *testing.B) {
-	const n = 20000
-	results := map[string]benchResult{}
-	record := func(name string, run func() float64) {
-		b.Run(name, func(b *testing.B) {
-			var pps float64
-			for i := 0; i < b.N; i++ {
-				pps = run()
-			}
-			b.ReportMetric(pps, "pkts/s")
-			results[name] = benchResult{Name: name, NsPerOp: 1e9 / pps, Ops: n}
-		})
-	}
-
-	record("PipelineCached", func() float64 {
-		return engineThroughput(b, dataplane.Config{}, n)
-	})
-	record("PipelineUncached", func() float64 {
-		return engineThroughput(b, dataplane.Config{DisableLookupCache: true}, n)
-	})
-	record("PortioChanSync", func() float64 {
-		return portIOThroughput(b, n, func(b *testing.B, h *dataplane.Host, delivered *atomic.Int64) (func(), func()) {
-			da, db := portio.NewChanPair(0)
-			if err := db.Open(&benchIngress{delivered: delivered}); err != nil {
-				b.Fatal(err)
-			}
-			bind, err := portio.Bind(h, 1, da)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return func() { bind.Close() }, func() { db.Close() }
-		})
-	})
-	record("PortioUDPLoopback", func() float64 {
-		return portIOThroughput(b, n, func(b *testing.B, h *dataplane.Host, delivered *atomic.Int64) (func(), func()) {
-			recv := portio.NewUDP(portio.UDPConfig{Listen: "127.0.0.1:0"})
-			if err := recv.Open(&benchIngress{delivered: delivered}); err != nil {
-				b.Fatal(err)
-			}
-			send := portio.NewUDP(portio.UDPConfig{
-				Listen: "127.0.0.1:0", Peer: recv.LocalAddr().String(), QueueDepth: 1024,
-			})
-			bind, err := portio.Bind(h, 1, send)
-			if err != nil {
-				recv.Close()
-				b.Fatal(err)
-			}
-			return func() { bind.Close() }, func() { recv.Close() }
-		})
-	})
-
-	snap := benchSnapshot{Package: "dataplane", Timestamp: time.Now().UTC()}
-	for _, name := range []string{"PipelineCached", "PipelineUncached", "PortioChanSync", "PortioUDPLoopback"} {
-		if r, ok := results[name]; ok {
-			snap.Results = append(snap.Results, r)
-		}
-	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_dataplane.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // churnFlow returns the unique key and scope of churn-flow i. The low
 // 32 bits of i are embedded verbatim (uniqueness), the mixed bits give
 // the shard hash and port spread, and flows fan out over many service
@@ -603,7 +383,7 @@ func churnFlow(i uint64) (flowtable.ServiceID, packet.FlowKey) {
 // ones exactly — live count is invariant across rounds. After the
 // measured rounds the whole population is mass-expired and the heap
 // must shrink (right-sized map rebuilds), which is the bounded-memory
-// claim of the lifecycle design. Writes BENCH_flowchurn.json.
+// claim of the lifecycle design.
 func BenchmarkFlowChurn(b *testing.B) {
 	const (
 		liveFlows = 1 << 20 // steady-state live population (>=1M)
@@ -714,22 +494,10 @@ func BenchmarkFlowChurn(b *testing.B) {
 		b.Fatalf("lifecycle identity broken: %+v", st)
 	}
 
-	snap := benchSnapshot{Package: "flowchurn", Timestamp: time.Now().UTC(),
-		Results: []benchResult{
-			{Name: "LookupUnderChurn", NsPerOp: float64(touchNs) / float64(lookups), Ops: int(lookups)},
-			{Name: "SweepPerLiveFlow", NsPerOp: float64(sweepNs) / float64(uint64(b.N)*liveFlows), Ops: liveFlows},
-			{Name: "HeapBytesPerLiveFlow", NsPerOp: float64(heapSteady) / float64(liveFlows), Ops: liveFlows},
-		}}
+	b.ReportMetric(float64(sweepNs)/float64(uint64(b.N)*liveFlows), "sweep-ns/live-flow")
+	b.ReportMetric(float64(heapSteady)/float64(liveFlows), "heap-B/live-flow")
 	if churned > 0 {
-		snap.Results = append(snap.Results, benchResult{
-			Name: "ChurnPerFlow", NsPerOp: float64(touchNs+sweepNs) / float64(churned), Ops: int(churned)})
-	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_flowchurn.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
+		b.ReportMetric(float64(touchNs+sweepNs)/float64(churned), "churn-ns/flow")
 	}
 }
 

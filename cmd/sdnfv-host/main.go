@@ -1,38 +1,50 @@
-// Command sdnfv-host runs one SDNFV NF host: the NF Manager data plane
-// with a set of demo NFs, connected to an sdnfv-ctl controller over TCP
-// through the typed control API. Flow-table misses are pipelined to the
-// controller by the Flow Controller thread (whole bursts of PACKET_INs
-// in flight at once, §4.1); returned FLOW_MODs are batch-installed and
-// traffic proceeds locally. Cross-layer NF messages are forwarded
-// upstream as NF_MESSAGEs.
+// Command sdnfv-host boots an SDNFV deployment from a declarative spec
+// (internal/spec) and drives traffic through it. There is one boot path:
+// -spec FILE loads the spec, and without it the flags synthesise the
+// one-host spec examples/specs/single-host.json describes (host1 running
+// firewall → counter → shaper, ingress port 0, egress port 1) — the
+// flags are shorthand, `sdnfv-ctl diff` between the two is empty.
+// Either way reconcile.Boot assembles controller → fabric → hosts →
+// links → app → orchestrator → reconciler, NFs boot through the
+// orchestrator, rules install through the incremental recompile path,
+// and the reconcile loop keeps the cluster converged on the spec.
 //
-// Without a reachable controller the host still runs, using a
-// pre-populated local chain. A built-in traffic generator exercises the
-// path. SIGINT/SIGTERM stop the generator, drain the data plane, and
-// exit 0.
+// A built-in generator (-packets N) injects at the spec's ingress with
+// backpressure, so an unshaped in-process chain delivers every frame.
+// -packets 0 is serve mode: no local generator, traffic comes in off
+// the wire. SIGINT/SIGTERM stop the generator, drain the data plane,
+// and exit 0.
+//
+// -controller ADDR replaces the in-process controller and application
+// with a remote sdnfv-ctl over TCP: flow-table misses are pipelined to
+// it by the Flow Controller thread (PACKET_IN → FLOW_MODs, §4.1) and
+// cross-layer NF messages are forwarded upstream as NF_MESSAGEs.
 //
 // Real packet I/O: -port binds a pluggable transport behind a NIC port
-// (repeatable), so two hosts can exchange frames over actual sockets —
+// of the ingress host (repeatable), so two processes can exchange
+// frames over actual sockets —
 //
 //	sdnfv-host -port 1=udp:127.0.0.1:7001/127.0.0.1:7002 -packets 10000
 //	sdnfv-host -port 0=udp:127.0.0.1:7002 -packets 0
 //
 // runs a sender whose chain egresses over UDP loopback into a second
-// process serving until SIGINT. -packets 0 means serve mode: no local
-// generator, traffic comes in off the wire.
+// process serving until SIGINT.
 //
 // Observability: -telemetry ADDR serves the Prometheus exporter at
-// /metrics and the show/state API under /state/ (query it with
-// `sdnfv-ctl show`); on shutdown the host prints one final exporter
-// snapshot from the same registry.
+// /metrics, the show/state API under /state/ (query it with `sdnfv-ctl
+// show`), and POST /apply/spec, so `sdnfv-ctl apply` can hand a running
+// process a new spec generation; on shutdown the host prints one final
+// exporter snapshot from the same registry.
 //
-//	sdnfv-host -controller 127.0.0.1:6653 -telemetry 127.0.0.1:9464 -packets 10000
+//	sdnfv-host -spec examples/specs/two-host.json -telemetry 127.0.0.1:9464 -packets 0
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -41,133 +53,205 @@ import (
 
 	"sdnfv/internal/autoscale"
 	"sdnfv/internal/control"
-	"sdnfv/internal/dataplane"
-	"sdnfv/internal/flowtable"
 	"sdnfv/internal/nf"
 	"sdnfv/internal/nfs"
 	"sdnfv/internal/orchestrator"
 	"sdnfv/internal/portio"
+	"sdnfv/internal/reconcile"
+	"sdnfv/internal/spec"
 	"sdnfv/internal/telemetry"
 	"sdnfv/internal/traffic"
 )
 
-func main() {
-	ctlAddr := flag.String("controller", "", "controller address (empty = standalone with local rules)")
-	datapath := flag.Uint64("datapath", 0, "datapath id announced to the controller (0 = anonymous); rules resolve scoped to this host")
-	packets := flag.Int("packets", 10000, "packets to generate")
-	flows := flag.Int("flows", 8, "concurrent synthetic flows")
-	autoScale := flag.Bool("autoscale", true, "autoscale the counter service from its queue telemetry")
-	scaleMin := flag.Int("scale-min", 1, "autoscale: minimum replicas")
-	scaleMax := flag.Int("scale-max", 3, "autoscale: maximum replicas")
-	flowIdle := flag.Duration("flow-idle", 0, "evict flow rules idle for this long (0 = never); starts the table sweeper")
-	flowHard := flag.Duration("flow-hard", 0, "evict flow rules this long after install regardless of traffic (0 = never)")
-	telemetryAddr := flag.String("telemetry", "", "serve /metrics and /state/... on this address (e.g. 127.0.0.1:9464; empty = off)")
-	specPath := flag.String("spec", "", "declarative deployment spec (JSON); boots the declared cluster under the reconcile loop instead of the imperative single-host setup")
-	var ports portio.PortFlags
-	flag.Var(&ports, "port", "bind a port driver, N=udp:LADDR[/RADDR] | N=tcp:ADDR | N=tcp-listen:ADDR | N=afpacket:IFACE (repeatable)")
-	flag.Parse()
+type options struct {
+	controller         string
+	datapath           uint64
+	packets, flows     int
+	autoscale          bool
+	scaleMin, scaleMax int
+	flowIdle, flowHard time.Duration
+	telemetry          string
+	spec               string
+	ports              portio.PortFlags
+}
 
-	if *specPath != "" {
-		// In spec mode replica bounds, placement, and wiring all come
-		// from the spec; flags that would contradict it are refused
-		// rather than silently ignored.
-		conflicts := map[string]string{
-			"scale-min":  "autoscale bounds come from the spec's per-service scale stanza",
-			"scale-max":  "autoscale bounds come from the spec's per-service scale stanza",
-			"autoscale":  "the reconciler owns the autoscalers in spec mode",
-			"controller": "spec mode runs its own in-process controller",
-			"port":       "spec mode wires ports from the spec's links",
-			"datapath":   "datapath ids come from the spec's host stanzas",
-			"flow-idle":  "flow timeouts come from the spec's flow_timeouts stanza",
-			"flow-hard":  "flow timeouts come from the spec's flow_timeouts stanza",
-		}
-		var conflict error
-		flag.Visit(func(f *flag.Flag) {
-			if why, ok := conflicts[f.Name]; ok && conflict == nil {
-				conflict = fmt.Errorf("sdnfv-host: -%s conflicts with -spec: %s", f.Name, why)
+// specConflicts are the flags refused alongside -spec: the inputs to
+// the spec the flags would otherwise synthesise (the file already says
+// all of that), and the two single-host conveniences.
+var specConflicts = map[string]string{
+	"scale-min":  "autoscale bounds come from the spec's per-service scale stanza",
+	"scale-max":  "autoscale bounds come from the spec's per-service scale stanza",
+	"autoscale":  "autoscale bounds come from the spec's per-service scale stanza",
+	"datapath":   "datapath ids come from the spec's host stanzas",
+	"flow-idle":  "flow timeouts come from the spec's flow_timeouts stanza",
+	"flow-hard":  "flow timeouts come from the spec's flow_timeouts stanza",
+	"controller": "a spec file boots its own in-process controller",
+	"port":       "a spec file wires ports from its links",
+}
+
+func parseFlags(args []string) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("sdnfv-host", flag.ContinueOnError)
+	fs.StringVar(&o.controller, "controller", "", "remote controller address (empty = in-process controller and application)")
+	fs.Uint64Var(&o.datapath, "datapath", 0, "datapath id announced to the controller (0 = anonymous); rules resolve scoped to this host")
+	fs.IntVar(&o.packets, "packets", 10000, "packets to generate (0 = serve until SIGINT)")
+	fs.IntVar(&o.flows, "flows", 8, "concurrent synthetic flows")
+	fs.BoolVar(&o.autoscale, "autoscale", true, "autoscale the counter service from its queue telemetry")
+	fs.IntVar(&o.scaleMin, "scale-min", 1, "autoscale: minimum replicas")
+	fs.IntVar(&o.scaleMax, "scale-max", 3, "autoscale: maximum replicas")
+	fs.DurationVar(&o.flowIdle, "flow-idle", 0, "evict flow rules idle for this long (0 = never); starts the table sweeper")
+	fs.DurationVar(&o.flowHard, "flow-hard", 0, "evict flow rules this long after install regardless of traffic (0 = never)")
+	fs.StringVar(&o.telemetry, "telemetry", "", "serve /metrics, /state/... and /apply/spec on this address (e.g. 127.0.0.1:9464; empty = off)")
+	fs.StringVar(&o.spec, "spec", "", "declarative deployment spec (JSON); without it the flags synthesise a one-host spec")
+	fs.Var(&o.ports, "port", "bind a port driver on the ingress host, N=udp:LADDR[/RADDR] | N=tcp:ADDR | N=tcp-listen:ADDR | N=afpacket:IFACE (repeatable)")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	var err error
+	if o.spec != "" {
+		fs.Visit(func(f *flag.Flag) {
+			if why, ok := specConflicts[f.Name]; ok && err == nil {
+				err = fmt.Errorf("-%s conflicts with -spec: %s", f.Name, why)
 			}
 		})
-		if conflict != nil {
-			log.Fatal(conflict)
-		}
-		runSpec(*specPath, *packets, *flows, *telemetryAddr)
-		return
 	}
+	return o, err
+}
 
-	cfg := dataplane.Config{
-		PoolSize: 4096, TXThreads: 1,
-		FlowIdleTimeout: *flowIdle, FlowHardTimeout: *flowHard,
+// specFromFlags synthesises the one-host spec the flags are shorthand
+// for. With -datapath 1 and otherwise default flags it equals
+// examples/specs/single-host.json.
+func specFromFlags(o options) (*spec.Spec, error) {
+	scale := spec.Bounds{Min: 1, Max: 1}
+	if o.autoscale {
+		scale = spec.Bounds{Min: o.scaleMin, Max: o.scaleMax}
 	}
-	if *ctlAddr != "" {
-		dialCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		client, err := control.DialAs(dialCtx, *ctlAddr, control.DatapathID(*datapath))
-		cancel()
-		if err != nil {
-			log.Fatalf("dial controller: %v", err)
-		}
-		defer client.Close()
-		// The Flow Controller thread resolves misses over this channel
-		// with pipelined XID-correlated PacketIns; the HELLO announced
-		// our datapath id, so the controller registers this host's
-		// session and scopes every FLOW_MOD to it.
-		cfg.Control = client
-		if f, err := client.Features(context.Background()); err == nil {
-			log.Printf("sdnfv-host: control channel to %s up as datapath %#x (controller %#x)",
-				*ctlAddr, *datapath, f.DatapathID)
-		} else {
-			log.Printf("sdnfv-host: control channel to %s up", *ctlAddr)
-		}
+	on := []string{"host1"}
+	sp := &spec.Spec{
+		Version: spec.Version,
+		Name:    "single-host-chain",
+		Hosts:   []spec.Host{{Name: "host1", Datapath: o.datapath}},
+		Services: []spec.Service{
+			{Name: "firewall", ID: 1, NF: "firewall", Placement: on},
+			{Name: "counter", ID: 2, NF: "counter", Placement: on, Scale: scale},
+			{Name: "shaper", ID: 3, NF: "shaper", ReadOnly: true, Placement: on},
+		},
+		Edges: []spec.Edge{
+			{From: spec.EndpointIngress, To: "firewall", Default: true},
+			{From: "firewall", To: "counter", Default: true},
+			{From: "counter", To: "shaper", Default: true},
+			{From: "shaper", To: spec.EndpointEgress, Default: true},
+		},
+		Ingress:    spec.IngressSpec{Host: "host1", Port: 0},
+		EgressPort: 1,
 	}
-
-	host := dataplane.NewHost(cfg)
-	start := time.Now()
-	mustNF(host.AddNF(1, &nfs.Firewall{DefaultAllow: true}, 0))
-	mustNF(host.AddNF(2, &nfs.Counter{}, 0))
-	mustNF(host.AddNF(3, &nfs.Shaper{
-		RateBps: 1e9, BurstBytes: 1e6,
-		Now: func() float64 { return time.Since(start).Seconds() },
-	}, 0))
-	if cfg.Control == nil {
-		// Standalone: pre-populate the chain locally.
-		mustRule(host, flowtable.Rule{Scope: flowtable.Port(0), Match: flowtable.MatchAll,
-			Actions: []flowtable.Action{flowtable.Forward(1)}})
-		mustRule(host, flowtable.Rule{Scope: 1, Match: flowtable.MatchAll,
-			Actions: []flowtable.Action{flowtable.Forward(2)}})
-		mustRule(host, flowtable.Rule{Scope: 2, Match: flowtable.MatchAll,
-			Actions: []flowtable.Action{flowtable.Forward(3)}})
-		mustRule(host, flowtable.Rule{Scope: 3, Match: flowtable.MatchAll,
-			Actions: []flowtable.Action{flowtable.Out(1)}})
-	}
-
-	var delivered int
-	doneCh := make(chan struct{})
-	host.BindDefault(func(int, []byte, *dataplane.Desc) {
-		delivered++
-		if delivered == *packets {
-			close(doneCh)
-		}
-	})
-	// Driver teardown runs after host.Stop (LIFO defers): the engine
-	// drains through the sinks first, then each driver flushes its
-	// egress queue onto the wire and closes its socket.
-	var bindings []*portio.Binding
-	defer func() {
-		for _, b := range bindings {
-			if err := b.Close(); err != nil {
-				log.Printf("sdnfv-host: close port %d: %v", b.Port(), err)
+	if o.flowIdle != 0 || o.flowHard != 0 {
+		for _, d := range []time.Duration{o.flowIdle, o.flowHard} {
+			if d%time.Millisecond != 0 {
+				return nil, fmt.Errorf("flow timeout %v: spec flow_timeouts have millisecond resolution", d)
 			}
 		}
-	}()
-	if err := host.Start(); err != nil {
-		log.Fatal(err)
-	}
-	defer host.Stop()
-	for _, ps := range ports.Ports {
-		b, err := portio.Bind(host, ps.Port, ps.Driver)
-		if err != nil {
-			log.Fatalf("bind %s: %v", ps.Spec, err)
+		sp.FlowTimeouts = &spec.FlowTimeouts{
+			IdleMs: int(o.flowIdle / time.Millisecond),
+			HardMs: int(o.flowHard / time.Millisecond),
 		}
-		bindings = append(bindings, b)
+	}
+	return sp, sp.Validate()
+}
+
+// builtinNFs is the registry of NF implementations this binary ships;
+// spec `nf` bindings resolve against these names.
+func builtinNFs() (*spec.NFRegistry, error) {
+	start := time.Now()
+	reg := spec.NewNFRegistry()
+	for name, factory := range map[string]func() nf.BatchFunction{
+		"firewall": func() nf.BatchFunction { return &nfs.Firewall{DefaultAllow: true} },
+		"counter":  func() nf.BatchFunction { return &nfs.Counter{} },
+		"shaper": func() nf.BatchFunction {
+			return &nfs.Shaper{
+				RateBps: 1e9, BurstBytes: 1e6,
+				Now: func() float64 { return time.Since(start).Seconds() },
+			}
+		},
+	} {
+		if err := reg.Register(name, factory); err != nil {
+			return nil, err
+		}
+	}
+	return reg, nil
+}
+
+func main() {
+	opts, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err == nil {
+		err = run(opts, os.Stdout)
+	}
+	if err != nil {
+		log.Fatalf("sdnfv-host: %v", err)
+	}
+}
+
+// run is the whole program after flag parsing: obtain a spec, Boot it,
+// bind port drivers and telemetry, generate (or serve), drain, close,
+// and write the summary to stdout.
+func run(o options, stdout io.Writer) error {
+	mode := "flag mode"
+	var sp *spec.Spec
+	var err error
+	if o.spec != "" {
+		mode = "spec mode"
+		sp, err = spec.Load(o.spec)
+	} else {
+		sp, err = specFromFlags(o)
+	}
+	if err != nil {
+		return err
+	}
+	nfReg, err := builtinNFs()
+	if err != nil {
+		return err
+	}
+	ingressDP, _ := sp.Datapath(sp.Ingress.Host) // validated: the ingress host exists
+
+	var remote func(control.DatapathID) control.Southbound
+	if o.controller != "" {
+		dialCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		client, err := control.DialAs(dialCtx, o.controller, ingressDP)
+		cancel()
+		if err != nil {
+			return fmt.Errorf("dial controller: %w", err)
+		}
+		// Closed after the cluster: the Flow Controller thread resolves
+		// misses over this channel until the host stops.
+		defer client.Close()
+		// The HELLO announced our datapath id, so the controller
+		// registers this host's session and scopes every FLOW_MOD to it.
+		remote = func(control.DatapathID) control.Southbound { return client }
+		log.Printf("sdnfv-host: control channel to %s up as datapath %s", o.controller, ingressDP)
+	}
+
+	c, err := reconcile.Boot(sp, nfReg, reconcile.Timings{
+		Reconcile: reconcile.Config{IntervalSec: 0.05},
+		Scale:     autoscale.Config{IntervalSec: 0.05, CooldownSec: 0.25},
+		Orch:      orchestrator.Config{BootDelaySec: 0.05, StandbyDelaySec: 0.05, Standby: 1},
+	}, remote)
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	st := c.Reconciler.Status()
+	log.Printf("sdnfv-host: spec %q generation %d converged after %d ticks (%d hosts, %d services), placement %v",
+		sp.Name, st.Generation, st.Ticks, len(sp.Hosts), len(sp.Services), st.Placement)
+
+	// Port drivers go through the fabric, so Close drains the engine
+	// through the sinks before each driver flushes onto the wire.
+	for _, ps := range o.ports.Ports {
+		if _, err := c.Fabric.BindWire(ingressDP, ps.Port, ps.Driver); err != nil {
+			return fmt.Errorf("bind %s: %w", ps.Spec, err)
+		}
 		log.Printf("sdnfv-host: port %d bound to %s (%s)", ps.Port, ps.Driver.Name(), ps.Spec)
 	}
 
@@ -176,131 +260,74 @@ func main() {
 	// scrapes mid-run and what the host prints on exit come from one
 	// code path.
 	reg := telemetry.NewRegistry()
-	telemetry.RegisterHost(reg, "host1", control.DatapathID(*datapath), host)
-
-	// Elasticity loop (§3.3/§5 dynamic scaling): the counter service
-	// scales between -scale-min and -scale-max replicas from its own
-	// queue/overflow telemetry, actuating through the orchestrator
-	// (standby VMs make boots fast; Retire drains flow-state-safely).
-	var scaler *autoscale.Controller
-	if *autoScale {
-		clock := autoscale.NewRealClock()
-		orch := orchestrator.New(orchestrator.Config{
-			BootDelaySec: 0.5, StandbyDelaySec: 0.05, Standby: *scaleMax,
-		}, clock)
-		orch.AddHost(dataplane.NamedHost{Name: "host1", Host: host})
-		scaler = autoscale.New(autoscale.Config{
-			Min: *scaleMin, Max: *scaleMax,
-			IntervalSec: 0.05, CooldownSec: 0.25,
-		},
-			autoscale.ServiceSource{Host: host, Service: 2, Orch: orch},
-			autoscale.OrchestratorActuator{
-				Orch: orch, HostName: "host1", Host: host, Service: 2,
-				NewNF: func() nf.BatchFunction { return &nfs.Counter{} },
-			}, clock)
-		scaler.Start()
-		defer scaler.Stop()
-		telemetry.RegisterAutoscale(reg, flowtable.ServiceID(2).String(), scaler)
-	}
-
-	if *telemetryAddr != "" {
-		srv, err := telemetry.Serve(*telemetryAddr, reg)
+	telemetry.RegisterStack(reg, c)
+	if o.telemetry != "" {
+		srv, err := telemetry.Serve(o.telemetry, reg)
 		if err != nil {
-			log.Fatalf("telemetry: %v", err)
+			return fmt.Errorf("telemetry: %w", err)
 		}
 		defer srv.Close()
-		log.Printf("sdnfv-host: telemetry on http://%s/metrics (state index at /state)", srv.Addr())
+		log.Printf("sdnfv-host: telemetry on http://%s/metrics (state index at /state, apply specs at /apply/spec)", srv.Addr())
 	}
 
-	// Graceful shutdown: a signal stops the generator loop and falls
-	// through to the drain + stats path below.
+	// Graceful shutdown: a signal stops the generator loop (or serve
+	// mode) and falls through to the drain + summary below.
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
-	interrupted := false
-
-	if *packets == 0 {
-		// Serve mode: no local generator — traffic arrives off the wire
-		// through the bound port drivers until a signal stops us.
-		log.Printf("sdnfv-host: serving (%d port driver(s) bound), ^C to stop", len(bindings))
-		s := <-sigs
-		log.Printf("sdnfv-host: %s received, draining", s)
+	defer signal.Stop(sigs)
+	if o.packets == 0 {
+		log.Printf("sdnfv-host: serving (%d port driver(s) bound), ^C to stop", len(o.ports.Ports))
+		log.Printf("sdnfv-host: %s received, draining", <-sigs)
 	} else {
 		factory := traffic.NewFactory()
 	gen:
-		for i := 0; i < *packets; i++ {
+		for i := 0; i < o.packets; i++ {
 			select {
 			case s := <-sigs:
 				log.Printf("sdnfv-host: %s received, stopping generator", s)
-				interrupted = true
 				break gen
 			default:
 			}
-			spec := traffic.Flow(i%*flows, 512, 0)
-			frame, err := factory.Frame(spec, time.Now().UnixNano())
+			frame, err := factory.Frame(traffic.Flow(i%o.flows, 512, 0), time.Now().UnixNano())
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
-			for {
-				if err := host.Inject(0, frame); err == nil {
-					break
-				}
-				time.Sleep(5 * time.Microsecond)
-			}
-		}
-		// With port drivers bound, deliveries happen on the far side of
-		// the wire — fall through to the idle drain instead of waiting
-		// for a local delivery count that will never be reached.
-		if !interrupted && len(bindings) == 0 {
-			select {
-			case <-doneCh:
-			case s := <-sigs:
-				log.Printf("sdnfv-host: %s received, draining", s)
-			case <-time.After(30 * time.Second):
-				log.Printf("sdnfv-host: timed out waiting for deliveries")
+			if err := c.Inject(frame); err != nil {
+				return err
 			}
 		}
 	}
-	host.WaitIdle(5 * time.Second)
-
-	// Ordered shutdown before the final stats read so the wire counters
-	// reconcile: engine drained through the sinks, then every driver
-	// flushes its egress queue and closes. The deferred copies of these
-	// calls are idempotent no-ops after this.
-	if scaler != nil {
-		scaler.Stop()
-	}
-	host.Stop()
-	for _, b := range bindings {
-		if err := b.Close(); err != nil {
-			log.Printf("sdnfv-host: close port %d: %v", b.Port(), err)
-		}
+	if !c.Fabric.WaitIdle(10 * time.Second) {
+		log.Printf("sdnfv-host: drain timed out — packets still in flight")
 	}
 
-	st := host.Stats()
-	log.Printf("sdnfv-host: rx=%d tx=%d drops=%d overflows=%d txdrops=%d rxdrops=%d misses=%d rules=%d",
-		st.RxPackets, st.TxPackets, st.Drops, st.Overflows, st.TxDrops, st.RxDrops, st.Misses, st.Table.Rules)
+	// Close before the final stats read so the wire counters reconcile:
+	// engine drained through the sinks, every driver flushed and closed.
+	c.Close()
+
+	final := c.Reconciler.Status()
+	var delivered uint64
+	for _, name := range sp.HostNames() {
+		hs := c.Hosts[name].Stats()
+		delivered += c.Delivered(name)
+		fmt.Fprintf(stdout, "sdnfv-host: %s rx=%d tx=%d drops=%d overflows=%d txdrops=%d rxdrops=%d misses=%d rules=%d\n",
+			name, hs.RxPackets, hs.TxPackets, hs.Drops, hs.Overflows, hs.TxDrops, hs.RxDrops, hs.Misses, hs.Table.Rules)
+	}
+	for svc, sc := range c.Actuators.Scalers() {
+		for _, ev := range sc.Events() {
+			fmt.Fprintf(stdout, "sdnfv-host: autoscale %s %s at t=%.2fs (replicas=%d backlog=%d err=%v)\n",
+				svc, ev.Decision, ev.At, ev.Replicas, ev.Backlog, ev.Err)
+		}
+	}
+	fmt.Fprintf(stdout, "sdnfv-host: drift=%d actions ok=%d failed=%d\n", len(final.Drift), final.ActionsOK, final.ActionsFailed)
+	fmt.Fprintf(stdout, "%s: generation=%d converged=%v delivered=%d\n", mode, final.Generation, final.Converged, delivered)
 	// Final snapshot through the exporter itself: the same families a
 	// live scrape would see, per-port and per-replica counters included.
-	if err := reg.WritePrometheus(os.Stdout); err != nil {
-		log.Printf("sdnfv-host: final snapshot: %v", err)
+	if err := reg.WritePrometheus(stdout); err != nil {
+		return fmt.Errorf("final snapshot: %w", err)
 	}
-	if scaler != nil {
-		for _, ev := range scaler.Events() {
-			log.Printf("sdnfv-host: autoscale %s at t=%.2fs (replicas=%d backlog=%d err=%v)",
-				ev.Decision, ev.At, ev.Replicas, ev.Backlog, ev.Err)
-		}
+	for _, name := range sp.HostNames() {
+		fmt.Fprintf(stdout, "%s flow table:\n%s\n", name, c.Hosts[name].Table().Dump())
 	}
-	fmt.Println(host.Table().Dump())
-}
-
-func mustNF(_ *dataplane.Instance, err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
-}
-
-func mustRule(h *dataplane.Host, r flowtable.Rule) {
-	if _, err := h.Table().Add(r); err != nil {
-		log.Fatal(err)
-	}
+	return nil
 }

@@ -201,16 +201,6 @@ func (f *Fabric) Host(dp control.DatapathID) (*dataplane.Host, bool) {
 	return m.host, true
 }
 
-// HostName returns the registered name for dp ("" when unknown).
-func (f *Fabric) HostName(dp control.DatapathID) string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if m, ok := f.hosts[dp]; ok {
-		return m.name
-	}
-	return ""
-}
-
 // Hosts lists registered datapaths, ascending.
 func (f *Fabric) Hosts() []control.DatapathID {
 	f.mu.Lock()
@@ -350,30 +340,6 @@ func (f *Fabric) Links() []*Link {
 	return append([]*Link(nil), f.links...)
 }
 
-// Install adds each datapath's rules to its host table in one batched
-// write per host — the fabric-side half of a compiled app.Deployment.
-// Validation runs before any table is touched, so a map naming an
-// unregistered datapath mutates nothing (a retry after fixing it does
-// not double-install the valid hosts' rules).
-func (f *Fabric) Install(tables map[control.DatapathID][]flowtable.Rule) error {
-	for dp := range tables {
-		if _, ok := f.Host(dp); !ok {
-			return fmt.Errorf("%w: %s has compiled rules", ErrUnknownHost, dp)
-		}
-	}
-	for _, dp := range f.Hosts() {
-		rules, ok := tables[dp]
-		if !ok || len(rules) == 0 {
-			continue
-		}
-		h, _ := f.Host(dp)
-		if _, err := h.Table().AddBatch(rules); err != nil {
-			return fmt.Errorf("cluster: install on %s: %w", dp, err)
-		}
-	}
-	return nil
-}
-
 // UpdateDefault implements app.Downstream: the application's translated
 // per-host rule update lands on the named datapath's flow table,
 // constrained to actions the rules already list (§3.4).
@@ -454,35 +420,30 @@ func (f *Fabric) Stats() map[control.DatapathID]dataplane.HostStats {
 	return out
 }
 
-// WaitIdle blocks until no packet is in flight anywhere in the cluster —
-// every host's pool drained AND every shaped link's queue empty — or the
-// timeout elapses. A frame can be "between hosts" (released by the
-// sender, not yet injected into the receiver), so both conditions must
-// hold simultaneously.
-func (f *Fabric) WaitIdle(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for {
-		if f.idle() {
-			return true
-		}
-		if !time.Now().Before(deadline) {
-			return f.idle()
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-}
-
-func (f *Fabric) idle() bool {
+// InFlight counts the packets in flight anywhere in the cluster: pool
+// buffers held on every live host plus frames queued on shaped links. A
+// frame can be "between hosts" (released by the sender, not yet injected
+// into the receiver), so both terms are needed.
+func (f *Fabric) InFlight() int {
+	n := 0
 	for _, dp := range f.aliveHosts() {
 		h, _ := f.Host(dp)
-		if h.Pool().Stats().InUse != 0 {
-			return false
-		}
+		n += h.Pool().Stats().InUse
 	}
 	for _, l := range f.Links() {
-		if l.pending.Load() != 0 {
-			return false
+		n += int(l.pending.Load())
+	}
+	return n
+}
+
+// WaitIdle blocks until InFlight reaches zero or the timeout elapses.
+func (f *Fabric) WaitIdle(timeout time.Duration) bool {
+	deadline := time.Now().Add(timeout)
+	for f.InFlight() != 0 {
+		if !time.Now().Before(deadline) {
+			return f.InFlight() == 0
 		}
+		time.Sleep(100 * time.Microsecond)
 	}
 	return true
 }

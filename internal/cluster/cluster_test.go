@@ -80,8 +80,10 @@ func twoHostFabric(t *testing.T) (*Fabric, *app.Deployment, map[control.Datapath
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Install(tables); err != nil {
-		t.Fatal(err)
+	for dp, rules := range tables {
+		if _, err := f.ReplaceRules(dp, nil, rules); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := hosts[dpLeft].AddNF(svcL, tally{}, 0); err != nil {
 		t.Fatal(err)

@@ -731,21 +731,11 @@ func (h *Host) replace(inst *Instance, fn nf.BatchFunction) {
 }
 
 // sameNFImpl reports whether two functions are the same NF
-// implementation for the state-survival check: same concrete type
-// (looking through the PerPacket shim, whose wrapper type would conflate
-// all v1 NFs) and same name (adapter types like FuncAdapter/BatchAdapter
-// would otherwise conflate unrelated NFs built from them).
+// implementation for the state-survival check: same concrete type and
+// same name (an adapter type like BatchAdapter would otherwise conflate
+// unrelated NFs built from it).
 func sameNFImpl(a, b nf.BatchFunction) bool {
-	return nfImplType(a) == nfImplType(b) && a.Name() == b.Name()
-}
-
-// nfImplType identifies the implementation type behind fn, unwrapping
-// the PerPacket shim.
-func nfImplType(fn nf.BatchFunction) reflect.Type {
-	if u, ok := fn.(interface{ Unwrap() nf.Function }); ok {
-		return reflect.TypeOf(u.Unwrap())
-	}
-	return reflect.TypeOf(fn)
+	return reflect.TypeOf(a) == reflect.TypeOf(b) && a.Name() == b.Name()
 }
 
 // FlowState returns the engine-owned per-flow store of replica index of

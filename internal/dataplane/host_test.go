@@ -88,11 +88,15 @@ const (
 	svcC flowtable.ServiceID = 12
 )
 
-// ppNF builds a read-only per-packet NF through the v1 PerPacket shim, so
-// the engine tests cover the shim path end to end (native batch NFs are
-// covered by the nfs suite and lifecycle tests).
+// ppNF builds a read-only NF from a per-packet function, for engine tests
+// whose NF logic is naturally one decision per packet.
 func ppNF(name string, f func(ctx *nf.Context, p *nf.Packet) nf.Decision) nf.BatchFunction {
-	return nf.PerPacket(&nf.FuncAdapter{FnName: name, RO: true, ProcessF: f})
+	return &nf.BatchAdapter{FnName: name, RO: true,
+		ProcessBatchF: func(ctx *nf.Context, batch []nf.Packet, out []nf.Decision) {
+			for i := range batch {
+				out[i] = f(ctx, &batch[i])
+			}
+		}}
 }
 
 func TestSingleNFChain(t *testing.T) {

@@ -291,8 +291,14 @@ func Cluster(seed int64) *ClusterResult {
 			}
 			if i%8 == 7 {
 				// Pace to ~150 kpps so the measurement captures per-hop
-				// chain latency, not self-inflicted queueing.
+				// chain latency, not self-inflicted queueing — and on a
+				// starved scheduler, where even that outruns the chain,
+				// hold for the cluster to catch up instead of overflowing
+				// its rings (same window as reconcile.Cluster.Inject).
 				time.Sleep(50 * time.Microsecond)
+				for fab.InFlight() > 256 {
+					time.Sleep(20 * time.Microsecond)
+				}
 			}
 		}
 		return sent

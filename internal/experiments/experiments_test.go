@@ -9,7 +9,7 @@ import (
 // numbers — who wins, by roughly what factor, and where crossovers fall.
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"fig1", "fig5", "table2", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "micro", "scale", "cluster", "churn"}
+	want := []string{"fig1", "fig5", "table2", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "micro", "scale", "cluster", "churn", "wire", "reconcile"}
 	have := map[string]bool{}
 	for _, n := range Names() {
 		have[n] = true

@@ -1,30 +1,23 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"sdnfv/internal/acmatch"
-	"sdnfv/internal/app"
 	"sdnfv/internal/autoscale"
-	"sdnfv/internal/cluster"
-	"sdnfv/internal/controller"
-	"sdnfv/internal/dataplane"
 	"sdnfv/internal/nf"
 	"sdnfv/internal/nfs"
 	"sdnfv/internal/orchestrator"
 	"sdnfv/internal/reconcile"
 	"sdnfv/internal/spec"
-	"sdnfv/internal/telemetry"
 	"sdnfv/internal/traffic"
 )
 
 // reconcileSpecJSON is the declarative desired state driving the whole
-// experiment — it enters the stack through telemetry's POST /apply/spec
-// action exactly as `sdnfv-ctl apply` would deliver it. The video
+// experiment — it boots through reconcile.Boot exactly as `sdnfv-host
+// -spec` would boot it. The video
 // service lists host-C first and host-A as fallback, which is the knob
 // the chaos phase turns: killing host-C makes host-A the first live
 // placement candidate and the reconciler must converge onto it.
@@ -57,7 +50,7 @@ const reconcileSpecJSON = `{
 }`
 
 // ReconcileResult is the declarative-orchestration chaos experiment:
-// a spec is POSTed to /apply/spec, the reconcile loop converges an
+// a spec is booted, the reconcile loop converges an
 // empty three-host cluster onto it (boots through the orchestrator,
 // incremental recompile, tracked rule install), traffic proves the
 // chain, then host-C is killed mid-run and the loop must re-place the
@@ -104,7 +97,7 @@ func (*ReconcileResult) Name() string { return "reconcile" }
 // Render implements Result.
 func (r *ReconcileResult) Render() string {
 	var b strings.Builder
-	b.WriteString("Declarative reconcile: spec applied via /apply/spec, host-C killed mid-run\n\n")
+	b.WriteString("Declarative reconcile: spec booted through reconcile.Boot, host-C killed mid-run\n\n")
 	b.WriteString(fmt.Sprintf("generation %d: converged in %d ticks from empty cluster\n",
 		r.Generation, r.TicksFromScratch))
 	b.WriteString(fmt.Sprintf("placement: %v\n", r.Placement))
@@ -147,152 +140,78 @@ func Reconcile(seed int64) *ReconcileResult {
 	mustReg(nfReg.Register("ids", func() nf.BatchFunction { return &nfs.IDS{Matcher: sigs, Scrubber: 3} }))
 	mustReg(nfReg.Register("video", func() nf.BatchFunction { return &nfs.VideoDetector{PolicyEngine: 3, Bypass: 3} }))
 
-	// --- Parse the spec (the same bytes later go through /apply/spec).
+	// --- Parse the spec.
 	sp, err := spec.Parse([]byte(reconcileSpecJSON))
 	if err != nil {
 		panic(err)
 	}
-	if err := sp.BindCheck(nfReg); err != nil {
-		panic(err)
-	}
-	dps := reconcile.DatapathsOf(sp)
 
-	// --- Controller, hosts, fabric wired from the spec's links.
-	ctl := controller.New(controller.Config{Workers: 2})
-	ctl.Start()
-	defer ctl.Stop()
-	fab := cluster.New()
-	hosts := map[string]*dataplane.Host{}
-	for _, name := range sp.HostNames() {
-		h := dataplane.NewHost(dataplane.Config{
-			PoolSize: 4096, RingSize: 1024, TXThreads: 1,
-			Control: ctl.Session(dps[name]),
-		})
-		hosts[name] = h
-		if err := fab.AddHost(dps[name], name, h); err != nil {
-			panic(err)
-		}
-	}
-	if err := reconcile.WireLinks(fab, sp, cluster.LinkConfig{}); err != nil {
-		panic(err)
-	}
-
-	// --- Application over the spec graph; the fabric is its downstream.
-	g, err := sp.Graph()
+	// --- One boot path: the same reconcile.Boot sdnfv-host uses
+	// assembles controller → fabric → three hosts → links → app →
+	// orchestrator → reconciler and converges the empty cluster onto the
+	// spec (boots through the orchestrator, incremental recompile,
+	// tracked rule install).
+	c, err := reconcile.Boot(sp, nfReg, reconcile.Timings{
+		Reconcile: reconcile.Config{IntervalSec: 0.02, BackoffSec: 0.05, PendingSec: 0.5, QueueDepth: 16},
+		// Long interval + high thresholds: the loops exist (bounds are
+		// live, failover moves them) but stay quiet during the short run.
+		Scale: autoscale.Config{IntervalSec: 3600, UpBacklog: 1 << 30, CooldownSec: 3600},
+		Orch:  orchestrator.Config{BootDelaySec: 0.005, StandbyDelaySec: 0.005, Standby: 1},
+	}, nil)
 	if err != nil {
 		panic(err)
 	}
-	a := app.New(app.Config{IngressPort: sp.Ingress.Port, EgressPort: sp.EgressPort, WildcardRules: true})
-	if err := a.RegisterGraph(g); err != nil {
-		panic(err)
-	}
-	a.SetDownstream(fab)
-	ctl.SetNorthbound(a)
+	defer c.Close()
+	res.TicksFromScratch = int(c.Reconciler.Status().Ticks)
 
-	// --- Orchestrator + reconciler: observation from the fabric,
-	// actuation through orchestrator boots, incremental recompiles, and
-	// tracked rule replacement.
-	clock := autoscale.NewRealClock()
-	orch := orchestrator.New(orchestrator.Config{BootDelaySec: 0.005, StandbyDelaySec: 0.005, Standby: 1}, clock)
-	for name, h := range hosts {
-		orch.AddHost(dataplane.NamedHost{Name: name, Host: h})
-	}
-	act := &reconcile.ClusterActuators{
-		Fabric: fab, App: a, Orch: orch, NFs: nfReg, Clock: clock,
-		// Long interval + high thresholds: the loops exist (bounds are
-		// live, failover moves them) but stay quiet during the short run.
-		Scale:     autoscale.Config{IntervalSec: 3600, UpBacklog: 1 << 30, CooldownSec: 3600},
-		Datapaths: dps,
-	}
-	defer act.Close()
-	rec := reconcile.New(
-		reconcile.Config{IntervalSec: 0.02, BackoffSec: 0.05, PendingSec: 0.5, QueueDepth: 16},
-		reconcile.ClusterObserver{Fabric: fab, Datapaths: dps}, act, clock)
-
-	// --- Telemetry: the spec enters through the action surface, status
-	// leaves through /state/reconcile — the operator's view.
-	reg := telemetry.NewRegistry()
-	telemetry.RegisterReconcile(reg, rec)
-	if _, err := reg.Apply(context.Background(), telemetry.PathApplySpec, []byte(reconcileSpecJSON)); err != nil {
-		panic(err)
-	}
-
-	// --- Egress sinks on both hosts that can terminate the chain.
-	var deliveredA, deliveredC atomic.Uint64
-	hosts["host-A"].BindPort(sp.EgressPort, func(_ int, _ []byte, _ *dataplane.Desc) { deliveredA.Add(1) })
-	hosts["host-C"].BindPort(sp.EgressPort, func(_ int, _ []byte, _ *dataplane.Desc) { deliveredC.Add(1) })
-
-	if err := fab.Start(); err != nil {
-		panic(err)
-	}
-	defer fab.Stop()
-
-	// --- Converge from an empty cluster. Ticks are driven manually so
-	// the tick count is part of the result; the wall-clock sleeps let the
-	// orchestrator's async boots land between observations.
-	converge := func(max int) int {
-		for i := 1; i <= max; i++ {
-			rec.TickNow()
-			if rec.Status().Converged {
-				return i
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-		panic(fmt.Sprintf("reconcile: no convergence after %d ticks: %+v", max, rec.Status()))
-	}
-	res.TicksFromScratch = converge(100)
-
-	// --- Phase 1 traffic through the spec's preferred placement.
+	// --- Phase 1 traffic through the spec's preferred placement; the
+	// chain's egress is on host-C.
 	factory := traffic.NewFactory()
 	inject := func(n int) uint64 {
-		var sent uint64
 		for i := 0; i < n; i++ {
 			fs := traffic.Flow(int(seed)*flows+i%flows, frameBytes, 0)
 			frame, err := factory.Frame(fs, time.Now().UnixNano())
 			if err != nil {
 				panic(err)
 			}
-			for {
-				if err := hosts["host-A"].Inject(sp.Ingress.Port, frame); err == nil {
-					sent++
-					break
-				}
-				time.Sleep(2 * time.Microsecond)
-			}
-			if i%8 == 7 {
-				time.Sleep(30 * time.Microsecond)
+			if err := c.Inject(frame); err != nil {
+				panic(err)
 			}
 		}
-		return sent
+		if !c.Fabric.WaitIdle(20 * time.Second) {
+			panic("reconcile: traffic never drained")
+		}
+		return uint64(n)
 	}
 	res.Phase1Sent = inject(phase1N)
-	if !fab.WaitIdle(20 * time.Second) {
-		panic("reconcile: phase 1 never drained")
-	}
-	res.Phase1Delivered = deliveredC.Load()
+	res.Phase1Delivered = c.Delivered("host-C")
 
 	// --- Chaos: kill host-C mid-run. The reconciler must observe the
 	// death as drift, boot a replacement video replica on host-A, move
 	// the autoscaler with it, and reroute the chain B→A.
-	if err := fab.KillHost(dps["host-C"]); err != nil {
+	before := c.Reconciler.Status()
+	if err := c.Fabric.KillHost(c.Datapaths["host-C"]); err != nil {
 		panic(err)
 	}
-	res.TicksAfterKill = converge(200)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st := c.Reconciler.Status()
+		if st.DriftEvents > before.DriftEvents && st.Converged {
+			res.TicksAfterKill = int(st.Ticks - before.Ticks)
+			break
+		}
+		if time.Now().After(deadline) {
+			panic(fmt.Sprintf("reconcile: no convergence after the host kill: %+v", st))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 
 	// --- Phase 2: same ingress, chain now exits at host-A.
-	before := deliveredA.Load()
+	deliveredA := c.Delivered("host-A")
 	res.Phase2Sent = inject(phase2N)
-	if !fab.WaitIdle(20 * time.Second) {
-		panic("reconcile: phase 2 never drained")
-	}
-	res.Phase2Delivered = deliveredA.Load() - before
+	res.Phase2Delivered = c.Delivered("host-A") - deliveredA
 
-	// --- Final status through the show surface, like sdnfv-ctl show.
-	v, err := reg.Show(context.Background(), telemetry.PathReconcile)
-	if err != nil {
-		panic(err)
-	}
-	st := v.(reconcile.Status)
+	st := c.Reconciler.Status()
 	res.Generation = st.Generation
 	res.Converged = st.Converged
 	res.Drift = len(st.Drift)
@@ -301,17 +220,15 @@ func Reconcile(seed int64) *ReconcileResult {
 	res.ActionsFail = st.ActionsFailed
 	res.ConvergeSec = st.LastConvergeSec
 	res.Placement = st.Placement
-	if _, host := act.Scaler("video"); host != "" {
-		res.VideoScale = host
-	}
+	_, res.VideoScale = c.Actuators.Scaler("video")
 
 	// --- Survivor accounting: the exact identity on every live host.
 	res.AccountingOK = true
 	for _, name := range sp.HostNames() {
-		if !fab.Alive(dps[name]) {
+		if !c.Fabric.Alive(c.Datapaths[name]) {
 			continue
 		}
-		st := hosts[name].Stats()
+		st := c.Hosts[name].Stats()
 		res.HostNames = append(res.HostNames, name)
 		res.Rx = append(res.Rx, st.RxPackets)
 		res.Tx = append(res.Tx, st.TxPackets)

@@ -15,8 +15,7 @@
 // sharded per-flow store owned by the engine, surviving NF restarts and
 // inspectable by the manager for §3.4-style per-flow decisions. Cross-
 // layer messages sent during a burst are buffered and flushed once per
-// burst with duplicate steering messages collapsed. Existing per-packet
-// NFs keep working through the PerPacket shim.
+// burst with duplicate steering messages collapsed.
 package nf
 
 import (
@@ -240,59 +239,6 @@ func CloseNF(fn BatchFunction) error {
 	return nil
 }
 
-// Function is the v1 per-packet NF interface, kept so third-party NFs
-// written against SDK v1 still run: wrap one with PerPacket to obtain a
-// BatchFunction. Process must not retain p.View or p.Handle beyond the
-// call.
-type Function interface {
-	// Name returns a short human-readable identifier.
-	Name() string
-	// ReadOnly reports whether the NF never writes to packet buffers.
-	ReadOnly() bool
-	// Process handles one packet and returns the requested action.
-	Process(ctx *Context, p *Packet) Decision
-}
-
-// PerPacket lifts a v1 per-packet Function into a BatchFunction. The shim
-// forwards lifecycle hooks when the wrapped function implements them. It
-// pays one interface call per packet; NFs on the hot path should
-// implement BatchFunction natively.
-func PerPacket(f Function) BatchFunction { return &perPacketShim{f: f} }
-
-type perPacketShim struct{ f Function }
-
-func (s *perPacketShim) Name() string   { return s.f.Name() }
-func (s *perPacketShim) ReadOnly() bool { return s.f.ReadOnly() }
-
-func (s *perPacketShim) ProcessBatch(ctx *Context, batch []Packet, out []Decision) {
-	for i := range batch {
-		out[i] = s.f.Process(ctx, &batch[i])
-	}
-}
-
-func (s *perPacketShim) Init(ctx *Context) error {
-	if i, ok := s.f.(Initializer); ok {
-		return i.Init(ctx)
-	}
-	return nil
-}
-
-func (s *perPacketShim) Close() error {
-	if c, ok := s.f.(Closer); ok {
-		return c.Close()
-	}
-	return nil
-}
-
-// Unwrap exposes the wrapped per-packet function (tests, diagnostics).
-func (s *perPacketShim) Unwrap() Function { return s.f }
-
-var (
-	_ BatchFunction = (*perPacketShim)(nil)
-	_ Initializer   = (*perPacketShim)(nil)
-	_ Closer        = (*perPacketShim)(nil)
-)
-
 // MsgKind discriminates cross-layer messages (§3.4).
 type MsgKind uint8
 
@@ -349,27 +295,6 @@ func (m Message) String() string {
 		return fmt.Sprintf("%s(%s, %s)", m.Kind, m.Flows, m.S)
 	}
 }
-
-// FuncAdapter lifts a plain function into a v1 Function; handy in tests
-// and simple examples (wrap with PerPacket to run it on the engine).
-type FuncAdapter struct {
-	FnName   string
-	RO       bool
-	ProcessF func(ctx *Context, p *Packet) Decision
-}
-
-// Name implements Function.
-func (f *FuncAdapter) Name() string { return f.FnName }
-
-// ReadOnly implements Function.
-func (f *FuncAdapter) ReadOnly() bool { return f.RO }
-
-// Process implements Function.
-func (f *FuncAdapter) Process(ctx *Context, p *Packet) Decision {
-	return f.ProcessF(ctx, p)
-}
-
-var _ Function = (*FuncAdapter)(nil)
 
 // BatchAdapter lifts plain functions into a BatchFunction with optional
 // lifecycle hooks; handy in tests and simple examples.

@@ -1,7 +1,6 @@
 package nf
 
 import (
-	"fmt"
 	"testing"
 
 	"sdnfv/internal/flowtable"
@@ -64,85 +63,6 @@ func TestContextSendNilSafe(t *testing.T) {
 	}
 }
 
-func TestFuncAdapter(t *testing.T) {
-	called := false
-	f := &FuncAdapter{FnName: "x", RO: true, ProcessF: func(ctx *Context, p *Packet) Decision {
-		called = true
-		return Discard()
-	}}
-	if f.Name() != "x" || !f.ReadOnly() {
-		t.Fatal("adapter metadata wrong")
-	}
-	if d := f.Process(&Context{}, &Packet{}); d.Verb != VerbDiscard || !called {
-		t.Fatal("adapter did not delegate")
-	}
-}
-
-func TestPerPacketShim(t *testing.T) {
-	var seen int
-	fn := PerPacket(&FuncAdapter{FnName: "pp", RO: true,
-		ProcessF: func(_ *Context, p *Packet) Decision {
-			seen++
-			if p.Key.SrcPort%2 == 0 {
-				return Discard()
-			}
-			return Default()
-		}})
-	if fn.Name() != "pp" || !fn.ReadOnly() {
-		t.Fatal("shim metadata wrong")
-	}
-	batch := make([]Packet, 5)
-	for i := range batch {
-		batch[i].Key.SrcPort = uint16(i)
-	}
-	out := make([]Decision, 5)
-	fn.ProcessBatch(&Context{}, batch, out)
-	if seen != 5 {
-		t.Fatalf("shim called Process %d times, want 5", seen)
-	}
-	for i := range out {
-		wantDiscard := i%2 == 0
-		if (out[i].Verb == VerbDiscard) != wantDiscard {
-			t.Fatalf("out[%d] = %v", i, out[i])
-		}
-	}
-	// Shims of plain functions have pass-through lifecycle hooks.
-	if err := InitNF(fn, &Context{}); err != nil {
-		t.Fatalf("Init through shim = %v", err)
-	}
-	if err := CloseNF(fn); err != nil {
-		t.Fatalf("Close through shim = %v", err)
-	}
-}
-
-// lifecycleFn is a v1 Function with hooks, to prove the shim forwards them.
-type lifecycleFn struct {
-	FuncAdapter
-	inits, closes int
-	initErr       error
-}
-
-func (l *lifecycleFn) Init(*Context) error { l.inits++; return l.initErr }
-func (l *lifecycleFn) Close() error        { l.closes++; return nil }
-
-func TestPerPacketShimForwardsLifecycle(t *testing.T) {
-	l := &lifecycleFn{FuncAdapter: FuncAdapter{FnName: "l", RO: true,
-		ProcessF: func(*Context, *Packet) Decision { return Default() }}}
-	fn := PerPacket(l)
-	if err := InitNF(fn, &Context{}); err != nil || l.inits != 1 {
-		t.Fatalf("Init not forwarded: err=%v inits=%d", err, l.inits)
-	}
-	if err := CloseNF(fn); err != nil || l.closes != 1 {
-		t.Fatalf("Close not forwarded: err=%v closes=%d", err, l.closes)
-	}
-	l.initErr = errMock
-	if err := InitNF(fn, &Context{}); err != errMock {
-		t.Fatalf("Init error not forwarded: %v", err)
-	}
-}
-
-var errMock = fmt.Errorf("mock failure")
-
 func TestBatchAdapterLifecycle(t *testing.T) {
 	inits, closes := 0, 0
 	a := &BatchAdapter{
@@ -163,11 +83,20 @@ func TestBatchAdapterLifecycle(t *testing.T) {
 		t.Fatal("nil ProcessBatchF mutated out")
 	}
 	// NFs without hooks are fine too.
-	plain := PerPacket(&FuncAdapter{FnName: "p", ProcessF: func(*Context, *Packet) Decision { return Default() }})
-	if err := InitNF(plain, &Context{}); err != nil {
+	if err := InitNF(hookless{}, &Context{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := CloseNF(hookless{}); err != nil {
 		t.Fatal(err)
 	}
 }
+
+// hookless is a BatchFunction with neither lifecycle hook.
+type hookless struct{}
+
+func (hookless) Name() string                                { return "hookless" }
+func (hookless) ReadOnly() bool                              { return true }
+func (hookless) ProcessBatch(*Context, []Packet, []Decision) {}
 
 func TestBufferedEmitFlushDedupes(t *testing.T) {
 	var got []Message

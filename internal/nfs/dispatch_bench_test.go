@@ -8,9 +8,9 @@ import (
 	"sdnfv/internal/packet"
 )
 
-// BenchmarkNFDispatch measures the NF dispatch cost per packet: the v1
-// per-packet shim (one interface call per packet) against the native
-// batch interface (one call per burst), at the burst sizes the engine
+// BenchmarkNFDispatch measures the NF dispatch cost per packet: an NF
+// that makes one indirect call per packet against the native batch
+// interface (one call per burst), at the burst sizes the engine
 // actually produces. The out-array clear mirrors the engine's per-burst
 // zeroing, so both sides pay identical fixed costs. ns/op is per packet.
 //
@@ -30,16 +30,22 @@ func BenchmarkNFDispatch(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	// Per-packet equivalents of the native NFs, run through the shim.
-	ppNoop := nf.PerPacket(&nf.FuncAdapter{FnName: "noop", RO: true,
-		ProcessF: func(*nf.Context, *nf.Packet) nf.Decision { return nf.Default() }})
+	// Per-packet equivalents of the native NFs: one call per packet.
+	perPacket := func(name string, f func(p *nf.Packet) nf.Decision) nf.BatchFunction {
+		return &nf.BatchAdapter{FnName: name, RO: true,
+			ProcessBatchF: func(_ *nf.Context, batch []nf.Packet, out []nf.Decision) {
+				for i := range batch {
+					out[i] = f(&batch[i])
+				}
+			}}
+	}
+	ppNoop := perPacket("noop", func(*nf.Packet) nf.Decision { return nf.Default() })
 	mkPPCounter := func(c *Counter) nf.BatchFunction {
-		return nf.PerPacket(&nf.FuncAdapter{FnName: "counter", RO: true,
-			ProcessF: func(_ *nf.Context, p *nf.Packet) nf.Decision {
-				c.packets.Add(1)
-				c.bytes.Add(uint64(len(p.View.Buf())))
-				return nf.Default()
-			}})
+		return perPacket("counter", func(p *nf.Packet) nf.Decision {
+			c.packets.Add(1)
+			c.bytes.Add(uint64(len(p.View.Buf())))
+			return nf.Default()
+		})
 	}
 
 	for _, burst := range []int{1, 8, 32, 64} {
@@ -52,9 +58,9 @@ func BenchmarkNFDispatch(b *testing.B) {
 			name string
 			fn   nf.BatchFunction
 		}{
-			{"noop/shim", ppNoop},
+			{"noop/perpkt", ppNoop},
 			{"noop/native", NoOp{}},
-			{"counter/shim", mkPPCounter(&Counter{})},
+			{"counter/perpkt", mkPPCounter(&Counter{})},
 			{"counter/native", &Counter{}},
 		}
 		for _, tc := range cases {

@@ -100,19 +100,30 @@ func newWirePair(t *testing.T, mkB func() portio.PortDriver, mkA func() portio.P
 	return w
 }
 
-// send injects n frames into A port 0, paced, retrying refusals.
+// send injects n frames into A port 0 with end-to-end backpressure: at
+// most sendWindow frames are outstanding (injected but not yet delivered
+// at B), well under the ring and egress-queue depths, so a writer
+// goroutine starved by a loaded CI box slows the sender down instead of
+// overflowing the queue into TxDrops. A wire that really loses frames
+// (or a closed peer) would stall the window forever; after a grace
+// period the sender stops waiting and the caller's own delivery
+// assertion reports the loss.
 func (w *wirePair) send(t *testing.T, n int) {
 	t.Helper()
+	const sendWindow = 128
 	frame := buildFrame(t, 7777, []byte("portio-test-payload"))
+	base := w.delivered.Load()
+	grace := time.Now().Add(2 * time.Second)
 	for i := 0; i < n; i++ {
-		for {
-			if err := w.ha.Inject(0, frame); err == nil {
-				break
-			}
-			time.Sleep(5 * time.Microsecond)
+		windowFull := func() bool { return int64(i)-(w.delivered.Load()-base) >= sendWindow }
+		for windowFull() && time.Now().Before(grace) {
+			time.Sleep(50 * time.Microsecond)
 		}
-		if i%64 == 63 {
-			time.Sleep(200 * time.Microsecond)
+		if !windowFull() {
+			grace = time.Now().Add(2 * time.Second)
+		}
+		for w.ha.Inject(0, frame) != nil {
+			time.Sleep(5 * time.Microsecond)
 		}
 	}
 }

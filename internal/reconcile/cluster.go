@@ -30,18 +30,6 @@ func DatapathsOf(sp *spec.Spec) map[string]control.DatapathID {
 	return out
 }
 
-// WireLinks wires every spec link into the fabric (both directions,
-// spec ports as NIC ports) with the given shaping.
-func WireLinks(fab *cluster.Fabric, sp *spec.Spec, cfg cluster.LinkConfig) error {
-	dps := DatapathsOf(sp)
-	for _, l := range sp.Links {
-		if _, _, err := fab.Link(dps[l.A.Host], l.A.Port, dps[l.B.Host], l.B.Port, cfg); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // BuildDeployment compiles a spec plus a concrete assignment (service
 // name → host name) into the app-layer deployment form: the spec's
 // links become fabric channels (one per direction), the spec graph the
@@ -112,6 +100,7 @@ func (o ClusterObserver) Observe() Observation {
 
 type scalerEntry struct {
 	host string
+	id   flowtable.ServiceID
 	ctl  *autoscale.Controller
 }
 
@@ -124,10 +113,12 @@ type scalerEntry struct {
 // is how autoscale "resumes within spec bounds".
 type ClusterActuators struct {
 	Fabric *cluster.Fabric
-	App    *app.App
-	Orch   *orchestrator.Orchestrator
-	NFs    *spec.NFRegistry
-	Clock  Clock
+	// App compiles routing for Reroute. Nil means routing is owned by a
+	// remote controller (rules arrive on miss) and Reroute is a no-op.
+	App   *app.App
+	Orch  *orchestrator.Orchestrator
+	NFs   *spec.NFRegistry
+	Clock Clock
 	// Scale templates the per-service policy loops (bounds come from
 	// the spec per service; Min/Max here are ignored).
 	Scale autoscale.Config
@@ -195,6 +186,9 @@ func (a *ClusterActuators) Retire(ctx context.Context, _ *spec.Spec, svc spec.Se
 // for the new assignment and swap rules on exactly the hosts whose
 // tables changed (dead hosts are skipped — their rules died with them).
 func (a *ClusterActuators) Reroute(_ context.Context, sp *spec.Spec, assign map[string]string) error {
+	if a.App == nil {
+		return nil
+	}
 	d, err := BuildDeployment(sp, assign)
 	if err != nil {
 		return err
@@ -278,7 +272,7 @@ func (a *ClusterActuators) ensureScaler(sp *spec.Spec, svc spec.Service, host st
 		},
 		a.Clock)
 	ctl.Start()
-	a.scalers[svc.Name] = &scalerEntry{host: host, ctl: ctl}
+	a.scalers[svc.Name] = &scalerEntry{host: host, id: id, ctl: ctl}
 	return nil
 }
 
@@ -293,13 +287,26 @@ func (a *ClusterActuators) Scaler(service string) (*autoscale.Controller, string
 	return nil, ""
 }
 
-// Close stops every policy loop the actuators own.
+// Scalers snapshots the live policy loops by the service scope each one
+// scales — what telemetry reads at scrape time, so loops the reconciler
+// creates, moves or removes later show up without re-registration.
+func (a *ClusterActuators) Scalers() map[flowtable.ServiceID]*autoscale.Controller {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	out := make(map[flowtable.ServiceID]*autoscale.Controller, len(a.scalers))
+	for _, ent := range a.scalers {
+		out[ent.id] = ent.ctl
+	}
+	return out
+}
+
+// Close stops every policy loop the actuators own. The stopped loops
+// stay readable (Scaler, Scalers) so a final report can include them.
 func (a *ClusterActuators) Close() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for name, ent := range a.scalers {
+	for _, ent := range a.scalers {
 		ent.ctl.Stop()
-		delete(a.scalers, name)
 	}
 }
 

@@ -10,7 +10,7 @@ package ring
 import "testing"
 
 func TestSPSCZeroAlloc(t *testing.T) {
-	r := NewSPSC(256)
+	r := NewSPSCOf[uint64](256)
 	if n := testing.AllocsPerRun(200, func() {
 		if !r.Enqueue(42) {
 			t.Fatal("enqueue refused on a non-full ring")

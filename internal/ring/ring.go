@@ -12,150 +12,11 @@ package ring
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // pad separates hot atomics onto different cache lines to avoid false
 // sharing between the producer and consumer cores.
 type pad [56]byte
-
-// SPSC is a bounded lock-free single-producer/single-consumer queue of
-// uint64 descriptors. Exactly one goroutine may call Enqueue and exactly one
-// may call Dequeue; the zero value is not usable, construct with NewSPSC.
-//
-// The implementation is the classic Lamport queue: the producer only writes
-// head, the consumer only writes tail, and each observes the other's index
-// with acquire/release semantics provided by sync/atomic.
-type SPSC struct {
-	mask uint64
-	buf  []uint64
-
-	_    pad
-	head atomic.Uint64 // next slot to write (producer-owned)
-	_    pad
-	tail atomic.Uint64 // next slot to read (consumer-owned)
-	_    pad
-
-	// cachedTail/cachedHead reduce cross-core traffic: the producer
-	// re-reads the consumer index only when the ring looks full, and vice
-	// versa. They are plain fields because each is touched by one side only.
-	cachedTail uint64
-	_          pad
-	cachedHead uint64
-}
-
-// NewSPSC returns an SPSC ring with capacity rounded up to the next power of
-// two (minimum 2). Capacity is the number of descriptors the ring can hold.
-func NewSPSC(capacity int) *SPSC {
-	if capacity < 2 {
-		capacity = 2
-	}
-	n := 1
-	for n < capacity {
-		n <<= 1
-	}
-	return &SPSC{
-		mask: uint64(n - 1),
-		buf:  make([]uint64, n),
-	}
-}
-
-// Cap returns the ring capacity.
-func (r *SPSC) Cap() int { return len(r.buf) }
-
-// Len returns the number of descriptors currently queued. It is an
-// instantaneous snapshot and may be stale by the time it returns; the NF
-// Manager uses it for queue-depth load balancing where staleness is
-// acceptable.
-//
-//sdnfv:hotpath
-func (r *SPSC) Len() int {
-	h := r.head.Load()
-	t := r.tail.Load()
-	return int(h - t)
-}
-
-// Enqueue appends d to the ring. It returns false when the ring is full.
-// Must be called from a single producer goroutine.
-//
-//sdnfv:hotpath
-func (r *SPSC) Enqueue(d uint64) bool {
-	h := r.head.Load()
-	if h-r.cachedTail > r.mask {
-		r.cachedTail = r.tail.Load()
-		if h-r.cachedTail > r.mask {
-			return false
-		}
-	}
-	r.buf[h&r.mask] = d
-	r.head.Store(h + 1)
-	return true
-}
-
-// Dequeue removes and returns the oldest descriptor. The second return is
-// false when the ring is empty. Must be called from a single consumer
-// goroutine.
-//
-//sdnfv:hotpath
-func (r *SPSC) Dequeue() (uint64, bool) {
-	t := r.tail.Load()
-	if t >= r.cachedHead {
-		r.cachedHead = r.head.Load()
-		if t >= r.cachedHead {
-			return 0, false
-		}
-	}
-	d := r.buf[t&r.mask]
-	r.tail.Store(t + 1)
-	return d, true
-}
-
-// DequeueBatch fills dst with up to len(dst) descriptors and returns the
-// number dequeued. Batch draining amortizes the atomic store on the consumer
-// index, mirroring DPDK's burst dequeue.
-//
-//sdnfv:hotpath
-func (r *SPSC) DequeueBatch(dst []uint64) int {
-	t := r.tail.Load()
-	if t >= r.cachedHead {
-		r.cachedHead = r.head.Load()
-		if t >= r.cachedHead {
-			return 0
-		}
-	}
-	n := int(r.cachedHead - t)
-	if n > len(dst) {
-		n = len(dst)
-	}
-	for i := 0; i < n; i++ {
-		dst[i] = r.buf[(t+uint64(i))&r.mask]
-	}
-	r.tail.Store(t + uint64(n))
-	return n
-}
-
-// EnqueueBatch appends as many of src as fit and returns the number
-// enqueued.
-//
-//sdnfv:hotpath
-func (r *SPSC) EnqueueBatch(src []uint64) int {
-	h := r.head.Load()
-	if h+uint64(len(src))-r.cachedTail > r.mask {
-		r.cachedTail = r.tail.Load()
-	}
-	free := int(r.mask + 1 - (h - r.cachedTail))
-	n := len(src)
-	if n > free {
-		n = free
-	}
-	for i := 0; i < n; i++ {
-		r.buf[(h+uint64(i))&r.mask] = src[i]
-	}
-	if n > 0 {
-		r.head.Store(h + uint64(n))
-	}
-	return n
-}
 
 // MPSC is a bounded multi-producer/single-consumer queue used for control
 // messages (cross-layer messages from NFs to the NF Manager, §3.4). Control

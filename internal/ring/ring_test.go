@@ -8,7 +8,7 @@ import (
 )
 
 func TestSPSCBasic(t *testing.T) {
-	r := NewSPSC(4)
+	r := NewSPSCOf[uint64](4)
 	if r.Cap() != 4 {
 		t.Fatalf("Cap = %d, want 4", r.Cap())
 	}
@@ -35,14 +35,14 @@ func TestSPSCCapacityRounding(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{0, 2}, {1, 2}, {2, 2}, {3, 4}, {5, 8}, {8, 8}, {1000, 1024},
 	} {
-		if got := NewSPSC(tc.in).Cap(); got != tc.want {
-			t.Errorf("NewSPSC(%d).Cap() = %d, want %d", tc.in, got, tc.want)
+		if got := NewSPSCOf[uint64](tc.in).Cap(); got != tc.want {
+			t.Errorf("NewSPSCOf[uint64](%d).Cap() = %d, want %d", tc.in, got, tc.want)
 		}
 	}
 }
 
 func TestSPSCLen(t *testing.T) {
-	r := NewSPSC(8)
+	r := NewSPSCOf[uint64](8)
 	for i := uint64(0); i < 5; i++ {
 		r.Enqueue(i)
 	}
@@ -60,7 +60,7 @@ func TestSPSCLen(t *testing.T) {
 // one consumer, every value arrives exactly once, in order.
 func TestSPSCConcurrentFIFO(t *testing.T) {
 	const n = 30_000
-	r := NewSPSC(1024)
+	r := NewSPSCOf[uint64](1024)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -93,7 +93,7 @@ func TestSPSCConcurrentFIFO(t *testing.T) {
 
 func TestSPSCBatchConcurrent(t *testing.T) {
 	const n = 30_000
-	r := NewSPSC(256)
+	r := NewSPSCOf[uint64](256)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -134,7 +134,7 @@ func TestSPSCBatchConcurrent(t *testing.T) {
 // a single goroutine behaves like a FIFO queue.
 func TestSPSCSequentialProperty(t *testing.T) {
 	f := func(ops []bool, vals []uint64) bool {
-		r := NewSPSC(16)
+		r := NewSPSCOf[uint64](16)
 		var model []uint64
 		vi := 0
 		for _, enq := range ops {
@@ -323,7 +323,7 @@ func TestSPSCOfConcurrentFIFO(t *testing.T) {
 }
 
 func BenchmarkSPSCEnqueueDequeue(b *testing.B) {
-	r := NewSPSC(1024)
+	r := NewSPSCOf[uint64](1024)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r.Enqueue(uint64(i))

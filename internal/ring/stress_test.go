@@ -12,7 +12,7 @@ import (
 // the Lamport publication protocol.
 func TestSPSCStress(t *testing.T) {
 	const total = 200_000
-	r := NewSPSC(64)
+	r := NewSPSCOf[uint64](64)
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
@@ -52,7 +52,7 @@ func TestSPSCStress(t *testing.T) {
 // and single Dequeue, and the sequence must still be exact.
 func TestSPSCBatchStress(t *testing.T) {
 	const total = 200_000
-	r := NewSPSC(128)
+	r := NewSPSCOf[uint64](128)
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {

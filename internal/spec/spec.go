@@ -451,16 +451,6 @@ func (s *Spec) Service(name string) (Service, bool) {
 	return Service{}, false
 }
 
-// ServiceByID returns the service owning the given Service-ID scope.
-func (s *Spec) ServiceByID(id flowtable.ServiceID) (Service, bool) {
-	for _, sv := range s.Services {
-		if sv.ID == id {
-			return sv, true
-		}
-	}
-	return Service{}, false
-}
-
 // Datapath returns the datapath id of the named host.
 func (s *Spec) Datapath(host string) (control.DatapathID, bool) {
 	for _, h := range s.Hosts {

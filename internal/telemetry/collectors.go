@@ -15,6 +15,7 @@ package telemetry
 
 import (
 	"context"
+	"sort"
 	"strconv"
 	"sync"
 
@@ -23,6 +24,7 @@ import (
 	"sdnfv/internal/control"
 	"sdnfv/internal/controller"
 	"sdnfv/internal/dataplane"
+	"sdnfv/internal/flowtable"
 	"sdnfv/internal/metrics"
 )
 
@@ -376,43 +378,45 @@ func showSessions(ctx context.Context, c *controller.Controller) (any, error) {
 
 // ------------------------------------------------------------ autoscale
 
-type scalerEntry struct {
-	service string
-	ctl     *autoscale.Controller
+// RegisterAutoscale exposes the autoscale policy loops scalers returns
+// under label {service} (decisions additionally by {decision}) and the
+// /state/autoscale show path. scalers is called on every scrape, so
+// loops the reconciler creates, moves after a failover, or removes are
+// exported without re-registration.
+func RegisterAutoscale(r *Registry, scalers func() map[flowtable.ServiceID]*autoscale.Controller) {
+	r.shared("autoscale", func() any {
+		r.MustRegister(CollectorFunc(func() []Family { return collectScalers(scalerStates(scalers())) }))
+		r.MustRegisterShow(PathAutoscale, func(context.Context) (any, error) {
+			return scalerStates(scalers()), nil
+		})
+		return scalers
+	})
 }
 
-type scalerSet struct {
-	mu      sync.Mutex
-	scalers []scalerEntry
+type scalerState struct {
+	Service string          `json:"service"`
+	Stats   autoscale.Stats `json:"stats"`
 }
 
-func (s *scalerSet) snapshot() []scalerEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]scalerEntry(nil), s.scalers...)
+// scalerStates snapshots each loop, ascending by service scope.
+func scalerStates(scalers map[flowtable.ServiceID]*autoscale.Controller) []scalerState {
+	ids := make([]flowtable.ServiceID, 0, len(scalers))
+	for id := range scalers {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	out := make([]scalerState, len(ids))
+	for i, id := range ids {
+		out[i] = scalerState{Service: id.String(), Stats: scalers[id].Stats()}
+	}
+	return out
 }
 
-// RegisterAutoscale exposes one autoscale policy loop's telemetry under
-// label {service} (decisions additionally by {decision}) and the
-// /state/autoscale show path. Repeated calls add services to one
-// collector.
-func RegisterAutoscale(r *Registry, service string, c *autoscale.Controller) {
-	set := r.shared("autoscale", func() any {
-		s := &scalerSet{}
-		r.MustRegister(CollectorFunc(s.collect))
-		r.MustRegisterShow(PathAutoscale, s.show)
-		return s
-	}).(*scalerSet)
-	set.mu.Lock()
-	set.scalers = append(set.scalers, scalerEntry{service: service, ctl: c})
-	set.mu.Unlock()
-}
-
-func (s *scalerSet) collect() []Family {
+func collectScalers(states []scalerState) []Family {
 	b := newFamilyBuilder()
-	for _, e := range s.snapshot() {
-		st := e.ctl.Stats()
-		sl := []Label{{"service", e.service}}
+	for _, e := range states {
+		st := e.Stats
+		sl := []Label{{"service", e.Service}}
 		b.counter("sdnfv_autoscale_ticks_total", "Autoscale policy evaluations.", sl, float64(st.Ticks))
 		b.counter("sdnfv_autoscale_errors_total", "Actuator failures on scale decisions.", sl, float64(st.Errors))
 		b.counter("sdnfv_autoscale_decisions_total", "Actuated scale decisions by direction.",
@@ -425,18 +429,6 @@ func (s *scalerSet) collect() []Family {
 		b.gauge("sdnfv_autoscale_service_time_ns", "Mean per-packet service time at the last tick.", sl, st.Last.ServiceTimeNs)
 	}
 	return b.families()
-}
-
-func (s *scalerSet) show(context.Context) (any, error) {
-	type scalerState struct {
-		Service string          `json:"service"`
-		Stats   autoscale.Stats `json:"stats"`
-	}
-	out := []scalerState{}
-	for _, e := range s.snapshot() {
-		out = append(out, scalerState{Service: e.service, Stats: e.ctl.Stats()})
-	}
-	return out, nil
 }
 
 // ------------------------------------------------------------ histogram

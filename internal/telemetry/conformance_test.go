@@ -123,8 +123,7 @@ func TestLiveHostScrape(t *testing.T) {
 	const svc flowtable.ServiceID = 10
 	h := dataplane.NewHost(dataplane.Config{PoolSize: 256, TXThreads: 1})
 	h.BindDefault(func(int, []byte, *dataplane.Desc) {})
-	fn := nf.PerPacket(&nf.FuncAdapter{FnName: "count", RO: true,
-		ProcessF: func(*nf.Context, *nf.Packet) nf.Decision { return nf.Default() }})
+	fn := &nf.BatchAdapter{FnName: "count", RO: true}
 	if _, err := h.AddNF(svc, fn, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ package telemetry
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"sdnfv/internal/reconcile"
 	"sdnfv/internal/spec"
@@ -73,4 +74,26 @@ func RegisterReconcile(r *Registry, rec *reconcile.Reconciler) {
 		})
 		return rec
 	})
+}
+
+// RegisterStack registers everything a booted reconcile.Cluster owns —
+// its hosts (by spec name), fabric links, in-process controller (absent
+// under a remote southbound), reconcile loop, and the actuators' live
+// autoscale loops — so a process that boots through reconcile.Boot
+// exposes the whole stack with one call.
+func RegisterStack(r *Registry, c *reconcile.Cluster) {
+	names := make([]string, 0, len(c.Hosts))
+	for name := range c.Hosts {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		RegisterHost(r, name, c.Datapaths[name], c.Hosts[name])
+	}
+	RegisterCluster(r, c.Fabric)
+	if c.Controller != nil {
+		RegisterController(r, c.Controller)
+	}
+	RegisterReconcile(r, c.Reconciler)
+	RegisterAutoscale(r, c.Actuators.Scalers)
 }

@@ -174,8 +174,8 @@ func (r *Registry) Gather() []Family {
 
 // shared returns the registry-scoped singleton stored under key,
 // creating it with mk on first use. Collector constructors use it so
-// repeated RegisterHost/RegisterAutoscale calls extend one collector
-// (and one set of show paths) instead of colliding.
+// repeated RegisterHost calls extend one collector (and one set of show
+// paths) instead of colliding.
 func (r *Registry) shared(key string, mk func() any) any {
 	r.sharedMu.Lock()
 	defer r.sharedMu.Unlock()
