@@ -318,25 +318,26 @@ func (c *Client) SendNFMessage(_ context.Context, src flowtable.ServiceID, m Mes
 }
 
 // NotifyFlowRemoved implements Southbound. Like SendNFMessage it is
-// fire-and-forget: the removals are framed and written in one batch and
-// no reply is awaited — eviction notices are advisory, and blocking the
-// sweeper goroutine on a controller round trip would stall eviction.
+// fire-and-forget: the removals are framed and written, split across as
+// many frames as the 64 KiB frame limit requires, and no reply is
+// awaited — eviction notices are advisory, and blocking the sweeper
+// goroutine on a controller round trip would stall eviction.
 func (c *Client) NotifyFlowRemoved(_ context.Context, removals []FlowRemoved) error {
-	if len(removals) == 0 {
-		return nil
-	}
-	var m openflow.FlowRemoved
-	m.Removals = make([]openflow.FlowRemovedEntry, len(removals))
-	for i, r := range removals {
-		m.Removals[i] = openflow.FlowRemovedEntry{
-			Scope:  r.Scope,
-			Match:  r.Match,
-			RuleID: r.RuleID,
-			Reason: uint8(r.Reason),
+	for len(removals) > 0 {
+		n := min(len(removals), openflow.MaxFlowRemovedEntries)
+		m := openflow.FlowRemoved{Removals: make([]openflow.FlowRemovedEntry, n)}
+		for i, r := range removals[:n] {
+			m.Removals[i] = openflow.FlowRemovedEntry{
+				Scope:  r.Scope,
+				Match:  r.Match,
+				RuleID: r.RuleID,
+				Reason: uint8(r.Reason),
+			}
 		}
-	}
-	if err := c.send(m, c.nextXID()); err != nil {
-		return fmt.Errorf("%w: %v", ErrStopped, err)
+		if err := c.send(m, c.nextXID()); err != nil {
+			return fmt.Errorf("%w: %v", ErrStopped, err)
+		}
+		removals = removals[n:]
 	}
 	return nil
 }

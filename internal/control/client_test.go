@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -243,6 +244,60 @@ func TestClientFlowRemovedWire(t *testing.T) {
 	}
 	if n := a.FlowsRemoved(); n != 2 {
 		t.Fatalf("empty batch changed the counter: %d", n)
+	}
+}
+
+// TestClientFlowRemovedLargeBatch sends one eviction batch far past what a
+// single 64 KiB frame holds: the client must split it, and every notice
+// must reach the app exactly once, in order.
+func TestClientFlowRemovedLargeBatch(t *testing.T) {
+	a := testApp(t)
+	ctl := controller.New(controller.Config{})
+	ctl.SetNorthbound(a)
+	var (
+		mu  sync.Mutex
+		ids []uint64
+	)
+	a.SubscribeFlowRemoved(func(_ control.DatapathID, removals []control.FlowRemoved) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, r := range removals {
+			ids = append(ids, r.RuleID)
+		}
+	})
+	client := startWire(t, ctl)
+
+	const n = 10_000
+	sent := make([]control.FlowRemoved, n)
+	for i := range sent {
+		sent[i] = control.FlowRemoved{
+			Scope: 1, Match: flowtable.ExactMatch(testKey(uint16(i))), RuleID: uint64(i), Reason: control.RemovedIdleTimeout,
+		}
+	}
+	if err := client.NotifyFlowRemoved(context.Background(), sent); err != nil {
+		t.Fatal(err)
+	}
+	received := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(ids)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for received() < n && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := a.FlowsRemoved(); got != n {
+		t.Fatalf("app FlowsRemoved = %d, want %d", got, n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(ids) != n {
+		t.Fatalf("subscriber saw %d notices, want %d", len(ids), n)
+	}
+	for i, id := range ids {
+		if id != uint64(i) {
+			t.Fatalf("notice %d carries rule %d", i, id)
+		}
 	}
 }
 

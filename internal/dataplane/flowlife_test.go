@@ -7,15 +7,18 @@ package dataplane_test
 // climbs to the application tier.
 
 import (
+	"context"
 	"testing"
 	"time"
 
 	"sdnfv/internal/app"
+	"sdnfv/internal/control"
 	"sdnfv/internal/controller"
 	"sdnfv/internal/dataplane"
 	"sdnfv/internal/flowtable"
 	"sdnfv/internal/graph"
 	"sdnfv/internal/nf"
+	"sdnfv/internal/packet"
 	"sdnfv/internal/traffic"
 )
 
@@ -127,6 +130,51 @@ func TestFlowEvictionReleasesStateAndNotifies(t *testing.T) {
 	// A returning flow is a fresh miss: it recompiles and works.
 	rig.inject(t, factory, 1)
 	waitCond(t, func() bool { return fs.Len() == 1 }, "returning flow reinstalled")
+}
+
+// TestRefusedNoticesCounted: a southbound that refuses flow-removed
+// notices loses none silently — every evicted rule whose notice was
+// refused counts in HostStats.NoticesRefused.
+func TestRefusedNoticesCounted(t *testing.T) {
+	const svc flowtable.ServiceID = 21
+	sb := control.SouthboundFuncs{
+		ResolveFunc: func(_ context.Context, _ flowtable.ServiceID, key packet.FlowKey) ([]flowtable.Rule, error) {
+			return []flowtable.Rule{
+				{Scope: flowtable.Port(0), Match: flowtable.ExactMatch(key), Actions: []flowtable.Action{flowtable.Forward(svc)}},
+				{Scope: svc, Match: flowtable.ExactMatch(key), Actions: []flowtable.Action{flowtable.Out(1)}},
+			}, nil
+		},
+		NotifyFlowRemovedFunc: func(context.Context, []control.FlowRemoved) error { return control.ErrStopped },
+	}
+	h := dataplane.NewHost(dataplane.Config{
+		PoolSize: 256, TXThreads: 1, Control: sb,
+		FlowIdleTimeout: 20 * time.Millisecond, FlowSweepInterval: 2 * time.Millisecond,
+	})
+	if _, err := h.AddNF(svc, &nf.BatchAdapter{FnName: "noop", RO: true}, 0); err != nil {
+		t.Fatal(err)
+	}
+	h.BindDefault(func(int, []byte, *dataplane.Desc) {})
+	if err := h.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(h.Stop)
+	factory := traffic.NewFactory()
+	const flows = 16
+	for i := 1; i <= flows; i++ {
+		frame, err := factory.Frame(traffic.Flow(i, 128, 0), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for h.Inject(0, frame) != nil {
+			time.Sleep(5 * time.Microsecond)
+		}
+	}
+	waitCond(t, func() bool { return h.Stats().TxPackets == flows }, "every flow delivered")
+	waitCond(t, func() bool { return h.Stats().Table.Rules == 0 }, "all rules evicted")
+	st := h.Stats()
+	if st.Table.Evicted() != 2*flows || st.NoticesRefused != st.Table.Evicted() {
+		t.Fatalf("evicted %d rules, %d notices refused; want %d each", st.Table.Evicted(), st.NoticesRefused, 2*flows)
+	}
 }
 
 // TestFlowStateChurnNoLeak is the leak regression: waves of unique

@@ -35,7 +35,9 @@ type Config struct {
 	// DisableLookupCache turns OFF descriptor-carried flow entries (§4.2
 	// "Caching flow table lookups"); used by the ablation benchmark.
 	DisableLookupCache bool
-	// SpinLimit is how many empty polls a thread performs before yielding.
+	// SpinLimit bounds the first two rungs of an idle thread's wait
+	// ladder: it busy-polls SpinLimit times, yields the processor
+	// SpinLimit more times, then parks until a producer wakes it.
 	SpinLimit int
 	// Control is the host's typed southbound endpoint (the control
 	// package API). The Flow Controller thread pipelines each burst of
@@ -139,8 +141,12 @@ type HostStats struct {
 	// autonomously (§3.4 "without touching the controller"); the
 	// application's verdict only gates propagation beyond this host.
 	MsgsRejected uint64
-	Pool         mempool.Stats
-	Table        flowtable.Stats
+	// NoticesRefused counts flow-removed notices (one per evicted rule)
+	// the southbound refused to carry upstream. Eviction itself is not
+	// undone; the count makes the lost notice visible.
+	NoticesRefused uint64
+	Pool           mempool.Stats
+	Table          flowtable.Stats
 	// Replicas is the per-replica telemetry snapshot (queue depth,
 	// processed/overflow counts, EWMA service time), ordered by
 	// registration.
@@ -230,6 +236,22 @@ type Host struct {
 	// so parallel dispatch does not allocate per packet. Each slice is
 	// touched only by its owning producer thread.
 	fanScratch [][]*Instance
+	// fanDesc[p] is producer thread p's scratch copy of a fan-out member
+	// descriptor: a refused member joins through a pointer to it, and a
+	// stack copy handed to the indirect egress sink would escape to the
+	// heap once per member.
+	fanDesc []Desc
+
+	// Wakers of the consumer threads (see waker): the RX thread, each TX
+	// thread and the Flow Controller. Each NF replica owns its own.
+	rxWake *waker
+	txWake []*waker
+	fcWake *waker
+	// woke[p] is set when manager thread p woke a parked consumer during
+	// its current burst (see idler.busy); only thread p touches it.
+	woke []bool
+	// asleep counts consumer threads blocked in Host.park.
+	asleep atomic.Int32
 
 	rxCount         atomic.Uint64
 	rxDropCount     atomic.Uint64
@@ -241,6 +263,7 @@ type Host struct {
 	msgCount        atomic.Uint64
 	msgRejected     atomic.Uint64
 	releaseErrCount atomic.Uint64
+	noticesRefused  atomic.Uint64
 
 	stop atomic.Bool
 	wg   sync.WaitGroup
@@ -273,7 +296,14 @@ func NewHost(cfg Config) *Host {
 	for p := range h.fanScratch {
 		h.fanScratch[p] = make([]*Instance, 0, 8)
 	}
+	h.fanDesc = make([]Desc, h.producerCount())
+	h.woke = make([]bool, h.producerCount())
 	h.snapSeen = make([]atomic.Uint64, h.producerCount())
+	h.rxWake, h.fcWake = newWaker(), newWaker()
+	h.txWake = make([]*waker, cfg.TXThreads)
+	for t := range h.txWake {
+		h.txWake[t] = newWaker()
+	}
 	h.snap.Store(&routeSnap{svc: map[flowtable.ServiceID][]*Instance{}})
 	if cfg.FlowIdleTimeout != 0 || cfg.FlowHardTimeout != 0 {
 		h.table.SetDefaultTimeouts(cfg.FlowIdleTimeout, cfg.FlowHardTimeout)
@@ -386,7 +416,23 @@ func (h *Host) publishSnapLocked(extra ...*Instance) uint64 {
 		s.svc[svc] = append([]*Instance(nil), insts...)
 	}
 	h.snap.Store(s)
+	// A parked thread would never observe the new epoch, and
+	// waitSnapObserved would wait on it forever.
+	h.kickAll(s.inst)
 	return s.epoch
+}
+
+// kickAll wakes every manager thread and the given replicas, whatever
+// rung of the idle ladder each is on.
+func (h *Host) kickAll(insts []*Instance) {
+	h.rxWake.kick()
+	h.fcWake.kick()
+	for _, w := range h.txWake {
+		w.kick()
+	}
+	for _, inst := range insts {
+		inst.wake.kick()
+	}
 }
 
 // observeSnap loads the current routing snapshot and records its epoch in
@@ -489,6 +535,7 @@ func (h *Host) addLocked(svc flowtable.ServiceID, fn nf.BatchFunction, priority 
 		fn:       fn,
 		readOnly: fn.ReadOnly(),
 		svcTime:  newServiceTimeEWMA(),
+		wake:     newWaker(),
 	}
 	h.nextIdx[svc]++
 	h.instSeq++
@@ -504,6 +551,7 @@ func (h *Host) addLocked(svc flowtable.ServiceID, fn nf.BatchFunction, priority 
 		Emit: func(m nf.Message) {
 			if err := h.ctrl.Push(ctrlMsg{src: svc, msg: m}); err == nil {
 				h.msgCount.Add(1)
+				h.txWake[0].wake() // TX thread 0 applies the messages
 			}
 		},
 	}
@@ -604,6 +652,7 @@ func (h *Host) RemoveNF(svc flowtable.ServiceID, index int) error {
 		// when a full pass over the rings found nothing) guarantees the
 		// final burst is fully processed and enqueued before exit.
 		victim.drain.Store(true)
+		victim.wake.kick() // a parked replica must wake to see drain
 		<-victim.done
 		// Let the TX thread finish the queued output, then retire the out
 		// ring from the scan.
@@ -926,6 +975,7 @@ func (h *Host) Stop() {
 	for _, inst := range snap {
 		inst.stop.Store(true)
 	}
+	h.kickAll(snap)
 	h.wg.Wait()
 	h.drainRings(snap)
 	h.mu.Lock()
@@ -984,20 +1034,21 @@ func (h *Host) Stats() HostStats {
 	}
 	h.mu.Unlock()
 	return HostStats{
-		RxPackets:    h.rxCount.Load(),
-		RxDrops:      h.rxDropCount.Load(),
-		TxPackets:    h.txCount.Load(),
-		TxDrops:      h.txDropCount.Load(),
-		ReleaseErrs:  h.releaseErrCount.Load(),
-		Drops:        h.dropCount.Load(),
-		Overflows:    h.overflowCount.Load(),
-		Misses:       h.missCount.Load(),
-		CtrlMessages: h.msgCount.Load(),
-		MsgsRejected: h.msgRejected.Load(),
-		Pool:         h.pool.Stats(),
-		Table:        h.table.Stats(),
-		Replicas:     replicas,
-		Ports:        h.portDriverStats(),
+		RxPackets:      h.rxCount.Load(),
+		RxDrops:        h.rxDropCount.Load(),
+		TxPackets:      h.txCount.Load(),
+		TxDrops:        h.txDropCount.Load(),
+		ReleaseErrs:    h.releaseErrCount.Load(),
+		Drops:          h.dropCount.Load(),
+		Overflows:      h.overflowCount.Load(),
+		Misses:         h.missCount.Load(),
+		CtrlMessages:   h.msgCount.Load(),
+		MsgsRejected:   h.msgRejected.Load(),
+		NoticesRefused: h.noticesRefused.Load(),
+		Pool:           h.pool.Stats(),
+		Table:          h.table.Stats(),
+		Replicas:       replicas,
+		Ports:          h.portDriverStats(),
 	}
 }
 
@@ -1021,18 +1072,136 @@ func (h *Host) Instances() []*Instance {
 	return append([]*Instance(nil), h.instances...)
 }
 
-// pause backs off an idle polling loop: spin, then yield, then sleep.
+// waker lets an idle consumer thread (the RX thread, each TX thread, the
+// Flow Controller, each NF replica) block until a producer hands it
+// work. The paper's manager threads poll on dedicated cores; here they
+// share two with the socket goroutines, and a thread that polls or
+// yields forever keeps its run queue non-empty, so the Go netpoller only
+// runs on sysmon's 10 ms tick. Instead the consumer climbs a ladder
+// (idler): spin, yield, set parked, poll once more, block on ch.
+// Producers load parked after every successful enqueue and signal only
+// when it is set. Go's atomics are sequentially consistent, so either
+// the producer sees the flag or the consumer's re-poll sees the item: no
+// wake-up is lost.
+//
+// Go queues a goroutine woken by a channel send in the sender's run-next
+// slot, where it waits until the sender blocks or yields — for a busy
+// producer thread, its next idle spell (20–80 µs on chain_steady). So a
+// producer that woke a parked consumer yields once at the end of its
+// burst (idler.busy), handing the processor over with the consumer's
+// batch complete.
+type waker struct {
+	parked atomic.Bool
+	ch     chan struct{} // 1-buffered: a signal sent before the consumer blocks is kept
+	// Producers load parked on every enqueue; padding keeps it off any
+	// cache line another thread writes per packet.
+	_ [48]byte
+}
+
+func newWaker() *waker { return &waker{ch: make(chan struct{}, 1)} }
+
+// wake is the producer side, called after every successful enqueue: one
+// atomic load while the consumer is awake. It reports whether it woke a
+// parked consumer, which the producer should then yield to.
 //
 //sdnfv:hotpath
-func (h *Host) pause(idle *int) {
-	*idle++
-	switch {
-	case *idle < h.cfg.SpinLimit:
-		// busy spin
-	case *idle < h.cfg.SpinLimit*16:
-		runtime.Gosched()
+func (w *waker) wake() bool {
+	if w.parked.Load() {
+		//sdnfv:allow(call) reached only when the consumer parked; the swap and the send are the cold half
+		return w.signal()
+	}
+	return false
+}
+
+// signal wakes a parked consumer; of several producers racing here only
+// the one that clears parked sends, and reports true.
+func (w *waker) signal() bool {
+	if w.parked.Swap(false) {
+		w.kick()
+		return true
+	}
+	return false
+}
+
+// wakeFor wakes w's consumer on behalf of manager thread p, which yields
+// to it at the end of its burst.
+//
+//sdnfv:hotpath
+func (h *Host) wakeFor(p int, w *waker) {
+	if w.wake() {
+		h.woke[p] = true
+	}
+}
+
+// kick sends a wake-up whether or not the consumer is parked, without
+// blocking: lifecycle changes (a new routing snapshot, Stop, a replica
+// drain) must reach a thread on any rung of the ladder. A signal already
+// pending serves as well as a new one.
+func (w *waker) kick() {
+	select {
+	case w.ch <- struct{}{}:
 	default:
-		time.Sleep(5 * time.Microsecond)
+	}
+}
+
+// park blocks the calling consumer on w until a producer signal or a
+// kick, counting it in h.asleep meanwhile.
+func (h *Host) park(w *waker) {
+	h.asleep.Add(1)
+	<-w.ch
+	h.asleep.Add(-1)
+	w.parked.Store(false) // a kick leaves it set
+}
+
+// idler is a consumer thread's position on its idle ladder. It lives in
+// the thread's own frame; only that thread touches it.
+type idler struct {
+	h     *Host
+	w     *waker
+	woke  *bool // the thread woke a parked consumer during this burst
+	n     int   // empty polls since the last one that found work
+	limit int   // Config.SpinLimit
+}
+
+//sdnfv:hotpath
+func (h *Host) idler(w *waker, woke *bool) idler {
+	return idler{h: h, w: w, woke: woke, limit: h.cfg.SpinLimit}
+}
+
+// wait is called after an empty poll. The first limit calls return at
+// once (spin), the next limit yield the processor, the one after sets
+// parked and returns so the caller polls once more, and the next blocks
+// until a producer or a lifecycle kick wakes the thread.
+//
+//sdnfv:hotpath
+func (l *idler) wait() {
+	l.n++
+	switch {
+	case l.n <= l.limit:
+	case l.n <= 2*l.limit:
+		runtime.Gosched()
+	case l.n == 2*l.limit+1:
+		l.w.parked.Store(true)
+	default:
+		//sdnfv:allow(call) blocking on the waker channel is idle time, not per-packet work
+		l.h.park(l.w)
+		l.n = 0
+	}
+}
+
+// busy is called at the end of a burst that found work.
+//
+//sdnfv:hotpath
+func (l *idler) busy() {
+	if l.n > 2*l.limit {
+		// The re-poll after arming found work: producers need not signal.
+		l.w.parked.Store(false)
+	}
+	l.n = 0
+	if *l.woke {
+		// Hand the processor to the consumer this burst woke (see waker).
+		*l.woke = false
+		runtime.Gosched()
 	}
 }
 
@@ -1080,7 +1249,17 @@ func (h *Host) Inject(port int, frame []byte) error {
 		h.release(hd)
 		return errors.New("dataplane: NIC ring full")
 	}
+	h.wakeRX()
 	return nil
+}
+
+// wakeRX is the wake of the producers outside the engine (Inject, Ingest,
+// IngestBurst): their call is the burst, so a parked RX thread gets the
+// processor right away (see waker).
+func (h *Host) wakeRX() {
+	if h.rxWake.wake() {
+		runtime.Gosched()
+	}
 }
 
 // release returns a buffer reference, counting failures: a failed
@@ -1138,17 +1317,16 @@ func newBurstScratch() *burstScratch {
 func (h *Host) rxLoop() {
 	const producer = 0
 	var rr uint64
-	idle := 0
+	idle := h.idler(h.rxWake, &h.woke[producer])
 	//sdnfv:allow(call) scratch construction runs once at thread launch, before the poll loop
 	s := newBurstScratch()
 	for !h.stop.Load() {
 		snap := h.observeSnap(producer)
 		n := h.nicIn.DequeueBatch(s.batch)
 		if n == 0 {
-			h.pause(&idle)
+			idle.wait()
 			continue
 		}
-		idle = 0
 		h.rxCount.Add(uint64(n))
 		for i := 0; i < n; i++ {
 			s.scopes[i] = s.batch[i].Scope
@@ -1156,17 +1334,14 @@ func (h *Host) rxLoop() {
 		}
 		h.table.LookupBatch(s.scopes[:n], s.keys[:n], s.entries[:n])
 		for i := 0; i < n; i++ {
-			d := s.batch[i]
 			if s.entries[i] == nil {
 				// Flow-table miss: punt to the Flow Controller (§4.1).
-				h.missCount.Add(1)
-				if !h.fcIn[producer].Enqueue(d) {
-					h.dropPacket(&d)
-				}
+				h.punt(&s.batch[i], producer)
 				continue
 			}
-			h.dispatchEntry(snap, &d, s.entries[i], producer, &rr)
+			h.dispatchEntry(snap, &s.batch[i], s.entries[i], producer, &rr)
 		}
+		idle.busy()
 	}
 }
 
@@ -1222,8 +1397,9 @@ func (h *Host) fanOut(snap *routeSnap, d *Desc, e *flowtable.Entry, producer int
 	idx := d.H.Index()
 	h.parPending[idx].Store(int32(len(targets)))
 	h.parBest[idx].Store(0)
+	cp := &h.fanDesc[producer]
 	for _, inst := range targets {
-		cp := *d
+		*cp = *d
 		cp.parallel = true
 		cp.Entry = nil
 		if !h.cfg.DisableLookupCache {
@@ -1231,12 +1407,12 @@ func (h *Host) fanOut(snap *routeSnap, d *Desc, e *flowtable.Entry, producer int
 				cp.Entry = me
 			}
 		}
-		if !inst.offer(producer, cp) {
+		if !h.offer(inst, producer, *cp) {
 			// Member queue full: overflow pressure on that replica.
 			// Account the member as done with the lowest-priority outcome
 			// so the join still completes.
 			h.overflowCount.Add(1)
-			h.parJoin(snap, &cp, packAction(flowtable.Forward(inst.Service), 0), producer, rr)
+			h.parJoin(snap, cp, packAction(flowtable.Forward(inst.Service), 0), producer, rr)
 		}
 	}
 }
@@ -1269,7 +1445,7 @@ func (h *Host) applyAction(snap *routeSnap, d *Desc, a flowtable.Action, produce
 				nd.Entry = ne
 			}
 		}
-		if !inst.offer(producer, nd) {
+		if !h.offer(inst, producer, nd) {
 			// NF queue overflow: replica capacity pressure, not policy —
 			// counted separately so the autoscale layer sees it (§3.3).
 			h.overflowDrop(d)
@@ -1328,7 +1504,7 @@ func (h *Host) overflowDrop(d *Desc) {
 func (h *Host) txLoop(t int) {
 	producer := 1 + t
 	var rr uint64
-	idle := 0
+	idle := h.idler(h.txWake[t], &h.woke[producer])
 	//sdnfv:allow(alloc) per-thread burst scratch, allocated once before the poll loop
 	batch := make([]Desc, rxBatch)
 	for !h.stop.Load() {
@@ -1356,9 +1532,9 @@ func (h *Host) txLoop(t int) {
 			}
 		}
 		if !progressed {
-			h.pause(&idle)
+			idle.wait()
 		} else {
-			idle = 0
+			idle.busy()
 		}
 	}
 }
@@ -1458,7 +1634,11 @@ func (h *Host) onFlowEvicted(evs []flowtable.Evicted) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), h.cfg.ResolveTimeout)
 	defer cancel()
-	_ = h.cfg.Control.NotifyFlowRemoved(ctx, removals)
+	if err := h.cfg.Control.NotifyFlowRemoved(ctx, removals); err != nil {
+		// Notices are advisory and the rules are gone either way; count
+		// the loss so it shows in HostStats and at /metrics.
+		h.noticesRefused.Add(uint64(len(removals)))
+	}
 }
 
 // dropUnparsed discards a descriptor whose packet bytes no longer parse.
@@ -1539,7 +1719,9 @@ func (h *Host) punt(d *Desc, producer int) {
 	h.missCount.Add(1)
 	if !h.fcIn[producer].Enqueue(*d) {
 		h.dropPacket(d)
+		return
 	}
+	h.wakeFor(producer, h.fcWake)
 }
 
 // parJoin merges one parallel member's resolved action; the last member to
@@ -1592,9 +1774,9 @@ func (h *Host) parJoin(snap *routeSnap, d *Desc, packed mergedAction, producer i
 //
 //sdnfv:hotpath
 func (h *Host) fcLoop() {
-	idle := 0
 	var rr uint64
 	producer := h.fcProducerSlot()
+	idle := h.idler(h.fcWake, &h.woke[producer])
 	//sdnfv:allow(call) scratch construction runs once at thread launch, before the poll loop
 	s := newBurstScratch()
 	for !h.stop.Load() {
@@ -1615,12 +1797,11 @@ func (h *Host) fcLoop() {
 			h.table.LookupBatch(s.scopes[:n], s.keys[:n], s.entries[:n])
 			miss := 0
 			for i := 0; i < n; i++ {
-				d := s.batch[i]
 				if s.entries[i] != nil {
-					h.dispatchEntry(snap, &d, s.entries[i], producer, &rr)
+					h.dispatchEntry(snap, &s.batch[i], s.entries[i], producer, &rr)
 					continue
 				}
-				s.batch[miss] = d
+				s.batch[miss] = s.batch[i]
 				miss++
 			}
 			if miss == 0 {
@@ -1630,9 +1811,9 @@ func (h *Host) fcLoop() {
 			h.resolveMisses(snap, s, miss, producer, &rr)
 		}
 		if !progressed {
-			h.pause(&idle)
+			idle.wait()
 		} else {
-			idle = 0
+			idle.busy()
 		}
 	}
 }
@@ -1688,14 +1869,13 @@ func (h *Host) resolveMisses(snap *routeSnap, s *burstScratch, miss, producer in
 	}
 	live := 0
 	for i := 0; i < miss; i++ {
-		d := s.batch[i]
 		if s.results[s.slot[i]].Err != nil {
-			h.dropPacket(&d)
+			h.dropPacket(&s.batch[i])
 			continue
 		}
-		s.batch[live] = d
-		s.scopes[live] = d.Scope
-		s.keys[live] = d.Key
+		s.batch[live] = s.batch[i]
+		s.scopes[live] = s.batch[i].Scope
+		s.keys[live] = s.batch[i].Key
 		live++
 	}
 	if live == 0 {
@@ -1703,17 +1883,13 @@ func (h *Host) resolveMisses(snap *routeSnap, s *burstScratch, miss, producer in
 	}
 	h.table.LookupBatch(s.scopes[:live], s.keys[:live], s.entries[:live])
 	for i := 0; i < live; i++ {
-		d := s.batch[i]
 		if s.entries[i] == nil {
 			// Still no rule: punt again so the controller gets another
 			// chance once more rules arrive.
-			h.missCount.Add(1)
-			if !h.fcIn[producer].Enqueue(d) {
-				h.dropPacket(&d)
-			}
+			h.punt(&s.batch[i], producer)
 			continue
 		}
-		h.dispatchEntry(snap, &d, s.entries[i], producer, rr)
+		h.dispatchEntry(snap, &s.batch[i], s.entries[i], producer, rr)
 	}
 }
 

@@ -219,6 +219,7 @@ func (h *Host) Ingest(port int, frame []byte) error {
 		h.countRxDrop(1)
 		return fmt.Errorf("%w: NIC ring full", ErrIngestRefused)
 	}
+	h.wakeRX()
 	return nil
 }
 
@@ -263,6 +264,9 @@ func (h *Host) IngestBurst(port int, frames [][]byte) (admitted, consumed int) {
 			q = h.nicIn.EnqueueBatch(batch[:n])
 		}
 		h.injectMu.Unlock()
+		if q > 0 {
+			h.wakeRX()
+		}
 		for i := q; i < n; i++ {
 			h.release(batch[i].H)
 		}

@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -45,6 +46,8 @@ type Instance struct {
 	out *ring.SPSCOf[Desc]
 	// txThread is the TX thread responsible for this instance's out ring.
 	txThread int
+	// wake rouses the replica's goroutine when it has parked idle.
+	wake *waker
 
 	ctx nf.Context
 
@@ -133,14 +136,16 @@ func (in *Instance) backlog() int {
 	return n
 }
 
-// offer enqueues d on producer p's ring; false (and a drop count) on full.
+// offer enqueues d on producer p's ring into inst; false (and a drop
+// count) on full.
 //
 //sdnfv:hotpath
-func (in *Instance) offer(p int, d Desc) bool {
-	if in.in[p].Enqueue(d) {
+func (h *Host) offer(inst *Instance, p int, d Desc) bool {
+	if inst.in[p].Enqueue(d) {
+		h.wakeFor(p, inst.wake)
 		return true
 	}
-	in.dropCount.Add(1)
+	inst.dropCount.Add(1)
 	return false
 }
 
@@ -181,7 +186,9 @@ func newNFScratch() *nfScratch {
 //
 //sdnfv:hotpath
 func (in *Instance) run(h *Host) {
-	idle := 0
+	woke := false
+	idle := h.idler(in.wake, &woke)
+	txWake := h.txWake[in.txThread]
 	//sdnfv:allow(call) scratch construction runs once at thread launch, before the burst loop
 	s := newNFScratch()
 	descs, pkts, decs := s.descs, s.pkts, s.decs
@@ -215,14 +222,18 @@ func (in *Instance) run(h *Host) {
 				descs[i].Verb = decs[i].Verb
 				descs[i].Dest = decs[i].Dest
 			}
-			// Hand the burst to the TX thread; spin when the out ring is
-			// full. On stop, every descriptor not yet owned by the ring is
+			// Hand the burst to the TX thread; yield while the out ring is
+			// full (never park: the TX thread does not signal producers).
+			// On stop, every descriptor not yet owned by the ring is
 			// released exactly once — EnqueueBatch has already transferred
 			// ownership of the first `off`, so only the remainder is ours.
 			off := 0
 			for off < n {
 				k := in.out.EnqueueBatch(descs[off:n])
 				off += k
+				if k > 0 && txWake.wake() {
+					woke = true
+				}
 				if off == n {
 					break
 				}
@@ -235,7 +246,7 @@ func (in *Instance) run(h *Host) {
 					return
 				}
 				if k == 0 {
-					h.pause(&idle)
+					runtime.Gosched()
 				}
 			}
 			//sdnfv:allow(call) cross-layer emission flush runs once per burst, amortized (§3.4)
@@ -248,9 +259,9 @@ func (in *Instance) run(h *Host) {
 				// packets are processed and on the out ring. Exit.
 				return
 			}
-			h.pause(&idle)
+			idle.wait()
 		} else {
-			idle = 0
+			idle.busy()
 		}
 	}
 }

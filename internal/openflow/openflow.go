@@ -222,6 +222,12 @@ type FlowRemovedEntry struct {
 	Reason uint8
 }
 
+// MaxFlowRemovedEntries is the most entries one FlowRemoved frame can
+// carry: each encodes to a fixed 25 bytes (scope 2, match 14, rule id 8,
+// reason 1) after the 2-byte count, and a frame is at most 0xffff bytes.
+// A sender splits a larger batch across frames.
+const MaxFlowRemovedEntries = (0xffff - headerLen - 2) / 25
+
 // Type implements Message.
 func (FlowRemoved) Type() MsgType { return TypeFlowRemoved }
 func (m FlowRemoved) encode(dst []byte) []byte {

@@ -122,6 +122,22 @@ func TestRoundtripFlowRemoved(t *testing.T) {
 	}
 }
 
+// TestFlowRemovedFrameLimit pins MaxFlowRemovedEntries to the codec: a
+// full frame encodes, one entry more does not.
+func TestFlowRemovedFrameLimit(t *testing.T) {
+	entry := FlowRemovedEntry{Scope: 9, Match: flowtable.MatchAll, RuleID: 1}
+	full := make([]FlowRemovedEntry, MaxFlowRemovedEntries+1)
+	for i := range full {
+		full[i] = entry
+	}
+	if _, err := Encode(FlowRemoved{Removals: full[:MaxFlowRemovedEntries]}, 1); err != nil {
+		t.Fatalf("%d entries: %v", MaxFlowRemovedEntries, err)
+	}
+	if _, err := Encode(FlowRemoved{Removals: full}, 1); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("%d entries: err = %v, want ErrTooLarge", len(full), err)
+	}
+}
+
 func TestRoundtripNFMessage(t *testing.T) {
 	msg := NFMessage{
 		Src: 50,

@@ -101,6 +101,7 @@ func (s *hostSet) collect() []Family {
 			{"sdnfv_host_misses_total", "Flow-table misses escalated to the controller.", st.Misses},
 			{"sdnfv_host_ctrl_messages_total", "Cross-layer messages from NFs handled by the manager.", st.CtrlMessages},
 			{"sdnfv_host_msgs_rejected_total", "Cross-layer messages refused (invalid or policy-rejected).", st.MsgsRejected},
+			{"sdnfv_control_notices_refused_total", "Flow-removed notices the southbound refused to carry upstream.", st.NoticesRefused},
 			{"sdnfv_host_pool_allocs_total", "Buffer pool allocations.", st.Pool.Allocs},
 			{"sdnfv_host_pool_frees_total", "Buffer pool releases.", st.Pool.Frees},
 			{"sdnfv_host_pool_alloc_fails_total", "Buffer pool allocation failures (pool exhausted).", st.Pool.AllocFails},
