@@ -4,13 +4,13 @@
 //
 //   - a host registry keyed by control.DatapathID, with lifecycle
 //     (Start/Stop) and aggregate accounting across members;
-//   - Links: the inter-host wires. A link binds (hostA, portA) ↔
-//     (hostB, portB) through the hosts' per-port egress bindings, so an
-//     ActionOut on one host becomes an Inject on its peer. Unshaped
-//     links deliver synchronously in the transmitting host's TX thread
-//     (zero extra copies — Inject copies into the peer's pool either
-//     way); shaped links model capacity and propagation delay with a
-//     store-and-forward pacer, netem-style but in wall time;
+//   - Links: the in-process inter-host wires. A link binds (hostA,
+//     portA) ↔ (hostB, portB) through the hosts' per-port egress
+//     bindings, so an ActionOut on one host becomes an Inject on its
+//     peer, delivered synchronously in the transmitting host's TX thread
+//     (zero extra copies — Inject copies into the peer's pool). A member
+//     facing a peer in another process binds a portio driver instead
+//     (BindWire);
 //   - rule installation for the per-host tables the application
 //     compiles from a deployment, and the app.Downstream applier that
 //     lets accepted cross-layer messages re-route deployed chains at
@@ -38,48 +38,23 @@ var (
 	ErrUnknownHost   = errors.New("cluster: unknown datapath")
 )
 
-// LinkConfig shapes one direction of a link. The zero value is an
-// ideal wire: frames are injected into the peer synchronously from the
-// transmitting host's TX thread.
-type LinkConfig struct {
-	// RateBps bounds the link's serialization rate (0 = infinite).
-	RateBps float64
-	// Delay is the propagation delay added to every frame.
-	Delay time.Duration
-	// Queue bounds the shaper's transmit queue (default 1024). Frames
-	// beyond it are dropped, like a full NIC ring.
-	Queue int
-}
-
-func (c LinkConfig) shaped() bool { return c.RateBps > 0 || c.Delay > 0 }
-
 // LinkStats is a snapshot of one link direction's counters.
 type LinkStats struct {
 	// TxFrames/TxBytes count frames delivered into the peer host.
 	TxFrames, TxBytes uint64
-	// Drops counts frames lost on the wire: shaper queue overflow or
-	// the peer refusing the inject (pool exhausted, NIC ring full,
-	// host stopped).
+	// Drops counts frames the peer refused to inject (pool exhausted,
+	// NIC ring full, host stopped).
 	Drops uint64
 }
 
 // Link is one direction of an inter-host wire: egress port OutPort on
 // the source host delivers to ingress port InPort on the destination.
 type Link struct {
-	Src, Dst         control.DatapathID
-	OutPort, InPort  int
-	cfg              LinkConfig
-	dst              *dataplane.Host
-	frames           chan []byte
-	txFrames, drops  atomic.Uint64
-	txBytes, pending atomic.Uint64
-	done             chan struct{}
-	closeOnce        sync.Once
-	wg               sync.WaitGroup
+	Src, Dst                 control.DatapathID
+	OutPort, InPort          int
+	dst                      *dataplane.Host
+	txFrames, txBytes, drops atomic.Uint64
 }
-
-// Channel returns the link direction as the app compiler's conduit form.
-func (l *Link) Channel() app.Channel { return app.Channel{Out: l.OutPort, In: l.InPort} }
 
 // Stats returns the link direction's counters.
 func (l *Link) Stats() LinkStats {
@@ -99,60 +74,6 @@ func (l *Link) deliver(frame []byte) {
 	}
 	l.txFrames.Add(1)
 	l.txBytes.Add(uint64(len(frame)))
-}
-
-// shape is the store-and-forward pacer for a shaped link direction: it
-// serializes frames at RateBps on a virtual transmit clock (a burst
-// queues behind itself without accumulating drift), while propagation
-// Delay is applied per frame OFF the pacing loop — frames pipeline in
-// flight, so a long-delay link still sustains its full serialization
-// rate. Delivery order is preserved: the transmit clock is monotonic
-// and the delay constant, so successive timers fire in enqueue order.
-func (l *Link) shape() {
-	defer l.wg.Done()
-	var txClock time.Time
-	for {
-		select {
-		case frame := <-l.frames:
-			now := time.Now()
-			if txClock.Before(now) {
-				txClock = now
-			}
-			if l.cfg.RateBps > 0 {
-				ser := time.Duration(float64(len(frame)*8) / l.cfg.RateBps * float64(time.Second))
-				txClock = txClock.Add(ser)
-				// Pace serialization only; the next frame may start
-				// serializing while this one propagates.
-				if wait := time.Until(txClock); wait > 0 {
-					time.Sleep(wait)
-				}
-			}
-			if l.cfg.Delay > 0 {
-				l.wg.Add(1)
-				time.AfterFunc(l.cfg.Delay, func() {
-					defer l.wg.Done()
-					l.deliver(frame)
-					l.pending.Add(^uint64(0))
-				})
-			} else {
-				l.deliver(frame)
-				l.pending.Add(^uint64(0))
-			}
-		case <-l.done:
-			// Frames still queued at teardown are lost on the wire
-			// (in-flight propagation timers still deliver; Stop waits
-			// for them via the WaitGroup).
-			for {
-				select {
-				case <-l.frames:
-					l.drops.Add(1)
-					l.pending.Add(^uint64(0))
-				default:
-					return
-				}
-			}
-		}
-	}
 }
 
 // member is one registered host.
@@ -247,61 +168,13 @@ func (f *Fabric) Alive(dp control.DatapathID) bool {
 	return ok && !m.down
 }
 
-// Connect wires one direction: frames src transmits out outPort arrive
-// on dst's inPort. The binding goes through the source host's per-port
-// egress table, so its packet path stays lock-free; an unshaped link's
-// delivery is the peer's Inject, called synchronously from the
-// transmitting TX thread.
-func (f *Fabric) Connect(src control.DatapathID, outPort int, dst control.DatapathID, inPort int, cfg LinkConfig) (*Link, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	sm, ok := f.hosts[src]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownHost, src)
-	}
-	dm, ok := f.hosts[dst]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownHost, dst)
-	}
-	if cfg.Queue <= 0 {
-		cfg.Queue = 1024
-	}
-	l := &Link{
-		Src: src, Dst: dst, OutPort: outPort, InPort: inPort,
-		cfg: cfg, dst: dm.host,
-	}
-	if cfg.shaped() {
-		l.frames = make(chan []byte, cfg.Queue)
-		l.done = make(chan struct{})
-		l.wg.Add(1)
-		go l.shape()
-		sm.host.BindPort(outPort, func(_ int, data []byte, _ *dataplane.Desc) {
-			// The pool buffer is only valid during the sink call; the
-			// shaper owns a private copy.
-			cp := append([]byte(nil), data...)
-			select {
-			case l.frames <- cp:
-				l.pending.Add(1)
-			default:
-				l.drops.Add(1)
-			}
-		})
-	} else {
-		sm.host.BindPort(outPort, func(_ int, data []byte, _ *dataplane.Desc) {
-			l.deliver(data)
-		})
-	}
-	f.links = append(f.links, l)
-	return l, nil
-}
-
 // BindWire attaches a portio driver behind port on datapath dp: the
 // member host's egress out that port goes onto the driver's wire, and
 // frames the driver receives enter the host's driver ingress (counted
 // under the RxDrops discipline). This is how a fabric member faces a
-// peer in ANOTHER process — the in-process Links above stay available
-// for co-located hosts. The binding is closed by Stop after the hosts,
-// so queued egress drains onto the wire during teardown.
+// peer in ANOTHER process — co-located hosts are wired in-process by
+// Link. The binding is closed by Stop after the hosts, so queued egress
+// drains onto the wire during teardown.
 func (f *Fabric) BindWire(dp control.DatapathID, port int, d portio.PortDriver) (*portio.Binding, error) {
 	f.mu.Lock()
 	m, ok := f.hosts[dp]
@@ -319,18 +192,31 @@ func (f *Fabric) BindWire(dp control.DatapathID, port int, d portio.PortDriver) 
 	return b, nil
 }
 
-// Link wires both directions of (a, aPort) ↔ (b, bPort) with the same
-// shaping and returns the two directions (a→b, b→a).
-func (f *Fabric) Link(a control.DatapathID, aPort int, b control.DatapathID, bPort int, cfg LinkConfig) (ab, ba *Link, err error) {
-	ab, err = f.Connect(a, aPort, b, bPort, cfg)
-	if err != nil {
-		return nil, nil, err
+// Link wires both directions of (a, aPort) ↔ (b, bPort).
+func (f *Fabric) Link(a control.DatapathID, aPort int, b control.DatapathID, bPort int) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, dp := range []control.DatapathID{a, b} {
+		if _, ok := f.hosts[dp]; !ok {
+			return fmt.Errorf("%w: %s", ErrUnknownHost, dp)
+		}
 	}
-	ba, err = f.Connect(b, bPort, a, aPort, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ab, ba, nil
+	f.connect(a, aPort, b, bPort)
+	f.connect(b, bPort, a, aPort)
+	return nil
+}
+
+// connect wires one direction: frames src transmits out outPort arrive
+// on dst's inPort. The binding goes through the source host's per-port
+// egress table, so its packet path stays lock-free; delivery is the
+// peer's Inject, called synchronously from the transmitting TX thread.
+// Both hosts are registered; the caller holds f.mu.
+func (f *Fabric) connect(src control.DatapathID, outPort int, dst control.DatapathID, inPort int) {
+	l := &Link{Src: src, Dst: dst, OutPort: outPort, InPort: inPort, dst: f.hosts[dst].host}
+	f.hosts[src].host.BindPort(outPort, func(_ int, data []byte, _ *dataplane.Desc) {
+		l.deliver(data)
+	})
+	f.links = append(f.links, l)
 }
 
 // Links returns every link direction in creation order.
@@ -371,25 +257,14 @@ func (f *Fabric) Start() error {
 	return nil
 }
 
-// Stop tears the cluster down: hosts first, then the link shapers.
-// Host.Stop waits for the TX threads, so after it returns no sink can
-// enqueue more frames; the shapers then drain — frames still queued at
-// that point (and deliveries the stopped peers refuse) are counted as
-// link drops, keeping teardown losses visible and the pending counters
-// balanced.
+// Stop tears the cluster down: hosts first, then the port drivers.
+// Host.Stop waits for the TX threads, so after it returns no link
+// delivers more frames (deliveries a stopped peer refuses are counted
+// as link drops, keeping teardown losses visible).
 func (f *Fabric) Stop() {
 	for _, dp := range f.aliveHosts() {
 		h, _ := f.Host(dp)
 		h.Stop()
-	}
-	f.mu.Lock()
-	links := append([]*Link(nil), f.links...)
-	f.mu.Unlock()
-	for _, l := range links {
-		if l.done != nil {
-			l.closeOnce.Do(func() { close(l.done) })
-			l.wg.Wait()
-		}
 	}
 	f.mu.Lock()
 	wires := append([]*portio.Binding(nil), f.wires...)
@@ -421,17 +296,14 @@ func (f *Fabric) Stats() map[control.DatapathID]dataplane.HostStats {
 }
 
 // InFlight counts the packets in flight anywhere in the cluster: pool
-// buffers held on every live host plus frames queued on shaped links. A
-// frame can be "between hosts" (released by the sender, not yet injected
-// into the receiver), so both terms are needed.
+// buffers held on every live host. A link injects a frame into its peer
+// before the sender releases the buffer, so a frame in flight is always
+// held by some host's pool.
 func (f *Fabric) InFlight() int {
 	n := 0
 	for _, dp := range f.aliveHosts() {
 		h, _ := f.Host(dp)
 		n += h.Pool().Stats().InUse
-	}
-	for _, l := range f.Links() {
-		n += int(l.pending.Load())
 	}
 	return n
 }

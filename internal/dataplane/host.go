@@ -158,6 +158,16 @@ type HostStats struct {
 	Ports []PortDriverStats
 }
 
+// Conserved reports whether the per-host accounting identity
+// RxPackets == TxPackets + Drops + Overflows + TxDrops + RxDrops holds:
+// every frame the host took in left it, or was counted where it died.
+// It is exact once the host is idle and no parallel fan-out rule was
+// involved (see Drops). A leak-free pool (Pool.InUse == 0) is a
+// separate check, and only an idle host passes it.
+func (s HostStats) Conserved() bool {
+	return s.RxPackets == s.TxPackets+s.Drops+s.Overflows+s.TxDrops+s.RxDrops
+}
+
 // routeSnap is the immutable routing snapshot the packet-path threads
 // read lock-free. Lifecycle operations publish a new snapshot atomically;
 // each manager thread records the epoch of the snapshot it last loaded so

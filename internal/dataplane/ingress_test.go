@@ -108,11 +108,10 @@ func TestIngestAccountingIdentity(t *testing.T) {
 		t.Fatalf("not idle: %+v", h.Pool().Stats())
 	}
 	st := h.Stats()
-	sum := st.TxPackets + st.Drops + st.Overflows + st.TxDrops + st.RxDrops
 	t.Logf("rx=%d tx=%d drops=%d overflows=%d txdrops=%d rxdrops=%d delivered=%d",
 		st.RxPackets, st.TxPackets, st.Drops, st.Overflows, st.TxDrops, st.RxDrops, delivered.Load())
-	if st.RxPackets != sum {
-		t.Fatalf("identity broken: rx=%d sum=%d", st.RxPackets, sum)
+	if !st.Conserved() {
+		t.Fatal("identity broken")
 	}
 	if st.RxDrops < n/5 {
 		t.Fatalf("rxdrops=%d, want >= %d (garbage frames + retried refusals)", st.RxDrops, n/5)
@@ -153,9 +152,8 @@ func TestIngestBurstAccounting(t *testing.T) {
 	if st.RxDrops != 2 {
 		t.Fatalf("rxdrops=%d, want 2 (the malformed frames)", st.RxDrops)
 	}
-	sum := st.TxPackets + st.Drops + st.Overflows + st.TxDrops + st.RxDrops
-	if st.RxPackets != sum {
-		t.Fatalf("identity broken: rx=%d sum=%d", st.RxPackets, sum)
+	if !st.Conserved() {
+		t.Fatalf("identity broken: %+v", st)
 	}
 	// Unbound-port burst: every frame counted and consumed, none
 	// admitted — retrying a dead port is pointless.

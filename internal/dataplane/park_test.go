@@ -121,7 +121,7 @@ func TestParkLostWakeupStress(t *testing.T) {
 		t.Fatalf("buffers still in use: %+v", h.Pool().Stats())
 	}
 	st := h.Stats()
-	if sum := st.TxPackets + st.Drops + st.Overflows + st.TxDrops + st.RxDrops; st.RxPackets != sum || st.RxPackets != uint64(n) || st.TxPackets != uint64(n) {
+	if !st.Conserved() || st.RxPackets != uint64(n) || st.TxPackets != uint64(n) {
 		t.Fatalf("accounting: rx=%d tx=%d drops=%d overflows=%d txdrops=%d rxdrops=%d",
 			st.RxPackets, st.TxPackets, st.Drops, st.Overflows, st.TxDrops, st.RxDrops)
 	}

@@ -5,21 +5,23 @@ import (
 	"time"
 
 	"sdnfv/internal/app"
+	"sdnfv/internal/control"
 	"sdnfv/internal/controller"
-	"sdnfv/internal/dataplane"
 	"sdnfv/internal/flowtable"
-	"sdnfv/internal/graph"
 	"sdnfv/internal/nf"
+	"sdnfv/internal/reconcile"
+	"sdnfv/internal/spec"
 	"sdnfv/internal/traffic"
 )
 
 // ChurnResult is the flow-lifecycle experiment on the real engine: a
 // long run of short-lived flows (plus a small persistent hot set)
-// streams through the full app → controller → host hierarchy with idle
-// timeouts armed. Per-flow exact rules install on first packet and are
-// reaped by the background sweeper once each flow goes quiet, so the
-// live rule count plateaus far below the total number of distinct
-// flows offered — the table is sized for concurrency, not history.
+// streams through the full app → controller → host hierarchy, booted
+// through reconcile.Boot from a one-host spec with idle timeouts armed.
+// Per-flow exact rules install on first packet and are reaped by the
+// background sweeper once each flow goes quiet, so the live rule count
+// plateaus far below the total number of distinct flows offered — the
+// table is sized for concurrency, not history.
 // After the drain the eviction accounting must be exact: the add/
 // delete/evict identity holds, the engine-owned per-flow NF state is
 // empty, and the app saw exactly one flow-removed notice per eviction.
@@ -93,57 +95,63 @@ func boolStr(v bool) string {
 // lifecycle accounting — is seed-independent.
 func Churn(seed int64) *ChurnResult {
 	const (
-		svcMon    flowtable.ServiceID = 31
-		hot                           = 16  // persistent flows re-offered every wave
-		waves                         = 30  // one-shot flow generations
-		perWave                       = 200 // fresh flows per wave
-		idle                          = 60 * time.Millisecond
-		sweepTick                     = 5 * time.Millisecond
-		waveGap                       = 15 * time.Millisecond
+		svcMon  flowtable.ServiceID = 31
+		hot                         = 16  // persistent flows re-offered every wave
+		waves                       = 30  // one-shot flow generations
+		perWave                     = 200 // fresh flows per wave
+		idle                        = 60 * time.Millisecond
+		waveGap                     = 15 * time.Millisecond
 	)
 
-	g, err := graph.Chain("churn", graph.Vertex{Service: svcMon, Name: "mon", ReadOnly: true})
-	if err != nil {
-		panic(err)
+	sp := &spec.Spec{
+		Version: spec.Version, Name: "churn",
+		Hosts: []spec.Host{{Name: "host1", Datapath: 1}},
+		Services: []spec.Service{
+			{Name: "mon", ID: svcMon, NF: "mon", ReadOnly: true, Placement: []string{"host1"}},
+		},
+		Edges: []spec.Edge{
+			{From: spec.EndpointIngress, To: "mon", Default: true},
+			{From: "mon", To: spec.EndpointEgress, Default: true},
+		},
+		Ingress:      spec.IngressSpec{Host: "host1", Port: 0},
+		EgressPort:   1,
+		FlowTimeouts: &spec.FlowTimeouts{IdleMs: int(idle / time.Millisecond)},
 	}
+	// The monitor pins per-flow state, making state leaks observable.
+	reg := spec.NewNFRegistry()
+	must(reg.Register("mon", func() nf.BatchFunction {
+		return &nf.BatchAdapter{FnName: "mon", RO: true,
+			ProcessBatchF: func(ctx *nf.Context, batch []nf.Packet, _ []nf.Decision) {
+				for i := range batch {
+					ctx.FlowState().Set(batch[i].Key, struct{}{})
+				}
+			}}
+	}))
+
+	// A per-flow app (exact rules, no deployment) behind this
+	// experiment's controller resolves every new flow's first packet;
+	// Boot hands the host that controller's session as its southbound.
+	g, err := sp.Graph()
+	must(err)
 	a := app.New(app.Config{IngressPort: 0, EgressPort: 1})
-	if err := a.RegisterGraph(g); err != nil {
-		panic(err)
-	}
+	must(a.RegisterGraph(g))
 	ctl := controller.New(controller.Config{Workers: 4})
 	ctl.SetNorthbound(a)
 	ctl.Start()
 	defer ctl.Stop()
 
-	host := dataplane.NewHost(dataplane.Config{
-		PoolSize: 2048, TXThreads: 1, Control: ctl,
-		FlowIdleTimeout: idle, FlowSweepInterval: sweepTick,
+	c, err := reconcile.Boot(sp, reg, fastBoot, func(dp control.DatapathID) control.Southbound {
+		return ctl.Session(dp)
 	})
-	// The monitor pins per-flow state, making state leaks observable.
-	mon := &nf.BatchAdapter{FnName: "mon", RO: true,
-		ProcessBatchF: func(ctx *nf.Context, batch []nf.Packet, _ []nf.Decision) {
-			for i := range batch {
-				ctx.FlowState().Set(batch[i].Key, struct{}{})
-			}
-		}}
-	if _, err := host.AddNF(svcMon, mon, 0); err != nil {
-		panic(err)
-	}
-	host.BindDefault(func(int, []byte, *dataplane.Desc) {})
-	if err := host.Start(); err != nil {
-		panic(err)
-	}
-	defer host.Stop()
+	must(err)
+	defer c.Close()
+	host := c.Hosts["host1"]
 
 	factory := traffic.NewFactory()
 	inject := func(id int) {
 		frame, err := factory.Frame(traffic.Flow(id, 128, 0), 0)
-		if err != nil {
-			panic(err)
-		}
-		for host.Inject(0, frame) != nil {
-			time.Sleep(5 * time.Microsecond)
-		}
+		must(err)
+		must(c.Inject(frame))
 	}
 
 	res := &ChurnResult{HotFlows: hot, TotalFlows: hot + waves*perWave}
@@ -168,15 +176,16 @@ func Churn(seed int64) *ChurnResult {
 
 	// The app compiles a handful of rules per flow (port scope + service
 	// scope); a flow stays live for roughly idle/waveGap waves after its
-	// last packet. The cap leaves generous slack for slow CI machines —
-	// what matters is that it is far below rules-for-every-flow-ever.
+	// last packet, plus up to one sweeper tick. The cap leaves generous
+	// slack for that and for slow CI machines — what matters is that it
+	// is far below rules-for-every-flow-ever.
 	wavesInFlight := int(idle/waveGap) + 4
 	res.LiveCap = 4 * (hot + wavesInFlight*perWave)
 	res.PlateauOK = res.PeakLive > 0 && res.PeakLive <= res.LiveCap
 
 	// Quiesce: every flow (hot set included) idles out; the sweeper must
 	// reap every rule and release every byte of per-flow NF state.
-	host.WaitIdle(5 * time.Second)
+	c.Fabric.WaitIdle(5 * time.Second)
 	fs := host.FlowState(svcMon, 0)
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {

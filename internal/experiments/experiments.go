@@ -101,3 +101,11 @@ func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 
 // f0 formats a float with no decimals.
 func f0(v float64) string { return fmt.Sprintf("%.0f", v) }
+
+// must panics on a set-up error: runners build fixed, known-good
+// scenarios, so a failure there is a bug, not an outcome to report.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}

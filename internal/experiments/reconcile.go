@@ -131,14 +131,9 @@ func Reconcile(seed int64) *ReconcileResult {
 	// --- NF registry: how the spec's binding names resolve to code.
 	sigs := acmatch.New([]string{"ATTACK-SIGNATURE"})
 	nfReg := spec.NewNFRegistry()
-	mustReg := func(err error) {
-		if err != nil {
-			panic(err)
-		}
-	}
-	mustReg(nfReg.Register("firewall", func() nf.BatchFunction { return &nfs.Firewall{DefaultAllow: true} }))
-	mustReg(nfReg.Register("ids", func() nf.BatchFunction { return &nfs.IDS{Matcher: sigs, Scrubber: 3} }))
-	mustReg(nfReg.Register("video", func() nf.BatchFunction { return &nfs.VideoDetector{PolicyEngine: 3, Bypass: 3} }))
+	must(nfReg.Register("firewall", func() nf.BatchFunction { return &nfs.Firewall{DefaultAllow: true} }))
+	must(nfReg.Register("ids", func() nf.BatchFunction { return &nfs.IDS{Matcher: sigs, Scrubber: 3} }))
+	must(nfReg.Register("video", func() nf.BatchFunction { return &nfs.VideoDetector{PolicyEngine: 3, Bypass: 3} }))
 
 	// --- Parse the spec.
 	sp, err := spec.Parse([]byte(reconcileSpecJSON))
@@ -233,8 +228,7 @@ func Reconcile(seed int64) *ReconcileResult {
 		res.Rx = append(res.Rx, st.RxPackets)
 		res.Tx = append(res.Tx, st.TxPackets)
 		res.Drops = append(res.Drops, st.Drops+st.Overflows+st.TxDrops+st.RxDrops)
-		if st.RxPackets != st.TxPackets+st.Drops+st.Overflows+st.TxDrops+st.RxDrops ||
-			st.Pool.InUse != 0 {
+		if !st.Conserved() || st.Pool.InUse != 0 {
 			res.AccountingOK = false
 		}
 	}

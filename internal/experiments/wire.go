@@ -249,11 +249,8 @@ func (r *WireResult) wireFinish() {
 	}
 	r.WireABExact = port(r.A, 2).TxFrames == port(r.B, 2).RxFrames
 	r.WireBAExact = port(r.B, 3).TxFrames == port(r.A, 3).RxFrames
-	identity := func(st dataplane.HostStats) bool {
-		return st.RxPackets == st.TxPackets+st.Drops+st.Overflows+st.TxDrops+st.RxDrops &&
-			st.Pool.InUse == 0
-	}
-	r.AccountingOK = identity(r.A) && identity(r.B)
+	r.AccountingOK = r.A.Conserved() && r.A.Pool.InUse == 0 &&
+		r.B.Conserved() && r.B.Pool.InUse == 0
 }
 
 // wireTelemetry scrapes a live telemetry server over HTTP during the

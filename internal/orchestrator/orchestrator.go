@@ -121,16 +121,6 @@ var ErrUnknownHost = errors.New("orchestrator: unknown host")
 // scheduling the boot, and a ctx cancelled before the boot delay
 // elapses aborts the launch.
 func (o *Orchestrator) Instantiate(ctx context.Context, host string, svc flowtable.ServiceID, fn nf.BatchFunction, onReady func(Launch)) error {
-	return o.instantiate(ctx, host, svc, fn, func(l Launch, err error) {
-		if err == nil && onReady != nil {
-			onReady(l)
-		}
-	})
-}
-
-// instantiate schedules the boot and reports its outcome — success or
-// the host's refusal — to onDone exactly once.
-func (o *Orchestrator) instantiate(ctx context.Context, host string, svc flowtable.ServiceID, fn nf.BatchFunction, onDone func(Launch, error)) error {
 	o.mu.Lock()
 	h, ok := o.hosts[host]
 	if !ok {
@@ -172,69 +162,11 @@ func (o *Orchestrator) instantiate(ctx context.Context, host string, svc flowtab
 			o.launches = append(o.launches, l)
 		}
 		o.mu.Unlock()
-		if onDone != nil {
-			onDone(l, err)
+		if err == nil && onReady != nil {
+			onReady(l)
 		}
 	})
 	return nil
-}
-
-// Placement names one service instantiation of a deployment: the host
-// the placement engine chose (§3.5) and the NF implementation backing
-// the service there.
-type Placement struct {
-	Host    string
-	Service flowtable.ServiceID
-	NF      nf.BatchFunction
-}
-
-// Deploy boots a whole placement — each service on the host the
-// placement engine assigned it to — and waits until every launch has
-// completed or ctx expires. This is the hook that lets a solved
-// multi-node placement (placement.Assignment mapped to host names)
-// drive the live engine instead of remaining a paper exercise.
-//
-// Deploy schedules every placement (a host refusal does not stop the
-// rest) and returns the subset that actually came up, so a caller — in
-// particular the reconciler — can converge or undo the applied set
-// instead of guessing which placements a mid-slice failure left booted.
-// The error joins every individual failure. On ctx expiry the applied
-// set holds the launches that completed before the deadline and the
-// error wraps ctx.Err(); late boots still land in Launches as usual.
-func (o *Orchestrator) Deploy(ctx context.Context, placements []Placement) ([]Placement, error) {
-	type outcome struct {
-		p   Placement
-		err error
-	}
-	done := make(chan outcome, len(placements))
-	scheduled := 0
-	var errs []error
-	for _, p := range placements {
-		p := p
-		err := o.instantiate(ctx, p.Host, p.Service, p.NF, func(_ Launch, err error) {
-			done <- outcome{p: p, err: err}
-		})
-		if err != nil {
-			errs = append(errs, fmt.Errorf("orchestrator: deploy %s on %q: %w", p.Service, p.Host, err))
-			continue
-		}
-		scheduled++
-	}
-	var applied []Placement
-	for range scheduled {
-		select {
-		case oc := <-done:
-			if oc.err != nil {
-				errs = append(errs, fmt.Errorf("orchestrator: deploy %s on %q: %w", oc.p.Service, oc.p.Host, oc.err))
-				continue
-			}
-			applied = append(applied, oc.p)
-		case <-ctx.Done():
-			errs = append(errs, ctx.Err())
-			return applied, errors.Join(errs...)
-		}
-	}
-	return applied, errors.Join(errs...)
 }
 
 // Remover is the optional scale-down capability of a HostHandle: retiring

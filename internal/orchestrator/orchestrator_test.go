@@ -4,10 +4,7 @@ import (
 	"container/heap"
 	"context"
 	"errors"
-	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"sdnfv/internal/flowtable"
 	"sdnfv/internal/nf"
@@ -256,140 +253,5 @@ func TestRetireErrors(t *testing.T) {
 	o.AddHost(ok)
 	if err := o.Retire(ctx, "ok", 1, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled ctx: %v", err)
-	}
-}
-
-// realClock runs callbacks on the wall clock (Deploy blocks, so the
-// virtual clock cannot drive it from the same goroutine).
-type realClock struct{ start time.Time }
-
-func (c *realClock) After(delay float64, fn func()) {
-	time.AfterFunc(time.Duration(delay*float64(time.Second)), fn)
-}
-func (c *realClock) Now() float64 { return time.Since(c.start).Seconds() }
-
-// lockedHost is a fakeHost safe for the concurrent launches Deploy
-// triggers on the real clock.
-type lockedHost struct {
-	mu sync.Mutex
-	fakeHost
-}
-
-func (h *lockedHost) Launch(ctx context.Context, svc flowtable.ServiceID, fn nf.BatchFunction) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.fakeHost.Launch(ctx, svc, fn)
-}
-
-func (h *lockedHost) setFail(err error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.fail = err
-}
-
-func (h *lockedHost) services() map[flowtable.ServiceID]bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := map[flowtable.ServiceID]bool{}
-	for _, s := range h.launched {
-		out[s] = true
-	}
-	return out
-}
-
-// TestDeploy boots a whole placement: each service lands on the host
-// the placement chose, and a failing host surfaces as ctx expiry.
-func TestDeploy(t *testing.T) {
-	clk := &realClock{start: time.Now()}
-	o := New(Config{BootDelaySec: 0.01, StandbyDelaySec: 0.01}, clk)
-	h1 := &lockedHost{fakeHost: fakeHost{name: "h1"}}
-	h2 := &lockedHost{fakeHost: fakeHost{name: "h2"}}
-	o.AddHost(h1)
-	o.AddHost(h2)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	applied, err := o.Deploy(ctx, []Placement{
-		{Host: "h1", Service: 1, NF: stubNF{}},
-		{Host: "h2", Service: 2, NF: stubNF{}},
-		{Host: "h1", Service: 3, NF: stubNF{}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(applied) != 3 {
-		t.Fatalf("applied %d placements, want 3", len(applied))
-	}
-	// Boots on one host complete concurrently; only the set matters.
-	got1 := h1.services()
-	if len(got1) != 2 || !got1[1] || !got1[3] {
-		t.Fatalf("h1 launched %v", got1)
-	}
-	got2 := h2.services()
-	if len(got2) != 1 || !got2[2] {
-		t.Fatalf("h2 launched %v", got2)
-	}
-
-	// Unknown host fails, and the applied set stays empty.
-	applied, err = o.Deploy(ctx, []Placement{{Host: "nope", Service: 4, NF: stubNF{}}})
-	if err == nil {
-		t.Fatal("unknown host accepted")
-	}
-	if len(applied) != 0 {
-		t.Fatalf("applied %v despite refusal", applied)
-	}
-	// A host that refuses the launch surfaces its error, naming the
-	// placement and carrying the host's own cause.
-	h1.setFail(errors.New("boom"))
-	_, err = o.Deploy(ctx, []Placement{{Host: "h1", Service: 5, NF: stubNF{}}})
-	if err == nil {
-		t.Fatal("failed launch not surfaced")
-	}
-	if !strings.Contains(err.Error(), "boom") || !strings.Contains(err.Error(), "h1") {
-		t.Fatalf("deploy error lost the cause: %v", err)
-	}
-}
-
-// TestDeployPartialFailure is the satellite fix: a mid-slice refusal no
-// longer hides which placements came up. The survivors are returned so
-// a caller can converge or undo them.
-func TestDeployPartialFailure(t *testing.T) {
-	clk := &realClock{start: time.Now()}
-	o := New(Config{BootDelaySec: 0.01, StandbyDelaySec: 0.01}, clk)
-	h1 := &lockedHost{fakeHost: fakeHost{name: "h1"}}
-	h2 := &lockedHost{fakeHost: fakeHost{name: "h2"}}
-	o.AddHost(h1)
-	o.AddHost(h2)
-	h2.setFail(errors.New("host full"))
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	applied, err := o.Deploy(ctx, []Placement{
-		{Host: "h1", Service: 1, NF: stubNF{}},
-		{Host: "h2", Service: 2, NF: stubNF{}}, // refused mid-slice
-		{Host: "h1", Service: 3, NF: stubNF{}},
-	})
-	if err == nil {
-		t.Fatal("refusal not surfaced")
-	}
-	if !strings.Contains(err.Error(), "host full") {
-		t.Fatalf("deploy error lost the cause: %v", err)
-	}
-	got := map[flowtable.ServiceID]bool{}
-	for _, p := range applied {
-		if p.Host != "h1" {
-			t.Fatalf("applied placement on wrong host: %+v", p)
-		}
-		got[p.Service] = true
-	}
-	if len(got) != 2 || !got[1] || !got[3] {
-		t.Fatalf("applied set %v, want services 1 and 3 on h1", got)
-	}
-	// The applied set matches what the hosts actually booted.
-	if launched := h1.services(); len(launched) != 2 || !launched[1] || !launched[3] {
-		t.Fatalf("h1 launched %v", launched)
-	}
-	if launched := h2.services(); len(launched) != 0 {
-		t.Fatalf("h2 launched %v despite refusing", launched)
 	}
 }

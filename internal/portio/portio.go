@@ -1,13 +1,14 @@
 // Package portio provides pluggable port drivers: the transport behind
 // a host NIC port. The engine keeps one narrow seam — egress through a
 // dataplane.PortSink, ingress through Host.Ingest — and everything on
-// the wire side of that seam is a PortDriver: an in-process pair
-// (ChanDriver), a UDP socket carrying one datagram per frame
-// (UDPDriver), a TCP stream with length-prefixed framing and reconnect
-// (TCPDriver), or a raw AF_PACKET socket on a real interface
-// (AFPacketDriver, linux only). This is the device/instance split of
-// yanet2's dataplane_device and osvbng's southbound abstraction: the
-// packet path never learns which transport it is bound to.
+// the wire side of that seam is a PortDriver: a UDP socket carrying one
+// datagram per frame (UDPDriver), a TCP stream with length-prefixed
+// framing and reconnect (TCPDriver), or a raw AF_PACKET socket on a real
+// interface (AFPacketDriver, linux only). Co-located hosts need no
+// driver: cluster.Fabric links wire them in-process. This is the
+// device/instance split of yanet2's dataplane_device and osvbng's
+// southbound abstraction: the packet path never learns which transport
+// it is bound to.
 //
 // Hot-path discipline: a driver's egress sink runs on the engine's TX
 // threads inside the annotated hot path, so socket drivers hand the

@@ -143,8 +143,7 @@ func (w *wirePair) waitDelivered(want int64, timeout time.Duration) bool {
 // checkIdentity asserts the extended conservation identity on a host.
 func checkIdentity(t *testing.T, name string, st dataplane.HostStats) {
 	t.Helper()
-	sum := st.TxPackets + st.Drops + st.Overflows + st.TxDrops + st.RxDrops
-	if st.RxPackets != sum {
+	if !st.Conserved() {
 		t.Fatalf("%s identity broken: rx=%d tx=%d drops=%d overflows=%d txdrops=%d rxdrops=%d",
 			name, st.RxPackets, st.TxPackets, st.Drops, st.Overflows, st.TxDrops, st.RxDrops)
 	}
@@ -158,66 +157,17 @@ func (w *wirePair) stop() {
 	w.bb.Close()
 }
 
-// TestChanPairEndToEnd runs the A→B chain over the in-process driver in
-// both modes: synchronous (the zero-behavior-change replacement for
-// closure wiring) and buffered (queued like a real wire).
-func TestChanPairEndToEnd(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		depth int
-	}{
-		{"sync", 0},
-		{"buffered", 512},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			da, db := portio.NewChanPair(tc.depth)
-			w := newWirePair(t, func() portio.PortDriver { return db }, func() portio.PortDriver { return da })
-			const n = 2000
-			w.send(t, n)
-			if !w.waitDelivered(n, 10*time.Second) {
-				t.Fatalf("delivered %d/%d", w.delivered.Load(), n)
-			}
-			w.stop()
-			sa, sb := w.ha.Stats(), w.hb.Stats()
-			checkIdentity(t, "A", sa)
-			checkIdentity(t, "B", sb)
-			if sa.Pool.InUse != 0 || sb.Pool.InUse != 0 {
-				t.Fatalf("pool leak: A=%d B=%d", sa.Pool.InUse, sb.Pool.InUse)
-			}
-			das, dbs := da.Stats(), db.Stats()
-			if das.TxFrames != n {
-				t.Fatalf("driver A tx=%d, want %d", das.TxFrames, n)
-			}
-			if dbs.RxFrames != das.TxFrames {
-				t.Fatalf("driver B rx=%d != driver A tx=%d", dbs.RxFrames, das.TxFrames)
-			}
-			// Host B's wire arrivals that were refused must match the
-			// driver's count of them.
-			if sb.RxDrops != dbs.RxRefused {
-				t.Fatalf("B rxdrops=%d != driver rxRefused=%d", sb.RxDrops, dbs.RxRefused)
-			}
-			// One Ports entry per bound driver in the stats snapshot.
-			if len(sb.Ports) != 1 || sb.Ports[0].Driver != "chan" || sb.Ports[0].Port != 2 {
-				t.Fatalf("B Ports snapshot = %+v", sb.Ports)
-			}
-		})
-	}
-}
-
-// TestBindingCloseIdempotentAndLate checks the teardown contract: Close
-// is idempotent, and egress toward a closed peer end is counted as the
-// sending driver's wire loss (TxDrops) while both hosts' accounting
-// identities keep balancing.
+// TestBindingCloseIdempotentAndLate checks the teardown contract over a
+// UDP pair: Close is idempotent, a frame reaching a port whose binding
+// closed counts in the host's RxDrops, and both hosts' accounting
+// identities keep balancing while A keeps transmitting at the closed
+// peer.
 func TestBindingCloseIdempotentAndLate(t *testing.T) {
-	da, db := portio.NewChanPair(0)
-	w := newWirePair(t, func() portio.PortDriver { return db }, func() portio.PortDriver { return da })
+	_, _, w := udpWirePair(t)
 	w.send(t, 100)
 	if !w.waitDelivered(100, 5*time.Second) {
 		t.Fatalf("delivered %d/100", w.delivered.Load())
 	}
-	// Close the B-side binding while A keeps transmitting: the wire is
-	// down, so the A-side driver counts the frames as its TxDrops (the
-	// host's own TxPackets still count — the handoff succeeded).
 	if err := w.bb.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -225,20 +175,8 @@ func TestBindingCloseIdempotentAndLate(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.send(t, 50)
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && da.Stats().TxDrops < 50 {
-		time.Sleep(time.Millisecond)
-	}
-	if d := da.Stats().TxDrops; d < 50 {
-		t.Fatalf("driver A txdrops=%d, want >= 50 after peer close", d)
-	}
-	w.ha.Stop()
-	w.hb.Stop()
-	w.ba.Close()
-	checkIdentity(t, "A", w.ha.Stats())
-	checkIdentity(t, "B", w.hb.Stats())
-	// Late wire arrival at the host level: the ingress unbind means a
-	// frame that did reach B's port now counts in RxDrops.
+	// Late wire arrival: the ingress unbind means a frame that does reach
+	// B's port now counts in RxDrops.
 	before := w.hb.Stats().RxDrops
 	if err := w.hb.Ingest(2, buildFrame(t, 1, nil)); err == nil {
 		t.Fatal("Ingest on unbound port admitted")
@@ -246,6 +184,9 @@ func TestBindingCloseIdempotentAndLate(t *testing.T) {
 	if got := w.hb.Stats().RxDrops; got != before+1 {
 		t.Fatalf("B rxdrops=%d, want %d after late arrival", got, before+1)
 	}
+	w.stop()
+	checkIdentity(t, "A", w.ha.Stats())
+	checkIdentity(t, "B", w.hb.Stats())
 }
 
 // TestParsePort covers the flag grammar.

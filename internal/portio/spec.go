@@ -14,9 +14,6 @@ import (
 //	N=tcp:ADDR          TCP, dial ADDR (length-prefixed, reconnects)
 //	N=tcp-listen:ADDR   TCP, listen on ADDR, accept one peer at a time
 //	N=afpacket:IFACE    raw AF_PACKET socket on IFACE (linux, CAP_NET_RAW)
-//
-// The in-process ChanDriver has no spec: both ends live in one process,
-// so it is wired programmatically (NewChanPair), not by flag.
 func ParsePort(spec string) (int, PortDriver, error) {
 	eq := strings.IndexByte(spec, '=')
 	if eq < 0 {

@@ -66,6 +66,10 @@ func TestUDPLoopbackE2E(t *testing.T) {
 	if sa.Pool.InUse != 0 || sb.Pool.InUse != 0 {
 		t.Fatalf("pool leak: A=%d B=%d", sa.Pool.InUse, sb.Pool.InUse)
 	}
+	// One Ports entry per bound driver in the stats snapshot.
+	if len(sb.Ports) != 1 || sb.Ports[0].Driver != "udp" || sb.Ports[0].Port != 2 {
+		t.Fatalf("B Ports snapshot = %+v", sb.Ports)
+	}
 }
 
 // TestUDPMalformedDatagrams is the satellite regression test: garbage

@@ -1,9 +1,9 @@
 package reconcile
 
 // Boot is the one place a spec becomes a running stack. Every
-// deployment — sdnfv-host with or without -spec, the reconcile
-// experiment — goes through it, so boot delays, drain logic and
-// shutdown ordering cannot drift apart.
+// deployment of in-process hosts — sdnfv-host with or without -spec, the
+// cluster, reconcile and churn experiments — goes through it, so boot
+// delays, drain logic and shutdown ordering cannot drift apart.
 
 import (
 	"fmt"
@@ -134,7 +134,7 @@ func Boot(sp *spec.Spec, nfs *spec.NFRegistry, t Timings, remote func(control.Da
 	}
 	c.ingress = c.Hosts[sp.Ingress.Host]
 	for _, l := range sp.Links {
-		if _, _, err := c.Fabric.Link(c.Datapaths[l.A.Host], l.A.Port, c.Datapaths[l.B.Host], l.B.Port, cluster.LinkConfig{}); err != nil {
+		if err := c.Fabric.Link(c.Datapaths[l.A.Host], l.A.Port, c.Datapaths[l.B.Host], l.B.Port); err != nil {
 			return nil, err
 		}
 	}
@@ -218,9 +218,9 @@ func (c *Cluster) Inject(frame []byte) error {
 
 // Close tears the stack down in dependency order: autoscale loops (they
 // actuate through the orchestrator), the reconciler, then the fabric —
-// hosts first so every TX thread drains through its sinks, then link
-// shapers, then port drivers bound with Fabric.BindWire, which flush
-// their egress queues onto the wire — and last the controller the
+// hosts first so every TX thread drains through its sinks and links,
+// then port drivers bound with Fabric.BindWire, which flush their
+// egress queues onto the wire — and last the controller the
 // hosts' Flow Controller threads were resolving against. Idempotent.
 func (c *Cluster) Close() {
 	c.closeOnce.Do(func() {

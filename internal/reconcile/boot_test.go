@@ -84,7 +84,7 @@ func TestBootExampleSpecs(t *testing.T) {
 			for _, name := range sp.HostNames() {
 				delivered += c.Delivered(name)
 				st := c.Hosts[name].Stats()
-				if st.RxPackets != st.TxPackets+st.Drops+st.Overflows+st.TxDrops+st.RxDrops {
+				if !st.Conserved() {
 					t.Errorf("%s: accounting identity broken: %+v", name, st)
 				}
 				if st.Overflows != 0 {

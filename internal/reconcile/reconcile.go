@@ -1,7 +1,7 @@
 // Package reconcile is the controller-style loop that keeps the cluster
 // converged on a declarative deployment spec (internal/spec). Where the
-// orchestrator's Deploy/Instantiate/Retire are one-shot imperative
-// calls, the reconciler owns desired state: each tick it observes the
+// orchestrator's Instantiate/Retire are one-shot imperative calls, the
+// reconciler owns desired state: each tick it observes the
 // cluster (host liveness, per-service replica counts — the same
 // registry snapshots telemetry gathers), computes drift against the
 // active spec generation, and converges through typed actuators —

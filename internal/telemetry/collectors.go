@@ -293,7 +293,7 @@ func collectLinks(f *cluster.Fabric) []Family {
 		ll := []Label{{"link", linkName(l)}, {"src", l.Src.String()}, {"dst", l.Dst.String()}}
 		b.counter("sdnfv_link_tx_frames_total", "Frames delivered into the peer host.", ll, float64(st.TxFrames))
 		b.counter("sdnfv_link_tx_bytes_total", "Bytes delivered into the peer host.", ll, float64(st.TxBytes))
-		b.counter("sdnfv_link_drops_total", "Frames lost on the wire (shaper overflow or refused inject).", ll, float64(st.Drops))
+		b.counter("sdnfv_link_drops_total", "Frames the peer host refused to inject.", ll, float64(st.Drops))
 	}
 	return b.families()
 }
