@@ -35,16 +35,16 @@ type Clock interface {
 // Sample is one observation of a service's load.
 type Sample struct {
 	// Replicas is the number of live replicas.
-	Replicas int
+	Replicas int `metric:"replicas" help:"Live replicas at the last tick."`
 	// Pending is the number of boots in flight (counted as capacity so
 	// the controller does not re-trigger while a VM boots).
-	Pending int
+	Pending int `metric:"pending" help:"Replica boots in flight at the last tick."`
 	// Backlog is the total descriptors queued across the replicas' input
 	// rings.
-	Backlog int
+	Backlog int `metric:"backlog" help:"Queued descriptors across replicas at the last tick."`
 	// ServiceTimeNs is the mean per-packet NF service time across
 	// replicas (EWMA, 0 if none measured).
-	ServiceTimeNs float64
+	ServiceTimeNs float64 `metric:"service_time_ns" help:"Mean per-packet service time at the last tick."`
 	// Overflows is the cumulative count of offers refused because a
 	// replica's input rings were full; the controller reacts to its
 	// delta between ticks.
@@ -187,12 +187,15 @@ type Stats struct {
 	// Ticks counts policy evaluations; Ups/Downs count actuated scale
 	// decisions (including ones whose actuator returned an error);
 	// Errors counts actuator failures.
-	Ticks, Ups, Downs, Errors uint64
+	Ticks  uint64 `metric:"ticks_total" help:"Autoscale policy evaluations."`
+	Ups    uint64 `metric:"decisions_total,decision=up" help:"Actuated scale decisions by direction."`
+	Downs  uint64 `metric:"decisions_total,decision=down" help:"Actuated scale decisions by direction."`
+	Errors uint64 `metric:"errors_total" help:"Actuator failures on scale decisions."`
 	// LastDecision and LastTickAt describe the most recent tick;
 	// Last is the load sample it evaluated.
 	LastDecision Decision
 	LastTickAt   float64
-	Last         Sample
+	Last         Sample `metric:""`
 	// Min/Max are the replica bounds currently in force (SetBounds may
 	// have changed them since construction).
 	Min, Max int

@@ -41,10 +41,11 @@ var (
 // LinkStats is a snapshot of one link direction's counters.
 type LinkStats struct {
 	// TxFrames/TxBytes count frames delivered into the peer host.
-	TxFrames, TxBytes uint64
+	TxFrames uint64 `metric:"tx_frames_total" help:"Frames delivered into the peer host."`
+	TxBytes  uint64 `metric:"tx_bytes_total" help:"Bytes delivered into the peer host."`
 	// Drops counts frames the peer refused to inject (pool exhausted,
 	// NIC ring full, host stopped).
-	Drops uint64
+	Drops uint64 `metric:"drops_total" help:"Frames the peer host refused to inject."`
 }
 
 // Link is one direction of an inter-host wire: egress port OutPort on

@@ -100,10 +100,10 @@ type ResolveResult struct {
 //   - NFMsgs counts cross-layer messages routed to the northbound tier,
 //     whether or not policy validation accepted them.
 type Stats struct {
-	Requests uint64
-	Rejected uint64
-	FlowMods uint64
-	NFMsgs   uint64
+	Requests uint64 `metric:"requests_total" help:"Flow-resolve requests admitted."`
+	Rejected uint64 `metric:"rejected_total" help:"Flow-resolve requests refused (queue full)."`
+	FlowMods uint64 `metric:"flow_mods_total" help:"Rules compiled and shipped to datapaths."`
+	NFMsgs   uint64 `metric:"nf_msgs_total" help:"Cross-layer NF messages routed northbound."`
 }
 
 // Features advertises a control-channel peer's identity: its datapath

@@ -85,10 +85,11 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// HostStats is a snapshot of host counters.
+// HostStats is a snapshot of host counters. The metric tags declare the
+// telemetry export of each field (see internal/telemetry).
 type HostStats struct {
-	RxPackets uint64
-	TxPackets uint64
+	RxPackets uint64 `metric:"host_rx_packets_total" help:"Packets admitted into the host (wire ingests and injects)."`
+	TxPackets uint64 `metric:"host_tx_packets_total" help:"Packets delivered out an egress port."`
 	// Drops counts admitted packets discarded by policy or overload of
 	// the manager's own rings (drop rules/verbs, missing services,
 	// miss-path overflow). NF input-queue overflows are NOT included —
@@ -102,11 +103,11 @@ type HostStats struct {
 	// parallel fan-out additionally counts each refused member OFFER in
 	// Overflows while the packet itself continues through the join (see
 	// Overflows), so parallel rules can push the sum past RxPackets.
-	Drops uint64
+	Drops uint64 `metric:"host_drops_total" help:"Admitted packets discarded by policy or manager-ring overload."`
 	// Overflows counts packets (or parallel fan-out offers) refused
 	// because an NF replica's input rings were full — the signal that a
 	// service needs more replicas (§3.3, §5 dynamic scaling).
-	Overflows uint64
+	Overflows uint64 `metric:"host_overflows_total" help:"Packets or fan-out offers refused by full NF input rings."`
 	// TxDrops counts frames that reached egress but could not be
 	// delivered: the out port had no sink bound, or the buffer handle
 	// went stale before the bytes could be read. They are neither
@@ -116,7 +117,7 @@ type HostStats struct {
 	// holds exactly once the host is idle and no parallel fan-out rule
 	// was involved (parallel refusals count offers, not packets — see
 	// Drops).
-	TxDrops uint64
+	TxDrops uint64 `metric:"host_tx_drops_total" help:"Frames that reached egress but could not be delivered."`
 	// RxDrops counts wire frames refused at the driver ingress boundary
 	// (Ingest): oversize for the pool frame cap, unparseable, arriving
 	// on a port with no ingress binding, or hitting a capacity refusal
@@ -124,15 +125,20 @@ type HostStats struct {
 	// delivered it, so unlike a refused Inject it is this host's loss
 	// to account (see ingress.go). Inject refusals still appear in
 	// neither counter.
-	RxDrops uint64
+	RxDrops uint64 `metric:"host_rx_drops_total" help:"Wire frames refused at the driver ingress boundary."`
 	// ReleaseErrs counts pool.Release calls that failed — a release of a
 	// stale or double-freed handle. Any nonzero value is a refcounting
 	// bug (a use-after-free caught by the pool's generation tags), so
 	// the counter exists to make such bugs visible instead of silently
 	// discarding the error on the drop paths.
-	ReleaseErrs  uint64
-	Misses       uint64
-	CtrlMessages uint64
+	ReleaseErrs uint64 `metric:"host_release_errors_total" help:"Failed pool releases (refcounting bugs made visible)."`
+	Misses      uint64 `metric:"host_misses_total" help:"Flow-table misses escalated to the controller."`
+	// Unresolved counts misses the controller answered without error
+	// but whose installed rules still did not cover the packet (an empty
+	// rule set, or only rules the table refused). Each is dropped, so it
+	// also counts in Drops.
+	Unresolved   uint64 `metric:"host_unresolved_total" help:"Misses still uncovered after installing the controller's answer, dropped."`
+	CtrlMessages uint64 `metric:"host_ctrl_messages_total" help:"Cross-layer messages from NFs handled by the manager."`
 	// MsgsRejected counts cross-layer messages that were refused:
 	// structurally invalid ones from NFs (dropped before any effect)
 	// plus upstream policy rejections reported synchronously by the
@@ -140,13 +146,13 @@ type HostStats struct {
 	// has already taken local effect — the NF Manager applies messages
 	// autonomously (§3.4 "without touching the controller"); the
 	// application's verdict only gates propagation beyond this host.
-	MsgsRejected uint64
+	MsgsRejected uint64 `metric:"host_msgs_rejected_total" help:"Cross-layer messages refused (invalid or policy-rejected)."`
 	// NoticesRefused counts flow-removed notices (one per evicted rule)
 	// the southbound refused to carry upstream. Eviction itself is not
 	// undone; the count makes the lost notice visible.
-	NoticesRefused uint64
-	Pool           mempool.Stats
-	Table          flowtable.Stats
+	NoticesRefused uint64          `metric:"control_notices_refused_total" help:"Flow-removed notices the southbound refused to carry upstream."`
+	Pool           mempool.Stats   `metric:"host_pool_"`
+	Table          flowtable.Stats `metric:"flowtable_"`
 	// Replicas is the per-replica telemetry snapshot (queue depth,
 	// processed/overflow counts, EWMA service time), ordered by
 	// registration.
@@ -270,6 +276,7 @@ type Host struct {
 	dropCount       atomic.Uint64
 	overflowCount   atomic.Uint64
 	missCount       atomic.Uint64
+	unresolved      atomic.Uint64
 	msgCount        atomic.Uint64
 	msgRejected     atomic.Uint64
 	releaseErrCount atomic.Uint64
@@ -1052,6 +1059,7 @@ func (h *Host) Stats() HostStats {
 		Drops:          h.dropCount.Load(),
 		Overflows:      h.overflowCount.Load(),
 		Misses:         h.missCount.Load(),
+		Unresolved:     h.unresolved.Load(),
 		CtrlMessages:   h.msgCount.Load(),
 		MsgsRejected:   h.msgRejected.Load(),
 		NoticesRefused: h.noticesRefused.Load(),
@@ -1830,7 +1838,8 @@ func (h *Host) fcLoop() {
 
 // resolveMisses is the Flow Controller's cold half: it dedupes a burst
 // of true misses, pipelines one southbound ResolveBatch for the unique
-// flows, installs the returned rules, and re-routes the survivors. The
+// flows, installs the returned rules, and re-routes the survivors (a
+// survivor the installed rules still do not cover is dropped). The
 // first miss descriptors of s.batch are the misses; the scratch arrays
 // are reused as the request/result storage. Deliberately
 // NOT hotpath-annotated — it blocks on the controller for up to
@@ -1894,9 +1903,10 @@ func (h *Host) resolveMisses(snap *routeSnap, s *burstScratch, miss, producer in
 	h.table.LookupBatch(s.scopes[:live], s.keys[:live], s.entries[:live])
 	for i := 0; i < live; i++ {
 		if s.entries[i] == nil {
-			// Still no rule: punt again so the controller gets another
-			// chance once more rules arrive.
-			h.punt(&s.batch[i], producer)
+			// The controller answered, but nothing it installed covers
+			// the packet; punting it again would ask forever.
+			h.unresolved.Add(1)
+			h.dropPacket(&s.batch[i])
 			continue
 		}
 		h.dispatchEntry(snap, &s.batch[i], s.entries[i], producer, rr)

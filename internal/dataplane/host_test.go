@@ -401,6 +401,40 @@ func TestFlowControllerSouthboundResolve(t *testing.T) {
 	}
 }
 
+// TestUnresolvableMissDropped: a controller that answers without error
+// but installs nothing covering the packet — an empty rule set, or only
+// rules the table refuses — is asked once, and the packet is dropped and
+// counted instead of punted back to the Flow Controller forever.
+func TestUnresolvableMissDropped(t *testing.T) {
+	for name, rules := range map[string][]flowtable.Rule{
+		"empty":     nil,
+		"no-action": {{Scope: flowtable.Port(0), Match: flowtable.MatchAll}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var resolves atomic.Uint64
+			h, out := startHost(t, Config{Control: control.SouthboundFuncs{
+				ResolveFunc: func(context.Context, flowtable.ServiceID, packet.FlowKey) ([]flowtable.Rule, error) {
+					resolves.Add(1)
+					return rules, nil
+				},
+			}}, nil)
+			if err := h.Inject(0, buildFrame(t, 9100, nil)); err != nil {
+				t.Fatal(err)
+			}
+			if !h.WaitIdle(5 * time.Second) {
+				t.Fatalf("descriptor still held after %d resolves", resolves.Load())
+			}
+			if n := resolves.Load(); n != 1 {
+				t.Fatalf("controller asked %d times, want 1", n)
+			}
+			st := h.Stats()
+			if !st.Conserved() || st.Unresolved != 1 || st.Drops != 1 || out.count() != 0 {
+				t.Fatalf("unresolved miss not dropped and counted: %+v (out %d)", st, out.count())
+			}
+		})
+	}
+}
+
 func TestCrossLayerChangeDefault(t *testing.T) {
 	// NF A sends ChangeDefault(flow, A -> C); afterwards the flow's
 	// packets leaving A go to C instead of B.

@@ -61,27 +61,27 @@ var (
 type DriverStats struct {
 	// RxFrames/RxBytes count frames read off the wire and offered to
 	// the host ingress (including ones the host then refused).
-	RxFrames uint64
-	RxBytes  uint64
+	RxFrames uint64 `metric:"rx_frames_total" help:"Frames read off the wire and offered to host ingress."`
+	RxBytes  uint64 `metric:"rx_bytes_total" help:"Bytes read off the wire."`
 	// TxFrames/TxBytes count frames written to the wire.
-	TxFrames uint64
-	TxBytes  uint64
+	TxFrames uint64 `metric:"tx_frames_total" help:"Frames written to the wire."`
+	TxBytes  uint64 `metric:"tx_bytes_total" help:"Bytes written to the wire."`
 	// RxOversize counts wire frames larger than the ingress frame cap,
 	// dropped by the driver before reaching the host.
-	RxOversize uint64
+	RxOversize uint64 `metric:"rx_oversize_total" help:"Wire frames dropped for exceeding the ingress frame cap."`
 	// RxTruncated counts short reads and truncated framing (a TCP
 	// stream cut mid-frame, a datagram shorter than its header).
-	RxTruncated uint64
+	RxTruncated uint64 `metric:"rx_truncated_total" help:"Short reads and truncated framing."`
 	// RxRefused counts frames read off the wire that never entered the
 	// packet path: refused at the boundary (malformed, unbound — those
 	// also appear in HostStats.RxDrops) or dropped by the driver after
 	// its capacity-retry budget expired (those touched no host counter).
-	RxRefused uint64
+	RxRefused uint64 `metric:"rx_refused_total" help:"Wire frames that never entered the packet path."`
 	// TxDrops counts egress frames never written: link down, egress
 	// queue full, or a write error.
-	TxDrops uint64
+	TxDrops uint64 `metric:"tx_drops_total" help:"Egress frames never written to the wire."`
 	// Reconnects counts re-established connections (TCP backoff loop).
-	Reconnects uint64
+	Reconnects uint64 `metric:"reconnects_total" help:"Re-established driver connections."`
 }
 
 // PortDriverStats is one port's DriverStats inside a HostStats snapshot.

@@ -81,15 +81,15 @@ type ReplicaStats struct {
 	Name    string
 	// QueueDepth is the number of descriptors waiting in the replica's
 	// input rings (an instantaneous backlog sample).
-	QueueDepth int
+	QueueDepth int `metric:"queue_depth" help:"Descriptors waiting in the replica's input rings."`
 	// Processed counts packets handed to the NF.
-	Processed uint64
+	Processed uint64 `metric:"processed_total" help:"Packets handed to the NF replica."`
 	// OverflowDrops counts offers refused because the input rings were
 	// full.
-	OverflowDrops uint64
+	OverflowDrops uint64 `metric:"overflow_drops_total" help:"Offers refused because the replica's input rings were full."`
 	// ServiceTimeNs is the EWMA per-packet NF service time in
 	// nanoseconds (0 until the replica has processed a burst).
-	ServiceTimeNs float64
+	ServiceTimeNs float64 `metric:"service_time_ns" help:"EWMA per-packet NF service time in nanoseconds."`
 }
 
 // Name returns the NF's name.

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"sdnfv/internal/acmatch"
+	"sdnfv/internal/control"
 	"sdnfv/internal/dataplane"
 	"sdnfv/internal/flowtable"
 	"sdnfv/internal/metrics"
@@ -355,8 +356,8 @@ func wireInProcess(seed int64) *WireResult {
 	}
 
 	reg := telemetry.NewRegistry()
-	telemetry.RegisterHost(reg, "A", 0xa, a.host)
-	telemetry.RegisterHost(reg, "B", 0xb, b.host)
+	telemetry.RegisterHosts(reg, map[string]*dataplane.Host{"A": a.host, "B": b.host},
+		map[string]control.DatapathID{"A": 0xa, "B": 0xb})
 	reg.MustRegister(telemetry.NewHistogramCollector(
 		"sdnfv_wire_latency_ns", "End-to-end wire chain latency.",
 		nil, hist, telemetry.DefaultLatencyBoundsNs))
@@ -433,7 +434,7 @@ func wireTwoProcess(seed int64, exe string) *WireResult {
 	// Host B lives in the peer process; only A is scrapeable here. Its
 	// identity still closes over the full round trip once drained.
 	reg := telemetry.NewRegistry()
-	telemetry.RegisterHost(reg, "A", 0xa, a.host)
+	telemetry.RegisterHosts(reg, map[string]*dataplane.Host{"A": a.host}, map[string]control.DatapathID{"A": 0xa})
 	reg.MustRegister(telemetry.NewHistogramCollector(
 		"sdnfv_wire_latency_ns", "End-to-end wire chain latency.",
 		nil, hist, telemetry.DefaultLatencyBoundsNs))

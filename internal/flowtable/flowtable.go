@@ -1153,29 +1153,29 @@ func (t *Table) Len() int {
 // evicted by a timeout — replacements keep their ID and count in
 // Modifies only.
 type Stats struct {
-	Lookups  uint64
-	Misses   uint64
-	Modifies uint64
-	Rules    int
+	Lookups  uint64 `metric:"lookups_total" help:"Flow table lookups."`
+	Misses   uint64 `metric:"misses_total" help:"Flow table lookup misses."`
+	Modifies uint64 `metric:"modifies_total" help:"Flow table rule modifications."`
+	Rules    int    `metric:"entries" help:"Live entries in the flow table."`
 
 	// Adds counts rules created (new IDs assigned); replacements of an
 	// existing exact rule are not adds.
-	Adds uint64
+	Adds uint64 `metric:"adds_total" help:"Flow table rules created (new rule IDs)."`
 	// Deleted counts rules removed by an explicit Delete call.
-	Deleted uint64
+	Deleted uint64 `metric:"deletes_total" help:"Flow table rules removed by explicit Delete."`
 	// EvictedIdle / EvictedHard count rules reaped by the sweeper after
 	// their idle / hard timeout. Evicted is the sum.
-	EvictedIdle uint64
-	EvictedHard uint64
+	EvictedIdle uint64 `metric:"evictions_total,reason=idle" help:"Rules evicted by the lifecycle sweeper, by timeout reason."`
+	EvictedHard uint64 `metric:"evictions_total,reason=hard" help:"Rules evicted by the lifecycle sweeper, by timeout reason."`
 	// ExpiredLookups counts lookups that observed (and rejected) a
 	// timed-out entry before the sweeper reaped it — the lazy half of
 	// eviction. These lookups also count in Misses unless a broader
 	// live rule answered.
-	ExpiredLookups uint64
+	ExpiredLookups uint64 `metric:"expired_lookups_total" help:"Lookups that observed a timed-out entry before the sweeper reaped it."`
 	// Sweeps counts background sweep passes; SweepNanos is their total
 	// duration, so SweepNanos/Sweeps is the mean sweep latency.
-	Sweeps     uint64
-	SweepNanos uint64
+	Sweeps     uint64 `metric:"sweeps_total" help:"Background eviction sweep passes."`
+	SweepNanos uint64 `metric:"sweep_nanos_total" help:"Cumulative sweep-pass duration in nanoseconds."`
 }
 
 // Evicted returns the total number of timeout-evicted rules.

@@ -297,10 +297,10 @@ func (p *Pool) Release(h Handle) error {
 
 // Stats reports cumulative pool activity.
 type Stats struct {
-	Allocs     uint64
-	Frees      uint64
-	AllocFails uint64
-	InUse      int
+	Allocs     uint64 `metric:"allocs_total" help:"Buffer pool allocations."`
+	Frees      uint64 `metric:"frees_total" help:"Buffer pool releases."`
+	AllocFails uint64 `metric:"alloc_fails_total" help:"Buffer pool allocation failures (pool exhausted)."`
+	InUse      int    `metric:"in_use" help:"Buffers currently allocated from the pool."`
 }
 
 // Stats returns a snapshot of pool counters.

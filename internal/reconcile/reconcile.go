@@ -162,30 +162,31 @@ type boundsState struct {
 	b    spec.Bounds
 }
 
-// Status is a snapshot of the loop for telemetry (/state/reconcile).
+// Status is a snapshot of the loop for telemetry (/state/reconcile and
+// the metric-tagged sdnfv_reconcile_* families).
 type Status struct {
 	// Generation is the active spec generation (0 = none applied).
-	Generation uint64 `json:"generation"`
+	Generation uint64 `json:"generation" metric:"generation" help:"Active spec generation (0 = none applied)."`
 	SpecName   string `json:"spec,omitempty"`
 	// Converged reports the last tick observed zero drift.
-	Converged bool `json:"converged"`
+	Converged bool `json:"converged" metric:"converged" help:"1 when the last tick observed zero drift."`
 	// Drift lists the last tick's raw drift actions.
-	Drift []string `json:"drift,omitempty"`
+	Drift []string `json:"drift,omitempty" metric:"drift_actions" help:"Drift actions observed on the last tick."`
 	// Pending lists action keys suppressed while a boot is in flight.
 	Pending []string `json:"pending,omitempty"`
 	// Placement is the routed assignment (service → host) in force.
 	Placement map[string]string `json:"placement,omitempty"`
 	// LastConvergeSec is how long the last drift episode took to
 	// converge (drift first observed → zero drift observed).
-	LastConvergeSec float64 `json:"last_converge_sec"`
+	LastConvergeSec float64 `json:"last_converge_sec" metric:"convergence_seconds" help:"Duration of the last drift episode (drift observed to zero drift)."`
 	LastError       string  `json:"last_error,omitempty"`
 
-	Ticks         uint64 `json:"ticks"`
-	DriftEvents   uint64 `json:"drift_events"`
-	ActionsOK     uint64 `json:"actions_ok"`
-	ActionsFailed uint64 `json:"actions_failed"`
-	QueueDrops    uint64 `json:"queue_drops"`
-	Generations   uint64 `json:"generations"`
+	Ticks         uint64 `json:"ticks" metric:"ticks_total" help:"Reconcile cycles run."`
+	DriftEvents   uint64 `json:"drift_events" metric:"drift_events_total" help:"Transitions from converged to drifted."`
+	ActionsOK     uint64 `json:"actions_ok" metric:"actions_total,outcome=ok" help:"Actuator invocations by outcome."`
+	ActionsFailed uint64 `json:"actions_failed" metric:"actions_total,outcome=failed" help:"Actuator invocations by outcome."`
+	QueueDrops    uint64 `json:"queue_drops" metric:"queue_drops_total" help:"Drift actions dropped by the bounded work queue."`
+	Generations   uint64 `json:"generations" metric:"generations_total" help:"Spec generations applied."`
 }
 
 // Reconciler runs the loop. Construct with New, Apply a spec, then

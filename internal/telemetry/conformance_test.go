@@ -12,10 +12,12 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"sdnfv/internal/control"
 	"sdnfv/internal/dataplane"
 	"sdnfv/internal/flowtable"
 	"sdnfv/internal/metrics"
@@ -117,8 +119,9 @@ func TestCounterRegressions(t *testing.T) {
 // TestLiveHostScrape boots a real dataplane host behind the telemetry
 // server, pushes traffic through it, and scrapes /metrics twice over
 // HTTP: both scrapes must pass the conformance parser, counters must be
-// monotonic between them, and the final scrape must satisfy the host
-// accounting identity from scraped values alone.
+// monotonic between them, the final scrape must satisfy the host
+// accounting identity from scraped values alone, and /state must agree
+// with /metrics on every metric-tagged field.
 func TestLiveHostScrape(t *testing.T) {
 	const svc flowtable.ServiceID = 10
 	h := dataplane.NewHost(dataplane.Config{PoolSize: 256, TXThreads: 1})
@@ -136,12 +139,7 @@ func TestLiveHostScrape(t *testing.T) {
 	}
 	defer h.Stop()
 
-	reg := telemetry.NewRegistry()
-	telemetry.RegisterHost(reg, "h0", 0x1, h)
-	srv, err := telemetry.Serve("127.0.0.1:0", reg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := serveHost(t, h)
 	defer srv.Close()
 
 	inject := func(n int) {
@@ -188,14 +186,88 @@ func TestLiveHostScrape(t *testing.T) {
 			rx, tx, drops, overflows, txDrops, rxDrops)
 	}
 
-	// The show API must report the same snapshot over HTTP.
-	resp, err := http.Get("http://" + srv.Addr() + telemetry.PathReplicas)
+	// The show API must report the same snapshot over HTTP: every
+	// metric-tagged HostStats field, nested Pool and Table included,
+	// equals its scraped sample.
+	var hosts []map[string]any
+	getJSON(t, srv.Addr(), telemetry.PathHosts, &hosts)
+	if len(hosts) != 1 || hosts[0]["Host"] != "h0" || hosts[0]["Datapath"] != "dp:0x1" {
+		t.Fatalf("%s = %v", telemetry.PathHosts, hosts)
+	}
+	checked := 0
+	forEachMetricField(reflect.TypeOf(dataplane.HostStats{}), "sdnfv_", nil, func(family string, label []string, path []string) {
+		sel := map[string]string{"host": "h0", "datapath": "dp:0x1"}
+		if label != nil {
+			sel[label[0]] = label[1]
+		}
+		scraped, found := second.Value(family, sel)
+		var v any = hosts[0]
+		for _, key := range path {
+			v = v.(map[string]any)[key]
+		}
+		state, ok := v.(float64)
+		if !found || !ok || state != scraped {
+			t.Errorf("%s%v: /state %v (%v) != /metrics %v", family, sel, path, v, scraped)
+		}
+		checked++
+	})
+	if checked < 27 {
+		t.Fatalf("compared %d tagged fields; the walk missed HostStats' tags", checked)
+	}
+	var replicas []map[string]any
+	getJSON(t, srv.Addr(), telemetry.PathReplicas, &replicas)
+	if len(replicas) != 1 || replicas[0]["Service"] != "svc:10" {
+		t.Fatalf("%s = %v", telemetry.PathReplicas, replicas)
+	}
+}
+
+// forEachMetricField calls fn for every metric-tagged leaf field of t
+// (walking tagged struct fields with their prefix) with the family name,
+// the tag's label pair (nil if none), and the field's JSON path.
+func forEachMetricField(t reflect.Type, prefix string, path []string, fn func(family string, label, path []string)) {
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		tag, ok := f.Tag.Lookup("metric")
+		if !ok {
+			continue
+		}
+		p := append(path[:len(path):len(path)], f.Name)
+		if f.Type.Kind() == reflect.Struct {
+			forEachMetricField(f.Type, prefix+tag, p, fn)
+			continue
+		}
+		name, label, _ := strings.Cut(tag, ",")
+		var pair []string
+		if k, v, ok := strings.Cut(label, "="); ok {
+			pair = []string{k, v}
+		}
+		fn(prefix+name, pair, p)
+	}
+}
+
+func serveHost(t *testing.T, h *dataplane.Host) *telemetry.Server {
+	t.Helper()
+	reg := telemetry.NewRegistry()
+	telemetry.RegisterHosts(reg, map[string]*dataplane.Host{"h0": h}, map[string]control.DatapathID{"h0": 0x1})
+	srv, err := telemetry.Serve("127.0.0.1:0", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
+func getJSON(t *testing.T, addr, path string, v any) {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("%s: %d", telemetry.PathReplicas, resp.StatusCode)
+		t.Fatalf("%s: %d", path, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatalf("%s: %v", path, err)
 	}
 }
 
@@ -216,12 +288,7 @@ func TestFlowLifecycleMetricsScrape(t *testing.T) {
 	}
 	defer h.Stop()
 
-	reg := telemetry.NewRegistry()
-	telemetry.RegisterHost(reg, "h0", 0x1, h)
-	srv, err := telemetry.Serve("127.0.0.1:0", reg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := serveHost(t, h)
 	defer srv.Close()
 
 	const rules = 8
@@ -279,24 +346,14 @@ func TestFlowLifecycleMetricsScrape(t *testing.T) {
 	}
 
 	// The show endpoint reports the same lifecycle snapshot.
-	resp, err := http.Get("http://" + srv.Addr() + telemetry.PathFlowtable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("%s: %d", telemetry.PathFlowtable, resp.StatusCode)
-	}
 	var states []struct {
-		Host        string `json:"host"`
-		Entries     int    `json:"entries"`
-		EvictedIdle uint64 `json:"evicted_idle"`
-		Sweeps      uint64 `json:"sweeps"`
+		Host        string
+		Rules       int
+		EvictedIdle uint64
+		Sweeps      uint64
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&states); err != nil {
-		t.Fatal(err)
-	}
-	if len(states) != 1 || states[0].Host != "h0" || states[0].Entries != 0 ||
+	getJSON(t, srv.Addr(), telemetry.PathFlowtable, &states)
+	if len(states) != 1 || states[0].Host != "h0" || states[0].Rules != 0 ||
 		states[0].EvictedIdle != rules || states[0].Sweeps == 0 {
 		t.Fatalf("show snapshot = %+v", states)
 	}

@@ -128,7 +128,6 @@ func TestRegisterReconcileSurfaces(t *testing.T) {
 	r := NewRegistry()
 	rec := reconcile.New(reconcile.Config{}, nopCluster{}, nopCluster{}, fixedClock{})
 	RegisterReconcile(r, rec)
-	RegisterReconcile(r, rec) // shared: second call must not double-register
 
 	// Before any generation: /state/spec reports generation 0.
 	v, err := r.Show(context.Background(), PathSpec)

@@ -2,9 +2,15 @@
 // stdlib-only metric registry whose collectors read snapshots of the
 // counters every layer already maintains (HostStats, ReplicaStats, port
 // DriverStats, cluster link stats, controller session counters,
-// autoscale decisions), a Prometheus text-format exporter served over
-// HTTP at /metrics, and an osvbng-style show/state API of path-addressed
-// JSON snapshot handlers under /state/.
+// autoscale decisions, reconcile status), a Prometheus text-format
+// exporter served over HTTP at /metrics, and an osvbng-style show/state
+// API of path-addressed JSON snapshot handlers under /state/.
+//
+// Each counter is declared once, on the stats field it reads: a
+// `metric:"name[,label=value]" help:"text"` struct tag (see emitStats).
+// /metrics is derived from those tags and /state serves the same
+// structs, so the two cannot drift; adding a counter is one tagged
+// field.
 //
 // The paper's SDNFV manager is only as smart as what it can observe
 // (§3.3 automatic load balancing, §5 dynamic scaling): autoscaling,
@@ -20,7 +26,9 @@ package telemetry
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -106,20 +114,13 @@ type Registry struct {
 	showMu  sync.Mutex
 	show    map[string]ShowFunc
 	actions map[string]ActionFunc
-
-	// sharedMu serializes shared(); it is strictly above mu and showMu
-	// in the lock order (mk callbacks may register collectors and show
-	// paths).
-	sharedMu   sync.Mutex
-	sharedVals map[string]any
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		show:       make(map[string]ShowFunc),
-		actions:    make(map[string]ActionFunc),
-		sharedVals: make(map[string]any),
+		show:    make(map[string]ShowFunc),
+		actions: make(map[string]ActionFunc),
 	}
 }
 
@@ -172,21 +173,6 @@ func (r *Registry) Gather() []Family {
 	return out
 }
 
-// shared returns the registry-scoped singleton stored under key,
-// creating it with mk on first use. Collector constructors use it so
-// repeated RegisterHost calls extend one collector (and one set of show
-// paths) instead of colliding.
-func (r *Registry) shared(key string, mk func() any) any {
-	r.sharedMu.Lock()
-	defer r.sharedMu.Unlock()
-	if v, ok := r.sharedVals[key]; ok {
-		return v
-	}
-	v := mk()
-	r.sharedVals[key] = v
-	return v
-}
-
 // familyBuilder accumulates samples into named families in first-emit
 // order; collectors use it to build their snapshot.
 type familyBuilder struct {
@@ -208,22 +194,65 @@ func (b *familyBuilder) add(name, help string, kind Kind, s Sample) {
 	f.Samples = append(f.Samples, s)
 }
 
-func (b *familyBuilder) counter(name, help string, labels []Label, v float64) {
-	b.add(name, help, KindCounter, Sample{Labels: labels, Value: v})
-}
-
-func (b *familyBuilder) gauge(name, help string, labels []Label, v float64) {
-	b.add(name, help, KindGauge, Sample{Labels: labels, Value: v})
-}
-
-func (b *familyBuilder) histogram(name, help string, s Sample) {
-	b.add(name, help, KindHistogram, s)
-}
-
 func (b *familyBuilder) families() []Family {
 	out := make([]Family, 0, len(b.order))
 	for _, name := range b.order {
 		out = append(out, *b.byName[name])
 	}
 	return out
+}
+
+// emitStats adds one sample to b for every metric-tagged field of the
+// stats struct v. A field tagged `metric:"name[,label=value]"
+// help:"text"` becomes family prefix+name with the caller's labels plus
+// the tag's own; the name's _total suffix makes it a counter, anything
+// else a gauge. Numbers export as-is, bools as 0/1, slices as their
+// length. A tagged struct field is walked with its tag appended to the
+// prefix; untagged fields are not exported.
+func emitStats(b *familyBuilder, prefix string, labels []Label, v any) {
+	emitFields(b, prefix, labels, reflect.ValueOf(v))
+}
+
+func emitFields(b *familyBuilder, prefix string, labels []Label, v reflect.Value) {
+	t := v.Type()
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		tag, ok := f.Tag.Lookup("metric")
+		if !ok {
+			continue
+		}
+		if f.Type.Kind() == reflect.Struct {
+			emitFields(b, prefix+tag, labels, v.Field(i))
+			continue
+		}
+		name, label, _ := strings.Cut(tag, ",")
+		ls := labels
+		if key, val, ok := strings.Cut(label, "="); ok {
+			ls = append(ls[:len(ls):len(ls)], Label{key, val})
+		}
+		kind := KindGauge
+		if strings.HasSuffix(name, "_total") {
+			kind = KindCounter
+		}
+		b.add(prefix+name, f.Tag.Get("help"), kind, Sample{Labels: ls, Value: metricValue(v.Field(i))})
+	}
+}
+
+func metricValue(v reflect.Value) float64 {
+	switch {
+	case v.CanUint():
+		return float64(v.Uint())
+	case v.CanInt():
+		return float64(v.Int())
+	case v.CanFloat():
+		return v.Float()
+	case v.Kind() == reflect.Bool:
+		if v.Bool() {
+			return 1
+		}
+		return 0
+	case v.Kind() == reflect.Slice:
+		return float64(v.Len())
+	}
+	panic(fmt.Sprintf("telemetry: metric-tagged field of kind %s", v.Kind()))
 }

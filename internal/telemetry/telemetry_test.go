@@ -74,28 +74,11 @@ func TestMustRegisterNilPanics(t *testing.T) {
 	NewRegistry().MustRegister(nil)
 }
 
-func TestSharedIsSingletonPerKey(t *testing.T) {
-	r := NewRegistry()
-	calls := 0
-	mk := func() any { calls++; return &calls }
-	a := r.shared("k", mk)
-	b := r.shared("k", mk)
-	if a != b {
-		t.Fatal("shared returned different values for the same key")
-	}
-	if calls != 1 {
-		t.Fatalf("mk called %d times, want 1", calls)
-	}
-	if c := r.shared("k2", mk); c == nil || calls != 2 {
-		t.Fatalf("second key should invoke mk again (calls=%d)", calls)
-	}
-}
-
 func TestFamilyBuilderPreservesEmitOrder(t *testing.T) {
 	b := newFamilyBuilder()
-	b.counter("b_total", "", nil, 1)
-	b.gauge("a_gauge", "", nil, 2)
-	b.counter("b_total", "", nil, 3)
+	b.add("b_total", "", KindCounter, Sample{Value: 1})
+	b.add("a_gauge", "", KindGauge, Sample{Value: 2})
+	b.add("b_total", "", KindCounter, Sample{Value: 3})
 	fams := b.families()
 	if len(fams) != 2 {
 		t.Fatalf("got %d families, want 2", len(fams))
