@@ -43,6 +43,7 @@ import (
 	"sdnfv/internal/controller"
 	"sdnfv/internal/flowtable"
 	"sdnfv/internal/graph"
+	"sdnfv/internal/nf"
 	"sdnfv/internal/spec"
 	"sdnfv/internal/telemetry"
 )
@@ -235,7 +236,7 @@ func runController() {
 	if err := a.RegisterGraph(g); err != nil {
 		log.Fatal(err)
 	}
-	a.Subscribe(func(dp control.DatapathID, src flowtable.ServiceID, m control.Message) {
+	a.Subscribe(func(dp control.DatapathID, src flowtable.ServiceID, m nf.Message) {
 		log.Printf("app: accepted NF message from %s on %s: %s", src, dp, m)
 	})
 

@@ -1,21 +1,8 @@
 // Package acmatch implements Aho–Corasick multi-pattern string matching.
 // It is the payload-scanning substrate for the IDS network function: one
-// automaton pass over a packet payload finds all signature hits, which is
-// what lets the IDS keep up with the data plane.
+// automaton pass over a packet payload tells whether any signature occurs,
+// which is what lets the IDS keep up with the data plane.
 package acmatch
-
-import (
-	"sort"
-)
-
-// Match is one pattern occurrence in the scanned input.
-type Match struct {
-	// Pattern is the index of the matched pattern (in the order given to
-	// New).
-	Pattern int
-	// End is the byte offset just past the match.
-	End int
-}
 
 // node is one trie state. Children are a dense 256-way table for scan
 // speed; the automata built here are small (IDS signature sets), so the
@@ -23,14 +10,15 @@ type Match struct {
 type node struct {
 	next [256]int32 // 0 = no edge (state 0 is the root; see build)
 	fail int32
-	out  []int32 // pattern indices terminating here
+	// match marks a state at which some pattern ends, directly or
+	// through its failure chain.
+	match bool
 }
 
-// Matcher is an immutable Aho–Corasick automaton. Build with New; Scan and
-// Contains are safe for concurrent use.
+// Matcher is an immutable Aho–Corasick automaton. Build with New;
+// Contains is safe for concurrent use.
 type Matcher struct {
-	nodes    []node
-	patterns [][]byte
+	nodes []node
 }
 
 // New compiles the automaton for the given patterns. Empty patterns are
@@ -38,8 +26,7 @@ type Matcher struct {
 // case-insensitive matching should normalize both patterns and input.
 func New(patterns []string) *Matcher {
 	m := &Matcher{nodes: make([]node, 1, 64)}
-	for i, p := range patterns {
-		m.patterns = append(m.patterns, []byte(p))
+	for _, p := range patterns {
 		if len(p) == 0 {
 			continue
 		}
@@ -54,7 +41,7 @@ func New(patterns []string) *Matcher {
 			}
 			cur = nxt
 		}
-		m.nodes[cur].out = append(m.nodes[cur].out, int32(i))
+		m.nodes[cur].match = true
 	}
 	// BFS to set failure links and convert the trie to a DFA (goto
 	// function totalized).
@@ -77,18 +64,12 @@ func New(patterns []string) *Matcher {
 			}
 			f := m.nodes[m.nodes[u].fail].next[c]
 			m.nodes[v].fail = f
-			m.nodes[v].out = append(m.nodes[v].out, m.nodes[f].out...)
+			m.nodes[v].match = m.nodes[v].match || m.nodes[f].match
 			queue = append(queue, v)
 		}
 	}
 	return m
 }
-
-// NumPatterns returns the number of patterns compiled in.
-func (m *Matcher) NumPatterns() int { return len(m.patterns) }
-
-// Pattern returns pattern i as a string.
-func (m *Matcher) Pattern(i int) string { return string(m.patterns[i]) }
 
 // Contains reports whether any pattern occurs in data. It is the fast path
 // used by the IDS (it stops at the first hit).
@@ -96,47 +77,9 @@ func (m *Matcher) Contains(data []byte) bool {
 	s := int32(0)
 	for i := 0; i < len(data); i++ {
 		s = m.nodes[s].next[data[i]]
-		if len(m.nodes[s].out) > 0 {
+		if m.nodes[s].match {
 			return true
 		}
 	}
 	return false
-}
-
-// First returns the first match in data, or ok=false.
-func (m *Matcher) First(data []byte) (Match, bool) {
-	s := int32(0)
-	for i := 0; i < len(data); i++ {
-		s = m.nodes[s].next[data[i]]
-		if out := m.nodes[s].out; len(out) > 0 {
-			best := out[0]
-			for _, p := range out[1:] {
-				if p < best {
-					best = p
-				}
-			}
-			return Match{Pattern: int(best), End: i + 1}, true
-		}
-	}
-	return Match{}, false
-}
-
-// Scan returns every match in data, ordered by end offset then pattern
-// index.
-func (m *Matcher) Scan(data []byte) []Match {
-	var out []Match
-	s := int32(0)
-	for i := 0; i < len(data); i++ {
-		s = m.nodes[s].next[data[i]]
-		for _, p := range m.nodes[s].out {
-			out = append(out, Match{Pattern: int(p), End: i + 1})
-		}
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].End != out[b].End {
-			return out[a].End < out[b].End
-		}
-		return out[a].Pattern < out[b].Pattern
-	})
-	return out
 }

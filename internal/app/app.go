@@ -15,12 +15,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"sdnfv/internal/control"
 	"sdnfv/internal/flowtable"
 	"sdnfv/internal/graph"
+	"sdnfv/internal/nf"
 	"sdnfv/internal/packet"
 )
 
@@ -54,9 +54,8 @@ type App struct {
 	defGraph     string
 	msgLog       []LoggedMessage
 	policyKV     map[string]any
-	listeners    []func(dp control.DatapathID, src flowtable.ServiceID, m control.Message)
+	listeners    []func(dp control.DatapathID, src flowtable.ServiceID, m nf.Message)
 	flowsRemoved uint64
-	removedSubs  []func(dp control.DatapathID, removals []control.FlowRemoved)
 
 	// deployment, when set, switches the application to multi-host mode:
 	// CompileFlow answers with the requesting datapath's slice of the
@@ -73,7 +72,7 @@ type LoggedMessage struct {
 	// for anonymous single-host deployments).
 	Host control.DatapathID
 	Src  flowtable.ServiceID
-	Msg  control.Message
+	Msg  nf.Message
 	// Accepted reports whether validation allowed the message.
 	Accepted bool
 	// Reason explains a rejection.
@@ -126,18 +125,6 @@ func (a *App) Graph(name string) (*graph.Graph, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNoGraph, name)
 	}
 	return g, nil
-}
-
-// GraphNames lists registered graphs.
-func (a *App) GraphNames() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	names := make([]string, 0, len(a.graphs))
-	for n := range a.graphs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // CompileRules picks the graph for the flow and compiles it to host
@@ -197,7 +184,7 @@ func (a *App) CompileFlow(_ context.Context, dp control.DatapathID, scope flowta
 
 // Subscribe registers a listener for accepted cross-layer messages; dp
 // is the datapath whose manager forwarded the message.
-func (a *App) Subscribe(fn func(dp control.DatapathID, src flowtable.ServiceID, m control.Message)) {
+func (a *App) Subscribe(fn func(dp control.DatapathID, src flowtable.ServiceID, m nf.Message)) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.listeners = append(a.listeners, fn)
@@ -214,26 +201,26 @@ func (a *App) Subscribe(fn func(dp control.DatapathID, src flowtable.ServiceID, 
 // accepted ChangeDefault is translated to its per-host actions and
 // pushed to the affected datapath through the downstream applier (the
 // cross-host reroute path).
-func (a *App) HandleNFMessage(_ context.Context, dp control.DatapathID, src flowtable.ServiceID, m control.Message) error {
+func (a *App) HandleNFMessage(_ context.Context, dp control.DatapathID, src flowtable.ServiceID, m nf.Message) error {
 	accepted, reason := a.validate(dp, src, m)
 	a.mu.Lock()
 	dep, ds := a.deployment, a.downstream
 	a.mu.Unlock()
-	if cd, ok := m.(control.ChangeDefault); accepted && ok && dep != nil && ds != nil {
+	if accepted && m.Kind == nf.MsgChangeDefault && dep != nil && ds != nil {
 		// Steer BEFORE recording the verdict: a translated update the
 		// data plane refuses means the reroute did not take effect, and
 		// the log must not claim otherwise (nor may subscribers be told
 		// it happened).
-		if err := a.steerDeployment(dep, ds, cd); err != nil {
+		if err := a.steerDeployment(dep, ds, m); err != nil {
 			accepted, reason = false, fmt.Sprintf("steering failed: %v", err)
 		}
 	}
 	a.mu.Lock()
 	a.msgLog = append(a.msgLog, LoggedMessage{Host: dp, Src: src, Msg: m, Accepted: accepted, Reason: reason})
-	if ad, ok := m.(control.AppData); accepted && ok {
-		a.policyKV[ad.Key] = ad.Value
+	if accepted && m.Kind == nf.MsgData {
+		a.policyKV[m.Key] = m.Value
 	}
-	listeners := make([]func(control.DatapathID, flowtable.ServiceID, control.Message), len(a.listeners))
+	listeners := make([]func(control.DatapathID, flowtable.ServiceID, nf.Message), len(a.listeners))
 	copy(listeners, a.listeners)
 	a.mu.Unlock()
 	if !accepted {
@@ -245,8 +232,8 @@ func (a *App) HandleNFMessage(_ context.Context, dp control.DatapathID, src flow
 	return nil
 }
 
-func (a *App) validate(dp control.DatapathID, src flowtable.ServiceID, m control.Message) (bool, string) {
-	if err := m.Validate(); err != nil {
+func (a *App) validate(dp control.DatapathID, src flowtable.ServiceID, m nf.Message) (bool, string) {
+	if err := control.Validate(m); err != nil {
 		return false, fmt.Sprintf("invalid message from %s: %v", src, err)
 	}
 	a.mu.Lock()
@@ -260,7 +247,7 @@ func (a *App) validate(dp control.DatapathID, src flowtable.ServiceID, m control
 			return false, fmt.Sprintf("service %s is not placed on %s", src, dp)
 		}
 	}
-	if _, isData := m.(control.AppData); a.cfg.TrustNFs || isData {
+	if a.cfg.TrustNFs || m.Kind == nf.MsgData {
 		return true, ""
 	}
 	a.mu.Lock()
@@ -269,31 +256,27 @@ func (a *App) validate(dp control.DatapathID, src flowtable.ServiceID, m control
 		graphs = append(graphs, g)
 	}
 	a.mu.Unlock()
-	switch v := m.(type) {
-	case control.ChangeDefault:
-		// The new default Service->Target must be an edge in some
-		// registered graph. A port-encoded Target is an egress link
-		// (the Fig. 8 reroute case); graphs model egress as the Sink
-		// pseudo-vertex, so it is legal iff Service may exit the graph.
-		want := v.Target
-		if v.Target.IsPort() {
-			want = graph.Sink
-		}
-		for _, g := range graphs {
-			for _, e := range g.Out(v.Service) {
-				if e.To == want {
-					return true, ""
-				}
+	if m.Kind != nf.MsgChangeDefault {
+		// SkipMe and RequestMe (the kinds Validate leaves) name one
+		// service, which some graph must contain.
+		return a.validateVertex(graphs, m.S)
+	}
+	// The new default S->T must be an edge in some registered graph. A
+	// port-encoded T is an egress link (the Fig. 8 reroute case); graphs
+	// model egress as the Sink pseudo-vertex, so it is legal iff S may
+	// exit the graph.
+	want := m.T
+	if m.T.IsPort() {
+		want = graph.Sink
+	}
+	for _, g := range graphs {
+		for _, e := range g.Out(m.S) {
+			if e.To == want {
+				return true, ""
 			}
 		}
-		return false, fmt.Sprintf("no graph defines edge %s->%s", v.Service, v.Target)
-	case control.SkipMe:
-		return a.validateVertex(graphs, v.Service)
-	case control.RequestMe:
-		return a.validateVertex(graphs, v.Service)
-	default:
-		return false, fmt.Sprintf("unhandled message %s from %s", m, src)
 	}
+	return false, fmt.Sprintf("no graph defines edge %s->%s", m.S, m.T)
 }
 
 func (a *App) validateVertex(graphs []*graph.Graph, s flowtable.ServiceID) (bool, string) {
@@ -305,28 +288,14 @@ func (a *App) validateVertex(graphs []*graph.Graph, s flowtable.ServiceID) (bool
 	return false, fmt.Sprintf("service %s not in any graph", s)
 }
 
-// SubscribeFlowRemoved registers a listener for flow-removed
-// notifications forwarded by NF hosts when the data plane evicts
-// expired rules.
-func (a *App) SubscribeFlowRemoved(fn func(dp control.DatapathID, removals []control.FlowRemoved)) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.removedSubs = append(a.removedSubs, fn)
-}
-
 // HandleFlowRemoved implements control.Northbound: the application tier
 // records eviction notices so the global flow→graph view stays honest —
 // a removed flow will raise a fresh PacketIn (and recompilation) if it
 // returns. Notices are advisory, so this never fails.
-func (a *App) HandleFlowRemoved(_ context.Context, dp control.DatapathID, removals []control.FlowRemoved) error {
+func (a *App) HandleFlowRemoved(_ context.Context, _ control.DatapathID, removals []control.FlowRemoved) error {
 	a.mu.Lock()
 	a.flowsRemoved += uint64(len(removals))
-	subs := make([]func(control.DatapathID, []control.FlowRemoved), len(a.removedSubs))
-	copy(subs, a.removedSubs)
 	a.mu.Unlock()
-	for _, fn := range subs {
-		fn(dp, removals)
-	}
 	return nil
 }
 

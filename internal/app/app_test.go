@@ -8,6 +8,7 @@ import (
 	"sdnfv/internal/control"
 	"sdnfv/internal/flowtable"
 	"sdnfv/internal/graph"
+	"sdnfv/internal/nf"
 	"sdnfv/internal/packet"
 )
 
@@ -44,9 +45,6 @@ func TestRegisterAndDefaultGraph(t *testing.T) {
 	}
 	if _, err := a.Graph("nope"); !errors.Is(err, ErrNoGraph) {
 		t.Fatalf("unknown: %v", err)
-	}
-	if names := a.GraphNames(); len(names) != 1 || names[0] != "g1" {
-		t.Fatalf("names = %v", names)
 	}
 }
 
@@ -135,31 +133,31 @@ func TestMessageValidation(t *testing.T) {
 	ctx := context.Background()
 
 	// ChangeDefault along an existing edge: accepted.
-	if err := a.HandleNFMessage(ctx, 0, 10, control.ChangeDefault{Service: 10, Target: 11}); err != nil {
+	if err := a.HandleNFMessage(ctx, 0, 10, nf.Message{Kind: nf.MsgChangeDefault, S: 10, T: 11}); err != nil {
 		t.Fatalf("valid ChangeDefault rejected: %v", err)
 	}
 	// ChangeDefault along a non-edge: rejected with the typed sentinel.
-	if err := a.HandleNFMessage(ctx, 0, 10, control.ChangeDefault{Service: 11, Target: 10}); !errors.Is(err, control.ErrRejected) {
+	if err := a.HandleNFMessage(ctx, 0, 10, nf.Message{Kind: nf.MsgChangeDefault, S: 11, T: 10}); !errors.Is(err, control.ErrRejected) {
 		t.Fatalf("reverse edge: %v", err)
 	}
 	// ChangeDefault to an egress port: legal iff the service may exit
 	// the graph (11 -> sink exists; 10 -> sink does not).
-	if err := a.HandleNFMessage(ctx, 0, 11, control.ChangeDefault{Service: 11, Target: flowtable.Port(1)}); err != nil {
+	if err := a.HandleNFMessage(ctx, 0, 11, nf.Message{Kind: nf.MsgChangeDefault, S: 11, T: flowtable.Port(1)}); err != nil {
 		t.Fatalf("egress reroute rejected: %v", err)
 	}
-	if err := a.HandleNFMessage(ctx, 0, 10, control.ChangeDefault{Service: 10, Target: flowtable.Port(1)}); !errors.Is(err, control.ErrRejected) {
+	if err := a.HandleNFMessage(ctx, 0, 10, nf.Message{Kind: nf.MsgChangeDefault, S: 10, T: flowtable.Port(1)}); !errors.Is(err, control.ErrRejected) {
 		t.Fatalf("non-egress service rerouted to port: %v", err)
 	}
 	// SkipMe for a known service: accepted.
-	if err := a.HandleNFMessage(ctx, 0, 11, control.SkipMe{Service: 11}); err != nil {
+	if err := a.HandleNFMessage(ctx, 0, 11, nf.Message{Kind: nf.MsgSkipMe, S: 11}); err != nil {
 		t.Fatalf("valid SkipMe rejected: %v", err)
 	}
 	// RequestMe for an unknown service: rejected.
-	if err := a.HandleNFMessage(ctx, 0, 99, control.RequestMe{Service: 99}); !errors.Is(err, control.ErrRejected) {
+	if err := a.HandleNFMessage(ctx, 0, 99, nf.Message{Kind: nf.MsgRequestMe, S: 99}); !errors.Is(err, control.ErrRejected) {
 		t.Fatalf("unknown service: %v", err)
 	}
 	// Data messages always pass and update the policy store.
-	if err := a.HandleNFMessage(ctx, 0, 10, control.AppData{Key: "alarm", Value: "on"}); err != nil {
+	if err := a.HandleNFMessage(ctx, 0, 10, nf.Message{Kind: nf.MsgData, Key: "alarm", Value: "on"}); err != nil {
 		t.Fatalf("data message rejected: %v", err)
 	}
 	if v, ok := a.Policy("alarm"); !ok || v != "on" {
@@ -182,7 +180,7 @@ func TestMessageValidation(t *testing.T) {
 
 func TestTrustedNFsSkipValidation(t *testing.T) {
 	a := New(Config{TrustNFs: true})
-	if err := a.HandleNFMessage(context.Background(), 0, 99, control.ChangeDefault{Service: 1, Target: 2}); err != nil {
+	if err := a.HandleNFMessage(context.Background(), 0, 99, nf.Message{Kind: nf.MsgChangeDefault, S: 1, T: 2}); err != nil {
 		t.Fatalf("trusted message rejected: %v", err)
 	}
 }
@@ -191,16 +189,16 @@ func TestStructurallyInvalidMessageRejected(t *testing.T) {
 	// Even with trusted NFs, per-variant validation still applies: an
 	// AppData with no key is malformed, not merely unauthorized.
 	a := New(Config{TrustNFs: true})
-	if err := a.HandleNFMessage(context.Background(), 0, 1, control.AppData{}); !errors.Is(err, control.ErrRejected) {
+	if err := a.HandleNFMessage(context.Background(), 0, 1, nf.Message{Kind: nf.MsgData}); !errors.Is(err, control.ErrRejected) {
 		t.Fatalf("invalid message: %v", err)
 	}
 }
 
 func TestSubscribe(t *testing.T) {
 	a := New(Config{TrustNFs: true})
-	var got []control.Message
-	a.Subscribe(func(_ control.DatapathID, _ flowtable.ServiceID, m control.Message) { got = append(got, m) })
-	_ = a.HandleNFMessage(context.Background(), 0, 1, control.AppData{Key: "k"})
+	var got []nf.Message
+	a.Subscribe(func(_ control.DatapathID, _ flowtable.ServiceID, m nf.Message) { got = append(got, m) })
+	_ = a.HandleNFMessage(context.Background(), 0, 1, nf.Message{Kind: nf.MsgData, Key: "k"})
 	if len(got) != 1 {
 		t.Fatal("listener not invoked")
 	}

@@ -18,6 +18,7 @@ import (
 	"sdnfv/internal/control"
 	"sdnfv/internal/flowtable"
 	"sdnfv/internal/graph"
+	"sdnfv/internal/nf"
 )
 
 // Errors returned by deployment compilation.
@@ -400,13 +401,6 @@ func (a *App) UpdateDeployment(d *Deployment) (map[control.DatapathID][]flowtabl
 	return tables, changed, nil
 }
 
-// Deployment returns the installed deployment (nil in single-host mode).
-func (a *App) Deployment() *Deployment {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.deployment
-}
-
 // SetDownstream installs the applier used to push translated rule
 // updates down to the data plane when cross-layer messages re-route a
 // deployed chain.
@@ -416,39 +410,28 @@ func (a *App) SetDownstream(ds Downstream) {
 	a.downstream = ds
 }
 
-// CompileDeployment returns the cached per-host wildcard tables of the
-// installed deployment (for bootstrapping hosts before traffic flows).
-func (a *App) CompileDeployment() (map[control.DatapathID][]flowtable.Rule, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.deployed == nil {
-		return nil, errors.New("app: no deployment installed")
-	}
-	return a.deployed, nil
-}
-
 // steerDeployment applies an accepted ChangeDefault to the deployment:
-// the new default of Service's rule on Service's host becomes the
-// action that implements the requested edge — Forward for a co-located
-// target, Out onto the fabric channel for a remote one (this is how a
-// chain hop moves to another host at runtime), Out on the local egress
-// port for a port target. The update is constrained to listed actions,
-// so a translation the compiled table does not already allow cannot
-// take effect.
-func (a *App) steerDeployment(dep *Deployment, ds Downstream, cd control.ChangeDefault) error {
+// the new default of S's rule on S's host becomes the action that
+// implements the requested edge S->T — Forward for a co-located target,
+// Out onto the fabric channel for a remote one (this is how a chain hop
+// moves to another host at runtime), Out on the local egress port for a
+// port target. The update is constrained to listed actions, so a
+// translation the compiled table does not already allow cannot take
+// effect.
+func (a *App) steerDeployment(dep *Deployment, ds Downstream, cd nf.Message) error {
 	var act flowtable.Action
-	if cd.Target.IsPort() {
-		act = flowtable.Action{Type: flowtable.ActionOut, Dest: cd.Target}
+	if cd.T.IsPort() {
+		act = flowtable.Action{Type: flowtable.ActionOut, Dest: cd.T}
 	} else {
 		var err error
-		act, err = dep.EdgeAction(cd.Service, cd.Target)
+		act, err = dep.EdgeAction(cd.S, cd.T)
 		if err != nil {
 			return err
 		}
 	}
-	dp, ok := dep.HostOf(cd.Service)
+	dp, ok := dep.HostOf(cd.S)
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnassigned, cd.Service)
+		return fmt.Errorf("%w: %s", ErrUnassigned, cd.S)
 	}
-	return ds.UpdateDefault(dp, cd.Service, cd.Flows, act)
+	return ds.UpdateDefault(dp, cd.S, cd.Flows, act)
 }

@@ -8,6 +8,7 @@ import (
 	"sdnfv/internal/control"
 	"sdnfv/internal/flowtable"
 	"sdnfv/internal/graph"
+	"sdnfv/internal/nf"
 	"sdnfv/internal/packet"
 )
 
@@ -222,14 +223,14 @@ func TestChangeDefaultSteersDeployment(t *testing.T) {
 
 	// Reroute s1's default from the remote s2 to the local s3: the
 	// translated action is a plain Forward on host A.
-	if err := a.HandleNFMessage(ctx, dpA, s1, control.ChangeDefault{Flows: flowtable.MatchAll, Service: s1, Target: s3}); err != nil {
+	if err := a.HandleNFMessage(ctx, dpA, s1, nf.Message{Kind: nf.MsgChangeDefault, Flows: flowtable.MatchAll, S: s1, T: s3}); err != nil {
 		t.Fatal(err)
 	}
 	if ds.n != 1 || ds.dp != dpA || ds.scope != s1 || ds.def != flowtable.Forward(s3) {
 		t.Fatalf("translated update = %+v", ds)
 	}
 	// Back to the remote default: translated to the channel egress.
-	if err := a.HandleNFMessage(ctx, dpA, s1, control.ChangeDefault{Flows: flowtable.MatchAll, Service: s1, Target: s2}); err != nil {
+	if err := a.HandleNFMessage(ctx, dpA, s1, nf.Message{Kind: nf.MsgChangeDefault, Flows: flowtable.MatchAll, S: s1, T: s2}); err != nil {
 		t.Fatal(err)
 	}
 	if ds.n != 2 || ds.dp != dpA || ds.def != flowtable.Out(2) {
@@ -238,7 +239,7 @@ func TestChangeDefaultSteersDeployment(t *testing.T) {
 
 	// Host attribution: a message claiming to come from a service the
 	// placement put elsewhere is rejected before any effect.
-	if err := a.HandleNFMessage(ctx, dpB, s1, control.ChangeDefault{Flows: flowtable.MatchAll, Service: s1, Target: s3}); !errors.Is(err, control.ErrRejected) {
+	if err := a.HandleNFMessage(ctx, dpB, s1, nf.Message{Kind: nf.MsgChangeDefault, Flows: flowtable.MatchAll, S: s1, T: s3}); !errors.Is(err, control.ErrRejected) {
 		t.Fatalf("spoofed host accepted: %v", err)
 	}
 	if ds.n != 2 {
@@ -248,7 +249,7 @@ func TestChangeDefaultSteersDeployment(t *testing.T) {
 	// A reroute the data plane refuses must not be recorded as accepted:
 	// the caller sees ErrRejected and the audit log tells the truth.
 	ds.fail = errors.New("no rule allows that action")
-	if err := a.HandleNFMessage(ctx, dpA, s1, control.ChangeDefault{Flows: flowtable.MatchAll, Service: s1, Target: s3}); !errors.Is(err, control.ErrRejected) {
+	if err := a.HandleNFMessage(ctx, dpA, s1, nf.Message{Kind: nf.MsgChangeDefault, Flows: flowtable.MatchAll, S: s1, T: s3}); !errors.Is(err, control.ErrRejected) {
 		t.Fatalf("failed steering not surfaced as rejection: %v", err)
 	}
 	log := a.Messages()
@@ -399,7 +400,7 @@ func TestUpdateDeployment(t *testing.T) {
 	if _, ok := tables[dpC]; ok {
 		t.Fatal("host C still tabled after losing its only service")
 	}
-	if a.Deployment() != next {
+	if a.deployment != next {
 		t.Fatal("deployment not swapped")
 	}
 	// Steering answers now track the new generation: s2 -> s3 is local.

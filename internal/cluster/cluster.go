@@ -123,18 +123,6 @@ func (f *Fabric) Host(dp control.DatapathID) (*dataplane.Host, bool) {
 	return m.host, true
 }
 
-// Hosts lists registered datapaths, ascending.
-func (f *Fabric) Hosts() []control.DatapathID {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]control.DatapathID, 0, len(f.hosts))
-	for dp := range f.hosts {
-		out = append(out, dp)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // KillHost is the chaos primitive: it stops dp's host and marks the
 // member dead. The host stays registered — frames links deliver toward
 // it are refused and counted as link drops, and its last counters stay
@@ -275,25 +263,6 @@ func (f *Fabric) Stop() {
 		// arrivals off the wire count in the host's RxDrops.
 		_ = w.Close()
 	}
-}
-
-// Inject delivers a raw frame into datapath dp on port.
-func (f *Fabric) Inject(dp control.DatapathID, port int, frame []byte) error {
-	h, ok := f.Host(dp)
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownHost, dp)
-	}
-	return h.Inject(port, frame)
-}
-
-// Stats returns each member host's counter snapshot.
-func (f *Fabric) Stats() map[control.DatapathID]dataplane.HostStats {
-	out := make(map[control.DatapathID]dataplane.HostStats)
-	for _, dp := range f.Hosts() {
-		h, _ := f.Host(dp)
-		out[dp] = h.Stats()
-	}
-	return out
 }
 
 // InFlight counts the packets in flight anywhere in the cluster: pool

@@ -125,7 +125,7 @@ func TestTwoHostAccounting(t *testing.T) {
 					return
 				}
 				for {
-					if err := f.Inject(dpLeft, 0, frame); err == nil {
+					if err := hosts[dpLeft].Inject(0, frame); err == nil {
 						sent.Add(1)
 						break
 					}
@@ -231,7 +231,7 @@ func TestKillHost(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := f.Inject(dpLeft, 0, frame); err == nil {
+		if err := hosts[dpLeft].Inject(0, frame); err == nil {
 			sent++
 		}
 	}

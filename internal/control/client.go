@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"sdnfv/internal/flowtable"
+	"sdnfv/internal/nf"
 	"sdnfv/internal/openflow"
 	"sdnfv/internal/packet"
 )
@@ -60,12 +61,6 @@ type opResult struct {
 	err      error
 }
 
-// Dial connects to a controller's southbound listener as the anonymous
-// datapath and performs the HELLO exchange asynchronously.
-func Dial(ctx context.Context, addr string) (*Client, error) {
-	return DialAs(ctx, addr, 0)
-}
-
 // DialAs connects to a controller's southbound listener identifying the
 // local NF host as datapath dp; the controller registers the session
 // under that id and scopes resolutions and FLOW_MODs to it.
@@ -76,13 +71,6 @@ func DialAs(ctx context.Context, addr string, dp DatapathID) (*Client, error) {
 		return nil, err
 	}
 	return NewClientAs(raw, dp)
-}
-
-// NewClient wraps an established control-channel connection as the
-// anonymous datapath. It sends the client HELLO and starts the reader;
-// the peer's HELLO is consumed asynchronously.
-func NewClient(raw net.Conn) (*Client, error) {
-	return NewClientAs(raw, 0)
 }
 
 // NewClientAs wraps an established control-channel connection,
@@ -307,11 +295,11 @@ func (c *Client) ResolveBatch(ctx context.Context, reqs []ResolveRequest, out []
 // SendNFMessage implements Southbound. Delivery is asynchronous: the
 // message is validated, framed, and written, and any northbound refusal
 // comes back later as an ErrorMsg counted in Rejected.
-func (c *Client) SendNFMessage(_ context.Context, src flowtable.ServiceID, m Message) error {
-	if err := m.Validate(); err != nil {
+func (c *Client) SendNFMessage(_ context.Context, src flowtable.ServiceID, m nf.Message) error {
+	if err := Validate(m); err != nil {
 		return err
 	}
-	if err := c.send(openflow.NFMessage{Src: src, Msg: m.Union()}, c.nextXID()); err != nil {
+	if err := c.send(openflow.NFMessage{Src: src, Msg: m}, c.nextXID()); err != nil {
 		return fmt.Errorf("%w: %v", ErrStopped, err)
 	}
 	return nil

@@ -18,6 +18,7 @@ import (
 	"sdnfv/internal/controller"
 	"sdnfv/internal/flowtable"
 	"sdnfv/internal/graph"
+	"sdnfv/internal/nf"
 	"sdnfv/internal/packet"
 )
 
@@ -42,7 +43,7 @@ func startWire(t *testing.T, ctl *controller.Controller) *control.Client {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	client, err := control.Dial(ctx, ln.Addr().String())
+	client, err := control.DialAs(ctx, ln.Addr().String(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,20 +156,20 @@ func TestClientNFMessages(t *testing.T) {
 	client := startWire(t, ctl)
 
 	// Legal: 1->2 is a graph edge. Delivery is async; poll the app log.
-	if err := client.SendNFMessage(context.Background(), 1, control.ChangeDefault{
-		Flows: flowtable.MatchAll, Service: 1, Target: 2,
+	if err := client.SendNFMessage(context.Background(), 1, nf.Message{
+		Kind: nf.MsgChangeDefault, Flows: flowtable.MatchAll, S: 1, T: 2,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	// Illegal: 2->1 is not an edge; the refusal comes back as a counted
 	// ErrorMsg.
-	if err := client.SendNFMessage(context.Background(), 2, control.ChangeDefault{
-		Flows: flowtable.MatchAll, Service: 2, Target: 1,
+	if err := client.SendNFMessage(context.Background(), 2, nf.Message{
+		Kind: nf.MsgChangeDefault, Flows: flowtable.MatchAll, S: 2, T: 1,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	// Structurally invalid messages never leave the host.
-	if err := client.SendNFMessage(context.Background(), 1, control.AppData{}); !errors.Is(err, control.ErrInvalidMessage) {
+	if err := client.SendNFMessage(context.Background(), 1, nf.Message{Kind: nf.MsgData}); !errors.Is(err, control.ErrInvalidMessage) {
 		t.Fatalf("invalid message: %v", err)
 	}
 
@@ -191,21 +192,49 @@ func TestClientNFMessages(t *testing.T) {
 	}
 }
 
+// TestConstructorsValidate checks the Southbound entry points that take
+// a hand-built message — the wire Client and an in-process controller
+// Session — report the same verdicts as control.Validate.
+func TestConstructorsValidate(t *testing.T) {
+	ctl := controller.New(controller.Config{})
+	client := startWire(t, ctl)
+	entries := map[string]control.Southbound{"client": client, "session": ctl.Session(1)}
+	msgs := []nf.Message{
+		{Kind: nf.MsgSkipMe, Flows: flowtable.MatchAll, S: 3},
+		{Kind: nf.MsgSkipMe, Flows: flowtable.MatchAll, S: flowtable.Port(0)},
+		{Kind: nf.MsgRequestMe, Flows: flowtable.MatchAll, S: 3},
+		{Kind: nf.MsgChangeDefault, Flows: flowtable.MatchAll, S: 3, T: 4},
+		{Kind: nf.MsgChangeDefault, Flows: flowtable.MatchAll, S: 3, T: 3},
+		{Kind: nf.MsgData, Key: "k", Value: 42},
+		{Kind: nf.MsgData},
+	}
+	for name, sb := range entries {
+		for _, m := range msgs {
+			want := control.Validate(m)
+			err := sb.SendNFMessage(context.Background(), m.S, m)
+			if (want == nil) != (err == nil) || (err != nil && !errors.Is(err, control.ErrInvalidMessage)) {
+				t.Fatalf("%s %v: err = %v, Validate = %v", name, m, err, want)
+			}
+		}
+	}
+}
+
 func TestClientFlowRemovedWire(t *testing.T) {
 	// Full eviction-notice path across a real socket: Client
 	// NotifyFlowRemoved → controller serveConn → Session →
 	// app.HandleFlowRemoved, with the payload intact.
 	a := testApp(t)
 	ctl := controller.New(controller.Config{})
-	ctl.SetNorthbound(a)
-
 	type seen struct {
 		dp       control.DatapathID
 		removals []control.FlowRemoved
 	}
 	got := make(chan seen, 1)
-	a.SubscribeFlowRemoved(func(dp control.DatapathID, removals []control.FlowRemoved) {
-		got <- seen{dp, removals}
+	ctl.SetNorthbound(control.NorthboundFuncs{
+		HandleFlowRemovedFunc: func(ctx context.Context, dp control.DatapathID, removals []control.FlowRemoved) error {
+			got <- seen{dp, removals}
+			return a.HandleFlowRemoved(ctx, dp, removals)
+		},
 	})
 	client := startWire(t, ctl)
 
@@ -253,17 +282,19 @@ func TestClientFlowRemovedWire(t *testing.T) {
 func TestClientFlowRemovedLargeBatch(t *testing.T) {
 	a := testApp(t)
 	ctl := controller.New(controller.Config{})
-	ctl.SetNorthbound(a)
 	var (
 		mu  sync.Mutex
 		ids []uint64
 	)
-	a.SubscribeFlowRemoved(func(_ control.DatapathID, removals []control.FlowRemoved) {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, r := range removals {
-			ids = append(ids, r.RuleID)
-		}
+	ctl.SetNorthbound(control.NorthboundFuncs{
+		HandleFlowRemovedFunc: func(ctx context.Context, dp control.DatapathID, removals []control.FlowRemoved) error {
+			mu.Lock()
+			for _, r := range removals {
+				ids = append(ids, r.RuleID)
+			}
+			mu.Unlock()
+			return a.HandleFlowRemoved(ctx, dp, removals)
+		},
 	})
 	client := startWire(t, ctl)
 

@@ -5,7 +5,8 @@
 //
 // It replaces the ad-hoc function hooks the tiers used to be wired with
 // (dataplane miss/message callbacks, controller compiler setters) by two
-// interfaces and one message taxonomy:
+// interfaces, one message type (nf.Message, checked by Validate) and one
+// error taxonomy:
 //
 //   - Southbound is what an NF Manager sees of its SDN controller: flow
 //     resolution (single and pipelined batch), cross-layer message
@@ -30,6 +31,7 @@ import (
 	"fmt"
 
 	"sdnfv/internal/flowtable"
+	"sdnfv/internal/nf"
 	"sdnfv/internal/packet"
 )
 
@@ -161,7 +163,7 @@ type Southbound interface {
 	// In-process backends report northbound rejection synchronously via
 	// ErrRejected; wire backends deliver asynchronously and may return
 	// nil before the verdict is known.
-	SendNFMessage(ctx context.Context, src flowtable.ServiceID, m Message) error
+	SendNFMessage(ctx context.Context, src flowtable.ServiceID, m nf.Message) error
 	// NotifyFlowRemoved reports a batch of rules the datapath evicted by
 	// timeout (OpenFlow flow-removed), so the controller and application
 	// tiers can drop their side of the per-flow state. Notifications are
@@ -188,7 +190,7 @@ type Northbound interface {
 	// HandleNFMessage validates and records a cross-layer message
 	// emitted by an NF of service src on datapath dp. A policy refusal
 	// is reported as an error wrapping ErrRejected.
-	HandleNFMessage(ctx context.Context, dp DatapathID, src flowtable.ServiceID, m Message) error
+	HandleNFMessage(ctx context.Context, dp DatapathID, src flowtable.ServiceID, m nf.Message) error
 	// HandleFlowRemoved records a batch of timeout evictions reported by
 	// datapath dp, letting the application release per-flow bookkeeping.
 	HandleFlowRemoved(ctx context.Context, dp DatapathID, removals []FlowRemoved) error
@@ -201,7 +203,7 @@ type Northbound interface {
 // ErrNoCompiler, SendNFMessage discards, Stats/Features return zeros.
 type SouthboundFuncs struct {
 	ResolveFunc           func(ctx context.Context, scope flowtable.ServiceID, key packet.FlowKey) ([]flowtable.Rule, error)
-	SendNFMessageFun      func(ctx context.Context, src flowtable.ServiceID, m Message) error
+	SendNFMessageFun      func(ctx context.Context, src flowtable.ServiceID, m nf.Message) error
 	NotifyFlowRemovedFunc func(ctx context.Context, removals []FlowRemoved) error
 	StatsFunc             func(ctx context.Context) (Stats, error)
 	FeaturesFunc          func(ctx context.Context) (Features, error)
@@ -224,7 +226,7 @@ func (s SouthboundFuncs) ResolveBatch(ctx context.Context, reqs []ResolveRequest
 }
 
 // SendNFMessage implements Southbound.
-func (s SouthboundFuncs) SendNFMessage(ctx context.Context, src flowtable.ServiceID, m Message) error {
+func (s SouthboundFuncs) SendNFMessage(ctx context.Context, src flowtable.ServiceID, m nf.Message) error {
 	if s.SendNFMessageFun == nil {
 		return nil
 	}
@@ -260,7 +262,7 @@ func (s SouthboundFuncs) Features(ctx context.Context) (Features, error) {
 // accepts, Policy misses.
 type NorthboundFuncs struct {
 	CompileFlowFunc       func(ctx context.Context, dp DatapathID, scope flowtable.ServiceID, key packet.FlowKey) ([]flowtable.Rule, error)
-	HandleNFMessageFunc   func(ctx context.Context, dp DatapathID, src flowtable.ServiceID, m Message) error
+	HandleNFMessageFunc   func(ctx context.Context, dp DatapathID, src flowtable.ServiceID, m nf.Message) error
 	HandleFlowRemovedFunc func(ctx context.Context, dp DatapathID, removals []FlowRemoved) error
 	PolicyFunc            func(key string) (any, bool)
 }
@@ -274,7 +276,7 @@ func (n NorthboundFuncs) CompileFlow(ctx context.Context, dp DatapathID, scope f
 }
 
 // HandleNFMessage implements Northbound.
-func (n NorthboundFuncs) HandleNFMessage(ctx context.Context, dp DatapathID, src flowtable.ServiceID, m Message) error {
+func (n NorthboundFuncs) HandleNFMessage(ctx context.Context, dp DatapathID, src flowtable.ServiceID, m nf.Message) error {
 	if n.HandleNFMessageFunc == nil {
 		return nil
 	}

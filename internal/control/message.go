@@ -8,25 +8,40 @@ import (
 	"sdnfv/internal/nf"
 )
 
-// Message is a typed cross-layer control message (§3.4). The four
-// variants — SkipMe, RequestMe, ChangeDefault, AppData — subsume the
-// legacy nf.Message field-union: each carries only the fields its kind
-// defines and validates them structurally before any tier acts on it.
+// Validate checks a cross-layer message (§3.4) against its kind's
+// structural rules before any tier acts on it:
 //
-// NFs keep emitting the compact nf.Message record through their §4.3
-// library context; the NF Manager lifts it into a typed Message with
-// FromUnion at the control boundary, and Union lowers a typed Message
-// back to the record for wire encoding.
-type Message interface {
-	// Kind returns the legacy discriminator for wire encoding and logs.
-	Kind() nf.MsgKind
-	// Validate checks the variant's structural invariants. Violations
-	// are reported as errors wrapping ErrInvalidMessage.
-	Validate() error
-	// Union lowers the message to the legacy wire record.
-	Union() nf.Message
-	// String renders the message for logs.
-	String() string
+//   - SkipMe and RequestMe: S names a plain NF service.
+//   - ChangeDefault: S names a plain NF service; T is a port-encoded
+//     egress link (Fig. 8's reroute case) or another plain service.
+//   - Message (MsgData): Key is non-empty.
+//
+// Violations and unknown kinds are reported as errors wrapping
+// ErrInvalidMessage.
+func Validate(m nf.Message) error {
+	switch m.Kind {
+	case nf.MsgSkipMe, nf.MsgRequestMe:
+		return validService(m.Kind.String()+".S", m.S)
+	case nf.MsgChangeDefault:
+		if err := validService("ChangeDefault.S", m.S); err != nil {
+			return err
+		}
+		if !m.T.IsPort() {
+			if err := validService("ChangeDefault.T", m.T); err != nil {
+				return err
+			}
+			if m.T == m.S {
+				return fmt.Errorf("%w: ChangeDefault %s -> itself", ErrInvalidMessage, m.S)
+			}
+		}
+		return nil
+	case nf.MsgData:
+		if m.Key == "" {
+			return fmt.Errorf("%w: Message with empty key", ErrInvalidMessage)
+		}
+		return nil
+	}
+	return fmt.Errorf("%w: unknown kind %d", ErrInvalidMessage, uint8(m.Kind))
 }
 
 // validService checks that s names a plain NF service: not the zero
@@ -43,164 +58,3 @@ func validService(field string, s flowtable.ServiceID) error {
 	}
 	return nil
 }
-
-// SkipMe asks that NFs whose default edge leads to Service bypass it
-// for the flows matching Flows: their default becomes Service's own
-// default action.
-type SkipMe struct {
-	Flows   flowtable.Match
-	Service flowtable.ServiceID
-}
-
-// NewSkipMe builds a validated SkipMe.
-func NewSkipMe(flows flowtable.Match, service flowtable.ServiceID) (SkipMe, error) {
-	m := SkipMe{Flows: flows, Service: service}
-	return m, m.Validate()
-}
-
-// Kind implements Message.
-func (SkipMe) Kind() nf.MsgKind { return nf.MsgSkipMe }
-
-// Validate implements Message.
-func (m SkipMe) Validate() error { return validService("SkipMe.Service", m.Service) }
-
-// Union implements Message.
-func (m SkipMe) Union() nf.Message {
-	return nf.Message{Kind: nf.MsgSkipMe, Flows: m.Flows, S: m.Service}
-}
-
-// String implements Message.
-func (m SkipMe) String() string { return fmt.Sprintf("SkipMe(%s, %s)", m.Flows, m.Service) }
-
-// RequestMe asks that all nodes with an edge to Service make it their
-// default for the flows matching Flows.
-type RequestMe struct {
-	Flows   flowtable.Match
-	Service flowtable.ServiceID
-}
-
-// NewRequestMe builds a validated RequestMe.
-func NewRequestMe(flows flowtable.Match, service flowtable.ServiceID) (RequestMe, error) {
-	m := RequestMe{Flows: flows, Service: service}
-	return m, m.Validate()
-}
-
-// Kind implements Message.
-func (RequestMe) Kind() nf.MsgKind { return nf.MsgRequestMe }
-
-// Validate implements Message.
-func (m RequestMe) Validate() error { return validService("RequestMe.Service", m.Service) }
-
-// Union implements Message.
-func (m RequestMe) Union() nf.Message {
-	return nf.Message{Kind: nf.MsgRequestMe, Flows: m.Flows, S: m.Service}
-}
-
-// String implements Message.
-func (m RequestMe) String() string { return fmt.Sprintf("RequestMe(%s, %s)", m.Flows, m.Service) }
-
-// ChangeDefault sets the default rule for flows matching Flows at
-// Service to Target. Target may be another service or a port-encoded
-// egress link (Fig. 8's reroute case).
-type ChangeDefault struct {
-	Flows   flowtable.Match
-	Service flowtable.ServiceID
-	Target  flowtable.ServiceID
-}
-
-// NewChangeDefault builds a validated ChangeDefault.
-func NewChangeDefault(flows flowtable.Match, service, target flowtable.ServiceID) (ChangeDefault, error) {
-	m := ChangeDefault{Flows: flows, Service: service, Target: target}
-	return m, m.Validate()
-}
-
-// Kind implements Message.
-func (ChangeDefault) Kind() nf.MsgKind { return nf.MsgChangeDefault }
-
-// Validate implements Message.
-func (m ChangeDefault) Validate() error {
-	if err := validService("ChangeDefault.Service", m.Service); err != nil {
-		return err
-	}
-	if !m.Target.IsPort() {
-		if err := validService("ChangeDefault.Target", m.Target); err != nil {
-			return err
-		}
-		if m.Target == m.Service {
-			return fmt.Errorf("%w: ChangeDefault %s -> itself", ErrInvalidMessage, m.Service)
-		}
-	}
-	return nil
-}
-
-// Union implements Message.
-func (m ChangeDefault) Union() nf.Message {
-	return nf.Message{Kind: nf.MsgChangeDefault, Flows: m.Flows, S: m.Service, T: m.Target}
-}
-
-// String implements Message.
-func (m ChangeDefault) String() string {
-	return fmt.Sprintf("ChangeDefault(%s, %s -> %s)", m.Flows, m.Service, m.Target)
-}
-
-// AppData carries arbitrary application (key, value) data up to the NF
-// Manager and SDNFV Application, which stores it in the policy KV.
-type AppData struct {
-	Key   string
-	Value any
-}
-
-// NewAppData builds a validated AppData.
-func NewAppData(key string, value any) (AppData, error) {
-	m := AppData{Key: key, Value: value}
-	return m, m.Validate()
-}
-
-// Kind implements Message.
-func (AppData) Kind() nf.MsgKind { return nf.MsgData }
-
-// Validate implements Message.
-func (m AppData) Validate() error {
-	if m.Key == "" {
-		return fmt.Errorf("%w: AppData with empty key", ErrInvalidMessage)
-	}
-	return nil
-}
-
-// Union implements Message.
-func (m AppData) Union() nf.Message {
-	return nf.Message{Kind: nf.MsgData, Key: m.Key, Value: m.Value}
-}
-
-// String implements Message.
-func (m AppData) String() string { return fmt.Sprintf("AppData(%q=%v)", m.Key, m.Value) }
-
-// FromUnion lifts a legacy nf.Message record into its typed variant and
-// validates it. Unknown kinds and structural violations are reported as
-// errors wrapping ErrInvalidMessage.
-func FromUnion(u nf.Message) (Message, error) {
-	var m Message
-	switch u.Kind {
-	case nf.MsgSkipMe:
-		m = SkipMe{Flows: u.Flows, Service: u.S}
-	case nf.MsgRequestMe:
-		m = RequestMe{Flows: u.Flows, Service: u.S}
-	case nf.MsgChangeDefault:
-		m = ChangeDefault{Flows: u.Flows, Service: u.S, Target: u.T}
-	case nf.MsgData:
-		m = AppData{Key: u.Key, Value: u.Value}
-	default:
-		return nil, fmt.Errorf("%w: unknown kind %d", ErrInvalidMessage, uint8(u.Kind))
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-var (
-	_ Message = SkipMe{}
-	_ Message = RequestMe{}
-	_ Message = ChangeDefault{}
-	_ Message = AppData{}
-)

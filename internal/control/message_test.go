@@ -18,37 +18,47 @@ func testKey() packet.FlowKey {
 }
 
 // TestMessageValidation is the table-driven structural check for every
-// typed variant.
+// message kind.
 func TestMessageValidation(t *testing.T) {
+	skip := func(s flowtable.ServiceID) nf.Message {
+		return nf.Message{Kind: nf.MsgSkipMe, Flows: flowtable.MatchAll, S: s}
+	}
+	req := func(s flowtable.ServiceID) nf.Message {
+		return nf.Message{Kind: nf.MsgRequestMe, Flows: flowtable.MatchAll, S: s}
+	}
+	cd := func(s, t flowtable.ServiceID) nf.Message {
+		return nf.Message{Kind: nf.MsgChangeDefault, Flows: flowtable.ExactMatch(testKey()), S: s, T: t}
+	}
+	data := func(k string, v any) nf.Message { return nf.Message{Kind: nf.MsgData, Key: k, Value: v} }
 	cases := []struct {
 		name string
-		msg  Message
+		msg  nf.Message
 		ok   bool
 	}{
-		{"skipme ok", SkipMe{Flows: flowtable.MatchAll, Service: 7}, true},
-		{"skipme zero service", SkipMe{Service: 0}, false},
-		{"skipme sink", SkipMe{Service: graph.Sink}, false},
-		{"skipme port", SkipMe{Service: flowtable.Port(1)}, false},
+		{"skipme ok", skip(7), true},
+		{"skipme zero service", skip(0), false},
+		{"skipme sink", skip(graph.Sink), false},
+		{"skipme port", skip(flowtable.Port(1)), false},
 
-		{"requestme ok", RequestMe{Flows: flowtable.MatchAll, Service: 9}, true},
-		{"requestme zero service", RequestMe{Service: 0}, false},
-		{"requestme port", RequestMe{Service: flowtable.Port(0)}, false},
+		{"requestme ok", req(9), true},
+		{"requestme zero service", req(0), false},
+		{"requestme port", req(flowtable.Port(0)), false},
 
-		{"changedefault service target", ChangeDefault{Service: 1, Target: 2}, true},
-		{"changedefault egress port target", ChangeDefault{Service: 1, Target: flowtable.Port(3)}, true},
-		{"changedefault zero service", ChangeDefault{Service: 0, Target: 2}, false},
-		{"changedefault port service", ChangeDefault{Service: flowtable.Port(0), Target: 2}, false},
-		{"changedefault zero target", ChangeDefault{Service: 1, Target: 0}, false},
-		{"changedefault sink target", ChangeDefault{Service: 1, Target: graph.Sink}, false},
-		{"changedefault self target", ChangeDefault{Service: 4, Target: 4}, false},
+		{"changedefault service target", cd(1, 2), true},
+		{"changedefault egress port target", cd(1, flowtable.Port(3)), true},
+		{"changedefault zero service", cd(0, 2), false},
+		{"changedefault port service", cd(flowtable.Port(0), 2), false},
+		{"changedefault zero target", cd(1, 0), false},
+		{"changedefault sink target", cd(1, graph.Sink), false},
+		{"changedefault self target", cd(4, 4), false},
 
-		{"appdata ok", AppData{Key: "alarm", Value: "on"}, true},
-		{"appdata nil value ok", AppData{Key: "ping"}, true},
-		{"appdata empty key", AppData{}, false},
+		{"appdata ok", data("alarm", "on"), true},
+		{"appdata nil value ok", data("ping", nil), true},
+		{"appdata empty key", data("", nil), false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.msg.Validate()
+			err := Validate(tc.msg)
 			if tc.ok && err != nil {
 				t.Fatalf("want valid, got %v", err)
 			}
@@ -64,65 +74,18 @@ func TestMessageValidation(t *testing.T) {
 	}
 }
 
-// TestConstructorsValidate checks the New* constructors report the same
-// verdicts as Validate.
-func TestConstructorsValidate(t *testing.T) {
-	if _, err := NewSkipMe(flowtable.MatchAll, 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewSkipMe(flowtable.MatchAll, flowtable.Port(0)); !errors.Is(err, ErrInvalidMessage) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := NewRequestMe(flowtable.MatchAll, 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewChangeDefault(flowtable.MatchAll, 3, 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewChangeDefault(flowtable.MatchAll, 3, 3); !errors.Is(err, ErrInvalidMessage) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := NewAppData("k", 42); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewAppData("", nil); !errors.Is(err, ErrInvalidMessage) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-// TestUnionRoundTrip checks every variant survives lowering to the
-// legacy record and lifting back.
-func TestUnionRoundTrip(t *testing.T) {
-	key := flowtable.ExactMatch(testKey())
-	msgs := []Message{
-		SkipMe{Flows: key, Service: 7},
-		RequestMe{Flows: flowtable.MatchAll, Service: 9},
-		ChangeDefault{Flows: key, Service: 1, Target: 2},
-		ChangeDefault{Flows: key, Service: 1, Target: flowtable.Port(3)},
-		AppData{Key: "alarm", Value: "on"},
-	}
-	for _, m := range msgs {
-		got, err := FromUnion(m.Union())
-		if err != nil {
-			t.Fatalf("%s: %v", m, err)
-		}
-		if got.String() != m.String() || got.Kind() != m.Kind() {
-			t.Fatalf("round trip %s != %s", got, m)
-		}
-	}
-}
-
-// TestFromUnionRejects checks the lifting path applies validation and
-// refuses unknown kinds.
+// TestFromUnionRejects checks Validate refuses malformed raw records as
+// they arrive off the wire, and refuses unknown kinds even when every
+// field is otherwise well formed.
 func TestFromUnionRejects(t *testing.T) {
 	bad := []nf.Message{
-		{Kind: nf.MsgKind(99)},
+		{Kind: nf.MsgKind(99), Key: "k", S: 1},
 		{Kind: nf.MsgSkipMe, S: flowtable.Port(0)},
 		{Kind: nf.MsgChangeDefault, S: 1, T: 1},
 		{Kind: nf.MsgData, Key: ""},
 	}
 	for _, u := range bad {
-		if _, err := FromUnion(u); !errors.Is(err, ErrInvalidMessage) {
+		if err := Validate(u); !errors.Is(err, ErrInvalidMessage) {
 			t.Fatalf("%v: err = %v", u, err)
 		}
 	}

@@ -52,7 +52,7 @@ func benchClient(b *testing.B) *control.Client {
 	}
 	b.Cleanup(func() { _ = ln.Close() })
 	go func() { _ = ctl.Serve(ln) }()
-	client, err := control.Dial(context.Background(), ln.Addr().String())
+	client, err := control.DialAs(context.Background(), ln.Addr().String(), 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -40,6 +40,7 @@ import (
 
 	"sdnfv/internal/control"
 	"sdnfv/internal/flowtable"
+	"sdnfv/internal/nf"
 	"sdnfv/internal/openflow"
 	"sdnfv/internal/packet"
 )
@@ -251,7 +252,7 @@ func (c *Controller) ResolveBatch(ctx context.Context, reqs []control.ResolveReq
 
 // SendNFMessage implements control.Southbound as the anonymous
 // datapath-0 session.
-func (c *Controller) SendNFMessage(ctx context.Context, src flowtable.ServiceID, m control.Message) error {
+func (c *Controller) SendNFMessage(ctx context.Context, src flowtable.ServiceID, m nf.Message) error {
 	return c.Session(0).SendNFMessage(ctx, src, m)
 }
 
@@ -288,15 +289,11 @@ type Session struct {
 	c  *Controller
 	dp control.DatapathID
 
-	requests     atomic.Uint64
-	rejected     atomic.Uint64
-	flowMods     atomic.Uint64
-	nfMsgs       atomic.Uint64
-	flowsRemoved atomic.Uint64
+	requests atomic.Uint64
+	rejected atomic.Uint64
+	flowMods atomic.Uint64
+	nfMsgs   atomic.Uint64
 }
-
-// DatapathID returns the session's datapath identity.
-func (s *Session) DatapathID() control.DatapathID { return s.dp }
 
 // Resolve implements control.Southbound: the southbound path this
 // host's Flow Controller thread calls on a miss. It blocks until the
@@ -363,8 +360,8 @@ func (s *Session) ResolveBatch(ctx context.Context, reqs []control.ResolveReques
 // message is validated structurally, counted, and handed to the
 // northbound tier with this session's host identity; the policy verdict
 // (control.ErrRejected) is returned synchronously.
-func (s *Session) SendNFMessage(ctx context.Context, src flowtable.ServiceID, m control.Message) error {
-	if err := m.Validate(); err != nil {
+func (s *Session) SendNFMessage(ctx context.Context, src flowtable.ServiceID, m nf.Message) error {
+	if err := control.Validate(m); err != nil {
 		return err
 	}
 	s.c.nfMsgs.Add(1)
@@ -377,26 +374,20 @@ func (s *Session) SendNFMessage(ctx context.Context, src flowtable.ServiceID, m 
 }
 
 // NotifyFlowRemoved implements control.Southbound: the data plane's
-// eviction notices for this host. Each notice is counted against the
-// session and handed to the northbound tier so the application drops
-// its view of the flows; without a northbound the notices are counted
-// and dropped (they are advisory, like NF messages on a bare
+// eviction notices for this host are handed to the northbound tier so
+// the application drops its view of the flows; without a northbound
+// they are dropped (they are advisory, like NF messages on a bare
 // controller).
 func (s *Session) NotifyFlowRemoved(ctx context.Context, removals []control.FlowRemoved) error {
 	if len(removals) == 0 {
 		return nil
 	}
-	s.flowsRemoved.Add(uint64(len(removals)))
 	nb := s.c.northbound()
 	if nb == nil {
 		return nil
 	}
 	return nb.HandleFlowRemoved(ctx, s.dp, removals)
 }
-
-// FlowsRemoved returns the number of flow-removed notices this session
-// has accepted from its host.
-func (s *Session) FlowsRemoved() uint64 { return s.flowsRemoved.Load() }
 
 // Stats implements control.Southbound with the session-scoped counters:
 // this host's share of the controller's load.
@@ -530,11 +521,7 @@ func (c *Controller) serveConn(conn net.Conn) error {
 				}
 			}
 		case openflow.NFMessage:
-			lifted, lerr := control.FromUnion(m.Msg)
-			if lerr == nil {
-				lerr = sess.SendNFMessage(context.Background(), m.Src, lifted)
-			}
-			if lerr != nil {
+			if lerr := sess.SendNFMessage(context.Background(), m.Src, m.Msg); lerr != nil {
 				// Asynchronous refusal: the sender observes it as a
 				// counted ErrorMsg, not a blocking round trip. Any
 				// northbound failure that is not structural invalidity

@@ -173,25 +173,25 @@ func TestResolveBatchOverlapsServiceTimes(t *testing.T) {
 
 func TestSendNFMessageRoutesNorthbound(t *testing.T) {
 	c := New(Config{})
-	got := make(chan control.Message, 1)
+	got := make(chan nf.Message, 1)
 	c.SetNorthbound(control.NorthboundFuncs{
-		HandleNFMessageFunc: func(_ context.Context, _ control.DatapathID, src flowtable.ServiceID, m control.Message) error {
+		HandleNFMessageFunc: func(_ context.Context, _ control.DatapathID, src flowtable.ServiceID, m nf.Message) error {
 			got <- m
 			return nil
 		},
 	})
-	if err := c.SendNFMessage(context.Background(), 50, control.RequestMe{Service: 50}); err != nil {
+	if err := c.SendNFMessage(context.Background(), 50, nf.Message{Kind: nf.MsgRequestMe, S: 50}); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case m := <-got:
-		if _, ok := m.(control.RequestMe); !ok {
+		if m.Kind != nf.MsgRequestMe {
 			t.Fatalf("message = %v", m)
 		}
 	default:
 		t.Fatal("northbound not invoked")
 	}
-	if err := c.SendNFMessage(context.Background(), 50, control.AppData{}); !errors.Is(err, control.ErrInvalidMessage) {
+	if err := c.SendNFMessage(context.Background(), 50, nf.Message{Kind: nf.MsgData}); !errors.Is(err, control.ErrInvalidMessage) {
 		t.Fatalf("invalid message: %v", err)
 	}
 	st, _ := c.Stats(context.Background())
@@ -236,7 +236,7 @@ func dialTest(t *testing.T, c *Controller) *openflow.Conn {
 // PACKET_IN → FLOW_MODs + barrier, ECHO, and NF_MESSAGE.
 func TestServeOverTCP(t *testing.T) {
 	c := New(Config{})
-	nfMsgs := make(chan control.Message, 1)
+	nfMsgs := make(chan nf.Message, 1)
 	c.SetNorthbound(control.NorthboundFuncs{
 		CompileFlowFunc: func(_ context.Context, _ control.DatapathID, scope flowtable.ServiceID, key packet.FlowKey) ([]flowtable.Rule, error) {
 			return []flowtable.Rule{
@@ -246,7 +246,7 @@ func TestServeOverTCP(t *testing.T) {
 					Actions: []flowtable.Action{flowtable.Out(1)}},
 			}, nil
 		},
-		HandleNFMessageFunc: func(_ context.Context, _ control.DatapathID, _ flowtable.ServiceID, m control.Message) error {
+		HandleNFMessageFunc: func(_ context.Context, _ control.DatapathID, _ flowtable.ServiceID, m nf.Message) error {
 			nfMsgs <- m
 			return nil
 		},
@@ -296,7 +296,7 @@ func TestServeOverTCP(t *testing.T) {
 	}
 	select {
 	case m := <-nfMsgs:
-		if _, ok := m.(control.SkipMe); !ok {
+		if m.Kind != nf.MsgSkipMe || m.S != 50 {
 			t.Fatalf("nf msg = %v", m)
 		}
 	case <-time.After(5 * time.Second):

@@ -4,8 +4,8 @@ import (
 	"testing"
 	"time"
 
-	"sdnfv/internal/control"
 	"sdnfv/internal/flowtable"
+	"sdnfv/internal/nf"
 	"sdnfv/internal/packet"
 )
 
@@ -130,7 +130,8 @@ func TestTransmitUnboundCountsTxDrops(t *testing.T) {
 // bug: when the skipped service's scope holds only exact-match rules
 // (per-flow compilation mode), the zero-key lookup finds nothing and
 // SkipMe silently no-opped. The fallback scan must discover the
-// service's default action and apply the bypass.
+// service's default action and apply the bypass. The message takes the
+// production path: svcY's NF emits it through ctx.Send.
 func TestSkipMeWithExactOnlyRules(t *testing.T) {
 	h := NewHost(Config{PoolSize: 64, TXThreads: 1})
 	key := packet.FlowKey{
@@ -145,24 +146,47 @@ func TestSkipMeWithExactOnlyRules(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	mustAdd(flowtable.Rule{Scope: flowtable.Port(0), Match: flowtable.MatchAll,
+		Actions: []flowtable.Action{flowtable.Forward(svcX)}})
 	mustAdd(flowtable.Rule{Scope: svcX, Match: flowtable.MatchAll,
 		Actions: []flowtable.Action{flowtable.Forward(svcY), flowtable.Out(1)}})
 	mustAdd(flowtable.Rule{Scope: svcY, Match: flowtable.ExactMatch(key),
 		Actions: []flowtable.Action{flowtable.Out(1)}})
 
-	msg, err := control.NewSkipMe(flowtable.ExactMatch(key), svcY)
-	if err != nil {
+	if _, err := h.AddNF(svcX, &nf.BatchAdapter{FnName: "x", RO: true}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.ApplyMessage(svcY, msg); err != nil {
+	sent := false
+	if _, err := h.AddNF(svcY, &nf.BatchAdapter{FnName: "y", RO: true,
+		ProcessBatchF: func(ctx *nf.Context, _ []nf.Packet, _ []nf.Decision) {
+			if !sent {
+				sent = true
+				ctx.Send(nf.Message{Kind: nf.MsgSkipMe, Flows: flowtable.ExactMatch(key), S: svcY})
+			}
+		}}, 0); err != nil {
 		t.Fatal(err)
 	}
-	e, err := h.Table().Lookup(svcX, key)
-	if err != nil {
+	out := &collector{}
+	h.BindDefault(out.fn)
+	if err := h.Start(); err != nil {
 		t.Fatal(err)
 	}
-	def, _ := e.Default()
-	if def != flowtable.Out(1) {
-		t.Fatalf("SkipMe no-opped: default at %s is %v, want %v", svcX, def, flowtable.Out(1))
+	t.Cleanup(h.Stop)
+
+	if err := h.Inject(0, buildFrame(t, key.SrcPort, nil)); err != nil {
+		t.Fatal(err)
+	}
+	defaultAtX := func() flowtable.Action {
+		e, err := h.Table().Lookup(svcX, key)
+		if err != nil {
+			return flowtable.Action{}
+		}
+		def, _ := e.Default()
+		return def
+	}
+	waitFor(t, func() bool { return out.count() == 1 && defaultAtX() == flowtable.Out(1) },
+		"SkipMe to bypass svcY at svcX")
+	if st := h.Stats(); st.CtrlMessages != 1 || st.MsgsRejected != 0 {
+		t.Fatalf("messages: %+v", st)
 	}
 }

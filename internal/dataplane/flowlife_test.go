@@ -170,7 +170,13 @@ func TestRefusedNoticesCounted(t *testing.T) {
 		}
 	}
 	waitCond(t, func() bool { return h.Stats().TxPackets == flows }, "every flow delivered")
-	waitCond(t, func() bool { return h.Stats().Table.Rules == 0 }, "all rules evicted")
+	// The sweeper counts a refusal after the eviction it reports, so wait
+	// for both rather than reading the counters as soon as the table
+	// empties.
+	waitCond(t, func() bool {
+		st := h.Stats()
+		return st.Table.Rules == 0 && st.NoticesRefused == st.Table.Evicted()
+	}, "all rules evicted and every notice refused")
 	st := h.Stats()
 	if st.Table.Evicted() != 2*flows || st.NoticesRefused != st.Table.Evicted() {
 		t.Fatalf("evicted %d rules, %d notices refused; want %d each", st.Table.Evicted(), st.NoticesRefused, 2*flows)

@@ -147,6 +147,10 @@ type HostStats struct {
 	// autonomously (§3.4 "without touching the controller"); the
 	// application's verdict only gates propagation beyond this host.
 	MsgsRejected uint64 `metric:"host_msgs_rejected_total" help:"Cross-layer messages refused (invalid or policy-rejected)."`
+	// MsgsDropped counts cross-layer messages an NF emitted while the
+	// manager's control ring was full. They never reach the manager: no
+	// local effect, no upstream delivery, and no count in CtrlMessages.
+	MsgsDropped uint64 `metric:"host_msgs_dropped_total" help:"Cross-layer messages lost because the control ring was full."`
 	// NoticesRefused counts flow-removed notices (one per evicted rule)
 	// the southbound refused to carry upstream. Eviction itself is not
 	// undone; the count makes the lost notice visible.
@@ -279,13 +283,14 @@ type Host struct {
 	unresolved      atomic.Uint64
 	msgCount        atomic.Uint64
 	msgRejected     atomic.Uint64
+	msgDropped      atomic.Uint64
 	releaseErrCount atomic.Uint64
 	noticesRefused  atomic.Uint64
 
 	stop atomic.Bool
 	wg   sync.WaitGroup
-	// lifeMu serializes lifecycle operations (AddNF, ReplaceNF, RemoveNF,
-	// Start, Stop, NamedHost.Launch). It keeps Stop's single-consumer ring
+	// lifeMu serializes lifecycle operations (AddNF, RemoveNF, Start,
+	// Stop, NamedHost.Launch). It keeps Stop's single-consumer ring
 	// drain exclusive, and it lets user Init/Close hooks run OUTSIDE h.mu
 	// so a hook may call inspection APIs (FlowState, Instances, Stats).
 	// Hooks must not call lifecycle methods — that self-deadlocks on
@@ -561,15 +566,17 @@ func (h *Host) addLocked(svc flowtable.ServiceID, fn nf.BatchFunction, priority 
 		Service:  svc,
 		Instance: inst.Index,
 		// The flow store belongs to the replica slot, not the function:
-		// Stop/Start cycles and same-implementation ReplaceNF keep it,
+		// Stop/Start cycles and same-implementation replacement keep it,
 		// and the manager can inspect it (FlowState) for §3.4-style
 		// per-flow decisions.
 		Flows: nf.NewFlowState(),
 		Emit: func(m nf.Message) {
-			if err := h.ctrl.Push(ctrlMsg{src: svc, msg: m}); err == nil {
-				h.msgCount.Add(1)
-				h.txWake[0].wake() // TX thread 0 applies the messages
+			if err := h.ctrl.Push(ctrlMsg{src: svc, msg: m}); err != nil {
+				h.msgDropped.Add(1)
+				return
 			}
+			h.msgCount.Add(1)
+			h.txWake[0].wake() // TX thread 0 applies the messages
 		},
 	}
 	inst.ctx.BufferEmits(true)
@@ -742,31 +749,6 @@ func (h *Host) flowOwner(insts []*Instance, k packet.FlowKey) *Instance {
 	return insts[k.Hash()%uint64(len(insts))]
 }
 
-// ReplaceNF swaps the function backing replica index of service svc for
-// fn, closing the outgoing NF if it is still open (normally Host.Stop
-// has closed it already — Close runs once per successful Init). The
-// replica's flow-state store is kept when the replacement is the same NF
-// implementation, so the §3.4 per-flow decisions accumulated by the old
-// NF survive an upgrade; replacing with a different implementation
-// clears it. Only valid while the host is stopped.
-func (h *Host) ReplaceNF(svc flowtable.ServiceID, index int, fn nf.BatchFunction) error {
-	h.lifeMu.Lock()
-	defer h.lifeMu.Unlock()
-	h.mu.Lock()
-	if h.started {
-		h.mu.Unlock()
-		return errors.New("dataplane: host already started")
-	}
-	inst := h.findReplica(svc, index)
-	if inst == nil {
-		h.mu.Unlock()
-		return fmt.Errorf("dataplane: no replica %d of service %s", index, svc)
-	}
-	h.mu.Unlock()
-	h.replace(inst, fn)
-	return nil
-}
-
 // closeInst runs an instance's Close hook if (and only if) a matching
 // successful Init ran: Close fires at most once per Init. Caller holds
 // lifeMu (which guards opened and keeps the hook outside h.mu).
@@ -891,7 +873,7 @@ func (e *NFInitError) Unwrap() error { return e.Err }
 // all NF instances. An Init error aborts the start: already-initialized
 // NFs are closed again, no thread is launched, and the typed *NFInitError
 // identifies the failing replica. The host stays stopped and can be
-// started again (e.g. after ReplaceNF).
+// started again (e.g. after NamedHost.Launch replaced the failing NF).
 func (h *Host) Start() error {
 	h.lifeMu.Lock()
 	defer h.lifeMu.Unlock()
@@ -1062,6 +1044,7 @@ func (h *Host) Stats() HostStats {
 		Unresolved:     h.unresolved.Load(),
 		CtrlMessages:   h.msgCount.Load(),
 		MsgsRejected:   h.msgRejected.Load(),
+		MsgsDropped:    h.msgDropped.Load(),
 		NoticesRefused: h.noticesRefused.Load(),
 		Pool:           h.pool.Stats(),
 		Table:          h.table.Stats(),
@@ -1913,30 +1896,16 @@ func (h *Host) resolveMisses(snap *routeSnap, s *burstScratch, miss, producer in
 	}
 }
 
-// ApplyMessage validates a typed cross-layer message and executes it
-// against the local flow table as if sent by src; exported for the
-// controller/application layers, which deliver validated messages
-// downward through the same path (§3.4). Unlike the NF emission path it
-// does not forward the message back upstream.
-func (h *Host) ApplyMessage(src flowtable.ServiceID, m control.Message) error {
-	if err := m.Validate(); err != nil {
-		return err
-	}
-	h.applyLocal(src, m)
-	return nil
-}
-
-// handleNFMessage lifts one NF-emitted record into its typed variant,
-// applies it locally, and forwards it upstream through the southbound
-// endpoint. Invalid messages and synchronous upstream rejections are
-// counted in MsgsRejected.
-func (h *Host) handleNFMessage(src flowtable.ServiceID, u nf.Message) {
-	m, err := control.FromUnion(u)
-	if err != nil {
+// handleNFMessage validates one NF-emitted message, applies it locally,
+// and forwards it upstream through the southbound endpoint. Invalid
+// messages and synchronous upstream rejections are counted in
+// MsgsRejected.
+func (h *Host) handleNFMessage(src flowtable.ServiceID, m nf.Message) {
+	if err := control.Validate(m); err != nil {
 		h.msgRejected.Add(1)
 		return
 	}
-	h.applyLocal(src, m)
+	h.applyLocal(m)
 	if h.cfg.Control != nil {
 		if err := h.cfg.Control.SendNFMessage(context.Background(), src, m); err != nil {
 			h.msgRejected.Add(1)
@@ -1945,36 +1914,34 @@ func (h *Host) handleNFMessage(src flowtable.ServiceID, u nf.Message) {
 }
 
 // applyLocal executes a validated cross-layer message against the local
-// flow table (§3.4).
-func (h *Host) applyLocal(_ flowtable.ServiceID, m control.Message) {
-	switch v := m.(type) {
-	case control.SkipMe:
+// flow table (§3.4). Application data (MsgData) has no local effect.
+func (h *Host) applyLocal(m nf.Message) {
+	switch m.Kind {
+	case nf.MsgSkipMe:
 		// NFs whose default edge leads to S bypass S: their default
 		// becomes S's own default action. The forward(S) edge stays in
 		// the action list so a later RequestMe can restore it.
-		if e := h.lookupAnyRule(v.Service); e != nil {
+		if e := h.lookupAnyRule(m.S); e != nil {
 			if def, ok := e.Default(); ok {
-				for _, sc := range h.table.ScopesWithActionTo(v.Flows, v.Service) {
-					h.table.UpdateDefault(sc, v.Flows, def, false)
+				for _, sc := range h.table.ScopesWithActionTo(m.Flows, m.S) {
+					h.table.UpdateDefault(sc, m.Flows, def, false)
 				}
 			}
 		}
-	case control.RequestMe:
+	case nf.MsgRequestMe:
 		// All nodes with an edge to S make S their default.
-		for _, sc := range h.table.ScopesWithActionTo(v.Flows, v.Service) {
-			h.table.UpdateDefault(sc, v.Flows, flowtable.Forward(v.Service), true)
+		for _, sc := range h.table.ScopesWithActionTo(m.Flows, m.S) {
+			h.table.UpdateDefault(sc, m.Flows, flowtable.Forward(m.S), true)
 		}
-	case control.ChangeDefault:
+	case nf.MsgChangeDefault:
 		// Default rule for service S becomes T (constrained to edges
 		// already present, i.e. the original service graph). T may be a
 		// port-encoded destination (an egress link, as in Fig. 8).
-		newDef := flowtable.Forward(v.Target)
-		if v.Target.IsPort() {
-			newDef = flowtable.Action{Type: flowtable.ActionOut, Dest: v.Target}
+		newDef := flowtable.Forward(m.T)
+		if m.T.IsPort() {
+			newDef = flowtable.Action{Type: flowtable.ActionOut, Dest: m.T}
 		}
-		h.table.UpdateDefault(v.Service, v.Flows, newDef, true)
-	case control.AppData:
-		// Application data: no local table effect.
+		h.table.UpdateDefault(m.S, m.Flows, newDef, true)
 	}
 }
 

@@ -105,7 +105,7 @@ func TestSingleNFChain(t *testing.T) {
 		fn := ppNF("count",
 			func(_ *nf.Context, _ *nf.Packet) nf.Decision {
 				processed.Add(1)
-				return nf.Default()
+				return nf.Decision{}
 			})
 		if _, err := h.AddNF(svcA, fn, 0); err != nil {
 			t.Fatal(err)
@@ -151,7 +151,7 @@ func TestSequentialChainOrder(t *testing.T) {
 			mu.Lock()
 			order = append(order, name)
 			mu.Unlock()
-			return nf.Default()
+			return nf.Decision{}
 		})
 	}
 	h, out := startHost(t, Config{}, func(h *Host) {
@@ -208,9 +208,9 @@ func TestSendToValidation(t *testing.T) {
 		toC := ppNF("toC",
 			func(_ *nf.Context, _ *nf.Packet) nf.Decision { return nf.SendTo(svcC) })
 		bNF := ppNF("b",
-			func(_ *nf.Context, _ *nf.Packet) nf.Decision { bGot.Add(1); return nf.Default() })
+			func(_ *nf.Context, _ *nf.Packet) nf.Decision { bGot.Add(1); return nf.Decision{} })
 		cNF := ppNF("c",
-			func(_ *nf.Context, _ *nf.Packet) nf.Decision { cGot.Add(1); return nf.Default() })
+			func(_ *nf.Context, _ *nf.Packet) nf.Decision { cGot.Add(1); return nf.Decision{} })
 		_, _ = h.AddNF(svcA, toC, 0)
 		_, _ = h.AddNF(svcB, bNF, 0)
 		_, _ = h.AddNF(svcC, cNF, 0)
@@ -239,7 +239,7 @@ func TestSendToAllowed(t *testing.T) {
 		toC := ppNF("toC",
 			func(_ *nf.Context, _ *nf.Packet) nf.Decision { return nf.SendTo(svcC) })
 		cNF := ppNF("c",
-			func(_ *nf.Context, _ *nf.Packet) nf.Decision { cGot.Add(1); return nf.Default() })
+			func(_ *nf.Context, _ *nf.Packet) nf.Decision { cGot.Add(1); return nf.Decision{} })
 		_, _ = h.AddNF(svcA, toC, 0)
 		_, _ = h.AddNF(svcC, cNF, 0)
 		mustAdd(t, h, flowtable.Rule{Scope: flowtable.Port(0), Match: flowtable.MatchAll,
@@ -262,7 +262,7 @@ func TestParallelDispatchRefcounts(t *testing.T) {
 	h, out := startHost(t, Config{}, func(h *Host) {
 		mk := func(c *atomic.Uint64) nf.BatchFunction {
 			return ppNF("ro",
-				func(_ *nf.Context, _ *nf.Packet) nf.Decision { c.Add(1); return nf.Default() })
+				func(_ *nf.Context, _ *nf.Packet) nf.Decision { c.Add(1); return nf.Decision{} })
 		}
 		_, _ = h.AddNF(svcA, mk(&aGot), 0)
 		_, _ = h.AddNF(svcB, mk(&bGot), 0)
@@ -292,7 +292,7 @@ func TestParallelDispatchRefcounts(t *testing.T) {
 func TestParallelConflictDropWins(t *testing.T) {
 	h, out := startHost(t, Config{}, func(h *Host) {
 		pass := ppNF("pass",
-			func(_ *nf.Context, _ *nf.Packet) nf.Decision { return nf.Default() })
+			func(_ *nf.Context, _ *nf.Packet) nf.Decision { return nf.Decision{} })
 		drop := ppNF("drop",
 			func(_ *nf.Context, _ *nf.Packet) nf.Decision { return nf.Discard() })
 		_, _ = h.AddNF(svcA, pass, 0)
@@ -323,7 +323,7 @@ func TestLoadBalancerFlowHashAffinity(t *testing.T) {
 		for i := 0; i < 2; i++ {
 			i := i
 			fn := ppNF("r",
-				func(_ *nf.Context, _ *nf.Packet) nf.Decision { got[i].Add(1); return nf.Default() })
+				func(_ *nf.Context, _ *nf.Packet) nf.Decision { got[i].Add(1); return nf.Decision{} })
 			_, _ = h.AddNF(svcA, fn, 0)
 		}
 		mustAdd(t, h, flowtable.Rule{Scope: flowtable.Port(0), Match: flowtable.MatchAll,
@@ -350,7 +350,7 @@ func TestLoadBalancerRoundRobinSpreads(t *testing.T) {
 		for i := 0; i < 2; i++ {
 			i := i
 			fn := ppNF("r",
-				func(_ *nf.Context, _ *nf.Packet) nf.Decision { got[i].Add(1); return nf.Default() })
+				func(_ *nf.Context, _ *nf.Packet) nf.Decision { got[i].Add(1); return nf.Decision{} })
 			_, _ = h.AddNF(svcA, fn, 0)
 		}
 		mustAdd(t, h, flowtable.Rule{Scope: flowtable.Port(0), Match: flowtable.MatchAll,
@@ -454,12 +454,12 @@ func TestCrossLayerChangeDefault(t *testing.T) {
 					})
 					close(release)
 				}
-				return nf.Default()
+				return nf.Decision{}
 			})
 		bNF := ppNF("b",
-			func(_ *nf.Context, _ *nf.Packet) nf.Decision { bGot.Add(1); return nf.Default() })
+			func(_ *nf.Context, _ *nf.Packet) nf.Decision { bGot.Add(1); return nf.Decision{} })
 		cNF := ppNF("c",
-			func(_ *nf.Context, _ *nf.Packet) nf.Decision { cGot.Add(1); return nf.Default() })
+			func(_ *nf.Context, _ *nf.Packet) nf.Decision { cGot.Add(1); return nf.Decision{} })
 		_, _ = h.AddNF(svcA, aNF, 0)
 		_, _ = h.AddNF(svcB, bNF, 0)
 		_, _ = h.AddNF(svcC, cNF, 0)
@@ -491,6 +491,73 @@ func TestCrossLayerChangeDefault(t *testing.T) {
 	}
 }
 
+// TestFullControlRingCountsDroppedMessages is the regression for
+// cross-layer messages lost without a trace: while TX thread 0 is held
+// inside the southbound call for the first message, an NF emits more
+// messages than the 4096-slot control ring holds. Every message is
+// either accepted (CtrlMessages) or refused and counted (MsgsDropped).
+func TestFullControlRingCountsDroppedMessages(t *testing.T) {
+	const (
+		packets = 600
+		perPkt  = 8
+		emitted = packets * perPkt
+		// The ring holds 4096 and TX thread 0 holds at most one more.
+		minDropped = emitted - 4096 - 1
+	)
+	gate := make(chan struct{})
+	h, out := startHost(t, Config{PoolSize: 1024, TXThreads: 1, Control: control.SouthboundFuncs{
+		SendNFMessageFun: func(context.Context, flowtable.ServiceID, nf.Message) error {
+			<-gate
+			return nil
+		},
+	}}, func(h *Host) {
+		seq := 0
+		emitter := &nf.BatchAdapter{FnName: "emitter", RO: true,
+			ProcessBatchF: func(ctx *nf.Context, batch []nf.Packet, _ []nf.Decision) {
+				for range batch {
+					for k := 0; k < perPkt; k++ {
+						ctx.Send(nf.Message{Kind: nf.MsgData, S: svcA, Key: string(rune('a' + k)), Value: seq})
+						seq++
+					}
+				}
+			}}
+		if _, err := h.AddNF(svcA, emitter, 0); err != nil {
+			t.Fatal(err)
+		}
+		mustAdd(t, h, flowtable.Rule{Scope: flowtable.Port(0), Match: flowtable.MatchAll,
+			Actions: []flowtable.Action{flowtable.Forward(svcA)}})
+		mustAdd(t, h, flowtable.Rule{Scope: svcA, Match: flowtable.MatchAll,
+			Actions: []flowtable.Action{flowtable.Out(0)}})
+	})
+	// Registered after startHost's Stop, so it runs first: a failed
+	// assertion must not leave TX thread 0 blocked under Stop.
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release)
+
+	frame := buildFrame(t, 9600, nil)
+	for i := 0; i < packets; i++ {
+		if err := h.Inject(0, frame); err != nil {
+			t.Fatalf("inject %d: %v", i, err)
+		}
+	}
+	waitFor(t, func() bool {
+		st := h.Stats()
+		return st.CtrlMessages+st.MsgsDropped == emitted
+	}, "every emitted message accepted or counted as dropped")
+	if st := h.Stats(); st.MsgsDropped < minDropped {
+		t.Fatalf("MsgsDropped = %d, want >= %d (CtrlMessages %d)", st.MsgsDropped, minDropped, st.CtrlMessages)
+	}
+
+	release()
+	if !h.WaitIdle(10 * time.Second) {
+		t.Fatalf("host not idle after release: %+v", h.Pool().Stats())
+	}
+	waitFor(t, func() bool { return out.count() == packets }, "all packets delivered")
+	if st := h.Stats(); !st.Conserved() || st.CtrlMessages+st.MsgsDropped != emitted {
+		t.Fatalf("accounting after release: %+v", st)
+	}
+}
+
 func TestInstallGraphEndToEnd(t *testing.T) {
 	// Anomaly-detection shaped graph: A -> (B ‖ C read-only) -> out.
 	g := graph.New("t")
@@ -508,7 +575,7 @@ func TestInstallGraphEndToEnd(t *testing.T) {
 	h, out := startHost(t, Config{}, func(h *Host) {
 		mk := func(c *atomic.Uint64) nf.BatchFunction {
 			return ppNF("x",
-				func(_ *nf.Context, _ *nf.Packet) nf.Decision { c.Add(1); return nf.Default() })
+				func(_ *nf.Context, _ *nf.Packet) nf.Decision { c.Add(1); return nf.Decision{} })
 		}
 		_, _ = h.AddNF(svcA, mk(&aGot), 0)
 		_, _ = h.AddNF(svcB, mk(&bGot), 0)
@@ -535,7 +602,7 @@ func TestLookupCacheAblation(t *testing.T) {
 	for _, disable := range []bool{false, true} {
 		h, out := startHost(t, Config{DisableLookupCache: disable}, func(h *Host) {
 			_, _ = h.AddNF(svcA, ppNF("n",
-				func(_ *nf.Context, _ *nf.Packet) nf.Decision { return nf.Default() }), 0)
+				func(_ *nf.Context, _ *nf.Packet) nf.Decision { return nf.Decision{} }), 0)
 			mustAdd(t, h, flowtable.Rule{Scope: flowtable.Port(0), Match: flowtable.MatchAll,
 				Actions: []flowtable.Action{flowtable.Forward(svcA)}})
 			mustAdd(t, h, flowtable.Rule{Scope: svcA, Match: flowtable.MatchAll,
@@ -554,7 +621,7 @@ func TestLookupCacheAblation(t *testing.T) {
 func TestHostRestart(t *testing.T) {
 	h, out := startHost(t, Config{}, func(h *Host) {
 		_, _ = h.AddNF(svcA, ppNF("n",
-			func(_ *nf.Context, _ *nf.Packet) nf.Decision { return nf.Default() }), 0)
+			func(_ *nf.Context, _ *nf.Packet) nf.Decision { return nf.Decision{} }), 0)
 		mustAdd(t, h, flowtable.Rule{Scope: flowtable.Port(0), Match: flowtable.MatchAll,
 			Actions: []flowtable.Action{flowtable.Forward(svcA)}})
 		mustAdd(t, h, flowtable.Rule{Scope: svcA, Match: flowtable.MatchAll,

@@ -158,13 +158,6 @@ func (h *Host) RegisterPortStats(port int, driver string, fn func() DriverStats)
 	h.ports[port] = registeredPort{port: port, driver: driver, fn: fn}
 }
 
-// UnregisterPortStats detaches port's stats hook.
-func (h *Host) UnregisterPortStats(port int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	delete(h.ports, port)
-}
-
 // portDriverStats snapshots every registered driver, ordered by port.
 // The hooks run outside h.mu so a driver snapshot can never deadlock
 // against the host lock.

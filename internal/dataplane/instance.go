@@ -92,21 +92,6 @@ type ReplicaStats struct {
 	ServiceTimeNs float64 `metric:"service_time_ns" help:"EWMA per-packet NF service time in nanoseconds."`
 }
 
-// Name returns the NF's name.
-func (in *Instance) Name() string { return in.fn.Name() }
-
-// ReadOnly reports the NF's read-only advertisement.
-func (in *Instance) ReadOnly() bool { return in.readOnly }
-
-// Processed returns the number of packets this instance has handled.
-func (in *Instance) Processed() uint64 { return in.rxCount.Load() }
-
-// InputDrops returns packets dropped because the instance's rings were full.
-func (in *Instance) InputDrops() uint64 { return in.dropCount.Load() }
-
-// ServiceTimeNs returns the replica's EWMA per-packet service time.
-func (in *Instance) ServiceTimeNs() float64 { return in.svcTime.Value() }
-
 // Stats returns the replica's telemetry snapshot.
 func (in *Instance) Stats() ReplicaStats {
 	return ReplicaStats{
@@ -119,11 +104,6 @@ func (in *Instance) Stats() ReplicaStats {
 		ServiceTimeNs: in.svcTime.Value(),
 	}
 }
-
-// Flows exposes the instance's engine-owned per-flow state store, so the
-// manager (and tests) can inspect NF flow state for §3.4-style per-flow
-// decisions.
-func (in *Instance) Flows() *nf.FlowState { return in.ctx.Flows }
 
 // backlog returns the total queued descriptors across input rings.
 //

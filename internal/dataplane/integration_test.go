@@ -60,7 +60,7 @@ func TestFullHierarchyMissToFlow(t *testing.T) {
 	ctl := controller.New(controller.Config{})
 	ctl.SetNorthbound(a) // App compiles per-flow exact rules by default
 	var appMsgs atomic.Int64
-	a.Subscribe(func(control.DatapathID, flowtable.ServiceID, control.Message) { appMsgs.Add(1) })
+	a.Subscribe(func(control.DatapathID, flowtable.ServiceID, nf.Message) { appMsgs.Add(1) })
 	ctl.Start()
 	defer ctl.Stop()
 
@@ -152,7 +152,7 @@ func TestCrossLayerMessageReachesApp(t *testing.T) {
 		CompileFlowFunc: func(ctx context.Context, _ control.DatapathID, scope flowtable.ServiceID, key packet.FlowKey) ([]flowtable.Rule, error) {
 			return a.CompileRules(scope, key, false) // wildcard pre-population
 		},
-		HandleNFMessageFunc: func(ctx context.Context, _ control.DatapathID, src flowtable.ServiceID, m control.Message) error {
+		HandleNFMessageFunc: func(ctx context.Context, _ control.DatapathID, src flowtable.ServiceID, m nf.Message) error {
 			err := a.HandleNFMessage(ctx, 0, src, m)
 			if err != nil {
 				rejected.Add(1)
@@ -298,7 +298,9 @@ func TestParallelPriorityConflict(t *testing.T) {
 }
 
 // TestSkipMeAndRequestMe verifies the remaining §3.4 cross-layer messages
-// against the live engine.
+// against the live engine, sent the way NFs send them: A emits the armed
+// message through ctx.Send on its next burst, and the manager validates
+// and applies it from the control ring.
 func TestSkipMeAndRequestMe(t *testing.T) {
 	const (
 		svcA flowtable.ServiceID = 1
@@ -310,12 +312,17 @@ func TestSkipMeAndRequestMe(t *testing.T) {
 	pass := func(c *atomic.Int64) nf.BatchFunction {
 		return &nf.BatchAdapter{FnName: "p", RO: true,
 			ProcessBatchF: func(_ *nf.Context, batch []nf.Packet, _ []nf.Decision) {
-				if c != nil {
-					c.Add(int64(len(batch)))
-				}
+				c.Add(int64(len(batch)))
 			}}
 	}
-	if _, err := h.AddNF(svcA, pass(nil), 0); err != nil {
+	var armed atomic.Pointer[nf.Message]
+	nfA := &nf.BatchAdapter{FnName: "a", RO: true,
+		ProcessBatchF: func(ctx *nf.Context, _ []nf.Packet, _ []nf.Decision) {
+			if m := armed.Swap(nil); m != nil {
+				ctx.Send(*m)
+			}
+		}}
+	if _, err := h.AddNF(svcA, nfA, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := h.AddNF(svcB, pass(&bGot), 0); err != nil {
@@ -347,40 +354,56 @@ func TestSkipMeAndRequestMe(t *testing.T) {
 
 	factory := traffic.NewFactory()
 	frame, _ := factory.Frame(traffic.Flow(6, 256, 0), 0)
-	send := func(k int) {
+	sent := int64(0)
+	send := func(k int, what string) {
 		for i := 0; i < k; i++ {
 			for h.Inject(0, frame) != nil {
 				time.Sleep(5 * time.Microsecond)
 			}
 		}
+		sent += int64(k)
+		waitCond(t, func() bool { return out.Load() == sent }, what)
 	}
-	send(5)
-	waitCond(t, func() bool { return out.Load() == 5 }, "baseline")
+	defaultAtA := func() flowtable.Action {
+		e, err := h.Table().Lookup(svcA, packet.FlowKey{})
+		if err != nil {
+			return flowtable.Action{}
+		}
+		def, _ := e.Default()
+		return def
+	}
+	// emit arms m, carries it up with one packet, and waits for A's
+	// default to become want.
+	emit := func(m nf.Message, want flowtable.Action) {
+		armed.Store(&m)
+		send(1, m.String()+" carrier")
+		waitCond(t, func() bool { return defaultAtA() == want }, m.String()+" applied")
+	}
+	send(5, "baseline")
 	if bGot.Load() != 5 || cGot.Load() != 5 {
 		t.Fatalf("baseline counts %d/%d", bGot.Load(), cGot.Load())
 	}
 
 	// SkipMe(B): A's default forwards straight to C.
-	if err := h.ApplyMessage(svcB, control.SkipMe{Flows: flowtable.MatchAll, Service: svcB}); err != nil {
-		t.Fatal(err)
+	emit(nf.Message{Kind: nf.MsgSkipMe, Flows: flowtable.MatchAll, S: svcB}, flowtable.Forward(svcC))
+	b0, c0 := bGot.Load(), cGot.Load()
+	send(5, "after SkipMe")
+	if bGot.Load() != b0 {
+		t.Fatalf("B still on path after SkipMe: %d -> %d", b0, bGot.Load())
 	}
-	send(5)
-	waitCond(t, func() bool { return out.Load() == 10 }, "after SkipMe")
-	if bGot.Load() != 5 {
-		t.Fatalf("B still on path after SkipMe: %d", bGot.Load())
-	}
-	if cGot.Load() != 10 {
-		t.Fatalf("C missed traffic after SkipMe: %d", cGot.Load())
+	if cGot.Load() != c0+5 {
+		t.Fatalf("C missed traffic after SkipMe: %d -> %d", c0, cGot.Load())
 	}
 
 	// RequestMe(B): every scope with an edge to B makes it the default
 	// again.
-	if err := h.ApplyMessage(svcB, control.RequestMe{Flows: flowtable.MatchAll, Service: svcB}); err != nil {
-		t.Fatal(err)
+	emit(nf.Message{Kind: nf.MsgRequestMe, Flows: flowtable.MatchAll, S: svcB}, flowtable.Forward(svcB))
+	b0 = bGot.Load()
+	send(5, "after RequestMe")
+	if bGot.Load() != b0+5 {
+		t.Fatalf("B not restored by RequestMe: %d -> %d", b0, bGot.Load())
 	}
-	send(5)
-	waitCond(t, func() bool { return out.Load() == 15 }, "after RequestMe")
-	if bGot.Load() != 10 {
-		t.Fatalf("B not restored by RequestMe: %d", bGot.Load())
+	if st := h.Stats(); st.CtrlMessages != 2 || st.MsgsRejected != 0 {
+		t.Fatalf("messages: %+v", st)
 	}
 }

@@ -89,7 +89,7 @@ func TestInitErrorAbortsStartWithTypedError(t *testing.T) {
 	}
 	// Replacing the never-initialized broken NF must not close it, and the
 	// already-closed first NF must stay closed exactly once.
-	if err := h.ReplaceNF(lcSvc+1, 0, &nf.BatchAdapter{FnName: "fixed", RO: true}); err != nil {
+	if err := (dataplane.NamedHost{Host: h}).Launch(context.Background(), lcSvc+1, &nf.BatchAdapter{FnName: "fixed", RO: true}); err != nil {
 		t.Fatal(err)
 	}
 	if firstClosed.Load() != 1 {
@@ -97,7 +97,7 @@ func TestInitErrorAbortsStartWithTypedError(t *testing.T) {
 	}
 	// The host is startable now; only the fresh announcement is delivered.
 	if err := h.Start(); err != nil {
-		t.Fatalf("Start after ReplaceNF: %v", err)
+		t.Fatalf("Start after replacement: %v", err)
 	}
 	waitCond(t, func() bool { return h.Stats().CtrlMessages == 1 }, "fresh announcement delivered")
 	h.Stop()
@@ -158,8 +158,8 @@ func TestCloseOnReplacementViaOrchestrator(t *testing.T) {
 	if oldClosed.Load() != 1 {
 		t.Fatalf("outgoing NF closed %d times after orchestrated replacement, want exactly 1", oldClosed.Load())
 	}
-	if ready.Load() != 1 || len(orch.Launches()) != 1 {
-		t.Fatalf("launch not recorded: ready=%d launches=%d", ready.Load(), len(orch.Launches()))
+	if ready.Load() != 1 {
+		t.Fatalf("launch not reported ready: %d", ready.Load())
 	}
 	// The replacement is live: the host runs with the new NF.
 	if err := h.Start(); err != nil {
@@ -201,9 +201,13 @@ func TestFlowStateSurvivesRestartAndReplacement(t *testing.T) {
 	if v, ok := fs.Get(marker); !ok || v.(string) != "from-v1" {
 		t.Fatalf("state after stop = %v,%v", v, ok)
 	}
-	// Replacement keeps the store: v2 reads what v1 wrote.
+	// Replacement (a launch onto the stopped host) keeps the store: v2
+	// reads what v1 wrote.
+	launch := func(fn nf.BatchFunction) error {
+		return dataplane.NamedHost{Host: h}.Launch(context.Background(), lcSvc, fn)
+	}
 	var got atomic.Value
-	if err := h.ReplaceNF(lcSvc, 0, &nf.BatchAdapter{FnName: "state-nf", RO: true,
+	if err := launch(&nf.BatchAdapter{FnName: "state-nf", RO: true,
 		InitF: func(ctx *nf.Context) error {
 			if v, ok := ctx.FlowState().Get(marker); ok {
 				got.Store(v.(string))
@@ -221,7 +225,7 @@ func TestFlowStateSurvivesRestartAndReplacement(t *testing.T) {
 	}
 	// Replacing with a different NF implementation clears the store: one
 	// NF's state values would only poison another implementation.
-	if err := h.ReplaceNF(lcSvc, 0, nfs.NoOp{}); err != nil {
+	if err := launch(nfs.NoOp{}); err != nil {
 		t.Fatal(err)
 	}
 	if n := h.FlowState(lcSvc, 0).Len(); n != 0 {

@@ -62,7 +62,7 @@ func parkRig(t *testing.T) (*Host, *atomic.Int64) {
 			ctx.Flows.Set(p.Key, struct{}{})
 			ctx.Send(nf.Message{Kind: nf.MsgData, Key: "flow", Value: "new"})
 		}
-		return nf.Default()
+		return nf.Decision{}
 	})
 	if _, err := h.AddNF(svcA, fn, 0); err != nil {
 		t.Fatal(err)

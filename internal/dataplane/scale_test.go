@@ -318,7 +318,7 @@ func TestParJoinRoundRobinAfterJoin(t *testing.T) {
 	var got [2]atomic.Uint64
 	h, out := startHost(t, Config{}, func(h *Host) {
 		ro := func(name string) nf.BatchFunction {
-			return ppNF(name, func(*nf.Context, *nf.Packet) nf.Decision { return nf.Default() })
+			return ppNF(name, func(*nf.Context, *nf.Packet) nf.Decision { return nf.Decision{} })
 		}
 		_, _ = h.AddNF(svcA, ro("pa"), 0)
 		_, _ = h.AddNF(svcB, ro("pb"), 0)
@@ -326,7 +326,7 @@ func TestParJoinRoundRobinAfterJoin(t *testing.T) {
 			i := i
 			fn := ppNF("after", func(*nf.Context, *nf.Packet) nf.Decision {
 				got[i].Add(1)
-				return nf.Default()
+				return nf.Decision{}
 			})
 			_, _ = h.AddNF(svcC, fn, 0)
 		}

@@ -20,7 +20,6 @@ import (
 	"sdnfv/internal/placement"
 	"sdnfv/internal/reconcile"
 	"sdnfv/internal/spec"
-	"sdnfv/internal/topo"
 	"sdnfv/internal/traffic"
 )
 
@@ -217,7 +216,7 @@ func Cluster(seed int64) *ClusterResult {
 	// --- Placement (§3.5) decides which host runs which chain hop: a
 	// 3-node line with one core each forces the chain to spread, exactly
 	// the multi-node placements the engine computes.
-	tp := topo.Line(3, 1, 10e9, 50e-6)
+	tp := placement.Line(3, 1, 10e9, 50e-6)
 	pspec := placement.Spec{FlowsPerCore: map[placement.Service]int{1: 1, 2: 1, 3: 1}}
 	asg, err := placement.SolveGreedy(tp, []placement.Flow{{
 		Ingress: 0, Egress: 2, Chain: []placement.Service{1, 2, 3}, BandwidthBps: 1e9,
@@ -284,8 +283,7 @@ func Cluster(seed int64) *ClusterResult {
 	// --- Reroute: as if the IDS on host B asked for the video hop to
 	// move — the app validates the edge, translates it per host, and the
 	// fabric applies the constrained default rewrite on host B.
-	cd, err := control.NewChangeDefault(flowtable.MatchAll, svcIDS, svcVideoB)
-	must(err)
+	cd := nf.Message{Kind: nf.MsgChangeDefault, Flows: flowtable.MatchAll, S: svcIDS, T: svcVideoB}
 	if err := a.HandleNFMessage(context.Background(), c.Datapaths["host-B"], svcIDS, cd); err != nil {
 		panic(fmt.Sprintf("reroute rejected: %v", err))
 	}

@@ -1,9 +1,25 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// checkGolden compares r.Render() with testdata/<name>.golden, the output
+// of the same deterministic runner at seed 42, so a refactor of the
+// simulator or the engine that moves any simulated number fails here.
+func checkGolden(t *testing.T, r Result) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", r.Name()+".golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Render(); got != string(want) {
+		t.Fatalf("%s render differs from its golden file:\n--- got\n%s\n--- want\n%s", r.Name(), got, want)
+	}
+}
 
 // The experiment tests assert the paper's qualitative shapes, not absolute
 // numbers — who wins, by roughly what factor, and where crossovers fall.
@@ -26,6 +42,7 @@ func TestRegistryComplete(t *testing.T) {
 
 func TestFig1Shape(t *testing.T) {
 	r := Fig1(42)
+	checkGolden(t, r)
 	if len(r.Pcts) == 0 || r.Pcts[0] != 0 {
 		t.Fatalf("pcts = %v", r.Pcts)
 	}
@@ -51,6 +68,7 @@ func TestFig1Shape(t *testing.T) {
 
 func TestTable2Shape(t *testing.T) {
 	r := Table2(42)
+	checkGolden(t, r)
 	if len(r.Rows) != 6 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -83,6 +101,7 @@ func TestTable2Shape(t *testing.T) {
 
 func TestFig6ParallelBeatsSequential(t *testing.T) {
 	r := Fig6(42)
+	checkGolden(t, r)
 	idx := map[string]int{}
 	for i, l := range r.Labels {
 		idx[l] = i
@@ -107,6 +126,7 @@ func TestFig6ParallelBeatsSequential(t *testing.T) {
 
 func TestFig7Shape(t *testing.T) {
 	r := Fig7(42)
+	checkGolden(t, r)
 	// At 64B: dpdk > 1VM > 2par > 2seq; 1VM ≈ 5 Gbps.
 	if !(r.DPDK[0] > r.OneVM[0] && r.OneVM[0] >= r.TwoPar[0] && r.TwoPar[0] > r.TwoSeq[0]) {
 		t.Fatalf("64B ordering: dpdk=%v 1vm=%v 2par=%v 2seq=%v", r.DPDK[0], r.OneVM[0], r.TwoPar[0], r.TwoSeq[0])
@@ -125,6 +145,7 @@ func TestFig7Shape(t *testing.T) {
 
 func TestFig8AntPhase(t *testing.T) {
 	r := Fig8(42)
+	checkGolden(t, r)
 	if r.AntWindow[0] < 50 || r.AntWindow[0] > 60 {
 		t.Fatalf("ant phase started at %v, want ≈51-56", r.AntWindow[0])
 	}
@@ -154,6 +175,7 @@ func TestFig8AntPhase(t *testing.T) {
 
 func TestFig9Mitigation(t *testing.T) {
 	r := Fig9(42)
+	checkGolden(t, r)
 	if r.DetectedAt == 0 || r.ScrubberAt == 0 {
 		t.Fatal("attack never detected")
 	}
@@ -188,6 +210,7 @@ func TestFig9Mitigation(t *testing.T) {
 
 func TestFig10NineTimes(t *testing.T) {
 	r := Fig10(42)
+	checkGolden(t, r)
 	maxSDN, maxSDNFV := 0.0, 0.0
 	for i := range r.OfferedPerSec {
 		if r.SDNOut[i] > maxSDN {
@@ -213,6 +236,7 @@ func TestFig10NineTimes(t *testing.T) {
 
 func TestFig11PolicyLag(t *testing.T) {
 	r := Fig11(42)
+	checkGolden(t, r)
 	at := func(series []float64, tm float64) float64 {
 		for i, tt := range r.Times {
 			if tt >= tm {
@@ -248,6 +272,7 @@ func TestFig11PolicyLag(t *testing.T) {
 
 func TestFig12HundredfoldGap(t *testing.T) {
 	r := Fig12(42)
+	checkGolden(t, r)
 	// TwemProxy overloads between 90k and 120k req/s.
 	var twemMax float64
 	for i, rate := range r.RatePerSec {
@@ -304,6 +329,7 @@ func TestMicroCosts(t *testing.T) {
 
 func TestFig5Shape(t *testing.T) {
 	r := Fig5(42)
+	checkGolden(t, r)
 	// The division heuristic must accommodate strictly more flows than
 	// greedy at base capacity (the paper's ≈3× claim).
 	if r.ILPFlows[0] <= r.GreedyFlows[0] {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"strings"
 
-	"sdnfv/internal/netem"
 	"sdnfv/internal/sim"
 	"sdnfv/internal/traffic"
 )
@@ -61,11 +60,11 @@ func defaultFig1Config() fig1Config {
 func fig1MaxThroughput(cfg fig1Config, seed int64, pktBytes int, missFrac float64) float64 {
 	lossAt := func(offeredGbps float64) float64 {
 		env := sim.NewEnv(seed)
-		sink := netem.NewSink(env)
-		ctrl := netem.NewControllerModel(env, cfg.ctrlService, cfg.ctrlRTT, 512)
-		sw := netem.NewOVSSwitch(env, cfg.switchPps, missFrac, ctrl, sink)
+		sink := sim.NewSink(env)
+		ctrl := sim.NewControllerModel(env, cfg.ctrlService, cfg.ctrlRTT, 512)
+		sw := sim.NewOVSSwitch(env, cfg.switchPps, missFrac, ctrl, sink)
 		key := traffic.Flow(0, pktBytes, 0).Key
-		src := netem.NewCBRSource(env, key, pktBytes, func(sim.Time) float64 {
+		src := sim.NewCBRSource(env, key, pktBytes, func(sim.Time) float64 {
 			return offeredGbps * 1e9
 		}, sw)
 		src.Start()

@@ -3,7 +3,6 @@ package experiments
 import (
 	"strings"
 
-	"sdnfv/internal/netem"
 	"sdnfv/internal/sim"
 )
 
@@ -49,7 +48,7 @@ func fig10Run(seed int64, offered float64, sdnfv bool) float64 {
 	completed := 0
 
 	// POX-class controller: ~0.9 ms of work per new flow, single server.
-	ctrl := netem.NewControllerModel(env, 900e-6, 200e-6, 256)
+	ctrl := sim.NewControllerModel(env, 900e-6, 200e-6, 256)
 	// Local NF pipeline: Video Detector + Policy Engine at data-plane
 	// speed.
 	nfPipeline := sim.NewQueue(env, 4096)

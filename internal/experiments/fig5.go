@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"sdnfv/internal/placement"
-	"sdnfv/internal/topo"
 )
 
 // Fig5Result is the placement comparison (§3.5, Fig. 5): maximum link and
@@ -72,13 +71,13 @@ func fig5Spec() placement.Spec {
 }
 
 // fig5Flows draws n random ingress/egress demands with the J1–J5 chain.
-func fig5Flows(rng *rand.Rand, t *topo.Topology, n int, bwBps float64) []placement.Flow {
+func fig5Flows(rng *rand.Rand, t *placement.Topology, n int, bwBps float64) []placement.Flow {
 	flows := make([]placement.Flow, n)
 	for i := range flows {
-		in := topo.NodeID(rng.Intn(t.N()))
-		out := topo.NodeID(rng.Intn(t.N()))
+		in := placement.NodeID(rng.Intn(t.N()))
+		out := placement.NodeID(rng.Intn(t.N()))
 		for out == in {
-			out = topo.NodeID(rng.Intn(t.N()))
+			out = placement.NodeID(rng.Intn(t.N()))
 		}
 		flows[i] = placement.Flow{
 			Ingress: in, Egress: out,
@@ -110,7 +109,7 @@ func divisionOpts() placement.DivisionOptions {
 // Fig5 runs both sweeps.
 func Fig5(seed int64) *Fig5Result {
 	rng := rand.New(rand.NewSource(seed))
-	t := topo.Rocketfuel22(seed, 1e9, 1e-3)
+	t := placement.Rocketfuel22(seed, 1e9, 1e-3)
 	spec := fig5Spec()
 	const bw = 5e7 // 50 Mbps per flow on 1 Gbps links (core-constrained regime)
 
@@ -154,9 +153,9 @@ func Fig5(seed int64) *Fig5Result {
 		return best
 	}
 	for _, scale := range res.CapScales {
-		st := topo.Rocketfuel22(seed, 1e9*scale, 1e-3)
+		st := placement.Rocketfuel22(seed, 1e9*scale, 1e-3)
 		for i := 0; i < st.N(); i++ {
-			st.SetCores(topo.NodeID(i), int(2*scale))
+			st.SetCores(placement.NodeID(i), int(2*scale))
 		}
 		gfit := 0
 		if a, err := placement.SolveGreedy(st, demand, spec); err == nil {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"strings"
 
-	"sdnfv/internal/netem"
 	"sdnfv/internal/sim"
 	"sdnfv/internal/traffic"
 )
@@ -74,10 +73,10 @@ func fig7Config(kind string) fig7Pipeline {
 // size, by simulating the stage pipeline for a short horizon.
 func (p fig7Pipeline) run(seed int64, pktBytes int) float64 {
 	env := sim.NewEnv(seed)
-	sink := netem.NewSink(env)
+	sink := sim.NewSink(env)
 
 	// Build the pipeline back to front.
-	var next netem.Stage = sink
+	var next sim.Stage = sink
 	// TX pool: two cores share per-packet hop work; model as one server
 	// with half the per-packet cost.
 	hops := float64(p.nfCount)
@@ -87,9 +86,9 @@ func (p fig7Pipeline) run(seed int64, pktBytes int) float64 {
 	if hops > 0 {
 		txNs := hops * p.txNsPerHop / 2
 		txNext := next
-		tx := netem.NewNFStage(env, 512, func(*netem.SimPacket) sim.Time {
+		tx := sim.NewNFStage(env, 512, func(*sim.Packet) sim.Time {
 			return txNs * 1e-9
-		}, func(*netem.SimPacket) netem.Stage { return txNext })
+		}, func(*sim.Packet) sim.Stage { return txNext })
 		next = tx
 	}
 	// NF cores: sequential chains traverse each NF in turn; parallel
@@ -98,22 +97,22 @@ func (p fig7Pipeline) run(seed int64, pktBytes int) float64 {
 	// TX hop work and latency, not NF cycles.
 	for i := 0; i < p.nfCount; i++ {
 		stageNext := next
-		nfStage := netem.NewNFStage(env, 512, func(*netem.SimPacket) sim.Time {
+		nfStage := sim.NewNFStage(env, 512, func(*sim.Packet) sim.Time {
 			return p.nfNsPerPkt * 1e-9
-		}, func(*netem.SimPacket) netem.Stage { return stageNext })
+		}, func(*sim.Packet) sim.Stage { return stageNext })
 		next = nfStage
 	}
 	rxNext := next
-	rx := netem.NewNFStage(env, 512, func(*netem.SimPacket) sim.Time {
+	rx := sim.NewNFStage(env, 512, func(*sim.Packet) sim.Time {
 		return p.rxNsPerPkt * 1e-9
-	}, func(*netem.SimPacket) netem.Stage { return rxNext })
+	}, func(*sim.Packet) sim.Stage { return rxNext })
 
 	// Offered load: 10 GbE line rate for the frame size (incl. 20 B
 	// Ethernet overhead per frame on the wire).
 	wireBits := float64((pktBytes + 20) * 8)
 	offeredPps := 10e9 / wireBits
 	key := traffic.Flow(0, pktBytes, 0).Key
-	src := netem.NewCBRSource(env, key, pktBytes, func(sim.Time) float64 {
+	src := sim.NewCBRSource(env, key, pktBytes, func(sim.Time) float64 {
 		return offeredPps * float64(pktBytes*8)
 	}, rx)
 	src.Start()

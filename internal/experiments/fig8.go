@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"sdnfv/internal/metrics"
-	"sdnfv/internal/netem"
 	"sdnfv/internal/sim"
 	"sdnfv/internal/traffic"
 )
@@ -52,11 +51,11 @@ func (r *Fig8Result) Render() string {
 // near saturation when both flows are elephants.
 func Fig8(seed int64) *Fig8Result {
 	env := sim.NewEnv(seed)
-	sink := netem.NewSink(env)
+	sink := sim.NewSink(env)
 
 	// Slow link: 40 Mbps, 50 µs propagation. Fast link: 400 Mbps, 20 µs.
-	slow := netem.NewLink(env, 40e6, 50e-6, 2048, sink)
-	fast := netem.NewLink(env, 400e6, 20e-6, 2048, sink)
+	slow := sim.NewLink(env, 40e6, 50e-6, 2048, sink)
+	fast := sim.NewLink(env, 400e6, 20e-6, 2048, sink)
 
 	// Flow 1: 64 B packets, high→low→high rate. Flow 2: 1024 B constant.
 	f1 := traffic.Flow(1, 64, 0)
@@ -75,9 +74,9 @@ func Fig8(seed int64) *Fig8Result {
 		isAnt          bool
 	}
 	states := map[uint64]*flowState{}
-	dests := map[uint64]netem.Stage{}
+	dests := map[uint64]sim.Stage{}
 	var antStart, antEnd float64
-	classify := func(p *netem.SimPacket) netem.Stage {
+	classify := func(p *sim.Packet) sim.Stage {
 		id := p.Key.Hash()
 		st, ok := states[id]
 		if !ok {
@@ -111,12 +110,12 @@ func Fig8(seed int64) *Fig8Result {
 		}
 		return dests[id]
 	}
-	detector := netem.NewNFStage(env, 4096, func(*netem.SimPacket) sim.Time {
+	detector := sim.NewNFStage(env, 4096, func(*sim.Packet) sim.Time {
 		return 200e-9
 	}, classify)
 
-	src1 := netem.NewCBRSource(env, f1.Key, 64, f1Profile.RateAt, detector)
-	src2 := netem.NewCBRSource(env, f2k.Key, 1024, func(sim.Time) float64 { return f2Rate }, detector)
+	src1 := sim.NewCBRSource(env, f1.Key, 64, f1Profile.RateAt, detector)
+	src2 := sim.NewCBRSource(env, f2k.Key, 1024, func(sim.Time) float64 { return f2Rate }, detector)
 	src1.Start()
 	src2.Start()
 
@@ -124,7 +123,7 @@ func Fig8(seed int64) *Fig8Result {
 	res := &Fig8Result{}
 	lat1 := metrics.NewHistogram()
 	lat2 := metrics.NewHistogram()
-	sink.OnPacket = func(p *netem.SimPacket) {
+	sink.OnPacket = func(p *sim.Packet) {
 		us := (env.Now() - p.Born) * 1e6
 		if p.Key == f1.Key {
 			lat1.Observe(us)

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"sdnfv/internal/flowtable"
-	"sdnfv/internal/netem"
 	"sdnfv/internal/nf"
 	"sdnfv/internal/orchestrator"
 	"sdnfv/internal/sim"
@@ -58,20 +57,20 @@ const (
 func Fig9(seed int64) *Fig9Result {
 	const scale = 100.0 // sim bps × scale = reported bps
 	env := sim.NewEnv(seed)
-	sink := netem.NewSink(env)
+	sink := sim.NewSink(env)
 
 	inMeter := &rateAccum{}
 	outMeter := &rateAccum{}
 
 	// Scrubber stage (exists once booted): drops attack-marked traffic.
 	var scrubberOnline bool
-	scrub := netem.NewNFStage(env, 8192, func(*netem.SimPacket) sim.Time {
+	scrub := sim.NewNFStage(env, 8192, func(*sim.Packet) sim.Time {
 		return 500e-9
-	}, func(p *netem.SimPacket) netem.Stage {
+	}, func(p *sim.Packet) sim.Stage {
 		if p.Mark == markAttack {
 			return nil // cleaned
 		}
-		return netem.StageFunc(func(p *netem.SimPacket) {
+		return sim.StageFunc(func(p *sim.Packet) {
 			outMeter.add(env.Now(), p.Bytes)
 			sink.Accept(p)
 		})
@@ -79,7 +78,7 @@ func Fig9(seed int64) *Fig9Result {
 
 	// Egress: default action forwards straight out; after RequestMe the
 	// default is the scrubber.
-	egress := netem.StageFunc(func(p *netem.SimPacket) {
+	egress := sim.StageFunc(func(p *sim.Packet) {
 		if scrubberOnline {
 			scrub.Accept(p)
 			return
@@ -102,9 +101,9 @@ func Fig9(seed int64) *Fig9Result {
 	var alarmed bool
 	var winBytes float64
 	var winStart float64
-	detector := netem.NewNFStage(env, 8192, func(*netem.SimPacket) sim.Time {
+	detector := sim.NewNFStage(env, 8192, func(*sim.Packet) sim.Time {
 		return 300e-9
-	}, func(p *netem.SimPacket) netem.Stage {
+	}, func(p *sim.Packet) sim.Stage {
 		inMeter.add(env.Now(), p.Bytes)
 		winBytes += float64(p.Bytes)
 		const window = 1.0
@@ -127,14 +126,14 @@ func Fig9(seed int64) *Fig9Result {
 	// at t=30 s and ramps up steadily past the threshold.
 	normal := traffic.Flow(1, 1000, 0)
 	attack := traffic.Flow(2, 1000, 0)
-	normSrc := netem.NewCBRSource(env, normal.Key, 1000, func(sim.Time) float64 {
+	normSrc := sim.NewCBRSource(env, normal.Key, 1000, func(sim.Time) float64 {
 		return 500e6 / scale
 	}, detector)
 	ramp := traffic.RampProfile{
 		Times: []float64{30, 200},
 		Rates: []float64{0.2e9 / scale, 4.5e9 / scale},
 	}
-	attackSrc := netem.NewCBRSource(env, attack.Key, 1000, func(t sim.Time) float64 {
+	attackSrc := sim.NewCBRSource(env, attack.Key, 1000, func(t sim.Time) float64 {
 		if t < 30 {
 			return 0
 		}

@@ -88,8 +88,8 @@ func TestAddBatch(t *testing.T) {
 }
 
 // TestEntryImmutableAfterUpdate is the regression test for the seed's
-// in-place mutation: UpdateDefault/RewriteDest must publish fresh entries,
-// never rewrite an entry a lock-free reader may already hold.
+// in-place mutation: UpdateDefault must publish fresh entries, never
+// rewrite an entry a lock-free reader may already hold.
 func TestEntryImmutableAfterUpdate(t *testing.T) {
 	tb := New()
 	_, _ = tb.Add(Rule{Scope: ServiceID(1), Match: MatchAll,
@@ -112,39 +112,52 @@ func TestEntryImmutableAfterUpdate(t *testing.T) {
 		t.Fatalf("rewrite changed the rule ID: %d -> %d", before.ID, after.ID)
 	}
 
-	if n := tb.RewriteDest(MatchAll, Forward(3), Forward(4)); n != 1 {
-		t.Fatalf("RewriteDest = %d", n)
+	if n := tb.UpdateDefault(ServiceID(1), MatchAll, Forward(2), true); n != 1 {
+		t.Fatalf("second UpdateDefault = %d", n)
 	}
 	if d, _ := after.Default(); d != Forward(3) {
-		t.Fatalf("RewriteDest mutated a published entry: %v", d)
+		t.Fatalf("second update mutated a published entry: %v", d)
 	}
 }
 
 // TestSpecializeAtomicWithRewrite is the regression test for the seed's
 // TOCTOU: specializeDefault dropped the lock between reading the governing
-// wildcard and installing the exact rule, so a table rewrite landing in
-// that window was silently lost — the exact rule resurrected the stale
-// action list. Both valid serializations (rewrite→specialize and
-// specialize→rewrite) end with the old destination gone from the
-// specialized rule, so after both ops complete Forward(2) must never
-// survive in it.
+// rule and installing the exact rule, so a table write landing in that
+// window was silently lost — the exact rule resurrected a stale action
+// list. Specialization (an exact-match UpdateDefault, as SkipMe and
+// ChangeDefault issue) races the writes the controller path makes:
+//
+//   - AddBatch installing a per-flow rule [3 5]. Both serializations end
+//     with that rule's actions and default 3; a lost write leaves the
+//     wildcard's [2 3 4].
+//   - Delete of the flow's exact rule [2 3]. Delete-then-specialize
+//     leaves an exact copy of the wildcard (default 3); specialize-then-
+//     delete leaves no exact rule (the wildcard answers, default 2). A
+//     lost write resurrects [2 3].
 func TestSpecializeAtomicWithRewrite(t *testing.T) {
 	k := key(3)
-	for iter := 0; iter < 500; iter++ {
-		tb := New()
-		_, _ = tb.Add(Rule{Scope: ServiceID(1), Match: MatchAll,
-			Actions: []Action{Forward(2), Forward(3), Forward(4)}})
+	wildcard := Rule{Scope: ServiceID(1), Match: MatchAll,
+		Actions: []Action{Forward(2), Forward(3), Forward(4)}}
+	race := func(tb *Table, write func()) {
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			tb.RewriteDest(MatchAll, Forward(2), Forward(5))
+			write()
 		}()
 		go func() {
 			defer wg.Done()
 			tb.UpdateDefault(ServiceID(1), ExactMatch(k), Forward(3), true)
 		}()
 		wg.Wait()
+	}
+	for iter := 0; iter < 500; iter++ {
+		tb := New()
+		_, _ = tb.Add(wildcard)
+		race(tb, func() {
+			_, _ = tb.AddBatch([]Rule{{Scope: ServiceID(1), Match: ExactMatch(k),
+				Actions: []Action{Forward(3), Forward(5)}}})
+		})
 		e, err := tb.Lookup(ServiceID(1), k)
 		if err != nil {
 			t.Fatal(err)
@@ -155,11 +168,27 @@ func TestSpecializeAtomicWithRewrite(t *testing.T) {
 		if d, _ := e.Default(); d != Forward(3) {
 			t.Fatalf("iter %d: specialized default = %v", iter, d)
 		}
-		if e.Allows(Forward(2)) {
-			t.Fatalf("iter %d: stale destination resurrected: %v", iter, e.Actions)
+		if e.Allows(Forward(2)) || !e.Allows(Forward(5)) {
+			t.Fatalf("iter %d: installed rule lost to a stale specialization: %v", iter, e.Actions)
 		}
-		if !e.Allows(Forward(5)) {
-			t.Fatalf("iter %d: rewrite lost: %v", iter, e.Actions)
+
+		tb = New()
+		_, _ = tb.Add(wildcard)
+		id, _ := tb.Add(Rule{Scope: ServiceID(1), Match: ExactMatch(k),
+			Actions: []Action{Forward(2), Forward(3)}})
+		race(tb, func() { _ = tb.Delete(id) })
+		e, err = tb.Lookup(ServiceID(1), k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, _ := e.Default()
+		switch {
+		case e.Match.IsExact() && d == Forward(3) && e.Allows(Forward(4)):
+			// delete, then specialize from the wildcard
+		case !e.Match.IsExact() && d == Forward(2):
+			// specialize the exact rule, then delete it
+		default:
+			t.Fatalf("iter %d: deleted rule resurrected: %v default %v", iter, e.Actions, d)
 		}
 	}
 }
@@ -237,8 +266,9 @@ func TestConcurrentTableChurn(t *testing.T) {
 				case 3:
 					tb.UpdateDefault(scope, ExactMatch(k), Forward(101), true)
 				case 4:
-					tb.RewriteDest(MatchAll, Forward(101), Forward(100))
-					tb.RewriteDest(MatchAll, Forward(100), Forward(101))
+					_, _ = tb.AddBatch([]Rule{{Scope: scope, Match: MatchAll,
+						Actions: []Action{Forward(101), Forward(100)}}})
+					tb.UpdateDefault(scope, MatchAll, Forward(100), true)
 				}
 				_ = tb.ScopesWithActionTo(MatchAll, ServiceID(100))
 			}

@@ -26,8 +26,8 @@
 // snapshot through an atomic pointer: Lookup is one atomic load plus a map
 // probe, with no locks and no allocation on the exact-match hit path.
 // Entries are immutable after publication — mutations (Add, Delete,
-// UpdateDefault, RewriteDest) build fresh entries and a fresh snapshot
-// under a per-shard writer mutex, then publish it atomically. Readers
+// UpdateDefault) build fresh entries and a fresh snapshot under a
+// per-shard writer mutex, then publish it atomically. Readers
 // always observe a consistent snapshot; a stale one at worst, never a torn
 // one.
 package flowtable
@@ -294,9 +294,9 @@ type Entry struct {
 }
 
 // entryLife is the mutable half of an entry's lifecycle, held behind a
-// pointer so entry rewrites (withDefault, RewriteDest) — which copy the
-// Entry struct — keep sharing one idle clock, and so Entry itself stays
-// copyable (no atomic embedded in a copied struct).
+// pointer so entry rewrites (withDefault), which copy the Entry struct,
+// keep sharing one idle clock, and so Entry itself stays copyable (no
+// atomic embedded in a copied struct).
 type entryLife struct {
 	lastHit atomic.Int64
 }
@@ -970,83 +970,6 @@ func (t *Table) specializeDefaultLocked(sh *shard, scope ServiceID, f Match, new
 	})
 	sh.snap.Store(next)
 	return 1
-}
-
-// RewriteDest replaces every action targeting old with the same-typed
-// action targeting new, across all scopes, for rules applying to flows
-// matching f. Returns the count of rules changed. This is the primitive
-// beneath SkipMe/RequestMe (§3.4).
-func (t *Table) RewriteDest(f Match, old, new Action) int {
-	n := 0
-	for si := range t.shards {
-		sh := &t.shards[si]
-		sh.mu.Lock()
-		cur := sh.snap.Load()
-		var next *snapshot
-		rewrite := func(e *Entry) (*Entry, bool) {
-			if !overlaps(e.Match, f) {
-				return e, false
-			}
-			changed := false
-			for _, a := range e.Actions {
-				if a == old {
-					changed = true
-					break
-				}
-			}
-			if !changed {
-				return e, false
-			}
-			ne := *e
-			ne.Actions = append([]Action(nil), e.Actions...)
-			for i, a := range ne.Actions {
-				if a == old {
-					ne.Actions[i] = new
-				}
-			}
-			return &ne, true
-		}
-		for scope, em := range cur.exact {
-			var nem map[packet.FlowKey]*Entry
-			for k, e := range em {
-				ne, changed := rewrite(e)
-				if !changed {
-					continue
-				}
-				if nem == nil {
-					if next == nil {
-						next = cur.cloneTop()
-					}
-					nem = next.cloneExact(scope)
-				}
-				nem[k] = ne
-				n++
-			}
-		}
-		for scope, ws := range cur.wild {
-			var nws []*Entry
-			for i, e := range ws {
-				ne, changed := rewrite(e)
-				if !changed {
-					continue
-				}
-				if nws == nil {
-					if next == nil {
-						next = cur.cloneTop()
-					}
-					nws = next.cloneWild(scope)
-				}
-				nws[i] = ne
-				n++
-			}
-		}
-		if next != nil {
-			t.modifies.Add(1)
-			sh.snap.Store(next)
-		}
-		sh.mu.Unlock()
-	}
-	return n
 }
 
 // AnyEntry returns some entry installed at scope, or nil when the scope

@@ -181,22 +181,6 @@ func TestUpdateDefaultExactSpecializes(t *testing.T) {
 	}
 }
 
-func TestRewriteDestSkipMeSemantics(t *testing.T) {
-	// A -> B -> C; SkipMe(B) should rewrite forward(B) to B's default
-	// (forward(C)).
-	tb := New()
-	_, _ = tb.Add(Rule{Scope: ServiceID(1), Match: MatchAll, Actions: []Action{Forward(2)}})
-	_, _ = tb.Add(Rule{Scope: ServiceID(2), Match: MatchAll, Actions: []Action{Forward(3)}})
-	n := tb.RewriteDest(MatchAll, Forward(2), Forward(3))
-	if n != 1 {
-		t.Fatalf("RewriteDest = %d", n)
-	}
-	e, _ := tb.Lookup(ServiceID(1), key(1))
-	if d, _ := e.Default(); d != Forward(3) {
-		t.Fatalf("skip rewrite failed: %v", d)
-	}
-}
-
 func TestScopesWithActionTo(t *testing.T) {
 	tb := New()
 	_, _ = tb.Add(Rule{Scope: ServiceID(1), Match: MatchAll, Actions: []Action{Forward(5)}})

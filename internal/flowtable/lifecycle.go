@@ -85,10 +85,6 @@ func (t *Table) SetScopeTimeouts(scope ServiceID, idle, hard time.Duration) {
 	t.defMu.Unlock()
 }
 
-// NowNanos returns the coarse lifecycle clock (nanoseconds since the
-// clock started running; 0 before any sweep or Advance).
-func (t *Table) NowNanos() int64 { return t.now.Load() }
-
 // Advance moves the coarse clock forward by d without sweeping. Tests
 // and benchmarks use it to make expiry deterministic; production tables
 // let the sweeper tick the clock from wall time.

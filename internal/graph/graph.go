@@ -153,11 +153,6 @@ func (g *Graph) Out(id flowtable.ServiceID) []Edge {
 	return es
 }
 
-// In returns the incoming edges of id.
-func (g *Graph) In(id flowtable.ServiceID) []Edge {
-	return append([]Edge(nil), g.in[id]...)
-}
-
 // DefaultNext returns the default successor of id.
 func (g *Graph) DefaultNext(id flowtable.ServiceID) (flowtable.ServiceID, bool) {
 	for _, e := range g.out[id] {
@@ -296,18 +291,6 @@ func (g *Graph) ParallelSegments() []Segment {
 		cur = next
 	}
 	return segs
-}
-
-// DefaultPath returns the service sequence on the default path from Source
-// to Sink, excluding the endpoints.
-func (g *Graph) DefaultPath() []flowtable.ServiceID {
-	var path []flowtable.ServiceID
-	cur, ok := g.DefaultNext(Source)
-	for ok && cur != Sink {
-		path = append(path, cur)
-		cur, ok = g.DefaultNext(cur)
-	}
-	return path
 }
 
 // Rules compiles the graph into flow-table rules for a single host hosting

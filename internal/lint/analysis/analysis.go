@@ -35,7 +35,6 @@ type Analyzer struct {
 // Diagnostic is one reported finding.
 type Diagnostic struct {
 	Pos      token.Pos
-	End      token.Pos
 	Analyzer string
 	Message  string
 	// Position is Pos resolved against the pass's FileSet; the driver
@@ -95,16 +94,6 @@ type Pass struct {
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{
 		Pos:      pos,
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// ReportRange reports a formatted diagnostic spanning a node.
-func (p *Pass) ReportRange(n ast.Node, format string, args ...any) {
-	p.Report(Diagnostic{
-		Pos:      n.Pos(),
-		End:      n.End(),
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})

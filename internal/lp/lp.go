@@ -11,7 +11,6 @@
 package lp
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -122,9 +121,6 @@ func (p *Problem) NumVars() int { return len(p.obj) }
 // NumRows returns the number of constraints.
 func (p *Problem) NumRows() int { return len(p.rows) }
 
-// Name returns the variable's name.
-func (p *Problem) Name(v Var) string { return p.names[v] }
-
 // AddConstraint adds sum(terms) rel rhs. Terms may repeat a variable; the
 // coefficients accumulate.
 func (p *Problem) AddConstraint(terms []Term, rel Rel, rhs float64) {
@@ -164,11 +160,6 @@ func pivotBudget(m, n int) int {
 
 // DebugMILP enables branch-and-bound tracing (diagnostics only).
 var DebugMILP = false
-
-// Errors returned by the solvers.
-var (
-	ErrBadBounds = errors.New("lp: variable lower bound exceeds upper bound")
-)
 
 // SolveLP solves the LP relaxation (integrality ignored).
 func SolveLP(p *Problem) (*Solution, error) {

@@ -123,7 +123,7 @@ func TestMILPKnapsack(t *testing.T) {
 	}
 	for _, v := range []Var{a, b, c} {
 		if f := math.Abs(sol.Value(v) - math.Round(sol.Value(v))); f > 1e-6 {
-			t.Fatalf("non-integral %s = %v", p.Name(v), sol.Value(v))
+			t.Fatalf("non-integral %s = %v", p.names[v], sol.Value(v))
 		}
 	}
 	// Known optimum: obj = -76 (a=5,b=5,c=0? check: a+b=10, 5*5+4*5=45 ok,

@@ -68,8 +68,7 @@ var (
 type slot struct {
 	gen    atomic.Uint32
 	refcnt atomic.Int32
-	length atomic.Int32  // bytes of valid data in buf
-	meta   atomic.Uint64 // cached flow-table lookup (see dataplane)
+	length atomic.Int32 // bytes of valid data in buf
 }
 
 // Pool is a fixed-size packet buffer pool. All methods are safe for
@@ -114,12 +113,6 @@ func New(n, bufSize int) *Pool {
 	return p
 }
 
-// Size returns the number of buffers in the pool.
-func (p *Pool) Size() int { return len(p.bufs) }
-
-// BufSize returns the capacity of each packet buffer in bytes.
-func (p *Pool) BufSize() int { return p.bufSize }
-
 // Alloc takes a buffer from the pool with refcount 1. It returns
 // ErrExhausted when no buffers are free (the caller should drop the packet,
 // as a NIC would on descriptor exhaustion).
@@ -141,7 +134,6 @@ func (p *Pool) Alloc() (Handle, error) {
 			s := &p.slots[i]
 			s.refcnt.Store(1)
 			s.length.Store(0)
-			s.meta.Store(0)
 			p.allocs.Add(1)
 			return makeHandle(i, s.gen.Load()), nil
 		}
@@ -198,41 +190,6 @@ func (p *Pool) SetLength(h Handle, n int) error {
 	}
 	p.slots[i].length.Store(int32(n))
 	return nil
-}
-
-// Length returns the number of valid bytes in the buffer.
-//
-//sdnfv:hotpath
-func (p *Pool) Length(h Handle) (int, error) {
-	i, err := p.check(h)
-	if err != nil {
-		return 0, err
-	}
-	return int(p.slots[i].length.Load()), nil
-}
-
-// SetMeta stores per-packet metadata (the cached flow-table lookup token of
-// §4.2 "Caching flow table lookups") on the descriptor.
-//
-//sdnfv:hotpath
-func (p *Pool) SetMeta(h Handle, m uint64) error {
-	i, err := p.check(h)
-	if err != nil {
-		return err
-	}
-	p.slots[i].meta.Store(m)
-	return nil
-}
-
-// Meta loads the per-packet metadata word.
-//
-//sdnfv:hotpath
-func (p *Pool) Meta(h Handle) (uint64, error) {
-	i, err := p.check(h)
-	if err != nil {
-		return 0, err
-	}
-	return p.slots[i].meta.Load(), nil
 }
 
 // Retain increments the reference count by delta (the "parallelization

@@ -74,23 +74,14 @@ func TestRefcountParallel(t *testing.T) {
 	}
 }
 
-func TestLengthAndMeta(t *testing.T) {
+func TestSetLength(t *testing.T) {
 	p := New(1, 128)
 	h, _ := p.Alloc()
 	if err := p.SetLength(h, 100); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := p.Length(h); n != 100 {
-		t.Fatalf("Length = %d, want 100", n)
-	}
 	if err := p.SetLength(h, 129); err == nil {
 		t.Fatal("SetLength beyond capacity should fail")
-	}
-	if err := p.SetMeta(h, 0xdead); err != nil {
-		t.Fatal(err)
-	}
-	if m, _ := p.Meta(h); m != 0xdead {
-		t.Fatalf("Meta = %#x, want 0xdead", m)
 	}
 	data, err := p.Data(h)
 	if err != nil || len(data) != 100 {

@@ -1,17 +1,13 @@
 // Package metrics provides the measurement primitives used across the
-// SDNFV reproduction: log-bucketed latency histograms with percentile and
-// CDF extraction, exponentially-weighted rate meters, and time-series
-// recorders for the paper's time-axis figures (Figs. 8, 9, 11).
+// SDNFV reproduction: log-bucketed latency histograms with percentile
+// extraction and Prometheus-style export, exponentially-weighted moving
+// averages, and thread-safe counters.
 package metrics
 
 import (
-	"fmt"
 	"math"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Histogram is a log-bucketed histogram of non-negative values (typically
@@ -76,16 +72,6 @@ func (h *Histogram) Observe(v float64) {
 	if v > h.max {
 		h.max = v
 	}
-}
-
-// ObserveDuration records d in nanoseconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(float64(d.Nanoseconds())) }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
 }
 
 // Mean returns the arithmetic mean of observations (0 when empty).
@@ -181,32 +167,6 @@ func (h *Histogram) Export(bounds []float64) (cum []uint64, count uint64, sum fl
 	return cum, h.total, h.sum
 }
 
-// CDFPoint is one point on an empirical CDF.
-type CDFPoint struct {
-	Value    float64
-	Fraction float64
-}
-
-// CDF extracts up to n evenly spaced CDF points.
-func (h *Histogram) CDF(n int) []CDFPoint {
-	if n < 2 {
-		n = 2
-	}
-	pts := make([]CDFPoint, 0, n)
-	for i := 0; i < n; i++ {
-		q := float64(i) / float64(n-1)
-		pts = append(pts, CDFPoint{Value: h.Quantile(q), Fraction: q})
-	}
-	return pts
-}
-
-// Summary renders avg/min/max in the unit produced by conv (e.g. 1e-3 for
-// ns→µs).
-func (h *Histogram) Summary(conv float64) string {
-	return fmt.Sprintf("avg=%.2f min=%.2f max=%.2f (n=%d)",
-		h.Mean()*conv, h.Min()*conv, h.Max()*conv, h.Count())
-}
-
 // EWMA is a lock-free exponentially weighted moving average. The data
 // plane records one observation per burst (e.g. per-packet service time),
 // so updates must not take a lock; a CAS loop over the float bits keeps
@@ -283,188 +243,4 @@ func (c *Counter) Value() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.v
-}
-
-// Series is a time series of (t, value) samples; t is in seconds on the
-// experiment's clock (virtual or real).
-type Series struct {
-	Name string
-	mu   sync.Mutex
-	ts   []float64
-	vs   []float64
-}
-
-// NewSeries returns a named empty series.
-func NewSeries(name string) *Series { return &Series{Name: name} }
-
-// Append records a sample. Samples should be appended in time order.
-func (s *Series) Append(t, v float64) {
-	s.mu.Lock()
-	s.ts = append(s.ts, t)
-	s.vs = append(s.vs, v)
-	s.mu.Unlock()
-}
-
-// Len returns the number of samples.
-func (s *Series) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.ts)
-}
-
-// Points returns copies of the sample slices.
-func (s *Series) Points() (ts, vs []float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]float64(nil), s.ts...), append([]float64(nil), s.vs...)
-}
-
-// At returns the latest value at or before t (0 if none).
-func (s *Series) At(t float64) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i := sort.SearchFloat64s(s.ts, t)
-	if i < len(s.ts) && s.ts[i] == t {
-		return s.vs[i]
-	}
-	if i == 0 {
-		return 0
-	}
-	return s.vs[i-1]
-}
-
-// Mean returns the mean of values in [t0, t1].
-func (s *Series) Mean(t0, t1 float64) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var sum float64
-	var n int
-	for i, t := range s.ts {
-		if t >= t0 && t <= t1 {
-			sum += s.vs[i]
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// Max returns the maximum value in [t0, t1].
-func (s *Series) Max(t0, t1 float64) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := math.Inf(-1)
-	found := false
-	for i, t := range s.ts {
-		if t >= t0 && t <= t1 {
-			if s.vs[i] > m {
-				m = s.vs[i]
-			}
-			found = true
-		}
-	}
-	if !found {
-		return 0
-	}
-	return m
-}
-
-// Table renders a set of series sharing a time axis as an aligned text
-// table, one row per distinct time. Missing values render as "-".
-func Table(series ...*Series) string {
-	times := map[float64]bool{}
-	for _, s := range series {
-		ts, _ := s.Points()
-		for _, t := range ts {
-			times[t] = true
-		}
-	}
-	axis := make([]float64, 0, len(times))
-	for t := range times {
-		axis = append(axis, t)
-	}
-	sort.Float64s(axis)
-	var b strings.Builder
-	fmt.Fprintf(&b, "%12s", "t")
-	for _, s := range series {
-		fmt.Fprintf(&b, " %16s", s.Name)
-	}
-	b.WriteByte('\n')
-	for _, t := range axis {
-		fmt.Fprintf(&b, "%12.2f", t)
-		for _, s := range series {
-			v := s.lookupExact(t)
-			if math.IsNaN(v) {
-				fmt.Fprintf(&b, " %16s", "-")
-			} else {
-				fmt.Fprintf(&b, " %16.2f", v)
-			}
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// lookupExact returns the value at exactly t, or NaN.
-func (s *Series) lookupExact(t float64) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i := sort.SearchFloat64s(s.ts, t)
-	if i < len(s.ts) && s.ts[i] == t {
-		return s.vs[i]
-	}
-	return math.NaN()
-}
-
-// RateMeter tracks an event rate over a sliding window on a caller-supplied
-// clock (so it works under both real and virtual time).
-type RateMeter struct {
-	mu      sync.Mutex
-	window  float64 // seconds
-	events  []float64
-	weights []float64
-}
-
-// NewRateMeter returns a meter with the given window in seconds.
-func NewRateMeter(window float64) *RateMeter {
-	if window <= 0 {
-		window = 1
-	}
-	return &RateMeter{window: window}
-}
-
-// Mark records weight units (e.g. bytes or packets) at time t seconds.
-func (m *RateMeter) Mark(t, weight float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.events = append(m.events, t)
-	m.weights = append(m.weights, weight)
-	m.gc(t)
-}
-
-// Rate returns units/second over the window ending at t.
-func (m *RateMeter) Rate(t float64) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.gc(t)
-	var sum float64
-	for i, et := range m.events {
-		if et > t-m.window && et <= t {
-			sum += m.weights[i]
-		}
-	}
-	return sum / m.window
-}
-
-func (m *RateMeter) gc(t float64) {
-	cut := 0
-	for cut < len(m.events) && m.events[cut] <= t-m.window {
-		cut++
-	}
-	if cut > 0 {
-		m.events = append(m.events[:0], m.events[cut:]...)
-		m.weights = append(m.weights[:0], m.weights[cut:]...)
-	}
 }

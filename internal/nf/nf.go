@@ -49,9 +49,6 @@ type Decision struct {
 	Dest flowtable.ServiceID
 }
 
-// Default follows the flow table's default action.
-func Default() Decision { return Decision{Verb: VerbDefault} }
-
 // SendTo requests delivery to service s (must be an allowed next hop).
 func SendTo(s flowtable.ServiceID) Decision { return Decision{Verb: VerbSendTo, Dest: s} }
 

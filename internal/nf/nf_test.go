@@ -8,8 +8,8 @@ import (
 )
 
 func TestDecisionConstructors(t *testing.T) {
-	if d := Default(); d.Verb != VerbDefault {
-		t.Fatalf("Default = %v", d)
+	if d := (Decision{}); d.Verb != VerbDefault {
+		t.Fatalf("zero Decision = %v", d)
 	}
 	if d := SendTo(7); d.Verb != VerbSendTo || d.Dest != 7 {
 		t.Fatalf("SendTo = %v", d)
@@ -24,7 +24,7 @@ func TestDecisionConstructors(t *testing.T) {
 
 func TestDecisionString(t *testing.T) {
 	cases := map[string]Decision{
-		"default":       Default(),
+		"default":       {},
 		"sendto(svc:7)": SendTo(7),
 		"discard":       Discard(),
 		"out(port:3)":   Out(3),

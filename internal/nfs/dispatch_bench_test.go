@@ -39,12 +39,12 @@ func BenchmarkNFDispatch(b *testing.B) {
 				}
 			}}
 	}
-	ppNoop := perPacket("noop", func(*nf.Packet) nf.Decision { return nf.Default() })
+	ppNoop := perPacket("noop", func(*nf.Packet) nf.Decision { return nf.Decision{} })
 	mkPPCounter := func(c *Counter) nf.BatchFunction {
 		return perPacket("counter", func(p *nf.Packet) nf.Decision {
 			c.packets.Add(1)
 			c.bytes.Add(uint64(len(p.View.Buf())))
-			return nf.Default()
+			return nf.Decision{}
 		})
 	}
 

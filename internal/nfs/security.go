@@ -78,9 +78,6 @@ type Sampler struct {
 	// Bypass is the service (or sink port action via SendTo) that
 	// unsampled traffic proceeds to.
 	Bypass flowtable.ServiceID
-
-	sampled  atomic.Uint64
-	bypassed atomic.Uint64
 }
 
 // Name implements nf.BatchFunction.
@@ -91,26 +88,13 @@ func (s *Sampler) ReadOnly() bool { return true }
 
 // ProcessBatch implements nf.BatchFunction.
 func (s *Sampler) ProcessBatch(_ *nf.Context, batch []nf.Packet, out []nf.Decision) {
-	var sampled, bypassed uint64
 	for i := range batch {
 		// Map the flow hash to [0,1) deterministically.
-		frac := float64(batch[i].Key.Hash()%1_000_000) / 1_000_000
-		if frac < s.Rate {
-			sampled++
-			continue
+		if frac := float64(batch[i].Key.Hash()%1_000_000) / 1_000_000; frac >= s.Rate {
+			out[i] = nf.SendTo(s.Bypass)
 		}
-		bypassed++
-		out[i] = nf.SendTo(s.Bypass)
 	}
-	s.sampled.Add(sampled)
-	s.bypassed.Add(bypassed)
 }
-
-// Sampled returns the number of packets sent for analysis.
-func (s *Sampler) Sampled() uint64 { return s.sampled.Load() }
-
-// Bypassed returns the number of packets that skipped analysis.
-func (s *Sampler) Bypassed() uint64 { return s.bypassed.Load() }
 
 var _ nf.BatchFunction = (*Sampler)(nil)
 

@@ -326,8 +326,7 @@ type Cache struct {
 	lru     *list.List
 	entries map[string]*list.Element
 
-	hits   atomic.Uint64
-	misses atomic.Uint64
+	hits atomic.Uint64
 }
 
 // Name implements nf.BatchFunction.
@@ -373,7 +372,6 @@ func (c *Cache) ProcessBatch(_ *nf.Context, batch []nf.Packet, out []nf.Decision
 			out[i] = nf.Out(c.OutPort)
 			continue
 		}
-		c.misses.Add(1)
 		for c.lru.Len() >= capacity {
 			back := c.lru.Back()
 			c.lru.Remove(back)
@@ -385,9 +383,6 @@ func (c *Cache) ProcessBatch(_ *nf.Context, batch []nf.Packet, out []nf.Decision
 
 // Hits returns the cache hit count.
 func (c *Cache) Hits() uint64 { return c.hits.Load() }
-
-// Misses returns the cache miss count.
-func (c *Cache) Misses() uint64 { return c.misses.Load() }
 
 var (
 	_ nf.BatchFunction = (*Cache)(nil)

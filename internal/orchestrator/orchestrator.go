@@ -20,8 +20,8 @@ import (
 )
 
 // HostHandle abstracts the per-host operations the orchestrator needs; the
-// real dataplane.Host and the netem simulator both satisfy it through thin
-// adapters. Like the rest of the control API (internal/control), the
+// real dataplane.Host and the experiments' simulated hosts both satisfy
+// it through thin adapters. Like the rest of the control API (internal/control), the
 // operations are typed and context-aware so callers can bound slow boots.
 type HostHandle interface {
 	// HostName identifies the host.
@@ -70,7 +70,6 @@ type Orchestrator struct {
 	mu          sync.Mutex
 	hosts       map[string]HostHandle
 	standby     map[string]int
-	launches    []Launch
 	retirements []Retirement
 	pending     int
 }
@@ -98,17 +97,6 @@ func (o *Orchestrator) AddHost(h HostHandle) {
 	defer o.mu.Unlock()
 	o.hosts[h.HostName()] = h
 	o.standby[h.HostName()] = o.cfg.Standby
-}
-
-// Hosts returns the registered host names.
-func (o *Orchestrator) Hosts() []string {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	names := make([]string, 0, len(o.hosts))
-	for n := range o.hosts {
-		names = append(names, n)
-	}
-	return names
 }
 
 // ErrUnknownHost reports an Instantiate against an unregistered host.
@@ -158,9 +146,6 @@ func (o *Orchestrator) Instantiate(ctx context.Context, host string, svc flowtab
 		}
 		o.mu.Lock()
 		o.pending--
-		if err == nil {
-			o.launches = append(o.launches, l)
-		}
 		o.mu.Unlock()
 		if err == nil && onReady != nil {
 			onReady(l)
@@ -226,13 +211,6 @@ func (o *Orchestrator) Retirements() []Retirement {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return append([]Retirement(nil), o.retirements...)
-}
-
-// Launches returns a copy of the completed launch log.
-func (o *Orchestrator) Launches() []Launch {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return append([]Launch(nil), o.launches...)
 }
 
 // Pending returns the number of in-flight instantiations.

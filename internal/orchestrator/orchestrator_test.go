@@ -90,9 +90,6 @@ func TestColdBootDelay(t *testing.T) {
 	if len(ready) != 1 || ready[0].ReadyAt != 7.75 || ready[0].Standby {
 		t.Fatalf("ready = %+v", ready)
 	}
-	if got := o.Launches(); len(got) != 1 {
-		t.Fatalf("launch log = %v", got)
-	}
 }
 
 func TestStandbyFastPath(t *testing.T) {
@@ -100,13 +97,15 @@ func TestStandbyFastPath(t *testing.T) {
 	o := New(Config{BootDelaySec: 7.75, StandbyDelaySec: 0.5, Standby: 1}, clk)
 	h := &fakeHost{name: "h1"}
 	o.AddHost(h)
-	_ = o.Instantiate(context.Background(), "h1", 1, stubNF{}, nil)
+	var ls []Launch
+	record := func(l Launch) { ls = append(ls, l) }
+	_ = o.Instantiate(context.Background(), "h1", 1, stubNF{}, record)
 	clk.advance(1.0)
 	if len(h.launched) != 1 {
 		t.Fatal("standby launch too slow")
 	}
 	// Second instantiation: pool exhausted, cold boot.
-	_ = o.Instantiate(context.Background(), "h1", 2, stubNF{}, nil)
+	_ = o.Instantiate(context.Background(), "h1", 2, stubNF{}, record)
 	clk.advance(2.0)
 	if len(h.launched) != 1 {
 		t.Fatal("cold boot used the standby delay")
@@ -115,8 +114,7 @@ func TestStandbyFastPath(t *testing.T) {
 	if len(h.launched) != 2 {
 		t.Fatal("cold boot never completed")
 	}
-	ls := o.Launches()
-	if !ls[0].Standby || ls[1].Standby {
+	if len(ls) != 2 || !ls[0].Standby || ls[1].Standby {
 		t.Fatalf("standby flags = %+v", ls)
 	}
 }
@@ -139,9 +137,6 @@ func TestFailedLaunchNotLogged(t *testing.T) {
 	if called {
 		t.Fatal("onReady called for failed launch")
 	}
-	if len(o.Launches()) != 0 {
-		t.Fatal("failed launch logged")
-	}
 	if o.Pending() != 0 {
 		t.Fatal("pending count leaked")
 	}
@@ -152,34 +147,27 @@ func TestCancelledLaunchReturnsStandbySlot(t *testing.T) {
 	o := New(Config{BootDelaySec: 7.75, StandbyDelaySec: 0.5, Standby: 1}, clk)
 	h := &fakeHost{name: "h1"}
 	o.AddHost(h)
+	var ls []Launch
+	record := func(l Launch) { ls = append(ls, l) }
 	ctx, cancel := context.WithCancel(context.Background())
-	_ = o.Instantiate(ctx, "h1", 1, stubNF{}, nil)
+	_ = o.Instantiate(ctx, "h1", 1, stubNF{}, record)
 	cancel() // abort before the boot delay elapses
 	clk.advance(1.0)
 	if len(h.launched) != 0 {
 		t.Fatal("cancelled launch still booted")
 	}
-	if len(o.Launches()) != 0 || o.Pending() != 0 {
-		t.Fatal("cancelled launch logged or leaked pending")
+	if len(ls) != 0 || o.Pending() != 0 {
+		t.Fatal("cancelled launch reported ready or leaked pending")
 	}
 	// The unused standby slot is back: the next instantiation must take
 	// the fast path again.
-	_ = o.Instantiate(context.Background(), "h1", 2, stubNF{}, nil)
+	_ = o.Instantiate(context.Background(), "h1", 2, stubNF{}, record)
 	clk.advance(2.0)
 	if len(h.launched) != 1 {
 		t.Fatal("standby slot not returned after cancelled launch")
 	}
-	if ls := o.Launches(); len(ls) != 1 || !ls[0].Standby {
-		t.Fatalf("launch log = %+v", ls)
-	}
-}
-
-func TestHostsListing(t *testing.T) {
-	o := New(Config{}, &fakeClock{})
-	o.AddHost(&fakeHost{name: "a"})
-	o.AddHost(&fakeHost{name: "b"})
-	if hs := o.Hosts(); len(hs) != 2 {
-		t.Fatalf("hosts = %v", hs)
+	if len(ls) != 1 || !ls[0].Standby {
+		t.Fatalf("launches = %+v", ls)
 	}
 }
 

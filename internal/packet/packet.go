@@ -70,17 +70,6 @@ func (k FlowKey) String() string {
 	return fmt.Sprintf("%d %s:%d->%s:%d", k.Proto, k.SrcIP, k.SrcPort, k.DstIP, k.DstPort)
 }
 
-// Reverse returns the key of the opposite direction of the same connection.
-//
-//sdnfv:hotpath
-func (k FlowKey) Reverse() FlowKey {
-	return FlowKey{
-		SrcIP: k.DstIP, DstIP: k.SrcIP,
-		SrcPort: k.DstPort, DstPort: k.SrcPort,
-		Proto: k.Proto,
-	}
-}
-
 // fnvMix folds one byte into an FNV-1a state.
 //
 //sdnfv:hotpath
@@ -187,16 +176,6 @@ func (v *View) Valid() bool { return v.valid }
 //sdnfv:hotpath
 func (v *View) Buf() []byte { return v.buf }
 
-// SrcMAC returns the Ethernet source address.
-//
-//sdnfv:hotpath
-func (v *View) SrcMAC() MAC { var m MAC; copy(m[:], v.buf[6:12]); return m }
-
-// DstMAC returns the Ethernet destination address.
-//
-//sdnfv:hotpath
-func (v *View) DstMAC() MAC { var m MAC; copy(m[:], v.buf[0:6]); return m }
-
 // SrcIP returns the IPv4 source address.
 //
 //sdnfv:hotpath
@@ -223,21 +202,6 @@ func (v *View) SetDstIP(ip IP) { binary.BigEndian.PutUint32(v.buf[v.l3Off+16:], 
 //sdnfv:hotpath
 func (v *View) Proto() uint8 { return v.proto }
 
-// TTL returns the IPv4 time-to-live.
-//
-//sdnfv:hotpath
-func (v *View) TTL() uint8 { return v.buf[v.l3Off+8] }
-
-// SetTTL rewrites the IPv4 time-to-live.
-//
-//sdnfv:hotpath
-func (v *View) SetTTL(t uint8) { v.buf[v.l3Off+8] = t }
-
-// TotalLen returns the IPv4 total length field.
-//
-//sdnfv:hotpath
-func (v *View) TotalLen() int { return int(binary.BigEndian.Uint16(v.buf[v.l3Off+2:])) }
-
 // SrcPort returns the transport source port.
 //
 //sdnfv:hotpath
@@ -262,11 +226,6 @@ func (v *View) SetDstPort(p uint16) { binary.BigEndian.PutUint16(v.buf[v.l4Off+2
 //
 //sdnfv:hotpath
 func (v *View) Payload() []byte { return v.buf[v.dataOff:] }
-
-// PayloadOffset returns the byte offset of the application payload.
-//
-//sdnfv:hotpath
-func (v *View) PayloadOffset() int { return v.dataOff }
 
 // FlowKey extracts the 5-tuple.
 //

@@ -52,8 +52,8 @@ func TestBuildParseUDPRoundtrip(t *testing.T) {
 	if !v.VerifyIPChecksum() {
 		t.Error("builder produced bad IP checksum")
 	}
-	if v.SrcMAC().String() != "01:02:03:04:05:06" {
-		t.Errorf("SrcMAC = %s", v.SrcMAC())
+	if mac := MAC(frame[6:12]); mac.String() != "01:02:03:04:05:06" {
+		t.Errorf("source MAC = %s", mac)
 	}
 }
 
@@ -75,8 +75,8 @@ func TestBuildParseTCPRoundtrip(t *testing.T) {
 	if v.Proto() != ProtoTCP {
 		t.Fatalf("Proto = %d", v.Proto())
 	}
-	if v.TTL() != 7 {
-		t.Fatalf("TTL = %d", v.TTL())
+	if ttl := buf[EthHeaderLen+8]; ttl != 7 {
+		t.Fatalf("TTL = %d", ttl)
 	}
 	if string(v.Payload()) != string(payload) {
 		t.Fatalf("payload = %q", v.Payload())
@@ -122,17 +122,6 @@ func TestRewriteAndChecksum(t *testing.T) {
 	}
 	if v2.DstIP() != IPv4(1, 2, 3, 4) || v2.DstPort() != 11211 {
 		t.Fatal("rewrite not visible on reparse")
-	}
-}
-
-func TestFlowKeyReverse(t *testing.T) {
-	k := FlowKey{SrcIP: IPv4(1, 1, 1, 1), DstIP: IPv4(2, 2, 2, 2), SrcPort: 10, DstPort: 20, Proto: ProtoTCP}
-	r := k.Reverse()
-	if r.SrcIP != k.DstIP || r.DstIP != k.SrcIP || r.SrcPort != k.DstPort || r.DstPort != k.SrcPort {
-		t.Fatalf("Reverse = %+v", r)
-	}
-	if r.Reverse() != k {
-		t.Fatal("double reverse should be identity")
 	}
 }
 
@@ -189,7 +178,7 @@ func TestChecksumKnownVector(t *testing.T) {
 	if !v.VerifyIPChecksum() {
 		t.Fatal("fresh packet must verify")
 	}
-	v.SetTTL(v.TTL() - 1)
+	frame[EthHeaderLen+8]-- // TTL
 	if v.VerifyIPChecksum() {
 		t.Fatal("TTL change must break checksum")
 	}

@@ -16,6 +16,15 @@
 //   - SolveDivision — the paper's Division Heuristic: solve the MILP for
 //     small batches of flows (default 5), commit, subtract the residual
 //     capacity, and continue.
+//
+// The solvers place onto a Topology of NFV-capable switches (cores per
+// node, links with capacity and delay, minimum-delay paths). The paper
+// evaluates on Rocketfuel AS-16631 (22 nodes, 64 edges); that dataset is
+// not redistributable, so Rocketfuel22 synthesizes a deterministic
+// topology with the same node and edge counts and a similar skewed
+// degree distribution (preferential attachment), which is all the
+// placement experiment depends on. Line builds the chains the multi-host
+// experiments place onto.
 package placement
 
 import (
@@ -26,7 +35,6 @@ import (
 	"time"
 
 	"sdnfv/internal/lp"
-	"sdnfv/internal/topo"
 )
 
 // Service identifies an abstract service kind in a chain (J1..J5 in the
@@ -41,7 +49,7 @@ type Spec struct {
 
 // Flow is one demand: a chain of services between ingress and egress.
 type Flow struct {
-	Ingress, Egress topo.NodeID
+	Ingress, Egress NodeID
 	// Chain is the ordered service requirement (length L).
 	Chain []Service
 	// BandwidthBps is B_k.
@@ -53,12 +61,12 @@ type Flow struct {
 // Assignment is a solved placement for a set of flows.
 type Assignment struct {
 	// Nodes[k][l] is the node hosting the l-th service of flow k.
-	Nodes [][]topo.NodeID
+	Nodes [][]NodeID
 	// Routes[k][l'] is the node path for leg l' (from position l' to
 	// l'+1 of [ingress, services..., egress]).
-	Routes [][][]topo.NodeID
+	Routes [][][]NodeID
 	// Instances[node][service] counts deployed NF instances.
-	Instances map[topo.NodeID]map[Service]int
+	Instances map[NodeID]map[Service]int
 	// LinkUtil is max link utilization; CoreUtil max node core
 	// utilization; U = max of both (the objective of §3.5).
 	LinkUtil, CoreUtil float64
@@ -76,9 +84,6 @@ type ProgressPoint struct {
 	U          float64
 }
 
-// U returns the combined objective value.
-func (a *Assignment) U() float64 { return math.Max(a.LinkUtil, a.CoreUtil) }
-
 // NumAccepted counts accepted flows.
 func (a *Assignment) NumAccepted() int {
 	n := 0
@@ -95,28 +100,28 @@ var ErrNoSpec = errors.New("placement: service missing from spec")
 
 // state tracks residual capacity while committing placements.
 type state struct {
-	t         *topo.Topology
+	t         *Topology
 	spec      Spec
-	coreUsed  []float64                  // fractional cores consumed per node
-	linkLoad  map[[2]topo.NodeID]float64 // bps per directed edge
-	instances map[topo.NodeID]map[Service]int
+	coreUsed  []float64             // fractional cores consumed per node
+	linkLoad  map[[2]NodeID]float64 // bps per directed edge
+	instances map[NodeID]map[Service]int
 	// instance slack: flows still admissible on deployed instances.
-	slack map[topo.NodeID]map[Service]int
+	slack map[NodeID]map[Service]int
 }
 
-func newState(t *topo.Topology, spec Spec) *state {
+func newState(t *Topology, spec Spec) *state {
 	return &state{
 		t:         t,
 		spec:      spec,
 		coreUsed:  make([]float64, t.N()),
-		linkLoad:  make(map[[2]topo.NodeID]float64),
-		instances: make(map[topo.NodeID]map[Service]int),
-		slack:     make(map[topo.NodeID]map[Service]int),
+		linkLoad:  make(map[[2]NodeID]float64),
+		instances: make(map[NodeID]map[Service]int),
+		slack:     make(map[NodeID]map[Service]int),
 	}
 }
 
 // addInstance deploys one instance of svc on node (consumes a whole core).
-func (s *state) addInstance(node topo.NodeID, svc Service) {
+func (s *state) addInstance(node NodeID, svc Service) {
 	if s.instances[node] == nil {
 		s.instances[node] = map[Service]int{}
 		s.slack[node] = map[Service]int{}
@@ -126,7 +131,7 @@ func (s *state) addInstance(node topo.NodeID, svc Service) {
 }
 
 // coresCommitted returns whole cores deployed on node.
-func (s *state) coresCommitted(node topo.NodeID) int {
+func (s *state) coresCommitted(node NodeID) int {
 	n := 0
 	for _, c := range s.instances[node] {
 		n += c
@@ -137,7 +142,7 @@ func (s *state) coresCommitted(node topo.NodeID) int {
 // assignFlowService places one flow's service hop on node, deploying an
 // instance when no slack remains. Returns false when the node is out of
 // cores.
-func (s *state) assignFlowService(node topo.NodeID, svc Service) bool {
+func (s *state) assignFlowService(node NodeID, svc Service) bool {
 	if s.slack[node][svc] == 0 {
 		if s.coresCommitted(node) >= s.t.Cores(node) {
 			return false
@@ -152,15 +157,15 @@ func (s *state) assignFlowService(node topo.NodeID, svc Service) bool {
 // unassignFlowService returns a flow slot taken by assignFlowService. The
 // instance (and its core) stays deployed; only the flow slot and the
 // fractional core usage are refunded.
-func (s *state) unassignFlowService(node topo.NodeID, svc Service) {
+func (s *state) unassignFlowService(node NodeID, svc Service) {
 	s.slack[node][svc]++
 	s.coreUsed[node] -= 1 / float64(s.spec.FlowsPerCore[svc])
 }
 
 // addRoute charges bw along path.
-func (s *state) addRoute(path []topo.NodeID, bw float64) {
+func (s *state) addRoute(path []NodeID, bw float64) {
 	for i := 0; i+1 < len(path); i++ {
-		s.linkLoad[[2]topo.NodeID{path[i], path[i+1]}] += bw
+		s.linkLoad[[2]NodeID{path[i], path[i+1]}] += bw
 	}
 }
 
@@ -184,8 +189,8 @@ func (s *state) utilization() (float64, float64) {
 	// comparable.
 	committed, total := 0, 0
 	for i := 0; i < s.t.N(); i++ {
-		committed += s.coresCommitted(topo.NodeID(i))
-		total += s.t.Cores(topo.NodeID(i))
+		committed += s.coresCommitted(NodeID(i))
+		total += s.t.Cores(NodeID(i))
 	}
 	coreU := 0.0
 	if total > 0 {
@@ -211,14 +216,14 @@ func validateFlows(flows []Flow, spec Spec) error {
 // sharing across flows (that sharing is exactly what the optimization
 // formulation adds) — spilling to neighbors of path nodes when the path
 // is full.
-func SolveGreedy(t *topo.Topology, flows []Flow, spec Spec) (*Assignment, error) {
+func SolveGreedy(t *Topology, flows []Flow, spec Spec) (*Assignment, error) {
 	if err := validateFlows(flows, spec); err != nil {
 		return nil, err
 	}
 	st := newState(t, spec)
 	asg := &Assignment{
-		Nodes:     make([][]topo.NodeID, len(flows)),
-		Routes:    make([][][]topo.NodeID, len(flows)),
+		Nodes:     make([][]NodeID, len(flows)),
+		Routes:    make([][][]NodeID, len(flows)),
 		Instances: st.instances,
 		Accepted:  make([]bool, len(flows)),
 	}
@@ -230,8 +235,8 @@ func SolveGreedy(t *topo.Topology, flows []Flow, spec Spec) (*Assignment, error)
 		}
 		// Candidate nodes in greedy order: path nodes, then their
 		// neighbors.
-		var cands []topo.NodeID
-		seen := map[topo.NodeID]bool{}
+		var cands []NodeID
+		seen := map[NodeID]bool{}
 		for _, n := range path {
 			if !seen[n] {
 				seen[n] = true
@@ -246,7 +251,7 @@ func SolveGreedy(t *topo.Topology, flows []Flow, spec Spec) (*Assignment, error)
 				}
 			}
 		}
-		nodes := make([]topo.NodeID, 0, len(f.Chain))
+		nodes := make([]NodeID, 0, len(f.Chain))
 		ok = true
 		for _, svc := range f.Chain {
 			placed := false
@@ -272,9 +277,9 @@ func SolveGreedy(t *topo.Topology, flows []Flow, spec Spec) (*Assignment, error)
 			continue
 		}
 		// Route: ingress → s1 → … → sL → egress on shortest paths.
-		waypoints := append([]topo.NodeID{f.Ingress}, nodes...)
+		waypoints := append([]NodeID{f.Ingress}, nodes...)
 		waypoints = append(waypoints, f.Egress)
-		var legs [][]topo.NodeID
+		var legs [][]NodeID
 		for i := 0; i+1 < len(waypoints); i++ {
 			leg, _, lok := t.ShortestPath(waypoints[i], waypoints[i+1])
 			if !lok {
@@ -310,7 +315,7 @@ func (a *Assignment) recordProgress(st *state, tried int) {
 }
 
 // dedge is a directed edge of the candidate subgraph.
-type dedge struct{ a, b topo.NodeID }
+type dedge struct{ a, b NodeID }
 
 // MILPOptions tunes the exact solver.
 type MILPOptions struct {
@@ -342,7 +347,7 @@ type MILPOptions struct {
 }
 
 // SolveMILP builds and solves Eqs. (1)–(9) for the given flows jointly.
-func SolveMILP(t *topo.Topology, flows []Flow, spec Spec, opt MILPOptions) (*Assignment, error) {
+func SolveMILP(t *Topology, flows []Flow, spec Spec, opt MILPOptions) (*Assignment, error) {
 	if err := validateFlows(flows, spec); err != nil {
 		return nil, err
 	}
@@ -362,7 +367,7 @@ func SolveMILP(t *topo.Topology, flows []Flow, spec Spec, opt MILPOptions) (*Ass
 
 	// Candidate node sets per flow (pruning; §3.5's post-processing
 	// "removes unused switches" similarly shrinks subproblems).
-	cands := make([][]topo.NodeID, len(flows))
+	cands := make([][]NodeID, len(flows))
 	diArr := make([][]int, len(flows))
 	deArr := make([][]int, len(flows))
 	spHopsArr := make([]int, len(flows))
@@ -374,14 +379,14 @@ func SolveMILP(t *topo.Topology, flows []Flow, spec Spec, opt MILPOptions) (*Ass
 		if !ok {
 			return nil, fmt.Errorf("placement: flow %d endpoints disconnected", k)
 		}
-		onSP := map[topo.NodeID]bool{}
+		onSP := map[NodeID]bool{}
 		for _, n := range spPath {
 			onSP[n] = true
 		}
 		spHops := di[f.Egress]
 		spHopsArr[k] = spHops
 		for i := 0; i < t.N(); i++ {
-			n := topo.NodeID(i)
+			n := NodeID(i)
 			if di[i] >= 0 && de[i] >= 0 && di[i]+de[i] <= spHops+opt.SlackHops {
 				// Only nodes with spare capacity (or already-deployed
 				// slack) are candidates.
@@ -423,7 +428,7 @@ func SolveMILP(t *topo.Topology, flows []Flow, spec Spec, opt MILPOptions) (*Ass
 	edgeDelay := map[dedge]float64{}
 	unionEdges := map[dedge]bool{}
 	for k := range flows {
-		inSet := map[topo.NodeID]bool{}
+		inSet := map[NodeID]bool{}
 		for _, n := range cands[k] {
 			inSet[n] = true
 		}
@@ -472,7 +477,7 @@ func SolveMILP(t *topo.Topology, flows []Flow, spec Spec, opt MILPOptions) (*Ass
 	}
 	sort.Slice(svcList, func(i, j int) bool { return svcList[i] < svcList[j] })
 
-	candSet := map[topo.NodeID]bool{}
+	candSet := map[NodeID]bool{}
 	for k := range flows {
 		for _, n := range cands[k] {
 			candSet[n] = true
@@ -481,12 +486,12 @@ func SolveMILP(t *topo.Topology, flows []Flow, spec Spec, opt MILPOptions) (*Ass
 	// Deterministic constraint order: map iteration order would otherwise
 	// reshuffle rows (and with them the anti-degeneracy perturbation and
 	// rounding tie-breaks) between runs.
-	candList := make([]topo.NodeID, 0, len(candSet))
+	candList := make([]NodeID, 0, len(candSet))
 	for n := range candSet {
 		candList = append(candList, n)
 	}
 	sort.Slice(candList, func(i, j int) bool { return candList[i] < candList[j] })
-	mVar := map[topo.NodeID]map[Service]lp.Var{}
+	mVar := map[NodeID]map[Service]lp.Var{}
 	for _, n := range candList {
 		mVar[n] = map[Service]lp.Var{}
 		for _, svc := range svcList {
@@ -506,11 +511,11 @@ func SolveMILP(t *topo.Topology, flows []Flow, spec Spec, opt MILPOptions) (*Ass
 	}
 
 	// N_k,l,i: binary placement of flow k's l-th service on node i.
-	nVar := make([]map[int]map[topo.NodeID]lp.Var, len(flows))
+	nVar := make([]map[int]map[NodeID]lp.Var, len(flows))
 	for k, f := range flows {
-		nVar[k] = map[int]map[topo.NodeID]lp.Var{}
+		nVar[k] = map[int]map[NodeID]lp.Var{}
 		for l := range f.Chain {
-			nVar[k][l] = map[topo.NodeID]lp.Var{}
+			nVar[k][l] = map[NodeID]lp.Var{}
 			for _, n := range cands[k] {
 				v := prob.AddVar(fmt.Sprintf("N_%d_%d_%d", k, l, n), 0, 0, 1, true)
 				prob.SetBranchPriority(v, 1)
@@ -653,7 +658,7 @@ func SolveMILP(t *topo.Topology, flows []Flow, spec Spec, opt MILPOptions) (*Ass
 				continue
 			}
 			terms = append(terms, lp.Term{Var: bigU, Coef: -cap})
-			prior := st.linkLoad[[2]topo.NodeID{e.a, e.b}]
+			prior := st.linkLoad[[2]NodeID{e.a, e.b}]
 			prob.AddConstraint(terms, lp.LE, -prior)
 		}
 	}
@@ -663,8 +668,8 @@ func SolveMILP(t *topo.Topology, flows []Flow, spec Spec, opt MILPOptions) (*Ass
 	}
 
 	asg := &Assignment{
-		Nodes:    make([][]topo.NodeID, len(flows)),
-		Routes:   make([][][]topo.NodeID, len(flows)),
+		Nodes:    make([][]NodeID, len(flows)),
+		Routes:   make([][][]NodeID, len(flows)),
 		Accepted: make([]bool, len(flows)),
 	}
 
@@ -677,12 +682,12 @@ func SolveMILP(t *topo.Topology, flows []Flow, spec Spec, opt MILPOptions) (*Ass
 			return nil, fmt.Errorf("placement: LP relaxation %s", sol.Status)
 		}
 		for k, f := range flows {
-			nodes := make([]topo.NodeID, len(f.Chain))
+			nodes := make([]NodeID, len(f.Chain))
 			okFlow := true
 			di, de, spHops := diArr[k], deArr[k], spHopsArr[k]
 			prev := f.Ingress
 			var placed []struct {
-				n topo.NodeID
+				n NodeID
 				s Service
 			}
 			for l, svc := range f.Chain {
@@ -692,7 +697,7 @@ func SolveMILP(t *topo.Topology, flows []Flow, spec Spec, opt MILPOptions) (*Ass
 				// on a deployed instance is free; a new instance costs a
 				// whole core) and for monotone progression along the
 				// path (prevents ping-pong legs that double link load).
-				score := func(n topo.NodeID) float64 {
+				score := func(n NodeID) float64 {
 					v := sol.Value(nVar[k][l][n])
 					detour := float64(di[n] + de[n] - spHops)
 					if detour > 0 {
@@ -706,7 +711,7 @@ func SolveMILP(t *topo.Topology, flows []Flow, spec Spec, opt MILPOptions) (*Ass
 					}
 					return v
 				}
-				order := append([]topo.NodeID(nil), cands[k]...)
+				order := append([]NodeID(nil), cands[k]...)
 				sort.SliceStable(order, func(a, b int) bool {
 					return score(order[a]) > score(order[b])
 				})
@@ -716,7 +721,7 @@ func SolveMILP(t *topo.Topology, flows []Flow, spec Spec, opt MILPOptions) (*Ass
 						nodes[l] = n
 						prev = n
 						placed = append(placed, struct {
-							n topo.NodeID
+							n NodeID
 							s Service
 						}{n, svc})
 						hopPlaced = true
@@ -736,9 +741,9 @@ func SolveMILP(t *topo.Topology, flows []Flow, spec Spec, opt MILPOptions) (*Ass
 				}
 				continue
 			}
-			waypoints := append([]topo.NodeID{f.Ingress}, nodes...)
+			waypoints := append([]NodeID{f.Ingress}, nodes...)
 			waypoints = append(waypoints, f.Egress)
-			routes := make([][]topo.NodeID, 0, len(waypoints)-1)
+			routes := make([][]NodeID, 0, len(waypoints)-1)
 			for l := 0; l+1 < len(waypoints); l++ {
 				leg, _, lok := t.ShortestPath(waypoints[l], waypoints[l+1])
 				if !lok {
@@ -770,7 +775,7 @@ func SolveMILP(t *topo.Topology, flows []Flow, spec Spec, opt MILPOptions) (*Ass
 
 	// Extract and commit onto the state for consistent accounting.
 	for k, f := range flows {
-		nodes := make([]topo.NodeID, len(f.Chain))
+		nodes := make([]NodeID, len(f.Chain))
 		for l := range f.Chain {
 			for _, n := range cands[k] {
 				if sol.Value(nVar[k][l][n]) > 0.5 {
@@ -786,14 +791,14 @@ func SolveMILP(t *topo.Topology, flows []Flow, spec Spec, opt MILPOptions) (*Ass
 			}
 		}
 		legs := len(f.Chain) + 1
-		routes := make([][]topo.NodeID, 0, legs)
-		waypoints := append([]topo.NodeID{f.Ingress}, nodes...)
+		routes := make([][]NodeID, 0, legs)
+		waypoints := append([]NodeID{f.Ingress}, nodes...)
 		waypoints = append(waypoints, f.Egress)
 		for l := 0; l < legs; l++ {
 			path := walkLeg(waypoints[l], waypoints[l+1], vVar[k][l], sol, dedges)
 			if path == nil {
 				// Colocated consecutive services: empty leg.
-				path = []topo.NodeID{waypoints[l]}
+				path = []NodeID{waypoints[l]}
 			}
 			st.addRoute(path, f.BandwidthBps)
 			routes = append(routes, path)
@@ -816,17 +821,17 @@ func boolRank(b bool) int {
 }
 
 // walkLeg reconstructs the leg's node path from selected edge variables.
-func walkLeg(from, to topo.NodeID, vars map[dedge]lp.Var, sol *lp.Solution, dedges []dedge) []topo.NodeID {
+func walkLeg(from, to NodeID, vars map[dedge]lp.Var, sol *lp.Solution, dedges []dedge) []NodeID {
 	if from == to {
-		return []topo.NodeID{from}
+		return []NodeID{from}
 	}
-	next := map[topo.NodeID]topo.NodeID{}
+	next := map[NodeID]NodeID{}
 	for _, e := range dedges {
 		if sol.Value(vars[e]) > 0.5 {
 			next[e.a] = e.b
 		}
 	}
-	path := []topo.NodeID{from}
+	path := []NodeID{from}
 	cur := from
 	for cur != to {
 		n, ok := next[cur]
@@ -852,7 +857,7 @@ type DivisionOptions struct {
 
 // SolveDivision is the paper's Division Heuristic: solve small MILP
 // subproblems incrementally against residual capacity.
-func SolveDivision(t *topo.Topology, flows []Flow, spec Spec, opt DivisionOptions) (*Assignment, error) {
+func SolveDivision(t *Topology, flows []Flow, spec Spec, opt DivisionOptions) (*Assignment, error) {
 	if err := validateFlows(flows, spec); err != nil {
 		return nil, err
 	}
@@ -861,8 +866,8 @@ func SolveDivision(t *topo.Topology, flows []Flow, spec Spec, opt DivisionOption
 	}
 	st := newState(t, spec)
 	asg := &Assignment{
-		Nodes:    make([][]topo.NodeID, len(flows)),
-		Routes:   make([][][]topo.NodeID, len(flows)),
+		Nodes:    make([][]NodeID, len(flows)),
+		Routes:   make([][][]NodeID, len(flows)),
 		Accepted: make([]bool, len(flows)),
 	}
 	for start := 0; start < len(flows); start += opt.BatchSize {

@@ -1,10 +1,4 @@
-// Package topo provides network topologies for the placement engine
-// (§3.5). The paper evaluates on Rocketfuel AS-16631 (22 nodes, 64 edges);
-// that dataset is not redistributable, so Rocketfuel22 synthesizes a
-// deterministic topology with the same node and edge counts and a similar
-// skewed degree distribution (preferential attachment), which is all the
-// placement experiment depends on.
-package topo
+package placement
 
 import (
 	"container/heap"
@@ -32,9 +26,9 @@ type Topology struct {
 	adj   [][]Edge
 }
 
-// New returns a topology with n isolated nodes, each with the given number
-// of CPU cores (the paper's evaluation uses 2 per node).
-func New(n, coresPerNode int) *Topology {
+// NewTopology returns a topology with n isolated nodes, each with the
+// given number of CPU cores (the paper's evaluation uses 2 per node).
+func NewTopology(n, coresPerNode int) *Topology {
 	t := &Topology{
 		cores: make([]int, n),
 		adj:   make([][]Edge, n),
@@ -80,16 +74,6 @@ func (t *Topology) EdgeBetween(a, b NodeID) (Edge, bool) {
 		}
 	}
 	return Edge{}, false
-}
-
-// ScaleCapacity multiplies all link capacities by f (the Fig. 5 right-hand
-// sweep scales CPU and link capacity 1–100×).
-func (t *Topology) ScaleCapacity(f float64) {
-	for i := range t.adj {
-		for j := range t.adj[i] {
-			t.adj[i][j].CapBps *= f
-		}
-	}
 }
 
 // pqItem is a Dijkstra heap entry.
@@ -173,18 +157,9 @@ func (t *Topology) HopDistances(src NodeID) []int {
 
 // Line builds a linear chain of n nodes.
 func Line(n, cores int, capBps, delaySec float64) *Topology {
-	t := New(n, cores)
+	t := NewTopology(n, cores)
 	for i := 0; i < n-1; i++ {
 		t.AddLink(NodeID(i), NodeID(i+1), capBps, delaySec)
-	}
-	return t
-}
-
-// Star builds a hub-and-spoke topology with node 0 as hub.
-func Star(n, cores int, capBps, delaySec float64) *Topology {
-	t := New(n, cores)
-	for i := 1; i < n; i++ {
-		t.AddLink(0, NodeID(i), capBps, delaySec)
 	}
 	return t
 }
@@ -196,7 +171,7 @@ func Star(n, cores int, capBps, delaySec float64) *Topology {
 func Rocketfuel22(seed int64, capBps, delaySec float64) *Topology {
 	const n, targetEdges = 22, 64
 	rng := rand.New(rand.NewSource(seed))
-	t := New(n, 2)
+	t := NewTopology(n, 2)
 	type pair struct{ a, b NodeID }
 	have := map[pair]bool{}
 	addUnique := func(a, b NodeID) bool {

@@ -1,4 +1,4 @@
-package topo
+package placement
 
 import (
 	"fmt"
@@ -22,7 +22,11 @@ func TestLineShortestPath(t *testing.T) {
 }
 
 func TestStarShortestPath(t *testing.T) {
-	s := Star(6, 2, 1e9, 0.002)
+	// Hub-and-spoke: node 0 is the hub.
+	s := NewTopology(6, 2)
+	for i := 1; i < 6; i++ {
+		s.AddLink(0, NodeID(i), 1e9, 0.002)
+	}
 	path, d, ok := s.ShortestPath(1, 5)
 	if !ok || len(path) != 3 || path[1] != 0 {
 		t.Fatalf("path=%v ok=%v", path, ok)
@@ -41,7 +45,7 @@ func TestShortestPathSameNode(t *testing.T) {
 }
 
 func TestUnreachable(t *testing.T) {
-	tt := New(3, 1)
+	tt := NewTopology(3, 1)
 	tt.AddLink(0, 1, 1e9, 0.001)
 	if _, _, ok := tt.ShortestPath(0, 2); ok {
 		t.Fatal("node 2 should be unreachable")
@@ -79,15 +83,6 @@ func TestRocketfuel22Shape(t *testing.T) {
 		if r.Cores(NodeID(i)) != 2 {
 			t.Fatalf("node %d cores = %d", i, r.Cores(NodeID(i)))
 		}
-	}
-}
-
-func TestScaleCapacity(t *testing.T) {
-	l := Line(2, 1, 100, 0.001)
-	l.ScaleCapacity(10)
-	e, ok := l.EdgeBetween(0, 1)
-	if !ok || e.CapBps != 1000 {
-		t.Fatalf("cap = %v", e.CapBps)
 	}
 }
 

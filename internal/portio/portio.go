@@ -85,12 +85,6 @@ func Bind(h *dataplane.Host, port int, d PortDriver) (*Binding, error) {
 	return &Binding{host: h, port: port, drv: d}, nil
 }
 
-// Port returns the bound NIC port.
-func (b *Binding) Port() int { return b.port }
-
-// Driver returns the bound driver.
-func (b *Binding) Driver() PortDriver { return b.drv }
-
 // Close drains and detaches the driver: egress is unbound first (late
 // transmits count TxDrops, as for any unbound port), the ingress
 // binding is removed (late wire arrivals count RxDrops), then the

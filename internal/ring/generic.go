@@ -34,9 +34,6 @@ func NewSPSCOf[T any](capacity int) *SPSCOf[T] {
 	return &SPSCOf[T]{mask: uint64(n - 1), buf: make([]T, n)}
 }
 
-// Cap returns the ring capacity.
-func (r *SPSCOf[T]) Cap() int { return len(r.buf) }
-
 // Len returns an instantaneous queue-depth snapshot.
 //
 //sdnfv:hotpath

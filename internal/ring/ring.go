@@ -60,19 +60,3 @@ func (r *MPSC) Pop() (any, bool) {
 	r.items = r.items[:len(r.items)-1]
 	return m, true
 }
-
-// Drain removes and returns all queued messages in FIFO order.
-func (r *MPSC) Drain() []any {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := r.items
-	r.items = nil
-	return out
-}
-
-// Len returns the number of queued control messages.
-func (r *MPSC) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.items)
-}

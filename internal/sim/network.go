@@ -1,51 +1,40 @@
-// Package netem provides discrete-event models of the network elements
-// surrounding the SDNFV data plane: links with serialization and
-// propagation delay, NF processing stages, an OVS-like software switch
-// that punts flow-table misses to the controller, and a single-threaded
-// SDN controller model. The time-series and saturation experiments
-// (Figs. 1, 8–12) compose these on a sim.Env.
-//
-// Packets here are lightweight records (SimPacket); the byte-accurate
-// packet path lives in internal/dataplane. Service-time parameters are
-// calibrated from the real engine's micro-benchmarks so relative costs
-// match (see EXPERIMENTS.md).
-package netem
+package sim
 
 import (
 	"sdnfv/internal/control"
 	"sdnfv/internal/metrics"
 	"sdnfv/internal/packet"
-	"sdnfv/internal/sim"
 )
 
-// SimPacket is the simulator's packet record.
-type SimPacket struct {
+// Packet is the simulator's packet record: a lightweight stand-in for a
+// frame (the byte-accurate packet path lives in internal/dataplane).
+type Packet struct {
 	Key   packet.FlowKey
 	Bytes int
 	// Born is the packet's creation time (for latency measurement).
-	Born sim.Time
+	Born Time
 	// Mark carries experiment-specific state (e.g. "malicious").
 	Mark int
 }
 
 // Stage is anything that can accept a packet in the simulated pipeline.
 type Stage interface {
-	Accept(p *SimPacket)
+	Accept(p *Packet)
 }
 
 // StageFunc adapts a function to Stage.
-type StageFunc func(p *SimPacket)
+type StageFunc func(p *Packet)
 
 // Accept implements Stage.
-func (f StageFunc) Accept(p *SimPacket) { f(p) }
+func (f StageFunc) Accept(p *Packet) { f(p) }
 
 // Link models a store-and-forward link: serialization at RateBps, then
 // propagation DelaySec, then delivery to Next. Packets queue behind one
 // another (the queueing delay that separates slow and fast paths in
 // Fig. 8).
 type Link struct {
-	env  *sim.Env
-	q    *sim.Queue
+	env  *Env
+	q    *Queue
 	Next Stage
 	// RateBps is the link speed; DelaySec the propagation delay.
 	RateBps  float64
@@ -57,10 +46,10 @@ type Link struct {
 
 // NewLink builds a link in env. queueCap bounds the transmit queue
 // (0 = unbounded).
-func NewLink(env *sim.Env, rateBps, delaySec float64, queueCap int, next Stage) *Link {
+func NewLink(env *Env, rateBps, delaySec float64, queueCap int, next Stage) *Link {
 	return &Link{
 		env:       env,
-		q:         sim.NewQueue(env, queueCap),
+		q:         NewQueue(env, queueCap),
 		Next:      next,
 		RateBps:   rateBps,
 		DelaySec:  delaySec,
@@ -70,7 +59,7 @@ func NewLink(env *sim.Env, rateBps, delaySec float64, queueCap int, next Stage) 
 }
 
 // Accept implements Stage.
-func (l *Link) Accept(p *SimPacket) {
+func (l *Link) Accept(p *Packet) {
 	ser := float64(p.Bytes*8) / l.RateBps
 	l.q.Offer(ser, func() {
 		l.TxBytes.Add(uint64(p.Bytes))
@@ -83,32 +72,26 @@ func (l *Link) Accept(p *SimPacket) {
 	})
 }
 
-// Dropped returns packets rejected by a bounded transmit queue.
-func (l *Link) Dropped() uint64 { return l.q.Dropped }
-
-// QueueLen returns the current transmit backlog.
-func (l *Link) QueueLen() int { return l.q.Len() }
-
 // NFStage models one network function's processing: a single-server queue
 // with a per-packet service-time function, after which Handle decides the
 // packet's fate and the stage forwards it (or drops it).
 type NFStage struct {
-	env *sim.Env
-	q   *sim.Queue
+	env *Env
+	q   *Queue
 	// Service returns the processing time for p.
-	Service func(p *SimPacket) sim.Time
+	Service func(p *Packet) Time
 	// Handle returns the next stage (nil = drop).
-	Handle func(p *SimPacket) Stage
+	Handle func(p *Packet) Stage
 
 	Processed *metrics.Counter
 	Drops     *metrics.Counter
 }
 
 // NewNFStage builds an NF stage. queueCap bounds its input queue.
-func NewNFStage(env *sim.Env, queueCap int, service func(p *SimPacket) sim.Time, handle func(p *SimPacket) Stage) *NFStage {
+func NewNFStage(env *Env, queueCap int, service func(p *Packet) Time, handle func(p *Packet) Stage) *NFStage {
 	return &NFStage{
 		env:       env,
-		q:         sim.NewQueue(env, queueCap),
+		q:         NewQueue(env, queueCap),
 		Service:   service,
 		Handle:    handle,
 		Processed: &metrics.Counter{},
@@ -117,8 +100,8 @@ func NewNFStage(env *sim.Env, queueCap int, service func(p *SimPacket) sim.Time,
 }
 
 // Accept implements Stage.
-func (s *NFStage) Accept(p *SimPacket) {
-	svc := sim.Time(0)
+func (s *NFStage) Accept(p *Packet) {
+	svc := Time(0)
 	if s.Service != nil {
 		svc = s.Service(p)
 	}
@@ -135,21 +118,18 @@ func (s *NFStage) Accept(p *SimPacket) {
 	}
 }
 
-// QueueLen returns the stage's backlog.
-func (s *NFStage) QueueLen() int { return s.q.Len() }
-
 // Sink counts delivered packets and records latency.
 type Sink struct {
-	env     *sim.Env
+	env     *Env
 	Packets *metrics.Counter
 	Bytes   *metrics.Counter
 	Latency *metrics.Histogram
 	// OnPacket, when set, observes deliveries.
-	OnPacket func(p *SimPacket)
+	OnPacket func(p *Packet)
 }
 
 // NewSink builds a sink.
-func NewSink(env *sim.Env) *Sink {
+func NewSink(env *Env) *Sink {
 	return &Sink{
 		env:     env,
 		Packets: &metrics.Counter{},
@@ -159,7 +139,7 @@ func NewSink(env *sim.Env) *Sink {
 }
 
 // Accept implements Stage.
-func (s *Sink) Accept(p *SimPacket) {
+func (s *Sink) Accept(p *Packet) {
 	s.Packets.Add(1)
 	s.Bytes.Add(uint64(p.Bytes))
 	s.Latency.Observe((s.env.Now() - p.Born) * 1e9) // ns
@@ -172,8 +152,8 @@ func (s *Sink) Accept(p *SimPacket) {
 // paper): one server, fixed per-request service time, bounded queue.
 // Saturating it is the essence of Figs. 1 and 10.
 type ControllerModel struct {
-	env *sim.Env
-	q   *sim.Queue
+	env *Env
+	q   *Queue
 	// ServiceSec is the per-request processing time.
 	ServiceSec float64
 	// RTTSec is the control-channel round trip added outside the queue.
@@ -184,10 +164,10 @@ type ControllerModel struct {
 }
 
 // NewControllerModel builds the model; queueCap bounds pending requests.
-func NewControllerModel(env *sim.Env, serviceSec, rttSec float64, queueCap int) *ControllerModel {
+func NewControllerModel(env *Env, serviceSec, rttSec float64, queueCap int) *ControllerModel {
 	return &ControllerModel{
 		env:        env,
-		q:          sim.NewQueue(env, queueCap),
+		q:          NewQueue(env, queueCap),
 		ServiceSec: serviceSec,
 		RTTSec:     rttSec,
 		Requests:   &metrics.Counter{},
@@ -212,16 +192,13 @@ func (c *ControllerModel) Submit(done func()) error {
 	return nil
 }
 
-// QueueLen returns pending control requests.
-func (c *ControllerModel) QueueLen() int { return c.q.Len() }
-
 // OVSSwitch models the Fig. 1 setup: a software switch with a flow table.
 // A configurable fraction of packets miss the table and must wait for the
 // controller before being forwarded; the rest forward at the switch's
 // capacity. Missed packets are buffered per flow decision; if the
 // controller rejects (queue full), the packet is dropped.
 type OVSSwitch struct {
-	env *sim.Env
+	env *Env
 	// FwdRatePps is the switch's forwarding capacity in packets/second.
 	FwdRatePps float64
 	// MissFraction is the share of packets punted to the controller.
@@ -229,21 +206,21 @@ type OVSSwitch struct {
 	Controller   *ControllerModel
 	Next         Stage
 
-	q        *sim.Queue
+	q        *Queue
 	Forwards *metrics.Counter
 	Punts    *metrics.Counter
 	Drops    *metrics.Counter
 }
 
 // NewOVSSwitch builds the switch model.
-func NewOVSSwitch(env *sim.Env, fwdRatePps, missFraction float64, ctrl *ControllerModel, next Stage) *OVSSwitch {
+func NewOVSSwitch(env *Env, fwdRatePps, missFraction float64, ctrl *ControllerModel, next Stage) *OVSSwitch {
 	return &OVSSwitch{
 		env:          env,
 		FwdRatePps:   fwdRatePps,
 		MissFraction: missFraction,
 		Controller:   ctrl,
 		Next:         next,
-		q:            sim.NewQueue(env, 4096),
+		q:            NewQueue(env, 4096),
 		Forwards:     &metrics.Counter{},
 		Punts:        &metrics.Counter{},
 		Drops:        &metrics.Counter{},
@@ -251,7 +228,7 @@ func NewOVSSwitch(env *sim.Env, fwdRatePps, missFraction float64, ctrl *Controll
 }
 
 // Accept implements Stage.
-func (s *OVSSwitch) Accept(p *SimPacket) {
+func (s *OVSSwitch) Accept(p *Packet) {
 	forward := func() {
 		if !s.q.Offer(1/s.FwdRatePps, func() {
 			s.Forwards.Add(1)
@@ -276,12 +253,12 @@ func (s *OVSSwitch) Accept(p *SimPacket) {
 // time-varying) rate into a stage. Rate changes take effect at the next
 // emission.
 type CBRSource struct {
-	env   *sim.Env
+	env   *Env
 	Spec  packet.FlowKey
 	Bytes int
 	// RateBps returns the offered rate at time t; zero pauses emission
 	// (the source re-polls at PollSec).
-	RateBps func(t sim.Time) float64
+	RateBps func(t Time) float64
 	// PollSec is the re-poll interval while paused (default 0.1 s).
 	PollSec float64
 	Dest    Stage
@@ -293,7 +270,7 @@ type CBRSource struct {
 }
 
 // NewCBRSource builds a source; call Start to begin emitting.
-func NewCBRSource(env *sim.Env, key packet.FlowKey, bytes int, rate func(t sim.Time) float64, dest Stage) *CBRSource {
+func NewCBRSource(env *Env, key packet.FlowKey, bytes int, rate func(t Time) float64, dest Stage) *CBRSource {
 	return &CBRSource{
 		env: env, Spec: key, Bytes: bytes, RateBps: rate, Dest: dest,
 		PollSec: 0.1,
@@ -316,88 +293,10 @@ func (s *CBRSource) emit() {
 		s.env.Schedule(s.PollSec, s.emit)
 		return
 	}
-	p := &SimPacket{Key: s.Spec, Bytes: s.Bytes, Born: s.env.Now(), Mark: s.Mark}
+	p := &Packet{Key: s.Spec, Bytes: s.Bytes, Born: s.env.Now(), Mark: s.Mark}
 	s.Dest.Accept(p)
 	s.Emitted.Add(1)
 	s.env.Schedule(float64(s.Bytes*8)/rate, s.emit)
-}
-
-// Demux routes packets by a classifier function — the simulator's stand-in
-// for a flow table whose defaults cross-layer messages rewrite.
-type Demux struct {
-	// Classify returns the next stage for p (nil = drop).
-	Classify func(p *SimPacket) Stage
-	Drops    *metrics.Counter
-}
-
-// NewDemux builds a demux.
-func NewDemux(classify func(p *SimPacket) Stage) *Demux {
-	return &Demux{Classify: classify, Drops: &metrics.Counter{}}
-}
-
-// Accept implements Stage.
-func (d *Demux) Accept(p *SimPacket) {
-	next := d.Classify(p)
-	if next == nil {
-		d.Drops.Add(1)
-		return
-	}
-	next.Accept(p)
-}
-
-// FlowTableStage is a small per-flow default-action table driven by
-// ServiceID, mirroring the NF Manager's table in the simulator. Cross-layer
-// messages rewrite entries.
-type FlowTableStage struct {
-	// Defaults maps a flow key to its next stage; Fallback handles
-	// unmatched flows.
-	Defaults map[packet.FlowKey]Stage
-	Fallback Stage
-}
-
-// NewFlowTableStage builds the stage.
-func NewFlowTableStage(fallback Stage) *FlowTableStage {
-	return &FlowTableStage{Defaults: make(map[packet.FlowKey]Stage), Fallback: fallback}
-}
-
-// Accept implements Stage.
-func (f *FlowTableStage) Accept(p *SimPacket) {
-	if s, ok := f.Defaults[p.Key]; ok {
-		s.Accept(p)
-		return
-	}
-	if f.Fallback != nil {
-		f.Fallback.Accept(p)
-	}
-}
-
-// SetDefault rewrites the flow's default next stage (the simulator-side
-// effect of a ChangeDefault message).
-func (f *FlowTableStage) SetDefault(k packet.FlowKey, s Stage) { f.Defaults[k] = s }
-
-// ClearDefault removes a flow-specific default.
-func (f *FlowTableStage) ClearDefault(k packet.FlowKey) { delete(f.Defaults, k) }
-
-// ServiceTimes groups the calibrated per-packet costs used across
-// experiments; values are seconds. Defaults come from the real engine's
-// measured micro-costs (§5.1: flow-table lookup ≈30 ns, min-queue pick
-// ≈15 ns) plus per-hop descriptor movement.
-type ServiceTimes struct {
-	// Lookup is one flow-table lookup.
-	Lookup float64
-	// HopOverhead is manager descriptor handling per NF hop.
-	HopOverhead float64
-	// NFBase is a no-op NF's processing time.
-	NFBase float64
-}
-
-// DefaultServiceTimes returns the calibrated defaults.
-func DefaultServiceTimes() ServiceTimes {
-	return ServiceTimes{
-		Lookup:      30e-9,
-		HopOverhead: 550e-9, // ring transfer + wakeup per hop
-		NFBase:      100e-9,
-	}
 }
 
 var (
@@ -405,6 +304,4 @@ var (
 	_ Stage = (*NFStage)(nil)
 	_ Stage = (*Sink)(nil)
 	_ Stage = (*OVSSwitch)(nil)
-	_ Stage = (*Demux)(nil)
-	_ Stage = (*FlowTableStage)(nil)
 )

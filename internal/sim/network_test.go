@@ -1,11 +1,10 @@
-package netem
+package sim
 
 import (
 	"math"
 	"testing"
 
 	"sdnfv/internal/packet"
-	"sdnfv/internal/sim"
 )
 
 func testKey() packet.FlowKey {
@@ -13,12 +12,12 @@ func testKey() packet.FlowKey {
 }
 
 func TestLinkSerializationAndDelay(t *testing.T) {
-	env := sim.NewEnv(1)
+	env := NewEnv(1)
 	sink := NewSink(env)
 	// 1 Mbps link, 10 ms propagation: a 1250-byte packet serializes in
 	// 10 ms, arrives at 20 ms.
 	l := NewLink(env, 1e6, 0.010, 0, sink)
-	l.Accept(&SimPacket{Key: testKey(), Bytes: 1250, Born: 0})
+	l.Accept(&Packet{Key: testKey(), Bytes: 1250, Born: 0})
 	env.Run(1)
 	if sink.Packets.Value() != 1 {
 		t.Fatal("packet lost")
@@ -33,12 +32,12 @@ func TestLinkSerializationAndDelay(t *testing.T) {
 }
 
 func TestLinkQueueing(t *testing.T) {
-	env := sim.NewEnv(1)
+	env := NewEnv(1)
 	sink := NewSink(env)
 	l := NewLink(env, 1e6, 0, 0, sink)
 	// Two packets back to back: the second queues behind the first.
-	l.Accept(&SimPacket{Key: testKey(), Bytes: 1250, Born: 0})
-	l.Accept(&SimPacket{Key: testKey(), Bytes: 1250, Born: 0})
+	l.Accept(&Packet{Key: testKey(), Bytes: 1250, Born: 0})
+	l.Accept(&Packet{Key: testKey(), Bytes: 1250, Born: 0})
 	env.Run(1)
 	if sink.Packets.Value() != 2 {
 		t.Fatal("packets lost")
@@ -49,32 +48,32 @@ func TestLinkQueueing(t *testing.T) {
 }
 
 func TestLinkDropWhenBounded(t *testing.T) {
-	env := sim.NewEnv(1)
+	env := NewEnv(1)
 	sink := NewSink(env)
 	l := NewLink(env, 1e3, 0, 1, sink) // 1 kbps, queue of 1
 	for i := 0; i < 5; i++ {
-		l.Accept(&SimPacket{Key: testKey(), Bytes: 125, Born: 0})
+		l.Accept(&Packet{Key: testKey(), Bytes: 125, Born: 0})
 	}
 	env.Run(10)
-	if l.Dropped() == 0 {
+	if l.q.Dropped == 0 {
 		t.Fatal("bounded link never dropped")
 	}
-	if sink.Packets.Value()+l.Dropped() != 5 {
-		t.Fatalf("conservation: %d delivered + %d dropped != 5", sink.Packets.Value(), l.Dropped())
+	if sink.Packets.Value()+l.q.Dropped != 5 {
+		t.Fatalf("conservation: %d delivered + %d dropped != 5", sink.Packets.Value(), l.q.Dropped)
 	}
 }
 
 func TestNFStageProcessAndDrop(t *testing.T) {
-	env := sim.NewEnv(1)
+	env := NewEnv(1)
 	sink := NewSink(env)
-	stage := NewNFStage(env, 0, func(*SimPacket) sim.Time { return 0.001 }, func(p *SimPacket) Stage {
+	stage := NewNFStage(env, 0, func(*Packet) Time { return 0.001 }, func(p *Packet) Stage {
 		if p.Mark == 1 {
 			return nil // drop marked packets
 		}
 		return sink
 	})
-	stage.Accept(&SimPacket{Key: testKey(), Bytes: 100, Mark: 1})
-	stage.Accept(&SimPacket{Key: testKey(), Bytes: 100})
+	stage.Accept(&Packet{Key: testKey(), Bytes: 100, Mark: 1})
+	stage.Accept(&Packet{Key: testKey(), Bytes: 100})
 	env.Run(1)
 	if sink.Packets.Value() != 1 || stage.Drops.Value() != 1 || stage.Processed.Value() != 2 {
 		t.Fatalf("sink=%d drops=%d processed=%d", sink.Packets.Value(), stage.Drops.Value(), stage.Processed.Value())
@@ -82,7 +81,7 @@ func TestNFStageProcessAndDrop(t *testing.T) {
 }
 
 func TestControllerModelSaturation(t *testing.T) {
-	env := sim.NewEnv(1)
+	env := NewEnv(1)
 	c := NewControllerModel(env, 0.001, 0, 2) // 1000 req/s capacity, queue 2
 	served := 0
 	// Offer 100 requests instantly: 1 in service + 2 queued accepted… the
@@ -111,11 +110,11 @@ func TestControllerModelSaturation(t *testing.T) {
 }
 
 func TestOVSSwitchPuntPath(t *testing.T) {
-	env := sim.NewEnv(3)
+	env := NewEnv(3)
 	sink := NewSink(env)
 	ctrl := NewControllerModel(env, 0.0001, 0.0001, 1024)
 	sw := NewOVSSwitch(env, 1e6, 0.5, ctrl, sink) // 50% punted
-	src := NewCBRSource(env, testKey(), 100, func(sim.Time) float64 { return 8e5 }, sw)
+	src := NewCBRSource(env, testKey(), 100, func(Time) float64 { return 8e5 }, sw)
 	src.Start()
 	env.Run(0.5)
 	src.Stop()
@@ -134,9 +133,9 @@ func TestOVSSwitchPuntPath(t *testing.T) {
 }
 
 func TestCBRSourceRate(t *testing.T) {
-	env := sim.NewEnv(1)
+	env := NewEnv(1)
 	sink := NewSink(env)
-	src := NewCBRSource(env, testKey(), 1000, func(sim.Time) float64 { return 8e6 }, sink)
+	src := NewCBRSource(env, testKey(), 1000, func(Time) float64 { return 8e6 }, sink)
 	src.Start()
 	env.Run(1.0)
 	src.Stop()
@@ -148,9 +147,9 @@ func TestCBRSourceRate(t *testing.T) {
 }
 
 func TestCBRSourcePausesAtZeroRate(t *testing.T) {
-	env := sim.NewEnv(1)
+	env := NewEnv(1)
 	sink := NewSink(env)
-	rate := func(t sim.Time) float64 {
+	rate := func(t Time) float64 {
 		if t < 1 {
 			return 0
 		}
@@ -166,45 +165,5 @@ func TestCBRSourcePausesAtZeroRate(t *testing.T) {
 	env.Run(2)
 	if sink.Packets.Value() == 0 {
 		t.Fatal("never resumed")
-	}
-}
-
-func TestFlowTableStage(t *testing.T) {
-	env := sim.NewEnv(1)
-	a := NewSink(env)
-	b := NewSink(env)
-	ft := NewFlowTableStage(a)
-	k := testKey()
-	ft.Accept(&SimPacket{Key: k, Bytes: 10})
-	ft.SetDefault(k, b)
-	ft.Accept(&SimPacket{Key: k, Bytes: 10})
-	ft.ClearDefault(k)
-	ft.Accept(&SimPacket{Key: k, Bytes: 10})
-	env.Run(1)
-	if a.Packets.Value() != 2 || b.Packets.Value() != 1 {
-		t.Fatalf("a=%d b=%d", a.Packets.Value(), b.Packets.Value())
-	}
-}
-
-func TestDemux(t *testing.T) {
-	env := sim.NewEnv(1)
-	s := NewSink(env)
-	d := NewDemux(func(p *SimPacket) Stage {
-		if p.Mark == 1 {
-			return nil
-		}
-		return s
-	})
-	d.Accept(&SimPacket{Mark: 1})
-	d.Accept(&SimPacket{Mark: 0})
-	if s.Packets.Value() != 1 || d.Drops.Value() != 1 {
-		t.Fatalf("sink=%d drops=%d", s.Packets.Value(), d.Drops.Value())
-	}
-}
-
-func TestDefaultServiceTimes(t *testing.T) {
-	st := DefaultServiceTimes()
-	if st.Lookup <= 0 || st.HopOverhead <= 0 || st.NFBase <= 0 {
-		t.Fatalf("service times = %+v", st)
 	}
 }

@@ -8,11 +8,20 @@
 // scheduled for the same instant fire in scheduling order (a monotone
 // sequence number breaks ties), which the determinism property tests rely
 // on.
+//
+// On top of the core sit models of the network elements around the SDNFV
+// data plane, which the saturation and time-series runners compose:
+// links with serialization and propagation delay (Link), NF processing
+// stages (NFStage), an OVS-like software switch that punts flow-table
+// misses to the controller (OVSSwitch), a single-threaded SDN controller
+// (ControllerModel), constant-bit-rate sources and latency-recording
+// sinks. Their packets are lightweight records (Packet); service-time
+// parameters are calibrated from the real engine's micro-benchmarks so
+// relative costs match (see EXPERIMENTS.md).
 package sim
 
 import (
 	"container/heap"
-	"math"
 	"math/rand"
 )
 
@@ -54,9 +63,6 @@ type Env struct {
 	seq    uint64
 	events eventHeap
 	rng    *rand.Rand
-
-	processed uint64
-	stopped   bool
 }
 
 // NewEnv returns an environment starting at t=0 with the given RNG seed.
@@ -92,9 +98,6 @@ func (e *Env) Every(period Time, fn func() bool) {
 	}
 	var tick func()
 	tick = func() {
-		if e.stopped {
-			return
-		}
 		if fn() {
 			e.Schedule(period, tick)
 		}
@@ -102,15 +105,11 @@ func (e *Env) Every(period Time, fn func() bool) {
 	e.Schedule(period, tick)
 }
 
-// Stop halts the run loop after the current event.
-func (e *Env) Stop() { e.stopped = true }
-
 // Run processes events until the queue is empty or virtual time would
 // exceed until. It returns the number of events processed.
 func (e *Env) Run(until Time) uint64 {
-	e.stopped = false
-	start := e.processed
-	for len(e.events) > 0 && !e.stopped {
+	var n uint64
+	for len(e.events) > 0 {
 		next := e.events[0]
 		if next.at > until {
 			break
@@ -120,19 +119,13 @@ func (e *Env) Run(until Time) uint64 {
 			e.now = next.at
 		}
 		next.fn()
-		e.processed++
+		n++
 	}
-	if e.now < until && !e.stopped {
+	if e.now < until {
 		e.now = until
 	}
-	return e.processed - start
+	return n
 }
-
-// Pending returns the number of queued events.
-func (e *Env) Pending() int { return len(e.events) }
-
-// Processed returns the total number of events processed.
-func (e *Env) Processed() uint64 { return e.processed }
 
 // Exp draws an exponentially distributed delay with the given mean.
 func (e *Env) Exp(mean float64) float64 {
@@ -142,27 +135,9 @@ func (e *Env) Exp(mean float64) float64 {
 	return e.rng.ExpFloat64() * mean
 }
 
-// Uniform draws uniformly from [lo, hi).
-func (e *Env) Uniform(lo, hi float64) float64 {
-	if hi <= lo {
-		return lo
-	}
-	return lo + e.rng.Float64()*(hi-lo)
-}
-
-// Zipf draws from a Zipf distribution over [0, n) with skew s (s > 1).
-func (e *Env) Zipf(s float64, n uint64) uint64 {
-	if s <= 1 {
-		s = 1.01
-	}
-	z := rand.NewZipf(e.rng, s, 1, n-1)
-	return z.Uint64()
-}
-
 // Queue is a FIFO server with a fixed service rate, modeling an NF or link
 // as a fluid/packet hybrid: jobs are discrete, service times deterministic
-// or caller-supplied. It reports utilization, queue length, and drops when
-// bounded.
+// or caller-supplied. It counts served jobs, and drops when bounded.
 type Queue struct {
 	env *Env
 	// Capacity is the maximum number of queued jobs (0 = unbounded).
@@ -174,9 +149,6 @@ type Queue struct {
 	// Served and Dropped count completed and rejected jobs.
 	Served  uint64
 	Dropped uint64
-
-	busySince Time
-	busyTotal Time
 }
 
 type job struct {
@@ -205,31 +177,9 @@ func (q *Queue) Offer(service Time, done func()) bool {
 	return true
 }
 
-// Len returns the number of waiting jobs (excluding the one in service).
-func (q *Queue) Len() int { return len(q.wait) }
-
-// Busy reports whether the server is occupied.
-func (q *Queue) Busy() bool { return q.busy }
-
-// Utilization returns the fraction of time busy since the start.
-func (q *Queue) Utilization() float64 {
-	t := q.env.Now()
-	if t == 0 {
-		return 0
-	}
-	total := q.busyTotal
-	if q.busy {
-		total += t - q.busySince
-	}
-	u := total / t
-	return math.Min(u, 1)
-}
-
 func (q *Queue) start(j *job) {
 	q.busy = true
-	q.busySince = q.env.Now()
 	q.env.Schedule(j.service, func() {
-		q.busyTotal += q.env.Now() - q.busySince
 		q.Served++
 		if j.done != nil {
 			j.done()

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"sdnfv/internal/flowtable"
+	"sdnfv/internal/graph"
 	"sdnfv/internal/nf"
 )
 
@@ -245,7 +247,10 @@ func TestGraphShape(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	path := g.DefaultPath()
+	var path []flowtable.ServiceID
+	for s, ok := g.DefaultNext(graph.Source); ok && s != graph.Sink; s, ok = g.DefaultNext(s) {
+		path = append(path, s)
+	}
 	want := []int{1, 2, 3}
 	if len(path) != len(want) {
 		t.Fatalf("default path %v", path)

@@ -23,14 +23,6 @@ type FlowSpec struct {
 	RateBps float64
 }
 
-// PacketInterval returns the inter-packet gap in seconds for the spec.
-func (f FlowSpec) PacketInterval() float64 {
-	if f.RateBps <= 0 {
-		return 0
-	}
-	return float64(f.FrameBytes*8) / f.RateBps
-}
-
 // Flow builds the k-th synthetic flow in a deterministic sequence; flows
 // cycle through distinct source ports and source IPs.
 func Flow(k int, frameBytes int, rateBps float64) FlowSpec {

@@ -8,16 +8,6 @@ import (
 	"sdnfv/internal/packet"
 )
 
-func TestFlowSpecInterval(t *testing.T) {
-	f := Flow(0, 1000, 8e6) // 8 Mbps, 8000-bit frames -> 1000 pps
-	if got := f.PacketInterval(); math.Abs(got-0.001) > 1e-12 {
-		t.Fatalf("interval = %v", got)
-	}
-	if Flow(0, 1000, 0).PacketInterval() != 0 {
-		t.Fatal("zero rate interval")
-	}
-}
-
 func TestFlowsDistinct(t *testing.T) {
 	a, b := Flow(1, 64, 1), Flow(2, 64, 1)
 	if a.Key == b.Key {
