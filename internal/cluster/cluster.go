@@ -305,9 +305,9 @@ func (f *Fabric) aliveHosts() []control.DatapathID {
 }
 
 // ReplaceRules swaps one datapath's installed rule set: the previously
-// installed rule ids are deleted, then the new rules land in one batched
-// write. This is the reconciler's reroute primitive — a moved service
-// changes a host's action ports outright, which the constrained
+// installed rule ids go in one batched delete, then the new rules land in
+// one batched write. This is the reconciler's reroute primitive — a moved
+// service changes a host's action ports outright, which the constrained
 // UpdateDefault path (runtime steering within a compiled table) cannot
 // express. Flows resolved against the old rules re-miss and re-resolve
 // through the controller, whose application already answers for the new
@@ -319,9 +319,7 @@ func (f *Fabric) ReplaceRules(dp control.DatapathID, oldIDs []uint64, rules []fl
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownHost, dp)
 	}
-	for _, id := range oldIDs {
-		_ = h.Table().Delete(id)
-	}
+	_ = h.Table().Delete(oldIDs...)
 	if len(rules) == 0 {
 		return nil, nil
 	}

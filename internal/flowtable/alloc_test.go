@@ -25,23 +25,65 @@ func allocTestKey(i int) packet.FlowKey {
 	}
 }
 
-func TestLookupZeroAlloc(t *testing.T) {
+// The layout layeredTable builds: rules [0, inBase) in the base, the
+// next inDelta in the delta, and rule tombstoned (live were it not
+// deleted) a tombstone.
+const (
+	inBase     = 300
+	inDelta    = 64
+	tombstoned = inBase - 2
+)
+
+// layeredTable installs rule(i) at Port(0) for every i in the layout, so
+// that lookups resolve through every layer of the scope's exact set: the
+// first batch is past the fold budget of an empty base and becomes the
+// base, the second sits in the delta, and deleting a base rule leaves a
+// tombstone that must read as a miss.
+func layeredTable(t *testing.T, rule func(i int) Rule) (*Table, []packet.FlowKey) {
+	t.Helper()
 	tb := New()
-	const flows = 64
-	keys := make([]packet.FlowKey, flows)
-	scopes := make([]ServiceID, flows)
-	entries := make([]*Entry, flows)
-	for i := range keys {
+	rules := make([]Rule, inBase+inDelta)
+	keys := make([]packet.FlowKey, len(rules))
+	for i := range rules {
 		keys[i] = allocTestKey(i)
-		scopes[i] = Port(0)
-		if _, err := tb.Add(Rule{Scope: Port(0), Match: ExactMatch(keys[i]), Actions: []Action{Out(1)}}); err != nil {
+		rules[i] = rule(i)
+		rules[i].Scope, rules[i].Match = Port(0), ExactMatch(keys[i])
+	}
+	var gone uint64
+	for _, batch := range [][]Rule{rules[:inBase], rules[inBase:]} {
+		ids, err := tb.AddBatch(batch)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if gone == 0 {
+			gone = ids[tombstoned]
+		}
+	}
+	if err := tb.Delete(gone); err != nil {
+		t.Fatal(err)
+	}
+	set := tb.shards[shardIndex(Port(0))].snap.Load().exact[Port(0)]
+	if e, ok := set.delta[keys[tombstoned]]; len(set.base.m) != inBase || len(set.delta) != inDelta+1 || !ok || e != nil {
+		t.Fatalf("layout: base %d, delta %d, tombstone present=%v", len(set.base.m), len(set.delta), ok)
+	}
+	return tb, keys
+}
+
+func TestLookupZeroAlloc(t *testing.T) {
+	tb, keys := layeredTable(t, func(int) Rule { return Rule{Actions: []Action{Out(1)}} })
+	scopes := make([]ServiceID, len(keys))
+	entries := make([]*Entry, len(keys))
+	for i := range scopes {
+		scopes[i] = Port(0)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		e, err := tb.Lookup(Port(0), keys[0])
-		if err != nil || e == nil {
-			t.Fatal("lookup missed a rule that was added")
+		for _, i := range []int{0, inBase} { // through the base, through the delta
+			if e, err := tb.Lookup(Port(0), keys[i]); err != nil || e == nil {
+				t.Fatalf("lookup of key %d missed a rule that was added", i)
+			}
+		}
+		if _, err := tb.Lookup(Port(0), keys[tombstoned]); err == nil {
+			t.Fatal("deleted base rule answered")
 		}
 	}); n != 0 {
 		t.Errorf("Lookup allocates %.1f/op, want 0", n)
@@ -57,33 +99,33 @@ func TestLookupZeroAlloc(t *testing.T) {
 // lifecycle armed: every rule carries idle+hard timeouts, the coarse
 // clock is running, and half the rules are already expired so the
 // expiry-as-miss path is exercised too. Both the touch (hit) path and
-// the expired (miss) path must stay allocation-free.
+// the expired (miss) path must stay allocation-free, in the base and in
+// the delta.
 func TestLookupWithExpiryZeroAlloc(t *testing.T) {
-	tb := New()
-	const flows = 64
-	keys := make([]packet.FlowKey, flows)
-	scopes := make([]ServiceID, flows)
-	entries := make([]*Entry, flows)
-	for i := range keys {
-		keys[i] = allocTestKey(i)
-		scopes[i] = Port(0)
+	tb, keys := layeredTable(t, func(i int) Rule {
 		idle := time.Hour
 		if i%2 == 1 {
 			idle = time.Millisecond // expired once the clock advances
 		}
-		if _, err := tb.Add(Rule{Scope: Port(0), Match: ExactMatch(keys[i]),
-			Actions: []Action{Out(1)}, IdleTimeout: idle, HardTimeout: 24 * time.Hour}); err != nil {
-			t.Fatal(err)
-		}
+		return Rule{Actions: []Action{Out(1)}, IdleTimeout: idle, HardTimeout: 24 * time.Hour}
+	})
+	scopes := make([]ServiceID, len(keys))
+	entries := make([]*Entry, len(keys))
+	for i := range scopes {
+		scopes[i] = Port(0)
 	}
 	tb.Advance(time.Second)
 	if n := testing.AllocsPerRun(200, func() {
-		e, err := tb.Lookup(Port(0), keys[0])
-		if err != nil || e == nil {
-			t.Fatal("live rule missed")
+		for _, i := range []int{0, inBase} {
+			if e, err := tb.Lookup(Port(0), keys[i]); err != nil || e == nil {
+				t.Fatalf("live rule %d missed", i)
+			}
+			if _, err := tb.Lookup(Port(0), keys[i+1]); err == nil {
+				t.Fatalf("expired rule %d answered", i+1)
+			}
 		}
-		if _, err := tb.Lookup(Port(0), keys[1]); err == nil {
-			t.Fatal("expired rule answered")
+		if _, err := tb.Lookup(Port(0), keys[tombstoned]); err == nil {
+			t.Fatal("deleted base rule answered")
 		}
 	}); n != 0 {
 		t.Errorf("Lookup with expiry checks allocates %.1f/op, want 0", n)

@@ -24,17 +24,25 @@
 // ("locks ... can take tens of nanoseconds to acquire", §4.1). The table
 // is therefore sharded by scope, and each shard publishes an immutable
 // snapshot through an atomic pointer: Lookup is one atomic load plus a map
-// probe, with no locks and no allocation on the exact-match hit path.
-// Entries are immutable after publication — mutations (Add, Delete,
-// UpdateDefault) build fresh entries and a fresh snapshot under a
-// per-shard writer mutex, then publish it atomically. Readers
-// always observe a consistent snapshot; a stale one at worst, never a torn
-// one.
+// probe (two while the scope has unfolded writes), with no locks and no
+// allocation on the exact-match hit path. Entries are immutable after
+// publication — mutations (Add, Delete, UpdateDefault) build fresh
+// entries and a fresh snapshot under a per-shard writer mutex, then
+// publish it atomically. Readers always observe a consistent snapshot; a
+// stale one at worst, never a torn one.
+//
+// A scope's exact-match rules are a base map that every snapshot shares
+// plus a small copy-on-write delta of the writes since the base was built
+// (a nil value deletes a base key), so a write copies the delta, not the
+// scope. Once the delta outgrows 256 rules plus an eighth of the base, the
+// write that overflowed it folds both into a fresh, right-sized base.
 package flowtable
 
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -344,62 +352,57 @@ const numShards = 16
 func shardIndex(s ServiceID) int { return int(s) & (numShards - 1) }
 
 // snapshot is the immutable published state of one shard. Neither the
-// maps nor anything reachable from them is mutated after publication;
-// writers clone the containers they need to change and publish a fresh
-// snapshot.
+// maps nor anything reachable from them is mutated after publication
+// (bar the sweeper's atomic base.due hint); writers clone the containers
+// they need to change and publish a fresh snapshot.
 type snapshot struct {
-	// exact[scope][flowkey] -> entry
-	exact map[ServiceID]map[packet.FlowKey]*Entry
+	// exact[scope] -> the scope's exact-match rules, base plus delta
+	exact map[ServiceID]*exactSet
 	// wild[scope] -> wildcard entries, kept sorted most-specific-first
 	wild map[ServiceID][]*Entry
 
 	// privateExact / privateWild track which per-scope containers this
 	// (not-yet-published) snapshot already owns privately, so a batched
-	// write clones each scope once instead of once per rule — without
-	// this, installing a B-rule batch into an N-entry scope costs
-	// O(B·N) map copies instead of O(B+N). Only the writer building the
-	// snapshot touches these; readers never look at them.
+	// write clones each scope's delta once instead of once per rule. Only
+	// the writer building the snapshot touches these; publish drops them.
 	privateExact map[ServiceID]bool
 	privateWild  map[ServiceID]bool
 }
 
-var emptySnapshot = &snapshot{}
+// emptySnapshot's maps are non-nil so that cloneTop's clones are too.
+var emptySnapshot = &snapshot{exact: map[ServiceID]*exactSet{}, wild: map[ServiceID][]*Entry{}}
 
 // cloneTop shallow-copies the snapshot's top-level maps so per-scope
 // containers can be swapped without touching the published snapshot. The
 // per-scope containers themselves still alias the published ones until
-// cloneExact/cloneWild replaces them.
+// exactFor/cloneWild replaces them.
 func (s *snapshot) cloneTop() *snapshot {
-	next := &snapshot{
-		exact: make(map[ServiceID]map[packet.FlowKey]*Entry, len(s.exact)),
-		wild:  make(map[ServiceID][]*Entry, len(s.wild)),
-	}
-	for sc, em := range s.exact {
-		next.exact[sc] = em
-	}
-	for sc, ws := range s.wild {
-		next.wild[sc] = ws
-	}
-	return next
+	return &snapshot{exact: maps.Clone(s.exact), wild: maps.Clone(s.wild)}
 }
 
-// cloneExact replaces next's exact map for scope with a private copy and
-// returns it, or returns the existing copy when this snapshot build
-// already privatized the scope. next must already be a cloneTop result.
-func (next *snapshot) cloneExact(scope ServiceID) map[packet.FlowKey]*Entry {
+// exactFor returns next's private exact set for scope, creating it or
+// cloning the published set's delta (never its base) the first time this
+// snapshot build touches the scope. next must already be a cloneTop
+// result.
+func (next *snapshot) exactFor(scope ServiceID) *exactSet {
 	if next.privateExact[scope] {
 		return next.exact[scope]
 	}
-	em := make(map[packet.FlowKey]*Entry, len(next.exact[scope])+1)
-	for k, e := range next.exact[scope] {
-		em[k] = e
+	set := new(exactSet)
+	if cur := next.exact[scope]; cur != nil {
+		*set = *cur // shares cur's base; the delta is replaced below
+	} else {
+		set.base = &exactBase{}
 	}
-	next.exact[scope] = em
+	delta := make(map[packet.FlowKey]*Entry, len(set.delta)+1)
+	maps.Copy(delta, set.delta)
+	set.delta = delta
+	next.exact[scope] = set
 	if next.privateExact == nil {
 		next.privateExact = make(map[ServiceID]bool)
 	}
 	next.privateExact[scope] = true
-	return em
+	return set
 }
 
 // cloneWild replaces next's wildcard slice for scope with a private copy
@@ -432,6 +435,21 @@ type shard struct {
 	// that would need the writer mutex — they only signal.
 	expired atomic.Uint64
 	_       [64]byte // keep neighbouring shards off this cache line
+}
+
+// publish makes next the shard's snapshot. Each exact set the build
+// touched is dropped when empty, so a drained scope frees its base, and
+// folded when its delta is over budget. Caller holds sh.mu.
+func (sh *shard) publish(next *snapshot) {
+	for scope := range next.privateExact {
+		if set := next.exact[scope]; set.n == 0 {
+			delete(next.exact, scope)
+		} else {
+			set.fold()
+		}
+	}
+	next.privateExact, next.privateWild = nil, nil
+	sh.snap.Store(next)
 }
 
 // Table is a per-host flow table. The data-path Lookup is lock-free: one
@@ -501,7 +519,7 @@ func (t *Table) Add(r Rule) (uint64, error) {
 	defer sh.mu.Unlock()
 	next := sh.snap.Load().cloneTop()
 	id := t.addLocked(next, r)
-	sh.snap.Store(next)
+	sh.publish(next)
 	return id, nil
 }
 
@@ -535,7 +553,7 @@ func (t *Table) AddBatch(rules []Rule) ([]uint64, error) {
 		for _, i := range idxs {
 			ids[i] = t.addLocked(next, rules[i])
 		}
-		sh.snap.Store(next)
+		sh.publish(next)
 		sh.mu.Unlock()
 	}
 	return ids, nil
@@ -549,10 +567,8 @@ func (t *Table) addLocked(next *snapshot, r Rule) uint64 {
 	r.Actions = acts
 	t.modifies.Add(1)
 	if r.Match.IsExact() {
-		k := r.Match.exactKey()
-		em := next.cloneExact(r.Scope)
 		e := &Entry{Rule: r}
-		if old, ok := em[k]; ok {
+		if old := next.exactFor(r.Scope).put(r.Match.exactKey(), e); old != nil {
 			e.ID = old.ID // replacement keeps identity
 		} else {
 			e.ID = t.nextID.Add(1)
@@ -561,7 +577,6 @@ func (t *Table) addLocked(next *snapshot, r Rule) uint64 {
 		// A replacement arms fresh timers — reinstalling a rule is how
 		// OpenFlow flow-mods refresh a flow's lease.
 		t.armLife(e)
-		em[k] = e
 		return e.ID
 	}
 	e := &Entry{Rule: r, ID: t.nextID.Add(1)}
@@ -618,60 +633,69 @@ func sortWild(ws []*Entry) {
 	})
 }
 
-// Delete removes the rule with the given ID.
-func (t *Table) Delete(id uint64) error {
+// Delete removes the rules with the given IDs, scanning each shard once
+// and publishing at most one snapshot per shard, so replacing k rules
+// costs one pass over the table rather than k. Every id that names a rule
+// is deleted; ErrNoRule reports that at least one named none.
+func (t *Table) Delete(ids ...uint64) error {
+	want := make(map[uint64]bool, len(ids))
+	for _, id := range ids {
+		want[id] = true
+	}
+	doomed := func(e *Entry) bool { return want[e.ID] }
+	found := 0
 	for si := range t.shards {
+		if found == len(want) {
+			break
+		}
 		sh := &t.shards[si]
 		sh.mu.Lock()
 		cur := sh.snap.Load()
-		for scope, em := range cur.exact {
-			for k, e := range em {
-				if e.ID != id {
-					continue
+		var next *snapshot
+		for scope, set := range cur.exact {
+			for k, e := range set.all() {
+				if doomed(e) {
+					if next == nil {
+						next = cur.cloneTop()
+					}
+					next.exactFor(scope).del(k)
+					found++
 				}
-				t.modifies.Add(1)
-				t.deletes.Add(1)
-				next := cur.cloneTop()
-				nem := next.cloneExact(scope)
-				delete(nem, k)
-				if len(nem) == 0 {
-					delete(next.exact, scope)
-				}
-				sh.snap.Store(next)
-				sh.mu.Unlock()
-				return nil
 			}
 		}
 		for scope, ws := range cur.wild {
-			for i, e := range ws {
-				if e.ID != id {
-					continue
-				}
-				t.modifies.Add(1)
-				t.deletes.Add(1)
-				next := cur.cloneTop()
-				nws := next.cloneWild(scope)
-				nws = append(nws[:i], nws[i+1:]...)
-				if len(nws) == 0 {
-					delete(next.wild, scope)
-				} else {
-					next.wild[scope] = nws
-				}
-				sh.snap.Store(next)
-				sh.mu.Unlock()
-				return nil
+			if !slices.ContainsFunc(ws, doomed) {
+				continue
 			}
+			if next == nil {
+				next = cur.cloneTop()
+			}
+			nws := slices.DeleteFunc(next.cloneWild(scope), doomed)
+			found += len(ws) - len(nws)
+			if len(nws) == 0 {
+				delete(next.wild, scope)
+			} else {
+				next.wild[scope] = nws
+			}
+		}
+		if next != nil {
+			sh.publish(next)
 		}
 		sh.mu.Unlock()
 	}
-	return ErrNoRule
+	t.modifies.Add(uint64(found))
+	t.deletes.Add(uint64(found))
+	if found < len(want) {
+		return ErrNoRule
+	}
+	return nil
 }
 
 // lookupSnap resolves k against one published snapshot.
 //
 //sdnfv:hotpath
 func lookupSnap(snap *snapshot, scope ServiceID, k packet.FlowKey) *Entry {
-	if e, ok := snap.exact[scope][k]; ok {
+	if e, ok := snap.exact[scope].get(k); ok {
 		return e
 	}
 	return lookupWild(snap, scope, k)
@@ -762,7 +786,7 @@ func (t *Table) Lookup(scope ServiceID, k packet.FlowKey) (*Entry, error) {
 	sh.lookups.Add(1)
 	snap := sh.snap.Load()
 	expired := false
-	if e, ok := snap.exact[scope][k]; ok {
+	if e, ok := snap.exact[scope].get(k); ok {
 		if t.liveTouch(e) {
 			return e, nil
 		}
@@ -833,7 +857,7 @@ func (t *Table) LookupBatch(scopes []ServiceID, keys []packet.FlowKey, out []*En
 //sdnfv:hotpath
 func (t *Table) lookupLive(snap *snapshot, scope ServiceID, k packet.FlowKey) (*Entry, bool) {
 	expired := false
-	if e, ok := snap.exact[scope][k]; ok {
+	if e, ok := snap.exact[scope].get(k); ok {
 		if t.liveTouch(e) {
 			return e, false
 		}
@@ -876,20 +900,16 @@ func (t *Table) UpdateDefault(scope ServiceID, f Match, newDefault Action, const
 		n++
 		return e.withDefault(newDefault), true
 	}
-	if em := cur.exact[scope]; em != nil {
-		var nem map[packet.FlowKey]*Entry
-		for k, e := range em {
+	if set := cur.exact[scope]; set != nil {
+		for k, e := range set.all() {
 			ne, changed := rewrite(e)
 			if !changed {
 				continue
 			}
-			if nem == nil {
-				if next == nil {
-					next = cur.cloneTop()
-				}
-				nem = next.cloneExact(scope)
+			if next == nil {
+				next = cur.cloneTop()
 			}
-			nem[k] = ne
+			next.exactFor(scope).put(k, ne)
 		}
 	}
 	if ws := cur.wild[scope]; ws != nil {
@@ -912,7 +932,7 @@ func (t *Table) UpdateDefault(scope ServiceID, f Match, newDefault Action, const
 		return 0
 	}
 	t.modifies.Add(1)
-	sh.snap.Store(next)
+	sh.publish(next)
 	return n
 }
 
@@ -955,8 +975,8 @@ func (t *Table) specializeDefaultLocked(sh *shard, scope ServiceID, f Match, new
 		// entry — its lifecycle clock. A default change is not flow
 		// activity, so it must not refresh the idle lease.
 		t.modifies.Add(1)
-		next.cloneExact(scope)[key] = spec
-		sh.snap.Store(next)
+		next.exactFor(scope).put(key, spec)
+		sh.publish(next)
 		return 1
 	}
 	t.addLocked(next, Rule{
@@ -968,7 +988,7 @@ func (t *Table) specializeDefaultLocked(sh *shard, scope ServiceID, f Match, new
 		IdleTimeout: gov.IdleTimeout,
 		HardTimeout: gov.HardTimeout,
 	})
-	sh.snap.Store(next)
+	sh.publish(next)
 	return 1
 }
 
@@ -988,9 +1008,11 @@ func (t *Table) AnyEntry(scope ServiceID) *Entry {
 		return ws[len(ws)-1]
 	}
 	var best *Entry
-	for _, e := range snap.exact[scope] {
-		if best == nil || e.ID < best.ID {
-			best = e
+	if set := snap.exact[scope]; set != nil {
+		for _, e := range set.all() {
+			if best == nil || e.ID < best.ID {
+				best = e
+			}
 		}
 	}
 	return best
@@ -1015,8 +1037,8 @@ func (t *Table) ScopesWithActionTo(f Match, dest ServiceID) []ServiceID {
 	}
 	for si := range t.shards {
 		snap := t.shards[si].snap.Load()
-		for scope, em := range snap.exact {
-			for _, e := range em {
+		for scope, set := range snap.exact {
+			for _, e := range set.all() {
 				consider(scope, e)
 			}
 		}
@@ -1060,8 +1082,8 @@ func (t *Table) Len() int {
 	n := 0
 	for si := range t.shards {
 		snap := t.shards[si].snap.Load()
-		for _, em := range snap.exact {
-			n += len(em)
+		for _, set := range snap.exact {
+			n += set.n
 		}
 		for _, ws := range snap.wild {
 			n += len(ws)
@@ -1130,8 +1152,8 @@ func (t *Table) Dump() string {
 	var lines []string
 	for si := range t.shards {
 		snap := t.shards[si].snap.Load()
-		for scope, em := range snap.exact {
-			for k, e := range em {
+		for scope, set := range snap.exact {
+			for k, e := range set.all() {
 				lines = append(lines, fmt.Sprintf("%s %s -> %s", scope, k, actionsString(e)))
 			}
 		}

@@ -117,6 +117,31 @@ func TestDelete(t *testing.T) {
 	if tb.Len() != 0 {
 		t.Fatalf("Len = %d after deletes", tb.Len())
 	}
+
+	// Several ids at once, across shards and rule kinds, in one call. An
+	// unknown id among them reports ErrNoRule; the known ones still go.
+	var ids []uint64
+	for i := 0; i < 4; i++ {
+		id, _ := tb.Add(Rule{Scope: ServiceID(i), Match: ExactMatch(key(byte(i))), Actions: []Action{Drop()}})
+		ids = append(ids, id)
+	}
+	keep, _ := tb.Add(Rule{Scope: ServiceID(1), Match: MatchAll, Actions: []Action{Forward(1)}})
+	gone, _ := tb.Add(Rule{Scope: ServiceID(2), Match: MatchAll, Actions: []Action{Forward(2)}})
+	if err := tb.Delete(ids[0], ids[1], gone); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Delete(ids[2], 999, ids[3]); !errors.Is(err, ErrNoRule) {
+		t.Fatalf("multi-id delete with an unknown id: %v", err)
+	}
+	if tb.Len() != 1 || tb.AnyEntry(ServiceID(1)).ID != keep {
+		t.Fatalf("after multi-id deletes: Len = %d, want only rule %d", tb.Len(), keep)
+	}
+	if st := tb.Stats(); st.Deleted != 7 || st.Adds != uint64(st.Rules)+st.Deleted {
+		t.Fatalf("counters after multi-id deletes: %+v", st)
+	}
+	if err := tb.Delete(); err != nil {
+		t.Fatalf("Delete() of no ids: %v", err)
+	}
 }
 
 func TestAddRejectsEmptyActions(t *testing.T) {

@@ -9,17 +9,22 @@
 //     notifications — the data-path thread only signals.
 //  2. Sweep: a background goroutine (or an explicit Sweep call) walks
 //     each shard, re-checks expiry under the shard writer mutex, and
-//     removes the dead entries in one batch, rebuilding the surviving
-//     per-scope maps right-sized so shard memory shrinks after a mass
-//     expiry (Go maps never shrink in place). Only the sweeper removes
+//     removes the dead entries in one batch. A scope's exact rules are a
+//     shared base plus a small delta (see the package doc): the delta is
+//     walked every tick, the base only once the clock reaches the
+//     earliest time any base rule can expire, a bound the walk then
+//     raises. Removing a base rule writes a tombstone into the delta, so
+//     a sweep that reaps a few rules rebuilds only the delta; a mass
+//     expiry overflows the delta's budget and folds the survivors into a
+//     right-sized base, or frees the scope outright, so shard memory
+//     shrinks (Go maps never shrink in place). Only the sweeper removes
 //     and only the sweeper notifies, so every eviction is observed
 //     exactly once by OnEvict.
 package flowtable
 
 import (
+	"math"
 	"time"
-
-	"sdnfv/internal/packet"
 )
 
 // EvictReason says which timeout reaped a rule.
@@ -152,8 +157,8 @@ func (t *Table) sweepLoop(interval time.Duration, onEvict func([]Evicted), stop,
 // with candidates take the writer mutex, where expiry is re-checked
 // against the then-current snapshot — an entry replaced (its lease
 // refreshed) between scan and lock survives, and two concurrent sweeps
-// can never both collect the same entry. Surviving per-scope maps are
-// rebuilt right-sized, so shard memory shrinks after a mass expiry.
+// can never both collect the same entry. Both walks skip a scope's base
+// until one of its rules can be due.
 func (t *Table) Sweep() []Evicted {
 	start := time.Now()
 	now := t.now.Load()
@@ -187,10 +192,20 @@ func expiredAt(e *Entry, now int64) (EvictReason, bool) {
 	if e.hardAt != 0 && now >= e.hardAt {
 		return EvictHard, true
 	}
-	if e.idleNs != 0 && now-e.life.lastHit.Load() >= e.idleNs {
-		return EvictIdle, true
+	return EvictIdle, expiresBy(e) <= now
+}
+
+// expiresBy is the earliest coarse-clock time at which e can expire as
+// of its current idle clock, or MaxInt64 for a rule with no timeouts.
+func expiresBy(e *Entry) int64 {
+	at := int64(math.MaxInt64)
+	if e.hardAt != 0 {
+		at = e.hardAt
 	}
-	return EvictIdle, false
+	if e.idleNs != 0 {
+		at = min(at, e.life.lastHit.Load()+e.idleNs)
+	}
+	return at
 }
 
 func (t *Table) sweepShard(sh *shard, now int64, evicted []Evicted) []Evicted {
@@ -204,36 +219,15 @@ func (t *Table) sweepShard(sh *shard, now int64, evicted []Evicted) []Evicted {
 	defer sh.mu.Unlock()
 	cur := sh.snap.Load()
 	var next *snapshot
-	for scope, em := range cur.exact {
-		dead := 0
-		for _, e := range em {
-			if _, exp := expiredAt(e, now); exp {
-				dead++
+	for scope, set := range cur.exact {
+		for k, e := range set.expired(now) {
+			if next == nil {
+				next = cur.cloneTop()
 			}
+			next.exactFor(scope).del(k)
+			reason, _ := expiredAt(e, now)
+			evicted = append(evicted, Evicted{ID: e.ID, Scope: scope, Match: e.Match, Reason: reason})
 		}
-		if dead == 0 {
-			continue
-		}
-		if next == nil {
-			next = cur.cloneTop()
-		}
-		if dead == len(em) {
-			delete(next.exact, scope)
-			for _, e := range em {
-				reason, _ := expiredAt(e, now)
-				evicted = append(evicted, Evicted{ID: e.ID, Scope: scope, Match: e.Match, Reason: reason})
-			}
-			continue
-		}
-		nem := make(map[packet.FlowKey]*Entry, len(em)-dead)
-		for k, e := range em {
-			if reason, exp := expiredAt(e, now); exp {
-				evicted = append(evicted, Evicted{ID: e.ID, Scope: scope, Match: e.Match, Reason: reason})
-				continue
-			}
-			nem[k] = e
-		}
-		next.exact[scope] = nem
 	}
 	for scope, ws := range cur.wild {
 		dead := 0
@@ -267,7 +261,7 @@ func (t *Table) sweepShard(sh *shard, now int64, evicted []Evicted) []Evicted {
 	}
 	if next != nil {
 		t.modifies.Add(1)
-		sh.snap.Store(next)
+		sh.publish(next)
 	}
 	return evicted
 }
@@ -276,11 +270,9 @@ func (t *Table) sweepShard(sh *shard, now int64, evicted []Evicted) []Evicted {
 // past its timeouts. Read-only; may race with writers, which is fine —
 // the sweep re-checks under the shard mutex.
 func shardHasExpired(snap *snapshot, now int64) bool {
-	for _, em := range snap.exact {
-		for _, e := range em {
-			if _, exp := expiredAt(e, now); exp {
-				return true
-			}
+	for _, set := range snap.exact {
+		for range set.expired(now) {
+			return true
 		}
 	}
 	for _, ws := range snap.wild {
