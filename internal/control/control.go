@@ -101,11 +101,15 @@ type ResolveResult struct {
 //     chains; 0 for failed compilations).
 //   - NFMsgs counts cross-layer messages routed to the northbound tier,
 //     whether or not policy validation accepted them.
+//   - NoticesFailed counts flow-removed notices received over the wire
+//     that the northbound tier failed to record; the wire has no reply
+//     to carry the error back.
 type Stats struct {
-	Requests uint64 `metric:"requests_total" help:"Flow-resolve requests admitted."`
-	Rejected uint64 `metric:"rejected_total" help:"Flow-resolve requests refused (queue full)."`
-	FlowMods uint64 `metric:"flow_mods_total" help:"Rules compiled and shipped to datapaths."`
-	NFMsgs   uint64 `metric:"nf_msgs_total" help:"Cross-layer NF messages routed northbound."`
+	Requests      uint64 `metric:"requests_total" help:"Flow-resolve requests admitted."`
+	Rejected      uint64 `metric:"rejected_total" help:"Flow-resolve requests refused (queue full)."`
+	FlowMods      uint64 `metric:"flow_mods_total" help:"Rules compiled and shipped to datapaths."`
+	NFMsgs        uint64 `metric:"nf_msgs_total" help:"Cross-layer NF messages routed northbound."`
+	NoticesFailed uint64 `metric:"notices_failed_total" help:"Flow-removed notices from wire peers the northbound tier failed to record."`
 }
 
 // Features advertises a control-channel peer's identity: its datapath

@@ -81,13 +81,17 @@ type Controller struct {
 	anon *Session
 
 	queue chan request
-	done  chan struct{}
 	wg    sync.WaitGroup
+	// ctx is done, with cause control.ErrStopped, once Stop runs; the wire
+	// channels pass it to the calls they serve.
+	ctx  context.Context
+	stop context.CancelCauseFunc
 
-	requests atomic.Uint64
-	rejected atomic.Uint64
-	flowMods atomic.Uint64
-	nfMsgs   atomic.Uint64
+	requests      atomic.Uint64
+	rejected      atomic.Uint64
+	flowMods      atomic.Uint64
+	nfMsgs        atomic.Uint64
+	noticesFailed atomic.Uint64
 }
 
 type request struct {
@@ -111,9 +115,9 @@ func New(cfg Config) *Controller {
 		conns:    make(map[net.Conn]struct{}),
 		sessions: make(map[control.DatapathID]*Session),
 		queue:    make(chan request, cfg.QueueDepth),
-		done:     make(chan struct{}),
 	}
 	c.anon = &Session{c: c}
+	c.ctx, c.stop = context.WithCancelCause(context.Background())
 	return c
 }
 
@@ -178,7 +182,7 @@ func (c *Controller) Start() {
 			defer c.wg.Done()
 			for {
 				select {
-				case <-c.done:
+				case <-c.ctx.Done():
 					return
 				case req := <-c.queue:
 					c.handle(req)
@@ -191,7 +195,7 @@ func (c *Controller) Start() {
 // Stop terminates the workers and closes any live southbound channels;
 // queued and in-flight requests fail with control.ErrStopped.
 func (c *Controller) Stop() {
-	close(c.done)
+	c.stop(control.ErrStopped)
 	c.mu.Lock()
 	for conn := range c.conns {
 		_ = conn.Close()
@@ -224,14 +228,21 @@ func (c *Controller) handle(req request) {
 // offered load (see control.Stats). Both the controller-wide and the
 // session-scoped counters are maintained.
 func (c *Controller) submit(ctx context.Context, sess *Session, scope flowtable.ServiceID, key packet.FlowKey, reply func([]flowtable.Rule, error)) error {
+	// Count before the send: a worker may answer the request, and the
+	// caller read Stats, before the select returns. A refusal takes the
+	// count back.
+	c.requests.Add(1)
+	sess.requests.Add(1)
 	select {
 	case c.queue <- request{ctx: ctx, sess: sess, scope: scope, key: key, reply: reply}:
-		c.requests.Add(1)
-		sess.requests.Add(1)
 		return nil
-	case <-c.done:
+	case <-c.ctx.Done():
+		c.requests.Add(^uint64(0))
+		sess.requests.Add(^uint64(0))
 		return control.ErrStopped
 	default:
+		c.requests.Add(^uint64(0))
+		sess.requests.Add(^uint64(0))
 		c.rejected.Add(1)
 		sess.rejected.Add(1)
 		return control.ErrQueueFull
@@ -264,19 +275,28 @@ func (c *Controller) NotifyFlowRemoved(ctx context.Context, removals []control.F
 
 // Stats implements control.Southbound with the controller-wide
 // aggregates across all sessions; see control.Stats for the counters'
-// exact semantics. Per-host counters live on each Session.
-func (c *Controller) Stats(context.Context) (control.Stats, error) {
+// exact semantics. Per-host counters live on each Session. It fails with
+// ctx's cause once ctx is done.
+func (c *Controller) Stats(ctx context.Context) (control.Stats, error) {
+	if ctx.Err() != nil {
+		return control.Stats{}, context.Cause(ctx)
+	}
 	return control.Stats{
-		Requests: c.requests.Load(),
-		Rejected: c.rejected.Load(),
-		FlowMods: c.flowMods.Load(),
-		NFMsgs:   c.nfMsgs.Load(),
+		Requests:      c.requests.Load(),
+		Rejected:      c.rejected.Load(),
+		FlowMods:      c.flowMods.Load(),
+		NFMsgs:        c.nfMsgs.Load(),
+		NoticesFailed: c.noticesFailed.Load(),
 	}, nil
 }
 
 // Features implements control.Southbound with the controller's own
-// identity (it hosts no NF services).
-func (c *Controller) Features(context.Context) (control.Features, error) {
+// identity (it hosts no NF services). It fails with ctx's cause once ctx
+// is done.
+func (c *Controller) Features(ctx context.Context) (control.Features, error) {
+	if ctx.Err() != nil {
+		return control.Features{}, context.Cause(ctx)
+	}
 	return control.Features{DatapathID: c.cfg.DatapathID}, nil
 }
 
@@ -289,10 +309,11 @@ type Session struct {
 	c  *Controller
 	dp control.DatapathID
 
-	requests atomic.Uint64
-	rejected atomic.Uint64
-	flowMods atomic.Uint64
-	nfMsgs   atomic.Uint64
+	requests      atomic.Uint64
+	rejected      atomic.Uint64
+	flowMods      atomic.Uint64
+	nfMsgs        atomic.Uint64
+	noticesFailed atomic.Uint64
 }
 
 // Resolve implements control.Southbound: the southbound path this
@@ -317,7 +338,7 @@ func (s *Session) Resolve(ctx context.Context, scope flowtable.ServiceID, key pa
 		return r.rules, r.err
 	case <-ctx.Done():
 		return nil, ctx.Err()
-	case <-s.c.done:
+	case <-s.c.ctx.Done():
 		return nil, control.ErrStopped
 	}
 }
@@ -349,7 +370,7 @@ func (s *Session) ResolveBatch(ctx context.Context, reqs []control.ResolveReques
 			out[i] = res
 		case <-ctx.Done():
 			out[i] = control.ResolveResult{Err: ctx.Err()}
-		case <-s.c.done:
+		case <-s.c.ctx.Done():
 			out[i] = control.ResolveResult{Err: control.ErrStopped}
 		}
 	}
@@ -393,10 +414,11 @@ func (s *Session) NotifyFlowRemoved(ctx context.Context, removals []control.Flow
 // this host's share of the controller's load.
 func (s *Session) Stats(context.Context) (control.Stats, error) {
 	return control.Stats{
-		Requests: s.requests.Load(),
-		Rejected: s.rejected.Load(),
-		FlowMods: s.flowMods.Load(),
-		NFMsgs:   s.nfMsgs.Load(),
+		Requests:      s.requests.Load(),
+		Rejected:      s.rejected.Load(),
+		FlowMods:      s.flowMods.Load(),
+		NFMsgs:        s.nfMsgs.Load(),
+		NoticesFailed: s.noticesFailed.Load(),
 	}, nil
 }
 
@@ -538,8 +560,9 @@ func (c *Controller) serveConn(conn net.Conn) error {
 			}
 		case openflow.FlowRemoved:
 			// Eviction notices from the host's sweeper. Fire-and-forget on
-			// the wire (no reply frame), and cold enough to handle inline
-			// rather than through the worker pool.
+			// the wire (no reply frame, so a refused notice is only
+			// counted), and cold enough to handle inline rather than
+			// through the worker pool.
 			removals := make([]control.FlowRemoved, len(m.Removals))
 			for i, e := range m.Removals {
 				removals[i] = control.FlowRemoved{
@@ -549,14 +572,18 @@ func (c *Controller) serveConn(conn net.Conn) error {
 					Reason: control.FlowRemovedReason(e.Reason),
 				}
 			}
-			_ = sess.NotifyFlowRemoved(context.Background(), removals)
+			if err := sess.NotifyFlowRemoved(context.Background(), removals); err != nil {
+				c.noticesFailed.Add(1)
+				sess.noticesFailed.Add(1)
+			}
 		case openflow.FeaturesRequest:
-			f, _ := c.Features(context.Background())
-			if err := sendXID(openflow.FeaturesReply{
-				DatapathID: f.DatapathID,
-				NumPorts:   uint16(f.NumPorts),
-				Services:   f.Services,
-			}, hdr.XID); err != nil {
+			var reply openflow.Message
+			if f, err := c.Features(c.ctx); err != nil {
+				reply = openflow.ErrorMsg{Code: errCode(err), Text: err.Error()}
+			} else {
+				reply = openflow.FeaturesReply{DatapathID: f.DatapathID, NumPorts: uint16(f.NumPorts), Services: f.Services}
+			}
+			if err := sendXID(reply, hdr.XID); err != nil {
 				return err
 			}
 		case openflow.StatsRequest:
@@ -565,13 +592,13 @@ func (c *Controller) serveConn(conn net.Conn) error {
 			// the control-plane counters instead (control.Client undoes
 			// the mapping): RxPackets=Requests, TxPackets=FlowMods,
 			// Drops=Rejected, Misses=NFMsgs.
-			st, _ := c.Stats(context.Background())
-			if err := sendXID(openflow.StatsReply{
-				RxPackets: st.Requests,
-				TxPackets: st.FlowMods,
-				Drops:     st.Rejected,
-				Misses:    st.NFMsgs,
-			}, hdr.XID); err != nil {
+			var reply openflow.Message
+			if st, err := c.Stats(c.ctx); err != nil {
+				reply = openflow.ErrorMsg{Code: errCode(err), Text: err.Error()}
+			} else {
+				reply = openflow.StatsReply{RxPackets: st.Requests, TxPackets: st.FlowMods, Drops: st.Rejected, Misses: st.NFMsgs}
+			}
+			if err := sendXID(reply, hdr.XID); err != nil {
 				return err
 			}
 		default:

@@ -355,6 +355,70 @@ func TestServeFeaturesAndStats(t *testing.T) {
 	}
 }
 
+// TestServeRefusesFeaturesAndStatsAfterStop serves a channel on a
+// stopped controller: FEATURES and STATS requests are answered with the
+// stopped error code, not with a zero-valued reply.
+func TestServeRefusesFeaturesAndStatsAfterStop(t *testing.T) {
+	c := New(Config{DatapathID: 0xfeed})
+	c.Start()
+	c.Stop()
+	srv, cli := net.Pipe()
+	defer cli.Close()
+	go func() { _ = c.serveConn(srv) }()
+	oc := openflow.NewConn(cli)
+	if msg, _, err := oc.Recv(); err != nil {
+		t.Fatal(err)
+	} else if _, ok := msg.(openflow.Hello); !ok {
+		t.Fatalf("greeting = %T", msg)
+	}
+	for _, req := range []openflow.Message{openflow.FeaturesRequest{}, openflow.StatsRequest{}} {
+		if _, err := oc.Send(req); err != nil {
+			t.Fatal(err)
+		}
+		msg, _, err := oc.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if em, ok := msg.(openflow.ErrorMsg); !ok || em.Code != openflow.ErrCodeStopped {
+			t.Fatalf("%T on a stopped controller answered %+v, want ErrorMsg code %d", req, msg, openflow.ErrCodeStopped)
+		}
+	}
+}
+
+// TestServeCountsFailedFlowRemoved sends a flow-removed notice the
+// northbound tier refuses. The wire has no reply for it, so the failure
+// must show in both the controller's and the session's NoticesFailed.
+func TestServeCountsFailedFlowRemoved(t *testing.T) {
+	c := New(Config{})
+	c.SetNorthbound(control.NorthboundFuncs{
+		HandleFlowRemovedFunc: func(context.Context, control.DatapathID, []control.FlowRemoved) error {
+			return errors.New("flow store unavailable")
+		},
+	})
+	c.Start()
+	defer c.Stop()
+	oc := dialTest(t, c)
+	notice := openflow.FlowRemoved{Removals: []openflow.FlowRemovedEntry{{Scope: flowtable.Port(0), Match: flowtable.ExactMatch(testKey()), RuleID: 7}}}
+	if _, err := oc.Send(notice); err != nil {
+		t.Fatal(err)
+	}
+	// serveConn handles a channel's frames in order, so once the barrier
+	// is answered the notice has been handled.
+	if _, err := oc.Send(openflow.Barrier{}); err != nil {
+		t.Fatal(err)
+	}
+	if msg, _, err := oc.Recv(); err != nil {
+		t.Fatal(err)
+	} else if b, ok := msg.(openflow.Barrier); !ok || !b.Reply {
+		t.Fatalf("barrier reply = %+v", msg)
+	}
+	agg, _ := c.Stats(context.Background())
+	sess, _ := c.Session(0).Stats(context.Background())
+	if agg.NoticesFailed != 1 || sess.NoticesFailed != 1 {
+		t.Fatalf("NoticesFailed: controller %d, session %d, want 1 and 1", agg.NoticesFailed, sess.NoticesFailed)
+	}
+}
+
 // TestServePipelinedPacketIns sends a burst of PacketIns without waiting
 // and checks every one is answered with its own XID-correlated
 // FlowMod+Barrier pair.

@@ -63,8 +63,9 @@ func layeredTable(t *testing.T, rule func(i int) Rule) (*Table, []packet.FlowKey
 		t.Fatal(err)
 	}
 	set := tb.shards[shardIndex(Port(0))].snap.Load().exact[Port(0)]
-	if e, ok := set.delta[keys[tombstoned]]; len(set.base.m) != inBase || len(set.delta) != inDelta+1 || !ok || e != nil {
-		t.Fatalf("layout: base %d, delta %d, tombstone present=%v", len(set.base.m), len(set.delta), ok)
+	k := keys[tombstoned]
+	if e := set.delta.find(k, k.Hash()); set.base.tab.n != inBase || set.delta.n != inDelta+1 || e != tombstone {
+		t.Fatalf("layout: base %d, delta %d, tombstone present=%v", set.base.tab.n, set.delta.n, e == tombstone)
 	}
 	return tb, keys
 }

@@ -23,19 +23,21 @@
 // The paper forbids synchronization primitives on the packet path
 // ("locks ... can take tens of nanoseconds to acquire", §4.1). The table
 // is therefore sharded by scope, and each shard publishes an immutable
-// snapshot through an atomic pointer: Lookup is one atomic load plus a map
-// probe (two while the scope has unfolded writes), with no locks and no
-// allocation on the exact-match hit path. Entries are immutable after
-// publication — mutations (Add, Delete, UpdateDefault) build fresh
-// entries and a fresh snapshot under a per-shard writer mutex, then
-// publish it atomically. Readers always observe a consistent snapshot; a
-// stale one at worst, never a torn one.
+// snapshot through an atomic pointer: Lookup is one atomic load, one key
+// hash and a flat-table probe (two while the scope has unfolded writes),
+// with no locks and no allocation on the exact-match hit path; LookupBatch
+// probes a burst in passes so that its cache misses overlap. Entries are
+// immutable after publication — mutations (Add, Delete, UpdateDefault)
+// build fresh entries and a fresh snapshot under a per-shard writer mutex,
+// then publish it atomically. Readers always observe a consistent
+// snapshot; a stale one at worst, never a torn one.
 //
-// A scope's exact-match rules are a base map that every snapshot shares
-// plus a small copy-on-write delta of the writes since the base was built
-// (a nil value deletes a base key), so a write copies the delta, not the
-// scope. Once the delta outgrows 256 rules plus an eighth of the base, the
-// write that overflowed it folds both into a fresh, right-sized base.
+// A scope's exact-match rules are a flat open-addressed base table that
+// every snapshot shares plus a small copy-on-write delta table of the
+// writes since (a sentinel tombstone entry deletes a base key), so a write
+// copies the delta, not the scope. Once the delta outgrows 256 rules plus
+// an eighth of the base, the write that overflowed it folds both into a
+// fresh base at a 4/5 load.
 package flowtable
 
 import (
@@ -258,13 +260,14 @@ func (m Match) String() string {
 
 // Rule is one flow-table entry.
 type Rule struct {
+	// Actions: first is the default; see the package comment. First in
+	// the struct so that it shares a cache line with Entry's expiry words.
+	Actions []Action
 	// Scope is where the packet currently is: a NIC port for fresh
 	// arrivals, or the ServiceID of the NF that just released the packet.
 	Scope ServiceID
 	// Match restricts which flows this rule applies to.
 	Match Match
-	// Actions: first is the default; see the package comment.
-	Actions []Action
 	// Parallel marks the action list as a simultaneous read-only fan-out.
 	Parallel bool
 	// Priority breaks ties among equal-specificity wildcard rules.
@@ -285,11 +288,9 @@ type Rule struct {
 // a consistent (if stale) snapshot forever. The lifecycle fields are the
 // one exception to full immutability: life.lastHit is an atomic the
 // lookup path advances on every hit, shared across rewrites of the same
-// rule so a default change does not reset the idle clock.
+// rule so a default change does not reset the idle clock. The words a hit
+// reads (expiry, life, Actions) lead the struct, sharing a cache line.
 type Entry struct {
-	Rule
-	ID uint64 // table-assigned, stable for the rule's lifetime
-
 	// idleNs / hardAt are the precomputed expiry parameters against the
 	// table's coarse clock: idleNs is the idle window in nanoseconds and
 	// hardAt the absolute coarse-clock deadline (install time + hard
@@ -299,6 +300,9 @@ type Entry struct {
 	hardAt int64
 	// life holds the mutable last-hit clock; nil unless idleNs != 0.
 	life *entryLife
+
+	Rule
+	ID uint64 // table-assigned, stable for the rule's lifetime
 }
 
 // entryLife is the mutable half of an entry's lifecycle, held behind a
@@ -382,8 +386,8 @@ func (s *snapshot) cloneTop() *snapshot {
 
 // exactFor returns next's private exact set for scope, creating it or
 // cloning the published set's delta (never its base) the first time this
-// snapshot build touches the scope. next must already be a cloneTop
-// result.
+// snapshot build touches the scope; a sparse delta is shrunk. next must
+// already be a cloneTop result.
 func (next *snapshot) exactFor(scope ServiceID) *exactSet {
 	if next.privateExact[scope] {
 		return next.exact[scope]
@@ -394,9 +398,11 @@ func (next *snapshot) exactFor(scope ServiceID) *exactSet {
 	} else {
 		set.base = &exactBase{}
 	}
-	delta := make(map[packet.FlowKey]*Entry, len(set.delta)+1)
-	maps.Copy(delta, set.delta)
-	set.delta = delta
+	if d := &set.delta; d.n*5 < len(d.slots) {
+		d.resize(max(8, (d.n*5+3)/4)) // removals left it under 1/5 full: shrink it
+	} else {
+		d.slots = slices.Clone(d.slots)
+	}
 	next.exact[scope] = set
 	if next.privateExact == nil {
 		next.privateExact = make(map[ServiceID]bool)
@@ -453,9 +459,9 @@ func (sh *shard) publish(next *snapshot) {
 }
 
 // Table is a per-host flow table. The data-path Lookup is lock-free: one
-// atomic snapshot load plus a map probe, keeping the ~30 ns budget
-// reported in §5.1 with zero allocation on the exact-match hit path.
-// Mutations serialize per shard and never block readers.
+// atomic snapshot load, a key hash and a linear probe of a flat table, with
+// zero allocation on the exact-match hit path (§5.1). Mutations serialize
+// per shard and never block readers.
 type Table struct {
 	shards   [numShards]shard
 	nextID   atomic.Uint64
@@ -691,23 +697,11 @@ func (t *Table) Delete(ids ...uint64) error {
 	return nil
 }
 
-// lookupSnap resolves k against one published snapshot.
-//
-//sdnfv:hotpath
+// lookupSnap resolves k against one published snapshot, ignoring expiry.
 func lookupSnap(snap *snapshot, scope ServiceID, k packet.FlowKey) *Entry {
-	if e, ok := snap.exact[scope].get(k); ok {
+	if e := snap.exact[scope].find(k, k.Hash()); e != nil {
 		return e
 	}
-	return lookupWild(snap, scope, k)
-}
-
-// lookupWild scans the sorted wildcard entries for scope. Split out of
-// lookupSnap/Lookup so the exact-match fast path stays inlinable (the
-// range loop would otherwise push the whole lookup over the inline
-// budget).
-//
-//sdnfv:hotpath
-func lookupWild(snap *snapshot, scope ServiceID, k packet.FlowKey) *Entry {
 	for _, e := range snap.wild[scope] {
 		if e.Match.Matches(k) {
 			return e
@@ -774,9 +768,9 @@ func (t *Table) lookupWildLive(snap *snapshot, scope ServiceID, k packet.FlowKey
 }
 
 // Lookup resolves the entry governing a packet at scope with flow key k.
-// It is lock-free and allocation-free: one atomic snapshot load plus a map
-// probe on the exact-match hit path, safe for any number of concurrent
-// data-path threads alongside writers. An entry past its idle or hard
+// It is lock-free and allocation-free — a snapshot load, a key hash and a
+// flat-table probe on the exact-match hit path — and safe for any number
+// of data-path threads alongside writers. An entry past its idle or hard
 // timeout is treated as a miss (and the expiry signalled to the sweeper);
 // the data-path thread never deletes, so the path stays lock-free.
 //
@@ -785,57 +779,91 @@ func (t *Table) Lookup(scope ServiceID, k packet.FlowKey) (*Entry, error) {
 	sh := &t.shards[shardIndex(scope)]
 	sh.lookups.Add(1)
 	snap := sh.snap.Load()
-	expired := false
-	if e, ok := snap.exact[scope].get(k); ok {
-		if t.liveTouch(e) {
-			return e, nil
-		}
-		expired = true
-	}
-	if e, exp := t.lookupWildLive(snap, scope, k); e != nil {
-		if expired || exp {
-			sh.expired.Add(1)
-		}
-		return e, nil
-	} else if expired || exp {
+	e, expired := t.lookupLive(snap, scope, k, snap.exact[scope].find(k, k.Hash()))
+	if expired {
 		sh.expired.Add(1)
+	}
+	if e != nil {
+		return e, nil
 	}
 	sh.misses.Add(1)
 	return nil, ErrNoMatch
 }
 
+// lookupChunk is how many descriptors each LookupBatch pass carries.
+const lookupChunk = 64
+
 // LookupBatch resolves out[i] for every (scopes[i], keys[i]) pair, writing
 // nil on a miss, and returns the number of hits. The three slices must
-// have equal length. Consecutive descriptors sharing a scope — the common
-// case for an RX burst from one port — reuse a single snapshot load, and
-// the per-shard counters are updated once per batch rather than per
-// packet, amortizing hot-path atomics across the burst (§4.1).
+// have equal length. Like DPDK rte_hash's bulk lookup, it works through
+// the burst 64 descriptors at a time in passes whose cache misses are
+// independent, so they overlap: hash every key, load every home slot,
+// probe, load each hit's expiry word, then its idle clock and default
+// action, and only then check expiry and fall back to the wildcards. A run
+// of descriptors sharing a scope — an RX burst from one port — loads the
+// snapshot once, and the per-shard counters are updated once per batch,
+// amortizing hot-path atomics across the burst (§4.1).
 //
 //sdnfv:hotpath
 func (t *Table) LookupBatch(scopes []ServiceID, keys []packet.FlowKey, out []*Entry) int {
-	var nLookups, nMisses, nExpired [numShards]uint32
+	var (
+		nLookups, nMisses, nExpired [numShards]uint32
+		snaps                       [lookupChunk]*snapshot
+		sets                        [lookupChunk]*exactSet
+		hashes                      [lookupChunk]uint64
+		sink                        uint64
+	)
 	hits := 0
-	var snap *snapshot
-	var lastScope ServiceID
-	var lastShard int
-	for i, scope := range scopes {
-		si := shardIndex(scope)
-		if snap == nil || si != lastShard || scope != lastScope {
-			snap = t.shards[si].snap.Load()
-			lastShard, lastScope = si, scope
+	for lo := 0; lo < len(scopes); lo += lookupChunk {
+		n := min(lookupChunk, len(scopes)-lo)
+		scopes, keys, out := scopes[lo:lo+n], keys[lo:lo+n], out[lo:lo+n]
+		for i, scope := range scopes {
+			if i == 0 || scope != scopes[i-1] {
+				snaps[i] = t.shards[shardIndex(scope)].snap.Load()
+				sets[i] = snaps[i].exact[scope]
+			} else {
+				snaps[i], sets[i] = snaps[i-1], sets[i-1]
+			}
+			hashes[i] = keys[i].Hash()
 		}
-		nLookups[si]++
-		e, expired := t.lookupLive(snap, scope, keys[i])
-		out[i] = e
-		if expired {
-			nExpired[si]++
+		for i, set := range sets[:n] {
+			if set != nil {
+				sink += set.delta.touch(hashes[i]) + set.base.tab.touch(hashes[i])
+			}
 		}
-		if e != nil {
-			hits++
-		} else {
-			nMisses[si]++
+		for i, set := range sets[:n] {
+			out[i] = set.find(keys[i], hashes[i])
+		}
+		for _, e := range out {
+			if e != nil {
+				sink += uint64(e.hardAt)
+			}
+		}
+		for _, e := range out {
+			if e == nil {
+				continue
+			}
+			if e.life != nil {
+				sink += uint64(e.life.lastHit.Load())
+			}
+			sink += uint64(e.Actions[0].Dest) // every rule has an action
+		}
+		for i, scope := range scopes {
+			si := shardIndex(scope)
+			nLookups[si]++
+			e, expired := t.lookupLive(snaps[i], scope, keys[i], out[i])
+			out[i] = e
+			if expired {
+				nExpired[si]++
+			}
+			if e != nil {
+				hits++
+			} else {
+				nMisses[si]++
+			}
 		}
 	}
+	keep(sink)
 	for si := range nLookups {
 		if nLookups[si] > 0 {
 			t.shards[si].lookups.Add(uint64(nLookups[si]))
@@ -850,16 +878,24 @@ func (t *Table) LookupBatch(scopes []ServiceID, keys []packet.FlowKey, out []*En
 	return hits
 }
 
-// lookupLive is the expiry-aware form of lookupSnap: it resolves k
-// against one published snapshot, rejecting timed-out entries and
-// reporting whether any were encountered.
+// keep consumes LookupBatch's early loads. It is opaque to the compiler,
+// which therefore cannot prove those loads dead and drop them.
+//
+//go:noinline
+//sdnfv:hotpath
+func keep(uint64) {}
+
+// lookupLive resolves k against one published snapshot given exact, the
+// scope's exact-match entry for k or nil: it rejects timed-out entries,
+// falls back to the wildcard rules, and reports whether any expired entry
+// was encountered.
 //
 //sdnfv:hotpath
-func (t *Table) lookupLive(snap *snapshot, scope ServiceID, k packet.FlowKey) (*Entry, bool) {
+func (t *Table) lookupLive(snap *snapshot, scope ServiceID, k packet.FlowKey, exact *Entry) (*Entry, bool) {
 	expired := false
-	if e, ok := snap.exact[scope].get(k); ok {
-		if t.liveTouch(e) {
-			return e, false
+	if exact != nil {
+		if t.liveTouch(exact) {
+			return exact, false
 		}
 		expired = true
 	}

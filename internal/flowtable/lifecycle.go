@@ -17,9 +17,9 @@
 //     a sweep that reaps a few rules rebuilds only the delta; a mass
 //     expiry overflows the delta's budget and folds the survivors into a
 //     right-sized base, or frees the scope outright, so shard memory
-//     shrinks (Go maps never shrink in place). Only the sweeper removes
-//     and only the sweeper notifies, so every eviction is observed
-//     exactly once by OnEvict.
+//     shrinks (a flat table never shrinks in place). Only the sweeper
+//     removes and only the sweeper notifies, so every eviction is
+//     observed exactly once by OnEvict.
 package flowtable
 
 import (

@@ -14,9 +14,9 @@ import (
 )
 
 // TestSweepShrinksShardMaps proves table memory is non-monotonic: after
-// a mass expiry the rebuilt per-scope maps are right-sized, so heap in
-// use drops back near the baseline instead of retaining the peak's
-// buckets (Go maps never shrink in place).
+// a mass expiry the rebuilt per-scope tables are right-sized, so heap in
+// use drops back near the baseline instead of retaining the peak's slot
+// arrays (a flat table never shrinks in place).
 func TestSweepShrinksShardMaps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocates a large table")

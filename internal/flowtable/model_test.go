@@ -444,25 +444,32 @@ func (d *differential) check() {
 	scopes := make([]ServiceID, modelKeys)
 	keys := make([]packet.FlowKey, modelKeys)
 	out := make([]*Entry, modelKeys)
-	for _, scope := range modelScopes {
+	// One burst per scope, then one that interleaves the three in runs of
+	// seven, so scope and shard changes fall inside LookupBatch's 64-key
+	// chunks, runs straddle their boundaries, and at 7×64 a change lands
+	// on one.
+	for b := range len(modelScopes) + 1 {
 		for i := range keys {
-			scopes[i], keys[i] = scope, modelKey(i)
+			scopes[i], keys[i] = modelScopes[(i/7)%len(modelScopes)], modelKey(i)
+			if b < len(modelScopes) {
+				scopes[i] = modelScopes[b]
+			}
 		}
 		if batch {
 			d.tb.LookupBatch(scopes, keys, out)
 		} else {
 			for i, k := range keys {
-				out[i], _ = d.tb.Lookup(scope, k)
+				out[i], _ = d.tb.Lookup(scopes[i], k)
 			}
 		}
 		for i, k := range keys {
-			want, got := d.m.lookup(scope, k), out[i]
+			want, got := d.m.lookup(scopes[i], k), out[i]
 			switch {
 			case want == nil && got == nil:
 			case want == nil || got == nil:
-				d.fail("%v %v: table %v, model %v", scope, k, got, want)
+				d.fail("%v %v: table %v, model %v", scopes[i], k, got, want)
 			case got.ID != want.id || !slices.Equal(got.Actions, want.actions):
-				d.fail("%v %v: table id %d %v, model id %d %v", scope, k, got.ID, got.Actions, want.id, want.actions)
+				d.fail("%v %v: table id %d %v, model id %d %v", scopes[i], k, got.ID, got.Actions, want.id, want.actions)
 			}
 		}
 	}
@@ -482,19 +489,22 @@ func (d *differential) observe() {
 	if set == nil {
 		return
 	}
-	if len(set.base.m) > 256 {
+	if set.base.tab.n > 256 {
 		d.cov.folded++
 	}
 	dead := map[packet.FlowKey]bool{}
-	for k, e := range set.delta {
-		base, inBase := set.base.m[k]
+	for _, sl := range set.delta.slots {
+		if sl.e == nil {
+			continue
+		}
+		base := set.base.tab.find(sl.key, sl.key.Hash())
 		switch {
-		case e == nil:
-			dead[k] = true
+		case sl.e == tombstone:
+			dead[sl.key] = true
 			d.cov.tombstones++
-		case d.dead[k]:
+		case d.dead[sl.key]:
 			d.cov.readded++
-		case inBase && expiresBy(base) <= d.m.now:
+		case base != nil && expiresBy(base) <= d.m.now:
 			d.cov.shadowedDue++
 		}
 	}

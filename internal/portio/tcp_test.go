@@ -41,6 +41,15 @@ func TestTCPLoopbackE2E(t *testing.T) {
 		t.Logf("driver B: %+v", db.Stats())
 		t.Fatalf("delivered %d/%d", w.delivered.Load(), n)
 	}
+	// waitDelivered counts the n frames, but A also sent the link probes:
+	// wait until A has put every frame it received on the wire and B has
+	// read every frame A wrote, so the checks below see a quiescent stream.
+	if !waitStat(15*time.Second, func() bool {
+		das := da.Stats()
+		return das.TxFrames+das.TxDrops == w.ha.Stats().RxPackets && db.Stats().RxFrames == das.TxFrames
+	}) {
+		t.Fatalf("stream did not drain: A host %+v, driver A %+v, driver B %+v", w.ha.Stats(), da.Stats(), db.Stats())
+	}
 	w.stop()
 	sa, sb := w.ha.Stats(), w.hb.Stats()
 	checkIdentity(t, "A", sa)
