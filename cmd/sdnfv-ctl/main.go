@@ -251,9 +251,13 @@ func runController() {
 	log.Printf("sdnfv-ctl: serving graph %q on %s (exact=%v workers=%d)", g.Name, *listen, *exact, *workers)
 
 	stats := func() {
-		st, _ := c.Stats(context.Background())
-		log.Printf("sdnfv-ctl: requests=%d flowmods=%d nfmsgs=%d rejected=%d",
-			st.Requests, st.FlowMods, st.NFMsgs, st.Rejected)
+		st, err := c.Stats(context.Background())
+		if err != nil {
+			log.Printf("sdnfv-ctl: stats: %v", err)
+			return
+		}
+		log.Printf("sdnfv-ctl: requests=%d flowmods=%d nfmsgs=%d rejected=%d replies-failed=%d",
+			st.Requests, st.FlowMods, st.NFMsgs, st.Rejected, st.RepliesFailed)
 	}
 	ticker := time.NewTicker(10 * time.Second)
 	defer ticker.Stop()

@@ -92,6 +92,7 @@ type Controller struct {
 	flowMods      atomic.Uint64
 	nfMsgs        atomic.Uint64
 	noticesFailed atomic.Uint64
+	repliesFailed atomic.Uint64
 }
 
 type request struct {
@@ -287,6 +288,7 @@ func (c *Controller) Stats(ctx context.Context) (control.Stats, error) {
 		FlowMods:      c.flowMods.Load(),
 		NFMsgs:        c.nfMsgs.Load(),
 		NoticesFailed: c.noticesFailed.Load(),
+		RepliesFailed: c.repliesFailed.Load(),
 	}, nil
 }
 
@@ -314,6 +316,7 @@ type Session struct {
 	flowMods      atomic.Uint64
 	nfMsgs        atomic.Uint64
 	noticesFailed atomic.Uint64
+	repliesFailed atomic.Uint64
 }
 
 // Resolve implements control.Southbound: the southbound path this
@@ -419,6 +422,7 @@ func (s *Session) Stats(context.Context) (control.Stats, error) {
 		FlowMods:      s.flowMods.Load(),
 		NFMsgs:        s.nfMsgs.Load(),
 		NoticesFailed: s.noticesFailed.Load(),
+		RepliesFailed: s.repliesFailed.Load(),
 	}, nil
 }
 
@@ -449,6 +453,21 @@ func (c *Controller) Serve(ln net.Listener) error {
 			}
 		}()
 	}
+}
+
+// sendReply answers one admitted PacketIn: an ErrorMsg for a failed
+// resolution, else the compiled FlowMods terminated by a Barrier. It
+// stops at the first frame the channel refuses and returns that error.
+func sendReply(send func(openflow.Message, uint32) error, xid uint32, rules []flowtable.Rule, rerr error) error {
+	if rerr != nil {
+		return send(openflow.ErrorMsg{Code: errCode(rerr), Text: rerr.Error()}, xid)
+	}
+	for _, r := range rules {
+		if err := send(openflow.FlowMod{Rule: r}, xid); err != nil {
+			return err
+		}
+	}
+	return send(openflow.Barrier{Reply: true}, xid)
 }
 
 // errCode maps a resolve error to its wire code so control.Client can
@@ -525,17 +544,15 @@ func (c *Controller) serveConn(conn net.Conn) error {
 			// FlowMods (terminated by a Barrier) whenever a worker gets
 			// to it, possibly interleaved with later XIDs.
 			xid := hdr.XID
+			// A reply the channel refuses is only counted: the read
+			// loop sees the dead conn next. rsess pins the admitting
+			// session (a later HELLO may rebind sess).
+			rsess := sess
 			err := c.submit(context.Background(), sess, m.Scope, m.Key, func(rules []flowtable.Rule, rerr error) {
-				if rerr != nil {
-					_ = sendXID(openflow.ErrorMsg{Code: errCode(rerr), Text: rerr.Error()}, xid)
-					return
+				if sendReply(sendXID, xid, rules, rerr) != nil {
+					c.repliesFailed.Add(1)
+					rsess.repliesFailed.Add(1)
 				}
-				for _, r := range rules {
-					if err := sendXID(openflow.FlowMod{Rule: r}, xid); err != nil {
-						return
-					}
-				}
-				_ = sendXID(openflow.Barrier{Reply: true}, xid)
 			})
 			if err != nil {
 				if err := sendXID(openflow.ErrorMsg{Code: errCode(err), Text: err.Error()}, xid); err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -417,6 +418,72 @@ func TestServeCountsFailedFlowRemoved(t *testing.T) {
 	if agg.NoticesFailed != 1 || sess.NoticesFailed != 1 {
 		t.Fatalf("NoticesFailed: controller %d, session %d, want 1 and 1", agg.NoticesFailed, sess.NoticesFailed)
 	}
+}
+
+// failConn is a control channel whose writes start failing on demand,
+// as a peer that vanishes between admission and reply.
+type failConn struct {
+	net.Conn
+	fail atomic.Bool
+}
+
+func (f *failConn) Write(b []byte) (int, error) {
+	if f.fail.Load() {
+		return 0, errors.New("channel gone")
+	}
+	return f.Conn.Write(b)
+}
+
+// TestServeCountsFailedReplies admits a PacketIn, then breaks the
+// channel's writes before the worker answers it. The lost FlowMod
+// reply must show in RepliesFailed on the controller and the session.
+func TestServeCountsFailedReplies(t *testing.T) {
+	release := make(chan struct{})
+	c := New(Config{})
+	c.SetNorthbound(control.NorthboundFuncs{
+		CompileFlowFunc: func(ctx context.Context, dp control.DatapathID, scope flowtable.ServiceID, key packet.FlowKey) ([]flowtable.Rule, error) {
+			<-release
+			return chainNB().CompileFlow(ctx, dp, scope, key)
+		},
+	})
+	c.Start()
+	defer c.Stop()
+	srv, cli := net.Pipe()
+	defer cli.Close()
+	fc := &failConn{Conn: srv}
+	served := make(chan error, 1)
+	go func() { served <- c.serveConn(fc) }()
+	oc := openflow.NewConn(cli)
+	if msg, _, err := oc.Recv(); err != nil {
+		t.Fatal(err)
+	} else if _, ok := msg.(openflow.Hello); !ok {
+		t.Fatalf("greeting = %T", msg)
+	}
+	if _, err := oc.Send(openflow.PacketIn{Scope: flowtable.Port(0), Key: testKey()}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if st, _ := c.Stats(context.Background()); st.Requests == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("PacketIn never admitted")
+		}
+	}
+	fc.fail.Store(true)
+	close(release)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		agg, _ := c.Stats(context.Background())
+		sess, _ := c.Session(0).Stats(context.Background())
+		if agg.RepliesFailed == 1 && sess.RepliesFailed == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("RepliesFailed: controller %d, session %d, want 1 and 1", agg.RepliesFailed, sess.RepliesFailed)
+		}
+	}
+	cli.Close()
+	<-served
 }
 
 // TestServePipelinedPacketIns sends a burst of PacketIns without waiting

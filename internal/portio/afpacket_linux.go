@@ -1,181 +1,51 @@
-//go:build linux
-
 package portio
 
 import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
-
-	"sdnfv/internal/dataplane"
+	"unsafe"
 )
-
-// htons converts a short to network byte order for the AF_PACKET
-// protocol field.
-func htons(v uint16) uint16 { return v<<8 | v>>8 }
-
-// AFPacketDriver is a raw AF_PACKET socket bound to one interface:
-// every frame the kernel sees on the wire (except the socket's own
-// transmissions, filtered by PACKET_OUTGOING) is pumped into the host,
-// and egress frames go out syscall.Sendto with the destination MAC
-// taken from the frame itself. Needs CAP_NET_RAW (or root); Open
-// reports the permission error otherwise.
-type AFPacketDriver struct {
-	cfg    AFPacketConfig
-	fd     int
-	sll    syscall.SockaddrLinklayer
-	q      *egressQueue
-	ing    Ingress
-	st     counters
-	wg     sync.WaitGroup
-	opened atomic.Bool
-	closed atomic.Bool
-}
-
-// NewAFPacket builds an unopened AF_PACKET driver.
-func NewAFPacket(cfg AFPacketConfig) *AFPacketDriver { return &AFPacketDriver{cfg: cfg} }
-
-// Name implements PortDriver.
-func (d *AFPacketDriver) Name() string { return "afpacket" }
 
 // Open implements PortDriver: open the raw socket, bind it to the
 // interface, start the egress writer and RX pump.
 func (d *AFPacketDriver) Open(ing Ingress) error {
-	if ing == nil {
-		return errors.New("portio: afpacket driver needs an ingress")
-	}
-	if !d.opened.CompareAndSwap(false, true) {
-		return errors.New("portio: afpacket driver already open")
+	if err := d.begin("afpacket", ing); err != nil {
+		return err
 	}
 	ifi, err := net.InterfaceByName(d.cfg.Interface)
 	if err != nil {
 		return fmt.Errorf("portio: afpacket interface %q: %w", d.cfg.Interface, err)
 	}
-	fd, err := syscall.Socket(syscall.AF_PACKET, syscall.SOCK_RAW, int(htons(syscall.ETH_P_ALL)))
+	fd, err := syscall.Socket(syscall.AF_PACKET, syscall.SOCK_RAW|syscall.SOCK_CLOEXEC, int(htons(syscall.ETH_P_ALL)))
 	if err != nil {
 		return fmt.Errorf("portio: afpacket socket (need CAP_NET_RAW): %w", err)
 	}
-	d.sll = syscall.SockaddrLinklayer{
-		Protocol: htons(syscall.ETH_P_ALL),
-		Ifindex:  ifi.Index,
-	}
-	if err := syscall.Bind(fd, &d.sll); err != nil {
-		syscall.Close(fd)
+	d.sock, d.ifindex = dgramSock{fd: fd}, ifi.Index
+	// Packet sockets ignore shutdown, so a bounded read is how the RX
+	// pump sees Close: it wakes at least every 50ms.
+	tv := syscall.NsecToTimeval((50 * time.Millisecond).Nanoseconds())
+	if err := errors.Join(
+		syscall.Bind(fd, &syscall.SockaddrLinklayer{Protocol: htons(syscall.ETH_P_ALL), Ifindex: ifi.Index}),
+		syscall.SetsockoptTimeval(fd, syscall.SOL_SOCKET, syscall.SO_RCVTIMEO, &tv),
+	); err != nil {
+		_ = d.sock.close()
 		return fmt.Errorf("portio: afpacket bind %q: %w", d.cfg.Interface, err)
 	}
-	// Bounded read timeout so the RX pump can observe Close without
-	// racing a concurrent close of the fd (fd reuse hazard): the pump
-	// wakes at least every 50ms and checks the closed flag.
-	tv := syscall.NsecToTimeval((50 * time.Millisecond).Nanoseconds())
-	if err := syscall.SetsockoptTimeval(fd, syscall.SOL_SOCKET, syscall.SO_RCVTIMEO, &tv); err != nil {
-		syscall.Close(fd)
-		return fmt.Errorf("portio: afpacket SO_RCVTIMEO: %w", err)
-	}
-	d.fd = fd
-	d.ing = ing
-	d.q = newEgressQueue(d.cfg.QueueDepth, &d.st, d.writeWire)
-	d.q.start()
-	d.wg.Add(1)
-	go d.rxLoop()
+	d.start(ing, d.cfg.Burst, d.cfg.QueueDepth, d.writeWire)
 	return nil
 }
 
-// Sink implements PortDriver: the queued egress handoff.
-func (d *AFPacketDriver) Sink() dataplane.PortSink { return d.q.egress }
-
-// writeWire sends one frame out the interface (writer goroutine only).
-func (d *AFPacketDriver) writeWire(frame []byte) {
-	sll := d.sll
-	if len(frame) >= 6 {
-		sll.Halen = 6
-		copy(sll.Addr[:6], frame[:6])
+// writeWire sends one egress batch out the interface (writer goroutine
+// only), each frame addressed to its own destination MAC.
+func (d *AFPacketDriver) writeWire(frames [][]byte) {
+	for i, f := range frames {
+		sll := &d.tx.names[i]
+		*sll = syscall.RawSockaddrLinklayer{Family: syscall.AF_PACKET, Protocol: htons(syscall.ETH_P_ALL), Ifindex: int32(d.ifindex), Halen: 6}
+		copy(sll.Addr[:6], f)
+		d.tx.set(i, f, unsafe.Pointer(sll), syscall.SizeofSockaddrLinklayer)
 	}
-	if err := syscall.Sendto(d.fd, frame, 0, &sll); err != nil {
-		d.st.txDrops.Add(1)
-		return
-	}
-	d.st.countTx(len(frame))
+	d.sock.send(d.tx, frames, &d.st)
 }
-
-// rxLoop is the RX pump: blocking-ish reads (bounded by SO_RCVTIMEO),
-// non-blocking drain to fill the burst, one IngestBurst per burst.
-func (d *AFPacketDriver) rxLoop() {
-	defer d.wg.Done()
-	burst := d.cfg.Burst
-	if burst <= 0 {
-		burst = defaultBurst
-	}
-	fcap := d.ing.FrameCap()
-	bufs := make([][]byte, burst)
-	for i := range bufs {
-		bufs[i] = make([]byte, fcap+1)
-	}
-	frames := make([][]byte, 0, burst)
-	for !d.closed.Load() {
-		n, from, err := syscall.Recvfrom(d.fd, bufs[0], 0)
-		if err != nil {
-			if err == syscall.EAGAIN || err == syscall.EWOULDBLOCK || err == syscall.EINTR {
-				continue
-			}
-			return
-		}
-		frames = frames[:0]
-		used := 0
-		if d.keep(from, n, fcap) {
-			frames = append(frames, bufs[used][:n])
-			used++
-		}
-		for used < burst {
-			n, from, err := syscall.Recvfrom(d.fd, bufs[used], syscall.MSG_DONTWAIT)
-			if err != nil {
-				break
-			}
-			if !d.keep(from, n, fcap) {
-				continue
-			}
-			frames = append(frames, bufs[used][:n])
-			used++
-		}
-		if len(frames) > 0 {
-			for _, f := range frames {
-				d.st.countRx(len(f))
-			}
-			offer(d.ing, frames, func() bool { return d.closed.Load() }, &d.st)
-		}
-	}
-}
-
-// keep decides whether a received frame enters the burst: the socket's
-// own transmissions are skipped (PACKET_OUTGOING), oversize frames are
-// counted and dropped at the boundary.
-func (d *AFPacketDriver) keep(from syscall.Sockaddr, n, fcap int) bool {
-	if sll, ok := from.(*syscall.SockaddrLinklayer); ok && sll.Pkttype == syscall.PACKET_OUTGOING {
-		return false
-	}
-	if n > fcap {
-		d.st.rxOversize.Add(1)
-		return false
-	}
-	return n > 0
-}
-
-// Close implements PortDriver: flush queued egress, stop the RX pump
-// (it observes the flag within the read timeout), then close the fd.
-func (d *AFPacketDriver) Close() error {
-	if !d.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	if !d.opened.Load() {
-		return nil
-	}
-	d.q.close()
-	d.wg.Wait()
-	return syscall.Close(d.fd)
-}
-
-// Stats implements PortDriver.
-func (d *AFPacketDriver) Stats() DriverStats { return d.st.snapshot() }

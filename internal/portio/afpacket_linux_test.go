@@ -54,3 +54,32 @@ func TestAFPacketLoopback(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAFPacketShortFramesDropped interleaves frames shorter than an
+// Ethernet header, which the kernel refuses one message at a time,
+// with valid ones in the same sendmmsg batches: each short frame counts
+// one TxDrop and every valid one still goes out.
+func TestAFPacketShortFramesDropped(t *testing.T) {
+	d := portio.NewAFPacket(portio.AFPacketConfig{Interface: "lo"})
+	if err := d.Open(&countIngress{}); err != nil {
+		if errors.Is(err, os.ErrPermission) {
+			t.Skipf("no CAP_NET_RAW: %v", err)
+		}
+		t.Fatal(err)
+	}
+	defer d.Close()
+	sink := d.Sink()
+	frame := buildFrame(t, 9101, []byte("afpacket-batch"))
+	const n = 20
+	for i := 0; i < n; i++ {
+		sink(0, frame, nil)
+		sink(0, frame[:4], nil)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for s := d.Stats(); s.TxFrames+s.TxDrops < 2*n && time.Now().Before(deadline); s = d.Stats() {
+		time.Sleep(time.Millisecond)
+	}
+	if s := d.Stats(); s.TxFrames != n || s.TxDrops != n {
+		t.Fatalf("txFrames=%d txDrops=%d, want %d and %d", s.TxFrames, s.TxDrops, n, n)
+	}
+}

@@ -2,34 +2,9 @@
 
 package portio
 
-import (
-	"errors"
-
-	"sdnfv/internal/dataplane"
-)
-
-// AFPacketDriver is the non-linux stub: constructible (so spec parsing
-// and flag handling stay portable) but Open always fails.
-type AFPacketDriver struct {
-	cfg AFPacketConfig
-}
-
-// NewAFPacket builds the stub driver.
-func NewAFPacket(cfg AFPacketConfig) *AFPacketDriver { return &AFPacketDriver{cfg: cfg} }
-
-// Name implements PortDriver.
-func (d *AFPacketDriver) Name() string { return "afpacket" }
+import "errors"
 
 // Open implements PortDriver; AF_PACKET sockets are linux-only.
 func (d *AFPacketDriver) Open(Ingress) error {
 	return errors.New("portio: afpacket driver requires linux")
 }
-
-// Sink implements PortDriver.
-func (d *AFPacketDriver) Sink() dataplane.PortSink { return nil }
-
-// Close implements PortDriver.
-func (d *AFPacketDriver) Close() error { return nil }
-
-// Stats implements PortDriver.
-func (d *AFPacketDriver) Stats() DriverStats { return DriverStats{} }

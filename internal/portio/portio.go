@@ -13,9 +13,12 @@
 // Hot-path discipline: a driver's egress sink runs on the engine's TX
 // threads inside the annotated hot path, so socket drivers hand the
 // frame to an egressQueue — one copy into a recycled buffer, one
-// non-blocking channel send — and a writer goroutine performs the
-// syscalls. The receive side is a per-driver RX pump goroutine feeding
-// Host.IngestBurst; neither loop ever runs on an engine thread.
+// non-blocking channel send — and a writer goroutine takes what is
+// queued, up to a burst, and writes it. The receive side is a
+// per-driver RX pump goroutine feeding Host.IngestBurst; neither loop
+// ever runs on an engine thread. The datagram drivers share one pump
+// (dgramPort): one recvmmsg and one sendmmsg per burst on linux, waiting
+// in the kernel, not the netpoller, and allocating nothing per frame.
 package portio
 
 import (
@@ -35,8 +38,6 @@ type DriverStats = dataplane.DriverStats
 // dataplane.Host satisfies it through Bind's adapter; tests and
 // benchmarks substitute counting sinks.
 type Ingress interface {
-	// Ingest delivers one frame; the slice is copied, not retained.
-	Ingest(frame []byte) error
 	// IngestBurst offers a burst in order and returns (admitted,
 	// consumed): frames[:consumed] are fully accounted by the host,
 	// frames[consumed:] were stopped by a capacity refusal and may be
@@ -106,11 +107,42 @@ type hostIngress struct {
 	port int
 }
 
-func (hi hostIngress) Ingest(frame []byte) error { return hi.h.Ingest(hi.port, frame) }
-func (hi hostIngress) IngestBurst(fs [][]byte) (int, int) {
-	return hi.h.IngestBurst(hi.port, fs)
+func (hi hostIngress) IngestBurst(fs [][]byte) (int, int) { return hi.h.IngestBurst(hi.port, fs) }
+func (hi hostIngress) FrameCap() int                      { return hi.h.FrameCap() }
+
+// portBase is what every socket driver shares: its counters, egress
+// queue, RX pump join and open-once/close-once state.
+type portBase struct {
+	q      *egressQueue
+	ing    Ingress
+	st     counters
+	wg     sync.WaitGroup
+	opened atomic.Bool
+	closed atomic.Bool
 }
-func (hi hostIngress) FrameCap() int { return hi.h.FrameCap() }
+
+// begin claims the driver for its one Open.
+func (p *portBase) begin(name string, ing Ingress) error {
+	if ing == nil {
+		return fmt.Errorf("portio: %s driver needs an ingress", name)
+	}
+	if !p.opened.CompareAndSwap(false, true) {
+		return fmt.Errorf("portio: %s driver already open", name)
+	}
+	return nil
+}
+
+func (p *portBase) startEgress(ing Ingress, burst, depth int, write func([][]byte)) {
+	p.ing, p.q = ing, newEgressQueue(depth, burst, &p.st, write)
+	p.q.wg.Add(1)
+	go p.q.run()
+}
+
+// Sink implements PortDriver: the queued egress handoff.
+func (p *portBase) Sink() dataplane.PortSink { return p.q.egress }
+
+// Stats implements PortDriver.
+func (p *portBase) Stats() DriverStats { return p.st.snapshot() }
 
 // counters is the shared atomic backing for DriverStats.
 type counters struct {
@@ -140,6 +172,14 @@ func (c *counters) snapshot() DriverStats {
 // defaultQueueDepth is the egress queue depth when a config leaves it 0.
 const defaultQueueDepth = 256
 
+// positiveOr is v, or def when a config left v unset (<= 0).
+func positiveOr[T int | time.Duration](v, def T) T {
+	if v <= 0 {
+		return def
+	}
+	return v
+}
+
 // ingestRetries and ingestRetrySleep bound how long an RX pump waits
 // for a capacity-stalled host before dropping the remainder of a burst
 // (200 × 500µs = 100ms). While the pump stalls, the backlog sits in the
@@ -150,25 +190,25 @@ const (
 	ingestRetrySleep = 500 * time.Microsecond
 )
 
-// offer pushes one RX burst into ing, re-offering the unconsumed tail
+// offer pushes one RX burst into p.ing, re-offering the unconsumed tail
 // after capacity refusals until it drains, the driver closes, or the
 // retry budget expires. Host-refused frames (consumed but not admitted:
 // malformed, unbound port) and given-up remainders both land in the
 // driver's RxRefused — the former are also in HostStats.RxDrops, the
 // latter never reached a host counter.
-func offer(ing Ingress, frames [][]byte, closed func() bool, st *counters) {
+func (p *portBase) offer(frames [][]byte) {
 	rem := frames
 	for tries := 0; len(rem) > 0; tries++ {
-		adm, cons := ing.IngestBurst(rem)
+		adm, cons := p.ing.IngestBurst(rem)
 		if r := cons - adm; r > 0 {
-			st.rxRefused.Add(uint64(r))
+			p.st.rxRefused.Add(uint64(r))
 		}
 		rem = rem[cons:]
 		if len(rem) == 0 {
 			return
 		}
-		if closed() || tries >= ingestRetries {
-			st.rxRefused.Add(uint64(len(rem)))
+		if p.closed.Load() || tries >= ingestRetries {
+			p.st.rxRefused.Add(uint64(len(rem)))
 			return
 		}
 		time.Sleep(ingestRetrySleep)
@@ -181,61 +221,66 @@ const defaultBurst = 32
 // egressQueue decouples the engine's TX threads from wire writes. The
 // sink handoff (egress, below) copies the frame into a recycled buffer
 // and enqueues it without ever blocking; a single writer goroutine
-// performs the (blocking, syscall-heavy) writes. A full queue drops the
-// frame into the driver's TxDrops — exactly like a NIC whose TX ring
-// backed up — so the engine's own accounting records the frame as
-// transmitted (the handoff succeeded) and the driver's counters record
-// the wire loss.
+// takes what is queued, up to one burst, and hands it to one
+// (blocking, syscall-heavy) write. A full queue drops the frame into
+// the driver's TxDrops — exactly like a NIC whose TX ring backed up —
+// so the engine's own accounting records the frame as transmitted (the
+// handoff succeeded) and the driver's counters record the wire loss.
 type egressQueue struct {
-	ch   chan []byte
-	free chan []byte
-	st   *counters
-	// write performs one wire write; it reports the frame's fate
+	ch    chan []byte
+	free  chan []byte
+	batch [][]byte // the writer's burst, reused
+	st    *counters
+	// write puts one batch on the wire; it reports each frame's fate
 	// through the driver's own counters (countTx or txDrops).
-	write func(frame []byte)
+	write func(frames [][]byte)
 	done  chan struct{}
 	wg    sync.WaitGroup
 }
 
-func newEgressQueue(depth int, st *counters, write func([]byte)) *egressQueue {
-	if depth <= 0 {
-		depth = defaultQueueDepth
-	}
+func newEgressQueue(depth, burst int, st *counters, write func([][]byte)) *egressQueue {
+	depth, burst = positiveOr(depth, defaultQueueDepth), positiveOr(burst, defaultBurst)
 	return &egressQueue{
 		ch:    make(chan []byte, depth),
 		free:  make(chan []byte, depth),
+		batch: make([][]byte, 0, burst),
 		st:    st,
 		write: write,
 		done:  make(chan struct{}),
 	}
 }
 
-func (q *egressQueue) start() {
-	q.wg.Add(1)
-	go q.run()
-}
-
+// run is the writer. It is q.ch's only receiver, so a non-empty
+// channel always has a frame for it.
 func (q *egressQueue) run() {
 	defer q.wg.Done()
 	for {
 		select {
 		case f := <-q.ch:
-			q.write(f)
-			select {
-			case q.free <- f[:0]:
-			default:
-			}
+			q.flush(f)
 		case <-q.done:
 			// Graceful drain: flush everything queued before the close
 			// was requested, then exit.
-			for {
-				select {
-				case f := <-q.ch:
-					q.write(f)
-				default:
-					return
-				}
+			for len(q.ch) > 0 {
+				q.flush(<-q.ch)
 			}
+			return
+		}
+	}
+}
+
+// flush writes f and whatever else is already queued, up to one burst,
+// with one write call, then recycles the buffers.
+func (q *egressQueue) flush(f []byte) {
+	b := append(q.batch[:0], f)
+	for len(b) < cap(b) && len(q.ch) > 0 {
+		b = append(b, <-q.ch)
+	}
+	q.write(b)
+	for _, f := range b {
+		select {
+		case q.free <- f[:0]:
+		default:
 		}
 	}
 }
@@ -277,12 +322,8 @@ func (q *egressQueue) push(data []byte) {
 func (q *egressQueue) close() {
 	close(q.done)
 	q.wg.Wait()
-	for {
-		select {
-		case <-q.ch:
-			q.st.txDrop()
-		default:
-			return
-		}
+	for len(q.ch) > 0 {
+		<-q.ch
+		q.st.txDrop()
 	}
 }

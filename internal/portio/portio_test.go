@@ -33,12 +33,6 @@ type countIngress struct {
 	cap    int
 }
 
-func (c *countIngress) Ingest(f []byte) error {
-	c.frames.Add(1)
-	c.bytes.Add(int64(len(f)))
-	return nil
-}
-
 func (c *countIngress) IngestBurst(fs [][]byte) (int, int) {
 	for _, f := range fs {
 		c.frames.Add(1)

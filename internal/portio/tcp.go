@@ -3,14 +3,10 @@ package portio
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"io"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
-
-	"sdnfv/internal/dataplane"
 )
 
 // maxTCPFrame is the sanity bound on a length prefix: anything larger
@@ -46,16 +42,11 @@ type TCPConfig struct {
 // skipped and counted in RxOversize; a stream cut mid-frame counts in
 // RxTruncated.
 type TCPDriver struct {
-	cfg    TCPConfig
-	ln     net.Listener
-	cur    atomic.Pointer[tcpConn]
-	q      *egressQueue
-	ing    Ingress
-	st     counters
-	done   chan struct{}
-	wg     sync.WaitGroup
-	opened atomic.Bool
-	closed atomic.Bool
+	portBase
+	cfg  TCPConfig
+	ln   net.Listener
+	cur  atomic.Pointer[tcpConn]
+	done chan struct{}
 	// wbuf assembles prefix+frame for one Write call; owned by the
 	// single egress writer goroutine.
 	wbuf []byte
@@ -66,7 +57,12 @@ type TCPDriver struct {
 type tcpConn struct{ c net.Conn }
 
 // NewTCP builds an unopened TCP driver.
-func NewTCP(cfg TCPConfig) *TCPDriver { return &TCPDriver{cfg: cfg} }
+func NewTCP(cfg TCPConfig) *TCPDriver {
+	cfg.BackoffMin = positiveOr(cfg.BackoffMin, 50*time.Millisecond)
+	cfg.BackoffMax = positiveOr(cfg.BackoffMax, 2*time.Second)
+	cfg.DialTimeout = positiveOr(cfg.DialTimeout, time.Second)
+	return &TCPDriver{cfg: cfg}
+}
 
 // Name implements PortDriver.
 func (d *TCPDriver) Name() string {
@@ -79,11 +75,8 @@ func (d *TCPDriver) Name() string {
 // Open implements PortDriver: start the egress writer and the
 // connection loop (which dials or accepts, then pumps RX).
 func (d *TCPDriver) Open(ing Ingress) error {
-	if ing == nil {
-		return errors.New("portio: tcp driver needs an ingress")
-	}
-	if !d.opened.CompareAndSwap(false, true) {
-		return errors.New("portio: tcp driver already open")
+	if err := d.begin(d.Name(), ing); err != nil {
+		return err
 	}
 	if d.cfg.Listen {
 		ln, err := net.Listen("tcp", d.cfg.Addr)
@@ -92,10 +85,8 @@ func (d *TCPDriver) Open(ing Ingress) error {
 		}
 		d.ln = ln
 	}
-	d.ing = ing
 	d.done = make(chan struct{})
-	d.q = newEgressQueue(d.cfg.QueueDepth, &d.st, d.writeWire)
-	d.q.start()
+	d.startEgress(ing, d.cfg.Burst, d.cfg.QueueDepth, d.writeWire)
 	d.wg.Add(1)
 	go d.connLoop()
 	return nil
@@ -109,29 +100,12 @@ func (d *TCPDriver) LocalAddr() net.Addr {
 	return nil
 }
 
-// Sink implements PortDriver: the queued egress handoff.
-func (d *TCPDriver) Sink() dataplane.PortSink { return d.q.egress }
-
-func (d *TCPDriver) backoffMin() time.Duration {
-	if d.cfg.BackoffMin > 0 {
-		return d.cfg.BackoffMin
-	}
-	return 50 * time.Millisecond
-}
-
-func (d *TCPDriver) backoffMax() time.Duration {
-	if d.cfg.BackoffMax > 0 {
-		return d.cfg.BackoffMax
-	}
-	return 2 * time.Second
-}
-
 // connLoop owns the connection lifecycle: establish (dial with backoff
 // or accept), publish for the egress writer, pump RX until the
 // connection dies, repeat until Close.
 func (d *TCPDriver) connLoop() {
 	defer d.wg.Done()
-	backoff := d.backoffMin()
+	backoff := d.cfg.BackoffMin
 	first := true
 	for {
 		select {
@@ -149,12 +123,10 @@ func (d *TCPDriver) connLoop() {
 				return
 			case <-time.After(backoff):
 			}
-			if backoff *= 2; backoff > d.backoffMax() {
-				backoff = d.backoffMax()
-			}
+			backoff = min(2*backoff, d.cfg.BackoffMax)
 			continue
 		}
-		backoff = d.backoffMin()
+		backoff = d.cfg.BackoffMin
 		if !first {
 			d.st.reconnects.Add(1)
 		}
@@ -177,11 +149,7 @@ func (d *TCPDriver) establish() (net.Conn, error) {
 	if d.ln != nil {
 		return d.ln.Accept() // unblocked by ln.Close
 	}
-	to := d.cfg.DialTimeout
-	if to == 0 {
-		to = time.Second
-	}
-	return net.DialTimeout("tcp", d.cfg.Addr, to)
+	return net.DialTimeout("tcp", d.cfg.Addr, d.cfg.DialTimeout)
 }
 
 // readLoop decodes length-prefixed frames off one connection and
@@ -189,10 +157,7 @@ func (d *TCPDriver) establish() (net.Conn, error) {
 func (d *TCPDriver) readLoop(c net.Conn) {
 	br := bufio.NewReaderSize(c, 64<<10)
 	fcap := d.ing.FrameCap()
-	burst := d.cfg.Burst
-	if burst <= 0 {
-		burst = defaultBurst
-	}
+	burst := positiveOr(d.cfg.Burst, defaultBurst)
 	bufs := make([][]byte, burst)
 	for i := range bufs {
 		bufs[i] = make([]byte, fcap)
@@ -205,7 +170,7 @@ func (d *TCPDriver) readLoop(c net.Conn) {
 		for _, f := range frames {
 			d.st.countRx(len(f))
 		}
-		offer(d.ing, frames, func() bool { return d.closed.Load() }, &d.st)
+		d.offer(frames)
 		frames = frames[:0]
 	}
 	var hdr [4]byte
@@ -249,32 +214,32 @@ func (d *TCPDriver) readLoop(c net.Conn) {
 	}
 }
 
-// writeWire writes one prefixed frame (egress writer goroutine only);
-// a write error kills the connection so the loop reconnects.
-func (d *TCPDriver) writeWire(frame []byte) {
-	cw := d.cur.Load()
-	if cw == nil {
-		d.st.txDrops.Add(1)
-		return
+// writeWire writes a batch one prefixed frame at a time (egress writer
+// goroutine only); a write error kills the connection so the loop
+// reconnects, and the rest of the batch counts as dropped until it has.
+func (d *TCPDriver) writeWire(frames [][]byte) {
+	for _, frame := range frames {
+		cw := d.cur.Load()
+		if cw == nil {
+			d.st.txDrops.Add(1)
+			continue
+		}
+		var hdr [4]byte
+		binary.BigEndian.PutUint32(hdr[:], uint32(len(frame)))
+		d.wbuf = append(append(d.wbuf[:0], hdr[:]...), frame...)
+		if _, err := cw.c.Write(d.wbuf); err != nil {
+			d.st.txDrops.Add(1)
+			cw.c.Close()
+			continue
+		}
+		d.st.countTx(len(frame))
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(frame)))
-	d.wbuf = append(append(d.wbuf[:0], hdr[:]...), frame...)
-	if _, err := cw.c.Write(d.wbuf); err != nil {
-		d.st.txDrops.Add(1)
-		cw.c.Close()
-		return
-	}
-	d.st.countTx(len(frame))
 }
 
 // Close implements PortDriver: flush queued egress, then tear down the
 // listener/connection and join the loops.
 func (d *TCPDriver) Close() error {
-	if !d.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	if !d.opened.Load() {
+	if !d.closed.CompareAndSwap(false, true) || d.q == nil {
 		return nil
 	}
 	d.q.close()
@@ -288,6 +253,3 @@ func (d *TCPDriver) Close() error {
 	d.wg.Wait()
 	return nil
 }
-
-// Stats implements PortDriver.
-func (d *TCPDriver) Stats() DriverStats { return d.st.snapshot() }

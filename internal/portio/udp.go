@@ -1,15 +1,10 @@
 package portio
 
 import (
-	"errors"
+	"cmp"
 	"fmt"
 	"net"
-	"sync"
 	"sync/atomic"
-	"syscall"
-	"time"
-
-	"sdnfv/internal/dataplane"
 )
 
 // UDPConfig configures a UDPDriver.
@@ -20,7 +15,7 @@ type UDPConfig struct {
 	// Peer is the remote address egress datagrams go to. Empty means
 	// receive-only until SetPeer is called.
 	Peer string
-	// Burst is the RX pump burst size (default 32).
+	// Burst is the RX pump and egress writer burst size (default 32).
 	Burst int
 	// QueueDepth is the egress queue depth (default 256).
 	QueueDepth int
@@ -28,34 +23,18 @@ type UDPConfig struct {
 	// socket buffer is the only place a UDP wire can absorb a burst,
 	// so it is sized generously by default.
 	ReadBuffer int
-	// Coalesce bounds how long the RX pump waits for late datagrams to
-	// fill a burst after the first arrives. The pump always drains
-	// already-queued datagrams with non-blocking reads first (batching
-	// under load at zero latency cost); a positive window additionally
-	// parks in the poller for stragglers, which costs its timer
-	// granularity (~1ms on linux) in first-frame latency — leave this 0
-	// unless burst size matters more than latency. Negative disables
-	// batching entirely (one IngestBurst per datagram).
-	Coalesce time.Duration
 }
 
 // UDPDriver carries one frame per datagram over a UDP socket: the
 // simplest real wire — preserves frame boundaries, loses frames under
-// overload exactly like a physical link. Oversize datagrams (bigger
-// than the ingress frame cap) are detected by reading into cap+1-byte
-// buffers and counted in RxOversize instead of being truncated
-// silently by the kernel.
+// overload exactly like a physical link. It runs on the shared datagram
+// pump (dgramPort). Oversize datagrams (bigger than the ingress frame
+// cap) are detected by reading into cap+1-byte buffers and counted in
+// RxOversize instead of being truncated silently by the kernel.
 type UDPDriver struct {
-	cfg    UDPConfig
-	conn   *net.UDPConn
-	raw    syscall.RawConn
-	peer   atomic.Pointer[net.UDPAddr]
-	q      *egressQueue
-	ing    Ingress
-	st     counters
-	wg     sync.WaitGroup
-	opened atomic.Bool
-	closed atomic.Bool
+	dgramPort
+	cfg  UDPConfig
+	peer atomic.Pointer[udpPeer]
 }
 
 // NewUDP builds an unopened UDP driver.
@@ -67,173 +46,60 @@ func (d *UDPDriver) Name() string { return "udp" }
 // Open implements PortDriver: bind the socket, start the egress writer
 // and the RX pump.
 func (d *UDPDriver) Open(ing Ingress) error {
-	if ing == nil {
-		return errors.New("portio: udp driver needs an ingress")
-	}
-	if !d.opened.CompareAndSwap(false, true) {
-		return errors.New("portio: udp driver already open")
-	}
-	laddr, err := net.ResolveUDPAddr("udp", d.cfg.Listen)
-	if err != nil {
-		return fmt.Errorf("portio: udp listen addr: %w", err)
-	}
-	conn, err := net.ListenUDP("udp", laddr)
-	if err != nil {
+	if err := d.begin("udp", ing); err != nil {
 		return err
 	}
-	rb := d.cfg.ReadBuffer
-	if rb == 0 {
-		rb = 1 << 20
+	pc, err := net.ListenPacket("udp", d.cfg.Listen)
+	if err != nil {
+		return fmt.Errorf("portio: udp listen: %w", err)
 	}
+	conn := pc.(*net.UDPConn)
 	// Best-effort: the kernel may clamp to rmem_max; a smaller buffer
 	// only means earlier wire loss, which the accounting surfaces.
-	_ = conn.SetReadBuffer(rb)
-	d.conn = conn
-	if rc, err := conn.SyscallConn(); err == nil {
-		d.raw = rc
+	_ = conn.SetReadBuffer(cmp.Or(d.cfg.ReadBuffer, 1<<20))
+	if d.sock, err = udpSock(conn); err != nil {
+		_ = conn.Close()
+		return fmt.Errorf("portio: udp socket: %w", err)
 	}
-	d.ing = ing
 	if d.cfg.Peer != "" {
 		if err := d.SetPeer(d.cfg.Peer); err != nil {
-			conn.Close()
+			_ = d.sock.close()
 			return err
 		}
 	}
-	d.q = newEgressQueue(d.cfg.QueueDepth, &d.st, d.writeWire)
-	d.q.start()
-	d.wg.Add(1)
-	go d.rxLoop()
+	d.start(ing, d.cfg.Burst, d.cfg.QueueDepth, d.writeWire)
 	return nil
 }
 
 // LocalAddr returns the bound socket address (valid after Open) — how
 // two ephemeral-port processes exchange endpoints during handshake.
-func (d *UDPDriver) LocalAddr() net.Addr { return d.conn.LocalAddr() }
+func (d *UDPDriver) LocalAddr() net.Addr { return d.sock.conn.LocalAddr() }
 
-// SetPeer (re)points egress at addr; safe while traffic flows.
+// SetPeer (re)points egress at addr; valid once Open has bound the
+// socket (Open applies UDPConfig.Peer) and safe while traffic flows.
 func (d *UDPDriver) SetPeer(addr string) error {
+	if d.sock.conn == nil {
+		return fmt.Errorf("portio: udp SetPeer %s before Open", addr)
+	}
 	a, err := net.ResolveUDPAddr("udp", addr)
+	var p *udpPeer
+	if err == nil {
+		p, err = d.sock.peer(a)
+	}
 	if err != nil {
 		return fmt.Errorf("portio: udp peer addr: %w", err)
 	}
-	d.peer.Store(a)
+	d.peer.Store(p)
 	return nil
 }
 
-// Sink implements PortDriver: the queued egress handoff.
-func (d *UDPDriver) Sink() dataplane.PortSink { return d.q.egress }
-
-// writeWire sends one frame as one datagram (writer goroutine only).
-func (d *UDPDriver) writeWire(frame []byte) {
+// writeWire sends one egress batch, one datagram per frame (writer
+// goroutine only).
+func (d *UDPDriver) writeWire(frames [][]byte) {
 	p := d.peer.Load()
 	if p == nil {
-		d.st.txDrops.Add(1)
+		d.st.txDrops.Add(uint64(len(frames)))
 		return
 	}
-	if _, err := d.conn.WriteToUDP(frame, p); err != nil {
-		d.st.txDrops.Add(1)
-		return
-	}
-	d.st.countTx(len(frame))
+	d.sock.sendTo(d.tx, frames, p, &d.st)
 }
-
-// rxLoop is the RX pump: one blocking read, a non-blocking drain of
-// whatever else the kernel queued (as the AF_PACKET pump does with
-// MSG_DONTWAIT), then one IngestBurst into the host. Bursts form under
-// load because the kernel buffer backs up; when traffic is sparse the
-// drain returns empty immediately, so batching never costs latency.
-func (d *UDPDriver) rxLoop() {
-	defer d.wg.Done()
-	burst := d.cfg.Burst
-	if burst <= 0 {
-		burst = defaultBurst
-	}
-	coalesce := d.cfg.Coalesce
-	fcap := d.ing.FrameCap()
-	bufs := make([][]byte, burst)
-	for i := range bufs {
-		// One byte of headroom: a read that fills cap+1 bytes was a
-		// datagram too big for the pool, not one that exactly fit.
-		bufs[i] = make([]byte, fcap+1)
-	}
-	frames := make([][]byte, 0, burst)
-	for {
-		// Blocking first read; Close unblocks it by closing the socket.
-		_ = d.conn.SetReadDeadline(time.Time{})
-		n, _, err := d.conn.ReadFromUDP(bufs[0])
-		if err != nil {
-			if d.closed.Load() || errors.Is(err, net.ErrClosed) {
-				return
-			}
-			continue
-		}
-		frames = frames[:0]
-		used := 0
-		if n > fcap {
-			d.st.rxOversize.Add(1)
-		} else {
-			frames = append(frames, bufs[used][:n])
-			used++
-		}
-		if coalesce >= 0 {
-			// Drain already-queued datagrams without parking: the fd is
-			// O_NONBLOCK under the runtime poller, so an empty queue
-			// returns immediately instead of waiting out a poller
-			// deadline (whose ~1ms granularity would dominate sparse
-			// traffic latency).
-			for used < burst {
-				n, ok := d.tryRecv(bufs[used])
-				if !ok {
-					break
-				}
-				if n > fcap {
-					d.st.rxOversize.Add(1)
-					continue
-				}
-				frames = append(frames, bufs[used][:n])
-				used++
-			}
-		}
-		if coalesce > 0 && used < burst {
-			// Optional wait for stragglers; the absolute deadline bounds
-			// the added latency for the frames already collected.
-			_ = d.conn.SetReadDeadline(time.Now().Add(coalesce))
-			for used < burst {
-				n, _, err := d.conn.ReadFromUDP(bufs[used])
-				if err != nil {
-					break
-				}
-				if n > fcap {
-					d.st.rxOversize.Add(1)
-					continue
-				}
-				frames = append(frames, bufs[used][:n])
-				used++
-			}
-		}
-		if len(frames) > 0 {
-			for _, f := range frames {
-				d.st.countRx(len(f))
-			}
-			offer(d.ing, frames, func() bool { return d.closed.Load() }, &d.st)
-		}
-	}
-}
-
-// Close implements PortDriver: flush queued egress onto the wire, then
-// close the socket (unblocking the RX pump) and join both goroutines.
-func (d *UDPDriver) Close() error {
-	if !d.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	if !d.opened.Load() {
-		return nil
-	}
-	d.q.close()
-	err := d.conn.Close()
-	d.wg.Wait()
-	return err
-}
-
-// Stats implements PortDriver.
-func (d *UDPDriver) Stats() DriverStats { return d.st.snapshot() }

@@ -2,6 +2,7 @@ package portio_test
 
 import (
 	"net"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -223,4 +224,50 @@ func TestUDPSparseLatency(t *testing.T) {
 	if mean > time.Millisecond {
 		t.Fatalf("sparse mean latency %v, want < 1ms (poller parking on the RX path?)", mean)
 	}
+}
+
+// TestUDPIPv6Loopback round-trips a frame between two drivers on [::1],
+// then between a dual-stack listener (empty host) and an IPv4 driver.
+// Skipped where the host has no IPv6 loopback.
+func TestUDPIPv6Loopback(t *testing.T) {
+	probe, err := net.ListenUDP("udp6", &net.UDPAddr{IP: net.IPv6loopback})
+	if err != nil {
+		t.Skipf("no IPv6 loopback: %v", err)
+	}
+	probe.Close()
+	frame := buildFrame(t, 6000, []byte("v6"))
+	roundTrip := func(la, lb string, peerOf func(*portio.UDPDriver) string) {
+		t.Helper()
+		ia, ib := &countIngress{}, &countIngress{}
+		a := portio.NewUDP(portio.UDPConfig{Listen: la})
+		b := portio.NewUDP(portio.UDPConfig{Listen: lb})
+		if err := a.Open(ia); err != nil {
+			t.Fatal(err)
+		}
+		defer a.Close()
+		if err := b.Open(ib); err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+		if err := a.SetPeer(peerOf(b)); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.SetPeer(peerOf(a)); err != nil {
+			t.Fatal(err)
+		}
+		a.Sink()(0, frame, nil)
+		b.Sink()(0, frame, nil)
+		deadline := time.Now().Add(5 * time.Second)
+		for (ia.frames.Load() < 1 || ib.frames.Load() < 1) && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if ia.frames.Load() != 1 || ib.frames.Load() != 1 {
+			t.Fatalf("%s <-> %s: received %d and %d frames, want 1 and 1 (a %+v, b %+v)",
+				la, lb, ia.frames.Load(), ib.frames.Load(), a.Stats(), b.Stats())
+		}
+	}
+	roundTrip("[::1]:0", "[::1]:0", func(d *portio.UDPDriver) string { return d.LocalAddr().String() })
+	roundTrip(":0", "127.0.0.1:0", func(d *portio.UDPDriver) string {
+		return net.JoinHostPort("127.0.0.1", strconv.Itoa(d.LocalAddr().(*net.UDPAddr).Port))
+	})
 }
