@@ -314,8 +314,7 @@ func (a *App) Messages() []LoggedMessage {
 	return append([]LoggedMessage(nil), a.msgLog...)
 }
 
-// Policy implements control.Northbound: the value stored for key by
-// AppData messages, if any.
+// Policy returns the value stored for key by AppData messages, if any.
 func (a *App) Policy(key string) (any, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -17,8 +17,8 @@ import (
 // package's protocol to a remote controller over one control channel
 // and keeps any number of requests in flight at once, correlating
 // replies by transaction id (XID). A PacketIn's answer is the stream of
-// FlowMods sharing its XID terminated by a Barrier reply; Stats and
-// Features are single-frame request/response pairs.
+// FlowMods sharing its XID terminated by a Barrier reply, or one
+// ErrorMsg; NF messages and flow-removed notices are fire-and-forget.
 //
 // This is what makes the southbound path pipelined: the Flow Controller
 // thread hands ResolveBatch a whole burst of misses and the client
@@ -40,25 +40,11 @@ type Client struct {
 	rejected atomic.Uint64
 }
 
-type opKind uint8
-
-const (
-	opResolve opKind = iota
-	opStats
-	opFeatures
-)
-
+// pendingOp is one PacketIn awaiting its answer: the FlowMods collected
+// so far, and done, which receives nil at the Barrier or the error.
 type pendingOp struct {
-	kind  opKind
 	rules []flowtable.Rule
-	done  chan opResult
-}
-
-type opResult struct {
-	rules    []flowtable.Rule
-	stats    Stats
-	features Features
-	err      error
+	done  chan error
 }
 
 // DialAs connects to a controller's southbound listener identifying the
@@ -106,17 +92,17 @@ func (c *Client) send(msg openflow.Message, xid uint32) error {
 	return c.oc.SendXID(msg, xid)
 }
 
-// register files a pending operation under a fresh XID. It must happen
-// before the request frame is written, or a fast reply could race the
+// register files a pending resolve under a fresh XID. It must happen
+// before the PacketIn is written, or a fast reply could race the
 // bookkeeping.
-func (c *Client) register(kind opKind) (uint32, *pendingOp, error) {
+func (c *Client) register() (uint32, *pendingOp, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closeErr != nil {
 		return 0, nil, c.closeErr
 	}
 	xid := c.nextXID()
-	op := &pendingOp{kind: kind, done: make(chan opResult, 1)}
+	op := &pendingOp{done: make(chan error, 1)}
 	c.pending[xid] = op
 	return xid, op, nil
 }
@@ -128,21 +114,17 @@ func (c *Client) unregister(xid uint32) {
 }
 
 // complete resolves the pending operation for xid, if any.
-func (c *Client) complete(xid uint32, res opResult) bool {
+func (c *Client) complete(xid uint32, err error) bool {
 	c.mu.Lock()
 	op, ok := c.pending[xid]
 	if ok {
 		delete(c.pending, xid)
 	}
 	c.mu.Unlock()
-	if !ok {
-		return false
+	if ok {
+		op.done <- err
 	}
-	if res.err == nil && op.kind == opResolve {
-		res.rules = op.rules
-	}
-	op.done <- res
-	return true
+	return ok
 }
 
 // fail terminates every in-flight operation and refuses new ones.
@@ -156,7 +138,7 @@ func (c *Client) fail(err error) {
 	closeErr := c.closeErr
 	c.mu.Unlock()
 	for _, op := range failed {
-		op.done <- opResult{err: closeErr}
+		op.done <- closeErr
 	}
 }
 
@@ -176,28 +158,20 @@ func (c *Client) readLoop() {
 			}
 		case openflow.FlowMod:
 			c.mu.Lock()
-			if op, ok := c.pending[hdr.XID]; ok && op.kind == opResolve {
+			if op, ok := c.pending[hdr.XID]; ok {
 				op.rules = append(op.rules, m.Rule)
 			}
 			c.mu.Unlock()
 		case openflow.Barrier:
 			if m.Reply {
-				c.complete(hdr.XID, opResult{})
+				c.complete(hdr.XID, nil)
 			}
 		case openflow.ErrorMsg:
-			if !c.complete(hdr.XID, opResult{err: mapWireError(m)}) &&
+			if !c.complete(hdr.XID, mapWireError(m)) &&
 				(m.Code == openflow.ErrCodeRejected || m.Code == openflow.ErrCodeInvalid) {
 				// Asynchronous refusal of a fire-and-forget NF message.
 				c.rejected.Add(1)
 			}
-		case openflow.StatsReply:
-			c.complete(hdr.XID, opResult{stats: replyToStats(m)})
-		case openflow.FeaturesReply:
-			c.complete(hdr.XID, opResult{features: Features{
-				DatapathID: m.DatapathID,
-				NumPorts:   int(m.NumPorts),
-				Services:   m.Services,
-			}})
 		}
 	}
 }
@@ -221,24 +195,11 @@ func mapWireError(e openflow.ErrorMsg) error {
 	}
 }
 
-// replyToStats undoes the StatsReply field mapping the controller's
-// serveConn applies (see controller.Controller.serveConn): the reply
-// frame's host-counter slots carry the controller's control-plane
-// counters on this channel.
-func replyToStats(r openflow.StatsReply) Stats {
-	return Stats{
-		Requests: r.RxPackets,
-		FlowMods: r.TxPackets,
-		Rejected: r.Drops,
-		NFMsgs:   r.Misses,
-	}
-}
-
 // start registers and writes one PacketIn without waiting for the
 // answer; the returned operation completes when the Barrier or an
 // ErrorMsg for its XID arrives.
 func (c *Client) start(scope flowtable.ServiceID, key packet.FlowKey) (uint32, *pendingOp, error) {
-	xid, op, err := c.register(opResolve)
+	xid, op, err := c.register()
 	if err != nil {
 		return 0, nil, err
 	}
@@ -249,24 +210,17 @@ func (c *Client) start(scope flowtable.ServiceID, key packet.FlowKey) (uint32, *
 	return xid, op, nil
 }
 
-func (c *Client) wait(ctx context.Context, xid uint32, op *pendingOp) opResult {
+func (c *Client) wait(ctx context.Context, xid uint32, op *pendingOp) ResolveResult {
 	select {
-	case res := <-op.done:
-		return res
+	case err := <-op.done:
+		if err != nil {
+			return ResolveResult{Err: err}
+		}
+		return ResolveResult{Rules: op.rules}
 	case <-ctx.Done():
 		c.unregister(xid)
-		return opResult{err: ctx.Err()}
+		return ResolveResult{Err: ctx.Err()}
 	}
-}
-
-// Resolve implements Southbound.
-func (c *Client) Resolve(ctx context.Context, scope flowtable.ServiceID, key packet.FlowKey) ([]flowtable.Rule, error) {
-	xid, op, err := c.start(scope, key)
-	if err != nil {
-		return nil, err
-	}
-	res := c.wait(ctx, xid, op)
-	return res.rules, res.err
 }
 
 // ResolveBatch implements Southbound: every PacketIn is written before
@@ -287,8 +241,7 @@ func (c *Client) ResolveBatch(ctx context.Context, reqs []ResolveRequest, out []
 		if op == nil {
 			continue
 		}
-		res := c.wait(ctx, xids[i], op)
-		out[i] = ResolveResult{Rules: res.rules, Err: res.err}
+		out[i] = c.wait(ctx, xids[i], op)
 	}
 }
 
@@ -328,34 +281,6 @@ func (c *Client) NotifyFlowRemoved(_ context.Context, removals []FlowRemoved) er
 		removals = removals[n:]
 	}
 	return nil
-}
-
-// Stats implements Southbound with a StatsRequest round trip.
-func (c *Client) Stats(ctx context.Context) (Stats, error) {
-	xid, op, err := c.register(opStats)
-	if err != nil {
-		return Stats{}, err
-	}
-	if err := c.send(openflow.StatsRequest{}, xid); err != nil {
-		c.unregister(xid)
-		return Stats{}, fmt.Errorf("%w: %v", ErrStopped, err)
-	}
-	res := c.wait(ctx, xid, op)
-	return res.stats, res.err
-}
-
-// Features implements Southbound with a FeaturesRequest round trip.
-func (c *Client) Features(ctx context.Context) (Features, error) {
-	xid, op, err := c.register(opFeatures)
-	if err != nil {
-		return Features{}, err
-	}
-	if err := c.send(openflow.FeaturesRequest{}, xid); err != nil {
-		c.unregister(xid)
-		return Features{}, fmt.Errorf("%w: %v", ErrStopped, err)
-	}
-	res := c.wait(ctx, xid, op)
-	return res.features, res.err
 }
 
 var _ Southbound = (*Client)(nil)

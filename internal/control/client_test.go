@@ -51,6 +51,14 @@ func startWire(t *testing.T, ctl *controller.Controller) *control.Client {
 	return client
 }
 
+// resolveOne resolves one flow first seen at port 0 as a one-request
+// batch.
+func resolveOne(ctx context.Context, sb control.Southbound, key packet.FlowKey) ([]flowtable.Rule, error) {
+	out := make([]control.ResolveResult, 1)
+	sb.ResolveBatch(ctx, []control.ResolveRequest{{Scope: flowtable.Port(0), Key: key}}, out)
+	return out[0].Rules, out[0].Err
+}
+
 func testApp(t *testing.T) *app.App {
 	t.Helper()
 	g, err := graph.Chain("wire",
@@ -72,7 +80,7 @@ func TestClientResolve(t *testing.T) {
 	ctl.SetNorthbound(testApp(t))
 	client := startWire(t, ctl)
 
-	rules, err := client.Resolve(context.Background(), flowtable.Port(0), testKey(1000))
+	rules, err := resolveOne(context.Background(), client, testKey(1000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,32 +128,8 @@ func TestClientErrorMapping(t *testing.T) {
 	ctl := controller.New(controller.Config{})
 	client := startWire(t, ctl)
 
-	if _, err := client.Resolve(context.Background(), flowtable.Port(0), testKey(1)); !errors.Is(err, control.ErrNoCompiler) {
+	if _, err := resolveOne(context.Background(), client, testKey(1)); !errors.Is(err, control.ErrNoCompiler) {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestClientStatsAndFeatures(t *testing.T) {
-	ctl := controller.New(controller.Config{DatapathID: 0xabc})
-	ctl.SetNorthbound(testApp(t))
-	client := startWire(t, ctl)
-
-	if _, err := client.Resolve(context.Background(), flowtable.Port(0), testKey(7)); err != nil {
-		t.Fatal(err)
-	}
-	st, err := client.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Requests != 1 || st.FlowMods == 0 || st.Rejected != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-	f, err := client.Features(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.DatapathID != 0xabc {
-		t.Fatalf("features = %+v", f)
 	}
 }
 
@@ -339,7 +323,7 @@ func TestClientCloseUnblocks(t *testing.T) {
 
 	errs := make(chan error, 1)
 	go func() {
-		_, err := client.Resolve(context.Background(), flowtable.Port(0), testKey(9))
+		_, err := resolveOne(context.Background(), client, testKey(9))
 		errs <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -350,10 +334,10 @@ func TestClientCloseUnblocks(t *testing.T) {
 			t.Fatalf("err = %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Resolve still blocked after Close")
+		t.Fatal("ResolveBatch still blocked after Close")
 	}
 	// New requests refuse immediately.
-	if _, err := client.Resolve(context.Background(), flowtable.Port(0), testKey(10)); !errors.Is(err, control.ErrStopped) {
+	if _, err := resolveOne(context.Background(), client, testKey(10)); !errors.Is(err, control.ErrStopped) {
 		t.Fatalf("post-close err = %v", err)
 	}
 }
@@ -366,11 +350,11 @@ func TestClientContextCancel(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := client.Resolve(ctx, flowtable.Port(0), testKey(11))
+	_, err := resolveOne(ctx, client, testKey(11))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v", err)
 	}
 	if time.Since(start) > 500*time.Millisecond {
-		t.Fatal("Resolve ignored the deadline")
+		t.Fatal("ResolveBatch ignored the deadline")
 	}
 }

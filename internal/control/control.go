@@ -8,17 +8,18 @@
 // interfaces, one message type (nf.Message, checked by Validate) and one
 // error taxonomy:
 //
-//   - Southbound is what an NF Manager sees of its SDN controller: flow
-//     resolution (single and pipelined batch), cross-layer message
-//     forwarding, and counter/feature introspection. Two interchangeable
-//     backends exist: the in-process controller.Controller implements
-//     Southbound directly, and Client speaks the openflow wire protocol
-//     with pipelined XID-correlated PacketIns.
+//   - Southbound is what an NF Manager sees of its SDN controller: the
+//     three calls the data plane makes — batched flow resolution
+//     (PACKET_IN → FLOW_MOD), cross-layer message forwarding and
+//     flow-removed notices. Two interchangeable backends exist: an
+//     in-process controller.Session, and Client, which speaks the
+//     openflow wire protocol with pipelined XID-correlated PacketIns.
 //
 //   - Northbound is what the SDN controller sees of the SDNFV
-//     Application: rule compilation for new flows, validation and
-//     recording of cross-layer messages, and the policy key/value store.
-//     app.App implements it.
+//     Application: the three calls the controller makes — rule
+//     compilation for new flows, validation and recording of
+//     cross-layer messages, and flow-removed bookkeeping. app.App
+//     implements it.
 //
 // All requests carry a context.Context for deadlines/cancellation and
 // fail with the sentinel error taxonomy below instead of stringly-typed
@@ -116,19 +117,6 @@ type Stats struct {
 	RepliesFailed uint64 `metric:"replies_failed_total" help:"Admitted wire requests whose reply could not be written back to the peer."`
 }
 
-// Features advertises a control-channel peer's identity: its datapath
-// id, NIC port count, and hosted services (NF instances registered with
-// the manager are exposed as logical ports, §4.1).
-type Features struct {
-	DatapathID uint64
-	NumPorts   int
-	Services   []flowtable.ServiceID
-}
-
-// Southbound is the NF Manager's typed, asynchronous view of its SDN
-// controller. Implementations must be safe for concurrent use: the Flow
-// Controller thread pipelines batches while the manager loop forwards
-// messages.
 // FlowRemovedReason says which timeout evicted a flow rule.
 type FlowRemovedReason uint8
 
@@ -158,10 +146,11 @@ type FlowRemoved struct {
 	Reason FlowRemovedReason
 }
 
+// Southbound is the NF Manager's typed, asynchronous view of its SDN
+// controller. Implementations must be safe for concurrent use: the Flow
+// Controller thread pipelines batches while the manager loop forwards
+// messages.
 type Southbound interface {
-	// Resolve requests the rules for one new flow and blocks until the
-	// controller answers, ctx expires, or the endpoint stops.
-	Resolve(ctx context.Context, scope flowtable.ServiceID, key packet.FlowKey) ([]flowtable.Rule, error)
 	// ResolveBatch resolves reqs with all requests in flight at once
 	// (pipelined over the wire; fanned across workers in process) and
 	// writes one ResolveResult per request into out, which must be at
@@ -177,19 +166,14 @@ type Southbound interface {
 	// tiers can drop their side of the per-flow state. Notifications are
 	// fire-and-forget: wire backends may return nil before delivery.
 	NotifyFlowRemoved(ctx context.Context, removals []FlowRemoved) error
-	// Stats fetches the controller's counter snapshot.
-	Stats(ctx context.Context) (Stats, error)
-	// Features fetches the peer's identity.
-	Features(ctx context.Context) (Features, error)
 }
 
 // Northbound is the SDN controller's typed view of the SDNFV
 // Application tier: the service-graph registry compiled into rules, the
-// cross-layer message validator, and the policy key/value store fed by
-// AppData messages. Every request names the datapath (NF host) it
-// concerns, so a multi-host application can compile per-host rule sets
-// and attribute messages to the emitting host; single-host applications
-// may ignore it.
+// cross-layer message validator, and the flow-removed sink. Every
+// request names the datapath (NF host) it concerns, so a multi-host
+// application can compile per-host rule sets and attribute messages to
+// the emitting host; single-host applications may ignore it.
 type Northbound interface {
 	// CompileFlow produces the rules to install on datapath dp for a new
 	// flow first seen at scope, compiled from the application's service
@@ -202,33 +186,26 @@ type Northbound interface {
 	// HandleFlowRemoved records a batch of timeout evictions reported by
 	// datapath dp, letting the application release per-flow bookkeeping.
 	HandleFlowRemoved(ctx context.Context, dp DatapathID, removals []FlowRemoved) error
-	// Policy returns the value stored for key by AppData messages.
-	Policy(key string) (any, bool)
 }
 
 // SouthboundFuncs adapts plain functions to Southbound; handy in tests
-// and simulations. Nil fields degrade gracefully: Resolve reports
-// ErrNoCompiler, SendNFMessage discards, Stats/Features return zeros.
+// and simulations. Nil fields degrade gracefully: every resolution
+// reports ErrNoCompiler, SendNFMessage and NotifyFlowRemoved discard.
 type SouthboundFuncs struct {
+	// ResolveFunc answers one request; ResolveBatch calls it per slot.
 	ResolveFunc           func(ctx context.Context, scope flowtable.ServiceID, key packet.FlowKey) ([]flowtable.Rule, error)
 	SendNFMessageFun      func(ctx context.Context, src flowtable.ServiceID, m nf.Message) error
 	NotifyFlowRemovedFunc func(ctx context.Context, removals []FlowRemoved) error
-	StatsFunc             func(ctx context.Context) (Stats, error)
-	FeaturesFunc          func(ctx context.Context) (Features, error)
-}
-
-// Resolve implements Southbound.
-func (s SouthboundFuncs) Resolve(ctx context.Context, scope flowtable.ServiceID, key packet.FlowKey) ([]flowtable.Rule, error) {
-	if s.ResolveFunc == nil {
-		return nil, ErrNoCompiler
-	}
-	return s.ResolveFunc(ctx, scope, key)
 }
 
 // ResolveBatch implements Southbound by resolving sequentially.
 func (s SouthboundFuncs) ResolveBatch(ctx context.Context, reqs []ResolveRequest, out []ResolveResult) {
 	for i, r := range reqs {
-		rules, err := s.Resolve(ctx, r.Scope, r.Key)
+		if s.ResolveFunc == nil {
+			out[i] = ResolveResult{Err: ErrNoCompiler}
+			continue
+		}
+		rules, err := s.ResolveFunc(ctx, r.Scope, r.Key)
 		out[i] = ResolveResult{Rules: rules, Err: err}
 	}
 }
@@ -249,30 +226,13 @@ func (s SouthboundFuncs) NotifyFlowRemoved(ctx context.Context, removals []FlowR
 	return s.NotifyFlowRemovedFunc(ctx, removals)
 }
 
-// Stats implements Southbound.
-func (s SouthboundFuncs) Stats(ctx context.Context) (Stats, error) {
-	if s.StatsFunc == nil {
-		return Stats{}, nil
-	}
-	return s.StatsFunc(ctx)
-}
-
-// Features implements Southbound.
-func (s SouthboundFuncs) Features(ctx context.Context) (Features, error) {
-	if s.FeaturesFunc == nil {
-		return Features{}, nil
-	}
-	return s.FeaturesFunc(ctx)
-}
-
 // NorthboundFuncs adapts plain functions to Northbound. Nil fields
 // degrade gracefully: CompileFlow reports ErrNoCompiler, HandleNFMessage
-// accepts, Policy misses.
+// and HandleFlowRemoved accept.
 type NorthboundFuncs struct {
 	CompileFlowFunc       func(ctx context.Context, dp DatapathID, scope flowtable.ServiceID, key packet.FlowKey) ([]flowtable.Rule, error)
 	HandleNFMessageFunc   func(ctx context.Context, dp DatapathID, src flowtable.ServiceID, m nf.Message) error
 	HandleFlowRemovedFunc func(ctx context.Context, dp DatapathID, removals []FlowRemoved) error
-	PolicyFunc            func(key string) (any, bool)
 }
 
 // CompileFlow implements Northbound.
@@ -297,14 +257,6 @@ func (n NorthboundFuncs) HandleFlowRemoved(ctx context.Context, dp DatapathID, r
 		return nil
 	}
 	return n.HandleFlowRemovedFunc(ctx, dp, removals)
-}
-
-// Policy implements Northbound.
-func (n NorthboundFuncs) Policy(key string) (any, bool) {
-	if n.PolicyFunc == nil {
-		return nil, false
-	}
-	return n.PolicyFunc(key)
 }
 
 var (

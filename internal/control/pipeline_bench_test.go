@@ -67,7 +67,7 @@ func BenchmarkSouthboundSerial(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := client.Resolve(ctx, flowtable.Port(0), testKey(uint16(i))); err != nil {
+		if _, err := resolveOne(ctx, client, testKey(uint16(i))); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,10 +10,11 @@
 // The controller is the in-process backend of the control package's
 // typed API:
 //
-//   - Southbound: Controller implements control.Southbound directly for
-//     same-process NF Managers, and Serve speaks the openflow wire
-//     protocol (PACKET_IN → FLOW_MODs, pipelined by XID) for remote
-//     ones (control.Client is the matching dialer).
+//   - Southbound: each NF host talks to a Session, which implements
+//     control.Southbound for same-process NF Managers; Serve speaks the
+//     openflow wire protocol (PACKET_IN → FLOW_MODs, pipelined by XID)
+//     to remote ones (control.Client is the matching dialer), driving
+//     each channel's Session the same way.
 //   - Northbound: the SDNFV Application attaches as a
 //     control.Northbound via SetNorthbound (rule compilation and
 //     cross-layer message validation, §3.4).
@@ -24,8 +25,9 @@
 // by announcing the id in its HELLO — and every resolution and
 // cross-layer message is scoped to the registering host, so the
 // northbound tier compiles per-host rule sets and FLOW_MODs never leak
-// across datapaths. The Controller's own Southbound methods are the
-// anonymous datapath-0 session, preserving single-host deployments.
+// across datapaths. Session(0) is the anonymous datapath: single-host
+// deployments that never name themselves pass it to their NF Manager,
+// and every wire channel starts on it until its HELLO names the host.
 package controller
 
 import (
@@ -59,14 +61,11 @@ type Config struct {
 	// one reproduces the paper's single-threaded POX bottleneck; larger
 	// values let pipelined southbound channels overlap service times.
 	Workers int
-	// DatapathID identifies this controller in Features replies.
-	DatapathID uint64
 }
 
 // Controller is an SDN controller: a bounded request queue drained by
 // Config.Workers processors, shared by every registered datapath
-// session. It implements control.Southbound for in-process NF Managers
-// (as the anonymous datapath-0 session).
+// session. NF Managers reach it through a Session.
 type Controller struct {
 	cfg Config
 
@@ -74,10 +73,9 @@ type Controller struct {
 	nb       control.Northbound
 	conns    map[net.Conn]struct{}
 	sessions map[control.DatapathID]*Session
-	// anon is the datapath-0 session backing the Controller's own
-	// Southbound methods and not-yet-identified wire channels. It lives
-	// outside the registry so Datapaths() only reports real hosts, and
-	// so the per-miss Resolve path does not take c.mu for a map lookup.
+	// anon is the datapath-0 session backing single-host managers and
+	// not-yet-identified wire channels. It lives outside the registry so
+	// Datapaths() only reports real hosts.
 	anon *Session
 
 	queue chan request
@@ -86,13 +84,6 @@ type Controller struct {
 	// channels pass it to the calls they serve.
 	ctx  context.Context
 	stop context.CancelCauseFunc
-
-	requests      atomic.Uint64
-	rejected      atomic.Uint64
-	flowMods      atomic.Uint64
-	nfMsgs        atomic.Uint64
-	noticesFailed atomic.Uint64
-	repliesFailed atomic.Uint64
 }
 
 type request struct {
@@ -216,7 +207,6 @@ func (c *Controller) handle(req request) {
 	}
 	rules, err := nb.CompileFlow(req.ctx, req.sess.dp, req.scope, req.key)
 	if err == nil {
-		c.flowMods.Add(uint64(len(rules)))
 		req.sess.flowMods.Add(uint64(len(rules)))
 	}
 	req.reply(rules, err)
@@ -226,80 +216,43 @@ func (c *Controller) handle(req request) {
 // exactly once unless the controller stops first. Only admitted requests
 // count in Stats.Requests; a full queue refuses with control.ErrQueueFull
 // and counts in Stats.Rejected instead, so Requests+Rejected is the
-// offered load (see control.Stats). Both the controller-wide and the
-// session-scoped counters are maintained.
+// offered load (see control.Stats). The counts land on sess only;
+// Controller.Stats sums the sessions.
 func (c *Controller) submit(ctx context.Context, sess *Session, scope flowtable.ServiceID, key packet.FlowKey, reply func([]flowtable.Rule, error)) error {
 	// Count before the send: a worker may answer the request, and the
 	// caller read Stats, before the select returns. A refusal takes the
 	// count back.
-	c.requests.Add(1)
 	sess.requests.Add(1)
 	select {
 	case c.queue <- request{ctx: ctx, sess: sess, scope: scope, key: key, reply: reply}:
 		return nil
 	case <-c.ctx.Done():
-		c.requests.Add(^uint64(0))
 		sess.requests.Add(^uint64(0))
 		return control.ErrStopped
 	default:
-		c.requests.Add(^uint64(0))
 		sess.requests.Add(^uint64(0))
-		c.rejected.Add(1)
 		sess.rejected.Add(1)
 		return control.ErrQueueFull
 	}
 }
 
-// Resolve implements control.Southbound as the anonymous datapath-0
-// session; multi-host managers use Session(dp).Resolve instead.
-func (c *Controller) Resolve(ctx context.Context, scope flowtable.ServiceID, key packet.FlowKey) ([]flowtable.Rule, error) {
-	return c.Session(0).Resolve(ctx, scope, key)
-}
-
-// ResolveBatch implements control.Southbound as the anonymous
-// datapath-0 session.
-func (c *Controller) ResolveBatch(ctx context.Context, reqs []control.ResolveRequest, out []control.ResolveResult) {
-	c.Session(0).ResolveBatch(ctx, reqs, out)
-}
-
-// SendNFMessage implements control.Southbound as the anonymous
-// datapath-0 session.
-func (c *Controller) SendNFMessage(ctx context.Context, src flowtable.ServiceID, m nf.Message) error {
-	return c.Session(0).SendNFMessage(ctx, src, m)
-}
-
-// NotifyFlowRemoved implements control.Southbound as the anonymous
-// datapath-0 session.
-func (c *Controller) NotifyFlowRemoved(ctx context.Context, removals []control.FlowRemoved) error {
-	return c.Session(0).NotifyFlowRemoved(ctx, removals)
-}
-
-// Stats implements control.Southbound with the controller-wide
-// aggregates across all sessions; see control.Stats for the counters'
-// exact semantics. Per-host counters live on each Session. It fails with
-// ctx's cause once ctx is done.
+// Stats sums every session's counters, the anonymous one included: the
+// controller-wide load. See control.Stats for the counters' exact
+// semantics; per-host counters live on each Session. Sessions are never
+// removed, so the sums only grow. It fails with ctx's cause once ctx is
+// done.
 func (c *Controller) Stats(ctx context.Context) (control.Stats, error) {
 	if ctx.Err() != nil {
 		return control.Stats{}, context.Cause(ctx)
 	}
-	return control.Stats{
-		Requests:      c.requests.Load(),
-		Rejected:      c.rejected.Load(),
-		FlowMods:      c.flowMods.Load(),
-		NFMsgs:        c.nfMsgs.Load(),
-		NoticesFailed: c.noticesFailed.Load(),
-		RepliesFailed: c.repliesFailed.Load(),
-	}, nil
-}
-
-// Features implements control.Southbound with the controller's own
-// identity (it hosts no NF services). It fails with ctx's cause once ctx
-// is done.
-func (c *Controller) Features(ctx context.Context) (control.Features, error) {
-	if ctx.Err() != nil {
-		return control.Features{}, context.Cause(ctx)
+	var st control.Stats
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.anon.addTo(&st)
+	for _, s := range c.sessions {
+		s.addTo(&st)
 	}
-	return control.Features{DatapathID: c.cfg.DatapathID}, nil
+	return st, nil
 }
 
 // Session is one datapath's registered southbound endpoint: the typed
@@ -319,57 +272,30 @@ type Session struct {
 	repliesFailed atomic.Uint64
 }
 
-// Resolve implements control.Southbound: the southbound path this
-// host's Flow Controller thread calls on a miss. It blocks until the
-// rules arrive, ctx expires, or the controller stops.
-func (s *Session) Resolve(ctx context.Context, scope flowtable.ServiceID, key packet.FlowKey) ([]flowtable.Rule, error) {
-	type result struct {
-		rules []flowtable.Rule
-		err   error
-	}
-	ch := make(chan result, 1)
-	if err := s.c.submit(ctx, s, scope, key, func(rules []flowtable.Rule, err error) {
-		ch <- result{rules, err}
-	}); err != nil {
-		return nil, err
-	}
-	// Wait for a worker's reply — but never past Stop or the deadline: a
-	// request still queued when the pool exits would otherwise strand
-	// the calling Flow Controller thread (and the host's Stop) forever.
-	select {
-	case r := <-ch:
-		return r.rules, r.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-s.c.ctx.Done():
-		return nil, control.ErrStopped
-	}
-}
-
-// ResolveBatch implements control.Southbound: all requests are admitted
-// before the first answer is awaited, so Config.Workers > 1 overlaps
-// their service times.
+// ResolveBatch implements control.Southbound: the southbound path this
+// host's Flow Controller thread calls on a burst of misses. All requests
+// are admitted before the first answer is awaited, so Config.Workers > 1
+// overlaps their service times. Each slot is filled when its rules
+// arrive, ctx expires, or the controller stops — a request still queued
+// when the pool exits must not strand the caller (and the host's Stop).
 func (s *Session) ResolveBatch(ctx context.Context, reqs []control.ResolveRequest, out []control.ResolveResult) {
-	type slot struct {
-		ch chan control.ResolveResult
-	}
-	slots := make([]slot, len(reqs))
+	chans := make([]chan control.ResolveResult, len(reqs))
 	for i, r := range reqs {
 		ch := make(chan control.ResolveResult, 1)
-		slots[i] = slot{ch: ch}
 		if err := s.c.submit(ctx, s, r.Scope, r.Key, func(rules []flowtable.Rule, err error) {
 			ch <- control.ResolveResult{Rules: rules, Err: err}
 		}); err != nil {
 			out[i] = control.ResolveResult{Err: err}
-			slots[i].ch = nil
+			continue
 		}
+		chans[i] = ch
 	}
-	for i := range slots {
-		if slots[i].ch == nil {
+	for i, ch := range chans {
+		if ch == nil {
 			continue
 		}
 		select {
-		case res := <-slots[i].ch:
+		case res := <-ch:
 			out[i] = res
 		case <-ctx.Done():
 			out[i] = control.ResolveResult{Err: ctx.Err()}
@@ -388,7 +314,6 @@ func (s *Session) SendNFMessage(ctx context.Context, src flowtable.ServiceID, m 
 	if err := control.Validate(m); err != nil {
 		return err
 	}
-	s.c.nfMsgs.Add(1)
 	s.nfMsgs.Add(1)
 	nb := s.c.northbound()
 	if nb == nil {
@@ -413,28 +338,27 @@ func (s *Session) NotifyFlowRemoved(ctx context.Context, removals []control.Flow
 	return nb.HandleFlowRemoved(ctx, s.dp, removals)
 }
 
-// Stats implements control.Southbound with the session-scoped counters:
-// this host's share of the controller's load.
+// Stats reports the session-scoped counters: this host's share of the
+// controller's load.
 func (s *Session) Stats(context.Context) (control.Stats, error) {
-	return control.Stats{
-		Requests:      s.requests.Load(),
-		Rejected:      s.rejected.Load(),
-		FlowMods:      s.flowMods.Load(),
-		NFMsgs:        s.nfMsgs.Load(),
-		NoticesFailed: s.noticesFailed.Load(),
-		RepliesFailed: s.repliesFailed.Load(),
-	}, nil
+	var st control.Stats
+	s.addTo(&st)
+	return st, nil
 }
 
-// Features implements control.Southbound with the controller's identity
-// (the session's peer), like Controller.Features.
-func (s *Session) Features(ctx context.Context) (control.Features, error) {
-	return s.c.Features(ctx)
+// addTo adds the session's counters into st.
+func (s *Session) addTo(st *control.Stats) {
+	st.Requests += s.requests.Load()
+	st.Rejected += s.rejected.Load()
+	st.FlowMods += s.flowMods.Load()
+	st.NFMsgs += s.nfMsgs.Load()
+	st.NoticesFailed += s.noticesFailed.Load()
+	st.RepliesFailed += s.repliesFailed.Load()
 }
 
 // Serve accepts NF Manager control channels on ln and speaks the
 // openflow package's protocol: HELLO exchange, then pipelined PACKET_IN
-// → FLOW_MOD resolution, NF_MESSAGE, FEATURES, STATS, ECHO, and BARRIER
+// → FLOW_MOD resolution, NF_MESSAGE, FLOW_REMOVED, ECHO, and BARRIER
 // handling. It returns when ln is closed.
 func (c *Controller) Serve(ln net.Listener) error {
 	for {
@@ -550,7 +474,6 @@ func (c *Controller) serveConn(conn net.Conn) error {
 			rsess := sess
 			err := c.submit(context.Background(), sess, m.Scope, m.Key, func(rules []flowtable.Rule, rerr error) {
 				if sendReply(sendXID, xid, rules, rerr) != nil {
-					c.repliesFailed.Add(1)
 					rsess.repliesFailed.Add(1)
 				}
 			})
@@ -590,33 +513,7 @@ func (c *Controller) serveConn(conn net.Conn) error {
 				}
 			}
 			if err := sess.NotifyFlowRemoved(context.Background(), removals); err != nil {
-				c.noticesFailed.Add(1)
 				sess.noticesFailed.Add(1)
-			}
-		case openflow.FeaturesRequest:
-			var reply openflow.Message
-			if f, err := c.Features(c.ctx); err != nil {
-				reply = openflow.ErrorMsg{Code: errCode(err), Text: err.Error()}
-			} else {
-				reply = openflow.FeaturesReply{DatapathID: f.DatapathID, NumPorts: uint16(f.NumPorts), Services: f.Services}
-			}
-			if err := sendXID(reply, hdr.XID); err != nil {
-				return err
-			}
-		case openflow.StatsRequest:
-			// The StatsReply frame predates the control API and carries
-			// host-counter slots; on a controller channel they transport
-			// the control-plane counters instead (control.Client undoes
-			// the mapping): RxPackets=Requests, TxPackets=FlowMods,
-			// Drops=Rejected, Misses=NFMsgs.
-			var reply openflow.Message
-			if st, err := c.Stats(c.ctx); err != nil {
-				reply = openflow.ErrorMsg{Code: errCode(err), Text: err.Error()}
-			} else {
-				reply = openflow.StatsReply{RxPackets: st.Requests, TxPackets: st.FlowMods, Drops: st.Rejected, Misses: st.NFMsgs}
-			}
-			if err := sendXID(reply, hdr.XID); err != nil {
-				return err
 			}
 		default:
 			if err := sendXID(openflow.ErrorMsg{Code: openflow.ErrCodeUnexpected, Text: fmt.Sprintf("unexpected %s", hdr.Type)}, hdr.XID); err != nil {
@@ -626,7 +523,4 @@ func (c *Controller) serveConn(conn net.Conn) error {
 	}
 }
 
-var (
-	_ control.Southbound = (*Controller)(nil)
-	_ control.Southbound = (*Session)(nil)
-)
+var _ control.Southbound = (*Session)(nil)

@@ -22,6 +22,14 @@ func testKey() packet.FlowKey {
 	}
 }
 
+// resolveOne resolves one flow first seen at port 0 as a one-request
+// batch.
+func resolveOne(ctx context.Context, sb control.Southbound) ([]flowtable.Rule, error) {
+	out := make([]control.ResolveResult, 1)
+	sb.ResolveBatch(ctx, []control.ResolveRequest{{Scope: flowtable.Port(0), Key: testKey()}}, out)
+	return out[0].Rules, out[0].Err
+}
+
 // chainNB is a minimal northbound compiling every flow to a one-rule
 // chain at the requesting scope.
 func chainNB() control.Northbound {
@@ -41,7 +49,7 @@ func TestResolveInProcess(t *testing.T) {
 	c.SetNorthbound(chainNB())
 	c.Start()
 	defer c.Stop()
-	rules, err := c.Resolve(context.Background(), flowtable.Port(0), testKey())
+	rules, err := resolveOne(context.Background(), c.Session(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +66,7 @@ func TestResolveNoCompiler(t *testing.T) {
 	c := New(Config{})
 	c.Start()
 	defer c.Stop()
-	if _, err := c.Resolve(context.Background(), flowtable.Port(0), testKey()); !errors.Is(err, control.ErrNoCompiler) {
+	if _, err := resolveOne(context.Background(), c.Session(0)); !errors.Is(err, control.ErrNoCompiler) {
 		t.Fatalf("resolve without northbound: %v", err)
 	}
 }
@@ -71,12 +79,12 @@ func TestResolveContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := c.Resolve(ctx, flowtable.Port(0), testKey())
+	_, err := resolveOne(ctx, c.Session(0))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v", err)
 	}
 	if time.Since(start) > 500*time.Millisecond {
-		t.Fatal("Resolve ignored the deadline")
+		t.Fatal("ResolveBatch ignored the deadline")
 	}
 }
 
@@ -90,7 +98,7 @@ func TestResolveUnblocksOnStop(t *testing.T) {
 	errs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			_, err := c.Resolve(context.Background(), flowtable.Port(0), testKey())
+			_, err := resolveOne(context.Background(), c.Session(0))
 			errs <- err
 		}()
 	}
@@ -103,7 +111,7 @@ func TestResolveUnblocksOnStop(t *testing.T) {
 				t.Fatal("resolve after stop should fail")
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatal("Resolve still blocked after Stop")
+			t.Fatal("ResolveBatch still blocked after Stop")
 		}
 	}
 }
@@ -118,7 +126,7 @@ func TestQueueOverflowRejected(t *testing.T) {
 	errs := make(chan error, 8)
 	for i := 0; i < 8; i++ {
 		go func() {
-			_, err := c.Resolve(context.Background(), flowtable.Port(0), testKey())
+			_, err := resolveOne(context.Background(), c.Session(0))
 			errs <- err
 		}()
 	}
@@ -158,7 +166,7 @@ func TestResolveBatchOverlapsServiceTimes(t *testing.T) {
 		reqs[i] = control.ResolveRequest{Scope: flowtable.Port(0), Key: k}
 	}
 	start := time.Now()
-	c.ResolveBatch(context.Background(), reqs, out)
+	c.Session(0).ResolveBatch(context.Background(), reqs, out)
 	elapsed := time.Since(start)
 	for i, r := range out {
 		if r.Err != nil || len(r.Rules) != 1 {
@@ -181,7 +189,7 @@ func TestSendNFMessageRoutesNorthbound(t *testing.T) {
 			return nil
 		},
 	})
-	if err := c.SendNFMessage(context.Background(), 50, nf.Message{Kind: nf.MsgRequestMe, S: 50}); err != nil {
+	if err := c.Session(0).SendNFMessage(context.Background(), 50, nf.Message{Kind: nf.MsgRequestMe, S: 50}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -192,7 +200,7 @@ func TestSendNFMessageRoutesNorthbound(t *testing.T) {
 	default:
 		t.Fatal("northbound not invoked")
 	}
-	if err := c.SendNFMessage(context.Background(), 50, nf.Message{Kind: nf.MsgData}); !errors.Is(err, control.ErrInvalidMessage) {
+	if err := c.Session(0).SendNFMessage(context.Background(), 50, nf.Message{Kind: nf.MsgData}); !errors.Is(err, control.ErrInvalidMessage) {
 		t.Fatalf("invalid message: %v", err)
 	}
 	st, _ := c.Stats(context.Background())
@@ -302,87 +310,6 @@ func TestServeOverTCP(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("NF message never reached the northbound handler")
-	}
-}
-
-// TestServeFeaturesAndStats covers the request/reply pairs serveConn
-// used to bounce as "unexpected message".
-func TestServeFeaturesAndStats(t *testing.T) {
-	c := New(Config{DatapathID: 0xfeed})
-	c.SetNorthbound(chainNB())
-	c.Start()
-	defer c.Stop()
-	oc := dialTest(t, c)
-
-	if _, err := oc.Send(openflow.FeaturesRequest{}); err != nil {
-		t.Fatal(err)
-	}
-	msg, _, err := oc.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr, ok := msg.(openflow.FeaturesReply)
-	if !ok || fr.DatapathID != 0xfeed {
-		t.Fatalf("features reply = %+v", msg)
-	}
-
-	// Drive one resolve so the stats are non-trivial.
-	if _, err := oc.Send(openflow.PacketIn{Scope: flowtable.Port(0), Key: testKey()}); err != nil {
-		t.Fatal(err)
-	}
-	for {
-		msg, _, err = oc.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b, ok := msg.(openflow.Barrier); ok && b.Reply {
-			break
-		}
-	}
-	if _, err := oc.Send(openflow.StatsRequest{}); err != nil {
-		t.Fatal(err)
-	}
-	msg, _, err = oc.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr, ok := msg.(openflow.StatsReply)
-	if !ok {
-		t.Fatalf("stats reply = %+v", msg)
-	}
-	// serveConn maps Requests→RxPackets and FlowMods→TxPackets.
-	if sr.RxPackets != 1 || sr.TxPackets != 1 {
-		t.Fatalf("mapped stats = %+v", sr)
-	}
-}
-
-// TestServeRefusesFeaturesAndStatsAfterStop serves a channel on a
-// stopped controller: FEATURES and STATS requests are answered with the
-// stopped error code, not with a zero-valued reply.
-func TestServeRefusesFeaturesAndStatsAfterStop(t *testing.T) {
-	c := New(Config{DatapathID: 0xfeed})
-	c.Start()
-	c.Stop()
-	srv, cli := net.Pipe()
-	defer cli.Close()
-	go func() { _ = c.serveConn(srv) }()
-	oc := openflow.NewConn(cli)
-	if msg, _, err := oc.Recv(); err != nil {
-		t.Fatal(err)
-	} else if _, ok := msg.(openflow.Hello); !ok {
-		t.Fatalf("greeting = %T", msg)
-	}
-	for _, req := range []openflow.Message{openflow.FeaturesRequest{}, openflow.StatsRequest{}} {
-		if _, err := oc.Send(req); err != nil {
-			t.Fatal(err)
-		}
-		msg, _, err := oc.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if em, ok := msg.(openflow.ErrorMsg); !ok || em.Code != openflow.ErrCodeStopped {
-			t.Fatalf("%T on a stopped controller answered %+v, want ErrorMsg code %d", req, msg, openflow.ErrCodeStopped)
-		}
 	}
 }
 
@@ -563,7 +490,7 @@ func TestSessionsScopeResolutionsPerDatapath(t *testing.T) {
 	if s7 != c.Session(7) {
 		t.Fatal("session registry returned a fresh session for a registered id")
 	}
-	rules7, err := s7.Resolve(context.Background(), flowtable.Port(0), testKey())
+	rules7, err := resolveOne(context.Background(), s7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -618,7 +545,7 @@ func TestWireSessionFromHello(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	rules, err := cl.Resolve(context.Background(), flowtable.Port(0), testKey())
+	rules, err := resolveOne(context.Background(), cl)
 	if err != nil {
 		t.Fatal(err)
 	}

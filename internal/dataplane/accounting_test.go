@@ -31,7 +31,7 @@ func TestAccountingIdentityUnderMissOverload(t *testing.T) {
 	})
 	ctl.Start()
 	defer ctl.Stop()
-	h := NewHost(Config{PoolSize: 512, RingSize: 64, TXThreads: 1, Control: ctl})
+	h := NewHost(Config{PoolSize: 512, RingSize: 64, TXThreads: 1, Control: ctl.Session(0)})
 	slow := &slowNF{d: 20 * time.Microsecond}
 	if _, err := h.AddNF(41, slow, 0); err != nil {
 		t.Fatal(err)

@@ -51,7 +51,7 @@ func startFlowLifeRig(t *testing.T, idle time.Duration) *flowLifeRig {
 	h := dataplane.NewHost(dataplane.Config{
 		PoolSize:  512,
 		TXThreads: 1,
-		Control:   ctl,
+		Control:   ctl.Session(0),
 		// Short lease, fast sweep: evictions happen within tens of
 		// milliseconds once a flow goes quiet.
 		FlowIdleTimeout:   idle,

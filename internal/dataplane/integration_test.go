@@ -69,7 +69,7 @@ func TestFullHierarchyMissToFlow(t *testing.T) {
 		TXThreads: 1,
 		// The Flow Controller thread resolves misses through the real
 		// controller (in-process southbound backend of the control API).
-		Control: ctl,
+		Control: ctl.Session(0),
 	}
 	h := dataplane.NewHost(cfg)
 	fw := &nfs.Firewall{DefaultAllow: true}
@@ -161,14 +161,13 @@ func TestCrossLayerMessageReachesApp(t *testing.T) {
 			}
 			return err
 		},
-		PolicyFunc: a.Policy,
 	})
 	ctl.Start()
 	defer ctl.Stop()
 
 	h := dataplane.NewHost(dataplane.Config{
 		PoolSize: 256, TXThreads: 1,
-		Control: ctl,
+		Control: ctl.Session(0),
 	})
 	sent := false
 	nfA := &nf.BatchAdapter{FnName: "a", RO: true,

@@ -40,13 +40,9 @@ const (
 	TypeHello MsgType = iota
 	TypeEchoRequest
 	TypeEchoReply
-	TypeFeaturesRequest
-	TypeFeaturesReply
 	TypePacketIn  // data-path miss: header punted to controller
 	TypeFlowMod   // rule installation
 	TypeNFMessage // cross-layer NF message (SDNFV extension)
-	TypeStatsRequest
-	TypeStatsReply
 	TypeBarrierRequest
 	TypeBarrierReply
 	TypeError
@@ -56,10 +52,9 @@ const (
 // String names the message type.
 func (t MsgType) String() string {
 	names := [...]string{
-		"HELLO", "ECHO_REQUEST", "ECHO_REPLY", "FEATURES_REQUEST",
-		"FEATURES_REPLY", "PACKET_IN", "FLOW_MOD", "NF_MESSAGE",
-		"STATS_REQUEST", "STATS_REPLY", "BARRIER_REQUEST", "BARRIER_REPLY",
-		"ERROR", "FLOW_REMOVED",
+		"HELLO", "ECHO_REQUEST", "ECHO_REPLY", "PACKET_IN", "FLOW_MOD",
+		"NF_MESSAGE", "BARRIER_REQUEST", "BARRIER_REPLY", "ERROR",
+		"FLOW_REMOVED",
 	}
 	if int(t) < len(names) {
 		return names[t]
@@ -128,34 +123,6 @@ func (e Echo) Type() MsgType {
 	return TypeEchoRequest
 }
 func (e Echo) encode(dst []byte) []byte { return append(dst, e.Data...) }
-
-// FeaturesRequest asks a host for its identity.
-type FeaturesRequest struct{}
-
-// Type implements Message.
-func (FeaturesRequest) Type() MsgType            { return TypeFeaturesRequest }
-func (FeaturesRequest) encode(dst []byte) []byte { return dst }
-
-// FeaturesReply advertises a host's datapath id, ports, and hosted
-// services (NF instances register with the manager and are exposed here as
-// logical ports, §4.1).
-type FeaturesReply struct {
-	DatapathID uint64
-	NumPorts   uint16
-	Services   []flowtable.ServiceID
-}
-
-// Type implements Message.
-func (FeaturesReply) Type() MsgType { return TypeFeaturesReply }
-func (f FeaturesReply) encode(dst []byte) []byte {
-	dst = be64(dst, f.DatapathID)
-	dst = be16(dst, f.NumPorts)
-	dst = be16(dst, uint16(len(f.Services)))
-	for _, s := range f.Services {
-		dst = be16(dst, uint16(s))
-	}
-	return dst
-}
 
 // PacketIn punts a flow-table miss to the controller: the scope where the
 // miss occurred, the extracted 5-tuple, and a truncated header snapshot.
@@ -264,32 +231,6 @@ func (m NFMessage) encode(dst []byte) []byte {
 	}
 	dst = be16(dst, uint16(len(val)))
 	return append(dst, val...)
-}
-
-// StatsRequest asks for host counters.
-type StatsRequest struct{}
-
-// Type implements Message.
-func (StatsRequest) Type() MsgType            { return TypeStatsRequest }
-func (StatsRequest) encode(dst []byte) []byte { return dst }
-
-// StatsReply reports host counters.
-type StatsReply struct {
-	RxPackets uint64
-	TxPackets uint64
-	Drops     uint64
-	Misses    uint64
-	Rules     uint32
-}
-
-// Type implements Message.
-func (StatsReply) Type() MsgType { return TypeStatsReply }
-func (s StatsReply) encode(dst []byte) []byte {
-	dst = be64(dst, s.RxPackets)
-	dst = be64(dst, s.TxPackets)
-	dst = be64(dst, s.Drops)
-	dst = be64(dst, s.Misses)
-	return be32(dst, s.Rules)
 }
 
 // Barrier is a synchronization fence; Reply echoes the request XID.
@@ -486,20 +427,12 @@ func Decode(frame []byte) (Message, Header, error) {
 		return Echo{Data: append([]byte(nil), b...)}, h, nil
 	case TypeEchoReply:
 		return Echo{Reply: true, Data: append([]byte(nil), b...)}, h, nil
-	case TypeFeaturesRequest:
-		return FeaturesRequest{}, h, nil
-	case TypeFeaturesReply:
-		return decodeFeaturesReply(b, h)
 	case TypePacketIn:
 		return decodePacketIn(b, h)
 	case TypeFlowMod:
 		return decodeFlowMod(b, h)
 	case TypeNFMessage:
 		return decodeNFMessage(b, h)
-	case TypeStatsRequest:
-		return StatsRequest{}, h, nil
-	case TypeStatsReply:
-		return decodeStatsReply(b, h)
 	case TypeBarrierRequest:
 		return Barrier{}, h, nil
 	case TypeBarrierReply:
@@ -540,25 +473,6 @@ func decodeFlowRemoved(b []byte, h Header) (Message, Header, error) {
 		m.Removals = append(m.Removals, e)
 	}
 	return m, h, nil
-}
-
-func decodeFeaturesReply(b []byte, h Header) (Message, Header, error) {
-	if len(b) < 12 {
-		return nil, h, ErrTruncated
-	}
-	f := FeaturesReply{
-		DatapathID: binary.BigEndian.Uint64(b),
-		NumPorts:   binary.BigEndian.Uint16(b[8:]),
-	}
-	n := int(binary.BigEndian.Uint16(b[10:]))
-	b = b[12:]
-	if len(b) < 2*n {
-		return nil, h, ErrTruncated
-	}
-	for i := 0; i < n; i++ {
-		f.Services = append(f.Services, flowtable.ServiceID(binary.BigEndian.Uint16(b[2*i:])))
-	}
-	return f, h, nil
 }
 
 func decodePacketIn(b []byte, h Header) (Message, Header, error) {
@@ -648,19 +562,6 @@ func decodeNFMessage(b []byte, h Header) (Message, Header, error) {
 		m.Msg.Value = string(b[:vlen])
 	}
 	return m, h, nil
-}
-
-func decodeStatsReply(b []byte, h Header) (Message, Header, error) {
-	if len(b) < 36 {
-		return nil, h, ErrTruncated
-	}
-	return StatsReply{
-		RxPackets: binary.BigEndian.Uint64(b),
-		TxPackets: binary.BigEndian.Uint64(b[8:]),
-		Drops:     binary.BigEndian.Uint64(b[16:]),
-		Misses:    binary.BigEndian.Uint64(b[24:]),
-		Rules:     binary.BigEndian.Uint32(b[32:]),
-	}, h, nil
 }
 
 func decodeError(b []byte, h Header) (Message, Header, error) {

@@ -36,13 +36,9 @@ func TestRoundtripSimpleMessages(t *testing.T) {
 		Hello{DatapathID: 0xabc}, // datapath-announcing greeting
 		Echo{Data: []byte("ping")},
 		Echo{Reply: true, Data: []byte("pong")},
-		FeaturesRequest{},
-		StatsRequest{},
 		Barrier{},
 		Barrier{Reply: true},
 		ErrorMsg{Code: 3, Text: "boom"},
-		StatsReply{RxPackets: 1, TxPackets: 2, Drops: 3, Misses: 4, Rules: 5},
-		FeaturesReply{DatapathID: 0xdead, NumPorts: 2, Services: []flowtable.ServiceID{10, 11}},
 	} {
 		got := roundtrip(t, msg)
 		if !reflect.DeepEqual(got, msg) {
@@ -166,10 +162,12 @@ func TestDecodeErrors(t *testing.T) {
 	if _, _, err := Decode(frame); !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("bad version: %v", err)
 	}
-	frame, _ = Encode(Hello{}, 1)
-	frame[1] = 0xEE // unknown type
-	if _, _, err := Decode(frame); !errors.Is(err, ErrBadType) {
-		t.Fatalf("bad type: %v", err)
+	for _, mt := range []MsgType{TypeFlowRemoved + 1, 0xEE} { // unknown types
+		frame, _ = Encode(Hello{}, 1)
+		frame[1] = byte(mt)
+		if _, _, err := Decode(frame); !errors.Is(err, ErrBadType) {
+			t.Fatalf("bad type %d: %v", mt, err)
+		}
 	}
 	frame, _ = Encode(Echo{Data: []byte("abc")}, 1)
 	if _, _, err := Decode(frame[:len(frame)-1]); !errors.Is(err, ErrTruncated) {
@@ -262,10 +260,6 @@ func exemplarFor(t MsgType) Message {
 		return Echo{Data: []byte("ping")}
 	case TypeEchoReply:
 		return Echo{Reply: true, Data: []byte("pong")}
-	case TypeFeaturesRequest:
-		return FeaturesRequest{}
-	case TypeFeaturesReply:
-		return FeaturesReply{DatapathID: 0xfeedface, NumPorts: 4, Services: []flowtable.ServiceID{1, 2, 3}}
 	case TypePacketIn:
 		return PacketIn{Scope: flowtable.Port(2), Key: key, Buffer: []byte{1, 2, 3}}
 	case TypeFlowMod:
@@ -281,10 +275,6 @@ func exemplarFor(t MsgType) Message {
 			Kind: nf.MsgChangeDefault, Flows: flowtable.ExactMatch(key), S: 7, T: 8,
 			Key: "k", Value: "v",
 		}}
-	case TypeStatsRequest:
-		return StatsRequest{}
-	case TypeStatsReply:
-		return StatsReply{RxPackets: 1, TxPackets: 2, Drops: 3, Misses: 4, Rules: 5}
 	case TypeBarrierRequest:
 		return Barrier{}
 	case TypeBarrierReply:
