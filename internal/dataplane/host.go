@@ -294,9 +294,9 @@ type Host struct {
 	// drain exclusive, and it lets user Init/Close hooks run OUTSIDE h.mu
 	// so a hook may call inspection APIs (FlowState, Instances, Stats).
 	// Hooks must not call lifecycle methods — that self-deadlocks on
-	// lifeMu. For the same reason RemoveNF must not be called from a
-	// manager thread (an NF body or the cross-layer message path): its
-	// drain waits on those threads.
+	// lifeMu. For the same reason AddNF and RemoveNF must not be called
+	// from a manager thread (an NF body or the cross-layer message
+	// path): on a started host they wait on those threads.
 	lifeMu sync.Mutex
 }
 
@@ -492,7 +492,8 @@ func (h *Host) waitSnapObserved(epoch uint64) {
 // host this is a live scale-up: the replica's Init hook runs, its rings
 // and goroutine launch, per-flow state owned by it under LBFlowHash
 // migrates over, and a new routing snapshot makes it eligible for
-// traffic. The engine attaches a per-replica flow-state store to the NF's
+// traffic: AddNF returns once every manager thread routes with it, so a
+// packet injected afterwards can reach the replica. The engine attaches a per-replica flow-state store to the NF's
 // context and buffers its cross-layer messages per burst.
 func (h *Host) AddNF(svc flowtable.ServiceID, fn nf.BatchFunction, priority uint16) (*Instance, error) {
 	h.lifeMu.Lock()
@@ -539,8 +540,9 @@ func (h *Host) addReplica(svc flowtable.ServiceID, fn nf.BatchFunction, priority
 
 	inst.launch(h)
 	h.mu.Lock()
-	h.publishSnapLocked()
+	epoch := h.publishSnapLocked()
 	h.mu.Unlock()
+	h.waitSnapObserved(epoch)
 	return inst, nil
 }
 
@@ -1208,50 +1210,19 @@ func (l *idler) busy() {
 
 // Inject delivers a raw frame into the host NIC on port (the traffic
 // generator's DMA, or a fabric link's far end). The frame is copied into
-// a pool buffer. A refusal (pool exhausted, NIC ring full, host
-// stopped) is reported to the caller and NOT counted in the host's
-// Drops: the frame was never admitted, so accounting it is the
-// injector's job — like a NIC with no free descriptors back-pressuring
-// DMA. Safe for concurrent use.
+// a pool buffer and admitted as strictly as Ingest admits it
+// (ErrFrameOversize, ErrMalformedFrame). A refusal is reported to the
+// caller and NOT counted in any host counter: the frame was never
+// admitted, so accounting it is the injector's job — like a NIC with no
+// free descriptors back-pressuring DMA. Capacity refusals (pool
+// exhausted, NIC ring full, host stopped) wrap ErrIngestRefused. Safe
+// for concurrent use.
 func (h *Host) Inject(port int, frame []byte) error {
-	hd, err := h.pool.Alloc()
+	d, err := h.admit(port, frame)
 	if err != nil {
 		return err
 	}
-	buf, _ := h.pool.Buf(hd)
-	if len(frame) > len(buf) {
-		h.release(hd)
-		return fmt.Errorf("dataplane: frame %dB exceeds buffer %dB", len(frame), len(buf))
-	}
-	copy(buf, frame)
-	_ = h.pool.SetLength(hd, len(frame))
-	d := Desc{
-		H:            hd,
-		Scope:        flowtable.Port(port),
-		ArrivalNanos: time.Now().UnixNano(),
-	}
-	if v, err := packet.Parse(buf[:len(frame)]); err == nil {
-		d.View = v
-		d.Key = v.FlowKey()
-	}
-	h.injectMu.Lock()
-	if h.stop.Load() {
-		// The host is stopping or stopped (the flag stays latched until
-		// the next Start): Stop's ring drain (which also takes injectMu)
-		// must observe every enqueued descriptor, so refuse frames
-		// instead of leaking them past the drain.
-		h.injectMu.Unlock()
-		h.release(hd)
-		return errors.New("dataplane: host stopped")
-	}
-	ok := h.nicIn.Enqueue(d)
-	h.injectMu.Unlock()
-	if !ok {
-		h.release(hd)
-		return errors.New("dataplane: NIC ring full")
-	}
-	h.wakeRX()
-	return nil
+	return h.enqueue(d)
 }
 
 // wakeRX is the wake of the producers outside the engine (Inject, Ingest,

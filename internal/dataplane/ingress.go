@@ -19,11 +19,12 @@ package dataplane
 // and remain the driver's to retry or drop (drivers count such losses
 // in their own RxRefused).
 //
-// Unlike Inject, Ingest is strict about what it admits: a frame larger
-// than the pool frame cap, or one that does not parse as an Ethernet
-// frame, is counted in RxDrops and never enters the packet path — the
-// wire can deliver arbitrary garbage and the old "admit with a zero
-// FlowKey" fallback would hand packet.Parse leftovers to the miss path.
+// Both paths admit through one gate (admit) and enqueue through one
+// helper (enqueue): a frame larger than the pool frame cap, or one that
+// does not parse as an IPv4 UDP/TCP frame, never enters the packet path
+// — the wire can deliver arbitrary garbage, and admitting it with a
+// zero FlowKey would send it down the miss path. Ingest counts such a
+// frame in RxDrops; Inject returns the error and counts it nowhere.
 // Frames arriving on a port with no ingress binding (a driver that was
 // never bound, or already drained) are refused the same way, which
 // gives late wire arrivals during driver teardown a meaning instead of
@@ -191,25 +192,32 @@ func (h *Host) Ingest(port int, frame []byte) error {
 		return fmt.Errorf("%w %d", ErrPortUnbound, port)
 	}
 	d, err := h.admit(port, frame)
+	if err == nil {
+		err = h.enqueue(d)
+	}
 	if err != nil {
 		h.countRxDrop(1)
-		return err
 	}
+	return err
+}
+
+// enqueue hands one admitted descriptor to the NIC ring and wakes the
+// RX thread; a refusal releases the buffer and wraps ErrIngestRefused.
+func (h *Host) enqueue(d Desc) error {
 	h.injectMu.Lock()
 	if h.stop.Load() {
-		// Same latch as Inject: Stop's drain must observe every
-		// enqueued descriptor, so frames arriving after the stop flag
-		// are refused under injectMu (and, being wire frames, counted).
+		// The host is stopping or stopped (the flag stays latched until
+		// the next Start): Stop's ring drain (which also takes injectMu)
+		// must observe every enqueued descriptor, so refuse frames
+		// instead of leaking them past the drain.
 		h.injectMu.Unlock()
 		h.release(d.H)
-		h.countRxDrop(1)
 		return fmt.Errorf("%w: host stopped", ErrIngestRefused)
 	}
 	ok := h.nicIn.Enqueue(d)
 	h.injectMu.Unlock()
 	if !ok {
 		h.release(d.H)
-		h.countRxDrop(1)
 		return fmt.Errorf("%w: NIC ring full", ErrIngestRefused)
 	}
 	h.wakeRX()

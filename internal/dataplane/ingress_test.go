@@ -63,6 +63,39 @@ func TestIngestHardening(t *testing.T) {
 	}
 }
 
+// TestInjectRefusesMalformed: the generator path admits through the
+// same gate as the wire. Garbage and oversize frames are refused with
+// the wire's errors, never reach the miss path, and leak no buffer;
+// being injector losses, they count nowhere.
+func TestInjectRefusesMalformed(t *testing.T) {
+	h, _ := startHost(t, Config{PoolSize: 16, BufSize: 256}, nil)
+	notIPv4 := make([]byte, 64) // zero EtherType
+	for _, tc := range []struct {
+		frame []byte
+		want  error
+	}{
+		{notIPv4, ErrMalformedFrame},
+		{[]byte{0xde, 0xad, 0xbe, 0xef}, ErrMalformedFrame},
+		{nil, ErrMalformedFrame},
+		{make([]byte, 257), ErrFrameOversize},
+	} {
+		if err := h.Inject(0, tc.frame); !errors.Is(err, tc.want) {
+			t.Fatalf("Inject(%d bytes): err = %v, want %v", len(tc.frame), err, tc.want)
+		}
+	}
+	h.Stop() // drains the rings: anything admitted has reached the FC
+	if err := h.Inject(0, buildFrame(t, 1000, nil)); !errors.Is(err, ErrIngestRefused) {
+		t.Fatalf("Inject on a stopped host: err = %v, want ErrIngestRefused", err)
+	}
+	st := h.Stats()
+	if st.Misses != 0 || st.RxPackets != 0 || st.RxDrops != 0 {
+		t.Fatalf("refused injections counted: misses=%d rx=%d rxdrops=%d", st.Misses, st.RxPackets, st.RxDrops)
+	}
+	if st.Pool.InUse != 0 {
+		t.Fatalf("refused injections leaked %d pool buffers", st.Pool.InUse)
+	}
+}
+
 // TestIngestAccountingIdentity runs valid and malformed frames through
 // Ingest on a live host and requires the extended conservation identity
 // rx == tx + drops + overflows + txdrops + rxdrops to balance exactly.

@@ -6,6 +6,7 @@ package reconcile
 // delays, drain logic and shutdown ordering cannot drift apart.
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -191,11 +192,13 @@ func (c *Cluster) Delivered(host string) uint64 {
 
 // Inject offers one frame at the spec's ingress with backpressure: at
 // each burst boundary it holds while more than injectWindow frames are
-// in flight cluster-wide, and a frame the ingress host refuses (pool or
-// NIC ring momentarily full) is retried, so an in-process generator
-// paces itself to the chain instead of overflowing its rings. It fails
-// only when the cluster makes no room for bootTimeout (a stopped
-// ingress host, a wedged chain). One generator goroutine at a time.
+// in flight cluster-wide, and a frame the ingress host refuses for
+// capacity (dataplane.ErrIngestRefused: pool or NIC ring momentarily
+// full) is retried, so an in-process generator paces itself to the
+// chain instead of overflowing its rings. It fails at once on a frame
+// the host will never admit (malformed, oversize), and otherwise only
+// when the cluster makes no room for bootTimeout (a stopped ingress
+// host, a wedged chain). One generator goroutine at a time.
 func (c *Cluster) Inject(frame []byte) error {
 	wait := c.burst == 0
 	c.burst = (c.burst + 1) % injectBurst
@@ -206,6 +209,8 @@ func (c *Cluster) Inject(frame []byte) error {
 			err = fmt.Errorf("%d frames still in flight", c.Fabric.InFlight())
 		} else if err = c.ingress.Inject(c.ingressPort, frame); err == nil {
 			return nil
+		} else if !errors.Is(err, dataplane.ErrIngestRefused) {
+			return fmt.Errorf("reconcile: inject: %w", err)
 		}
 		if deadline.IsZero() {
 			deadline = time.Now().Add(bootTimeout)
