@@ -1,11 +1,13 @@
 package spec
 
 // Diffing two spec generations into a typed change set. The change set
-// is what operators review (sdnfv-ctl diff), what apply responses
-// report, and what the reconcile loop uses to know which parts of the
-// cluster a new generation touches. Output ordering is deterministic
-// (sorted by name) regardless of declaration order in either spec, so
-// the same pair of specs always renders the same diff.
+// is what operators review (sdnfv-ctl diff) and what apply responses
+// report (Reconciler.Apply returns it). It does not drive convergence:
+// the reconcile loop derives its actions from observing the cluster
+// against the whole active spec (computeDrift), so the diff is a report,
+// never the plan. Output ordering is deterministic (sorted by name)
+// regardless of declaration order in either spec, so the same pair of
+// specs always renders the same diff.
 
 import (
 	"fmt"

@@ -237,7 +237,8 @@ func (s *Spec) Marshal() ([]byte, error) {
 }
 
 // Validate checks the spec as a whole. It normalizes zero autoscale
-// bounds to {1, 1} and rejects, among others: unsupported versions,
+// bounds to {1, 1} and an empty link list to nil (Marshal omits it), and
+// rejects, among others: unsupported versions,
 // duplicate host/service names or ids, dangling service references in
 // edges and placements, min > max bounds, overlapping port binds, and
 // service graphs the graph validator refuses (unreachable services, no
@@ -342,6 +343,9 @@ func (s *Spec) Validate() error {
 	}
 	for _, h := range s.Hosts {
 		bound[Endpoint{Host: h.Name, Port: s.EgressPort}] = "egress"
+	}
+	if len(s.Links) == 0 {
+		s.Links = nil
 	}
 	for _, l := range s.Links {
 		if l.A == l.B {
