@@ -1,8 +1,8 @@
 // Command sdnfv-ctl runs the SDN controller + SDNFV Application pair: it
 // listens for NF Manager control channels (the openflow package's wire
 // protocol over TCP), compiles a service graph into flow rules on demand
-// (pipelined PACKET_IN → FLOW_MODs), answers FEATURES/STATS requests,
-// and validates cross-layer NF messages through the typed control API.
+// (pipelined PACKET_IN → FLOW_MODs), records flow-removed notices, and
+// validates cross-layer NF messages through the typed control API.
 //
 // SIGINT/SIGTERM shut it down gracefully: the listener closes, in-flight
 // requests drain via Controller.Stop, and the process exits 0.

@@ -239,8 +239,8 @@ func (c *Controller) submit(ctx context.Context, sess *Session, scope flowtable.
 // Stats sums every session's counters, the anonymous one included: the
 // controller-wide load. See control.Stats for the counters' exact
 // semantics; per-host counters live on each Session. Sessions are never
-// removed, so the sums only grow. It fails with ctx's cause once ctx is
-// done.
+// removed, so no count ever leaves the sum. It fails with ctx's cause
+// once ctx is done.
 func (c *Controller) Stats(ctx context.Context) (control.Stats, error) {
 	if ctx.Err() != nil {
 		return control.Stats{}, context.Cause(ctx)

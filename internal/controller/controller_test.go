@@ -44,6 +44,14 @@ func chainNB() control.Northbound {
 	}
 }
 
+// TestControllerIsNotASouthbound pins that NF Managers reach the
+// controller through a Session, never through the Controller itself.
+func TestControllerIsNotASouthbound(t *testing.T) {
+	if _, ok := any(New(Config{})).(control.Southbound); ok {
+		t.Fatal("*Controller implements control.Southbound; hosts must use Session(dp)")
+	}
+}
+
 func TestResolveInProcess(t *testing.T) {
 	c := New(Config{})
 	c.SetNorthbound(chainNB())

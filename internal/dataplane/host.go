@@ -493,8 +493,9 @@ func (h *Host) waitSnapObserved(epoch uint64) {
 // and goroutine launch, per-flow state owned by it under LBFlowHash
 // migrates over, and a new routing snapshot makes it eligible for
 // traffic: AddNF returns once every manager thread routes with it, so a
-// packet injected afterwards can reach the replica. The engine attaches a per-replica flow-state store to the NF's
-// context and buffers its cross-layer messages per burst.
+// packet injected afterwards can reach the replica. The engine attaches
+// a per-replica flow-state store to the NF's context and buffers its
+// cross-layer messages per burst.
 func (h *Host) AddNF(svc flowtable.ServiceID, fn nf.BatchFunction, priority uint16) (*Instance, error) {
 	h.lifeMu.Lock()
 	defer h.lifeMu.Unlock()

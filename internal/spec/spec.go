@@ -237,12 +237,12 @@ func (s *Spec) Marshal() ([]byte, error) {
 }
 
 // Validate checks the spec as a whole. It normalizes zero autoscale
-// bounds to {1, 1} and an empty link list to nil (Marshal omits it), and
-// rejects, among others: unsupported versions,
-// duplicate host/service names or ids, dangling service references in
-// edges and placements, min > max bounds, overlapping port binds, and
-// service graphs the graph validator refuses (unreachable services, no
-// default path, cycles on the default path).
+// bounds to {1, 1} and an empty link list to nil (Marshal omits it),
+// and rejects, among others: unsupported versions, duplicate
+// host/service names or ids, dangling service references in edges and
+// placements, min > max bounds, overlapping port binds, and service
+// graphs the graph validator refuses (unreachable services, no default
+// path, cycles on the default path).
 func (s *Spec) Validate() error {
 	if s.Version != Version {
 		return fmt.Errorf("%w: %d (want %d)", ErrVersion, s.Version, Version)
