@@ -10,7 +10,6 @@ import (
 	"sdnfv/internal/flowtable"
 	"sdnfv/internal/nf"
 	"sdnfv/internal/openflow"
-	"sdnfv/internal/packet"
 )
 
 // Client is the wire Southbound backend: it speaks the openflow
@@ -22,7 +21,7 @@ import (
 //
 // This is what makes the southbound path pipelined: the Flow Controller
 // thread hands ResolveBatch a whole burst of misses and the client
-// writes every PacketIn back to back before the first answer returns,
+// writes every PacketIn in one Write before the first answer returns,
 // instead of blocking one controller round trip per miss.
 //
 // Client is safe for concurrent use.
@@ -34,17 +33,25 @@ type Client struct {
 	xid    atomic.Uint32
 
 	mu       sync.Mutex
-	pending  map[uint32]*pendingOp
+	pending  map[uint32]pendingSlot
 	closeErr error
 
 	rejected atomic.Uint64
 }
 
-// pendingOp is one PacketIn awaiting its answer: the FlowMods collected
-// so far, and done, which receives nil at the Barrier or the error.
-type pendingOp struct {
-	rules []flowtable.Rule
-	done  chan error
+// pendingBatch is one ResolveBatch awaiting its answers. Its slots of
+// out are written only under Client.mu while their XIDs are pending;
+// done closes when the last one is answered.
+type pendingBatch struct {
+	out  []ResolveResult
+	left int
+	done chan struct{}
+}
+
+// pendingSlot locates one in-flight PacketIn's result: slot i of b.
+type pendingSlot struct {
+	b *pendingBatch
+	i int
 }
 
 // DialAs connects to a controller's southbound listener identifying the
@@ -65,9 +72,10 @@ func NewClientAs(raw net.Conn, dp DatapathID) (*Client, error) {
 	c := &Client{
 		raw:     raw,
 		oc:      openflow.NewConn(raw),
-		pending: make(map[uint32]*pendingOp),
+		pending: make(map[uint32]pendingSlot),
 	}
 	if err := c.send(openflow.Hello{DatapathID: uint64(dp)}, c.nextXID()); err != nil {
+		_ = raw.Close()
 		return nil, err
 	}
 	go c.readLoop()
@@ -92,39 +100,26 @@ func (c *Client) send(msg openflow.Message, xid uint32) error {
 	return c.oc.SendXID(msg, xid)
 }
 
-// register files a pending resolve under a fresh XID. It must happen
-// before the PacketIn is written, or a fast reply could race the
-// bookkeeping.
-func (c *Client) register() (uint32, *pendingOp, error) {
+// answer settles the pending slot for xid, if any: err, or the FlowMods
+// collected so far when err is nil.
+func (c *Client) answer(xid uint32, err error) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closeErr != nil {
-		return 0, nil, c.closeErr
-	}
-	xid := c.nextXID()
-	op := &pendingOp{done: make(chan error, 1)}
-	c.pending[xid] = op
-	return xid, op, nil
-}
-
-func (c *Client) unregister(xid uint32) {
-	c.mu.Lock()
-	delete(c.pending, xid)
-	c.mu.Unlock()
-}
-
-// complete resolves the pending operation for xid, if any.
-func (c *Client) complete(xid uint32, err error) bool {
-	c.mu.Lock()
-	op, ok := c.pending[xid]
+	s, ok := c.pending[xid]
 	if ok {
 		delete(c.pending, xid)
-	}
-	c.mu.Unlock()
-	if ok {
-		op.done <- err
+		s.settle(err)
 	}
 	return ok
+}
+
+func (s pendingSlot) settle(err error) {
+	if err != nil {
+		s.b.out[s.i] = ResolveResult{Err: err}
+	}
+	if s.b.left--; s.b.left == 0 {
+		close(s.b.done)
+	}
 }
 
 // fail terminates every in-flight operation and refuses new ones.
@@ -133,13 +128,11 @@ func (c *Client) fail(err error) {
 	if c.closeErr == nil {
 		c.closeErr = fmt.Errorf("%w: %v", ErrStopped, err)
 	}
-	failed := c.pending
-	c.pending = make(map[uint32]*pendingOp)
-	closeErr := c.closeErr
-	c.mu.Unlock()
-	for _, op := range failed {
-		op.done <- closeErr
+	for xid, s := range c.pending {
+		delete(c.pending, xid)
+		s.settle(c.closeErr)
 	}
+	c.mu.Unlock()
 }
 
 func (c *Client) readLoop() {
@@ -158,16 +151,16 @@ func (c *Client) readLoop() {
 			}
 		case openflow.FlowMod:
 			c.mu.Lock()
-			if op, ok := c.pending[hdr.XID]; ok {
-				op.rules = append(op.rules, m.Rule)
+			if s, ok := c.pending[hdr.XID]; ok {
+				s.b.out[s.i].Rules = append(s.b.out[s.i].Rules, m.Rule)
 			}
 			c.mu.Unlock()
 		case openflow.Barrier:
 			if m.Reply {
-				c.complete(hdr.XID, nil)
+				c.answer(hdr.XID, nil)
 			}
 		case openflow.ErrorMsg:
-			if !c.complete(hdr.XID, mapWireError(m)) &&
+			if !c.answer(hdr.XID, mapWireError(m)) &&
 				(m.Code == openflow.ErrCodeRejected || m.Code == openflow.ErrCodeInvalid) {
 				// Asynchronous refusal of a fire-and-forget NF message.
 				c.rejected.Add(1)
@@ -195,53 +188,59 @@ func mapWireError(e openflow.ErrorMsg) error {
 	}
 }
 
-// start registers and writes one PacketIn without waiting for the
-// answer; the returned operation completes when the Barrier or an
-// ErrorMsg for its XID arrives.
-func (c *Client) start(scope flowtable.ServiceID, key packet.FlowKey) (uint32, *pendingOp, error) {
-	xid, op, err := c.register()
-	if err != nil {
-		return 0, nil, err
-	}
-	if err := c.send(openflow.PacketIn{Scope: scope, Key: key}, xid); err != nil {
-		c.unregister(xid)
-		return 0, nil, fmt.Errorf("%w: %v", ErrStopped, err)
-	}
-	return xid, op, nil
-}
-
-func (c *Client) wait(ctx context.Context, xid uint32, op *pendingOp) ResolveResult {
-	select {
-	case err := <-op.done:
-		if err != nil {
-			return ResolveResult{Err: err}
-		}
-		return ResolveResult{Rules: op.rules}
-	case <-ctx.Done():
-		c.unregister(xid)
-		return ResolveResult{Err: ctx.Err()}
-	}
-}
-
-// ResolveBatch implements Southbound: every PacketIn is written before
-// the first answer is awaited, so the whole batch shares one round trip
-// plus the controller's (possibly overlapped) service times.
+// ResolveBatch implements Southbound: every request is registered under
+// its own XID, then all PacketIns go out in one Write before the first
+// answer is awaited, so the whole batch shares one round trip plus the
+// controller's (possibly overlapped) service times. A failed write fails
+// the channel, and with it every request of the batch.
 func (c *Client) ResolveBatch(ctx context.Context, reqs []ResolveRequest, out []ResolveResult) {
-	xids := make([]uint32, len(reqs))
-	ops := make([]*pendingOp, len(reqs))
-	for i, r := range reqs {
-		xid, op, err := c.start(r.Scope, r.Key)
-		if err != nil {
-			out[i] = ResolveResult{Err: err}
-			continue
-		}
-		xids[i], ops[i] = xid, op
+	if len(reqs) == 0 {
+		return
 	}
-	for i, op := range ops {
-		if op == nil {
-			continue
+	n := uint32(len(reqs))
+	b := &pendingBatch{out: out[:n], left: int(n), done: make(chan struct{})}
+	c.mu.Lock()
+	if err := c.closeErr; err != nil {
+		c.mu.Unlock()
+		fillErr(b.out, err)
+		return
+	}
+	first := c.xid.Add(n) - n + 1
+	for i := range b.out {
+		b.out[i] = ResolveResult{}
+		c.pending[first+uint32(i)] = pendingSlot{b, i}
+	}
+	c.mu.Unlock()
+
+	c.sendMu.Lock()
+	for i, r := range reqs {
+		// A header-only PacketIn is far below the frame limit.
+		_ = c.oc.Queue(openflow.PacketIn{Scope: r.Scope, Key: r.Key}, first+uint32(i))
+	}
+	err := c.oc.Flush()
+	c.sendMu.Unlock()
+	if err != nil {
+		c.fail(err)
+		fillErr(b.out, fmt.Errorf("%w: %v", ErrStopped, err))
+		return
+	}
+	select {
+	case <-b.done:
+	case <-ctx.Done():
+		c.mu.Lock()
+		for i := range b.out {
+			if _, ok := c.pending[first+uint32(i)]; ok {
+				delete(c.pending, first+uint32(i))
+				b.out[i] = ResolveResult{Err: ctx.Err()}
+			}
 		}
-		out[i] = c.wait(ctx, xids[i], op)
+		c.mu.Unlock()
+	}
+}
+
+func fillErr(out []ResolveResult, err error) {
+	for i := range out {
+		out[i] = ResolveResult{Err: err}
 	}
 }
 

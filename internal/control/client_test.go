@@ -122,6 +122,51 @@ func TestClientResolveBatchPipelined(t *testing.T) {
 	}
 }
 
+// TestClientConcurrentBatches drives one Client from several goroutines
+// at once — batches sharing its encode buffer and pending map, NF
+// messages interleaved — and checks every slot gets the rules compiled
+// for its own flow, never a neighbour's.
+func TestClientConcurrentBatches(t *testing.T) {
+	ctl := controller.New(controller.Config{Workers: 4})
+	ctl.SetNorthbound(testApp(t))
+	client := startWire(t, ctl)
+
+	const callers, rounds, n = 4, 20, 8
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reqs := make([]control.ResolveRequest, n)
+			out := make([]control.ResolveResult, n)
+			for r := 0; r < rounds; r++ {
+				for i := range reqs {
+					reqs[i] = control.ResolveRequest{Scope: flowtable.Port(0), Key: testKey(uint16(g<<12 | r<<4 | i))}
+				}
+				client.ResolveBatch(context.Background(), reqs, out)
+				if err := client.SendNFMessage(context.Background(), 1, nf.Message{Kind: nf.MsgData, Key: "k", Value: r}); err != nil {
+					t.Errorf("caller %d: SendNFMessage: %v", g, err)
+					return
+				}
+				for i, res := range out {
+					if res.Err != nil || len(res.Rules) == 0 {
+						t.Errorf("caller %d round %d slot %d: %+v", g, r, i, res)
+						return
+					}
+					want := flowtable.ExactMatch(reqs[i].Key)
+					for _, rule := range res.Rules {
+						if *rule.Match.SrcPort != *want.SrcPort {
+							t.Errorf("caller %d round %d slot %d: rule for port %d, want %d", g, r, i, *rule.Match.SrcPort, *want.SrcPort)
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestClientErrorMapping(t *testing.T) {
 	// No northbound attached: every resolve must surface ErrNoCompiler
 	// across the wire.
@@ -216,8 +261,11 @@ func TestClientFlowRemovedWire(t *testing.T) {
 	got := make(chan seen, 1)
 	ctl.SetNorthbound(control.NorthboundFuncs{
 		HandleFlowRemovedFunc: func(ctx context.Context, dp control.DatapathID, removals []control.FlowRemoved) error {
+			// The app counts the notices before the test is told, so
+			// the FlowsRemoved check below cannot outrun it.
+			err := a.HandleFlowRemoved(ctx, dp, removals)
 			got <- seen{dp, removals}
-			return a.HandleFlowRemoved(ctx, dp, removals)
+			return err
 		},
 	})
 	client := startWire(t, ctl)
@@ -272,12 +320,15 @@ func TestClientFlowRemovedLargeBatch(t *testing.T) {
 	)
 	ctl.SetNorthbound(control.NorthboundFuncs{
 		HandleFlowRemovedFunc: func(ctx context.Context, dp control.DatapathID, removals []control.FlowRemoved) error {
+			// The app counts the notices before the wait below can see
+			// them, so its FlowsRemoved check cannot outrun the app.
+			err := a.HandleFlowRemoved(ctx, dp, removals)
 			mu.Lock()
 			for _, r := range removals {
 				ids = append(ids, r.RuleID)
 			}
 			mu.Unlock()
-			return a.HandleFlowRemoved(ctx, dp, removals)
+			return err
 		},
 	})
 	client := startWire(t, ctl)

@@ -379,19 +379,21 @@ func (c *Controller) Serve(ln net.Listener) error {
 	}
 }
 
-// sendReply answers one admitted PacketIn: an ErrorMsg for a failed
-// resolution, else the compiled FlowMods terminated by a Barrier. It
-// stops at the first frame the channel refuses and returns that error.
-func sendReply(send func(openflow.Message, uint32) error, xid uint32, rules []flowtable.Rule, rerr error) error {
+// sendReply answers one admitted PacketIn in a single Write: an ErrorMsg
+// for a failed resolution, else the compiled FlowMods terminated by a
+// Barrier. sendMu serializes the channel's writers.
+func sendReply(sendMu *sync.Mutex, oc *openflow.Conn, xid uint32, rules []flowtable.Rule, rerr error) error {
+	sendMu.Lock()
+	defer sendMu.Unlock()
 	if rerr != nil {
-		return send(openflow.ErrorMsg{Code: errCode(rerr), Text: rerr.Error()}, xid)
+		return oc.SendXID(openflow.ErrorMsg{Code: errCode(rerr), Text: rerr.Error()}, xid)
 	}
 	for _, r := range rules {
-		if err := send(openflow.FlowMod{Rule: r}, xid); err != nil {
+		if err := oc.Queue(openflow.FlowMod{Rule: r}, xid); err != nil {
 			return err
 		}
 	}
-	return send(openflow.Barrier{Reply: true}, xid)
+	return oc.SendXID(openflow.Barrier{Reply: true}, xid)
 }
 
 // errCode maps a resolve error to its wire code so control.Client can
@@ -473,7 +475,7 @@ func (c *Controller) serveConn(conn net.Conn) error {
 			// session (a later HELLO may rebind sess).
 			rsess := sess
 			err := c.submit(context.Background(), sess, m.Scope, m.Key, func(rules []flowtable.Rule, rerr error) {
-				if sendReply(sendXID, xid, rules, rerr) != nil {
+				if sendReply(&sendMu, oc, xid, rules, rerr) != nil {
 					rsess.repliesFailed.Add(1)
 				}
 			})

@@ -421,6 +421,76 @@ func TestServeCountsFailedReplies(t *testing.T) {
 	<-served
 }
 
+// countingConn counts the Writes a served channel makes.
+type countingConn struct {
+	net.Conn
+	writes atomic.Int32
+}
+
+func (c *countingConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(b)
+}
+
+// TestServeReplyIsOneWrite: a PacketIn's whole answer — its FlowMods
+// plus Barrier, or its ErrorMsg — leaves the controller in one Write.
+func TestServeReplyIsOneWrite(t *testing.T) {
+	threeRules := control.NorthboundFuncs{
+		CompileFlowFunc: func(_ context.Context, _ control.DatapathID, scope flowtable.ServiceID, key packet.FlowKey) ([]flowtable.Rule, error) {
+			r := flowtable.Rule{Scope: scope, Match: flowtable.ExactMatch(key), Actions: []flowtable.Action{flowtable.Forward(10)}}
+			return []flowtable.Rule{r, r, r}, nil
+		},
+	}
+	for _, tc := range []struct {
+		name string
+		nb   control.Northbound // nil answers with ErrNoCompiler
+		mods int
+	}{
+		{"flowmods+barrier", threeRules, 3},
+		{"error", nil, 0},
+	} {
+		c := New(Config{})
+		if tc.nb != nil {
+			c.SetNorthbound(tc.nb)
+		}
+		c.Start()
+		srv, cli := net.Pipe()
+		cc := &countingConn{Conn: srv}
+		served := make(chan error, 1)
+		go func() { served <- c.serveConn(cc) }()
+		oc := openflow.NewConn(cli)
+		if _, _, err := oc.Recv(); err != nil { // HELLO
+			t.Fatal(err)
+		}
+		before := cc.writes.Load()
+		if _, err := oc.Send(openflow.PacketIn{Scope: flowtable.Port(0), Key: testKey()}); err != nil {
+			t.Fatal(err)
+		}
+		mods := 0
+	reply:
+		for {
+			msg, _, err := oc.Recv()
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			switch m := msg.(type) {
+			case openflow.FlowMod:
+				mods++
+			case openflow.Barrier, openflow.ErrorMsg:
+				break reply
+			default:
+				t.Fatalf("%s: unexpected %T", tc.name, m)
+			}
+		}
+		if w := cc.writes.Load() - before; w != 1 || mods != tc.mods {
+			t.Fatalf("%s: %d FlowMods in %d writes, want %d in 1", tc.name, mods, w, tc.mods)
+		}
+		cli.Close()
+		<-served
+		c.Stop()
+	}
+}
+
 // TestServePipelinedPacketIns sends a burst of PacketIns without waiting
 // and checks every one is answered with its own XID-correlated
 // FlowMod+Barrier pair.

@@ -1259,7 +1259,8 @@ const rxBatch = 64
 // burstScratch is a manager thread's per-thread burst storage, allocated
 // once at thread launch so the poll loops themselves stay
 // allocation-free. The RX thread uses the lookup arrays; the Flow
-// Controller additionally uses the southbound request/result arrays.
+// Controller additionally uses the southbound request/result arrays and
+// the dedupe map and rule list of its cold half.
 type burstScratch struct {
 	batch   []Desc
 	scopes  []flowtable.ServiceID
@@ -1268,6 +1269,8 @@ type burstScratch struct {
 	reqs    []control.ResolveRequest
 	results []control.ResolveResult
 	slot    []int // descriptor -> unique request index
+	seen    map[control.ResolveRequest]int
+	rules   []flowtable.Rule // AddBatch copies what it keeps, so bursts share it
 }
 
 func newBurstScratch() *burstScratch {
@@ -1279,6 +1282,7 @@ func newBurstScratch() *burstScratch {
 		reqs:    make([]control.ResolveRequest, rxBatch),
 		results: make([]control.ResolveResult, rxBatch),
 		slot:    make([]int, rxBatch),
+		seen:    make(map[control.ResolveRequest]int, rxBatch),
 	}
 }
 
@@ -1795,8 +1799,8 @@ func (h *Host) fcLoop() {
 // of true misses, pipelines one southbound ResolveBatch for the unique
 // flows, installs the returned rules, and re-routes the survivors (a
 // survivor the installed rules still do not cover is dropped). The
-// first miss descriptors of s.batch are the misses; the scratch arrays
-// are reused as the request/result storage. Deliberately
+// first miss descriptors of s.batch are the misses; the scratch arrays,
+// dedupe map and rule list are reused by every burst. Deliberately
 // NOT hotpath-annotated — it blocks on the controller for up to
 // Config.ResolveTimeout and allocates per southbound exchange, which is
 // exactly the work the Flow Controller thread exists to keep off the
@@ -1810,13 +1814,13 @@ func (h *Host) resolveMisses(snap *routeSnap, s *burstScratch, miss, producer in
 	}
 	// Dedupe: one southbound request per distinct (scope, key).
 	uniq := 0
-	seen := make(map[control.ResolveRequest]int, miss)
+	clear(s.seen)
 	for i := 0; i < miss; i++ {
 		req := control.ResolveRequest{Scope: s.batch[i].Scope, Key: s.batch[i].Key}
-		j, ok := seen[req]
+		j, ok := s.seen[req]
 		if !ok {
 			j = uniq
-			seen[req] = j
+			s.seen[req] = j
 			s.reqs[j] = req
 			uniq++
 		}
@@ -1827,17 +1831,17 @@ func (h *Host) resolveMisses(snap *routeSnap, s *burstScratch, miss, producer in
 	cancel()
 	// Install every returned rule in one batched write, then re-route the
 	// survivors in one table pass.
-	var rules []flowtable.Rule
+	s.rules = s.rules[:0]
 	for i := 0; i < uniq; i++ {
 		if s.results[i].Err == nil {
-			rules = append(rules, s.results[i].Rules...)
+			s.rules = append(s.rules, s.results[i].Rules...)
 		}
 	}
-	if _, err := h.table.AddBatch(rules); err != nil {
+	if _, err := h.table.AddBatch(s.rules); err != nil {
 		// AddBatch is all-or-nothing; a compiler mixing one bad rule into
 		// a valid set must not lose the whole set (and livelock the
 		// packets), so salvage rule by rule.
-		for _, rule := range rules {
+		for _, rule := range s.rules {
 			_, _ = h.table.Add(rule)
 		}
 	}

@@ -14,7 +14,10 @@
 //
 // Framing: every message is an 8-byte header (version, type, length, xid)
 // followed by a type-specific body, all big-endian, mirroring OpenFlow's
-// header layout.
+// header layout. A Conn batches both directions: one Read fills its
+// buffer with as many frames as the stream holds and Recv hands them out
+// in turn, and a writer queues any number of frames into one reused
+// buffer that Flush sends in a single Write.
 package openflow
 
 import (
@@ -385,18 +388,24 @@ func decodeMatch(b []byte) (flowtable.Match, []byte, error) {
 	return m, b[14:], nil
 }
 
-// Encode serializes msg with the given transaction id into a wire frame.
-func Encode(msg Message, xid uint32) ([]byte, error) {
-	body := msg.encode(make([]byte, 0, 64))
-	total := headerLen + len(body)
+// AppendFrame appends msg's wire frame, with transaction id xid, to dst:
+// the header and body are encoded in place and the length back-patched.
+// On error dst comes back unchanged.
+func AppendFrame(dst []byte, msg Message, xid uint32) ([]byte, error) {
+	start := len(dst)
+	dst = be32(append(dst, Version, byte(msg.Type()), 0, 0), xid)
+	dst = msg.encode(dst)
+	total := len(dst) - start
 	if total > 0xffff {
-		return nil, ErrTooLarge
+		return dst[:start], ErrTooLarge
 	}
-	frame := make([]byte, 0, total)
-	frame = append(frame, Version, byte(msg.Type()))
-	frame = be16(frame, uint16(total))
-	frame = be32(frame, xid)
-	return append(frame, body...), nil
+	binary.BigEndian.PutUint16(dst[start+2:], uint16(total))
+	return dst, nil
+}
+
+// Encode serializes msg with the given transaction id into a new frame.
+func Encode(msg Message, xid uint32) ([]byte, error) {
+	return AppendFrame(make([]byte, 0, 64), msg, xid)
 }
 
 // Decode parses one complete frame produced by Encode.
@@ -575,12 +584,17 @@ func decodeError(b []byte, h Header) (Message, Header, error) {
 	return ErrorMsg{Code: binary.BigEndian.Uint16(b), Text: string(b[4 : 4+n])}, h, nil
 }
 
-// Conn frames messages over an io.ReadWriter (normally a net.Conn). It is
-// not safe for concurrent writers; callers serialize sends.
+// Conn frames messages over an io.ReadWriter (normally a net.Conn). Recv
+// decodes frames out of one owned read buffer that each Read fills as far
+// as the stream allows; Queue encodes frames into one owned write buffer
+// and Flush sends them in a single Write. It is not safe for concurrent
+// writers; callers serialize sends.
 type Conn struct {
-	rw   io.ReadWriter
-	xid  uint32
-	rbuf []byte
+	rw         io.ReadWriter
+	xid        uint32
+	rbuf       []byte
+	rpos, rend int // rbuf[rpos:rend] is read but not yet decoded
+	wbuf       []byte
 }
 
 // NewConn wraps rw.
@@ -588,41 +602,67 @@ func NewConn(rw io.ReadWriter) *Conn {
 	return &Conn{rw: rw, rbuf: make([]byte, 0xffff)}
 }
 
-// Send encodes and writes msg, returning the transaction id used.
+// Send writes msg under the next transaction id and returns that id.
 func (c *Conn) Send(msg Message) (uint32, error) {
 	c.xid++
-	frame, err := Encode(msg, c.xid)
-	if err != nil {
-		return 0, err
-	}
-	_, err = c.rw.Write(frame)
-	return c.xid, err
+	return c.xid, c.SendXID(msg, c.xid)
 }
 
-// SendXID encodes and writes msg with an explicit transaction id (used for
-// replies that must echo the request XID).
+// SendXID writes msg with an explicit transaction id (used for replies
+// that must echo the request XID).
 func (c *Conn) SendXID(msg Message, xid uint32) error {
-	frame, err := Encode(msg, xid)
-	if err != nil {
+	if err := c.Queue(msg, xid); err != nil {
 		return err
 	}
-	_, err = c.rw.Write(frame)
+	return c.Flush()
+}
+
+// Queue appends msg's frame to the pending batch without writing it. A
+// frame that fails to encode discards the whole batch.
+func (c *Conn) Queue(msg Message, xid uint32) error {
+	var err error
+	if c.wbuf, err = AppendFrame(c.wbuf, msg, xid); err != nil {
+		c.wbuf = c.wbuf[:0]
+	}
 	return err
 }
 
-// Recv reads and decodes the next message.
+// Flush writes every queued frame in one Write and empties the batch.
+func (c *Conn) Flush() error {
+	_, err := c.rw.Write(c.wbuf)
+	c.wbuf = c.wbuf[:0]
+	return err
+}
+
+// Recv decodes the next frame. When no whole frame is buffered it moves
+// the partial one to the front of the buffer, which then holds any frame,
+// and refills it with one Read. Decode copies out every byte a message
+// keeps, so the buffer is free for reuse once Recv returns. A stream that
+// ends inside a frame fails with io.ErrUnexpectedEOF; io.EOF comes only
+// at a frame boundary.
 func (c *Conn) Recv() (Message, Header, error) {
-	hdr := c.rbuf[:headerLen]
-	if _, err := io.ReadFull(c.rw, hdr); err != nil {
-		return nil, Header{}, err
+	for {
+		buf := c.rbuf[c.rpos:c.rend]
+		if len(buf) >= headerLen {
+			length := int(binary.BigEndian.Uint16(buf[2:]))
+			if length < headerLen {
+				return nil, Header{}, ErrTruncated
+			}
+			if len(buf) >= length {
+				c.rpos += length
+				return Decode(buf[:length])
+			}
+		}
+		if c.rpos > 0 {
+			c.rend, c.rpos = copy(c.rbuf, buf), 0
+		}
+		n, err := c.rw.Read(c.rbuf[c.rend:])
+		c.rend += n
+		if n == 0 && err != nil {
+			if errors.Is(err, io.EOF) && c.rend > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, Header{}, err
+		}
 	}
-	length := int(binary.BigEndian.Uint16(hdr[2:]))
-	if length < headerLen {
-		return nil, Header{}, ErrTruncated
-	}
-	frame := c.rbuf[:length]
-	if _, err := io.ReadFull(c.rw, frame[headerLen:]); err != nil {
-		return nil, Header{}, err
-	}
-	return Decode(frame)
 }

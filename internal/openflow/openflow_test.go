@@ -6,6 +6,7 @@ import (
 	"io"
 	"reflect"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 	"time"
 
@@ -316,44 +317,154 @@ type readerConn struct {
 func (c readerConn) Read(p []byte) (int, error)  { return c.r.Read(p) }
 func (c readerConn) Write(p []byte) (int, error) { return len(p), nil }
 
-// FuzzConnRecv throws arbitrary byte streams at the framing layer: Recv
-// must terminate with a clean error — never panic, hang, or read past
-// the declared frame — on truncated headers, lying length fields, and
-// unknown types.
+// chunkReader returns at most k bytes per Read, so frames arrive split
+// at arbitrary points.
+type chunkReader struct {
+	r io.Reader
+	k int
+}
+
+func (c chunkReader) Read(p []byte) (int, error) { return c.r.Read(p[:min(len(p), c.k)]) }
+
+// recvAll decodes up to 64 frames from r and returns them with the error
+// that ended the stream.
+func recvAll(r io.Reader) ([]Message, []Header, error) {
+	c := NewConn(readerConn{r: r})
+	var msgs []Message
+	var hdrs []Header
+	for i := 0; i < 64; i++ {
+		msg, hdr, err := c.Recv()
+		if err != nil {
+			return msgs, hdrs, err
+		}
+		msgs, hdrs = append(msgs, msg), append(hdrs, hdr)
+	}
+	return msgs, hdrs, nil
+}
+
+// FuzzConnRecv throws arbitrary byte streams at the framing layer,
+// delivered at most k bytes per Read: Recv must terminate with a clean
+// error — never panic, hang, or read past the declared frame — on
+// truncated headers, lying length fields, and unknown types, and where
+// the reads split the stream must not change what it decodes.
 func FuzzConnRecv(f *testing.F) {
 	valid, _ := Encode(PacketIn{Scope: flowtable.Port(1), Buffer: []byte{1}}, 3)
-	f.Add(valid)
-	f.Add(valid[:3])                                              // truncated header
-	f.Add(append(valid, 0xff))                                    // trailing garbage
-	f.Add([]byte{Version, 0xEE, 0x00, 0x08, 0, 0, 0, 1})          // unknown type
-	f.Add([]byte{Version, 0x00, 0xff, 0xff, 0, 0, 0, 1})          // length says 64KiB, body absent
-	f.Add([]byte{Version, 0x05, 0x00, 0x04, 0, 0, 0, 1, 9, 9, 9}) // length < header size
+	f.Add(valid, uint8(1))
+	f.Add(valid[:3], uint8(1))                                              // truncated header
+	f.Add(append(valid, 0xff), uint8(7))                                    // trailing garbage
+	f.Add([]byte{Version, 0xEE, 0x00, 0x08, 0, 0, 0, 1}, uint8(3))          // unknown type
+	f.Add([]byte{Version, 0x00, 0xff, 0xff, 0, 0, 0, 1}, uint8(5))          // length says 64KiB, body absent
+	f.Add([]byte{Version, 0x05, 0x00, 0x04, 0, 0, 0, 1, 9, 9, 9}, uint8(2)) // length < header size
 	two := append(append([]byte{}, valid...), valid...)
-	f.Add(two) // back-to-back frames
+	f.Add(two, uint8(0))            // back-to-back frames, one Read
+	f.Add(two, uint8(len(valid)+1)) // second frame split across Reads
 	removed, _ := Encode(FlowRemoved{Removals: []FlowRemovedEntry{
 		{Scope: flowtable.Port(2), RuleID: 99, Reason: 1},
 	}}, 5)
-	f.Add(removed)
-	f.Add(removed[:len(removed)-4]) // removal entry cut mid-ruleID
-	f.Fuzz(func(t *testing.T, data []byte) {
-		c := NewConn(readerConn{r: bytes.NewReader(data)})
-		for i := 0; i < 64; i++ {
-			msg, hdr, err := c.Recv()
-			if err != nil {
-				return // clean termination
-			}
+	f.Add(removed, uint8(4))
+	f.Add(removed[:len(removed)-4], uint8(9)) // removal entry cut mid-ruleID
+	f.Fuzz(func(t *testing.T, data []byte, k uint8) {
+		msgs, hdrs, err := recvAll(bytes.NewReader(data))
+		for i, msg := range msgs {
 			if msg == nil {
-				t.Fatalf("nil message with nil error (hdr %+v)", hdr)
+				t.Fatalf("nil message with nil error (hdr %+v)", hdrs[i])
 			}
-			if int(hdr.Length) < 8 {
-				t.Fatalf("accepted frame with impossible length %d", hdr.Length)
+			if int(hdrs[i].Length) < 8 {
+				t.Fatalf("accepted frame with impossible length %d", hdrs[i].Length)
 			}
 			// A decoded message must re-encode within the wire limit.
-			if _, err := Encode(msg, hdr.XID); err != nil {
+			if _, err := Encode(msg, hdrs[i].XID); err != nil {
 				t.Fatalf("decoded message fails to re-encode: %v", err)
 			}
 		}
+		if k == 0 {
+			return // the whole-buffer read above is the k = ∞ case
+		}
+		split, splitHdrs, splitErr := recvAll(chunkReader{r: bytes.NewReader(data), k: int(k)})
+		if !reflect.DeepEqual(split, msgs) || !reflect.DeepEqual(splitHdrs, hdrs) {
+			t.Fatalf("%d-byte reads decoded %d frames %+v, whole read %d frames %+v", k, len(split), splitHdrs, len(msgs), hdrs)
+		}
+		if !errors.Is(splitErr, err) || !errors.Is(err, splitErr) {
+			t.Fatalf("%d-byte reads ended with %v, whole read with %v", k, splitErr, err)
+		}
 	})
+}
+
+// TestConnRecvSplitReads feeds a stream of one frame per message type
+// through readers that split it at every byte or halve each Read: every
+// frame decodes as from one read, the stream's end at a frame boundary
+// is io.EOF, and an end inside a header or a body is
+// io.ErrUnexpectedEOF.
+func TestConnRecvSplitReads(t *testing.T) {
+	var stream []byte
+	var want []Message
+	for mt := TypeHello; mt <= TypeFlowRemoved; mt++ {
+		var err error
+		if stream, err = AppendFrame(stream, exemplarFor(mt), uint32(mt)); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, exemplarFor(mt))
+	}
+	first, _ := Encode(want[0], 0)
+	cuts := []struct {
+		name string
+		end  int   // stream bytes delivered
+		msgs int   // frames that decode
+		err  error // what ends the stream
+	}{
+		{"whole", len(stream), len(want), io.EOF},
+		{"mid-header", len(first) + 3, 1, io.ErrUnexpectedEOF},
+		{"mid-body", len(stream) - 3, len(want) - 1, io.ErrUnexpectedEOF},
+	}
+	readers := []struct {
+		name string
+		wrap func(io.Reader) io.Reader
+	}{
+		{"one-byte", iotest.OneByteReader},
+		{"half", iotest.HalfReader},
+		{"data-err", iotest.DataErrReader},
+	}
+	for _, rd := range readers {
+		for _, cut := range cuts {
+			msgs, hdrs, err := recvAll(rd.wrap(bytes.NewReader(stream[:cut.end])))
+			if len(msgs) != cut.msgs || !errors.Is(err, cut.err) {
+				t.Fatalf("%s/%s: %d frames then %v, want %d then %v", rd.name, cut.name, len(msgs), err, cut.msgs, cut.err)
+			}
+			for i, m := range msgs {
+				if !reflect.DeepEqual(m, want[i]) || hdrs[i].XID != uint32(i) {
+					t.Fatalf("%s/%s frame %d: %+v xid %d, want %+v", rd.name, cut.name, i, m, hdrs[i].XID, want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestAppendFrameNoAllocs pins the send path's encode: a frame appended
+// to a buffer with room makes no allocation, and matches Encode.
+func TestAppendFrameNoAllocs(t *testing.T) {
+	for _, mt := range []MsgType{TypePacketIn, TypeFlowMod, TypeBarrierReply} {
+		msg := exemplarFor(mt)
+		buf := make([]byte, 0, 256)
+		if allocs := testing.AllocsPerRun(100, func() {
+			buf, _ = AppendFrame(buf[:0], msg, 9)
+		}); allocs != 0 {
+			t.Errorf("%s: %v allocs per AppendFrame", mt, allocs)
+		}
+		if frame, _ := Encode(msg, 9); !bytes.Equal(buf, frame) {
+			t.Errorf("%s: AppendFrame %x, Encode %x", mt, buf, frame)
+		}
+	}
+}
+
+// TestAppendFrameTooLarge: a frame past the 64 KiB limit leaves dst as
+// it was, so one oversized message cannot corrupt a queued batch.
+func TestAppendFrameTooLarge(t *testing.T) {
+	dst, _ := AppendFrame(nil, Barrier{}, 1)
+	huge := Echo{Data: make([]byte, 0x10000)}
+	got, err := AppendFrame(dst, huge, 2)
+	if !errors.Is(err, ErrTooLarge) || !bytes.Equal(got, dst) {
+		t.Fatalf("err = %v, dst %d bytes -> %d", err, len(dst), len(got))
+	}
 }
 
 func BenchmarkEncodeDecodeFlowMod(b *testing.B) {
