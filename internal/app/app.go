@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"sdnfv/internal/control"
@@ -51,6 +52,7 @@ type App struct {
 
 	mu           sync.Mutex
 	graphs       map[string]*graph.Graph
+	templates    map[*graph.Graph]template
 	defGraph     string
 	msgLog       []LoggedMessage
 	policyKV     map[string]any
@@ -60,10 +62,19 @@ type App struct {
 	// deployment, when set, switches the application to multi-host mode:
 	// CompileFlow answers with the requesting datapath's slice of the
 	// compiled deployment, and accepted ChangeDefault messages are
-	// translated to per-host actions and pushed through downstream.
+	// translated to per-host actions and pushed through downstream. Each
+	// datapath's table in deployed is that host's rule template.
 	deployment *Deployment
 	deployed   map[control.DatapathID][]flowtable.Rule
 	downstream Downstream
+}
+
+// template is a registered graph's compiled rules, current while the
+// graph's generation is gen. The rules are never modified once stored:
+// stamp copies them for each flow.
+type template struct {
+	gen   uint64
+	rules []flowtable.Rule
 }
 
 // LoggedMessage is one validated cross-layer message.
@@ -82,9 +93,10 @@ type LoggedMessage struct {
 // New builds an application.
 func New(cfg Config) *App {
 	return &App{
-		cfg:      cfg,
-		graphs:   make(map[string]*graph.Graph),
-		policyKV: make(map[string]any),
+		cfg:       cfg,
+		graphs:    make(map[string]*graph.Graph),
+		templates: make(map[*graph.Graph]template),
+		policyKV:  make(map[string]any),
 	}
 }
 
@@ -130,7 +142,8 @@ func (a *App) Graph(name string) (*graph.Graph, error) {
 // CompileRules picks the graph for the flow and compiles it to host
 // rules. The compiled rules match all flows (wildcard) — the paper's
 // pre-population mode — unless exact is true, in which case they are
-// specialized to the flow's exact 5-tuple (per-flow mode).
+// specialized to the flow's exact 5-tuple (per-flow mode). A graph is
+// compiled once per generation; each call stamps a copy of the result.
 func (a *App) CompileRules(scope flowtable.ServiceID, key packet.FlowKey, exact bool) ([]flowtable.Rule, error) {
 	name := ""
 	if a.cfg.Selector != nil {
@@ -140,17 +153,36 @@ func (a *App) CompileRules(scope flowtable.ServiceID, key packet.FlowKey, exact 
 	if err != nil {
 		return nil, err
 	}
-	rules, err := g.Rules(a.cfg.IngressPort, a.cfg.EgressPort)
+	a.mu.Lock()
+	t, ok := a.templates[g]
+	if !ok || t.gen != g.Generation() {
+		// Rules re-validates: a graph edited since registration fails
+		// here, as it would have on a fresh compile.
+		t = template{gen: g.Generation()}
+		if t.rules, err = g.Rules(a.cfg.IngressPort, a.cfg.EgressPort); err == nil {
+			a.templates[g] = t
+		}
+	}
+	a.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
+	return stamp(t.rules, key, exact), nil
+}
+
+// stamp returns a caller-owned copy of the rule template tmpl, matching
+// key's exact 5-tuple when exact is set. It makes one allocation: the
+// rules' Actions stay shared with the template, and every consumer
+// treats them as read-only (the flow table copies them on install).
+func stamp(tmpl []flowtable.Rule, key packet.FlowKey, exact bool) []flowtable.Rule {
+	rules := slices.Clone(tmpl)
 	if exact {
 		m := flowtable.ExactMatch(key)
 		for i := range rules {
 			rules[i].Match = m
 		}
 	}
-	return rules, nil
+	return rules
 }
 
 // CompileFlow implements control.Northbound: the rule compiler the SDN
@@ -168,16 +200,7 @@ func (a *App) CompileFlow(_ context.Context, dp control.DatapathID, scope flowta
 		if !ok {
 			return nil, fmt.Errorf("%w: %s not in deployment", ErrUnknownDatapath, dp)
 		}
-		if a.cfg.WildcardRules {
-			return rules, nil
-		}
-		exact := make([]flowtable.Rule, len(rules))
-		m := flowtable.ExactMatch(key)
-		for i, r := range rules {
-			r.Match = m
-			exact[i] = r
-		}
-		return exact, nil
+		return stamp(rules, key, !a.cfg.WildcardRules), nil
 	}
 	return a.CompileRules(scope, key, !a.cfg.WildcardRules)
 }

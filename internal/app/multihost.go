@@ -70,6 +70,8 @@ type Deployment struct {
 	// edgeCh records the channel Compile allocated to each crossing
 	// edge, for ChangeDefault translation at runtime.
 	edgeCh map[[2]flowtable.ServiceID]Channel
+	// gen is the Graph generation Compile last ran at.
+	gen uint64
 }
 
 // HostOf returns the datapath hosting service s (the Ingress host for
@@ -122,6 +124,7 @@ func (d *Deployment) compile(only map[control.DatapathID]bool) (map[control.Data
 	if err := d.Graph.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrGraphInvalid, err)
 	}
+	d.gen = d.Graph.Generation()
 	// Deterministic vertex order: Source, then services ascending.
 	ids := []flowtable.ServiceID{graph.Source}
 	for _, v := range d.Graph.Vertices() {
@@ -234,7 +237,8 @@ func sameChannels(a, b map[HostPair][]Channel) bool {
 // to a full compile, because channel allocation is deterministic and a
 // channel assignment can only change when one of the pair's endpoints
 // moved. Anything structural (different graph, ingress, ports, or
-// channel inventory) falls back to a full compile.
+// channel inventory, or a graph edited since prev compiled) falls back
+// to a full compile.
 //
 // It returns the complete merged per-host tables for the new deployment
 // and the sorted list of datapaths whose rules must be reinstalled —
@@ -243,6 +247,7 @@ func sameChannels(a, b map[HostPair][]Channel) bool {
 func (d *Deployment) CompileDelta(prev *Deployment, prevTables map[control.DatapathID][]flowtable.Rule) (map[control.DatapathID][]flowtable.Rule, []control.DatapathID, error) {
 	full := prev == nil || prevTables == nil ||
 		prev.Graph != d.Graph ||
+		prev.gen != d.Graph.Generation() ||
 		prev.Ingress != d.Ingress ||
 		prev.IngressPort != d.IngressPort ||
 		prev.EgressPort != d.EgressPort ||

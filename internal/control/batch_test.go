@@ -9,6 +9,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -87,7 +88,7 @@ func TestResolveBatchIsOneWrite(t *testing.T) {
 				t.Errorf("peer: %v", err)
 				return
 			}
-			if _, ok := msg.(openflow.PacketIn); ok {
+			if _, ok := msg.(*openflow.PacketIn); ok {
 				xids[hdr.XID] = true
 				_ = peer.Queue(openflow.FlowMod{Rule: flowtable.Rule{Scope: 1, Actions: []flowtable.Action{flowtable.Drop()}}}, hdr.XID)
 				_ = peer.Queue(openflow.Barrier{Reply: true}, hdr.XID)
@@ -156,6 +157,60 @@ func TestResolveBatchWriteFailure(t *testing.T) {
 		}
 		if p := c.pendingLen(); p != 0 {
 			t.Fatalf("round %d: %d requests left pending", round, p)
+		}
+	}
+}
+
+// TestClientInterleavedReplies: a peer may interleave the FlowMods of
+// different replies. The reader hands each slot exactly its own rules,
+// in order, with one slice sized for them.
+func TestClientInterleavedReplies(t *testing.T) {
+	srv, cli := net.Pipe()
+	defer srv.Close()
+	go func() {
+		peer := openflow.NewConn(srv)
+		var xids []uint32
+		for len(xids) < 2 {
+			msg, hdr, err := peer.Recv()
+			if err != nil {
+				t.Errorf("peer: %v", err)
+				return
+			}
+			if _, ok := msg.(*openflow.PacketIn); ok {
+				xids = append(xids, hdr.XID)
+			}
+		}
+		mod := func(dest flowtable.ServiceID) openflow.FlowMod {
+			return openflow.FlowMod{Rule: flowtable.Rule{Scope: dest, Actions: []flowtable.Action{flowtable.Forward(dest)}}}
+		}
+		a, b := xids[0], xids[1]
+		for _, f := range []struct {
+			msg openflow.Message
+			xid uint32
+		}{
+			{mod(1), a}, {mod(2), b}, {mod(3), b}, {mod(4), a},
+			{openflow.Barrier{Reply: true}, b}, {mod(5), a}, {openflow.Barrier{Reply: true}, a},
+		} {
+			_ = peer.Queue(f.msg, f.xid)
+		}
+		if err := peer.Flush(); err != nil {
+			t.Errorf("peer: %v", err)
+		}
+	}()
+	c, err := NewClientAs(cli, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	out := make([]ResolveResult, 2)
+	c.ResolveBatch(context.Background(), batchReqs(2), out)
+	for i, want := range [][]flowtable.ServiceID{{1, 4, 5}, {2, 3}} {
+		var got []flowtable.ServiceID
+		for _, r := range out[i].Rules {
+			got = append(got, r.Scope)
+		}
+		if out[i].Err != nil || !slices.Equal(got, want) {
+			t.Fatalf("slot %d: scopes %v err %v, want %v", i, got, out[i].Err, want)
 		}
 	}
 }

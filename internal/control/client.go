@@ -122,6 +122,15 @@ func (s pendingSlot) settle(err error) {
 	}
 }
 
+// deliver adds rules to the pending slot for xid, if any.
+func (c *Client) deliver(xid uint32, rules []flowtable.Rule) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if s, ok := c.pending[xid]; ok {
+		s.b.out[s.i].Rules = append(s.b.out[s.i].Rules, rules...)
+	}
+}
+
 // fail terminates every in-flight operation and refuses new ones.
 func (c *Client) fail(err error) {
 	c.mu.Lock()
@@ -135,26 +144,32 @@ func (c *Client) fail(err error) {
 	c.mu.Unlock()
 }
 
+// readLoop gathers the FlowMods of the reply being read in run, reused
+// across replies, and hands them to their slot in one slice sized once,
+// and under one lock, when the first frame that is not one of them
+// arrives (normally the reply's Barrier).
 func (c *Client) readLoop() {
+	var run []flowtable.Rule
+	var runXID uint32
 	for {
 		msg, hdr, err := c.oc.Recv()
 		if err != nil {
 			c.fail(err)
 			return
 		}
+		if len(run) > 0 && (hdr.XID != runXID || hdr.Type != openflow.TypeFlowMod) {
+			c.deliver(runXID, run)
+			run = run[:0]
+		}
 		switch m := msg.(type) {
+		case *openflow.FlowMod:
+			run, runXID = append(run, m.Rule), hdr.XID
 		case openflow.Hello:
 			// Peer greeting; nothing to do.
 		case openflow.Echo:
 			if !m.Reply {
 				_ = c.send(openflow.Echo{Reply: true, Data: m.Data}, hdr.XID)
 			}
-		case openflow.FlowMod:
-			c.mu.Lock()
-			if s, ok := c.pending[hdr.XID]; ok {
-				s.b.out[s.i].Rules = append(s.b.out[s.i].Rules, m.Rule)
-			}
-			c.mu.Unlock()
 		case openflow.Barrier:
 			if m.Reply {
 				c.answer(hdr.XID, nil)

@@ -155,8 +155,8 @@ func TestClientConcurrentBatches(t *testing.T) {
 					}
 					want := flowtable.ExactMatch(reqs[i].Key)
 					for _, rule := range res.Rules {
-						if *rule.Match.SrcPort != *want.SrcPort {
-							t.Errorf("caller %d round %d slot %d: rule for port %d, want %d", g, r, i, *rule.Match.SrcPort, *want.SrcPort)
+						if rule.Match.Key.SrcPort != want.Key.SrcPort {
+							t.Errorf("caller %d round %d slot %d: rule for port %d, want %d", g, r, i, rule.Match.Key.SrcPort, want.Key.SrcPort)
 							return
 						}
 					}

@@ -107,14 +107,15 @@ type ResolveResult struct {
 //     to carry the error back.
 //   - RepliesFailed counts admitted wire requests whose reply (ErrorMsg,
 //     FlowMods or terminating Barrier) could not be written back to the
-//     peer: the channel died between admission and answer.
+//     peer: the channel died between admission and answer, or the reply
+//     did not fit the wire (the peer then gets an ErrorMsg instead).
 type Stats struct {
 	Requests      uint64 `metric:"requests_total" help:"Flow-resolve requests admitted."`
 	Rejected      uint64 `metric:"rejected_total" help:"Flow-resolve requests refused (queue full)."`
 	FlowMods      uint64 `metric:"flow_mods_total" help:"Rules compiled and shipped to datapaths."`
 	NFMsgs        uint64 `metric:"nf_msgs_total" help:"Cross-layer NF messages routed northbound."`
 	NoticesFailed uint64 `metric:"notices_failed_total" help:"Flow-removed notices from wire peers the northbound tier failed to record."`
-	RepliesFailed uint64 `metric:"replies_failed_total" help:"Admitted wire requests whose reply could not be written back to the peer."`
+	RepliesFailed uint64 `metric:"replies_failed_total" help:"Admitted wire requests whose reply could not be encoded or written back to the peer."`
 }
 
 // FlowRemovedReason says which timeout evicted a flow rule.

@@ -279,31 +279,45 @@ type Session struct {
 // arrive, ctx expires, or the controller stops — a request still queued
 // when the pool exits must not strand the caller (and the host's Stop).
 func (s *Session) ResolveBatch(ctx context.Context, reqs []control.ResolveRequest, out []control.ResolveResult) {
-	chans := make([]chan control.ResolveResult, len(reqs))
+	type answer struct {
+		i   int
+		res control.ResolveResult
+	}
+	// One channel for the batch, sized to the number of sends, so a worker
+	// never blocks on a caller that has stopped waiting; left counts the
+	// answers still due.
+	answers := make(chan answer, len(reqs))
+	left := 0
 	for i, r := range reqs {
-		ch := make(chan control.ResolveResult, 1)
+		out[i] = control.ResolveResult{Err: errUnanswered}
 		if err := s.c.submit(ctx, s, r.Scope, r.Key, func(rules []flowtable.Rule, err error) {
-			ch <- control.ResolveResult{Rules: rules, Err: err}
+			answers <- answer{i, control.ResolveResult{Rules: rules, Err: err}}
 		}); err != nil {
 			out[i] = control.ResolveResult{Err: err}
 			continue
 		}
-		chans[i] = ch
+		left++
 	}
-	for i, ch := range chans {
-		if ch == nil {
-			continue
-		}
+	var err error
+	for ; left > 0 && err == nil; left-- {
 		select {
-		case res := <-ch:
-			out[i] = res
+		case a := <-answers:
+			out[a.i] = a.res
 		case <-ctx.Done():
-			out[i] = control.ResolveResult{Err: ctx.Err()}
+			err = ctx.Err()
 		case <-s.c.ctx.Done():
-			out[i] = control.ResolveResult{Err: control.ErrStopped}
+			err = control.ErrStopped
+		}
+	}
+	for i := range reqs {
+		if out[i].Err == errUnanswered {
+			out[i] = control.ResolveResult{Err: err}
 		}
 	}
 }
+
+// errUnanswered marks a batch slot whose request has no answer yet.
+var errUnanswered = errors.New("controller: unanswered")
 
 // SendNFMessage implements control.Southbound: the in-process path for
 // cross-layer messages routed via the controller (Fig. 2 step 5). The
@@ -379,21 +393,51 @@ func (c *Controller) Serve(ln net.Listener) error {
 	}
 }
 
-// sendReply answers one admitted PacketIn in a single Write: an ErrorMsg
-// for a failed resolution, else the compiled FlowMods terminated by a
-// Barrier. sendMu serializes the channel's writers.
-func sendReply(sendMu *sync.Mutex, oc *openflow.Conn, xid uint32, rules []flowtable.Rule, rerr error) error {
-	sendMu.Lock()
-	defer sendMu.Unlock()
+// channel is the write side of one southbound connection. Replies are
+// produced concurrently (PacketIns resolve on the worker pool and answer
+// out of order); mu serializes frame writes and guards mod, the FlowMod
+// every reply encodes its rules from.
+type channel struct {
+	mu  sync.Mutex
+	oc  *openflow.Conn
+	mod openflow.FlowMod
+}
+
+func (ch *channel) send(msg openflow.Message, xid uint32) error {
+	ch.mu.Lock()
+	defer ch.mu.Unlock()
+	return ch.oc.SendXID(msg, xid)
+}
+
+// reply answers one admitted PacketIn in a single Write: the compiled
+// FlowMods terminated by a Barrier, or an ErrorMsg for a failed
+// resolution. A reply that cannot be encoded (a rule field out of wire
+// range, an error text over the frame limit) fails, but the peer is
+// still answered, by an ErrorMsg naming the encoding error, so it does
+// not wait out its timeout.
+func (ch *channel) reply(xid uint32, rules []flowtable.Rule, rerr error) error {
+	ch.mu.Lock()
+	defer ch.mu.Unlock()
+	err := ch.queueReply(xid, rules, rerr)
+	if err != nil {
+		// Queue dropped this reply's frames; the encoding error's own
+		// text is short enough for one frame.
+		_ = ch.oc.Queue(openflow.ErrorMsg{Code: openflow.ErrCodeResolve, Text: err.Error()}, xid)
+	}
+	return errors.Join(err, ch.oc.Flush())
+}
+
+func (ch *channel) queueReply(xid uint32, rules []flowtable.Rule, rerr error) error {
 	if rerr != nil {
-		return oc.SendXID(openflow.ErrorMsg{Code: errCode(rerr), Text: rerr.Error()}, xid)
+		return ch.oc.Queue(openflow.ErrorMsg{Code: errCode(rerr), Text: rerr.Error()}, xid)
 	}
 	for _, r := range rules {
-		if err := oc.Queue(openflow.FlowMod{Rule: r}, xid); err != nil {
+		ch.mod.Rule = r
+		if err := ch.oc.Queue(&ch.mod, xid); err != nil {
 			return err
 		}
 	}
-	return oc.SendXID(openflow.Barrier{Reply: true}, xid)
+	return ch.oc.Queue(openflow.Barrier{Reply: true}, xid)
 }
 
 // errCode maps a resolve error to its wire code so control.Client can
@@ -432,14 +476,7 @@ func (c *Controller) serveConn(conn net.Conn) error {
 	// (always its first frame, so it precedes every PacketIn) upgrades
 	// the session to its announced identity.
 	sess := c.Session(0)
-	// Replies are produced concurrently (PacketIns resolve on the worker
-	// pool and answer out of order); sendMu serializes frame writes.
-	var sendMu sync.Mutex
-	sendXID := func(msg openflow.Message, xid uint32) error {
-		sendMu.Lock()
-		defer sendMu.Unlock()
-		return oc.SendXID(msg, xid)
-	}
+	ch := &channel{oc: oc}
 	for {
 		msg, hdr, err := oc.Recv()
 		if err != nil {
@@ -454,33 +491,33 @@ func (c *Controller) serveConn(conn net.Conn) error {
 			}
 		case openflow.Echo:
 			if !m.Reply {
-				if err := sendXID(openflow.Echo{Reply: true, Data: m.Data}, hdr.XID); err != nil {
+				if err := ch.send(openflow.Echo{Reply: true, Data: m.Data}, hdr.XID); err != nil {
 					return err
 				}
 			}
 		case openflow.Barrier:
 			if !m.Reply {
-				if err := sendXID(openflow.Barrier{Reply: true}, hdr.XID); err != nil {
+				if err := ch.send(openflow.Barrier{Reply: true}, hdr.XID); err != nil {
 					return err
 				}
 			}
-		case openflow.PacketIn:
+		case *openflow.PacketIn:
 			// Pipelined: admit the request and return to the read loop
 			// immediately; the reply closure ships the XID-correlated
 			// FlowMods (terminated by a Barrier) whenever a worker gets
 			// to it, possibly interleaved with later XIDs.
 			xid := hdr.XID
-			// A reply the channel refuses is only counted: the read
-			// loop sees the dead conn next. rsess pins the admitting
-			// session (a later HELLO may rebind sess).
+			// A reply the channel refuses or cannot encode is only
+			// counted: the read loop sees a dead conn next. rsess pins
+			// the admitting session (a later HELLO may rebind sess).
 			rsess := sess
 			err := c.submit(context.Background(), sess, m.Scope, m.Key, func(rules []flowtable.Rule, rerr error) {
-				if sendReply(&sendMu, oc, xid, rules, rerr) != nil {
+				if ch.reply(xid, rules, rerr) != nil {
 					rsess.repliesFailed.Add(1)
 				}
 			})
 			if err != nil {
-				if err := sendXID(openflow.ErrorMsg{Code: errCode(err), Text: err.Error()}, xid); err != nil {
+				if err := ch.send(openflow.ErrorMsg{Code: errCode(err), Text: err.Error()}, xid); err != nil {
 					return err
 				}
 			}
@@ -496,7 +533,7 @@ func (c *Controller) serveConn(conn net.Conn) error {
 				if code != openflow.ErrCodeInvalid {
 					code = openflow.ErrCodeRejected
 				}
-				if err := sendXID(openflow.ErrorMsg{Code: code, Text: lerr.Error()}, hdr.XID); err != nil {
+				if err := ch.send(openflow.ErrorMsg{Code: code, Text: lerr.Error()}, hdr.XID); err != nil {
 					return err
 				}
 			}
@@ -518,7 +555,7 @@ func (c *Controller) serveConn(conn net.Conn) error {
 				sess.noticesFailed.Add(1)
 			}
 		default:
-			if err := sendXID(openflow.ErrorMsg{Code: openflow.ErrCodeUnexpected, Text: fmt.Sprintf("unexpected %s", hdr.Type)}, hdr.XID); err != nil {
+			if err := ch.send(openflow.ErrorMsg{Code: openflow.ErrCodeUnexpected, Text: fmt.Sprintf("unexpected %s", hdr.Type)}, hdr.XID); err != nil {
 				return err
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -68,6 +69,7 @@ func TestResolveInProcess(t *testing.T) {
 	if st.Requests != 1 || st.FlowMods != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
+	c.Session(0).ResolveBatch(context.Background(), nil, nil) // an empty batch returns at once
 }
 
 func TestResolveNoCompiler(t *testing.T) {
@@ -294,7 +296,7 @@ func TestServeOverTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := msg.(openflow.FlowMod); ok {
+		if _, ok := msg.(*openflow.FlowMod); ok {
 			mods++
 			continue
 		}
@@ -474,7 +476,7 @@ func TestServeReplyIsOneWrite(t *testing.T) {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
 			switch m := msg.(type) {
-			case openflow.FlowMod:
+			case *openflow.FlowMod:
 				mods++
 			case openflow.Barrier, openflow.ErrorMsg:
 				break reply
@@ -484,6 +486,73 @@ func TestServeReplyIsOneWrite(t *testing.T) {
 		}
 		if w := cc.writes.Load() - before; w != 1 || mods != tc.mods {
 			t.Fatalf("%s: %d FlowMods in %d writes, want %d in 1", tc.name, mods, w, tc.mods)
+		}
+		cli.Close()
+		<-served
+		c.Stop()
+	}
+}
+
+// TestServeAnswersUnencodableReplies: a reply the wire cannot carry (a
+// rule field out of range, or an error text over the 64 KiB frame
+// limit) is answered by one ErrorMsg for its XID, with no FlowMod of the
+// reply leaking ahead of it, so the peer does not wait out its timeout;
+// the reply still counts in RepliesFailed.
+func TestServeAnswersUnencodableReplies(t *testing.T) {
+	ok := flowtable.Rule{Scope: 1, Actions: []flowtable.Action{flowtable.Forward(10)}}
+	for _, tc := range []struct {
+		name  string
+		rules func() []flowtable.Rule
+		err   error
+	}{
+		{"256 actions", func() []flowtable.Rule {
+			r := ok
+			r.Actions = make([]flowtable.Action, 256)
+			return []flowtable.Rule{ok, r}
+		}, nil},
+		{"priority -1", func() []flowtable.Rule { r := ok; r.Priority = -1; return []flowtable.Rule{ok, r} }, nil},
+		{"priority 70000", func() []flowtable.Rule { r := ok; r.Priority = 70000; return []flowtable.Rule{r} }, nil},
+		{"idle 30 days", func() []flowtable.Rule { r := ok; r.IdleTimeout = 30 * 24 * time.Hour; return []flowtable.Rule{r} }, nil},
+		{"error text over 64 KiB", nil, errors.New(strings.Repeat("x", 70000))},
+	} {
+		c := New(Config{})
+		c.SetNorthbound(control.NorthboundFuncs{
+			CompileFlowFunc: func(context.Context, control.DatapathID, flowtable.ServiceID, packet.FlowKey) ([]flowtable.Rule, error) {
+				if tc.err != nil {
+					return nil, tc.err
+				}
+				return tc.rules(), nil
+			},
+		})
+		c.Start()
+		srv, cli := net.Pipe()
+		served := make(chan error, 1)
+		go func() { served <- c.serveConn(srv) }()
+		oc := openflow.NewConn(cli)
+		if _, _, err := oc.Recv(); err != nil { // HELLO
+			t.Fatal(err)
+		}
+		xid, err := oc.Send(openflow.PacketIn{Scope: flowtable.Port(0), Key: testKey()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = cli.SetReadDeadline(time.Now().Add(5 * time.Second))
+		msg, hdr, err := oc.Recv()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if _, isErr := msg.(openflow.ErrorMsg); !isErr || hdr.XID != xid {
+			t.Fatalf("%s: answered by %T xid %d, want an ErrorMsg for xid %d", tc.name, msg, hdr.XID, xid)
+		}
+		// The count lands just after the answer is written.
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			st, _ := c.Stats(context.Background())
+			if st.RepliesFailed == 1 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: RepliesFailed = %d, want 1", tc.name, st.RepliesFailed)
+			}
 		}
 		cli.Close()
 		<-served
@@ -520,7 +589,7 @@ func TestServePipelinedPacketIns(t *testing.T) {
 			t.Fatal(err)
 		}
 		switch m := msg.(type) {
-		case openflow.FlowMod:
+		case *openflow.FlowMod:
 			if !sent[hdr.XID] {
 				t.Fatalf("FlowMod for unknown xid %d", hdr.XID)
 			}

@@ -26,9 +26,8 @@ func TestPerPortEgressBindings(t *testing.T) {
 	// Flows to dst port 80 exit port 1, dst 81 exit port 2, dst 82 exit
 	// the unbound port 3 (default sink).
 	for dst, out := range map[uint16]int{80: 1, 81: 2, 82: 3} {
-		d := dst
 		if _, err := h.Table().Add(flowtable.Rule{
-			Scope: flowtable.Port(0), Match: flowtable.Match{DstPort: &d},
+			Scope: flowtable.Port(0), Match: flowtable.NewMatch(packet.FlowKey{DstPort: dst}, flowtable.FieldDstPort),
 			Actions: []flowtable.Action{flowtable.Out(out)},
 		}); err != nil {
 			t.Fatal(err)

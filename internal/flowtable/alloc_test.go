@@ -137,3 +137,20 @@ func TestLookupWithExpiryZeroAlloc(t *testing.T) {
 		t.Errorf("LookupBatch with expiry checks allocates %.1f/op, want 0", n)
 	}
 }
+
+// TestMatchNoAllocs: the value Match is built and tested without
+// allocating.
+func TestMatchNoAllocs(t *testing.T) {
+	k := allocTestKey(1)
+	var m Match
+	ok := false
+	if allocs := testing.AllocsPerRun(100, func() {
+		m = ExactMatch(k)
+		ok = m.Matches(k) && MatchSrcIP(k.SrcIP).Matches(k) && !MatchDstIP(k.DstIP).Equal(m)
+	}); allocs != 0 {
+		t.Fatalf("%v allocs per ExactMatch+Matches", allocs)
+	}
+	if !ok || !m.IsExact() {
+		t.Fatalf("ExactMatch(%v) = %v", k, m)
+	}
+}

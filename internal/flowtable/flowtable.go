@@ -44,6 +44,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -131,93 +132,85 @@ func Out(port int) Action { return Action{Type: ActionOut, Dest: Port(port)} }
 //sdnfv:hotpath
 func Drop() Action { return Action{Type: ActionDrop} }
 
-// Match is a possibly-wildcarded 5-tuple. Nil fields are wildcards.
+// MatchField is a bit set naming the 5-tuple fields a Match constrains.
+type MatchField uint8
+
+// The fields of a Match, one bit each. The bit order is also the wire
+// order of the openflow wildcard mask.
+const (
+	FieldSrcIP MatchField = 1 << iota
+	FieldDstIP
+	FieldSrcPort
+	FieldDstPort
+	FieldProto
+
+	// FieldAll is every field: an exact 5-tuple match.
+	FieldAll = FieldSrcIP | FieldDstIP | FieldSrcPort | FieldDstPort | FieldProto
+)
+
+// Match is a possibly-wildcarded 5-tuple, held by value: Mask names the
+// concrete fields and Key carries their values. A field outside Mask is
+// a wildcard and is held at zero in Key, so two matches selecting the
+// same flows are equal as values. Building, copying and comparing a
+// Match allocates nothing, and an Entry holds no pointer for it.
 type Match struct {
-	SrcIP   *packet.IP
-	DstIP   *packet.IP
-	SrcPort *uint16
-	DstPort *uint16
-	Proto   *uint8
+	Key  packet.FlowKey
+	Mask MatchField
 }
 
 // MatchAll is the fully wildcarded match.
 var MatchAll = Match{}
 
-// ExactMatch builds a Match that matches only k.
-func ExactMatch(k packet.FlowKey) Match {
-	src, dst := k.SrcIP, k.DstIP
-	sp, dp, pr := k.SrcPort, k.DstPort, k.Proto
-	return Match{SrcIP: &src, DstIP: &dst, SrcPort: &sp, DstPort: &dp, Proto: &pr}
+// NewMatch builds a Match on the fields of k that mask names; the others
+// are wildcards.
+func NewMatch(k packet.FlowKey, mask MatchField) Match {
+	return Match{Key: packet.FlowKey{
+		SrcIP:   orZero(k.SrcIP, mask&FieldSrcIP),
+		DstIP:   orZero(k.DstIP, mask&FieldDstIP),
+		SrcPort: orZero(k.SrcPort, mask&FieldSrcPort),
+		DstPort: orZero(k.DstPort, mask&FieldDstPort),
+		Proto:   orZero(k.Proto, mask&FieldProto),
+	}, Mask: mask & FieldAll}
 }
+
+// orZero is v if its field is set, else zero.
+func orZero[T ~uint8 | ~uint16 | ~uint32](v T, set MatchField) T {
+	if set == 0 {
+		return 0
+	}
+	return v
+}
+
+// ExactMatch builds a Match that matches only k.
+func ExactMatch(k packet.FlowKey) Match { return Match{Key: k, Mask: FieldAll} }
 
 // MatchSrcIP builds a Match on source IP only (used by e.g. the video
 // policy rules in Fig. 4 of the paper: "srcIP=B").
-func MatchSrcIP(ip packet.IP) Match { v := ip; return Match{SrcIP: &v} }
+func MatchSrcIP(ip packet.IP) Match { return Match{Key: packet.FlowKey{SrcIP: ip}, Mask: FieldSrcIP} }
 
 // MatchDstIP builds a Match on destination IP only.
-func MatchDstIP(ip packet.IP) Match { v := ip; return Match{DstIP: &v} }
+func MatchDstIP(ip packet.IP) Match { return Match{Key: packet.FlowKey{DstIP: ip}, Mask: FieldDstIP} }
 
 // Matches reports whether k satisfies m.
 //
 //sdnfv:hotpath
 func (m Match) Matches(k packet.FlowKey) bool {
-	if m.SrcIP != nil && *m.SrcIP != k.SrcIP {
-		return false
-	}
-	if m.DstIP != nil && *m.DstIP != k.DstIP {
-		return false
-	}
-	if m.SrcPort != nil && *m.SrcPort != k.SrcPort {
-		return false
-	}
-	if m.DstPort != nil && *m.DstPort != k.DstPort {
-		return false
-	}
-	if m.Proto != nil && *m.Proto != k.Proto {
-		return false
-	}
-	return true
+	return (m.Mask&FieldSrcIP == 0 || m.Key.SrcIP == k.SrcIP) &&
+		(m.Mask&FieldDstIP == 0 || m.Key.DstIP == k.DstIP) &&
+		(m.Mask&FieldSrcPort == 0 || m.Key.SrcPort == k.SrcPort) &&
+		(m.Mask&FieldDstPort == 0 || m.Key.DstPort == k.DstPort) &&
+		(m.Mask&FieldProto == 0 || m.Key.Proto == k.Proto)
 }
 
 // Specificity counts concrete fields; higher wins at equal priority.
-func (m Match) Specificity() int {
-	n := 0
-	if m.SrcIP != nil {
-		n++
-	}
-	if m.DstIP != nil {
-		n++
-	}
-	if m.SrcPort != nil {
-		n++
-	}
-	if m.DstPort != nil {
-		n++
-	}
-	if m.Proto != nil {
-		n++
-	}
-	return n
-}
+func (m Match) Specificity() int { return bits.OnesCount8(uint8(m.Mask & FieldAll)) }
 
 // IsExact reports whether every field is concrete.
-func (m Match) IsExact() bool { return m.Specificity() == 5 }
+func (m Match) IsExact() bool { return m.Mask&FieldAll == FieldAll }
 
-// Equal reports whether two matches select the same flows. Pointer fields
-// compare by pointed-to value, not identity, so two ExactMatch results for
-// the same key are equal.
-func (m Match) Equal(o Match) bool {
-	return eqField(m.SrcIP, o.SrcIP) && eqField(m.DstIP, o.DstIP) &&
-		eqField(m.SrcPort, o.SrcPort) && eqField(m.DstPort, o.DstPort) &&
-		eqField(m.Proto, o.Proto)
-}
-
-func eqField[T comparable](a, b *T) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	return *a == *b
-}
+// Equal reports whether two matches select the same flows: the same
+// concrete fields with the same values.
+func (m Match) Equal(o Match) bool { return m.Mask&FieldAll == o.Mask&FieldAll && m.Matches(o.Key) }
 
 // ExactKey returns the single FlowKey an exact match selects, and false
 // for a match with any wildcarded field. Consumers of eviction
@@ -226,12 +219,7 @@ func (m Match) ExactKey() (packet.FlowKey, bool) {
 	if !m.IsExact() {
 		return packet.FlowKey{}, false
 	}
-	return m.exactKey(), true
-}
-
-// exactKey converts an exact match to its FlowKey.
-func (m Match) exactKey() packet.FlowKey {
-	return packet.FlowKey{SrcIP: *m.SrcIP, DstIP: *m.DstIP, SrcPort: *m.SrcPort, DstPort: *m.DstPort, Proto: *m.Proto}
+	return m.Key, true
 }
 
 // String renders the match, "*" for fully wildcarded.
@@ -240,20 +228,20 @@ func (m Match) String() string {
 		return "*"
 	}
 	var parts []string
-	if m.SrcIP != nil {
-		parts = append(parts, "srcIP="+m.SrcIP.String())
+	if m.Mask&FieldSrcIP != 0 {
+		parts = append(parts, "srcIP="+m.Key.SrcIP.String())
 	}
-	if m.DstIP != nil {
-		parts = append(parts, "dstIP="+m.DstIP.String())
+	if m.Mask&FieldDstIP != 0 {
+		parts = append(parts, "dstIP="+m.Key.DstIP.String())
 	}
-	if m.SrcPort != nil {
-		parts = append(parts, fmt.Sprintf("srcPort=%d", *m.SrcPort))
+	if m.Mask&FieldSrcPort != 0 {
+		parts = append(parts, fmt.Sprintf("srcPort=%d", m.Key.SrcPort))
 	}
-	if m.DstPort != nil {
-		parts = append(parts, fmt.Sprintf("dstPort=%d", *m.DstPort))
+	if m.Mask&FieldDstPort != 0 {
+		parts = append(parts, fmt.Sprintf("dstPort=%d", m.Key.DstPort))
 	}
-	if m.Proto != nil {
-		parts = append(parts, fmt.Sprintf("proto=%d", *m.Proto))
+	if m.Mask&FieldProto != 0 {
+		parts = append(parts, fmt.Sprintf("proto=%d", m.Key.Proto))
 	}
 	return strings.Join(parts, ",")
 }
@@ -574,7 +562,7 @@ func (t *Table) addLocked(next *snapshot, r Rule) uint64 {
 	t.modifies.Add(1)
 	if r.Match.IsExact() {
 		e := &Entry{Rule: r}
-		if old := next.exactFor(r.Scope).put(r.Match.exactKey(), e); old != nil {
+		if old := next.exactFor(r.Scope).put(r.Match.Key, e); old != nil {
 			e.ID = old.ID // replacement keeps identity
 		} else {
 			e.ID = t.nextID.Add(1)
@@ -995,7 +983,7 @@ func (e *Entry) withDefault(a Action) *Entry {
 // before or entirely after, never in between (the seed version dropped the
 // lock here and could lose such an update).
 func (t *Table) specializeDefaultLocked(sh *shard, scope ServiceID, f Match, newDefault Action, constrain bool) int {
-	key := f.exactKey()
+	key := f.Key
 	gov := lookupSnap(sh.snap.Load(), scope, key)
 	if gov == nil {
 		return 0
@@ -1092,25 +1080,10 @@ func (t *Table) ScopesWithActionTo(f Match, dest ServiceID) []ServiceID {
 	return out
 }
 
-// overlaps reports whether the flow sets of a and b intersect (field-wise:
-// disjoint only if some concrete field differs).
+// overlaps reports whether the flow sets of a and b intersect: disjoint
+// only if some field concrete in both differs.
 func overlaps(a, b Match) bool {
-	if a.SrcIP != nil && b.SrcIP != nil && *a.SrcIP != *b.SrcIP {
-		return false
-	}
-	if a.DstIP != nil && b.DstIP != nil && *a.DstIP != *b.DstIP {
-		return false
-	}
-	if a.SrcPort != nil && b.SrcPort != nil && *a.SrcPort != *b.SrcPort {
-		return false
-	}
-	if a.DstPort != nil && b.DstPort != nil && *a.DstPort != *b.DstPort {
-		return false
-	}
-	if a.Proto != nil && b.Proto != nil && *a.Proto != *b.Proto {
-		return false
-	}
-	return true
+	return Match{Key: a.Key, Mask: a.Mask & b.Mask}.Matches(b.Key)
 }
 
 // Len returns the total number of installed rules.

@@ -59,10 +59,9 @@ func TestExactMatchWins(t *testing.T) {
 func TestSpecificityOrdering(t *testing.T) {
 	tb := New()
 	k := key(5)
-	src := k.SrcIP
 	// srcIP-only rule vs fully wildcard: srcIP wins.
 	_, _ = tb.Add(Rule{Scope: Port(0), Match: MatchAll, Actions: []Action{Forward(1)}})
-	_, _ = tb.Add(Rule{Scope: Port(0), Match: Match{SrcIP: &src}, Actions: []Action{Forward(2)}})
+	_, _ = tb.Add(Rule{Scope: Port(0), Match: MatchSrcIP(k.SrcIP), Actions: []Action{Forward(2)}})
 	e, err := tb.Lookup(Port(0), k)
 	if err != nil {
 		t.Fatal(err)
@@ -75,10 +74,8 @@ func TestSpecificityOrdering(t *testing.T) {
 func TestPriorityBreaksTies(t *testing.T) {
 	tb := New()
 	k := key(6)
-	src := k.SrcIP
-	dst := k.DstIP
-	_, _ = tb.Add(Rule{Scope: Port(0), Match: Match{SrcIP: &src}, Priority: 1, Actions: []Action{Forward(1)}})
-	_, _ = tb.Add(Rule{Scope: Port(0), Match: Match{DstIP: &dst}, Priority: 9, Actions: []Action{Forward(2)}})
+	_, _ = tb.Add(Rule{Scope: Port(0), Match: MatchSrcIP(k.SrcIP), Priority: 1, Actions: []Action{Forward(1)}})
+	_, _ = tb.Add(Rule{Scope: Port(0), Match: MatchDstIP(k.DstIP), Priority: 9, Actions: []Action{Forward(2)}})
 	e, err := tb.Lookup(Port(0), k)
 	if err != nil {
 		t.Fatal(err)
@@ -320,8 +317,7 @@ func TestAnyEntry(t *testing.T) {
 	}
 	// With wildcards present the least specific one wins (the scope-wide
 	// default), not the most specific and not an exact entry.
-	p := uint16(80)
-	_, _ = tb.Add(Rule{Scope: ServiceID(40), Match: Match{DstPort: &p}, Actions: []Action{Drop()}})
+	_, _ = tb.Add(Rule{Scope: ServiceID(40), Match: NewMatch(packet.FlowKey{DstPort: 80}, FieldDstPort), Actions: []Action{Drop()}})
 	_, _ = tb.Add(Rule{Scope: ServiceID(40), Match: MatchAll, Actions: []Action{Forward(7)}})
 	e = tb.AnyEntry(ServiceID(40))
 	if e == nil || e.Match.Specificity() != 0 {

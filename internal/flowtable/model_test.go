@@ -68,7 +68,7 @@ func (m *model) add(r Rule) {
 		prio: r.Priority, idleTO: r.IdleTimeout, hardTO: r.HardTimeout}
 	m.arm(mr)
 	if r.Match.IsExact() {
-		k := r.Match.exactKey()
+		k := r.Match.Key
 		if m.exact[r.Scope] == nil {
 			m.exact[r.Scope] = map[packet.FlowKey]*modelRule{}
 		}
@@ -171,7 +171,7 @@ func withDefaultActions(acts []Action, a Action) []Action {
 // from the governing rule (found without expiry checks, as the table does).
 func (m *model) updateDefault(scope ServiceID, f Match, a Action, constrain bool) int {
 	if f.IsExact() {
-		k := f.exactKey()
+		k := f.Key
 		gov := m.exact[scope][k]
 		if gov == nil {
 			for _, r := range m.wild[scope] {
@@ -313,8 +313,7 @@ func (d *differential) randRule(scope ServiceID, exact bool) Rule {
 		case 0:
 			r.Match = MatchAll
 		case 1:
-			p := uint16(80 + d.rng.Intn(3))
-			r.Match = Match{DstPort: &p}
+			r.Match = NewMatch(packet.FlowKey{DstPort: uint16(80 + d.rng.Intn(3))}, FieldDstPort)
 		default:
 			r.Match = MatchSrcIP(modelKey(d.rng.Intn(modelKeys)).SrcIP)
 		}
@@ -357,7 +356,7 @@ func (d *differential) addBatch(rules []Rule) {
 // lookupID is the id the model holds for a just-installed rule.
 func (m *model) lookupID(r Rule) uint64 {
 	if r.Match.IsExact() {
-		return m.exact[r.Scope][r.Match.exactKey()].id
+		return m.exact[r.Scope][r.Match.Key].id
 	}
 	return m.nextID
 }

@@ -11,6 +11,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -45,8 +46,9 @@ type Edge struct {
 type Graph struct {
 	Name     string
 	vertices map[flowtable.ServiceID]Vertex
-	out      map[flowtable.ServiceID][]Edge
+	out      map[flowtable.ServiceID][]Edge // default edge first
 	in       map[flowtable.ServiceID][]Edge
+	gen      uint64
 }
 
 // New returns an empty named service graph containing only Source and Sink.
@@ -83,6 +85,7 @@ func (g *Graph) AddVertex(v Vertex) error {
 		return fmt.Errorf("%w: %s", ErrDuplicateVertex, v.Service)
 	}
 	g.vertices[v.Service] = v
+	g.gen++
 	return nil
 }
 
@@ -101,10 +104,19 @@ func (g *Graph) AddEdge(from, to flowtable.ServiceID, def bool) error {
 		}
 	}
 	e := Edge{From: from, To: to, Default: def}
-	g.out[from] = append(g.out[from], e)
+	if def {
+		g.out[from] = slices.Insert(g.out[from], 0, e)
+	} else {
+		g.out[from] = append(g.out[from], e)
+	}
 	g.in[to] = append(g.in[to], e)
+	g.gen++
 	return nil
 }
+
+// Generation counts the successful AddVertex and AddEdge calls: a
+// result compiled from g is current while the generation is unchanged.
+func (g *Graph) Generation() uint64 { return g.gen }
 
 // Chain is a convenience constructor: it builds a linear service chain
 // source -> services[0] -> ... -> services[n-1] -> sink with every edge
@@ -146,12 +158,10 @@ func (g *Graph) Vertices() []Vertex {
 	return out
 }
 
-// Out returns the outgoing edges of id with the default edge first.
-func (g *Graph) Out(id flowtable.ServiceID) []Edge {
-	es := append([]Edge(nil), g.out[id]...)
-	sort.SliceStable(es, func(i, j int) bool { return es[i].Default && !es[j].Default })
-	return es
-}
+// Out returns the outgoing edges of id with the default edge first and
+// the others in insertion order. The slice is the graph's own: callers
+// must not modify it.
+func (g *Graph) Out(id flowtable.ServiceID) []Edge { return g.out[id] }
 
 // DefaultNext returns the default successor of id.
 func (g *Graph) DefaultNext(id flowtable.ServiceID) (flowtable.ServiceID, bool) {

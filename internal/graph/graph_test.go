@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"sdnfv/internal/flowtable"
@@ -223,6 +224,39 @@ func TestRulesAlternativesListed(t *testing.T) {
 				t.Fatal("alternative missing")
 			}
 		}
+	}
+}
+
+// TestOutDefaultFirst pins Out's order for a vertex whose default edge
+// is added after its alternatives: the default leads, the alternatives
+// follow in insertion order, and Out hands out the stored edges without
+// copying them. Every edit bumps the generation; a refused one does not.
+func TestOutDefaultFirst(t *testing.T) {
+	g := New("late-default")
+	gen := g.Generation()
+	for _, v := range []flowtable.ServiceID{sA, sB, sC, sD} {
+		if err := g.AddVertex(Vertex{Service: v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range []Edge{{Source, sA, true}, {sA, sC, false}, {sA, Sink, false}, {sA, sD, false}, {sA, sB, true}} {
+		if err := g.AddEdge(e.From, e.To, e.Default); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := g.Generation() - gen; got != 9 {
+		t.Fatalf("generation advanced by %d over 9 edits", got)
+	}
+	if g.AddEdge(sA, sB, false) == nil || g.AddVertex(Vertex{Service: sA}) == nil || g.Generation()-gen != 9 {
+		t.Fatal("refused edits must be refused and leave the generation alone")
+	}
+	want := []Edge{{sA, sB, true}, {sA, sC, false}, {sA, Sink, false}, {sA, sD, false}}
+	out := g.Out(sA)
+	if !slices.Equal(out, want) {
+		t.Fatalf("Out = %v, want %v", out, want)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { out = g.Out(sA) }); allocs != 0 {
+		t.Fatalf("Out allocates %v per call", allocs)
 	}
 }
 

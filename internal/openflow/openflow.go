@@ -81,14 +81,18 @@ var (
 	ErrTruncated  = errors.New("openflow: truncated message")
 	ErrTooLarge   = errors.New("openflow: message exceeds 64KiB")
 	ErrBadType    = errors.New("openflow: unknown message type")
+	// ErrFieldRange reports a value that does not fit its wire field and
+	// would otherwise decode as a different value.
+	ErrFieldRange = errors.New("openflow: field value out of wire range")
 )
 
 // Message is any protocol message body.
 type Message interface {
 	// Type returns the wire type tag.
 	Type() MsgType
-	// encode appends the body encoding to dst.
-	encode(dst []byte) []byte
+	// encode appends the body encoding to dst, or fails with
+	// ErrFieldRange.
+	encode(dst []byte) ([]byte, error)
 }
 
 // Hello opens a channel. A datapath (NF host) announces its identity in
@@ -103,13 +107,13 @@ type Hello struct {
 
 // Type implements Message.
 func (Hello) Type() MsgType { return TypeHello }
-func (m Hello) encode(dst []byte) []byte {
+func (m Hello) encode(dst []byte) ([]byte, error) {
 	if m.DatapathID == 0 {
 		// Anonymous greetings stay body-less, byte-identical to the
 		// pre-datapath frame.
-		return dst
+		return dst, nil
 	}
-	return binary.BigEndian.AppendUint64(dst, m.DatapathID)
+	return binary.BigEndian.AppendUint64(dst, m.DatapathID), nil
 }
 
 // Echo carries opaque probe bytes.
@@ -125,7 +129,7 @@ func (e Echo) Type() MsgType {
 	}
 	return TypeEchoRequest
 }
-func (e Echo) encode(dst []byte) []byte { return append(dst, e.Data...) }
+func (e Echo) encode(dst []byte) ([]byte, error) { return append(dst, e.Data...), nil }
 
 // PacketIn punts a flow-table miss to the controller: the scope where the
 // miss occurred, the extracted 5-tuple, and a truncated header snapshot.
@@ -137,11 +141,11 @@ type PacketIn struct {
 
 // Type implements Message.
 func (PacketIn) Type() MsgType { return TypePacketIn }
-func (p PacketIn) encode(dst []byte) []byte {
+func (p PacketIn) encode(dst []byte) ([]byte, error) {
 	dst = be16(dst, uint16(p.Scope))
 	dst = encodeKey(dst, p.Key)
 	dst = be16(dst, uint16(len(p.Buffer)))
-	return append(dst, p.Buffer...)
+	return append(dst, p.Buffer...), nil
 }
 
 // FlowMod installs one rule in the host flow table. The rule's action list
@@ -152,7 +156,16 @@ type FlowMod struct {
 
 // Type implements Message.
 func (FlowMod) Type() MsgType { return TypeFlowMod }
-func (m FlowMod) encode(dst []byte) []byte {
+func (m FlowMod) encode(dst []byte) ([]byte, error) {
+	// OpenFlow-style lifecycle leases, millisecond granularity on the
+	// wire, signed so the "never expire" opt-out (negative) survives the
+	// round trip.
+	idle, hard := m.Rule.IdleTimeout/time.Millisecond, m.Rule.HardTimeout/time.Millisecond
+	if m.Rule.Priority != int(uint16(m.Rule.Priority)) || len(m.Rule.Actions) > 0xff ||
+		idle != time.Duration(int32(idle)) || hard != time.Duration(int32(hard)) {
+		return dst, fmt.Errorf("%w: FlowMod priority %d, %d actions, timeouts %v/%v",
+			ErrFieldRange, m.Rule.Priority, len(m.Rule.Actions), m.Rule.IdleTimeout, m.Rule.HardTimeout)
+	}
 	dst = be16(dst, uint16(m.Rule.Scope))
 	dst = encodeMatch(dst, m.Rule.Match)
 	flags := byte(0)
@@ -161,17 +174,14 @@ func (m FlowMod) encode(dst []byte) []byte {
 	}
 	dst = append(dst, flags)
 	dst = be16(dst, uint16(m.Rule.Priority))
-	// OpenFlow-style lifecycle leases, millisecond granularity on the
-	// wire, signed so the "never expire" opt-out (negative) survives the
-	// round trip.
-	dst = be32(dst, uint32(int32(m.Rule.IdleTimeout/time.Millisecond)))
-	dst = be32(dst, uint32(int32(m.Rule.HardTimeout/time.Millisecond)))
+	dst = be32(dst, uint32(int32(idle)))
+	dst = be32(dst, uint32(int32(hard)))
 	dst = append(dst, byte(len(m.Rule.Actions)))
 	for _, a := range m.Rule.Actions {
 		dst = append(dst, byte(a.Type))
 		dst = be16(dst, uint16(a.Dest))
 	}
-	return dst
+	return dst, nil
 }
 
 // FlowRemoved reports rules the datapath evicted by idle/hard timeout —
@@ -200,7 +210,7 @@ const MaxFlowRemovedEntries = (0xffff - headerLen - 2) / 25
 
 // Type implements Message.
 func (FlowRemoved) Type() MsgType { return TypeFlowRemoved }
-func (m FlowRemoved) encode(dst []byte) []byte {
+func (m FlowRemoved) encode(dst []byte) ([]byte, error) {
 	dst = be16(dst, uint16(len(m.Removals)))
 	for _, r := range m.Removals {
 		dst = be16(dst, uint16(r.Scope))
@@ -208,7 +218,7 @@ func (m FlowRemoved) encode(dst []byte) []byte {
 		dst = be64(dst, r.RuleID)
 		dst = append(dst, r.Reason)
 	}
-	return dst
+	return dst, nil
 }
 
 // NFMessage carries a cross-layer message from an NF up through the NF
@@ -220,7 +230,7 @@ type NFMessage struct {
 
 // Type implements Message.
 func (NFMessage) Type() MsgType { return TypeNFMessage }
-func (m NFMessage) encode(dst []byte) []byte {
+func (m NFMessage) encode(dst []byte) ([]byte, error) {
 	dst = be16(dst, uint16(m.Src))
 	dst = append(dst, byte(m.Msg.Kind))
 	dst = encodeMatch(dst, m.Msg.Flows)
@@ -233,7 +243,7 @@ func (m NFMessage) encode(dst []byte) []byte {
 		val = ""
 	}
 	dst = be16(dst, uint16(len(val)))
-	return append(dst, val...)
+	return append(dst, val...), nil
 }
 
 // Barrier is a synchronization fence; Reply echoes the request XID.
@@ -246,7 +256,7 @@ func (b Barrier) Type() MsgType {
 	}
 	return TypeBarrierRequest
 }
-func (Barrier) encode(dst []byte) []byte { return dst }
+func (Barrier) encode(dst []byte) ([]byte, error) { return dst, nil }
 
 // Error codes carried by ErrorMsg. Wire clients map these back onto the
 // control package's sentinel error taxonomy so errors.Is behaves the
@@ -277,10 +287,10 @@ type ErrorMsg struct {
 
 // Type implements Message.
 func (ErrorMsg) Type() MsgType { return TypeError }
-func (e ErrorMsg) encode(dst []byte) []byte {
+func (e ErrorMsg) encode(dst []byte) ([]byte, error) {
 	dst = be16(dst, e.Code)
 	dst = be16(dst, uint16(len(e.Text)))
-	return append(dst, e.Text...)
+	return append(dst, e.Text...), nil
 }
 
 // --- wire helpers ---
@@ -317,84 +327,31 @@ func decodeKey(b []byte) (packet.FlowKey, []byte, error) {
 	return k, b[13:], nil
 }
 
-// match wildcard bitmask bits.
-const (
-	wcSrcIP = 1 << iota
-	wcDstIP
-	wcSrcPort
-	wcDstPort
-	wcProto
-)
-
+// encodeMatch writes the wildcard mask (flowtable.MatchField bits) and
+// the key; wildcard fields are zero in both.
 func encodeMatch(dst []byte, m flowtable.Match) []byte {
-	var mask byte
-	var srcIP, dstIP uint32
-	var srcPort, dstPort uint16
-	var proto uint8
-	if m.SrcIP != nil {
-		mask |= wcSrcIP
-		srcIP = uint32(*m.SrcIP)
-	}
-	if m.DstIP != nil {
-		mask |= wcDstIP
-		dstIP = uint32(*m.DstIP)
-	}
-	if m.SrcPort != nil {
-		mask |= wcSrcPort
-		srcPort = *m.SrcPort
-	}
-	if m.DstPort != nil {
-		mask |= wcDstPort
-		dstPort = *m.DstPort
-	}
-	if m.Proto != nil {
-		mask |= wcProto
-		proto = *m.Proto
-	}
-	dst = append(dst, mask)
-	dst = be32(dst, srcIP)
-	dst = be32(dst, dstIP)
-	dst = be16(dst, srcPort)
-	dst = be16(dst, dstPort)
-	return append(dst, proto)
+	return encodeKey(append(dst, byte(m.Mask)), m.Key)
 }
 
 func decodeMatch(b []byte) (flowtable.Match, []byte, error) {
-	if len(b) < 14 {
+	if len(b) < 1 {
 		return flowtable.Match{}, nil, ErrTruncated
 	}
-	mask := b[0]
-	var m flowtable.Match
-	if mask&wcSrcIP != 0 {
-		v := packet.IP(binary.BigEndian.Uint32(b[1:]))
-		m.SrcIP = &v
-	}
-	if mask&wcDstIP != 0 {
-		v := packet.IP(binary.BigEndian.Uint32(b[5:]))
-		m.DstIP = &v
-	}
-	if mask&wcSrcPort != 0 {
-		v := binary.BigEndian.Uint16(b[9:])
-		m.SrcPort = &v
-	}
-	if mask&wcDstPort != 0 {
-		v := binary.BigEndian.Uint16(b[11:])
-		m.DstPort = &v
-	}
-	if mask&wcProto != 0 {
-		v := b[13]
-		m.Proto = &v
-	}
-	return m, b[14:], nil
+	k, rest, err := decodeKey(b[1:])
+	return flowtable.NewMatch(k, flowtable.MatchField(b[0])), rest, err
 }
 
 // AppendFrame appends msg's wire frame, with transaction id xid, to dst:
 // the header and body are encoded in place and the length back-patched.
-// On error dst comes back unchanged.
+// A frame over 64 KiB fails with ErrTooLarge, and a value that does not
+// fit its wire field with ErrFieldRange; on error dst comes back
+// unchanged.
 func AppendFrame(dst []byte, msg Message, xid uint32) ([]byte, error) {
 	start := len(dst)
-	dst = be32(append(dst, Version, byte(msg.Type()), 0, 0), xid)
-	dst = msg.encode(dst)
+	dst, err := msg.encode(be32(append(dst, Version, byte(msg.Type()), 0, 0), xid))
+	if err != nil {
+		return dst[:start], err
+	}
 	total := len(dst) - start
 	if total > 0xffff {
 		return dst[:start], ErrTooLarge
@@ -408,8 +365,20 @@ func Encode(msg Message, xid uint32) ([]byte, error) {
 	return AppendFrame(make([]byte, 0, 64), msg, xid)
 }
 
-// Decode parses one complete frame produced by Encode.
-func Decode(frame []byte) (Message, Header, error) {
+// Decode parses one complete frame produced by Encode. A PacketIn or
+// FlowMod comes back as a *PacketIn or *FlowMod; every other message as
+// a value.
+func Decode(frame []byte) (Message, Header, error) { return new(decoder).decode(frame) }
+
+// decoder owns the storage that the per-flow messages decode into, so a
+// Conn's reader hands out PacketIns and FlowMods without boxing a fresh
+// value per frame. Each decode overwrites the previous one's.
+type decoder struct {
+	packetIn PacketIn
+	flowMod  FlowMod
+}
+
+func (d *decoder) decode(frame []byte) (Message, Header, error) {
 	var h Header
 	if len(frame) < headerLen {
 		return nil, h, ErrTruncated
@@ -437,9 +406,9 @@ func Decode(frame []byte) (Message, Header, error) {
 	case TypeEchoReply:
 		return Echo{Reply: true, Data: append([]byte(nil), b...)}, h, nil
 	case TypePacketIn:
-		return decodePacketIn(b, h)
+		return d.decodePacketIn(b, h)
 	case TypeFlowMod:
-		return decodeFlowMod(b, h)
+		return d.decodeFlowMod(b, h)
 	case TypeNFMessage:
 		return decodeNFMessage(b, h)
 	case TypeBarrierRequest:
@@ -484,11 +453,12 @@ func decodeFlowRemoved(b []byte, h Header) (Message, Header, error) {
 	return m, h, nil
 }
 
-func decodePacketIn(b []byte, h Header) (Message, Header, error) {
+func (d *decoder) decodePacketIn(b []byte, h Header) (Message, Header, error) {
 	if len(b) < 2 {
 		return nil, h, ErrTruncated
 	}
-	p := PacketIn{Scope: flowtable.ServiceID(binary.BigEndian.Uint16(b))}
+	p := &d.packetIn
+	p.Scope = flowtable.ServiceID(binary.BigEndian.Uint16(b))
 	var err error
 	p.Key, b, err = decodeKey(b[2:])
 	if err != nil {
@@ -502,16 +472,18 @@ func decodePacketIn(b []byte, h Header) (Message, Header, error) {
 	if len(b) < n {
 		return nil, h, ErrTruncated
 	}
-	p.Buffer = append([]byte(nil), b[:n]...)
+	p.Buffer = append(p.Buffer[:0], b[:n]...)
 	return p, h, nil
 }
 
-func decodeFlowMod(b []byte, h Header) (Message, Header, error) {
+// decodeFlowMod gives each rule a fresh Actions slice: the receiver
+// keeps the rule after the next decode.
+func (d *decoder) decodeFlowMod(b []byte, h Header) (Message, Header, error) {
 	if len(b) < 2 {
 		return nil, h, ErrTruncated
 	}
-	var m FlowMod
-	m.Rule.Scope = flowtable.ServiceID(binary.BigEndian.Uint16(b))
+	m := &d.flowMod
+	m.Rule = flowtable.Rule{Scope: flowtable.ServiceID(binary.BigEndian.Uint16(b))}
 	var err error
 	m.Rule.Match, b, err = decodeMatch(b[2:])
 	if err != nil {
@@ -529,11 +501,12 @@ func decodeFlowMod(b []byte, h Header) (Message, Header, error) {
 	if len(b) < 3*n {
 		return nil, h, ErrTruncated
 	}
-	for i := 0; i < n; i++ {
-		m.Rule.Actions = append(m.Rule.Actions, flowtable.Action{
+	m.Rule.Actions = make([]flowtable.Action, n)
+	for i := range m.Rule.Actions {
+		m.Rule.Actions[i] = flowtable.Action{
 			Type: flowtable.ActionType(b[3*i]),
 			Dest: flowtable.ServiceID(binary.BigEndian.Uint16(b[3*i+1:])),
-		})
+		}
 	}
 	return m, h, nil
 }
@@ -594,6 +567,7 @@ type Conn struct {
 	xid        uint32
 	rbuf       []byte
 	rpos, rend int // rbuf[rpos:rend] is read but not yet decoded
+	dec        decoder
 	wbuf       []byte
 }
 
@@ -636,10 +610,13 @@ func (c *Conn) Flush() error {
 
 // Recv decodes the next frame. When no whole frame is buffered it moves
 // the partial one to the front of the buffer, which then holds any frame,
-// and refills it with one Read. Decode copies out every byte a message
-// keeps, so the buffer is free for reuse once Recv returns. A stream that
-// ends inside a frame fails with io.ErrUnexpectedEOF; io.EOF comes only
-// at a frame boundary.
+// and refills it with one Read. A message copies out every byte it keeps,
+// so the buffer is free for reuse once Recv returns. A PacketIn or
+// FlowMod comes back as a *PacketIn or *FlowMod that points into storage
+// the Conn owns: it is valid until the next Recv, apart from the
+// FlowMod's Actions, which are the caller's to keep. A stream that ends
+// inside a frame fails with io.ErrUnexpectedEOF; io.EOF comes only at a
+// frame boundary.
 func (c *Conn) Recv() (Message, Header, error) {
 	for {
 		buf := c.rbuf[c.rpos:c.rend]
@@ -650,7 +627,7 @@ func (c *Conn) Recv() (Message, Header, error) {
 			}
 			if len(buf) >= length {
 				c.rpos += length
-				return Decode(buf[:length])
+				return c.dec.decode(buf[:length])
 			}
 		}
 		if c.rpos > 0 {

@@ -28,7 +28,21 @@ func roundtrip(t *testing.T, msg Message) Message {
 	if hdr.XID != 7 || hdr.Type != msg.Type() || int(hdr.Length) != len(frame) {
 		t.Fatalf("header = %+v", hdr)
 	}
-	return got
+	return detach(got)
+}
+
+// detach copies a decoded PacketIn or FlowMod out of the storage the
+// decoder reuses, as a value.
+func detach(msg Message) Message {
+	switch m := msg.(type) {
+	case *PacketIn:
+		p := *m
+		p.Buffer = append([]byte(nil), m.Buffer...)
+		return p
+	case *FlowMod:
+		return *m
+	}
+	return msg
 }
 
 func TestRoundtripSimpleMessages(t *testing.T) {
@@ -67,7 +81,7 @@ func TestRoundtripFlowMod(t *testing.T) {
 	src := packet.IPv4(9, 9, 9, 9)
 	msg := FlowMod{Rule: flowtable.Rule{
 		Scope:       flowtable.ServiceID(12),
-		Match:       flowtable.Match{SrcIP: &src},
+		Match:       flowtable.MatchSrcIP(src),
 		Actions:     []flowtable.Action{flowtable.Forward(13), flowtable.Out(1), flowtable.Drop()},
 		Parallel:    true,
 		Priority:    42,
@@ -81,7 +95,7 @@ func TestRoundtripFlowMod(t *testing.T) {
 	if len(got.Rule.Actions) != 3 || got.Rule.Actions[1] != flowtable.Out(1) {
 		t.Fatalf("actions = %v", got.Rule.Actions)
 	}
-	if got.Rule.Match.SrcIP == nil || *got.Rule.Match.SrcIP != src || got.Rule.Match.DstIP != nil {
+	if !got.Rule.Match.Equal(flowtable.MatchSrcIP(src)) {
 		t.Fatalf("match = %+v", got.Rule.Match)
 	}
 	if got.Rule.IdleTimeout != msg.Rule.IdleTimeout || got.Rule.HardTimeout != msg.Rule.HardTimeout {
@@ -212,14 +226,8 @@ func TestFlowModRoundtripProperty(t *testing.T) {
 			IdleTimeout: time.Duration(idleMs) * time.Millisecond,
 			HardTimeout: time.Duration(hardMs) * time.Millisecond,
 		}
-		if wildMask&1 != 0 {
-			ip := packet.IPv4(1, 2, 3, 4)
-			r.Match.SrcIP = &ip
-		}
-		if wildMask&2 != 0 {
-			p := uint16(99)
-			r.Match.DstPort = &p
-		}
+		r.Match = flowtable.NewMatch(packet.FlowKey{SrcIP: packet.IPv4(1, 2, 3, 4), DstPort: 99},
+			flowtable.MatchField(wildMask)&(flowtable.FieldSrcIP|flowtable.FieldDstPort))
 		n := int(nActs%5) + 1
 		for i := 0; i < n; i++ {
 			r.Actions = append(r.Actions, flowtable.Forward(flowtable.ServiceID(i+1)))
@@ -232,14 +240,14 @@ func TestFlowModRoundtripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		fm := got.(FlowMod)
+		fm := got.(*FlowMod)
 		if fm.Rule.Scope != r.Scope || fm.Rule.Parallel != r.Parallel || len(fm.Rule.Actions) != n {
 			return false
 		}
 		if fm.Rule.IdleTimeout != r.IdleTimeout || fm.Rule.HardTimeout != r.HardTimeout {
 			return false
 		}
-		return fm.Rule.Match.Specificity() == r.Match.Specificity()
+		return fm.Rule.Match == r.Match
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -337,7 +345,7 @@ func recvAll(r io.Reader) ([]Message, []Header, error) {
 		if err != nil {
 			return msgs, hdrs, err
 		}
-		msgs, hdrs = append(msgs, msg), append(hdrs, hdr)
+		msgs, hdrs = append(msgs, detach(msg)), append(hdrs, hdr)
 	}
 	return msgs, hdrs, nil
 }
