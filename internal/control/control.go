@@ -108,7 +108,9 @@ type ResolveResult struct {
 //   - RepliesFailed counts admitted wire requests whose reply (ErrorMsg,
 //     FlowMods or terminating Barrier) could not be written back to the
 //     peer: the channel died between admission and answer, or the reply
-//     did not fit the wire (the peer then gets an ErrorMsg instead).
+//     did not fit the wire (the peer then gets an ErrorMsg instead). The
+//     controller writes a burst's replies together, so one failed Write
+//     counts every reply it carried.
 type Stats struct {
 	Requests      uint64 `metric:"requests_total" help:"Flow-resolve requests admitted."`
 	Rejected      uint64 `metric:"rejected_total" help:"Flow-resolve requests refused (queue full)."`

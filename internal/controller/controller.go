@@ -14,7 +14,10 @@
 //     control.Southbound for same-process NF Managers; Serve speaks the
 //     openflow wire protocol (PACKET_IN → FLOW_MODs, pipelined by XID)
 //     to remote ones (control.Client is the matching dialer), driving
-//     each channel's Session the same way.
+//     each channel's Session the same way. The PacketIns decoded from
+//     one Read form a burst: the workers compile them concurrently and
+//     the whole burst is answered in one Write, so a burst waits for its
+//     slowest member while later bursts are answered on their own.
 //   - Northbound: the SDNFV Application attaches as a
 //     control.Northbound via SetNorthbound (rule compilation and
 //     cross-layer message validation, §3.4).
@@ -393,38 +396,101 @@ func (c *Controller) Serve(ln net.Listener) error {
 	}
 }
 
-// channel is the write side of one southbound connection. Replies are
-// produced concurrently (PacketIns resolve on the worker pool and answer
-// out of order); mu serializes frame writes and guards mod, the FlowMod
-// every reply encodes its rules from.
+// channel is the write side of one southbound connection. PacketIns
+// resolve on the worker pool and answer out of order; each worker queues
+// its reply's frames under mu, and the replies of one burst leave in one
+// Write (see burst). mu also guards mod, the FlowMod every reply encodes
+// its rules from, and owed.
 type channel struct {
 	mu  sync.Mutex
 	oc  *openflow.Conn
 	mod openflow.FlowMod
+	// owed holds, for each reply queued in oc and not yet written, the
+	// session that admitted its request (nil for a refused request): a
+	// failed Write counts every reply it carried in RepliesFailed.
+	owed []*Session
 }
 
+// burst is the PacketIns decoded from one Read. due counts those whose
+// reply is not yet queued, and sealed is set once serveConn has decoded
+// the burst's last frame; both are guarded by channel.mu. The last reply
+// of a sealed burst flushes the channel, and so does the seal if every
+// reply is already queued: a burst's replies share one Write and wait
+// for its slowest member, while a later burst completes on its own.
+type burst struct {
+	due    int
+	sealed bool
+}
+
+// send writes one frame at once, together with any replies already
+// queued.
 func (ch *channel) send(msg openflow.Message, xid uint32) error {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
-	return ch.oc.SendXID(msg, xid)
+	if err := ch.oc.Queue(msg, xid); err != nil {
+		return err
+	}
+	return ch.flush()
 }
 
-// reply answers one admitted PacketIn in a single Write: the compiled
-// FlowMods terminated by a Barrier, or an ErrorMsg for a failed
-// resolution. A reply that cannot be encoded (a rule field out of wire
-// range, an error text over the frame limit) fails, but the peer is
-// still answered, by an ErrorMsg naming the encoding error, so it does
-// not wait out its timeout.
-func (ch *channel) reply(xid uint32, rules []flowtable.Rule, rerr error) error {
+// flush writes every queued frame in one Write.
+func (ch *channel) flush() error {
+	err := ch.oc.Flush()
+	if err != nil {
+		for _, s := range ch.owed {
+			if s != nil {
+				s.repliesFailed.Add(1)
+			}
+		}
+	}
+	ch.owed = ch.owed[:0]
+	return err
+}
+
+// admit adds one PacketIn to b; it runs before the request is submitted,
+// so a worker that answers at once cannot complete b early.
+func (ch *channel) admit(b *burst) {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
-	err := ch.queueReply(xid, rules, rerr)
-	if err != nil {
-		// Queue dropped this reply's frames; the encoding error's own
-		// text is short enough for one frame.
-		_ = ch.oc.Queue(openflow.ErrorMsg{Code: openflow.ErrCodeResolve, Text: err.Error()}, xid)
+	b.due++
+}
+
+// seal marks b's last PacketIn read, and flushes if b is answered.
+func (ch *channel) seal(b *burst) error {
+	ch.mu.Lock()
+	defer ch.mu.Unlock()
+	b.sealed = true
+	if b.due > 0 {
+		return nil
 	}
-	return errors.Join(err, ch.oc.Flush())
+	return ch.flush()
+}
+
+// reply queues the answer to one PacketIn of b, admitted by sess (nil if
+// it was refused): the compiled FlowMods terminated by a Barrier, or an
+// ErrorMsg for a failed resolution. A reply that cannot be encoded (a
+// rule field out of wire range, an error text over the frame limit)
+// counts as failed, and its frames give way to an ErrorMsg naming the
+// encoding error, so the peer does not wait out its timeout; the
+// replies queued before it stay. It flushes if it completes a sealed b.
+func (ch *channel) reply(b *burst, sess *Session, xid uint32, rules []flowtable.Rule, rerr error) {
+	ch.mu.Lock()
+	defer ch.mu.Unlock()
+	mark := ch.oc.Queued()
+	if err := ch.queueReply(xid, rules, rerr); err != nil {
+		ch.oc.Unqueue(mark)
+		// The encoding error's own text is short enough for one frame.
+		_ = ch.oc.Queue(openflow.ErrorMsg{Code: openflow.ErrCodeResolve, Text: err.Error()}, xid)
+		if sess != nil {
+			sess.repliesFailed.Add(1)
+		}
+		sess = nil // counted once, even if the Write fails too
+	}
+	ch.owed = append(ch.owed, sess)
+	if b.due--; b.sealed && b.due == 0 {
+		// A failed Write is counted; the read loop sees a dead conn next.
+		_ = ch.flush()
+	}
 }
 
 func (ch *channel) queueReply(xid uint32, rules []flowtable.Rule, rerr error) error {
@@ -477,6 +543,16 @@ func (c *Controller) serveConn(conn net.Conn) error {
 	// the session to its announced identity.
 	sess := c.Session(0)
 	ch := &channel{oc: oc}
+	// b is the burst being read and n the PacketIns in it. A burst is
+	// sealed once no whole frame is left buffered, before the next Recv
+	// blocks in a Read; one left open when the loop ends is sealed on
+	// the way out, so its replies are still written or counted.
+	b, n := new(burst), 0
+	defer func() {
+		if n > 0 {
+			_ = ch.seal(b)
+		}
+	}()
 	for {
 		msg, hdr, err := oc.Recv()
 		if err != nil {
@@ -502,24 +578,19 @@ func (c *Controller) serveConn(conn net.Conn) error {
 				}
 			}
 		case *openflow.PacketIn:
-			// Pipelined: admit the request and return to the read loop
-			// immediately; the reply closure ships the XID-correlated
-			// FlowMods (terminated by a Barrier) whenever a worker gets
-			// to it, possibly interleaved with later XIDs.
-			xid := hdr.XID
-			// A reply the channel refuses or cannot encode is only
-			// counted: the read loop sees a dead conn next. rsess pins
-			// the admitting session (a later HELLO may rebind sess).
-			rsess := sess
+			// Pipelined: admit the request into the burst and return to
+			// the read loop; a worker queues the XID-correlated FlowMods
+			// (terminated by a Barrier) whenever it gets to them. rsess
+			// pins the admitting session (a later HELLO may rebind sess)
+			// and rb the burst.
+			xid, rsess, rb := hdr.XID, sess, b
+			ch.admit(b)
+			n++
 			err := c.submit(context.Background(), sess, m.Scope, m.Key, func(rules []flowtable.Rule, rerr error) {
-				if ch.reply(xid, rules, rerr) != nil {
-					rsess.repliesFailed.Add(1)
-				}
+				ch.reply(rb, rsess, xid, rules, rerr)
 			})
 			if err != nil {
-				if err := ch.send(openflow.ErrorMsg{Code: errCode(err), Text: err.Error()}, xid); err != nil {
-					return err
-				}
+				ch.reply(b, nil, xid, nil, err)
 			}
 		case openflow.NFMessage:
 			if lerr := sess.SendNFMessage(context.Background(), m.Src, m.Msg); lerr != nil {
@@ -558,6 +629,12 @@ func (c *Controller) serveConn(conn net.Conn) error {
 			if err := ch.send(openflow.ErrorMsg{Code: openflow.ErrCodeUnexpected, Text: fmt.Sprintf("unexpected %s", hdr.Type)}, hdr.XID); err != nil {
 				return err
 			}
+		}
+		if n > 0 && !oc.Buffered() {
+			if err := ch.seal(b); err != nil {
+				return err
+			}
+			b, n = new(burst), 0
 		}
 	}
 }

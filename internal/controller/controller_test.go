@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -357,20 +358,6 @@ func TestServeCountsFailedFlowRemoved(t *testing.T) {
 	}
 }
 
-// failConn is a control channel whose writes start failing on demand,
-// as a peer that vanishes between admission and reply.
-type failConn struct {
-	net.Conn
-	fail atomic.Bool
-}
-
-func (f *failConn) Write(b []byte) (int, error) {
-	if f.fail.Load() {
-		return 0, errors.New("channel gone")
-	}
-	return f.Conn.Write(b)
-}
-
 // TestServeCountsFailedReplies admits a PacketIn, then breaks the
 // channel's writes before the worker answers it. The lost FlowMod
 // reply must show in RepliesFailed on the controller and the session.
@@ -385,17 +372,7 @@ func TestServeCountsFailedReplies(t *testing.T) {
 	})
 	c.Start()
 	defer c.Stop()
-	srv, cli := net.Pipe()
-	defer cli.Close()
-	fc := &failConn{Conn: srv}
-	served := make(chan error, 1)
-	go func() { served <- c.serveConn(fc) }()
-	oc := openflow.NewConn(cli)
-	if msg, _, err := oc.Recv(); err != nil {
-		t.Fatal(err)
-	} else if _, ok := msg.(openflow.Hello); !ok {
-		t.Fatalf("greeting = %T", msg)
-	}
+	oc, cc := servePipe(t, c)
 	if _, err := oc.Send(openflow.PacketIn{Scope: flowtable.Port(0), Key: testKey()}); err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +384,7 @@ func TestServeCountsFailedReplies(t *testing.T) {
 			t.Fatal("PacketIn never admitted")
 		}
 	}
-	fc.fail.Store(true)
+	cc.refuse.Store(true)
 	close(release)
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		agg, _ := c.Stats(context.Background())
@@ -419,19 +396,224 @@ func TestServeCountsFailedReplies(t *testing.T) {
 			t.Fatalf("RepliesFailed: controller %d, session %d, want 1 and 1", agg.RepliesFailed, sess.RepliesFailed)
 		}
 	}
-	cli.Close()
-	<-served
 }
 
-// countingConn counts the Writes a served channel makes.
+// countingConn counts the Writes a served channel makes, and refuses
+// them once refuse is set.
 type countingConn struct {
 	net.Conn
 	writes atomic.Int32
+	refuse atomic.Bool
 }
 
 func (c *countingConn) Write(b []byte) (int, error) {
 	c.writes.Add(1)
+	if c.refuse.Load() {
+		return 0, errors.New("channel gone")
+	}
 	return c.Conn.Write(b)
+}
+
+// servePipe serves one channel of c over an in-memory pipe whose server
+// end counts its Writes, and returns the client end past the controller's
+// HELLO. Cleanup closes the pipe and waits for the channel to end.
+func servePipe(t *testing.T, c *Controller) (*openflow.Conn, *countingConn) {
+	t.Helper()
+	srv, cli := net.Pipe()
+	cc := &countingConn{Conn: srv}
+	served := make(chan error, 1)
+	go func() { served <- c.serveConn(cc) }()
+	t.Cleanup(func() { cli.Close(); <-served })
+	_ = cli.SetReadDeadline(time.Now().Add(10 * time.Second))
+	oc := openflow.NewConn(cli)
+	if msg, _, err := oc.Recv(); err != nil {
+		t.Fatal(err)
+	} else if _, ok := msg.(openflow.Hello); !ok {
+		t.Fatalf("greeting = %T", msg)
+	}
+	return oc, cc
+}
+
+// queuePacketIns queues one PacketIn per key, under XIDs first,
+// first+1, …, for the caller's next Flush.
+func queuePacketIns(t *testing.T, oc *openflow.Conn, first uint32, keys ...packet.FlowKey) {
+	t.Helper()
+	for i, k := range keys {
+		if err := oc.Queue(openflow.PacketIn{Scope: flowtable.Port(0), Key: k}, first+uint32(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// keyAt is testKey with source port p.
+func keyAt(p uint16) packet.FlowKey {
+	k := testKey()
+	k.SrcPort = p
+	return k
+}
+
+// recvReplies reads frames until n replies (Barriers or ErrorMsgs) have
+// arrived, and returns each XID's FlowMod count and final frame.
+func recvReplies(t *testing.T, oc *openflow.Conn, n int) (map[uint32]int, map[uint32]openflow.Message) {
+	t.Helper()
+	mods, ends := map[uint32]int{}, map[uint32]openflow.Message{}
+	for len(ends) < n {
+		msg, hdr, err := oc.Recv()
+		if err != nil {
+			t.Fatalf("after %d replies: %v", len(ends), err)
+		}
+		switch m := msg.(type) {
+		case *openflow.FlowMod:
+			mods[hdr.XID]++
+		case openflow.Barrier, openflow.ErrorMsg:
+			ends[hdr.XID] = m
+		default:
+			t.Fatalf("unexpected %T", m)
+		}
+	}
+	return mods, ends
+}
+
+// TestServeBurstIsOneWrite: the PacketIns of one client Write form one
+// burst, and all their replies leave the controller in one Write, with
+// one worker or several compiling them.
+func TestServeBurstIsOneWrite(t *testing.T) {
+	const n = 16
+	for _, workers := range []int{1, 4} {
+		c := New(Config{Workers: workers})
+		c.SetNorthbound(chainNB())
+		c.Start()
+		oc, cc := servePipe(t, c)
+		before := cc.writes.Load()
+		keys := make([]packet.FlowKey, n)
+		for i := range keys {
+			keys[i] = keyAt(uint16(5000 + i))
+		}
+		queuePacketIns(t, oc, 1, keys...)
+		if err := oc.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		mods, ends := recvReplies(t, oc, n)
+		for xid := uint32(1); xid <= n; xid++ {
+			if _, ok := ends[xid].(openflow.Barrier); !ok || mods[xid] != 1 {
+				t.Fatalf("workers %d, xid %d: %d FlowMods then %T", workers, xid, mods[xid], ends[xid])
+			}
+		}
+		if w := cc.writes.Load() - before; w != 1 {
+			t.Fatalf("workers %d: %d replies in %d writes, want 1", workers, n, w)
+		}
+		c.Stop()
+	}
+}
+
+// TestServeBurstsAreIndependent: a burst held up by a slow compilation
+// does not hold up a later burst, whose reply arrives while the first
+// one's request is still being compiled.
+func TestServeBurstsAreIndependent(t *testing.T) {
+	slow := keyAt(6000)
+	release := make(chan struct{})
+	unblock := sync.OnceFunc(func() { close(release) })
+	c := New(Config{Workers: 2})
+	c.SetNorthbound(control.NorthboundFuncs{
+		CompileFlowFunc: func(ctx context.Context, dp control.DatapathID, scope flowtable.ServiceID, key packet.FlowKey) ([]flowtable.Rule, error) {
+			if key == slow {
+				<-release
+			}
+			return chainNB().CompileFlow(ctx, dp, scope, key)
+		},
+	})
+	c.Start()
+	t.Cleanup(c.Stop)
+	t.Cleanup(unblock) // runs first: Stop waits for the blocked worker
+	oc, _ := servePipe(t, c)
+	queuePacketIns(t, oc, 1, slow)
+	if err := oc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if st, _ := c.Stats(context.Background()); st.Requests == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("slow PacketIn never admitted")
+		}
+	}
+	queuePacketIns(t, oc, 2, keyAt(6001))
+	if err := oc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	mods, ends := recvReplies(t, oc, 1)
+	if _, ok := ends[2].(openflow.Barrier); !ok || mods[2] != 1 || len(mods) != 1 {
+		t.Fatalf("second burst: FlowMods %v, replies %v", mods, ends)
+	}
+	unblock()
+	mods, ends = recvReplies(t, oc, 1)
+	if _, ok := ends[1].(openflow.Barrier); !ok || mods[1] != 1 {
+		t.Fatalf("first burst: FlowMods %v, replies %v", mods, ends)
+	}
+}
+
+// TestServeUnencodableReplyKeepsNeighbours: in a burst of three whose
+// middle reply cannot be encoded, the middle one is answered by an
+// ErrorMsg and counted as failed, and its neighbours' replies still go
+// out, all three in one Write.
+func TestServeUnencodableReplyKeepsNeighbours(t *testing.T) {
+	bad := keyAt(7001)
+	c := New(Config{})
+	c.SetNorthbound(control.NorthboundFuncs{
+		CompileFlowFunc: func(ctx context.Context, dp control.DatapathID, scope flowtable.ServiceID, key packet.FlowKey) ([]flowtable.Rule, error) {
+			rules, err := chainNB().CompileFlow(ctx, dp, scope, key)
+			if key == bad {
+				rules[0].Priority = -1
+			}
+			return rules, err
+		},
+	})
+	c.Start()
+	defer c.Stop()
+	oc, cc := servePipe(t, c)
+	before := cc.writes.Load()
+	queuePacketIns(t, oc, 1, keyAt(7000), bad, keyAt(7002))
+	if err := oc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	mods, ends := recvReplies(t, oc, 3)
+	_, first := ends[1].(openflow.Barrier)
+	_, middle := ends[2].(openflow.ErrorMsg)
+	_, last := ends[3].(openflow.Barrier)
+	if !first || !middle || !last || mods[1] != 1 || mods[2] != 0 || mods[3] != 1 {
+		t.Fatalf("FlowMods %v, replies %v", mods, ends)
+	}
+	if w := cc.writes.Load() - before; w != 1 {
+		t.Fatalf("3 replies in %d writes, want 1", w)
+	}
+	if st, _ := c.Stats(context.Background()); st.RepliesFailed != 1 {
+		t.Fatalf("RepliesFailed = %d, want 1", st.RepliesFailed)
+	}
+}
+
+// TestServeFailedBurstWriteCountsEveryReply: when the one Write carrying
+// a burst's replies fails, every reply in it counts in RepliesFailed.
+func TestServeFailedBurstWriteCountsEveryReply(t *testing.T) {
+	c := New(Config{Workers: 2})
+	c.SetNorthbound(chainNB())
+	c.Start()
+	defer c.Stop()
+	oc, cc := servePipe(t, c)
+	cc.refuse.Store(true)
+	queuePacketIns(t, oc, 1, keyAt(8000), keyAt(8001), keyAt(8002), keyAt(8003))
+	if err := oc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		st, _ := c.Stats(context.Background())
+		if st.Requests == 4 && st.RepliesFailed == 4 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("Requests %d, RepliesFailed %d, want 4 and 4", st.Requests, st.RepliesFailed)
+		}
+	}
 }
 
 // TestServeReplyIsOneWrite: a PacketIn's whole answer — its FlowMods

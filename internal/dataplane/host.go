@@ -40,13 +40,15 @@ type Config struct {
 	// SpinLimit more times, then parks until a producer wakes it.
 	SpinLimit int
 	// Control is the host's typed southbound endpoint (the control
-	// package API). The Flow Controller thread pipelines each burst of
-	// flow-table misses through Control.ResolveBatch off the critical
-	// path (§4.1), and the manager forwards validated cross-layer
-	// messages upstream via Control.SendNFMessage after applying them
-	// locally (§3.4). Both the in-process *controller.Controller and the
-	// wire *control.Client satisfy it. When nil, miss packets are
-	// dropped and messages only take local effect.
+	// package API). The Flow Controller thread resolves flow-table
+	// misses off the critical path (§4.1): each call to
+	// Control.ResolveBatch carries every distinct flow pending across
+	// all producer rings, up to 256, so a backlog costs one round trip.
+	// The manager forwards validated cross-layer messages upstream via
+	// Control.SendNFMessage after applying them locally (§3.4). Both the
+	// in-process *controller.Session and the wire *control.Client
+	// satisfy it. When nil, miss packets are dropped and messages only
+	// take local effect.
 	Control control.Southbound
 	// ResolveTimeout bounds each southbound resolution batch; zero
 	// means 30 s.
@@ -1253,7 +1255,7 @@ func (h *Host) releaseDesc(d *Desc) {
 	h.release(d.H)
 }
 
-// rxBatch is the burst size of the RX and Flow Controller loops.
+// rxBatch is the burst size of the RX, TX and ingress loops.
 const rxBatch = 64
 
 // burstScratch is a manager thread's per-thread burst storage, allocated
@@ -1273,16 +1275,16 @@ type burstScratch struct {
 	rules   []flowtable.Rule // AddBatch copies what it keeps, so bursts share it
 }
 
-func newBurstScratch() *burstScratch {
+func newBurstScratch(n int) *burstScratch {
 	return &burstScratch{
-		batch:   make([]Desc, rxBatch),
-		scopes:  make([]flowtable.ServiceID, rxBatch),
-		keys:    make([]packet.FlowKey, rxBatch),
-		entries: make([]*flowtable.Entry, rxBatch),
-		reqs:    make([]control.ResolveRequest, rxBatch),
-		results: make([]control.ResolveResult, rxBatch),
-		slot:    make([]int, rxBatch),
-		seen:    make(map[control.ResolveRequest]int, rxBatch),
+		batch:   make([]Desc, n),
+		scopes:  make([]flowtable.ServiceID, n),
+		keys:    make([]packet.FlowKey, n),
+		entries: make([]*flowtable.Entry, n),
+		reqs:    make([]control.ResolveRequest, n),
+		results: make([]control.ResolveResult, n),
+		slot:    make([]int, n),
+		seen:    make(map[control.ResolveRequest]int, n),
 	}
 }
 
@@ -1296,7 +1298,7 @@ func (h *Host) rxLoop() {
 	var rr uint64
 	idle := h.idler(h.rxWake, &h.woke[producer])
 	//sdnfv:allow(call) scratch construction runs once at thread launch, before the poll loop
-	s := newBurstScratch()
+	s := newBurstScratch(rxBatch)
 	for !h.stop.Load() {
 		snap := h.observeSnap(producer)
 		n := h.nicIn.DequeueBatch(s.batch)
@@ -1733,14 +1735,21 @@ func (h *Host) parJoin(snap *routeSnap, d *Desc, packed mergedAction, producer i
 	h.applyAction(snap, d, merged.action(), producer, rr)
 }
 
+// fcBatch caps the misses one Flow Controller pass drains, and so the
+// requests one ResolveBatch carries.
+const fcBatch = 256
+
 // fcLoop is the Flow Controller thread (§4.1): it owns flow-table misses
-// and resolves each burst through the southbound control API off the
-// critical path. Per drained burst it (1) re-checks the table — a miss
-// enqueued before an earlier resolution landed is stale and dispatches
-// straight away; (2) dedupes the true misses by (scope, key) so a burst
-// of one new flow costs one controller request; (3) pipelines the unique
-// requests in one ResolveBatch call — N misses in flight at once instead
-// of one blocking controller round trip each; (4) installs the returned
+// and resolves them through the southbound control API off the critical
+// path. Each pass drains every producer ring into one batch of at most
+// fcBatch misses, starting one ring later each pass so that no ring
+// waits behind a busy one at the cap. Over that batch it (1) re-checks
+// the table — a miss enqueued before an earlier resolution landed is
+// stale and dispatches straight away; then resolveMisses (2) dedupes the
+// true misses by (scope, key) across all rings, so a backlog of one new
+// flow costs one controller request; (3) pipelines the unique requests
+// in one ResolveBatch call — one controller round trip for the whole
+// backlog that built up during the last one; (4) installs the returned
 // rules through the batched writer API and re-routes the triggering
 // packets with one LookupBatch pass.
 //
@@ -1755,56 +1764,53 @@ func (h *Host) fcLoop() {
 	producer := h.fcProducerSlot()
 	idle := h.idler(h.fcWake, &h.woke[producer])
 	//sdnfv:allow(call) scratch construction runs once at thread launch, before the poll loop
-	s := newBurstScratch()
+	s := newBurstScratch(fcBatch)
+	first := 0
 	for !h.stop.Load() {
 		snap := h.observeSnap(producer)
-		progressed := false
-		for _, r := range h.fcIn {
-			n := r.DequeueBatch(s.batch)
-			if n == 0 {
+		n := 0
+		for i := 0; i < len(h.fcIn) && n < fcBatch; i++ {
+			n += h.fcIn[(first+i)%len(h.fcIn)].DequeueBatch(s.batch[n:])
+		}
+		first = (first + 1) % len(h.fcIn)
+		if n == 0 {
+			idle.wait()
+			continue
+		}
+		idle.busy()
+		// Stale-miss filter: dispatch descriptors whose rule has arrived
+		// since they were punted.
+		for i := 0; i < n; i++ {
+			s.scopes[i] = s.batch[i].Scope
+			s.keys[i] = s.batch[i].Key
+		}
+		h.table.LookupBatch(s.scopes[:n], s.keys[:n], s.entries[:n])
+		miss := 0
+		for i := 0; i < n; i++ {
+			if s.entries[i] != nil {
+				h.dispatchEntry(snap, &s.batch[i], s.entries[i], producer, &rr)
 				continue
 			}
-			progressed = true
-			// Stale-miss filter: dispatch descriptors whose rule has
-			// arrived since they were punted.
-			for i := 0; i < n; i++ {
-				s.scopes[i] = s.batch[i].Scope
-				s.keys[i] = s.batch[i].Key
-			}
-			h.table.LookupBatch(s.scopes[:n], s.keys[:n], s.entries[:n])
-			miss := 0
-			for i := 0; i < n; i++ {
-				if s.entries[i] != nil {
-					h.dispatchEntry(snap, &s.batch[i], s.entries[i], producer, &rr)
-					continue
-				}
-				s.batch[miss] = s.batch[i]
-				miss++
-			}
-			if miss == 0 {
-				continue
-			}
+			s.batch[miss] = s.batch[i]
+			miss++
+		}
+		if miss > 0 {
 			//sdnfv:allow(call) true misses leave the hot path here: the controller round trip is the cold half (§4.1)
 			h.resolveMisses(snap, s, miss, producer, &rr)
-		}
-		if !progressed {
-			idle.wait()
-		} else {
-			idle.busy()
 		}
 	}
 }
 
-// resolveMisses is the Flow Controller's cold half: it dedupes a burst
-// of true misses, pipelines one southbound ResolveBatch for the unique
-// flows, installs the returned rules, and re-routes the survivors (a
-// survivor the installed rules still do not cover is dropped). The
-// first miss descriptors of s.batch are the misses; the scratch arrays,
-// dedupe map and rule list are reused by every burst. Deliberately
-// NOT hotpath-annotated — it blocks on the controller for up to
-// Config.ResolveTimeout and allocates per southbound exchange, which is
-// exactly the work the Flow Controller thread exists to keep off the
-// RX/TX threads.
+// resolveMisses is the Flow Controller's cold half: it dedupes one
+// pass's true misses, drained from every producer ring, pipelines one
+// southbound ResolveBatch for the unique flows, installs the returned
+// rules, and re-routes the survivors (a survivor the installed rules
+// still do not cover is dropped). The first miss descriptors of s.batch
+// are the misses; the scratch arrays, dedupe map and rule list are
+// reused by every pass. Deliberately NOT hotpath-annotated — it blocks
+// on the controller for up to Config.ResolveTimeout and allocates per
+// southbound exchange, which is exactly the work the Flow Controller
+// thread exists to keep off the RX/TX threads.
 func (h *Host) resolveMisses(snap *routeSnap, s *burstScratch, miss, producer int, rr *uint64) {
 	if h.cfg.Control == nil {
 		for i := 0; i < miss; i++ {
@@ -1856,6 +1862,8 @@ func (h *Host) resolveMisses(snap *routeSnap, s *burstScratch, miss, producer in
 		s.keys[live] = s.batch[i].Key
 		live++
 	}
+	// The table keeps copies; let the controller's answers go.
+	clear(s.results[:uniq])
 	if live == 0 {
 		return
 	}

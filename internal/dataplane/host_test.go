@@ -401,6 +401,98 @@ func TestFlowControllerSouthboundResolve(t *testing.T) {
 	}
 }
 
+// batchRecorder is a southbound that records each ResolveBatch call's
+// requests, holds its first call until gate closes, and answers every
+// request with an exact rule out of port 2.
+type batchRecorder struct {
+	control.SouthboundFuncs
+	gate    chan struct{}
+	mu      sync.Mutex
+	batches [][]control.ResolveRequest
+}
+
+func (r *batchRecorder) ResolveBatch(_ context.Context, reqs []control.ResolveRequest, out []control.ResolveResult) {
+	r.mu.Lock()
+	first := len(r.batches) == 0
+	r.batches = append(r.batches, append([]control.ResolveRequest(nil), reqs...))
+	r.mu.Unlock()
+	if first {
+		<-r.gate
+	}
+	for i, q := range reqs {
+		out[i] = control.ResolveResult{Rules: []flowtable.Rule{{Scope: q.Scope, Match: flowtable.ExactMatch(q.Key),
+			Actions: []flowtable.Action{flowtable.Out(2)}}}}
+	}
+}
+
+func (r *batchRecorder) calls() [][]control.ResolveRequest {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([][]control.ResolveRequest(nil), r.batches...)
+}
+
+// TestFlowControllerOneCallPerBacklog: while the Flow Controller waits
+// on one resolution, four bursts of 32 new flows queue behind it, one
+// flow repeated in all four. The next ResolveBatch carries every pending
+// flow exactly once, and every packet is delivered and accounted for.
+func TestFlowControllerOneCallPerBacklog(t *testing.T) {
+	const bursts, perBurst = 4, 32
+	sb := &batchRecorder{gate: make(chan struct{})}
+	release := sync.OnceFunc(func() { close(sb.gate) })
+	h, out := startHost(t, Config{PoolSize: 512, Control: sb}, nil)
+	// Registered after startHost's Stop, so it runs first: a failed
+	// assertion must not leave the Flow Controller blocked under Stop.
+	t.Cleanup(release)
+
+	if err := h.Inject(0, buildFrame(t, 9700, nil)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return len(sb.calls()) == 1 }, "first resolution under way")
+	shared := buildFrame(t, 9799, nil)
+	want := map[packet.FlowKey]bool{}
+	for b := 0; b < bursts; b++ {
+		for i := 0; i < perBurst; i++ {
+			frame := shared
+			if i > 0 {
+				frame = buildFrame(t, uint16(9800+b*perBurst+i), nil)
+			}
+			v, err := packet.Parse(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[v.FlowKey()] = true
+			if err := h.Inject(0, frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const total = 1 + bursts*perBurst
+	waitFor(t, func() bool { return h.fcIn[0].Len() == total-1 }, "backlog queued for the Flow Controller")
+	release()
+	waitFor(t, func() bool { return out.count() == total }, "every packet out")
+
+	calls := sb.calls()
+	if len(calls) != 2 {
+		t.Fatalf("%d ResolveBatch calls, want 2 (the held one, then the backlog)", len(calls))
+	}
+	got := map[packet.FlowKey]bool{}
+	for _, q := range calls[1] {
+		if got[q.Key] || !want[q.Key] || q.Scope != flowtable.Port(0) {
+			t.Fatalf("backlog call: unexpected or repeated request %+v", q)
+		}
+		got[q.Key] = true
+	}
+	if len(got) != len(want) {
+		t.Fatalf("backlog call carried %d flows, want %d", len(got), len(want))
+	}
+	if !h.WaitIdle(5 * time.Second) {
+		t.Fatal("host not idle")
+	}
+	if st := h.Stats(); !st.Conserved() || st.Misses != total || st.RxPackets != total {
+		t.Fatalf("accounting: %+v", st)
+	}
+}
+
 // TestUnresolvableMissDropped: a controller that answers without error
 // but installs nothing covering the packet — an empty rule set, or only
 // rules the table refuses — is asked once, and the packet is dropped and

@@ -592,20 +592,38 @@ func (c *Conn) SendXID(msg Message, xid uint32) error {
 }
 
 // Queue appends msg's frame to the pending batch without writing it. A
-// frame that fails to encode discards the whole batch.
+// frame that fails to encode is dropped alone; the frames queued before
+// it stay.
 func (c *Conn) Queue(msg Message, xid uint32) error {
 	var err error
-	if c.wbuf, err = AppendFrame(c.wbuf, msg, xid); err != nil {
-		c.wbuf = c.wbuf[:0]
-	}
+	c.wbuf, err = AppendFrame(c.wbuf, msg, xid)
 	return err
 }
 
+// Queued returns the size of the pending batch in bytes: a mark that
+// Unqueue rolls the batch back to.
+func (c *Conn) Queued() int { return len(c.wbuf) }
+
+// Unqueue drops every frame queued after mark, a value Queued returned
+// since the last Flush.
+func (c *Conn) Unqueue(mark int) { c.wbuf = c.wbuf[:mark] }
+
 // Flush writes every queued frame in one Write and empties the batch.
+// An empty batch makes no Write.
 func (c *Conn) Flush() error {
+	if len(c.wbuf) == 0 {
+		return nil
+	}
 	_, err := c.rw.Write(c.wbuf)
 	c.wbuf = c.wbuf[:0]
 	return err
+}
+
+// Buffered reports whether a whole frame is buffered, so that the next
+// Recv returns without a Read.
+func (c *Conn) Buffered() bool {
+	buf := c.rbuf[c.rpos:c.rend]
+	return len(buf) >= headerLen && len(buf) >= int(binary.BigEndian.Uint16(buf[2:]))
 }
 
 // Recv decodes the next frame. When no whole frame is buffered it moves

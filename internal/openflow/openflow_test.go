@@ -216,6 +216,63 @@ func TestConnFraming(t *testing.T) {
 	}
 }
 
+// writeCounter is a stream that counts its Writes.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(b []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(b)
+}
+
+// TestConnQueueKeepsNeighbours: a frame that fails to encode is dropped
+// alone, Unqueue rolls the batch back to a mark, an empty Flush makes no
+// Write, and Buffered tells whether the next Recv is served without a
+// Read.
+func TestConnQueueKeepsNeighbours(t *testing.T) {
+	var w writeCounter
+	c := NewConn(&w)
+	if err := c.Flush(); err != nil || w.writes != 0 {
+		t.Fatalf("empty Flush: %v, %d writes", err, w.writes)
+	}
+	if err := c.Queue(Echo{Data: []byte("a")}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Queue(Echo{Data: make([]byte, 0x10000)}, 2); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("oversized frame: %v", err)
+	}
+	mark := c.Queued()
+	if err := c.Queue(Barrier{}, 3); err != nil {
+		t.Fatal(err)
+	}
+	c.Unqueue(mark)
+	if err := c.Queue(Barrier{Reply: true}, 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil || w.writes != 1 || c.Queued() != 0 {
+		t.Fatalf("Flush: %v, %d writes, %d bytes left", err, w.writes, c.Queued())
+	}
+	r := NewConn(&w)
+	if r.Buffered() {
+		t.Fatal("Buffered before any Read")
+	}
+	want := []struct {
+		msg Message
+		xid uint32
+	}{{Echo{Data: []byte("a")}, 1}, {Barrier{Reply: true}, 4}}
+	for i, wt := range want {
+		m, h, err := r.Recv()
+		if err != nil || !reflect.DeepEqual(m, wt.msg) || h.XID != wt.xid {
+			t.Fatalf("frame %d: %+v xid %d (%v), want %+v xid %d", i, m, h.XID, err, wt.msg, wt.xid)
+		}
+		if more := i < len(want)-1; r.Buffered() != more {
+			t.Fatalf("after frame %d: Buffered = %v, want %v", i, !more, more)
+		}
+	}
+}
+
 // Property: FlowMod roundtrips preserve every action and wildcard shape.
 func TestFlowModRoundtripProperty(t *testing.T) {
 	f := func(scope uint16, nActs uint8, prio uint8, parallel bool, wildMask uint8, idleMs int32, hardMs int32) bool {
