@@ -1258,11 +1258,12 @@ func (h *Host) releaseDesc(d *Desc) {
 // rxBatch is the burst size of the RX, TX and ingress loops.
 const rxBatch = 64
 
-// burstScratch is a manager thread's per-thread burst storage, allocated
-// once at thread launch so the poll loops themselves stay
-// allocation-free. The RX thread uses the lookup arrays; the Flow
-// Controller additionally uses the southbound request/result arrays and
-// the dedupe map and rule list of its cold half.
+// burstScratch is a manager thread's per-thread burst storage. The
+// descriptor and lookup arrays are allocated once at thread launch, so the
+// poll loops themselves stay allocation-free. The southbound
+// request/result arrays, the dedupe map and the rule list serve only the
+// Flow Controller's cold half, which allocates them on its first call to
+// the controller, so a host that never misses never pays for them.
 type burstScratch struct {
 	batch   []Desc
 	scopes  []flowtable.ServiceID
@@ -1281,10 +1282,6 @@ func newBurstScratch(n int) *burstScratch {
 		scopes:  make([]flowtable.ServiceID, n),
 		keys:    make([]packet.FlowKey, n),
 		entries: make([]*flowtable.Entry, n),
-		reqs:    make([]control.ResolveRequest, n),
-		results: make([]control.ResolveResult, n),
-		slot:    make([]int, n),
-		seen:    make(map[control.ResolveRequest]int, n),
 	}
 }
 
@@ -1806,8 +1803,9 @@ func (h *Host) fcLoop() {
 // southbound ResolveBatch for the unique flows, installs the returned
 // rules, and re-routes the survivors (a survivor the installed rules
 // still do not cover is dropped). The first miss descriptors of s.batch
-// are the misses; the scratch arrays, dedupe map and rule list are
-// reused by every pass. Deliberately NOT hotpath-annotated — it blocks
+// are the misses; the southbound arrays and dedupe map are allocated on
+// the first call that reaches the controller and, with the rule list,
+// reused by every pass after. Deliberately NOT hotpath-annotated — it blocks
 // on the controller for up to Config.ResolveTimeout and allocates per
 // southbound exchange, which is exactly the work the Flow Controller
 // thread exists to keep off the RX/TX threads.
@@ -1817,6 +1815,13 @@ func (h *Host) resolveMisses(snap *routeSnap, s *burstScratch, miss, producer in
 			h.dropPacket(&s.batch[i])
 		}
 		return
+	}
+	if s.seen == nil {
+		n := len(s.batch)
+		s.reqs = make([]control.ResolveRequest, n)
+		s.results = make([]control.ResolveResult, n)
+		s.slot = make([]int, n)
+		s.seen = make(map[control.ResolveRequest]int, n)
 	}
 	// Dedupe: one southbound request per distinct (scope, key).
 	uniq := 0

@@ -64,8 +64,8 @@ func layeredTable(t *testing.T, rule func(i int) Rule) (*Table, []packet.FlowKey
 	}
 	set := tb.shards[shardIndex(Port(0))].snap.Load().exact[Port(0)]
 	k := keys[tombstoned]
-	if e := set.delta.find(k, k.Hash()); set.base.tab.n != inBase || set.delta.n != inDelta+1 || e != tombstone {
-		t.Fatalf("layout: base %d, delta %d, tombstone present=%v", set.base.tab.n, set.delta.n, e == tombstone)
+	if e := set.delta.find(k, k.Hash()); set.base.n != inBase || set.delta.n != inDelta+1 || e != tombstone {
+		t.Fatalf("layout: base %d, delta %d, tombstone present=%v", set.base.n, set.delta.n, e == tombstone)
 	}
 	return tb, keys
 }

@@ -2,9 +2,8 @@ package flowtable
 
 import (
 	"iter"
-	"math"
 	"math/bits"
-	"sync/atomic"
+	"slices"
 
 	"sdnfv/internal/packet"
 )
@@ -15,24 +14,13 @@ import (
 // delta, so installing a batch into a 262 144-rule scope copies the few
 // hundred rules written since the last fold, not the scope.
 type exactSet struct {
-	base *exactBase
+	// base is the folded bulk of the set, never written after the fold
+	// that built it.
+	base *flatTab
 	// delta shadows base: an entry adds or replaces the rule under its
 	// key, tombstone marks a deleted base rule.
 	delta flatTab
 	n     int // live rules: the delta's non-tombstone entries plus the base keys it does not shadow
-}
-
-// exactBase is the folded bulk of an exactSet. tab is never written after
-// the fold that built it.
-type exactBase struct {
-	tab flatTab
-	// due is a lower bound on the coarse-clock time at which any base rule
-	// the delta does not shadow can expire; the sweeper skips the base
-	// until the clock reaches it. Idle clocks only move forward and a
-	// shadowed key stays shadowed until the next fold replaces the base,
-	// so a bound once computed stays valid. Zero (a fresh fold) means
-	// "scan at the next sweep".
-	due atomic.Int64
 }
 
 // tombstone is the delta entry that deletes a base rule; never returned.
@@ -48,7 +36,7 @@ func (s *exactSet) find(k packet.FlowKey, h uint64) *Entry {
 	}
 	e := s.delta.find(k, h)
 	if e == nil {
-		return s.base.tab.find(k, h)
+		return s.base.find(k, h)
 	}
 	if e == tombstone {
 		return nil
@@ -71,7 +59,7 @@ func (s *exactSet) all() iter.Seq2[packet.FlowKey, *Entry] {
 				return
 			}
 		}
-		for _, sl := range s.base.tab.slots {
+		for _, sl := range s.base.slots {
 			if sl.e != nil && !s.shadowed(sl.key) && !yield(sl.key, sl.e) {
 				return
 			}
@@ -85,7 +73,7 @@ func (s *exactSet) put(k packet.FlowKey, e *Entry) *Entry {
 	h := k.Hash()
 	old := s.delta.set(k, h, e)
 	if old == nil {
-		old = s.base.tab.find(k, h)
+		old = s.base.find(k, h)
 	}
 	if old == nil || old == tombstone {
 		s.n++
@@ -97,7 +85,7 @@ func (s *exactSet) put(k packet.FlowKey, e *Entry) *Entry {
 // del removes the live rule under k from a private set.
 func (s *exactSet) del(k packet.FlowKey) {
 	h := k.Hash()
-	if s.base.tab.find(k, h) != nil {
+	if s.base.find(k, h) != nil {
 		s.delta.set(k, h, tombstone)
 	} else {
 		s.delta.remove(k, h)
@@ -105,51 +93,43 @@ func (s *exactSet) del(k packet.FlowKey) {
 	s.n--
 }
 
-// fold merges the delta into a fresh base sized to a 4/5 load once the
-// delta outgrows its budget of 256 rules plus an eighth of the base. The
-// budget keeps a write's delta clone a small fraction of a large scope,
-// while a fold's copy of the scope is paid for by the writes that filled
-// the delta: at most eight rule copies per write, amortized.
+// fold merges the delta into a new base once the delta outgrows its
+// budget of 256 rules plus an eighth of the base. The budget keeps a
+// write's delta clone a small fraction of a large scope, while a fold's
+// copy of the scope is paid for by the writes that filled the delta: at
+// most eight rule copies per write, amortized.
+//
+// The folded base needs size slots for a 4/5 load. When the old base's
+// array has between size and 2×size slots, the fold copies that array and
+// replays the delta over it — tombstones first, so no set can grow it —
+// which copies slots instead of rehashing every rule. A set that has
+// grown past the array, or shrunk below half of it after a mass expiry,
+// is rebuilt at exactly size slots, so shard memory follows the rules.
 func (s *exactSet) fold() {
-	if s.delta.n <= 256+s.base.tab.n/8 {
+	if s.delta.n <= 256+s.base.n/8 {
 		return
 	}
-	tab := flatTab{slots: make([]slot, max(8, (s.n*5+3)/4))}
-	for k, e := range s.all() {
-		tab.set(k, k.Hash(), e)
-	}
-	s.base, s.delta = &exactBase{tab: tab}, flatTab{}
-}
-
-// expired yields the live rules past their timeouts at now. The delta is
-// always walked; the base only once now reaches base.due. A base walk the
-// caller does not stop raises due to the earliest time a base rule it did
-// not yield can expire: the caller reaps every rule it is yielded, so the
-// bound holds for the set it publishes and later sweeps skip the base
-// until then.
-func (s *exactSet) expired(now int64) iter.Seq2[packet.FlowKey, *Entry] {
-	return func(yield func(packet.FlowKey, *Entry) bool) {
+	size := max(8, (s.n*5+3)/4)
+	var tab flatTab
+	if n := len(s.base.slots); n >= size && n < 2*size {
+		tab = flatTab{slots: slices.Clone(s.base.slots), n: s.base.n}
 		for _, sl := range s.delta.slots {
-			if sl.e != nil && sl.e != tombstone && expiresBy(sl.e) <= now && !yield(sl.key, sl.e) {
-				return
+			if sl.e == tombstone {
+				tab.remove(sl.key, sl.key.Hash())
 			}
 		}
-		if now < s.base.due.Load() {
-			return
-		}
-		due := int64(math.MaxInt64)
-		for _, sl := range s.base.tab.slots {
-			if sl.e == nil || s.shadowed(sl.key) {
-				continue
-			}
-			if at := expiresBy(sl.e); at > now {
-				due = min(due, at)
-			} else if !yield(sl.key, sl.e) {
-				return
+		for _, sl := range s.delta.slots {
+			if sl.e != nil && sl.e != tombstone {
+				tab.set(sl.key, sl.key.Hash(), sl.e)
 			}
 		}
-		s.base.due.Store(due)
+	} else {
+		tab = flatTab{slots: make([]slot, size)}
+		for k, e := range s.all() {
+			tab.set(k, k.Hash(), e)
+		}
 	}
+	s.base, s.delta = &tab, flatTab{}
 }
 
 // flatTab is an open-addressed hash table from FlowKey to *Entry: one

@@ -30,8 +30,8 @@ func TestWritesLeaveBaseShared(t *testing.T) {
 	}
 	set := func() *exactSet { return tb.shards[shardIndex(scope)].snap.Load().exact[scope] }
 	base := set().base
-	if base.tab.n != resident {
-		t.Fatalf("base holds %d rules, want %d", base.tab.n, resident)
+	if base.n != resident {
+		t.Fatalf("base holds %d rules, want %d", base.n, resident)
 	}
 
 	rules = rules[:batch]
@@ -52,6 +52,61 @@ func TestWritesLeaveBaseShared(t *testing.T) {
 	if s := set(); s.base != base || s.delta.n != 0 || s.n != resident {
 		t.Fatalf("sweep of the batch rebuilt the base (same=%v, delta=%d, rules=%d)", s.base == base, s.delta.n, s.n)
 	}
+}
+
+// TestFoldPatchesOrRebuilds pins which fold a scope gets, structurally:
+// a fold whose rules still fit the base's array at most twice over
+// copies that array and patches it, so its length stays; one that has
+// grown past the array, or shrunk to under half of it, rebuilds it at a
+// 4/5 load. Every surviving rule stays reachable either way.
+func TestFoldPatchesOrRebuilds(t *testing.T) {
+	scope := Port(0)
+	key := func(i int) packet.FlowKey {
+		return packet.FlowKey{SrcIP: packet.IPv4(10, 0, byte(i>>8), byte(i)), DstIP: packet.IPv4(10, 255, 0, 1), DstPort: 80, Proto: packet.ProtoUDP}
+	}
+	tb := New()
+	var ids []uint64
+	install := func(lo, hi int) {
+		t.Helper()
+		rules := make([]Rule, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			rules = append(rules, Rule{Scope: scope, Match: ExactMatch(key(i)), Actions: []Action{Out(1)}})
+		}
+		got, err := tb.AddBatch(rules)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, got...)
+	}
+	set := func() *exactSet { return tb.shards[shardIndex(scope)].snap.Load().exact[scope] }
+	check := func(step string, live, slots int) {
+		t.Helper()
+		s := set()
+		if s.delta.n != 0 || s.n != live || len(s.base.slots) != slots {
+			t.Fatalf("%s: %d rules, delta %d, base %d slots; want %d rules folded into %d slots", step, s.n, s.delta.n, len(s.base.slots), live, slots)
+		}
+		for i := len(ids) - live; i < len(ids); i++ {
+			if e, err := tb.Lookup(scope, key(i)); err != nil || e.ID != ids[i] {
+				t.Fatalf("%s: rule %d lost (%v, %v)", step, i, e, err)
+			}
+		}
+	}
+	install(0, 4096)
+	check("first fold", 4096, 5120)
+	// 1024 deletes overflow the delta's 768-rule budget; 3072 rules need
+	// 3840 slots, and 5120 is under twice that: patched in place.
+	if err := tb.Delete(ids[:1024]...); err != nil {
+		t.Fatal(err)
+	}
+	check("patched", 3072, 5120)
+	// 2048 more deletes leave 1024 rules, under half the array: rebuilt.
+	if err := tb.Delete(ids[1024:3072]...); err != nil {
+		t.Fatal(err)
+	}
+	check("shrunk", 1024, 1280)
+	// 1024 new rules are past the array: rebuilt larger.
+	install(4096, 5120)
+	check("grown", 2048, 2560)
 }
 
 // FuzzFlatTab runs set, remove and find against a plain map on tables

@@ -37,13 +37,14 @@
 // writes since (a sentinel tombstone entry deletes a base key), so a write
 // copies the delta, not the scope. Once the delta outgrows 256 rules plus
 // an eighth of the base, the write that overflowed it folds both into a
-// fresh base at a 4/5 load.
+// new base at most 4/5 full.
 package flowtable
 
 import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -254,10 +255,12 @@ type Rule struct {
 	// Scope is where the packet currently is: a NIC port for fresh
 	// arrivals, or the ServiceID of the NF that just released the packet.
 	Scope ServiceID
+	// Parallel marks the action list as a simultaneous read-only fan-out.
+	// It sits beside Scope, in the padding before Match, so that Entry
+	// keeps its 112-byte size class with the expiry link.
+	Parallel bool
 	// Match restricts which flows this rule applies to.
 	Match Match
-	// Parallel marks the action list as a simultaneous read-only fan-out.
-	Parallel bool
 	// Priority breaks ties among equal-specificity wildcard rules.
 	Priority int
 	// IdleTimeout evicts the rule once no packet has hit it for this
@@ -274,10 +277,11 @@ type Rule struct {
 // Entries are never mutated after publication: rewriting a rule installs a
 // fresh Entry with the same ID, so a pointer obtained from Lookup remains
 // a consistent (if stale) snapshot forever. The lifecycle fields are the
-// one exception to full immutability: life.lastHit is an atomic the
+// exceptions to full immutability: life.lastHit is an atomic the
 // lookup path advances on every hit, shared across rewrites of the same
-// rule so a default change does not reset the idle clock. The words a hit
-// reads (expiry, life, Actions) lead the struct, sharing a cache line.
+// rule so a default change does not reset the idle clock; nextDue is the
+// shard writer's expiry-bucket link, which no reader loads. The words a
+// hit reads (expiry, life, Actions) lead the struct, sharing a cache line.
 type Entry struct {
 	// idleNs / hardAt are the precomputed expiry parameters against the
 	// table's coarse clock: idleNs is the idle window in nanoseconds and
@@ -291,6 +295,11 @@ type Entry struct {
 
 	Rule
 	ID uint64 // table-assigned, stable for the rule's lifetime
+
+	// nextDue chains a timed entry into its shard's expiry bucket (see
+	// lifecycle.go). Only the shard writer, under the shard mutex, reads
+	// or writes it.
+	nextDue *Entry
 }
 
 // entryLife is the mutable half of an entry's lifecycle, held behind a
@@ -344,9 +353,9 @@ const numShards = 16
 func shardIndex(s ServiceID) int { return int(s) & (numShards - 1) }
 
 // snapshot is the immutable published state of one shard. Neither the
-// maps nor anything reachable from them is mutated after publication
-// (bar the sweeper's atomic base.due hint); writers clone the containers
-// they need to change and publish a fresh snapshot.
+// maps nor anything reachable from them is mutated after publication, bar
+// each entry's atomic idle clock and its writer-only expiry link; writers
+// clone the containers they need to change and publish a fresh snapshot.
 type snapshot struct {
 	// exact[scope] -> the scope's exact-match rules, base plus delta
 	exact map[ServiceID]*exactSet
@@ -384,7 +393,7 @@ func (next *snapshot) exactFor(scope ServiceID) *exactSet {
 	if cur := next.exact[scope]; cur != nil {
 		*set = *cur // shares cur's base; the delta is replaced below
 	} else {
-		set.base = &exactBase{}
+		set.base = new(flatTab)
 	}
 	if d := &set.delta; d.n*5 < len(d.slots) {
 		d.resize(max(8, (d.n*5+3)/4)) // removals left it under 1/5 full: shrink it
@@ -419,8 +428,14 @@ func (next *snapshot) cloneWild(scope ServiceID) []*Entry {
 // is the only field the data path touches; mu serializes writers only.
 // Counters are shard-local to spread hot-path atomic traffic.
 type shard struct {
-	snap    atomic.Pointer[snapshot]
-	mu      sync.Mutex
+	snap atomic.Pointer[snapshot]
+	mu   sync.Mutex
+	// buckets files every timed entry the shard has published by its
+	// coarse deadline; guarded by mu. due is the start of the earliest
+	// bucket (MaxInt64 when none), written under mu and read lock-free,
+	// so a sweep passes over a shard with nothing due without the mutex.
+	buckets expiryBuckets
+	due     atomic.Int64
 	lookups atomic.Uint64
 	misses  atomic.Uint64
 	// expired counts lookups that found an entry but rejected it as
@@ -470,6 +485,9 @@ type Table struct {
 	evictedHard atomic.Uint64
 	sweeps      atomic.Uint64
 	sweepNanos  atomic.Uint64
+	// sweepVisits counts the entries sweeps have examined: evicted,
+	// dropped as stale, or relinked at a later deadline.
+	sweepVisits atomic.Uint64
 
 	// Default timeouts applied at install time to exact-match rules that
 	// do not carry their own; per-scope overrides win over the
@@ -497,6 +515,7 @@ func New() *Table {
 	t := &Table{}
 	for i := range t.shards {
 		t.shards[i].snap.Store(emptySnapshot)
+		t.shards[i].due.Store(math.MaxInt64)
 	}
 	return t
 }
@@ -512,7 +531,7 @@ func (t *Table) Add(r Rule) (uint64, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	next := sh.snap.Load().cloneTop()
-	id := t.addLocked(next, r)
+	id := t.addLocked(sh, next, r)
 	sh.publish(next)
 	return id, nil
 }
@@ -545,7 +564,7 @@ func (t *Table) AddBatch(rules []Rule) ([]uint64, error) {
 		sh.mu.Lock()
 		next := sh.snap.Load().cloneTop()
 		for _, i := range idxs {
-			ids[i] = t.addLocked(next, rules[i])
+			ids[i] = t.addLocked(sh, next, rules[i])
 		}
 		sh.publish(next)
 		sh.mu.Unlock()
@@ -553,9 +572,10 @@ func (t *Table) AddBatch(rules []Rule) ([]uint64, error) {
 	return ids, nil
 }
 
-// addLocked installs r into next (a writable clone) and returns its ID.
-// Caller holds the shard mutex for r.Scope.
-func (t *Table) addLocked(next *snapshot, r Rule) uint64 {
+// addLocked installs r into next (a writable clone of sh's snapshot),
+// files the new entry under its deadline, and returns its ID. Caller
+// holds sh.mu.
+func (t *Table) addLocked(sh *shard, next *snapshot, r Rule) uint64 {
 	acts := make([]Action, len(r.Actions))
 	copy(acts, r.Actions)
 	r.Actions = acts
@@ -571,11 +591,13 @@ func (t *Table) addLocked(next *snapshot, r Rule) uint64 {
 		// A replacement arms fresh timers — reinstalling a rule is how
 		// OpenFlow flow-mods refresh a flow's lease.
 		t.armLife(e)
+		sh.link(e)
 		return e.ID
 	}
 	e := &Entry{Rule: r, ID: t.nextID.Add(1)}
 	t.adds.Add(1)
 	t.armLife(e)
+	sh.link(e)
 	ws := append(next.cloneWild(r.Scope), e)
 	sortWild(ws)
 	next.wild[r.Scope] = ws
@@ -816,7 +838,7 @@ func (t *Table) LookupBatch(scopes []ServiceID, keys []packet.FlowKey, out []*En
 		}
 		for i, set := range sets[:n] {
 			if set != nil {
-				sink += set.delta.touch(hashes[i]) + set.base.tab.touch(hashes[i])
+				sink += set.delta.touch(hashes[i]) + set.base.touch(hashes[i])
 			}
 		}
 		for i, set := range sets[:n] {
@@ -922,7 +944,9 @@ func (t *Table) UpdateDefault(scope ServiceID, f Match, newDefault Action, const
 			return e, false
 		}
 		n++
-		return e.withDefault(newDefault), true
+		ne := e.withDefault(newDefault)
+		sh.link(ne)
+		return ne, true
 	}
 	if set := cur.exact[scope]; set != nil {
 		for k, e := range set.all() {
@@ -960,8 +984,8 @@ func (t *Table) UpdateDefault(scope ServiceID, f Match, newDefault Action, const
 	return n
 }
 
-// withDefault returns a fresh entry (same ID) whose default is a, with the
-// previous actions preserved as alternatives.
+// withDefault returns a fresh, unlinked entry (same ID) whose default is
+// a, with the previous actions preserved as alternatives.
 func (e *Entry) withDefault(a Action) *Entry {
 	acts := make([]Action, 0, len(e.Actions)+1)
 	acts = append(acts, a)
@@ -971,7 +995,7 @@ func (e *Entry) withDefault(a Action) *Entry {
 		}
 	}
 	ne := *e
-	ne.Actions = acts
+	ne.Actions, ne.nextDue = acts, nil
 	return &ne
 }
 
@@ -1000,10 +1024,11 @@ func (t *Table) specializeDefaultLocked(sh *shard, scope ServiceID, f Match, new
 		// activity, so it must not refresh the idle lease.
 		t.modifies.Add(1)
 		next.exactFor(scope).put(key, spec)
+		sh.link(spec)
 		sh.publish(next)
 		return 1
 	}
-	t.addLocked(next, Rule{
+	t.addLocked(sh, next, Rule{
 		Scope:       scope,
 		Match:       f,
 		Actions:     spec.Actions,

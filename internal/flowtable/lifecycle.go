@@ -7,23 +7,34 @@
 //  1. Lazy: a lookup that finds a timed-out entry treats it as a miss
 //     and bumps the shard's expired counter. No locks, no deletes, no
 //     notifications — the data-path thread only signals.
-//  2. Sweep: a background goroutine (or an explicit Sweep call) walks
-//     each shard, re-checks expiry under the shard writer mutex, and
-//     removes the dead entries in one batch. A scope's exact rules are a
-//     shared base plus a small delta (see the package doc): the delta is
-//     walked every tick, the base only once the clock reaches the
-//     earliest time any base rule can expire, a bound the walk then
-//     raises. Removing a base rule writes a tombstone into the delta, so
-//     a sweep that reaps a few rules rebuilds only the delta; a mass
-//     expiry overflows the delta's budget and folds the survivors into a
-//     right-sized base, or frees the scope outright, so shard memory
-//     shrinks (a flat table never shrinks in place). Only the sweeper
-//     removes and only the sweeper notifies, so every eviction is
-//     observed exactly once by OnEvict.
+//  2. Sweep: a background goroutine (or an explicit Sweep call) visits
+//     only the entries whose deadline has come. Each shard files every
+//     timed entry it publishes, exact or wildcard, in an expiry bucket
+//     for its coarse deadline (expiresBy, in 2^22 ns ≈ 4 ms buckets),
+//     linked through the entry's own nextDue field, so filing allocates
+//     nothing per rule. A sweep takes the shard writer mutex only when a
+//     bucket is due, detaches the due buckets, and for each entry in them
+//     drops it if the shard no longer publishes it (it was replaced,
+//     rewritten or deleted since it was filed), evicts it if it is still
+//     past its timeouts, and otherwise — a hit moved its idle clock on —
+//     files it again at its new deadline. A deadline only moves later, so
+//     an entry is always filed no later than it can expire, and the
+//     sweep's cost follows the expiries, not the residents. A replaced or
+//     deleted entry stays filed until its old deadline: at most one
+//     timeout.
+//
+// Removing a base rule writes a tombstone into the delta (see the package
+// doc), so a sweep that reaps a few rules rebuilds only the delta; a mass
+// expiry overflows the delta's budget and folds the survivors into a
+// right-sized base, or frees the scope outright, so shard memory shrinks
+// (a flat table never shrinks in place). Only the sweeper removes and
+// only the sweeper notifies, so every eviction is observed exactly once
+// by OnEvict.
 package flowtable
 
 import (
 	"math"
+	"slices"
 	"time"
 )
 
@@ -152,13 +163,11 @@ func (t *Table) sweepLoop(interval time.Duration, onEvict func([]Evicted), stop,
 	}
 }
 
-// Sweep removes every expired entry and returns them. Each shard is
-// first scanned lock-free against the published snapshot; only shards
-// with candidates take the writer mutex, where expiry is re-checked
-// against the then-current snapshot — an entry replaced (its lease
-// refreshed) between scan and lock survives, and two concurrent sweeps
-// can never both collect the same entry. Both walks skip a scope's base
-// until one of its rules can be due.
+// Sweep removes every expired entry and returns them. A shard whose
+// earliest bucket is not yet due is passed over without its mutex; the
+// others detach their due buckets under it, so an entry replaced (its
+// lease refreshed) concurrently survives, and two concurrent sweeps can
+// never both collect the same entry.
 func (t *Table) Sweep() []Evicted {
 	start := time.Now()
 	now := t.now.Load()
@@ -209,56 +218,42 @@ func expiresBy(e *Entry) int64 {
 }
 
 func (t *Table) sweepShard(sh *shard, now int64, evicted []Evicted) []Evicted {
-	// Lock-free pre-scan: most ticks, most shards have nothing expired
-	// and the writer mutex is never taken.
-	snap := sh.snap.Load()
-	if !shardHasExpired(snap, now) {
+	if now < sh.due.Load() {
 		return evicted
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	cur := sh.snap.Load()
 	var next *snapshot
-	for scope, set := range cur.exact {
-		for k, e := range set.expired(now) {
-			if next == nil {
-				next = cur.cloneTop()
-			}
-			next.exactFor(scope).del(k)
-			reason, _ := expiredAt(e, now)
-			evicted = append(evicted, Evicted{ID: e.ID, Scope: scope, Match: e.Match, Reason: reason})
-		}
-	}
-	for scope, ws := range cur.wild {
-		dead := 0
-		for _, e := range ws {
-			if _, exp := expiredAt(e, now); exp {
-				dead++
-			}
-		}
-		if dead == 0 {
-			continue
-		}
-		if next == nil {
-			next = cur.cloneTop()
-		}
-		if dead == len(ws) {
-			delete(next.wild, scope)
-		} else {
-			nws := make([]*Entry, 0, len(ws)-dead)
-			for _, e := range ws {
-				if _, exp := expiredAt(e, now); !exp {
-					nws = append(nws, e)
+	var again *Entry // survivors, filed again once every due bucket is detached
+	visits := uint64(0)
+	for e := sh.buckets.popDue(now); e != nil; e = sh.buckets.popDue(now) {
+		for e != nil {
+			link := e.nextDue
+			e.nextDue = nil
+			visits++
+			switch reason, exp := expiredAt(e, now); {
+			case !cur.holds(e):
+				// Replaced, rewritten or deleted since it was filed.
+			case exp:
+				if next == nil {
+					next = cur.cloneTop()
 				}
+				next.remove(e)
+				evicted = append(evicted, Evicted{ID: e.ID, Scope: e.Scope, Match: e.Match, Reason: reason})
+			default:
+				e.nextDue, again = again, e
 			}
-			next.wild[scope] = nws
-		}
-		for _, e := range ws {
-			if reason, exp := expiredAt(e, now); exp {
-				evicted = append(evicted, Evicted{ID: e.ID, Scope: scope, Match: e.Match, Reason: reason})
-			}
+			e = link
 		}
 	}
+	for again != nil {
+		e := again
+		again = e.nextDue
+		sh.link(e)
+	}
+	sh.due.Store(sh.buckets.earliest())
+	t.sweepVisits.Add(visits)
 	if next != nil {
 		t.modifies.Add(1)
 		sh.publish(next)
@@ -266,21 +261,121 @@ func (t *Table) sweepShard(sh *shard, now int64, evicted []Evicted) []Evicted {
 	return evicted
 }
 
-// shardHasExpired reports whether any entry in the published snapshot is
-// past its timeouts. Read-only; may race with writers, which is fine —
-// the sweep re-checks under the shard mutex.
-func shardHasExpired(snap *snapshot, now int64) bool {
-	for _, set := range snap.exact {
-		for range set.expired(now) {
-			return true
-		}
+// holds reports whether s publishes e under its scope and match.
+func (s *snapshot) holds(e *Entry) bool {
+	if k, ok := e.Match.ExactKey(); ok {
+		return s.exact[e.Scope].find(k, k.Hash()) == e
 	}
-	for _, ws := range snap.wild {
-		for _, e := range ws {
-			if _, exp := expiredAt(e, now); exp {
-				return true
-			}
-		}
+	return slices.Contains(s.wild[e.Scope], e)
+}
+
+// remove deletes e, which s holds, from s, a writable clone.
+func (s *snapshot) remove(e *Entry) {
+	if k, ok := e.Match.ExactKey(); ok {
+		s.exactFor(e.Scope).del(k)
+		return
 	}
-	return false
+	ws := slices.DeleteFunc(s.cloneWild(e.Scope), func(w *Entry) bool { return w == e })
+	if len(ws) == 0 {
+		delete(s.wild, e.Scope)
+	} else {
+		s.wild[e.Scope] = ws
+	}
+}
+
+// bucketShift sets the expiry bucket width: deadlines d and d' share a
+// bucket when d>>bucketShift == d'>>bucketShift, so a bucket spans 2^22
+// ns ≈ 4.2 ms of the coarse clock. Narrower buckets waste fewer visits on
+// not-yet-due entries in the bucket the clock is in; wider ones cost
+// fewer buckets per timeout window.
+const bucketShift = 22
+
+// expiryBuckets files entries by coarse deadline: each bucket is a list
+// chained through Entry.nextDue, and a min-heap orders the buckets so a
+// sweep finds the due ones without looking at the rest.
+type expiryBuckets struct {
+	heads map[int64]*Entry // bucket -> its latest-filed entry
+	order []int64          // min-heap of the buckets in heads
+}
+
+// link files e, which must be in no bucket, in bucket b.
+func (bs *expiryBuckets) link(e *Entry, b int64) {
+	head, ok := bs.heads[b]
+	if !ok {
+		if bs.heads == nil {
+			bs.heads = make(map[int64]*Entry)
+		}
+		bs.push(b)
+	}
+	e.nextDue = head
+	bs.heads[b] = e
+}
+
+// popDue detaches the earliest bucket if it is due by now, and returns
+// its entries, or nil.
+func (bs *expiryBuckets) popDue(now int64) *Entry {
+	if len(bs.order) == 0 || bs.order[0] > now>>bucketShift {
+		return nil
+	}
+	b := bs.order[0]
+	bs.pop()
+	e := bs.heads[b]
+	delete(bs.heads, b)
+	return e
+}
+
+// earliest is the coarse-clock time the earliest bucket comes due, or
+// MaxInt64 when no entry is filed.
+func (bs *expiryBuckets) earliest() int64 {
+	if len(bs.order) == 0 {
+		return math.MaxInt64
+	}
+	return bs.order[0] << bucketShift
+}
+
+func (bs *expiryBuckets) push(b int64) {
+	h := append(bs.order, b)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p] <= h[i] {
+			break
+		}
+		h[p], h[i], i = h[i], h[p], p
+	}
+	bs.order = h
+}
+
+func (bs *expiryBuckets) pop() {
+	h := bs.order
+	n := len(h) - 1
+	h[0], h = h[n], h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1] < h[c] {
+			c++
+		}
+		if h[i] <= h[c] {
+			break
+		}
+		h[i], h[c], i = h[c], h[i], c
+	}
+	bs.order = h
+}
+
+// link files e under its current deadline if it has one, and lowers the
+// shard's due time to that bucket's. Caller holds sh.mu; e is in no
+// bucket.
+func (sh *shard) link(e *Entry) {
+	at := expiresBy(e)
+	if at == math.MaxInt64 {
+		return
+	}
+	b := at >> bucketShift
+	sh.buckets.link(e, b)
+	if start := b << bucketShift; start < sh.due.Load() {
+		sh.due.Store(start)
+	}
 }

@@ -1,10 +1,13 @@
 package flowtable
 
 import (
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"sdnfv/internal/packet"
 )
@@ -309,5 +312,151 @@ func TestChurnConcurrent(t *testing.T) {
 	if st.Adds != uint64(st.Rules)+st.Deleted+st.Evicted() {
 		t.Fatalf("identity violated after churn: adds=%d rules=%d deleted=%d evicted=%d",
 			st.Adds, st.Rules, st.Deleted, st.Evicted())
+	}
+}
+
+// TestSweepCostFollowsExpiries pins the sweep's work to the expiries,
+// counting entries, never time: among 100 000 rules leased for an hour, a
+// sweep that reaps 64 rules leased for 10 ms examines those 64 (and at
+// most a few not-yet-due neighbours), and the next sweep examines none.
+func TestSweepCostFollowsExpiries(t *testing.T) {
+	const resident, short = 100_000, 64
+	rules := make([]Rule, resident+short)
+	for i := range rules {
+		k := packet.FlowKey{
+			SrcIP: packet.IPv4(10, byte(i>>16), byte(i>>8), byte(i)), DstIP: packet.IPv4(10, 255, 0, 1),
+			SrcPort: uint16(i), DstPort: 80, Proto: packet.ProtoUDP,
+		}
+		rules[i] = Rule{Scope: Port(i % 4), Match: ExactMatch(k), Actions: []Action{Out(1)}, IdleTimeout: time.Hour}
+		if i >= resident {
+			rules[i].IdleTimeout = 10 * time.Millisecond
+		}
+	}
+	tb := New()
+	ids, err := tb.AddBatch(rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.Advance(20 * time.Millisecond)
+	ev := tb.Sweep()
+	if len(ev) != short {
+		t.Fatalf("swept %d, want %d", len(ev), short)
+	}
+	for _, e := range ev {
+		if !slices.Contains(ids[resident:], e.ID) || e.Reason != EvictIdle {
+			t.Fatalf("evicted %+v, want only the 10 ms rules, idle", e)
+		}
+	}
+	if v := tb.sweepVisits.Load(); v > short+4 {
+		t.Fatalf("sweep examined %d entries to evict %d", v, short)
+	}
+	visits := tb.sweepVisits.Load()
+	if ev := tb.Sweep(); len(ev) != 0 || tb.sweepVisits.Load() != visits {
+		t.Fatalf("second sweep evicted %d and examined %d entries, want none", len(ev), tb.sweepVisits.Load()-visits)
+	}
+}
+
+// TestExpiryBucketsAcrossWritePaths files rules through every write path
+// — a lease-refreshing re-Add, UpdateDefault on an exact rule and on a
+// wildcard, an exact UpdateDefault that specializes a wildcard, a Delete,
+// and a hit that moves an idle clock on — and checks that each rule is
+// evicted exactly once, under its own ID and reason, that the lifecycle
+// identity holds, and that once everything has expired and been swept no
+// shard holds a bucket: a stale filing lasts at most one timeout.
+func TestExpiryBucketsAcrossWritePaths(t *testing.T) {
+	const idle = 100 * time.Millisecond
+	scope := Port(0)
+	tb := New()
+	add := func(r Rule) uint64 {
+		t.Helper()
+		r.Scope = scope
+		id, err := tb.Add(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	refreshed := Rule{Match: ExactMatch(key(1)), Actions: []Action{Out(1)}, IdleTimeout: idle}
+	refreshedID := add(refreshed)
+	rewrittenID := add(Rule{Match: ExactMatch(key(2)), Actions: []Action{Forward(10), Forward(11)}, IdleTimeout: idle})
+	deletedID := add(Rule{Match: ExactMatch(key(3)), Actions: []Action{Out(1)}, IdleTimeout: idle})
+	hitID := add(Rule{Match: ExactMatch(key(4)), Actions: []Action{Out(1)}, IdleTimeout: idle})
+	hardID := add(Rule{Match: ExactMatch(key(5)), Actions: []Action{Out(1)}, HardTimeout: 120 * time.Millisecond})
+	wildID := add(Rule{Match: MatchSrcIP(key(6).SrcIP), Actions: []Action{Forward(1), Forward(2)}, IdleTimeout: idle})
+	if _, err := tb.Add(Rule{Scope: Port(1), Match: MatchAll, Actions: []Action{Out(1)}}); err != nil {
+		t.Fatal(err) // never expires, so never filed
+	}
+
+	tb.Advance(50 * time.Millisecond)
+	if id := add(refreshed); id != refreshedID {
+		t.Fatalf("re-Add changed the ID: %d -> %d", refreshedID, id)
+	}
+	if n := tb.UpdateDefault(scope, ExactMatch(key(2)), Forward(11), true); n != 1 {
+		t.Fatalf("exact UpdateDefault = %d", n)
+	}
+	if n := tb.UpdateDefault(scope, MatchAll, Forward(2), true); n != 1 {
+		t.Fatalf("wildcard UpdateDefault = %d", n)
+	}
+	if n := tb.UpdateDefault(scope, ExactMatch(key(6)), Forward(1), true); n != 1 {
+		t.Fatalf("specializing UpdateDefault = %d", n)
+	}
+	specialized, err := tb.Lookup(scope, key(6))
+	if err != nil || !specialized.Match.IsExact() {
+		t.Fatalf("specialized rule = %v, %v", specialized, err)
+	}
+	if err := tb.Delete(deletedID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.Lookup(scope, key(4)); err != nil {
+		t.Fatal(err)
+	}
+
+	// Deadlines: rewritten and wild at 100 ms (a default change keeps the
+	// idle clock), hard at 120 ms, refreshed, hit and specialized at 150 ms.
+	want := map[uint64]EvictReason{
+		rewrittenID: EvictIdle, wildID: EvictIdle, hardID: EvictHard,
+		refreshedID: EvictIdle, hitID: EvictIdle, specialized.ID: EvictIdle,
+	}
+	seen := map[uint64]int{}
+	for _, step := range []struct {
+		at   time.Duration
+		want int
+	}{{50 * time.Millisecond, 0}, {110 * time.Millisecond, 2}, {125 * time.Millisecond, 1}, {160 * time.Millisecond, 3}, {time.Hour, 0}} {
+		tb.Advance(step.at - time.Duration(tb.now.Load()))
+		ev := tb.Sweep()
+		if len(ev) != step.want {
+			t.Fatalf("at %v swept %+v, want %d rules", step.at, ev, step.want)
+		}
+		for _, e := range ev {
+			seen[e.ID]++
+			if reason, ok := want[e.ID]; !ok || reason != e.Reason || e.Scope != scope {
+				t.Fatalf("at %v evicted %+v, not an expected rule and reason", step.at, e)
+			}
+		}
+	}
+	for id := range want {
+		if seen[id] != 1 {
+			t.Fatalf("rule %d evicted %d times, want once", id, seen[id])
+		}
+	}
+	st := tb.Stats()
+	if st.Adds != 8 || st.Rules != 1 || st.Deleted != 1 || st.Adds != uint64(st.Rules)+st.Deleted+st.Evicted() {
+		t.Fatalf("identity: adds=%d rules=%d deleted=%d evicted=%d", st.Adds, st.Rules, st.Deleted, st.Evicted())
+	}
+	for si := range tb.shards {
+		sh := &tb.shards[si]
+		if len(sh.buckets.heads) != 0 || len(sh.buckets.order) != 0 || sh.due.Load() != math.MaxInt64 {
+			t.Fatalf("shard %d still files %d buckets (heap %d, due %d)", si, len(sh.buckets.heads), len(sh.buckets.order), sh.due.Load())
+		}
+	}
+}
+
+// TestEntrySizeClass pins Entry to the 112-byte allocation size class.
+// The expiry-bucket link lives inside the entry (Rule.Parallel fills the
+// padding beside Scope to make room), so filing a rule costs no heap per
+// rule and flowtable.heap_bytes_per_rule stays flat.
+func TestEntrySizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Entry{}); n > 112 {
+		t.Fatalf("Entry is %d bytes, past the 112-byte size class", n)
 	}
 }

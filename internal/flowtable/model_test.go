@@ -1,6 +1,7 @@
 package flowtable
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -369,8 +370,12 @@ func (d *differential) delete(ids []uint64) {
 }
 
 // randomStep applies one random operation to both sides.
-func (d *differential) randomStep() {
-	switch op := d.rng.Intn(20); {
+func (d *differential) randomStep() { d.apply(d.rng.Intn(20)) }
+
+// apply applies operation op, in [0, 20), to both sides, drawing its
+// arguments from d.rng.
+func (d *differential) apply(op int) {
+	switch {
 	case op < 5: // batch of exact rules, now and then a wildcard
 		rules := make([]Rule, 1+d.rng.Intn(300))
 		scope := d.randScope()
@@ -488,7 +493,7 @@ func (d *differential) observe() {
 	if set == nil {
 		return
 	}
-	if set.base.tab.n > 256 {
+	if set.base.n > 256 {
 		d.cov.folded++
 	}
 	dead := map[packet.FlowKey]bool{}
@@ -496,7 +501,7 @@ func (d *differential) observe() {
 		if sl.e == nil {
 			continue
 		}
-		base := set.base.tab.find(sl.key, sl.key.Hash())
+		base := set.base.find(sl.key, sl.key.Hash())
 		switch {
 		case sl.e == tombstone:
 			dead[sl.key] = true
@@ -562,4 +567,34 @@ func TestTableMatchesModel(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzTableLifecycle runs the differential test on operation sequences
+// read from the fuzz input: its first eight bytes seed the draws of each
+// operation's rules, keys, timeouts and clock steps, and every later byte
+// applies one operation (AddBatch, Add and replace, Delete, UpdateDefault
+// exact and wildcard, Advance or Sweep), after which the table and the
+// model are compared. Past 64 operations the input is ignored, which
+// keeps each run within a fraction of a second.
+func FuzzTableLifecycle(f *testing.F) {
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 5, 7, 10, 12, 17, 13, 19, 0, 8, 14, 18})
+	seq := make([]byte, 48)
+	for i := range seq {
+		seq[i] = byte(i * 37)
+	}
+	f.Add(seq)
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < 8 {
+			return
+		}
+		tb := New()
+		tb.SetDefaultTimeouts(150*time.Millisecond, 0)
+		seed := int64(binary.LittleEndian.Uint64(in))
+		d := &differential{t: t, rng: rand.New(rand.NewSource(seed)), tb: tb, m: newModel(150 * time.Millisecond)}
+		for _, op := range in[8:min(len(in), 8+64)] {
+			d.step++
+			d.apply(int(op) % 20)
+			d.check()
+		}
+	})
 }
