@@ -6,8 +6,9 @@
 // flags are shorthand, `sdnfv-ctl diff` between the two is empty.
 // Either way reconcile.Boot assembles controller → fabric → hosts →
 // links → app → orchestrator → reconciler, NFs boot through the
-// orchestrator, rules install through the incremental recompile path,
-// and the reconcile loop keeps the cluster converged on the spec.
+// orchestrator, each generation's deployment compiles in full and its
+// rules install per host through the fabric, and the reconcile loop
+// keeps the cluster converged on the spec.
 //
 // A built-in generator (-packets N) injects at the spec's ingress with
 // backpressure, so an unshaped in-process chain delivers every frame.

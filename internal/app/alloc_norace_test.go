@@ -25,7 +25,7 @@ func TestCompileFlowAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	deployed := New(Config{})
-	if err := deployed.SetDeployment(testDeployment(t)); err != nil {
+	if _, err := deployed.SetDeployment(testDeployment(t)); err != nil {
 		t.Fatal(err)
 	}
 	ctx, key := context.Background(), testKey()

@@ -49,7 +49,9 @@ type HostPair struct {
 // placement assignment (which host runs each service — typically from
 // the placement engine, §3.5), the traffic entry point, and the fabric
 // channels available between host pairs. Compile turns it into per-host
-// flow tables. A Deployment is immutable once compiled.
+// flow tables, and App.SetDeployment compiles and installs it. Each
+// placement generation is a new Deployment, compiled in full; a
+// Deployment is immutable once compiled.
 type Deployment struct {
 	// Graph is the global service graph spanning all hosts.
 	Graph *graph.Graph
@@ -70,8 +72,6 @@ type Deployment struct {
 	// edgeCh records the channel Compile allocated to each crossing
 	// edge, for ChangeDefault translation at runtime.
 	edgeCh map[[2]flowtable.ServiceID]Channel
-	// gen is the Graph generation Compile last ran at.
-	gen uint64
 }
 
 // HostOf returns the datapath hosting service s (the Ingress host for
@@ -109,22 +109,12 @@ func (d *Deployment) Hosts() []control.DatapathID {
 // packet copy is a single-host memory optimization (§4.2) with no
 // cross-machine analogue, so deployed graphs dispatch sequentially.
 func (d *Deployment) Compile() (map[control.DatapathID][]flowtable.Rule, error) {
-	return d.compile(nil)
-}
-
-// compile is the shared compiler body. The channel-allocation pass
-// always runs over the whole graph (allocation is deterministic in
-// vertex-then-edge order, so a host's rules depend only on the global
-// assignment, never on which hosts are being regenerated); the rule-gen
-// pass emits rules only for hosts in `only` when it is non-nil.
-func (d *Deployment) compile(only map[control.DatapathID]bool) (map[control.DatapathID][]flowtable.Rule, error) {
 	if d.Graph == nil {
 		return nil, errors.New("app: deployment has no graph")
 	}
 	if err := d.Graph.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrGraphInvalid, err)
 	}
-	d.gen = d.Graph.Generation()
 	// Deterministic vertex order: Source, then services ascending.
 	ids := []flowtable.ServiceID{graph.Source}
 	for _, v := range d.Graph.Vertices() {
@@ -159,12 +149,9 @@ func (d *Deployment) compile(only map[control.DatapathID]bool) (map[control.Data
 		}
 	}
 
-	want := func(dp control.DatapathID) bool { return only == nil || only[dp] }
 	tables := make(map[control.DatapathID][]flowtable.Rule)
 	for _, dp := range d.Hosts() {
-		if want(dp) {
-			tables[dp] = nil
-		}
+		tables[dp] = nil
 	}
 	for _, u := range ids {
 		src, _ := d.HostOf(u)
@@ -184,7 +171,7 @@ func (d *Deployment) compile(only map[control.DatapathID]bool) (map[control.Data
 			}
 			acts = append(acts, act)
 			if e.To != graph.Sink {
-				if dst, _ := d.HostOf(e.To); dst != src && want(dst) {
+				if dst, _ := d.HostOf(e.To); dst != src {
 					// The matching ingress rule: the frame arriving on the
 					// channel's In port resumes the chain at e.To's scope.
 					ch := d.edgeCh[[2]flowtable.ServiceID{u, e.To}]
@@ -196,145 +183,13 @@ func (d *Deployment) compile(only map[control.DatapathID]bool) (map[control.Data
 				}
 			}
 		}
-		if want(src) {
-			tables[src] = append(tables[src], flowtable.Rule{
-				Scope:   scope,
-				Match:   flowtable.MatchAll,
-				Actions: acts,
-			})
-		}
+		tables[src] = append(tables[src], flowtable.Rule{
+			Scope:   scope,
+			Match:   flowtable.MatchAll,
+			Actions: acts,
+		})
 	}
 	return tables, nil
-}
-
-// sameChannels reports whether two channel maps offer identical conduits
-// per host pair, in the same order (order matters: the compiler consumes
-// them positionally).
-func sameChannels(a, b map[HostPair][]Channel) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for pair, chans := range a {
-		other, ok := b[pair]
-		if !ok || len(other) != len(chans) {
-			return false
-		}
-		for i := range chans {
-			if chans[i] != other[i] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// CompileDelta recompiles this deployment incrementally against a
-// previous generation: only hosts whose rules can differ are
-// regenerated; every other host reuses its previous table verbatim. The
-// affected set is the old and new hosts of every moved service plus the
-// old and new hosts of both endpoints of every edge incident to a moved
-// service — any rule not on one of those hosts compiles byte-identical
-// to a full compile, because channel allocation is deterministic and a
-// channel assignment can only change when one of the pair's endpoints
-// moved. Anything structural (different graph, ingress, ports, or
-// channel inventory, or a graph edited since prev compiled) falls back
-// to a full compile.
-//
-// It returns the complete merged per-host tables for the new deployment
-// and the sorted list of datapaths whose rules must be reinstalled —
-// including hosts the new deployment no longer uses (their entry in the
-// returned tables is absent; callers clear them).
-func (d *Deployment) CompileDelta(prev *Deployment, prevTables map[control.DatapathID][]flowtable.Rule) (map[control.DatapathID][]flowtable.Rule, []control.DatapathID, error) {
-	full := prev == nil || prevTables == nil ||
-		prev.Graph != d.Graph ||
-		prev.gen != d.Graph.Generation() ||
-		prev.Ingress != d.Ingress ||
-		prev.IngressPort != d.IngressPort ||
-		prev.EgressPort != d.EgressPort ||
-		!sameChannels(prev.Channels, d.Channels)
-	if full {
-		tables, err := d.compile(nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		changed := d.Hosts()
-		if prev != nil {
-			seen := map[control.DatapathID]bool{}
-			for _, dp := range changed {
-				seen[dp] = true
-			}
-			for _, dp := range prev.Hosts() {
-				if !seen[dp] {
-					changed = append(changed, dp)
-				}
-			}
-			sort.Slice(changed, func(i, j int) bool { return changed[i] < changed[j] })
-		}
-		return tables, changed, nil
-	}
-
-	// Moved services: assignment changed, appeared, or disappeared.
-	moved := map[flowtable.ServiceID]bool{}
-	for s, dp := range d.Assign {
-		if old, ok := prev.Assign[s]; !ok || old != dp {
-			moved[s] = true
-		}
-	}
-	for s := range prev.Assign {
-		if _, ok := d.Assign[s]; !ok {
-			moved[s] = true
-		}
-	}
-	if len(moved) == 0 {
-		return prevTables, nil, nil
-	}
-
-	affected := map[control.DatapathID]bool{}
-	touch := func(s flowtable.ServiceID) {
-		if dp, ok := prev.HostOf(s); ok {
-			affected[dp] = true
-		}
-		if dp, ok := d.HostOf(s); ok {
-			affected[dp] = true
-		}
-	}
-	for s := range moved {
-		touch(s)
-	}
-	ids := []flowtable.ServiceID{graph.Source}
-	for _, v := range d.Graph.Vertices() {
-		ids = append(ids, v.Service)
-	}
-	for _, u := range ids {
-		for _, e := range d.Graph.Out(u) {
-			if e.To == graph.Sink {
-				continue
-			}
-			if moved[u] || moved[e.To] {
-				touch(u)
-				touch(e.To)
-			}
-		}
-	}
-
-	fresh, err := d.compile(affected)
-	if err != nil {
-		return nil, nil, err
-	}
-	tables := make(map[control.DatapathID][]flowtable.Rule, len(fresh))
-	for _, dp := range d.Hosts() {
-		if affected[dp] {
-			tables[dp] = fresh[dp]
-		} else {
-			tables[dp] = prevTables[dp]
-		}
-	}
-	changed := make([]control.DatapathID, 0, len(affected))
-	for dp := range affected {
-		changed = append(changed, dp)
-	}
-	sort.Slice(changed, func(i, j int) bool { return changed[i] < changed[j] })
-	return tables, changed, nil
 }
 
 // EdgeAction returns the action that implements graph edge from→to in
@@ -374,36 +229,21 @@ type Downstream interface {
 	UpdateDefault(dp control.DatapathID, scope flowtable.ServiceID, flows flowtable.Match, def flowtable.Action) error
 }
 
-// SetDeployment installs (and compiles) the multi-host deployment,
-// switching CompileFlow to per-datapath answers. The compiled wildcard
-// tables are cached; per-flow mode specializes them per request.
-func (a *App) SetDeployment(d *Deployment) error {
+// SetDeployment compiles d and installs it, replacing any previous
+// deployment, and returns its per-host tables. From the moment it
+// returns, CompileFlow answers and steering track d; on error the
+// previous deployment stays installed. The compiled wildcard tables are
+// cached; per-flow mode specializes them per request.
+func (a *App) SetDeployment(d *Deployment) (map[control.DatapathID][]flowtable.Rule, error) {
 	tables, err := d.Compile()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.deployment = d
 	a.deployed = tables
-	return nil
-}
-
-// UpdateDeployment swaps the installed deployment for d, recompiling
-// incrementally against the current generation (CompileDelta). It
-// returns the complete new per-host tables plus the datapaths whose
-// rules actually changed — the reconciler reinstalls only those. From
-// the moment it returns, CompileFlow answers and steering track d.
-func (a *App) UpdateDeployment(d *Deployment) (map[control.DatapathID][]flowtable.Rule, []control.DatapathID, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	tables, changed, err := d.CompileDelta(a.deployment, a.deployed)
-	if err != nil {
-		return nil, nil, err
-	}
-	a.deployment = d
-	a.deployed = tables
-	return tables, changed, nil
+	return tables, nil
 }
 
 // SetDownstream installs the applier used to push translated rule

@@ -145,7 +145,7 @@ func TestCompileFlowScopedPerDatapath(t *testing.T) {
 	if err := a.RegisterGraph(deployGraph(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.SetDeployment(testDeployment(t)); err != nil {
+	if _, err := a.SetDeployment(testDeployment(t)); err != nil {
 		t.Fatal(err)
 	}
 	key := packet.FlowKey{SrcIP: packet.IPv4(10, 0, 0, 1), DstIP: packet.IPv4(10, 0, 0, 2),
@@ -176,7 +176,7 @@ func TestCompileFlowScopedPerDatapath(t *testing.T) {
 	if err := ex.RegisterGraph(deployGraph(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ex.SetDeployment(testDeployment(t)); err != nil {
+	if _, err := ex.SetDeployment(testDeployment(t)); err != nil {
 		t.Fatal(err)
 	}
 	exact, err := ex.CompileFlow(context.Background(), dpA, flowtable.Port(0), key)
@@ -214,7 +214,7 @@ func TestChangeDefaultSteersDeployment(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := testDeployment(t)
-	if err := a.SetDeployment(d); err != nil {
+	if _, err := a.SetDeployment(d); err != nil {
 		t.Fatal(err)
 	}
 	ds := &recordingDownstream{}
@@ -278,100 +278,11 @@ func chainGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
-// TestCompileDeltaEquivalence proves the incremental-recompile
-// contract: recompiling a one-host placement delta produces tables
-// identical to a full compile of the new deployment, regenerates only
-// the affected hosts, and reuses the untouched host's table verbatim.
-func TestCompileDeltaEquivalence(t *testing.T) {
-	const dpC control.DatapathID = 3
-	g := chainGraph(t)
-	channels := map[HostPair][]Channel{
-		{Src: dpA, Dst: dpB}: {{Out: 2, In: 2}},
-		{Src: dpB, Dst: dpC}: {{Out: 3, In: 2}},
-		{Src: dpB, Dst: dpA}: {{Out: 4, In: 3}},
-	}
-	mk := func(assign map[flowtable.ServiceID]control.DatapathID) *Deployment {
-		return &Deployment{
-			Graph: g, Assign: assign,
-			Ingress: dpA, IngressPort: 0, EgressPort: 1,
-			Channels: channels,
-		}
-	}
-	prev := mk(map[flowtable.ServiceID]control.DatapathID{s1: dpA, s2: dpB, s3: dpC})
-	prevTables, err := prev.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Move s3 from C to B: affected hosts are B (new) and C (old); A's
-	// rules cannot change and must be reused, not regenerated.
-	next := mk(map[flowtable.ServiceID]control.DatapathID{s1: dpA, s2: dpB, s3: dpB})
-	got, changed, err := next.CompileDelta(prev, prevTables)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(changed) != 2 || changed[0] != dpB || changed[1] != dpC {
-		t.Fatalf("changed = %v, want [B C]", changed)
-	}
-
-	full, err := mk(map[flowtable.ServiceID]control.DatapathID{s1: dpA, s2: dpB, s3: dpB}).Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(full) {
-		t.Fatalf("delta tables cover %d hosts, full compile %d", len(got), len(full))
-	}
-	for dp, want := range full {
-		gotRules := got[dp]
-		if len(gotRules) != len(want) {
-			t.Fatalf("host %d: delta %v, full %v", dp, gotRules, want)
-		}
-		for i := range want {
-			if gotRules[i].Scope != want[i].Scope || !gotRules[i].Match.Equal(want[i].Match) ||
-				len(gotRules[i].Actions) != len(want[i].Actions) {
-				t.Fatalf("host %d rule %d: delta %v, full %v", dp, i, gotRules[i], want[i])
-			}
-			for j := range want[i].Actions {
-				if gotRules[i].Actions[j] != want[i].Actions[j] {
-					t.Fatalf("host %d rule %d: delta %v, full %v", dp, i, gotRules[i], want[i])
-				}
-			}
-		}
-	}
-	// The unaffected host reuses the previous slice, not a copy.
-	if len(got[dpA]) > 0 && &got[dpA][0] != &prevTables[dpA][0] {
-		t.Fatal("unaffected host A was regenerated instead of reused")
-	}
-
-	// No movement: previous tables come back untouched with no change.
-	same := mk(map[flowtable.ServiceID]control.DatapathID{s1: dpA, s2: dpB, s3: dpC})
-	got, changed, err = same.CompileDelta(prev, prevTables)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(changed) != 0 {
-		t.Fatalf("no-op delta changed %v", changed)
-	}
-	if &got[dpA][0] != &prevTables[dpA][0] {
-		t.Fatal("no-op delta rebuilt tables")
-	}
-
-	// A structural change (different graph identity) falls back to a
-	// full compile: every host of either generation is listed changed.
-	structural := mk(map[flowtable.ServiceID]control.DatapathID{s1: dpA, s2: dpB, s3: dpC})
-	structural.Graph = chainGraph(t)
-	_, changed, err = structural.CompileDelta(prev, prevTables)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(changed) != 3 {
-		t.Fatalf("structural fallback changed %v, want all hosts", changed)
-	}
-}
-
-// TestUpdateDeployment swaps the installed deployment through the
-// incremental path and reports the hosts needing reinstall.
-func TestUpdateDeployment(t *testing.T) {
+// TestSetDeploymentReplaces swaps the installed deployment for one
+// that moves a service: the returned tables are the new generation's,
+// a host left with no service has none, and steering answers track the
+// new placement.
+func TestSetDeploymentReplaces(t *testing.T) {
 	const dpC control.DatapathID = 3
 	g := chainGraph(t)
 	channels := map[HostPair][]Channel{
@@ -383,22 +294,22 @@ func TestUpdateDeployment(t *testing.T) {
 		Graph: g, Assign: map[flowtable.ServiceID]control.DatapathID{s1: dpA, s2: dpB, s3: dpC},
 		Ingress: dpA, IngressPort: 0, EgressPort: 1, Channels: channels,
 	}
-	if err := a.SetDeployment(prev); err != nil {
+	if _, err := a.SetDeployment(prev); err != nil {
 		t.Fatal(err)
 	}
 	next := &Deployment{
 		Graph: g, Assign: map[flowtable.ServiceID]control.DatapathID{s1: dpA, s2: dpB, s3: dpB},
 		Ingress: dpA, IngressPort: 0, EgressPort: 1, Channels: channels,
 	}
-	tables, changed, err := a.UpdateDeployment(next)
+	tables, err := a.SetDeployment(next)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(changed) != 2 || changed[0] != dpB || changed[1] != dpC {
-		t.Fatalf("changed = %v, want [B C]", changed)
-	}
 	if _, ok := tables[dpC]; ok {
 		t.Fatal("host C still tabled after losing its only service")
+	}
+	if len(tables) != 2 || len(tables[dpA]) == 0 || len(tables[dpB]) == 0 {
+		t.Fatalf("tables = %v, want rules on A and B only", tables)
 	}
 	if a.deployment != next {
 		t.Fatal("deployment not swapped")
@@ -410,5 +321,48 @@ func TestUpdateDeployment(t *testing.T) {
 	}
 	if act != flowtable.Forward(s3) {
 		t.Fatalf("s2->s3 action after move = %v, want local forward", act)
+	}
+
+	// A deployment that fails to compile leaves the installed one.
+	bad := &Deployment{Graph: g, Assign: map[flowtable.ServiceID]control.DatapathID{s1: dpA},
+		Ingress: dpA, Channels: channels}
+	if _, err := a.SetDeployment(bad); !errors.Is(err, ErrUnassigned) {
+		t.Fatalf("incomplete assignment: %v", err)
+	}
+	if a.deployment != next {
+		t.Fatal("failed compile replaced the installed deployment")
+	}
+}
+
+// TestSetDeploymentSameAssignmentSteers reinstalls a deployment with the
+// same graph and the same assignment: the new generation must still be
+// compiled, so a cross-host ChangeDefault finds its channel and reaches
+// the source host as Out onto that channel.
+func TestSetDeploymentSameAssignmentSteers(t *testing.T) {
+	a := New(Config{WildcardRules: true})
+	first := testDeployment(t)
+	if err := a.RegisterGraph(first.Graph); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.SetDeployment(first); err != nil {
+		t.Fatal(err)
+	}
+	again := &Deployment{
+		Graph: first.Graph, Assign: first.Assign,
+		Ingress: first.Ingress, IngressPort: first.IngressPort, EgressPort: first.EgressPort,
+		Channels: first.Channels,
+	}
+	if _, err := a.SetDeployment(again); err != nil {
+		t.Fatal(err)
+	}
+	ds := &recordingDownstream{}
+	a.SetDownstream(ds)
+	msg := nf.Message{Kind: nf.MsgChangeDefault, Flows: flowtable.MatchAll, S: s1, T: s2}
+	if err := a.HandleNFMessage(context.Background(), dpA, s1, msg); err != nil {
+		t.Fatalf("cross-host ChangeDefault after reinstall: %v", err)
+	}
+	ch := first.Channels[HostPair{Src: dpA, Dst: dpB}][0]
+	if ds.n != 1 || ds.dp != dpA || ds.scope != s1 || ds.def != flowtable.Out(ch.Out) {
+		t.Fatalf("translated update = %+v, want Out(%d) at %s on %s", ds, ch.Out, s1, dpA)
 	}
 }

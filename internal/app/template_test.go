@@ -123,7 +123,7 @@ func TestCompileCacheMatchesFreshCompile(t *testing.T) {
 					return &c
 				}
 				d := copyOf(testDeployment(t))
-				if err := a.SetDeployment(d); err != nil {
+				if _, err := a.SetDeployment(d); err != nil {
 					t.Fatal(err)
 				}
 				ref, err := copyOf(d).Compile()
@@ -149,7 +149,7 @@ func TestCompileCacheMatchesFreshCompile(t *testing.T) {
 					if v, ok := editGraph(rng, d.Graph, &next); ok {
 						nd.Assign[v] = []control.DatapathID{dpA, dpB}[rng.Intn(2)]
 					}
-					if _, _, err := a.UpdateDeployment(nd); err != nil {
+					if _, err := a.SetDeployment(nd); err != nil {
 						continue // the installed deployment and ref stand
 					}
 					d = nd

@@ -50,9 +50,6 @@ type Config struct {
 	// satisfy it. When nil, miss packets are dropped and messages only
 	// take local effect.
 	Control control.Southbound
-	// ResolveTimeout bounds each southbound resolution batch; zero
-	// means 30 s.
-	ResolveTimeout time.Duration
 	// FlowIdleTimeout / FlowHardTimeout are the table-wide default rule
 	// timeouts applied to exact-match rules installed with zero
 	// timeouts (see flowtable.SetDefaultTimeouts). Zero keeps the
@@ -81,9 +78,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.SpinLimit == 0 {
 		c.SpinLimit = 256
-	}
-	if c.ResolveTimeout == 0 {
-		c.ResolveTimeout = 30 * time.Second
 	}
 }
 
@@ -480,7 +474,7 @@ func (h *Host) observeSnap(producer int) *routeSnap {
 // snapshot at least as new as epoch. Caller holds lifeMu with the host
 // started, so the threads are guaranteed to keep iterating. A thread
 // stuck in a southbound resolution can delay this by up to
-// Config.ResolveTimeout.
+// resolveTimeout.
 func (h *Host) waitSnapObserved(epoch uint64) {
 	for i := range h.snapSeen {
 		for h.snapSeen[i].Load() < epoch {
@@ -1608,7 +1602,7 @@ func (h *Host) onFlowEvicted(evs []flowtable.Evicted) {
 			Reason: reason,
 		}
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), h.cfg.ResolveTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), resolveTimeout)
 	defer cancel()
 	if err := h.cfg.Control.NotifyFlowRemoved(ctx, removals); err != nil {
 		// Notices are advisory and the rules are gone either way; count
@@ -1736,6 +1730,10 @@ func (h *Host) parJoin(snap *routeSnap, d *Desc, packed mergedAction, producer i
 // requests one ResolveBatch carries.
 const fcBatch = 256
 
+// resolveTimeout bounds each southbound exchange: one resolution batch
+// or one flow-removed notice.
+const resolveTimeout = 30 * time.Second
+
 // fcLoop is the Flow Controller thread (§4.1): it owns flow-table misses
 // and resolves them through the southbound control API off the critical
 // path. Each pass drains every producer ring into one batch of at most
@@ -1806,7 +1804,7 @@ func (h *Host) fcLoop() {
 // are the misses; the southbound arrays and dedupe map are allocated on
 // the first call that reaches the controller and, with the rule list,
 // reused by every pass after. Deliberately NOT hotpath-annotated — it blocks
-// on the controller for up to Config.ResolveTimeout and allocates per
+// on the controller for up to resolveTimeout and allocates per
 // southbound exchange, which is exactly the work the Flow Controller
 // thread exists to keep off the RX/TX threads.
 func (h *Host) resolveMisses(snap *routeSnap, s *burstScratch, miss, producer int, rr *uint64) {
@@ -1837,7 +1835,7 @@ func (h *Host) resolveMisses(snap *routeSnap, s *burstScratch, miss, producer in
 		}
 		s.slot[i] = j
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), h.cfg.ResolveTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), resolveTimeout)
 	h.cfg.Control.ResolveBatch(ctx, s.reqs[:uniq], s.results[:uniq])
 	cancel()
 	// Install every returned rule in one batched write, then re-route the

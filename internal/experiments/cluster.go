@@ -252,7 +252,8 @@ func Cluster(seed int64) *ClusterResult {
 	must(err)
 	a := app.New(app.Config{IngressPort: clusterIngress, EgressPort: clusterEgress, WildcardRules: true})
 	must(a.RegisterGraph(dep.Graph))
-	must(a.SetDeployment(dep))
+	_, err = a.SetDeployment(dep)
+	must(err)
 	ctl := controller.New(controller.Config{Workers: 2})
 	ctl.SetNorthbound(a)
 	ctl.Start()

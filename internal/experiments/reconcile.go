@@ -52,7 +52,7 @@ const reconcileSpecJSON = `{
 // ReconcileResult is the declarative-orchestration chaos experiment:
 // a spec is booted, the reconcile loop converges an
 // empty three-host cluster onto it (boots through the orchestrator,
-// incremental recompile, tracked rule install), traffic proves the
+// a full deployment compile, tracked rule install), traffic proves the
 // chain, then host-C is killed mid-run and the loop must re-place the
 // video hop on its fallback host, reroute the chain around the corpse,
 // and resume its autoscaler there — with exact packet accounting on
@@ -144,7 +144,7 @@ func Reconcile(seed int64) *ReconcileResult {
 	// --- One boot path: the same reconcile.Boot sdnfv-host uses
 	// assembles controller → fabric → three hosts → links → app →
 	// orchestrator → reconciler and converges the empty cluster onto the
-	// spec (boots through the orchestrator, incremental recompile,
+	// spec (boots through the orchestrator, a full deployment compile,
 	// tracked rule install).
 	c, err := reconcile.Boot(sp, nfReg, reconcile.Timings{
 		Reconcile: reconcile.Config{IntervalSec: 0.02, BackoffSec: 0.05, PendingSec: 0.5, QueueDepth: 16},

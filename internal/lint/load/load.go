@@ -9,6 +9,7 @@ package load
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -48,6 +49,11 @@ type listEntry struct {
 	DepOnly    bool
 	Incomplete bool
 	Error      *struct{ Err string }
+	// ForTest and ImportMap are set on the test variants `go list -test`
+	// reports: the package under test, and the source import paths
+	// rewritten to test-variant builds.
+	ForTest   string
+	ImportMap map[string]string
 }
 
 // goList runs `go list` in dir with the given extra arguments and decodes
@@ -75,17 +81,33 @@ func goList(dir string, args ...string) ([]listEntry, error) {
 	return entries, nil
 }
 
-const listFields = "-json=ImportPath,Name,Dir,Export,GoFiles,Standard,DepOnly,Incomplete,Error"
+const listFields = "-json=ImportPath,Name,Dir,Export,GoFiles,Standard,DepOnly,Incomplete,Error,ForTest,ImportMap"
 
 // Load lists patterns in dir, compiles export data for every dependency,
 // and returns the pattern-matched packages parsed from source and fully
 // type-checked. All returned packages share one FileSet.
 func Load(dir string, patterns ...string) ([]*Package, error) {
+	return load(dir, false, patterns)
+}
+
+// LoadTests is Load for the test builds of patterns: for each package
+// with tests, its in-package test variant (its files plus its in-package
+// _test.go files) and its external _test package. A package's
+// ImportPath drops the " [p.test]" variant suffix; packages without
+// tests are absent.
+func LoadTests(dir string, patterns ...string) ([]*Package, error) {
+	return load(dir, true, patterns)
+}
+
+func load(dir string, tests bool, patterns []string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := append([]string{"-deps", "-export", listFields}, patterns...)
-	entries, err := goList(dir, args...)
+	args := []string{"-deps", "-export", listFields}
+	if tests {
+		args = append(args, "-test")
+	}
+	entries, err := goList(dir, append(args, patterns...)...)
 	if err != nil {
 		return nil, err
 	}
@@ -98,17 +120,23 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if e.Export != "" {
 			exports[e.ImportPath] = e.Export
 		}
-		if !e.DepOnly && !e.Standard {
+		if !e.DepOnly && !e.Standard && (e.ForTest != "") == tests {
 			targets = append(targets, e)
 		}
 	}
 	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
 
 	fset := token.NewFileSet()
-	conf := checkerConfig(fset, exports)
+	conf := checkerConfig(fset, exports, nil)
 	pkgs := make([]*Package, 0, len(targets))
 	for _, t := range targets {
-		pkg, err := checkSource(fset, conf, t.ImportPath, t.Dir, t.GoFiles)
+		c := conf
+		if len(t.ImportMap) > 0 {
+			// A test variant may import test builds of other packages.
+			c = checkerConfig(fset, exports, t.ImportMap)
+		}
+		path, _, _ := strings.Cut(t.ImportPath, " [")
+		pkg, err := checkSource(fset, c, path, t.Dir, t.GoFiles)
 		if err != nil {
 			return nil, err
 		}
@@ -164,7 +192,7 @@ func LoadDir(moduleDir, pkgDir string) (*Package, error) {
 			}
 		}
 	}
-	conf := checkerConfig(fset, exports)
+	conf := checkerConfig(fset, exports, nil)
 	return checkParsed(fset, conf, filepath.Base(pkgDir), pkgDir, names, files)
 }
 
@@ -185,10 +213,10 @@ func sortedKeys(m map[string]bool) []string {
 }
 
 // checkerConfig builds a types.Config whose importer reads the gc export
-// data files recorded in exports.
-func checkerConfig(fset *token.FileSet, exports map[string]string) *types.Config {
+// data files recorded in exports, for import paths rewritten by importMap.
+func checkerConfig(fset *token.FileSet, exports, importMap map[string]string) *types.Config {
 	lookup := func(path string) (io.ReadCloser, error) {
-		f, ok := exports[path]
+		f, ok := exports[cmp.Or(importMap[path], path)]
 		if !ok {
 			return nil, fmt.Errorf("load: no export data for %q (is it imported by the listed packages?)", path)
 		}

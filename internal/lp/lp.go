@@ -115,12 +115,6 @@ func (p *Problem) SetStructuralUpperBound(v Var) { p.noBoundRow[v] = true }
 // before routing variables shrinks the search tree dramatically.
 func (p *Problem) SetBranchPriority(v Var, priority int) { p.prio[v] = priority }
 
-// NumVars returns the number of variables.
-func (p *Problem) NumVars() int { return len(p.obj) }
-
-// NumRows returns the number of constraints.
-func (p *Problem) NumRows() int { return len(p.rows) }
-
 // AddConstraint adds sum(terms) rel rhs. Terms may repeat a variable; the
 // coefficients accumulate.
 func (p *Problem) AddConstraint(terms []Term, rel Rel, rhs float64) {
@@ -157,9 +151,6 @@ func pivotBudget(m, n int) int {
 	}
 	return b
 }
-
-// DebugMILP enables branch-and-bound tracing (diagnostics only).
-var DebugMILP = false
 
 // SolveLP solves the LP relaxation (integrality ignored).
 func SolveLP(p *Problem) (*Solution, error) {
@@ -507,8 +498,6 @@ type MILPOptions struct {
 	MaxNodes int
 	// TimeLimit caps wall time (0 = none).
 	TimeLimit time.Duration
-	// Gap stops when (incumbent − bound)/|incumbent| falls below it.
-	Gap float64
 }
 
 // SolveMILP solves the problem honoring integrality via depth-first
@@ -546,20 +535,11 @@ func SolveMILP(p *Problem, opt MILPOptions) (*Solution, error) {
 		if err != nil {
 			return nil, err
 		}
-		if DebugMILP {
-			fmt.Printf("node %d: %s obj=%v\n", nodes, sol.Status, sol.Obj)
-		}
 		if sol.Status != StatusOptimal {
 			continue // infeasible or pathological subtree
 		}
-		if best != nil {
-			gapOK := sol.Obj >= best.Obj-eps
-			if opt.Gap > 0 && best.Obj != 0 {
-				gapOK = sol.Obj >= best.Obj*(1-opt.Gap)-eps
-			}
-			if gapOK {
-				continue // bound cannot beat incumbent
-			}
+		if best != nil && sol.Obj >= best.Obj-eps {
+			continue // bound cannot beat incumbent
 		}
 		// Most-fractional branching among the highest-priority class with
 		// any fractional variable.
@@ -595,9 +575,6 @@ func SolveMILP(p *Problem, opt MILPOptions) (*Solution, error) {
 			continue
 		}
 		v := sol.X[branch]
-		if DebugMILP {
-			fmt.Printf("  branch %s = %v\n", p.names[branch], v)
-		}
 		// Explore the "round toward relaxation" child last so DFS pops it
 		// first (LIFO), finding good incumbents early.
 		down := node{lo: append([]float64(nil), nd.lo...), hi: append([]float64(nil), nd.hi...)}

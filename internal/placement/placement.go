@@ -317,10 +317,12 @@ func (a *Assignment) recordProgress(st *state, tried int) {
 // dedge is a directed edge of the candidate subgraph.
 type dedge struct{ a, b NodeID }
 
+// milpMaxNodes caps the exact solver's branch-and-bound search.
+const milpMaxNodes = 2000
+
 // MILPOptions tunes the exact solver.
 type MILPOptions struct {
-	// MaxNodes / TimeLimit bound the branch-and-bound search.
-	MaxNodes  int
+	// TimeLimit bounds the branch-and-bound search's wall time.
 	TimeLimit time.Duration
 	// SlackHops widens per-flow candidate node sets: nodes within
 	// (shortest-hop-distance + SlackHops) of both endpoints qualify.
@@ -340,8 +342,6 @@ type MILPOptions struct {
 	// SkipRouting drops the V (per-leg link) variables from the LP; only
 	// meaningful with RoundLP. Faster but blind to link utilization.
 	SkipRouting bool
-	// Verbose prints problem sizes to ease tuning.
-	Verbose bool
 	// prior carries residual capacity from the division heuristic.
 	prior *state
 }
@@ -353,9 +353,6 @@ func SolveMILP(t *Topology, flows []Flow, spec Spec, opt MILPOptions) (*Assignme
 	}
 	if opt.SlackHops == 0 {
 		opt.SlackHops = 1
-	}
-	if opt.MaxNodes == 0 {
-		opt.MaxNodes = 2000
 	}
 	if opt.MaxCandidates == 0 {
 		opt.MaxCandidates = 8
@@ -663,10 +660,6 @@ func SolveMILP(t *Topology, flows []Flow, spec Spec, opt MILPOptions) (*Assignme
 		}
 	}
 
-	if opt.Verbose {
-		fmt.Printf("placement MILP: %d vars, %d rows\n", prob.NumVars(), prob.NumRows())
-	}
-
 	asg := &Assignment{
 		Nodes:    make([][]NodeID, len(flows)),
 		Routes:   make([][][]NodeID, len(flows)),
@@ -765,7 +758,7 @@ func SolveMILP(t *Topology, flows []Flow, spec Spec, opt MILPOptions) (*Assignme
 		return asg, nil
 	}
 
-	sol, err := lp.SolveMILP(prob, lp.MILPOptions{MaxNodes: opt.MaxNodes, TimeLimit: opt.TimeLimit})
+	sol, err := lp.SolveMILP(prob, lp.MILPOptions{MaxNodes: milpMaxNodes, TimeLimit: opt.TimeLimit})
 	if err != nil {
 		return nil, err
 	}

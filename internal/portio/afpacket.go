@@ -7,10 +7,6 @@ package portio
 type AFPacketConfig struct {
 	// Interface is the interface name to bind ("veth0", "tap0", "lo").
 	Interface string
-	// Burst is the RX pump and egress writer burst size (default 32).
-	Burst int
-	// QueueDepth is the egress queue depth (default 256).
-	QueueDepth int
 }
 
 // AFPacketDriver is a raw AF_PACKET socket bound to one interface:

@@ -34,7 +34,7 @@ func (d *AFPacketDriver) Open(ing Ingress) error {
 		_ = d.sock.close()
 		return fmt.Errorf("portio: afpacket bind %q: %w", d.cfg.Interface, err)
 	}
-	d.start(ing, d.cfg.Burst, d.cfg.QueueDepth, d.writeWire)
+	d.start(ing, defaultQueueDepth, d.writeWire)
 	return nil
 }
 

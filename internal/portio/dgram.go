@@ -17,14 +17,13 @@ type dgramPort struct {
 }
 
 // start launches the egress writer and the RX pump on p.sock.
-func (p *dgramPort) start(ing Ingress, burst, depth int, write func([][]byte)) {
-	burst = positiveOr(burst, defaultBurst)
-	p.tx = newMsgVec(burst, 0)
-	p.startEgress(ing, burst, depth, write)
+func (p *dgramPort) start(ing Ingress, depth int, write func([][]byte)) {
+	p.tx = newMsgVec(wireBurst, 0)
+	p.startEgress(ing, depth, write)
 	p.wg.Add(1)
 	// One byte of headroom per buffer: a datagram that fills cap+1
 	// bytes was too big for the pool, not one that exactly fit.
-	go p.rxLoop(newMsgVec(burst, ing.FrameCap()+1))
+	go p.rxLoop(newMsgVec(wireBurst, ing.FrameCap()+1))
 }
 
 // rxLoop is the RX pump: one blocking burst read, then one offer of

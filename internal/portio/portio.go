@@ -132,8 +132,8 @@ func (p *portBase) begin(name string, ing Ingress) error {
 	return nil
 }
 
-func (p *portBase) startEgress(ing Ingress, burst, depth int, write func([][]byte)) {
-	p.ing, p.q = ing, newEgressQueue(depth, burst, &p.st, write)
+func (p *portBase) startEgress(ing Ingress, depth int, write func([][]byte)) {
+	p.ing, p.q = ing, newEgressQueue(depth, &p.st, write)
 	p.q.wg.Add(1)
 	go p.q.run()
 }
@@ -215,8 +215,8 @@ func (p *portBase) offer(frames [][]byte) {
 	}
 }
 
-// defaultBurst is the RX pump burst when a config leaves it 0.
-const defaultBurst = 32
+// wireBurst is every driver's RX pump and egress writer burst size.
+const wireBurst = 32
 
 // egressQueue decouples the engine's TX threads from wire writes. The
 // sink handoff (egress, below) copies the frame into a recycled buffer
@@ -238,12 +238,12 @@ type egressQueue struct {
 	wg    sync.WaitGroup
 }
 
-func newEgressQueue(depth, burst int, st *counters, write func([][]byte)) *egressQueue {
-	depth, burst = positiveOr(depth, defaultQueueDepth), positiveOr(burst, defaultBurst)
+func newEgressQueue(depth int, st *counters, write func([][]byte)) *egressQueue {
+	depth = positiveOr(depth, defaultQueueDepth)
 	return &egressQueue{
 		ch:    make(chan []byte, depth),
 		free:  make(chan []byte, depth),
-		batch: make([][]byte, 0, burst),
+		batch: make([][]byte, 0, wireBurst),
 		st:    st,
 		write: write,
 		done:  make(chan struct{}),

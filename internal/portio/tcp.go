@@ -21,17 +21,19 @@ type TCPConfig struct {
 	Addr string
 	// Listen accepts one peer at a time instead of dialing out.
 	Listen bool
-	// Burst is the RX pump burst size (default 32).
-	Burst int
 	// QueueDepth is the egress queue depth (default 256).
 	QueueDepth int
-	// BackoffMin/BackoffMax bound the reconnect backoff
-	// (defaults 50ms and 2s, doubling between attempts).
+	// BackoffMin is the first reconnect backoff (default 50ms); it
+	// doubles between attempts up to tcpBackoffMax.
 	BackoffMin time.Duration
-	BackoffMax time.Duration
-	// DialTimeout bounds each dial attempt (default 1s).
-	DialTimeout time.Duration
 }
+
+const (
+	// tcpBackoffMax caps the reconnect backoff.
+	tcpBackoffMax = 2 * time.Second
+	// tcpDialTimeout bounds each dial attempt.
+	tcpDialTimeout = time.Second
+)
 
 // TCPDriver carries frames over a TCP stream with a 4-byte big-endian
 // length prefix per frame. The connection loop re-establishes the link
@@ -59,8 +61,6 @@ type tcpConn struct{ c net.Conn }
 // NewTCP builds an unopened TCP driver.
 func NewTCP(cfg TCPConfig) *TCPDriver {
 	cfg.BackoffMin = positiveOr(cfg.BackoffMin, 50*time.Millisecond)
-	cfg.BackoffMax = positiveOr(cfg.BackoffMax, 2*time.Second)
-	cfg.DialTimeout = positiveOr(cfg.DialTimeout, time.Second)
 	return &TCPDriver{cfg: cfg}
 }
 
@@ -86,7 +86,7 @@ func (d *TCPDriver) Open(ing Ingress) error {
 		d.ln = ln
 	}
 	d.done = make(chan struct{})
-	d.startEgress(ing, d.cfg.Burst, d.cfg.QueueDepth, d.writeWire)
+	d.startEgress(ing, d.cfg.QueueDepth, d.writeWire)
 	d.wg.Add(1)
 	go d.connLoop()
 	return nil
@@ -123,7 +123,7 @@ func (d *TCPDriver) connLoop() {
 				return
 			case <-time.After(backoff):
 			}
-			backoff = min(2*backoff, d.cfg.BackoffMax)
+			backoff = min(2*backoff, tcpBackoffMax)
 			continue
 		}
 		backoff = d.cfg.BackoffMin
@@ -149,7 +149,7 @@ func (d *TCPDriver) establish() (net.Conn, error) {
 	if d.ln != nil {
 		return d.ln.Accept() // unblocked by ln.Close
 	}
-	return net.DialTimeout("tcp", d.cfg.Addr, d.cfg.DialTimeout)
+	return net.DialTimeout("tcp", d.cfg.Addr, tcpDialTimeout)
 }
 
 // readLoop decodes length-prefixed frames off one connection and
@@ -157,12 +157,11 @@ func (d *TCPDriver) establish() (net.Conn, error) {
 func (d *TCPDriver) readLoop(c net.Conn) {
 	br := bufio.NewReaderSize(c, 64<<10)
 	fcap := d.ing.FrameCap()
-	burst := positiveOr(d.cfg.Burst, defaultBurst)
-	bufs := make([][]byte, burst)
+	bufs := make([][]byte, wireBurst)
 	for i := range bufs {
 		bufs[i] = make([]byte, fcap)
 	}
-	frames := make([][]byte, 0, burst)
+	frames := make([][]byte, 0, wireBurst)
 	flush := func() {
 		if len(frames) == 0 {
 			return
@@ -208,7 +207,7 @@ func (d *TCPDriver) readLoop(c net.Conn) {
 		}
 		// Flush when the burst is full or the stream has gone quiet
 		// enough that the next header read would likely block.
-		if len(frames) == burst || br.Buffered() < len(hdr) {
+		if len(frames) == wireBurst || br.Buffered() < len(hdr) {
 			flush()
 		}
 	}

@@ -1,7 +1,6 @@
 package portio
 
 import (
-	"cmp"
 	"fmt"
 	"net"
 	"sync/atomic"
@@ -15,15 +14,13 @@ type UDPConfig struct {
 	// Peer is the remote address egress datagrams go to. Empty means
 	// receive-only until SetPeer is called.
 	Peer string
-	// Burst is the RX pump and egress writer burst size (default 32).
-	Burst int
 	// QueueDepth is the egress queue depth (default 256).
 	QueueDepth int
-	// ReadBuffer is the SO_RCVBUF hint (default 1 MiB) — the kernel
-	// socket buffer is the only place a UDP wire can absorb a burst,
-	// so it is sized generously by default.
-	ReadBuffer int
 }
+
+// udpReadBuffer is the SO_RCVBUF hint: the kernel socket buffer is the
+// only place a UDP wire can absorb a burst, so it is sized generously.
+const udpReadBuffer = 1 << 20
 
 // UDPDriver carries one frame per datagram over a UDP socket: the
 // simplest real wire — preserves frame boundaries, loses frames under
@@ -56,7 +53,7 @@ func (d *UDPDriver) Open(ing Ingress) error {
 	conn := pc.(*net.UDPConn)
 	// Best-effort: the kernel may clamp to rmem_max; a smaller buffer
 	// only means earlier wire loss, which the accounting surfaces.
-	_ = conn.SetReadBuffer(cmp.Or(d.cfg.ReadBuffer, 1<<20))
+	_ = conn.SetReadBuffer(udpReadBuffer)
 	if d.sock, err = udpSock(conn); err != nil {
 		_ = conn.Close()
 		return fmt.Errorf("portio: udp socket: %w", err)
@@ -67,7 +64,7 @@ func (d *UDPDriver) Open(ing Ingress) error {
 			return err
 		}
 	}
-	d.start(ing, d.cfg.Burst, d.cfg.QueueDepth, d.writeWire)
+	d.start(ing, d.cfg.QueueDepth, d.writeWire)
 	return nil
 }
 

@@ -2,13 +2,15 @@ package reconcile
 
 // Cluster-backed Observer and Actuators: the reconciler driving the
 // real stack — fabric liveness and replica counts in, orchestrator
-// boots/retirements, incremental app recompiles, and autoscale bounds
-// out. This is the wiring that turns the paper's one-shot management
-// calls into continuously converged state.
+// boots/retirements, full app recompiles with per-host rule swaps, and
+// autoscale bounds out. This is the wiring that turns the paper's
+// one-shot management calls into continuously converged state.
 
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 
 	"sdnfv/internal/app"
@@ -106,11 +108,11 @@ type scalerEntry struct {
 
 // ClusterActuators converges the real stack: boots and retirements go
 // through the NFV orchestrator (async VM-boot model, standby pool,
-// flow-state-safe drains), routing changes through the application's
-// incremental recompile plus tracked rule replacement on the fabric,
-// and autoscale bounds onto per-service policy loops that it owns —
-// recreating a service's loop on its new host after a failover, which
-// is how autoscale "resumes within spec bounds".
+// flow-state-safe drains), routing changes through a full recompile of
+// the application's deployment plus tracked rule replacement on the
+// fabric, and autoscale bounds onto per-service policy loops that it
+// owns — recreating a service's loop on its new host after a failover,
+// which is how autoscale "resumes within spec bounds".
 type ClusterActuators struct {
 	Fabric *cluster.Fabric
 	// App compiles routing for Reroute. Nil means routing is owned by a
@@ -182,9 +184,10 @@ func (a *ClusterActuators) Retire(ctx context.Context, _ *spec.Spec, svc spec.Se
 	return a.Orch.Retire(ctx, host, svc.ID, newest)
 }
 
-// Reroute implements Actuators: recompile the deployment incrementally
-// for the new assignment and swap rules on exactly the hosts whose
-// tables changed (dead hosts are skipped — their rules died with them).
+// Reroute implements Actuators: compile the deployment for the new
+// assignment and replace the rules on every host that held rules or
+// now gets them — a host left with no service is emptied. Dead hosts
+// are skipped and forgotten: their rules died with them.
 func (a *ClusterActuators) Reroute(_ context.Context, sp *spec.Spec, assign map[string]string) error {
 	if a.App == nil {
 		return nil
@@ -193,7 +196,7 @@ func (a *ClusterActuators) Reroute(_ context.Context, sp *spec.Spec, assign map[
 	if err != nil {
 		return err
 	}
-	tables, changed, err := a.App.UpdateDeployment(d)
+	tables, err := a.App.SetDeployment(d)
 	if err != nil {
 		return err
 	}
@@ -202,7 +205,12 @@ func (a *ClusterActuators) Reroute(_ context.Context, sp *spec.Spec, assign map[
 	if a.installed == nil {
 		a.installed = map[control.DatapathID][]uint64{}
 	}
-	for _, dp := range changed {
+	for dp := range tables {
+		if _, ok := a.installed[dp]; !ok {
+			a.installed[dp] = nil // a host new to the deployment
+		}
+	}
+	for _, dp := range slices.Sorted(maps.Keys(a.installed)) {
 		if !a.Fabric.Alive(dp) {
 			delete(a.installed, dp)
 			continue
