@@ -12,6 +12,9 @@ package bench
 
 import (
 	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -46,44 +49,43 @@ func BenchmarkFig5Placement(b *testing.B) {
 	}
 }
 
-// BenchmarkTable2LatencyNoop regenerates Table 2: RTT for no-op NF chains.
+// benchUnit turns an experiment row label into a metric unit.
+var benchUnit = strings.NewReplacer(" (", "-", ")", "", "(", "-", " ", "-").Replace
+
+// BenchmarkTable2LatencyNoop regenerates Table 2: RTT for no-op NF chains,
+// measured on the engine.
 func BenchmarkTable2LatencyNoop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Table2(benchSeed)
-		b.ReportMetric(r.Rows[0].Avg, "dpdk-us")
-		b.ReportMetric(r.Rows[5].Avg, "3vmseq-us")
+		for _, row := range experiments.Table2(benchSeed).Rows {
+			b.ReportMetric(row.P50, benchUnit(row.Label)+"-p50-us")
+		}
 	}
 }
 
 // BenchmarkFig6LatencyCDF regenerates Figure 6: latency CDFs with
-// compute-intensive NFs.
+// compute-intensive NFs, measured on the engine.
 func BenchmarkFig6LatencyCDF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.Fig6(benchSeed)
-		med := func(label string) float64 {
-			for li, l := range r.Labels {
-				if l != label {
-					continue
-				}
-				for fi, f := range r.Fractions {
-					if f == 0.5 {
-						return r.CDFs[li][fi]
-					}
-				}
-			}
-			return 0
+		med := slices.Index(r.Fractions, 0.5)
+		for li, l := range r.Labels {
+			b.ReportMetric(r.CDFs[li][med], benchUnit(l)+"-p50-us")
 		}
-		b.ReportMetric(med("3VM(parallel)"), "p50-3par-us")
-		b.ReportMetric(med("3VM(sequential)"), "p50-3seq-us")
 	}
 }
 
-// BenchmarkFig7Throughput regenerates Figure 7: throughput vs packet size.
+// BenchmarkFig7Throughput regenerates Figure 7: throughput vs packet size,
+// measured on the engine; it reports the smallest and largest frames.
 func BenchmarkFig7Throughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.Fig7(benchSeed)
-		b.ReportMetric(r.OneVM[0], "1vm-64B-Mbps")
-		b.ReportMetric(r.TwoSeq[0], "2seq-64B-Mbps")
+		for _, j := range []int{0, len(r.Sizes) - 1} {
+			size := strconv.Itoa(r.Sizes[j])
+			b.ReportMetric(r.DPDK[j], "0vm-"+size+"B-Mbps")
+			b.ReportMetric(r.OneVM[j], "1vm-"+size+"B-Mbps")
+			b.ReportMetric(r.TwoPar[j], "2par-"+size+"B-Mbps")
+			b.ReportMetric(r.TwoSeq[j], "2seq-"+size+"B-Mbps")
+		}
 	}
 }
 

@@ -1,13 +1,15 @@
 // Package experiments contains one runner per table and figure of the
 // paper's evaluation (§5), plus the §5.1 micro-cost measurements and the
-// ablation studies called out in DESIGN.md. Each runner is deterministic
-// under a fixed seed and returns a Result whose Render() prints the same
-// rows/series the paper reports.
+// ablation studies called out in DESIGN.md. Each returns a Result whose
+// Render() prints the same rows/series the paper reports.
 //
 // The saturation and time-series experiments run on the discrete-event
 // simulator with service times calibrated from the real engine's
-// micro-benchmarks; EXPERIMENTS.md records paper-vs-measured values and
-// the calibration notes.
+// micro-benchmarks, and are deterministic under a fixed seed. The chain
+// latency and throughput experiments (table2, fig6, fig7) and the
+// wall-clock ones (scale, cluster, reconcile, churn, wire) drive the
+// engine itself, so only their shape repeats. EXPERIMENTS.md records
+// paper-vs-measured values and the calibration notes.
 package experiments
 
 import (

@@ -3,6 +3,8 @@ package experiments
 import (
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -66,80 +68,84 @@ func TestFig1Shape(t *testing.T) {
 	}
 }
 
+// The engine shape tests assert only orderings that hold with a wide
+// margin on a loaded two-core machine, never absolute times, and that
+// every run delivered every frame it sent.
+
 func TestTable2Shape(t *testing.T) {
 	r := Table2(42)
-	checkGolden(t, r)
-	if len(r.Rows) != 6 {
-		t.Fatalf("rows = %d", len(r.Rows))
+	if !r.tally.ok() {
+		t.Fatalf("engine accounting broken: %s", r.tally)
 	}
-	get := func(label string) Table2Row {
-		for _, row := range r.Rows {
-			if row.Label == label {
-				return row
-			}
-		}
-		t.Fatalf("row %q missing", label)
-		return Table2Row{}
+	p50 := map[string]float64{}
+	for _, row := range r.Rows {
+		p50[row.Label] = row.P50
 	}
-	dpdk := get("0VM (dpdk)")
-	one := get("1VM")
-	par3 := get("3VM (parallel)")
-	seq2 := get("2VM (sequential)")
-	seq3 := get("3VM (sequential)")
-	// Ordering: dpdk < 1VM < 3VM par < 2VM seq < 3VM seq (paper Table 2).
-	if !(dpdk.Avg < one.Avg && one.Avg < par3.Avg && par3.Avg < seq2.Avg && seq2.Avg < seq3.Avg) {
-		t.Fatalf("ordering violated: %v", r.Rows)
+	if len(p50) != 6 {
+		t.Fatalf("rows = %v", r.Rows)
 	}
-	// Magnitudes: base ≈26.7 µs, 3VM seq ≈30 µs.
-	if dpdk.Avg < 24 || dpdk.Avg > 29 {
-		t.Fatalf("dpdk avg = %v, want ≈26.7", dpdk.Avg)
+	// Each sequential no-op hop adds a ring crossing.
+	if !(p50["0VM (dpdk)"] < p50["1VM"] && p50["1VM"] < p50["2VM (sequential)"] &&
+		p50["2VM (sequential)"] < p50["3VM (sequential)"]) {
+		t.Fatalf("p50 ordering violated: %v", r.Rows)
 	}
-	if seq3.Avg-dpdk.Avg < 2 || seq3.Avg-dpdk.Avg > 5 {
-		t.Fatalf("3VM seq delta = %v, want ≈3.3", seq3.Avg-dpdk.Avg)
+	// Three parallel members overlap their hops. Race instrumentation
+	// makes each member's dispatch and join cost a full hop, which
+	// erases the gap at GOMAXPROCS=2, so it is checked without -race.
+	if !raceEnabled && !(p50["3VM (parallel)"] < p50["3VM (sequential)"]) {
+		t.Fatalf("3 parallel no-op VMs not faster than 3 sequential: %v", r.Rows)
+	}
+	if r.Name() != "table2" || !strings.Contains(r.Render(), "engine accounting: ") {
+		t.Fatal("render broken")
 	}
 }
 
 func TestFig6ParallelBeatsSequential(t *testing.T) {
 	r := Fig6(42)
-	checkGolden(t, r)
-	idx := map[string]int{}
+	if !r.tally.ok() {
+		t.Fatalf("engine accounting broken: %s", r.tally)
+	}
+	median := map[string]float64{}
 	for i, l := range r.Labels {
-		idx[l] = i
+		median[l] = r.CDFs[i][slices.Index(r.Fractions, 0.5)]
 	}
-	median := func(label string) float64 {
-		for i, f := range r.Fractions {
-			if f == 0.5 {
-				return r.CDFs[idx[label]][i]
-			}
-		}
-		t.Fatal("no median fraction")
-		return 0
+	if !(median["1VM"] < median["3VM (sequential)"]) {
+		t.Fatalf("chain latency not increasing: %v", median)
 	}
-	if !(median("3VM(parallel)") < median("2VM(sequential)")) {
-		t.Fatalf("3 parallel VMs (%.1f) not faster than 2 sequential (%.1f)",
-			median("3VM(parallel)"), median("2VM(sequential)"))
+	// Parallel members compute at once only with a core each.
+	if runtime.GOMAXPROCS(0) >= 2 &&
+		!(median["2VM (parallel)"] < median["2VM (sequential)"] && median["3VM (parallel)"] < median["3VM (sequential)"]) {
+		t.Fatalf("parallel not faster than sequential: %v", median)
 	}
-	if !(median("1VM") < median("3VM(sequential)")) {
-		t.Fatal("chain latency not increasing")
+	if r.Name() != "fig6" || !strings.Contains(r.Render(), "engine accounting: ") {
+		t.Fatal("render broken")
 	}
 }
 
 func TestFig7Shape(t *testing.T) {
 	r := Fig7(42)
-	checkGolden(t, r)
-	// At 64B: dpdk > 1VM > 2par > 2seq; 1VM ≈ 5 Gbps.
-	if !(r.DPDK[0] > r.OneVM[0] && r.OneVM[0] >= r.TwoPar[0] && r.TwoPar[0] > r.TwoSeq[0]) {
-		t.Fatalf("64B ordering: dpdk=%v 1vm=%v 2par=%v 2seq=%v", r.DPDK[0], r.OneVM[0], r.TwoPar[0], r.TwoSeq[0])
+	if !r.tally.ok() {
+		t.Fatalf("engine accounting broken: %s", r.tally)
 	}
-	if r.OneVM[0] < 4000 || r.OneVM[0] > 6500 {
-		t.Fatalf("1VM at 64B = %v Mbps, want ≈5000", r.OneVM[0])
-	}
-	// At 1024B everything converges near 10 Gbps.
-	last := len(r.Sizes) - 1
-	for _, v := range []float64{r.DPDK[last], r.OneVM[last], r.TwoPar[last], r.TwoSeq[last]} {
-		if v < 9000 {
-			t.Fatalf("1024B throughput = %v, want ≈9800", v)
+	for name, mbps := range map[string][]float64{"0VM": r.DPDK, "1VM": r.OneVM, "2par": r.TwoPar, "2seq": r.TwoSeq} {
+		if len(mbps) != len(r.Sizes) {
+			t.Fatalf("%s: %d points for %d sizes", name, len(mbps), len(r.Sizes))
 		}
+		// Compared across each doubling of the frame: per-byte costs (the
+		// frame copies, and under -race their instrumentation) can flatten
+		// a smaller step such as 1024 → 1500 B.
+		for i := 1; i < len(mbps); i++ {
+			j := i - 1
+			for r.Sizes[j]*2 > r.Sizes[i] {
+				j--
+			}
+			if mbps[i] <= mbps[j] {
+				t.Fatalf("%s: %v Mbps at %d B not above %v at %d B", name, mbps[i], r.Sizes[i], mbps[j], r.Sizes[j])
+			}
+		}
+	}
+	if r.Name() != "fig7" || !strings.Contains(r.Render(), "engine accounting: ") {
+		t.Fatal("render broken")
 	}
 }
 
@@ -352,15 +358,14 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestRenderAll(t *testing.T) {
-	// Rendering must be non-empty and name-stable for every runner.
-	for _, n := range []string{"table2", "fig6", "micro"} {
-		res, err := Run(n, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Name() != n || res.Render() == "" {
-			t.Fatalf("runner %q render broken", n)
-		}
+	// Rendering through the registry must be non-empty and name-stable;
+	// the other runners' tests check their own renders.
+	res, err := Run("micro", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Name() != "micro" || res.Render() == "" {
+		t.Fatal("micro render broken")
 	}
 }
 

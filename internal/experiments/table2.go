@@ -1,98 +1,47 @@
 package experiments
 
 import (
-	"math/rand"
 	"strings"
 
 	"sdnfv/internal/metrics"
+	"sdnfv/internal/nf"
+	"sdnfv/internal/nfs"
 )
 
-// chainKind distinguishes the measured configurations of Table 2 / Fig. 6.
-type chainKind int
-
+// Each configuration runs 3 times (as in the paper) with one 1000-byte
+// frame in flight: latencyPackets frames a run for Table 2, a third as
+// many for Fig. 6, whose NFs burn computeIterations (≈100 µs) a packet.
 const (
-	chainDPDK chainKind = iota // simple forwarder, no VMs
-	chainSeq
-	chainPar
+	latencyPackets    = 3_000
+	computeIterations = 20_000
 )
 
-// latencyModel is the calibrated per-packet latency model of the real
-// engine (§4–5.1). Costs are microseconds.
-//
-// Calibration: the paper's Table 2 deltas over the DPDK baseline give
-// ≈1.1 µs per sequential VM hop (ring enqueue + NF wakeup + ring dequeue +
-// TX processing) and ≈0.3 µs per additional parallel member (descriptor
-// copy + reference-count join). The wire+NIC+generator baseline is
-// 26.66 µs average (23–29 µs spread). Rare scheduler interference adds a
-// long tail, visible in the paper's Max column.
-type latencyModel struct {
-	baseMinUs, baseMaxUs float64
-	hopUs                float64
-	hopJitterUs          float64
-	parMemberUs          float64
-	spikeProb            float64
-	spikeMinUs           float64
-	spikeMaxUs           float64
-	// computeUs draws the NF's per-packet processing time (Fig. 6 uses a
-	// heavy distribution; Table 2 uses zero).
-	computeUs func(rng *rand.Rand) float64
-}
-
-func defaultLatencyModel() latencyModel {
-	return latencyModel{
-		baseMinUs: 23, baseMaxUs: 29.5,
-		hopUs: 1.02, hopJitterUs: 0.25,
-		parMemberUs: 0.31,
-		spikeProb:   0.004, spikeMinUs: 4, spikeMaxUs: 19,
-		computeUs: func(*rand.Rand) float64 { return 0 },
+// measureLatency returns each configuration's latencies (ns).
+func measureLatency(seed int64, cfgs []chainConfig, newNF func() nf.BatchFunction, packets int, tally *chainTally) []*metrics.Histogram {
+	if raceEnabled {
+		packets /= 10
 	}
-}
-
-// sample draws one round-trip latency in µs for the given chain.
-func (m latencyModel) sample(rng *rand.Rand, kind chainKind, vms int) float64 {
-	lat := m.baseMinUs + rng.Float64()*(m.baseMaxUs-m.baseMinUs)
-	spike := func() {
-		if rng.Float64() < m.spikeProb {
-			lat += m.spikeMinUs + rng.Float64()*(m.spikeMaxUs-m.spikeMinUs)
+	hists := make([]*metrics.Histogram, len(cfgs))
+	for i, cfg := range cfgs {
+		hists[i] = metrics.NewHistogram()
+		for run := int64(0); run < 3; run++ {
+			runChain(seed+run, cfg, newNF, 1000, packets, 1, hists[i], tally)
 		}
 	}
-	switch kind {
-	case chainDPDK:
-		spike()
-	case chainSeq:
-		for v := 0; v < vms; v++ {
-			lat += m.hopUs + rng.Float64()*m.hopJitterUs + m.computeUs(rng)
-			spike()
-		}
-	case chainPar:
-		// One dispatch hop; members process concurrently, so compute
-		// contributes its maximum; each extra member adds join overhead.
-		lat += m.hopUs + rng.Float64()*m.hopJitterUs
-		maxCompute := 0.0
-		for v := 0; v < vms; v++ {
-			if c := m.computeUs(rng); c > maxCompute {
-				maxCompute = c
-			}
-			if v > 0 {
-				lat += m.parMemberUs + rng.Float64()*0.1
-			}
-		}
-		lat += maxCompute
-		spike()
-	}
-	return lat
+	return hists
 }
 
-// Table2Result reproduces Table 2: average/min/max round-trip latency for
-// no-op NF chains.
+// Table2Result reproduces Table 2: round-trip latency of no-op NF chains,
+// measured on the engine.
 type Table2Result struct {
-	Rows []Table2Row
+	Rows  []Table2Row
+	tally chainTally
 }
 
-// Table2Row is one configuration's latency summary (µs).
+// Table2Row is one configuration's latency (µs).
 type Table2Row struct {
-	Label         string
-	Avg, Min, Max float64
+	Label    string
+	P50, P99 float64
 }
 
 // Name implements Result.
@@ -101,48 +50,26 @@ func (*Table2Result) Name() string { return "table2" }
 // Render implements Result.
 func (r *Table2Result) Render() string {
 	var b strings.Builder
-	b.WriteString("Table 2: roundtrip latency for no-op NFs (µs)\n")
+	b.WriteString("Table 2: roundtrip latency for no-op NFs (µs, engine, 1000 B frames, one in flight)\n")
 	rows := make([][]string, len(r.Rows))
 	for i, row := range r.Rows {
-		rows[i] = []string{row.Label, f2(row.Avg), f2(row.Min), f2(row.Max)}
+		rows[i] = []string{row.Label, f2(row.P50), f2(row.P99), f2(row.P50 - r.Rows[0].P50), table2PaperDelta[i]}
 	}
-	b.WriteString(table([]string{"#VM", "Avg", "Min", "Max"}, rows))
+	b.WriteString(table([]string{"#VM", "p50", "p99", "Δp50", "paper Δavg"}, rows))
+	b.WriteString("paper: 26.66 µs avg at 0VM through NIC, wire and generator; ≈1.1 µs per sequential VM, ≈0.3 µs per extra parallel VM\n")
+	b.WriteString(r.tally.String())
 	return b.String()
 }
 
-// table2Configs lists the measured rows in the paper's order.
-type table2Config struct {
-	label string
-	kind  chainKind
-	vms   int
-}
+// table2PaperDelta is the paper's Avg over 0VM (µs), row by row.
+var table2PaperDelta = []string{"0", "≈1.1", "≈1.4", "≈1.7", "≈2.2", "≈3.3"}
 
-func table2Configs() []table2Config {
-	return []table2Config{
-		{"0VM (dpdk)", chainDPDK, 0},
-		{"1VM", chainSeq, 1},
-		{"2VM (parallel)", chainPar, 2},
-		{"3VM (parallel)", chainPar, 3},
-		{"2VM (sequential)", chainSeq, 2},
-		{"3VM (sequential)", chainSeq, 3},
-	}
-}
-
-// Table2 runs the latency measurement: 3 runs × 10k packets each (the
-// paper sends 1000-byte packets at 100 Mbps and averages across runs).
+// Table2 measures the no-op chains of chainConfigs.
 func Table2(seed int64) *Table2Result {
-	m := defaultLatencyModel()
 	res := &Table2Result{}
-	for _, cfg := range table2Configs() {
-		h := metrics.NewHistogram()
-		for run := 0; run < 3; run++ {
-			rng := rand.New(rand.NewSource(seed + int64(run)))
-			for i := 0; i < 10_000; i++ {
-				h.Observe(m.sample(rng, cfg.kind, cfg.vms))
-			}
-		}
+	for i, h := range measureLatency(seed, chainConfigs, newNoOp, latencyPackets, &res.tally) {
 		res.Rows = append(res.Rows, Table2Row{
-			Label: cfg.label, Avg: h.Mean(), Min: h.Min(), Max: h.Max(),
+			Label: chainConfigs[i].label, P50: h.Quantile(0.5) / 1e3, P99: h.Quantile(0.99) / 1e3,
 		})
 	}
 	return res
@@ -155,6 +82,7 @@ type Fig6Result struct {
 	Labels    []string
 	Fractions []float64
 	CDFs      [][]float64
+	tally     chainTally
 }
 
 // Name implements Result.
@@ -163,7 +91,7 @@ func (*Fig6Result) Name() string { return "fig6" }
 // Render implements Result.
 func (r *Fig6Result) Render() string {
 	var b strings.Builder
-	b.WriteString("Figure 6: latency CDF with compute-intensive NFs (µs at CDF fraction)\n")
+	b.WriteString("Figure 6: latency CDF with compute-intensive NFs (µs at CDF fraction, engine)\n")
 	header := append([]string{"CDF"}, r.Labels...)
 	rows := make([][]string, len(r.Fractions))
 	for i, f := range r.Fractions {
@@ -174,38 +102,23 @@ func (r *Fig6Result) Render() string {
 		rows[i] = row
 	}
 	b.WriteString(table(header, rows))
+	b.WriteString("paper: parallel chains stay near 1VM; each sequential VM adds its compute time (needs a core per parallel NF)\n")
+	b.WriteString(r.tally.String())
 	return b.String()
 }
 
-// Fig6 runs the compute-intensive latency CDFs (paper: each VM performs
-// intensive computation per packet; parallelism cuts the latency of long
-// chains).
+// Fig6 measures the chains of chainConfigs past 0VM with every NF
+// burning computeIterations per packet.
 func Fig6(seed int64) *Fig6Result {
-	m := defaultLatencyModel()
-	// Intensive computation: 20–60 µs per packet per NF.
-	m.computeUs = func(rng *rand.Rand) float64 { return 20 + rng.Float64()*40 }
-	configs := []table2Config{
-		{"1VM", chainSeq, 1},
-		{"2VM(parallel)", chainPar, 2},
-		{"3VM(parallel)", chainPar, 3},
-		{"2VM(sequential)", chainSeq, 2},
-		{"3VM(sequential)", chainSeq, 3},
-	}
-	fractions := []float64{0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99}
-	res := &Fig6Result{Fractions: fractions}
-	for _, cfg := range configs {
-		h := metrics.NewHistogram()
-		for run := 0; run < 3; run++ {
-			rng := rand.New(rand.NewSource(seed + int64(run)))
-			for i := 0; i < 10_000; i++ {
-				h.Observe(m.sample(rng, cfg.kind, cfg.vms))
-			}
+	res := &Fig6Result{Fractions: []float64{0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99}}
+	cfgs := chainConfigs[1:]
+	compute := func() nf.BatchFunction { return &nfs.ComputeIntensive{Iterations: computeIterations} }
+	for i, h := range measureLatency(seed, cfgs, compute, latencyPackets/3, &res.tally) {
+		cdf := make([]float64, len(res.Fractions))
+		for j, f := range res.Fractions {
+			cdf[j] = h.Quantile(f) / 1e3
 		}
-		var cdf []float64
-		for _, f := range fractions {
-			cdf = append(cdf, h.Quantile(f))
-		}
-		res.Labels = append(res.Labels, cfg.label)
+		res.Labels = append(res.Labels, cfgs[i].label)
 		res.CDFs = append(res.CDFs, cdf)
 	}
 	return res

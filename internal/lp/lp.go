@@ -81,7 +81,6 @@ type Problem struct {
 	integer    []bool
 	prio       []int
 	noBoundRow []bool
-	names      []string
 	rows       []row
 }
 
@@ -90,14 +89,13 @@ func NewProblem() *Problem { return &Problem{} }
 
 // AddVar adds a variable with the given objective coefficient and bounds
 // (hi may be math.Inf(1)). integer marks it for branch-and-bound.
-func (p *Problem) AddVar(name string, obj, lo, hi float64, integer bool) Var {
+func (p *Problem) AddVar(obj, lo, hi float64, integer bool) Var {
 	p.obj = append(p.obj, obj)
 	p.lo = append(p.lo, lo)
 	p.hi = append(p.hi, hi)
 	p.integer = append(p.integer, integer)
 	p.prio = append(p.prio, 0)
 	p.noBoundRow = append(p.noBoundRow, false)
-	p.names = append(p.names, name)
 	return Var(len(p.obj) - 1)
 }
 

@@ -11,8 +11,8 @@ func almost(a, b float64) bool { return math.Abs(a-b) < 1e-6 }
 // max 3x+2y s.t. x+y<=4, x+3y<=6, x,y>=0  → min -3x-2y, optimum x=4,y=0, obj=-12.
 func TestLPKnownOptimum(t *testing.T) {
 	p := NewProblem()
-	x := p.AddVar("x", -3, 0, math.Inf(1), false)
-	y := p.AddVar("y", -2, 0, math.Inf(1), false)
+	x := p.AddVar(-3, 0, math.Inf(1), false)
+	y := p.AddVar(-2, 0, math.Inf(1), false)
 	p.AddConstraint([]Term{{x, 1}, {y, 1}}, LE, 4)
 	p.AddConstraint([]Term{{x, 1}, {y, 3}}, LE, 6)
 	sol, err := SolveLP(p)
@@ -31,8 +31,8 @@ func TestLPKnownOptimum(t *testing.T) {
 // min x+y s.t. x+y>=2, x-y=0 → x=y=1, obj 2.
 func TestLPEqualityAndGE(t *testing.T) {
 	p := NewProblem()
-	x := p.AddVar("x", 1, 0, math.Inf(1), false)
-	y := p.AddVar("y", 1, 0, math.Inf(1), false)
+	x := p.AddVar(1, 0, math.Inf(1), false)
+	y := p.AddVar(1, 0, math.Inf(1), false)
 	p.AddConstraint([]Term{{x, 1}, {y, 1}}, GE, 2)
 	p.AddConstraint([]Term{{x, 1}, {y, -1}}, EQ, 0)
 	sol, err := SolveLP(p)
@@ -46,7 +46,7 @@ func TestLPEqualityAndGE(t *testing.T) {
 
 func TestLPInfeasible(t *testing.T) {
 	p := NewProblem()
-	x := p.AddVar("x", 1, 0, math.Inf(1), false)
+	x := p.AddVar(1, 0, math.Inf(1), false)
 	p.AddConstraint([]Term{{x, 1}}, GE, 5)
 	p.AddConstraint([]Term{{x, 1}}, LE, 3)
 	sol, err := SolveLP(p)
@@ -60,7 +60,7 @@ func TestLPInfeasible(t *testing.T) {
 
 func TestLPUnbounded(t *testing.T) {
 	p := NewProblem()
-	x := p.AddVar("x", -1, 0, math.Inf(1), false)
+	x := p.AddVar(-1, 0, math.Inf(1), false)
 	p.AddConstraint([]Term{{x, -1}}, LE, 1) // -x <= 1, x unbounded above
 	sol, err := SolveLP(p)
 	if err != nil {
@@ -74,7 +74,7 @@ func TestLPUnbounded(t *testing.T) {
 func TestLPVariableBounds(t *testing.T) {
 	// min -x with 1 <= x <= 3 → x=3.
 	p := NewProblem()
-	x := p.AddVar("x", -1, 1, 3, false)
+	x := p.AddVar(-1, 1, 3, false)
 	sol, err := SolveLP(p)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestLPVariableBounds(t *testing.T) {
 	}
 	// Contradictory bounds are infeasible.
 	p2 := NewProblem()
-	p2.AddVar("x", 1, 5, 2, false)
+	p2.AddVar(1, 5, 2, false)
 	sol2, _ := SolveLP(p2)
 	if sol2.Status != StatusInfeasible {
 		t.Fatalf("bad bounds: %s", sol2.Status)
@@ -94,7 +94,7 @@ func TestLPVariableBounds(t *testing.T) {
 func TestLPNegativeRHS(t *testing.T) {
 	// min x s.t. -x <= -2  (i.e. x >= 2) → x = 2.
 	p := NewProblem()
-	x := p.AddVar("x", 1, 0, math.Inf(1), false)
+	x := p.AddVar(1, 0, math.Inf(1), false)
 	p.AddConstraint([]Term{{x, -1}}, LE, -2)
 	sol, err := SolveLP(p)
 	if err != nil {
@@ -109,9 +109,9 @@ func TestLPNegativeRHS(t *testing.T) {
 // LP optimum is fractional; MILP must find integral optimum.
 func TestMILPKnapsack(t *testing.T) {
 	p := NewProblem()
-	a := p.AddVar("a", -10, 0, math.Inf(1), true)
-	b := p.AddVar("b", -6, 0, math.Inf(1), true)
-	c := p.AddVar("c", -4, 0, math.Inf(1), true)
+	a := p.AddVar(-10, 0, math.Inf(1), true)
+	b := p.AddVar(-6, 0, math.Inf(1), true)
+	c := p.AddVar(-4, 0, math.Inf(1), true)
 	p.AddConstraint([]Term{{a, 1}, {b, 1}, {c, 1}}, LE, 10)
 	p.AddConstraint([]Term{{a, 5}, {b, 4}, {c, 3}}, LE, 45)
 	sol, err := SolveMILP(p, MILPOptions{})
@@ -123,7 +123,7 @@ func TestMILPKnapsack(t *testing.T) {
 	}
 	for _, v := range []Var{a, b, c} {
 		if f := math.Abs(sol.Value(v) - math.Round(sol.Value(v))); f > 1e-6 {
-			t.Fatalf("non-integral %s = %v", p.names[v], sol.Value(v))
+			t.Fatalf("non-integral var %d = %v", v, sol.Value(v))
 		}
 	}
 	// Known optimum: obj = -76 (a=5,b=5,c=0? check: a+b=10, 5*5+4*5=45 ok,
@@ -150,10 +150,10 @@ func TestMILPBinaryAssignment(t *testing.T) {
 	// Assign 2 jobs to 2 machines, each machine ≤1 job, minimize cost.
 	// costs: j0m0=4 j0m1=2 j1m0=3 j1m1=5 → optimal j0→m1, j1→m0 = 5.
 	p := NewProblem()
-	x00 := p.AddVar("x00", 4, 0, 1, true)
-	x01 := p.AddVar("x01", 2, 0, 1, true)
-	x10 := p.AddVar("x10", 3, 0, 1, true)
-	x11 := p.AddVar("x11", 5, 0, 1, true)
+	x00 := p.AddVar(4, 0, 1, true)
+	x01 := p.AddVar(2, 0, 1, true)
+	x10 := p.AddVar(3, 0, 1, true)
+	x11 := p.AddVar(5, 0, 1, true)
 	p.AddConstraint([]Term{{x00, 1}, {x01, 1}}, EQ, 1)
 	p.AddConstraint([]Term{{x10, 1}, {x11, 1}}, EQ, 1)
 	p.AddConstraint([]Term{{x00, 1}, {x10, 1}}, LE, 1)
@@ -172,7 +172,7 @@ func TestMILPBinaryAssignment(t *testing.T) {
 
 func TestMILPInfeasible(t *testing.T) {
 	p := NewProblem()
-	x := p.AddVar("x", 1, 0, 1, true)
+	x := p.AddVar(1, 0, 1, true)
 	p.AddConstraint([]Term{{x, 2}}, EQ, 1) // x = 0.5 impossible for binary
 	sol, err := SolveMILP(p, MILPOptions{})
 	if err != nil {
@@ -190,7 +190,7 @@ func TestMILPNodeLimitReturnsIncumbent(t *testing.T) {
 	p := NewProblem()
 	vars := make([]Var, 6)
 	for i := range vars {
-		vars[i] = p.AddVar("x", -float64(i+1), 0, 1, true)
+		vars[i] = p.AddVar(-float64(i+1), 0, 1, true)
 	}
 	terms := make([]Term, len(vars))
 	for i, v := range vars {
@@ -223,7 +223,7 @@ func TestLPBoxProperty(t *testing.T) {
 			c := float64(c8)
 			lo := float64(i)
 			hi := lo + 1 + float64(seed%5)
-			vars = append(vars, p.AddVar("v", c, lo, hi, false))
+			vars = append(vars, p.AddVar(c, lo, hi, false))
 			if c >= 0 {
 				want += c * lo
 			} else {
@@ -245,8 +245,8 @@ func TestLPBoxProperty(t *testing.T) {
 func TestMILPWeakerThanLP(t *testing.T) {
 	f := func(a, b, c int8, r uint8) bool {
 		p := NewProblem()
-		x := p.AddVar("x", float64(a%5), 0, 10, true)
-		y := p.AddVar("y", float64(b%5), 0, 10, true)
+		x := p.AddVar(float64(a%5), 0, 10, true)
+		y := p.AddVar(float64(b%5), 0, 10, true)
 		p.AddConstraint([]Term{{x, 1}, {y, 2}}, GE, float64(r%15))
 		p.AddConstraint([]Term{{x, 2}, {y, 1}}, LE, 20)
 		rel, err1 := SolveLP(p)
@@ -273,7 +273,7 @@ func BenchmarkLPMedium(b *testing.B) {
 		p := NewProblem()
 		vars := make([]Var, 50)
 		for i := range vars {
-			vars[i] = p.AddVar("x", float64((i*7)%11)-5, 0, 100, false)
+			vars[i] = p.AddVar(float64((i*7)%11)-5, 0, 100, false)
 		}
 		for r := 0; r < 30; r++ {
 			terms := make([]Term, 0, 10)

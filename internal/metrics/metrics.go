@@ -84,26 +84,6 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.total)
 }
 
-// Min returns the smallest observation (0 when empty).
-func (h *Histogram) Min() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 {
-		return 0
-	}
-	return h.min
-}
-
-// Max returns the largest observation (0 when empty).
-func (h *Histogram) Max() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 {
-		return 0
-	}
-	return h.max
-}
-
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) estimated from buckets.
 func (h *Histogram) Quantile(q float64) float64 {
 	h.mu.Lock()

@@ -9,7 +9,7 @@ import (
 
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram()
-	if h.total != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 {
+	if h.total != 0 || h.Mean() != 0 || h.Quantile(0) != 0 || h.Quantile(1) != 0 {
 		t.Fatal("empty histogram not zeroed")
 	}
 	for _, v := range []float64{10, 20, 30} {
@@ -21,8 +21,8 @@ func TestHistogramBasics(t *testing.T) {
 	if math.Abs(h.Mean()-20) > 1e-9 {
 		t.Fatalf("mean = %v", h.Mean())
 	}
-	if h.Min() != 10 || h.Max() != 30 {
-		t.Fatalf("min/max = %v/%v", h.Min(), h.Max())
+	if h.Quantile(0) != 10 || h.Quantile(1) != 30 {
+		t.Fatalf("min/max = %v/%v", h.Quantile(0), h.Quantile(1))
 	}
 }
 
@@ -57,7 +57,7 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 		prev := -1.0
 		for q := 0.0; q <= 1.0; q += 0.1 {
 			v := h.Quantile(q)
-			if v < prev || v < h.Min()-1e-9 || v > h.Max()+1e-9 {
+			if v < prev || v < h.Quantile(0)-1e-9 || v > h.Quantile(1)+1e-9 {
 				return false
 			}
 			prev = v

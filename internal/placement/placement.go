@@ -459,7 +459,7 @@ func SolveMILP(t *Topology, flows []Flow, spec Spec, opt MILPOptions) (*Assignme
 	})
 
 	prob := lp.NewProblem()
-	bigU := prob.AddVar("U", 1, 0, math.Inf(1), false) // minimize U
+	bigU := prob.AddVar(1, 0, math.Inf(1), false) // minimize U
 
 	// M_ij: instances of service j on node i.
 	services := map[Service]bool{}
@@ -492,7 +492,7 @@ func SolveMILP(t *Topology, flows []Flow, spec Spec, opt MILPOptions) (*Assignme
 	for _, n := range candList {
 		mVar[n] = map[Service]lp.Var{}
 		for _, svc := range svcList {
-			v := prob.AddVar(fmt.Sprintf("M_%d_%d", n, svc), 0, 0, float64(t.Cores(n)), true)
+			v := prob.AddVar(0, 0, float64(t.Cores(n)), true)
 			prob.SetBranchPriority(v, 2)
 			mVar[n][svc] = v
 		}
@@ -514,7 +514,7 @@ func SolveMILP(t *Topology, flows []Flow, spec Spec, opt MILPOptions) (*Assignme
 		for l := range f.Chain {
 			nVar[k][l] = map[NodeID]lp.Var{}
 			for _, n := range cands[k] {
-				v := prob.AddVar(fmt.Sprintf("N_%d_%d_%d", k, l, n), 0, 0, 1, true)
+				v := prob.AddVar(0, 0, 1, true)
 				prob.SetBranchPriority(v, 1)
 				prob.SetStructuralUpperBound(v) // Eq (3) sums N to 1
 				nVar[k][l][n] = v
@@ -587,7 +587,7 @@ func SolveMILP(t *Topology, flows []Flow, spec Spec, opt MILPOptions) (*Assignme
 				for _, e := range flowEdges[k] {
 					// A tiny per-edge cost breaks ties toward short,
 					// cycle-free legs.
-					v := prob.AddVar(fmt.Sprintf("V_%d_%d_%d_%d", k, l, e.a, e.b), 1e-6, 0, 1, true)
+					v := prob.AddVar(1e-6, 0, 1, true)
 					vVar[k][l][e] = v
 				}
 			}

@@ -51,20 +51,25 @@ func NewFactory() *Factory { return &Factory{buf: make([]byte, 2048)} }
 const timestampMagic = 0x534e4656 // "SNFV"
 
 // Frame builds a frame for spec whose payload is padded to reach
-// spec.FrameBytes and stamped with nowNanos for RTT measurement. The
+// spec.FrameBytes and stamped with nowNanos for RTT measurement. A frame
+// larger than the factory's 2 KiB scratch is refused with an error. The
 // returned slice is valid until the next Frame call.
 func (f *Factory) Frame(spec FlowSpec, nowNanos int64) ([]byte, error) {
-	payloadLen := spec.FrameBytes - packet.EthHeaderLen - packet.IPv4HeaderLen
+	hdr := packet.EthHeaderLen + packet.IPv4HeaderLen
 	switch spec.Key.Proto {
 	case packet.ProtoUDP:
-		payloadLen -= packet.UDPHeaderLen
+		hdr += packet.UDPHeaderLen
 	case packet.ProtoTCP:
-		payloadLen -= packet.TCPHeaderLen
+		hdr += packet.TCPHeaderLen
 	}
-	if payloadLen < 12 {
-		payloadLen = 12
+	payloadLen := max(spec.FrameBytes-hdr, 12)
+	if hdr+payloadLen > len(f.buf) {
+		return nil, fmt.Errorf("traffic: %d-byte frame exceeds the %d-byte scratch: %w",
+			hdr+payloadLen, len(f.buf), packet.ErrTooShort)
 	}
-	payload := f.buf[1024 : 1024+payloadLen]
+	// The payload is stamped where the frame carries it, so Build's
+	// payload copy is a copy onto itself.
+	payload := f.buf[hdr : hdr+payloadLen]
 	binary.BigEndian.PutUint32(payload, timestampMagic)
 	binary.BigEndian.PutUint64(payload[4:], uint64(nowNanos))
 	b := packet.Builder{
@@ -72,7 +77,7 @@ func (f *Factory) Frame(spec FlowSpec, nowNanos int64) ([]byte, error) {
 		SrcPort: spec.Key.SrcPort, DstPort: spec.Key.DstPort,
 		Proto: spec.Key.Proto,
 	}
-	n, err := b.Build(f.buf[:1024], payload)
+	n, err := b.Build(f.buf, payload)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -20,24 +21,29 @@ func TestFlowsDistinct(t *testing.T) {
 
 func TestFrameTimestampRoundtrip(t *testing.T) {
 	f := NewFactory()
-	spec := Flow(3, 256, 1e6)
-	frame, err := f.Frame(spec, 123456789)
-	if err != nil {
-		t.Fatal(err)
+	for _, size := range []int{64, 256, 1024, 1025, 1066, 1067, 1500, 2048} {
+		spec := Flow(3, size, 1e6)
+		frame, err := f.Frame(spec, int64(size)*1000)
+		if err != nil {
+			t.Fatalf("%d B: %v", size, err)
+		}
+		if len(frame) != size {
+			t.Fatalf("frame len = %d, want %d", len(frame), size)
+		}
+		if ts, ok := ExtractTimestamp(frame); !ok || ts != int64(size)*1000 {
+			t.Fatalf("%d B: timestamp = %d ok=%v", size, ts, ok)
+		}
+		v, err := packet.Parse(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.FlowKey() != spec.Key {
+			t.Fatalf("key = %v, want %v", v.FlowKey(), spec.Key)
+		}
 	}
-	if len(frame) != 256 {
-		t.Fatalf("frame len = %d, want 256", len(frame))
-	}
-	ts, ok := ExtractTimestamp(frame)
-	if !ok || ts != 123456789 {
-		t.Fatalf("timestamp = %d ok=%v", ts, ok)
-	}
-	v, err := packet.Parse(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.FlowKey() != spec.Key {
-		t.Fatalf("key = %v, want %v", v.FlowKey(), spec.Key)
+	// Beyond the 2 KiB scratch: an error, not a panic.
+	if _, err := f.Frame(Flow(3, 2049, 1e6), 0); !errors.Is(err, packet.ErrTooShort) {
+		t.Fatalf("2049 B: err = %v, want ErrTooShort", err)
 	}
 }
 
