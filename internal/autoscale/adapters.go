@@ -87,8 +87,8 @@ func (a OrchestratorActuator) ScaleDown(ctx context.Context) error {
 	return a.Orch.Retire(ctx, a.HostName, a.Service, newest)
 }
 
-// RealClock implements Clock (and orchestrator.Clock) on the wall clock,
-// with time zero at construction.
+// RealClock implements Clock on the wall clock, with time zero at
+// construction.
 type RealClock struct {
 	start time.Time
 }

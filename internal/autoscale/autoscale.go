@@ -20,17 +20,13 @@ import (
 	"context"
 	"fmt"
 	"sync"
+
+	"sdnfv/internal/orchestrator"
 )
 
-// Clock schedules callbacks in seconds, real or virtual. It is
-// structurally identical to orchestrator.Clock, so one implementation
-// serves both layers.
-type Clock interface {
-	// After runs fn once delay seconds have passed.
-	After(delay float64, fn func())
-	// Now returns the current time in seconds.
-	Now() float64
-}
+// Clock schedules callbacks in seconds, real or virtual: the
+// orchestrator's clock, so one implementation serves both layers.
+type Clock = orchestrator.Clock
 
 // Sample is one observation of a service's load.
 type Sample struct {

@@ -5,7 +5,10 @@
 //
 // The saturation and time-series experiments run on the discrete-event
 // simulator with service times calibrated from the real engine's
-// micro-benchmarks, and are deterministic under a fixed seed. The chain
+// micro-benchmarks, and are deterministic under a fixed seed. Figs. 8
+// and 9 run the real §5.2 NFs (nfs.AntDetector, nfs.DDoSDetector,
+// nfs.Scrubber) on the simulator's virtual time through simNF; only
+// their links and the VM boot delay are modelled. The chain
 // latency and throughput experiments (table2, fig6, fig7) and the
 // wall-clock ones (scale, cluster, reconcile, churn, wire) drive the
 // engine itself, so only their shape repeats. EXPERIMENTS.md records

@@ -177,6 +177,10 @@ func TestFig8AntPhase(t *testing.T) {
 	if afterF1 < beforeF1*0.7 {
 		t.Fatalf("latency did not rise back: %v vs %v", afterF1, beforeF1)
 	}
+	// Each flow's first verdict, Flow 1's switch to ant and its switch back.
+	if r.reclassifications != 4 {
+		t.Fatalf("reclassifications = %d, want 4", r.reclassifications)
+	}
 }
 
 func TestFig9Mitigation(t *testing.T) {
@@ -211,6 +215,9 @@ func TestFig9Mitigation(t *testing.T) {
 	detIn := at(r.Incoming, r.DetectedAt)
 	if detIn < 2.5 || detIn > 4 {
 		t.Fatalf("incoming at detection = %v, want ≈3.2", detIn)
+	}
+	if r.alarms != 1 || r.dropped == 0 || r.passed == 0 {
+		t.Fatalf("alarms = %d, scrubber dropped %d passed %d; want 1 alarm and both verdicts", r.alarms, r.dropped, r.passed)
 	}
 }
 

@@ -76,10 +76,10 @@ func fig10Run(seed int64, offered float64, sdnfv bool) float64 {
 		arrive()
 		t += interval
 		if t < horizon {
-			env.Schedule(interval, schedule)
+			env.After(interval, schedule)
 		}
 	}
-	env.Schedule(0, schedule)
+	env.After(0, schedule)
 	env.Run(horizon + 1) // drain
 	return float64(completed) / horizon
 }

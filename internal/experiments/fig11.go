@@ -72,7 +72,7 @@ func fig11Run(seed int64, sdnfv bool) (times, out []float64) {
 		f := &fig11Flow{rate: pktPerSec, throttled: throttling()}
 		flows[id] = f
 		life := env.Exp(meanLifetime)
-		env.Schedule(life, func() {
+		env.After(life, func() {
 			delete(flows, id)
 			birth() // replaced by a fresh flow (constant population)
 		})

@@ -1,9 +1,14 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 
+	"sdnfv/internal/flowtable"
 	"sdnfv/internal/metrics"
+	"sdnfv/internal/nf"
+	"sdnfv/internal/nfs"
+	"sdnfv/internal/packet"
 	"sdnfv/internal/sim"
 	"sdnfv/internal/traffic"
 )
@@ -21,7 +26,17 @@ type Fig8Result struct {
 	// AntWindow is [start, end) of the detected ant phase (reclassification
 	// times observed in the run).
 	AntWindow [2]float64
+	// reclassifications counts the detector's verdict changes.
+	reclassifications uint64
 }
+
+// The services of Fig. 8: the Ant Detector, and the slow and fast links
+// its ChangeDefault messages choose between.
+const (
+	fig8Detector flowtable.ServiceID = iota + 1
+	fig8Slow
+	fig8Fast
+)
 
 // Name implements Result.
 func (*Fig8Result) Name() string { return "fig8" }
@@ -43,6 +58,7 @@ func (r *Fig8Result) Render() string {
 	b.WriteString(", ")
 	b.WriteString(f2(r.AntWindow[1]))
 	b.WriteString("] s\n")
+	fmt.Fprintf(&b, "reclassifications: %d\n", r.reclassifications)
 	return b.String()
 }
 
@@ -66,53 +82,31 @@ func Fig8(seed int64) *Fig8Result {
 	}
 	const f2Rate = 24e6
 
-	// Ant Detector: windowed per-flow rate/size classification (the same
-	// policy as nfs.AntDetector, §5.2) steering flows between links.
-	type flowState struct {
-		bytes, packets float64
-		winStart       float64
-		isAnt          bool
-	}
-	states := map[uint64]*flowState{}
-	dests := map[uint64]sim.Stage{}
+	// The Ant Detector NF (§5.2) classifies each flow over a two-second
+	// window; its ChangeDefault messages move the flow between the links.
+	links := map[flowtable.ServiceID]sim.Stage{fig8Slow: slow, fig8Fast: fast}
+	dests := map[packet.FlowKey]sim.Stage{f1.Key: slow, f2k.Key: slow}
 	var antStart, antEnd float64
-	classify := func(p *sim.Packet) sim.Stage {
-		id := p.Key.Hash()
-		st, ok := states[id]
-		if !ok {
-			st = &flowState{winStart: env.Now()}
-			states[id] = st
-			dests[id] = slow
-		}
-		st.bytes += float64(p.Bytes)
-		st.packets++
-		const window = 2.0 // paper: two-second observation interval
-		if env.Now()-st.winStart >= window {
-			rate := st.bytes * 8 / (env.Now() - st.winStart)
-			meanSize := st.bytes / st.packets
-			ant := rate <= 2e6 && meanSize <= 256
-			if ant != st.isAnt {
-				st.isAnt = ant
-				if ant {
-					dests[id] = fast // ChangeDefault to the fast path
-					if antStart == 0 {
-						antStart = env.Now()
-					}
-				} else {
-					dests[id] = slow
-					if antStart > 0 && antEnd == 0 {
-						antEnd = env.Now()
-					}
-				}
-			}
-			st.winStart = env.Now()
-			st.bytes, st.packets = 0, 0
-		}
-		return dests[id]
+	ant := &nfs.AntDetector{
+		WindowSec: 2, Now: env.Now, AntBpsLimit: 2e6, SmallPacketBytes: 256,
+		FastPath: fig8Fast, SlowPath: fig8Slow,
 	}
-	detector := sim.NewNFStage(env, 4096, func(*sim.Packet) sim.Time {
-		return 200e-9
-	}, classify)
+	classify, err := newSimNF(ant, fig8Detector, func(m nf.Message) {
+		if m.Kind != nf.MsgChangeDefault {
+			return
+		}
+		dests[m.Flows.Key] = links[m.T]
+		if m.T == fig8Fast && antStart == 0 {
+			antStart = env.Now()
+		} else if m.T == fig8Slow && antStart > 0 && antEnd == 0 {
+			antEnd = env.Now()
+		}
+	})
+	must(err)
+	detector := sim.StageFunc(func(p *sim.Packet) {
+		classify.process(p)
+		dests[p.Key].Accept(p)
+	})
 
 	src1 := sim.NewCBRSource(env, f1.Key, 64, f1Profile.RateAt, detector)
 	src2 := sim.NewCBRSource(env, f2k.Key, 1024, func(sim.Time) float64 { return f2Rate }, detector)
@@ -147,6 +141,7 @@ func Fig8(seed int64) *Fig8Result {
 		antEnd = 180
 	}
 	res.AntWindow = [2]float64{antStart, antEnd}
+	res.reclassifications = ant.Reclassifications()
 	return res
 }
 

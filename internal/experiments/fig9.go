@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"strings"
 
 	"sdnfv/internal/flowtable"
 	"sdnfv/internal/nf"
+	"sdnfv/internal/nfs"
 	"sdnfv/internal/orchestrator"
 	"sdnfv/internal/sim"
 	"sdnfv/internal/traffic"
@@ -24,6 +26,9 @@ type Fig9Result struct {
 	// DetectedAt is when the alarm fired; ScrubberAt when the new VM came
 	// online.
 	DetectedAt, ScrubberAt float64
+	// alarms counts the detector's alarms; dropped and passed the
+	// Scrubber's verdicts.
+	alarms, dropped, passed uint64
 }
 
 // Name implements Result.
@@ -42,13 +47,14 @@ func (r *Fig9Result) Render() string {
 	}
 	b.WriteString(table([]string{"t (s)", "Incoming", "Outgoing"}, rows))
 	b.WriteString("detected at " + f2(r.DetectedAt) + " s; scrubber online at " + f2(r.ScrubberAt) + " s\n")
+	fmt.Fprintf(&b, "alarms: %d; scrubber dropped %d, passed %d\n", r.alarms, r.dropped, r.passed)
 	return b.String()
 }
 
-// fig9 marks.
+// The services of Fig. 9.
 const (
-	markNormal = 0
-	markAttack = 1
+	fig9Detector flowtable.ServiceID = iota + 1
+	fig9Scrubber
 )
 
 // Fig9 runs the experiment. Rates are scaled 1:100 against the paper's
@@ -58,74 +64,56 @@ func Fig9(seed int64) *Fig9Result {
 	const scale = 100.0 // sim bps × scale = reported bps
 	env := sim.NewEnv(seed)
 	sink := sim.NewSink(env)
-
 	inMeter := &rateAccum{}
 	outMeter := &rateAccum{}
-
-	// Scrubber stage (exists once booted): drops attack-marked traffic.
-	var scrubberOnline bool
-	scrub := sim.NewNFStage(env, 8192, func(*sim.Packet) sim.Time {
-		return 500e-9
-	}, func(p *sim.Packet) sim.Stage {
-		if p.Mark == markAttack {
-			return nil // cleaned
-		}
-		return sim.StageFunc(func(p *sim.Packet) {
-			outMeter.add(env.Now(), p.Bytes)
-			sink.Accept(p)
-		})
-	})
-
-	// Egress: default action forwards straight out; after RequestMe the
-	// default is the scrubber.
-	egress := sim.StageFunc(func(p *sim.Packet) {
-		if scrubberOnline {
-			scrub.Accept(p)
-			return
-		}
-		outMeter.add(env.Now(), p.Bytes)
-		sink.Accept(p)
-	})
-
-	// Orchestrator with the paper's measured 7.75 s VM boot delay.
 	res := &Fig9Result{}
-	orch := orchestrator.New(orchestrator.Config{BootDelaySec: 7.75}, simClock{env})
-	orch.AddHost(simHostHandle{name: "host1", onLaunch: func() {
-		scrubberOnline = true // Scrubber sends RequestMe; defaults rerouted
-		res.ScrubberAt = env.Now()
-	}})
-
-	// DDoS detector VM: monitors aggregate incoming volume in a window;
-	// one alarm at the threshold (3.2 Gbps in paper units).
-	const thresholdBps = 3.2e9 / scale
-	var alarmed bool
-	var winBytes float64
-	var winStart float64
-	detector := sim.NewNFStage(env, 8192, func(*sim.Packet) sim.Time {
-		return 300e-9
-	}, func(p *sim.Packet) sim.Stage {
-		inMeter.add(env.Now(), p.Bytes)
-		winBytes += float64(p.Bytes)
-		const window = 1.0
-		if env.Now()-winStart >= window {
-			rate := winBytes * 8 / (env.Now() - winStart)
-			if rate >= thresholdBps && !alarmed {
-				alarmed = true
-				res.DetectedAt = env.Now()
-				// Message → NF Manager → SDNFV Application → orchestrator
-				// boots the scrubber (Fig. 2 step 5).
-				_ = orch.Instantiate(context.Background(), "host1", flowtable.ServiceID(99), noopNF{}, nil)
-			}
-			winStart = env.Now()
-			winBytes = 0
-		}
-		return egress
-	})
 
 	// Normal traffic: constant 500 Mbps (paper units). Attack: starts low
 	// at t=30 s and ramps up steadily past the threshold.
 	normal := traffic.Flow(1, 1000, 0)
 	attack := traffic.Flow(2, 1000, 0)
+
+	// The Scrubber NF drops the attack flow. Its launch-time RequestMe
+	// makes it the default next hop of the detector's traffic.
+	var scrubber *simNF
+	var rerouted bool
+	scrub := &nfs.Scrubber{
+		Malicious:     func(p *nf.Packet) bool { return p.Key == attack.Key },
+		AnnounceFlows: &flowtable.MatchAll,
+	}
+	orch := orchestrator.New(orchestrator.Config{BootDelaySec: 7.75}, env)
+	orch.AddHost(simHost(func(svc flowtable.ServiceID, fn nf.BatchFunction) (err error) {
+		scrubber, err = newSimNF(fn, svc, func(m nf.Message) {
+			if m.Kind == nf.MsgRequestMe {
+				rerouted = true
+				res.ScrubberAt = env.Now()
+			}
+		})
+		return err
+	}))
+
+	// The DDoS Detector NF watches the aggregate volume over a one-second
+	// window and alarms once at the threshold (3.2 Gbps in paper units):
+	// Message → NF Manager → SDNFV Application → the orchestrator boots
+	// the Scrubber (Fig. 2 step 5) with the paper's measured 7.75 s delay.
+	ddos := &nfs.DDoSDetector{ThresholdBps: 3.2e9 / scale, WindowSec: 1, Now: env.Now}
+	detect, err := newSimNF(ddos, fig9Detector, func(m nf.Message) {
+		if m.Kind == nf.MsgData && m.Key == "ddos.alarm" {
+			res.DetectedAt = env.Now()
+			must(orch.Instantiate(context.Background(), "host1", fig9Scrubber, scrub, nil))
+		}
+	})
+	must(err)
+	detector := sim.StageFunc(func(p *sim.Packet) {
+		inMeter.add(p.Bytes)
+		detect.process(p)
+		if rerouted && scrubber.process(p).Verb == nf.VerbDiscard {
+			return
+		}
+		outMeter.add(p.Bytes)
+		sink.Accept(p)
+	})
+
 	normSrc := sim.NewCBRSource(env, normal.Key, 1000, func(sim.Time) float64 {
 		return 500e6 / scale
 	}, detector)
@@ -139,7 +127,6 @@ func Fig9(seed int64) *Fig9Result {
 		}
 		return ramp.RateAt(t)
 	}, detector)
-	attackSrc.Mark = markAttack
 	normSrc.Start()
 	attackSrc.Start()
 
@@ -152,6 +139,8 @@ func Fig9(seed int64) *Fig9Result {
 	env.Run(200)
 	normSrc.Stop()
 	attackSrc.Stop()
+	res.alarms = ddos.Alarms()
+	res.dropped, res.passed = scrub.Dropped(), scrub.Passed()
 	return res
 }
 
@@ -161,7 +150,7 @@ type rateAccum struct {
 	last  float64
 }
 
-func (r *rateAccum) add(_ float64, b int) { r.bytes += float64(b) }
+func (r *rateAccum) add(b int) { r.bytes += float64(b) }
 
 // takeRate returns bits/s since the previous sample and resets.
 func (r *rateAccum) takeRate(now float64) float64 {
@@ -175,44 +164,16 @@ func (r *rateAccum) takeRate(now float64) float64 {
 	return bps
 }
 
-// simClock adapts sim.Env to orchestrator.Clock.
-type simClock struct{ env *sim.Env }
-
-// After implements orchestrator.Clock.
-func (c simClock) After(delay float64, fn func()) { c.env.Schedule(delay, fn) }
-
-// Now implements orchestrator.Clock.
-func (c simClock) Now() float64 { return c.env.Now() }
-
-// simHostHandle adapts a callback to orchestrator.HostHandle.
-type simHostHandle struct {
-	name     string
-	onLaunch func()
-}
+// simHost is the simulated host1, whose launches it hands to the func.
+type simHost func(flowtable.ServiceID, nf.BatchFunction) error
 
 // HostName implements orchestrator.HostHandle.
-func (h simHostHandle) HostName() string { return h.name }
+func (simHost) HostName() string { return "host1" }
 
 // Launch implements orchestrator.HostHandle.
-func (h simHostHandle) Launch(context.Context, flowtable.ServiceID, nf.BatchFunction) error {
-	if h.onLaunch != nil {
-		h.onLaunch()
-	}
-	return nil
+func (h simHost) Launch(_ context.Context, svc flowtable.ServiceID, fn nf.BatchFunction) error {
+	return h(svc, fn)
 }
-
-// noopNF is a minimal nf.BatchFunction for orchestrator launches in
-// simulation.
-type noopNF struct{}
-
-// Name implements nf.BatchFunction.
-func (noopNF) Name() string { return "sim-noop" }
-
-// ReadOnly implements nf.BatchFunction.
-func (noopNF) ReadOnly() bool { return true }
-
-// ProcessBatch implements nf.BatchFunction.
-func (noopNF) ProcessBatch(*nf.Context, []nf.Packet, []nf.Decision) {}
 
 func init() {
 	register("fig9", func(seed int64) Result { return Fig9(seed) })

@@ -13,8 +13,6 @@ type Packet struct {
 	Bytes int
 	// Born is the packet's creation time (for latency measurement).
 	Born Time
-	// Mark carries experiment-specific state (e.g. "malicious").
-	Mark int
 }
 
 // Stage is anything that can accept a packet in the simulated pipeline.
@@ -64,58 +62,12 @@ func (l *Link) Accept(p *Packet) {
 	l.q.Offer(ser, func() {
 		l.TxBytes.Add(uint64(p.Bytes))
 		l.TxPackets.Add(1)
-		l.env.Schedule(l.DelaySec, func() {
+		l.env.After(l.DelaySec, func() {
 			if l.Next != nil {
 				l.Next.Accept(p)
 			}
 		})
 	})
-}
-
-// NFStage models one network function's processing: a single-server queue
-// with a per-packet service-time function, after which Handle decides the
-// packet's fate and the stage forwards it (or drops it).
-type NFStage struct {
-	env *Env
-	q   *Queue
-	// Service returns the processing time for p.
-	Service func(p *Packet) Time
-	// Handle returns the next stage (nil = drop).
-	Handle func(p *Packet) Stage
-
-	Processed *metrics.Counter
-	Drops     *metrics.Counter
-}
-
-// NewNFStage builds an NF stage. queueCap bounds its input queue.
-func NewNFStage(env *Env, queueCap int, service func(p *Packet) Time, handle func(p *Packet) Stage) *NFStage {
-	return &NFStage{
-		env:       env,
-		q:         NewQueue(env, queueCap),
-		Service:   service,
-		Handle:    handle,
-		Processed: &metrics.Counter{},
-		Drops:     &metrics.Counter{},
-	}
-}
-
-// Accept implements Stage.
-func (s *NFStage) Accept(p *Packet) {
-	svc := Time(0)
-	if s.Service != nil {
-		svc = s.Service(p)
-	}
-	if !s.q.Offer(svc, func() {
-		s.Processed.Add(1)
-		next := s.Handle(p)
-		if next == nil {
-			s.Drops.Add(1)
-			return
-		}
-		next.Accept(p)
-	}) {
-		s.Drops.Add(1)
-	}
 }
 
 // Sink counts delivered packets and records latency.
@@ -182,7 +134,7 @@ func NewControllerModel(env *Env, serviceSec, rttSec float64, queueCap int) *Con
 // mirroring control.Stats semantics, Requests counts admitted requests).
 func (c *ControllerModel) Submit(done func()) error {
 	ok := c.q.Offer(c.ServiceSec, func() {
-		c.env.Schedule(c.RTTSec, done)
+		c.env.After(c.RTTSec, done)
 	})
 	if !ok {
 		c.Rejected.Add(1)
@@ -262,8 +214,6 @@ type CBRSource struct {
 	// PollSec is the re-poll interval while paused (default 0.1 s).
 	PollSec float64
 	Dest    Stage
-	// Mark is stamped on emitted packets.
-	Mark int
 
 	Emitted *metrics.Counter
 	stopped bool
@@ -290,18 +240,17 @@ func (s *CBRSource) emit() {
 	}
 	rate := s.RateBps(s.env.Now())
 	if rate <= 0 {
-		s.env.Schedule(s.PollSec, s.emit)
+		s.env.After(s.PollSec, s.emit)
 		return
 	}
-	p := &Packet{Key: s.Spec, Bytes: s.Bytes, Born: s.env.Now(), Mark: s.Mark}
+	p := &Packet{Key: s.Spec, Bytes: s.Bytes, Born: s.env.Now()}
 	s.Dest.Accept(p)
 	s.Emitted.Add(1)
-	s.env.Schedule(float64(s.Bytes*8)/rate, s.emit)
+	s.env.After(float64(s.Bytes*8)/rate, s.emit)
 }
 
 var (
 	_ Stage = (*Link)(nil)
-	_ Stage = (*NFStage)(nil)
 	_ Stage = (*Sink)(nil)
 	_ Stage = (*OVSSwitch)(nil)
 )

@@ -63,23 +63,6 @@ func TestLinkDropWhenBounded(t *testing.T) {
 	}
 }
 
-func TestNFStageProcessAndDrop(t *testing.T) {
-	env := NewEnv(1)
-	sink := NewSink(env)
-	stage := NewNFStage(env, 0, func(*Packet) Time { return 0.001 }, func(p *Packet) Stage {
-		if p.Mark == 1 {
-			return nil // drop marked packets
-		}
-		return sink
-	})
-	stage.Accept(&Packet{Key: testKey(), Bytes: 100, Mark: 1})
-	stage.Accept(&Packet{Key: testKey(), Bytes: 100})
-	env.Run(1)
-	if sink.Packets.Value() != 1 || stage.Drops.Value() != 1 || stage.Processed.Value() != 2 {
-		t.Fatalf("sink=%d drops=%d processed=%d", sink.Packets.Value(), stage.Drops.Value(), stage.Processed.Value())
-	}
-}
-
 func TestControllerModelSaturation(t *testing.T) {
 	env := NewEnv(1)
 	c := NewControllerModel(env, 0.001, 0, 2) // 1000 req/s capacity, queue 2

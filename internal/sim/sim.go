@@ -9,15 +9,20 @@
 // sequence number breaks ties), which the determinism property tests rely
 // on.
 //
+// Env's Now and After make it the clock the figures hand to the
+// orchestrator and to the real NFs (orchestrator.Clock, and the Now
+// field of the time-windowed NFs), so those run unchanged on virtual
+// time.
+//
 // On top of the core sit models of the network elements around the SDNFV
 // data plane, which the saturation and time-series runners compose:
-// links with serialization and propagation delay (Link), NF processing
-// stages (NFStage), an OVS-like software switch that punts flow-table
-// misses to the controller (OVSSwitch), a single-threaded SDN controller
-// (ControllerModel), constant-bit-rate sources and latency-recording
-// sinks. Their packets are lightweight records (Packet); service-time
-// parameters are calibrated from the real engine's micro-benchmarks so
-// relative costs match (see EXPERIMENTS.md).
+// links with serialization and propagation delay (Link), an OVS-like
+// software switch that punts flow-table misses to the controller
+// (OVSSwitch), a single-threaded SDN controller (ControllerModel),
+// constant-bit-rate sources and latency-recording sinks. Their packets
+// are lightweight records (Packet); service-time parameters are
+// calibrated from the real engine's micro-benchmarks so relative costs
+// match (see EXPERIMENTS.md).
 package sim
 
 import (
@@ -76,8 +81,8 @@ func (e *Env) Now() Time { return e.now }
 // Rand returns the environment's seeded random source.
 func (e *Env) Rand() *rand.Rand { return e.rng }
 
-// Schedule runs fn after delay seconds (delay < 0 is clamped to 0).
-func (e *Env) Schedule(delay Time, fn func()) {
+// After runs fn after delay seconds (delay < 0 is clamped to 0).
+func (e *Env) After(delay Time, fn func()) {
 	if delay < 0 {
 		delay = 0
 	}
@@ -87,7 +92,7 @@ func (e *Env) Schedule(delay Time, fn func()) {
 
 // At runs fn at absolute time t (clamped to now).
 func (e *Env) At(t Time, fn func()) {
-	e.Schedule(t-e.now, fn)
+	e.After(t-e.now, fn)
 }
 
 // Every runs fn at the given period starting after one period, until the
@@ -99,10 +104,10 @@ func (e *Env) Every(period Time, fn func() bool) {
 	var tick func()
 	tick = func() {
 		if fn() {
-			e.Schedule(period, tick)
+			e.After(period, tick)
 		}
 	}
-	e.Schedule(period, tick)
+	e.After(period, tick)
 }
 
 // Run processes events until the queue is empty or virtual time would
@@ -179,7 +184,7 @@ func (q *Queue) Offer(service Time, done func()) bool {
 
 func (q *Queue) start(j *job) {
 	q.busy = true
-	q.env.Schedule(j.service, func() {
+	q.env.After(j.service, func() {
 		q.Served++
 		if j.done != nil {
 			j.done()

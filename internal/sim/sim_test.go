@@ -8,9 +8,9 @@ import (
 func TestEventOrdering(t *testing.T) {
 	env := NewEnv(1)
 	var order []int
-	env.Schedule(3, func() { order = append(order, 3) })
-	env.Schedule(1, func() { order = append(order, 1) })
-	env.Schedule(2, func() { order = append(order, 2) })
+	env.After(3, func() { order = append(order, 3) })
+	env.After(1, func() { order = append(order, 1) })
+	env.After(2, func() { order = append(order, 2) })
 	env.Run(10)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v", order)
@@ -25,7 +25,7 @@ func TestSameTimeFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
-		env.Schedule(1, func() { order = append(order, i) })
+		env.After(1, func() { order = append(order, i) })
 	}
 	env.Run(2)
 	for i, v := range order {
@@ -38,8 +38,8 @@ func TestSameTimeFIFO(t *testing.T) {
 func TestRunUntilBoundary(t *testing.T) {
 	env := NewEnv(1)
 	fired := 0
-	env.Schedule(5, func() { fired++ })
-	env.Schedule(15, func() { fired++ })
+	env.After(5, func() { fired++ })
+	env.After(15, func() { fired++ })
 	n := env.Run(10)
 	if n != 1 || fired != 1 {
 		t.Fatalf("processed %d fired %d", n, fired)
@@ -56,9 +56,9 @@ func TestRunUntilBoundary(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	env := NewEnv(1)
 	var times []Time
-	env.Schedule(1, func() {
+	env.After(1, func() {
 		times = append(times, env.Now())
-		env.Schedule(1, func() {
+		env.After(1, func() {
 			times = append(times, env.Now())
 		})
 	})
@@ -86,7 +86,7 @@ func TestDeterminism(t *testing.T) {
 		env := NewEnv(42)
 		var samples []float64
 		for i := 0; i < 100; i++ {
-			env.Schedule(env.Exp(1.0), func() {
+			env.After(env.Exp(1.0), func() {
 				samples = append(samples, env.Now())
 			})
 		}
@@ -111,7 +111,7 @@ func TestMonotoneProperty(t *testing.T) {
 		last := -1.0
 		okOrder := true
 		for _, d := range delays {
-			env.Schedule(float64(d)/100, func() {
+			env.After(float64(d)/100, func() {
 				if env.Now() < last {
 					okOrder = false
 				}
