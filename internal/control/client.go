@@ -31,6 +31,9 @@ type Client struct {
 
 	sendMu sync.Mutex
 	xid    atomic.Uint32
+	// notice is the frame NotifyFlowRemoved fills, reused by every
+	// call; guarded by sendMu.
+	notice openflow.FlowRemoved
 
 	mu       sync.Mutex
 	pending  map[uint32]pendingSlot
@@ -272,27 +275,39 @@ func (c *Client) SendNFMessage(_ context.Context, src flowtable.ServiceID, m nf.
 	return nil
 }
 
+// noticeEntries caps the removals one FlowRemoved frame carries, far
+// under openflow.MaxFlowRemovedEntries, so that the entry lists this
+// client and the controller reuse from frame to frame stay small.
+const noticeEntries = 256
+
 // NotifyFlowRemoved implements Southbound. Like SendNFMessage it is
-// fire-and-forget: the removals are framed and written, split across as
-// many frames as the 64 KiB frame limit requires, and no reply is
-// awaited — eviction notices are advisory, and blocking the sweeper
-// goroutine on a controller round trip would stall eviction.
+// fire-and-forget: the removals are framed, noticeEntries to a frame, and
+// written up to 32 KiB at a time, and no reply is awaited — eviction
+// notices are advisory, and blocking the sweeper goroutine on a
+// controller round trip would stall eviction.
 func (c *Client) NotifyFlowRemoved(_ context.Context, removals []FlowRemoved) error {
+	c.sendMu.Lock()
+	defer c.sendMu.Unlock()
+	m := &c.notice
 	for len(removals) > 0 {
-		n := min(len(removals), openflow.MaxFlowRemovedEntries)
-		m := openflow.FlowRemoved{Removals: make([]openflow.FlowRemovedEntry, n)}
-		for i, r := range removals[:n] {
-			m.Removals[i] = openflow.FlowRemovedEntry{
+		n := min(len(removals), noticeEntries)
+		m.Removals = m.Removals[:0]
+		for _, r := range removals[:n] {
+			m.Removals = append(m.Removals, openflow.FlowRemovedEntry{
 				Scope:  r.Scope,
 				Match:  r.Match,
 				RuleID: r.RuleID,
 				Reason: uint8(r.Reason),
-			}
-		}
-		if err := c.send(m, c.nextXID()); err != nil {
-			return fmt.Errorf("%w: %v", ErrStopped, err)
+			})
 		}
 		removals = removals[n:]
+		err := c.oc.Queue(m, c.nextXID())
+		if err == nil && (len(removals) == 0 || c.oc.Queued() >= 1<<15) {
+			err = c.oc.Flush()
+		}
+		if err != nil {
+			return fmt.Errorf("%w: %v", ErrStopped, err)
+		}
 	}
 	return nil
 }

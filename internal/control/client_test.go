@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -264,7 +265,7 @@ func TestClientFlowRemovedWire(t *testing.T) {
 			// The app counts the notices before the test is told, so
 			// the FlowsRemoved check below cannot outrun it.
 			err := a.HandleFlowRemoved(ctx, dp, removals)
-			got <- seen{dp, removals}
+			got <- seen{dp, slices.Clone(removals)} // the caller reuses removals
 			return err
 		},
 	})

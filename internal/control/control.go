@@ -167,7 +167,8 @@ type Southbound interface {
 	// NotifyFlowRemoved reports a batch of rules the datapath evicted by
 	// timeout (OpenFlow flow-removed), so the controller and application
 	// tiers can drop their side of the per-flow state. Notifications are
-	// fire-and-forget: wire backends may return nil before delivery.
+	// fire-and-forget: wire backends may return nil before delivery. The
+	// caller reuses removals once the call returns: keep none of it.
 	NotifyFlowRemoved(ctx context.Context, removals []FlowRemoved) error
 }
 
@@ -188,6 +189,8 @@ type Northbound interface {
 	HandleNFMessage(ctx context.Context, dp DatapathID, src flowtable.ServiceID, m nf.Message) error
 	// HandleFlowRemoved records a batch of timeout evictions reported by
 	// datapath dp, letting the application release per-flow bookkeeping.
+	// The caller reuses removals once the call returns: it must not be
+	// retained, so copy what you keep.
 	HandleFlowRemoved(ctx context.Context, dp DatapathID, removals []FlowRemoved) error
 }
 

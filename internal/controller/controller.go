@@ -553,6 +553,7 @@ func (c *Controller) serveConn(conn net.Conn) error {
 			_ = ch.seal(b)
 		}
 	}()
+	var removals []control.FlowRemoved // every notice's, in turn
 	for {
 		msg, hdr, err := oc.Recv()
 		if err != nil {
@@ -608,19 +609,20 @@ func (c *Controller) serveConn(conn net.Conn) error {
 					return err
 				}
 			}
-		case openflow.FlowRemoved:
+		case *openflow.FlowRemoved:
 			// Eviction notices from the host's sweeper. Fire-and-forget on
 			// the wire (no reply frame, so a refused notice is only
 			// counted), and cold enough to handle inline rather than
-			// through the worker pool.
-			removals := make([]control.FlowRemoved, len(m.Removals))
-			for i, e := range m.Removals {
-				removals[i] = control.FlowRemoved{
+			// through the worker pool. The northbound keeps nothing of
+			// removals, so the next notice reuses it.
+			removals = removals[:0]
+			for _, e := range m.Removals {
+				removals = append(removals, control.FlowRemoved{
 					Scope:  e.Scope,
 					Match:  e.Match,
 					RuleID: e.RuleID,
 					Reason: control.FlowRemovedReason(e.Reason),
-				}
+				})
 			}
 			if err := sess.NotifyFlowRemoved(context.Background(), removals); err != nil {
 				sess.noticesFailed.Add(1)

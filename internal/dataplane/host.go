@@ -150,7 +150,14 @@ type HostStats struct {
 	// NoticesRefused counts flow-removed notices (one per evicted rule)
 	// the southbound refused to carry upstream. Eviction itself is not
 	// undone; the count makes the lost notice visible.
-	NoticesRefused uint64          `metric:"control_notices_refused_total" help:"Flow-removed notices the southbound refused to carry upstream."`
+	NoticesRefused uint64 `metric:"control_notices_refused_total" help:"Flow-removed notices the southbound refused to carry upstream."`
+	// ResolveBatches counts the Flow Controller's southbound ResolveBatch
+	// calls. ResolveNanos is their total wall time, and InstallNanos the
+	// total time spent installing their answers (Table.AddBatch), so
+	// either over ResolveBatches is the mean cost of one batch.
+	ResolveBatches uint64          `metric:"host_fc_resolve_batches_total" help:"Flow Controller southbound ResolveBatch calls."`
+	ResolveNanos   uint64          `metric:"host_fc_resolve_nanos_total" help:"Wall time the Flow Controller spent in ResolveBatch, in nanoseconds."`
+	InstallNanos   uint64          `metric:"host_fc_install_nanos_total" help:"Time the Flow Controller spent installing resolved rules, in nanoseconds."`
 	Pool           mempool.Stats   `metric:"host_pool_"`
 	Table          flowtable.Stats `metric:"flowtable_"`
 	// Replicas is the per-replica telemetry snapshot (queue depth,
@@ -282,6 +289,17 @@ type Host struct {
 	msgDropped      atomic.Uint64
 	releaseErrCount atomic.Uint64
 	noticesRefused  atomic.Uint64
+	resolveBatches  atomic.Uint64
+	resolveNanos    atomic.Uint64
+	installNanos    atomic.Uint64
+
+	// notices is onFlowEvicted's buffer, reused by every sweep tick, and
+	// quiet counts the ticks in a row that used under an eighth of it; the
+	// twentieth lets it go, so a past peak does not stay on the heap. Only
+	// the sweeper goroutine touches them, and the southbound keeps none of
+	// the buffer.
+	notices []control.FlowRemoved
+	quiet   int
 
 	stop atomic.Bool
 	wg   sync.WaitGroup
@@ -1045,6 +1063,9 @@ func (h *Host) Stats() HostStats {
 		MsgsRejected:   h.msgRejected.Load(),
 		MsgsDropped:    h.msgDropped.Load(),
 		NoticesRefused: h.noticesRefused.Load(),
+		ResolveBatches: h.resolveBatches.Load(),
+		ResolveNanos:   h.resolveNanos.Load(),
+		InstallNanos:   h.installNanos.Load(),
 		Pool:           h.pool.Stats(),
 		Table:          h.table.Stats(),
 		Replicas:       replicas,
@@ -1570,7 +1591,8 @@ func (h *Host) resolveEntry(d *Desc) (e *flowtable.Entry, ok bool) {
 // rule AT its own scope, so the eviction at scope S names exactly the
 // replicas whose state is dead — and forwards the batch upstream as one
 // typed flow-removed notification so the controller session and the
-// application tier drop their view of the flows.
+// application tier drop their view of the flows. evs is the sweeper's
+// buffer: nothing of it outlives the call.
 func (h *Host) onFlowEvicted(evs []flowtable.Evicted) {
 	h.mu.Lock()
 	for _, ev := range evs {
@@ -1589,18 +1611,23 @@ func (h *Host) onFlowEvicted(evs []flowtable.Evicted) {
 	if h.cfg.Control == nil {
 		return
 	}
-	removals := make([]control.FlowRemoved, len(evs))
-	for i, ev := range evs {
+	removals := h.notices[:0]
+	for _, ev := range evs {
 		reason := control.RemovedIdleTimeout
 		if ev.Reason == flowtable.EvictHard {
 			reason = control.RemovedHardTimeout
 		}
-		removals[i] = control.FlowRemoved{
+		removals = append(removals, control.FlowRemoved{
 			Scope:  ev.Scope,
 			Match:  ev.Match,
 			RuleID: ev.ID,
 			Reason: reason,
-		}
+		})
+	}
+	if h.notices, h.quiet = removals, h.quiet+1; len(removals) >= cap(removals)/8 {
+		h.quiet = 0
+	} else if h.quiet == 20 {
+		h.notices, h.quiet = nil, 0 // the load fell: let the peak's buffer go
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), resolveTimeout)
 	defer cancel()
@@ -1836,8 +1863,15 @@ func (h *Host) resolveMisses(snap *routeSnap, s *burstScratch, miss, producer in
 		s.slot[i] = j
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), resolveTimeout)
+	// The deadline is the clock WithTimeout read, plus resolveTimeout:
+	// the batch's start, with no clock read of its own.
+	start, _ := ctx.Deadline()
+	start = start.Add(-resolveTimeout)
 	h.cfg.Control.ResolveBatch(ctx, s.reqs[:uniq], s.results[:uniq])
 	cancel()
+	resolved := time.Now()
+	h.resolveBatches.Add(1)
+	h.resolveNanos.Add(uint64(resolved.Sub(start)))
 	// Install every returned rule in one batched write, then re-route the
 	// survivors in one table pass.
 	s.rules = s.rules[:0]
@@ -1854,6 +1888,7 @@ func (h *Host) resolveMisses(snap *routeSnap, s *burstScratch, miss, producer in
 			_, _ = h.table.Add(rule)
 		}
 	}
+	h.installNanos.Add(uint64(time.Since(resolved)))
 	live := 0
 	for i := 0; i < miss; i++ {
 		if s.results[s.slot[i]].Err != nil {

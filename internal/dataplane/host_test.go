@@ -431,6 +431,29 @@ func (r *batchRecorder) calls() [][]control.ResolveRequest {
 	return append([][]control.ResolveRequest(nil), r.batches...)
 }
 
+// TestFlowControllerTimeCounters: each miss the Flow Controller resolves
+// on its own is one ResolveBatch, and HostStats counts it, with the time
+// spent in the call and in installing its answer each advancing.
+func TestFlowControllerTimeCounters(t *testing.T) {
+	sb := &batchRecorder{gate: make(chan struct{})}
+	close(sb.gate)
+	h, out := startHost(t, Config{Control: sb}, nil)
+	var last HostStats
+	for i := 1; i <= 3; i++ {
+		if err := h.Inject(0, buildFrame(t, uint16(9600+i), nil)); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, func() bool { return out.count() == i }, "miss-resolved packet out")
+		st := h.Stats()
+		if calls := len(sb.calls()); st.ResolveBatches != uint64(calls) || calls != i ||
+			st.ResolveNanos <= last.ResolveNanos || st.InstallNanos <= last.InstallNanos {
+			t.Fatalf("after miss %d (%d calls): batches %d, resolve ns %d -> %d, install ns %d -> %d",
+				i, calls, st.ResolveBatches, last.ResolveNanos, st.ResolveNanos, last.InstallNanos, st.InstallNanos)
+		}
+		last = st
+	}
+}
+
 // TestFlowControllerOneCallPerBacklog: while the Flow Controller waits
 // on one resolution, four bursts of 32 new flows queue behind it, one
 // flow repeated in all four. The next ResolveBatch carries every pending

@@ -9,6 +9,7 @@ package flowtable
 // the race detector, whose instrumentation changes allocation behavior.
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -25,9 +26,9 @@ func allocTestKey(i int) packet.FlowKey {
 	}
 }
 
-// The layout layeredTable builds: rules [0, inBase) in the base, the
-// next inDelta in the delta, and rule tombstoned (live were it not
-// deleted) a tombstone.
+// The layout layeredTable builds: rules [0, inBase) from a first batch,
+// the next inDelta from a second written in place into the same array,
+// and rule tombstoned (live were it not deleted) a tombstone.
 const (
 	inBase     = 300
 	inDelta    = 64
@@ -35,10 +36,10 @@ const (
 )
 
 // layeredTable installs rule(i) at Port(0) for every i in the layout, so
-// that lookups resolve through every layer of the scope's exact set: the
-// first batch is past the fold budget of an empty base and becomes the
-// base, the second sits in the delta, and deleting a base rule leaves a
-// tombstone that must read as a miss.
+// that lookups resolve through every kind of slot of the scope's array:
+// rules of the batch that sized it, rules written into it in place, and
+// a deleted rule's tombstone, which must read as a miss and which
+// lookups for other keys probe past.
 func layeredTable(t *testing.T, rule func(i int) Rule) (*Table, []packet.FlowKey) {
 	t.Helper()
 	tb := New()
@@ -50,22 +51,27 @@ func layeredTable(t *testing.T, rule func(i int) Rule) (*Table, []packet.FlowKey
 		rules[i].Scope, rules[i].Match = Port(0), ExactMatch(keys[i])
 	}
 	var gone uint64
+	var first *flatTab
 	for _, batch := range [][]Rule{rules[:inBase], rules[inBase:]} {
 		ids, err := tb.AddBatch(batch)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if gone == 0 {
-			gone = ids[tombstoned]
+			gone, first = ids[tombstoned], scopeSet(tb, Port(0)).tab.Load()
 		}
 	}
 	if err := tb.Delete(gone); err != nil {
 		t.Fatal(err)
 	}
-	set := tb.shards[shardIndex(Port(0))].snap.Load().exact[Port(0)]
-	k := keys[tombstoned]
-	if e := set.delta.find(k, k.Hash()); set.base.n != inBase || set.delta.n != inDelta+1 || e != tombstone {
-		t.Fatalf("layout: base %d, delta %d, tombstone present=%v", set.base.n, set.delta.n, e == tombstone)
+	set := scopeSet(tb, Port(0))
+	tab, h := set.tab.Load(), keys[tombstoned].Hash()
+	dead := false
+	for i := range tab.slots {
+		dead = dead || tab.slots[i].hash == h && tab.slots[i].e.Load() == tombstone
+	}
+	if tab != first || set.n.Load() != inBase+inDelta-1 || !dead {
+		t.Fatalf("layout: same array %v, %d rules, tombstone present=%v", tab == first, set.n.Load(), dead)
 	}
 	return tb, keys
 }
@@ -78,13 +84,13 @@ func TestLookupZeroAlloc(t *testing.T) {
 		scopes[i] = Port(0)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		for _, i := range []int{0, inBase} { // through the base, through the delta
+		for _, i := range []int{0, inBase} { // from the first batch, written in place
 			if e, err := tb.Lookup(Port(0), keys[i]); err != nil || e == nil {
 				t.Fatalf("lookup of key %d missed a rule that was added", i)
 			}
 		}
 		if _, err := tb.Lookup(Port(0), keys[tombstoned]); err == nil {
-			t.Fatal("deleted base rule answered")
+			t.Fatal("deleted rule answered")
 		}
 	}); n != 0 {
 		t.Errorf("Lookup allocates %.1f/op, want 0", n)
@@ -100,8 +106,8 @@ func TestLookupZeroAlloc(t *testing.T) {
 // lifecycle armed: every rule carries idle+hard timeouts, the coarse
 // clock is running, and half the rules are already expired so the
 // expiry-as-miss path is exercised too. Both the touch (hit) path and
-// the expired (miss) path must stay allocation-free, in the base and in
-// the delta.
+// the expired (miss) path must stay allocation-free, for rules of either
+// batch.
 func TestLookupWithExpiryZeroAlloc(t *testing.T) {
 	tb, keys := layeredTable(t, func(i int) Rule {
 		idle := time.Hour
@@ -126,7 +132,7 @@ func TestLookupWithExpiryZeroAlloc(t *testing.T) {
 			}
 		}
 		if _, err := tb.Lookup(Port(0), keys[tombstoned]); err == nil {
-			t.Fatal("deleted base rule answered")
+			t.Fatal("deleted rule answered")
 		}
 	}); n != 0 {
 		t.Errorf("Lookup with expiry checks allocates %.1f/op, want 0", n)
@@ -152,5 +158,47 @@ func TestMatchNoAllocs(t *testing.T) {
 	}
 	if !ok || !m.IsExact() {
 		t.Fatalf("ExactMatch(%v) = %v", k, m)
+	}
+}
+
+// TestSweepTickReusesBuffer: the sweeper appends each tick's evictions
+// to one buffer it keeps, so once a tick has grown it, a tick that
+// evicts 1 024 rules allocates no more than one that evicts 64. The
+// untimed residents keep the scope from shrinking under the evictions.
+func TestSweepTickReusesBuffer(t *testing.T) {
+	tb := New()
+	next := 0
+	install := func(n int, idle time.Duration) {
+		t.Helper()
+		rules := make([]Rule, n)
+		for i := range rules {
+			k := packet.FlowKey{SrcIP: packet.IPv4(10, 1, byte(next>>8), byte(next)), DstIP: packet.IPv4(10, 0, 0, 2), DstPort: 80, Proto: packet.ProtoUDP}
+			rules[i] = Rule{Scope: Port(0), Match: ExactMatch(k), Actions: []Action{Out(1)}, IdleTimeout: idle}
+			next++
+		}
+		if _, err := tb.AddBatch(rules); err != nil {
+			t.Fatal(err)
+		}
+	}
+	install(8192, -1)
+	var buf []Evicted
+	tick := func(n int) (mallocs, bytes uint64) {
+		t.Helper()
+		install(n, time.Millisecond)
+		tb.Advance(2 * time.Millisecond)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		buf = tb.sweep(buf[:0])
+		runtime.ReadMemStats(&after)
+		if len(buf) != n {
+			t.Fatalf("tick evicted %d, want %d", len(buf), n)
+		}
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+	}
+	tick(1024) // grows the buffer
+	smallN, smallB := tick(64)
+	bigN, bigB := tick(1024)
+	if bigN > smallN || bigB > smallB {
+		t.Fatalf("a tick evicting 1024 allocated %d objects / %d B, one evicting 64 %d / %d B", bigN, bigB, smallN, smallB)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sdnfv/internal/packet"
 )
@@ -295,6 +296,101 @@ func TestConcurrentTableChurn(t *testing.T) {
 	}
 	stopFlag.Store(true)
 	wg.Wait()
+}
+
+// TestLookupsDuringInPlaceWrites runs lock-free lookups against every
+// writer that changes a scope's slot array in place — AddBatch growing it
+// through rebuilds, Delete and Sweep leaving tombstones and shrinking it,
+// UpdateDefault rewriting its rules (wildcard and exact) — and checks
+// every returned entry against its key. The pinned rules, installed
+// before the readers start and never removed, must answer every lookup,
+// under the ID they were installed with: a rebuild publishes a complete
+// array, and no slot ever empties. Run with -race.
+func TestLookupsDuringInPlaceWrites(t *testing.T) {
+	const pinned, churn, keyspace, rounds = 256, 512, 2048, 64
+	scope := Port(0)
+	flow := func(i int) packet.FlowKey {
+		return packet.FlowKey{
+			SrcIP: packet.IPv4(10, 0, byte(i>>8), byte(i)), DstIP: packet.IPv4(10, 255, 0, 1),
+			SrcPort: uint16(i), DstPort: 80, Proto: packet.ProtoUDP,
+		}
+	}
+	keys := make([]packet.FlowKey, pinned+keyspace)
+	rules := make([]Rule, pinned)
+	for i := range keys {
+		keys[i] = flow(i)
+	}
+	for i := range rules {
+		rules[i] = Rule{Scope: scope, Match: ExactMatch(keys[i]), Actions: []Action{Forward(1), Forward(2)}}
+	}
+	tb := New()
+	ids, err := tb.AddBatch(rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			scopes := make([]ServiceID, len(keys))
+			for i := range scopes {
+				scopes[i] = scope
+			}
+			out := make([]*Entry, len(keys))
+			for i := 0; !stop.Load(); i++ {
+				tb.LookupBatch(scopes, keys, out)
+				if e, err := tb.Lookup(scope, keys[i%pinned]); err != nil || e.ID != ids[i%pinned] {
+					t.Errorf("Lookup of pinned rule %d: %v, %v", i%pinned, e, err)
+					return
+				}
+				for j, e := range out {
+					switch {
+					case e == nil && j < pinned:
+						t.Errorf("pinned rule %d missed", j)
+						return
+					case e == nil:
+					case e.Match != ExactMatch(keys[j]) || j < pinned && e.ID != ids[j]:
+						t.Errorf("key %d answered by rule %d %v", j, e.ID, e.Match)
+						return
+					}
+				}
+			}
+		}()
+	}
+	arrays := map[*flatTab]bool{}
+	batch := make([]Rule, churn)
+	for round := 0; round < rounds && !t.Failed(); round++ {
+		for j := range batch {
+			k := keys[pinned+(round*churn+j)%keyspace]
+			batch[j] = Rule{Scope: scope, Match: ExactMatch(k), Actions: []Action{Forward(2), Forward(1)}, IdleTimeout: time.Millisecond}
+		}
+		got, err := tb.AddBatch(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arrays[scopeSet(tb, scope).tab.Load()] = true
+		switch round % 4 {
+		case 0:
+			_ = tb.Delete(got[:churn/2]...)
+		case 1:
+			tb.UpdateDefault(scope, MatchAll, Forward(2), true)
+		case 2:
+			for i := 0; i < pinned; i += 16 {
+				tb.UpdateDefault(scope, ExactMatch(keys[i]), Forward(1), true)
+			}
+		default:
+			tb.Advance(2 * time.Millisecond)
+			tb.Sweep()
+		}
+		arrays[scopeSet(tb, scope).tab.Load()] = true
+	}
+	stop.Store(true)
+	wg.Wait()
+	if len(arrays) < 4 {
+		t.Fatalf("the writes published %d arrays: too few rebuilds to test", len(arrays))
+	}
 }
 
 // BenchmarkLookupParallel measures the lock-free lookup under reader

@@ -3,149 +3,174 @@ package flowtable
 import (
 	"iter"
 	"math/bits"
-	"slices"
+	"sync/atomic"
 
 	"sdnfv/internal/packet"
 )
 
-// exactSet is one scope's exact-match rules: a large immutable base that
-// every snapshot published since the last fold shares, plus a small
-// copy-on-write delta holding the writes since. A writer clones only the
-// delta, so installing a batch into a 262 144-rule scope copies the few
-// hundred rules written since the last fold, not the scope.
+// exactSet is one scope's exact-match rules: one open-addressed slot
+// array that writers change in place under the shard mutex while lookups
+// read it without a lock. A slot is written once from empty to an entry;
+// after that it only takes another entry under the same key (an atomic
+// pointer store) or the tombstone, so a key once placed never moves and
+// a probe run only ever grows. A lookup therefore finds every rule that
+// was live when it loaded the array, or that rule's replacement.
+//
+// Tombstones still fill slots, so the load limit counts them. An insert
+// that would push live rules plus tombstones past 4/5 of the array, and
+// a removal that leaves the rules under a quarter of it, rebuild the
+// scope into a fresh array at a 3/5 load (1⅓× the rules at the 4/5
+// limit, so 16-byte slots cost 20–27 bytes per rule) and publish it with
+// one atomic store. A lookup still holding the old array reads a stale
+// but whole table: no writer touches an array once its successor is
+// published. Each rule a write installs or removes is visible on its
+// own, so a write of many rules is not visible atomically per shard; no
+// reader needs it to be, because lookups are per key and writers stay
+// serialized by the shard mutex.
 type exactSet struct {
-	// base is the folded bulk of the set, never written after the fold
-	// that built it.
-	base *flatTab
-	// delta shadows base: an entry adds or replaces the rule under its
-	// key, tombstone marks a deleted base rule.
-	delta flatTab
-	n     int // live rules: the delta's non-tombstone entries plus the base keys it does not shadow
+	tab atomic.Pointer[flatTab]
+	// n counts the live rules. Writers, serialized by the shard mutex,
+	// load and store it without a locked add; Len reads it lock-free.
+	n atomic.Int64
 }
 
-// tombstone is the delta entry that deletes a base rule; never returned.
+// flatTab is one slot array, probed linearly from the home slot that
+// fastrange maps packet.FlowKey.Hash to, so its size need not be a power
+// of two. The load limit leaves an empty slot to end every probe.
+type flatTab struct {
+	slots []slot
+	used  int // slots holding an entry or a tombstone; writers only
+}
+
+// slot is one cell of a flatTab: the key's hash, written before the entry
+// is first stored and never after, and the entry; nil marks it empty.
+type slot struct {
+	hash uint64
+	e    atomic.Pointer[Entry]
+}
+
+// tombstone fills the slot of a removed rule; never returned.
 var tombstone = &Entry{}
 
+// newExactSet returns an empty set with an array of its own.
+func newExactSet() *exactSet {
+	s := new(exactSet)
+	s.rebuild(0)
+	return s
+}
+
 // find resolves k, whose hash is h, in the set; a nil set holds nothing.
-// An empty delta costs no probe, so a freshly folded scope costs one.
 //
 //sdnfv:hotpath
 func (s *exactSet) find(k packet.FlowKey, h uint64) *Entry {
 	if s == nil {
 		return nil
 	}
-	e := s.delta.find(k, h)
-	if e == nil {
-		return s.base.find(k, h)
-	}
-	if e == tombstone {
-		return nil
-	}
+	_, e := s.tab.Load().probe(k, h)
 	return e
 }
 
-// shadowed reports whether the delta holds k, replacing or deleting the
-// base rule under it.
-func (s *exactSet) shadowed(k packet.FlowKey) bool {
-	return s.delta.n != 0 && s.delta.find(k, k.Hash()) != nil
-}
-
-// all yields every live rule: the delta's, then the base rules the delta
-// does not shadow.
-func (s *exactSet) all() iter.Seq2[packet.FlowKey, *Entry] {
-	return func(yield func(packet.FlowKey, *Entry) bool) {
-		for _, sl := range s.delta.slots {
-			if sl.e != nil && sl.e != tombstone && !yield(sl.key, sl.e) {
-				return
-			}
-		}
-		for _, sl := range s.base.slots {
-			if sl.e != nil && !s.shadowed(sl.key) && !yield(sl.key, sl.e) {
+// all yields every live rule of the array current when it starts.
+func (s *exactSet) all() iter.Seq[*Entry] {
+	return func(yield func(*Entry) bool) {
+		t := s.tab.Load()
+		for i := range t.slots {
+			if e := t.slots[i].e.Load(); e != nil && e != tombstone && !yield(e) {
 				return
 			}
 		}
 	}
 }
 
-// put installs e under k in a private set and returns the rule it
-// replaces, or nil.
-func (s *exactSet) put(k packet.FlowKey, e *Entry) *Entry {
+// claim returns k's slot and the live rule in it, or, when k has none, an
+// empty slot stamped with k's hash and counted as used, rebuilding first
+// if the insert would pass the load limit. The caller stores the entry it
+// publishes in the slot before anything else writes the set. Caller holds
+// the shard mutex.
+func (s *exactSet) claim(k packet.FlowKey) (*slot, *Entry) {
 	h := k.Hash()
-	old := s.delta.set(k, h, e)
-	if old == nil {
-		old = s.base.find(k, h)
+	t := s.tab.Load()
+	sl, old := t.probe(k, h)
+	if old != nil {
+		return sl, old
 	}
-	if old == nil || old == tombstone {
-		s.n++
-		return nil
+	if (t.used+1)*5 > len(t.slots)*4 {
+		t = s.rebuild(int(s.n.Load()) + 1)
+		sl, _ = t.probe(k, h)
 	}
+	sl.hash = h
+	t.used++
+	s.n.Store(s.n.Load() + 1)
+	return sl, nil
+}
+
+// put installs e under k and returns the live rule it replaces, or nil.
+// Caller holds the shard mutex.
+func (s *exactSet) put(k packet.FlowKey, e *Entry) *Entry {
+	sl, old := s.claim(k)
+	sl.e.Store(e)
 	return old
 }
 
-// del removes the live rule under k from a private set.
-func (s *exactSet) del(k packet.FlowKey) {
-	h := k.Hash()
-	if s.base.find(k, h) != nil {
-		s.delta.set(k, h, tombstone)
-	} else {
-		s.delta.remove(k, h)
+// drop turns e's slot into a tombstone and reports whether the set held
+// e; a set left under a quarter full is rebuilt smaller. Caller holds the
+// shard mutex.
+func (s *exactSet) drop(e *Entry) bool {
+	t := s.tab.Load()
+	sl, cur := t.probe(e.Match.Key, e.Match.Key.Hash())
+	if cur != e {
+		return false
 	}
-	s.n--
+	sl.e.Store(tombstone)
+	n := s.n.Load() - 1
+	if s.n.Store(n); n > 0 && n*4 < int64(len(t.slots)) {
+		s.rebuild(int(n))
+	}
+	return true
 }
 
-// fold merges the delta into a new base once the delta outgrows its
-// budget of 256 rules plus an eighth of the base. The budget keeps a
-// write's delta clone a small fraction of a large scope, while a fold's
-// copy of the scope is paid for by the writes that filled the delta: at
-// most eight rule copies per write, amortized.
-//
-// The folded base needs size slots for a 4/5 load. When the old base's
-// array has between size and 2×size slots, the fold copies that array and
-// replays the delta over it — tombstones first, so no set can grow it —
-// which copies slots instead of rehashing every rule. A set that has
-// grown past the array, or shrunk below half of it after a mass expiry,
-// is rebuilt at exactly size slots, so shard memory follows the rules.
-func (s *exactSet) fold() {
-	if s.delta.n <= 256+s.base.n/8 {
+// reserve makes room for the new keys among rules, so that installing
+// them all takes at most this one rebuild. Caller holds the shard mutex.
+func (s *exactSet) reserve(rules []Rule) {
+	t := s.tab.Load()
+	if (t.used+len(rules))*5 <= len(t.slots)*4 {
 		return
 	}
-	size := max(8, (s.n*5+3)/4)
-	var tab flatTab
-	if n := len(s.base.slots); n >= size && n < 2*size {
-		tab = flatTab{slots: slices.Clone(s.base.slots), n: s.base.n}
-		for _, sl := range s.delta.slots {
-			if sl.e == tombstone {
-				tab.remove(sl.key, sl.key.Hash())
-			}
-		}
-		for _, sl := range s.delta.slots {
-			if sl.e != nil && sl.e != tombstone {
-				tab.set(sl.key, sl.key.Hash(), sl.e)
-			}
-		}
-	} else {
-		tab = flatTab{slots: make([]slot, size)}
-		for k, e := range s.all() {
-			tab.set(k, k.Hash(), e)
+	fresh := 0
+	for _, r := range rules {
+		if r.Match.IsExact() && s.find(r.Match.Key, r.Match.Key.Hash()) == nil {
+			fresh++
 		}
 	}
-	s.base, s.delta = &tab, flatTab{}
+	if (t.used+fresh)*5 > len(t.slots)*4 {
+		s.rebuild(int(s.n.Load()) + fresh)
+	}
 }
 
-// flatTab is an open-addressed hash table from FlowKey to *Entry: one
-// slot array, probed linearly from the home slot fastrange maps
-// packet.FlowKey.Hash to, so the size need not be a power of two. A write
-// that would pass a 4/5 load doubles the array, so an empty slot ends
-// every probe; deletion shifts the probe run back over the hole.
-type flatTab struct {
-	slots []slot
-	n     int
-}
-
-// slot is one cell of a flatTab; a nil e marks it empty.
-type slot struct {
-	key packet.FlowKey
-	e   *Entry
+// rebuild copies the live rules, without tombstones, into a fresh array
+// sized for need rules at a 3/5 load, and publishes it.
+func (s *exactSet) rebuild(need int) *flatTab {
+	nt := &flatTab{slots: make([]slot, max(8, need*5/3))}
+	if t := s.tab.Load(); t != nil {
+		for i := range t.slots {
+			sl := &t.slots[i]
+			e := sl.e.Load()
+			if e == nil || e == tombstone {
+				continue
+			}
+			j := nt.home(sl.hash)
+			for nt.slots[j].e.Load() != nil {
+				if j++; j == len(nt.slots) {
+					j = 0
+				}
+			}
+			nt.slots[j].hash = sl.hash
+			nt.slots[j].e.Store(e)
+			nt.used++
+		}
+	}
+	s.tab.Store(nt)
+	return nt
 }
 
 // home is the slot a key hashing to h probes first.
@@ -156,79 +181,19 @@ func (t *flatTab) home(h uint64) int {
 	return int(hi)
 }
 
-// find returns the entry under k, whose hash is h, or nil.
+// probe returns k's slot and its live entry, or the empty slot that ends
+// k's probe run and nil. A slot's hash is read only once its entry has
+// been seen, so it is never read while a writer stamps it.
 //
 //sdnfv:hotpath
-func (t *flatTab) find(k packet.FlowKey, h uint64) *Entry {
-	if t.n == 0 {
-		return nil
-	}
-	i, _ := t.probe(k, h)
-	return t.slots[i].e
-}
-
-// touch loads the home slot of hash h and returns a word of it.
-//
-//sdnfv:hotpath
-func (t *flatTab) touch(h uint64) uint64 {
-	if t.n == 0 {
-		return 0
-	}
-	return uint64(t.slots[t.home(h)].key.SrcIP)
-}
-
-// probe returns the index of k's slot, or of the empty slot that ends its
-// probe run, and whether k is there. The table must have a slot.
-//
-//sdnfv:hotpath
-func (t *flatTab) probe(k packet.FlowKey, h uint64) (int, bool) {
+func (t *flatTab) probe(k packet.FlowKey, h uint64) (*slot, *Entry) {
 	for i := t.home(h); ; {
-		if sl := &t.slots[i]; sl.e == nil || sl.key == k {
-			return i, sl.e != nil
+		sl := &t.slots[i]
+		if e := sl.e.Load(); e == nil || sl.hash == h && e != tombstone && e.Match.Key == k {
+			return sl, e
 		}
 		if i++; i == len(t.slots) {
 			i = 0
 		}
 	}
-}
-
-// set stores e under k, whose hash is h, and returns the entry it
-// replaces, or nil.
-func (t *flatTab) set(k packet.FlowKey, h uint64, e *Entry) *Entry {
-	if (t.n+1)*5 > len(t.slots)*4 {
-		t.resize(max(8, 2*len(t.slots)))
-	}
-	i, ok := t.probe(k, h)
-	old := t.slots[i].e
-	t.slots[i] = slot{key: k, e: e}
-	if !ok {
-		t.n++
-	}
-	return old
-}
-
-// resize rehashes every key into a fresh array of size slots.
-func (t *flatTab) resize(size int) {
-	old := t.slots
-	t.slots, t.n = make([]slot, size), 0
-	for _, sl := range old {
-		if sl.e != nil {
-			t.set(sl.key, sl.key.Hash(), sl.e)
-		}
-	}
-}
-
-// remove deletes k, whose hash is h, which must be present. Each later
-// key of the probe run whose home is no nearer to it than the hole is
-// moves back into the hole, so every key stays reachable from its home.
-func (t *flatTab) remove(k packet.FlowKey, h uint64) {
-	hole, _ := t.probe(k, h)
-	n := len(t.slots)
-	for i := (hole + 1) % n; t.slots[i].e != nil; i = (i + 1) % n {
-		if sl := t.slots[i]; (i-t.home(sl.key.Hash())+n)%n >= (i-hole+n)%n {
-			t.slots[hole], hole = sl, i
-		}
-	}
-	t.slots[hole] = slot{}
-	t.n--
 }

@@ -22,22 +22,25 @@
 //
 // The paper forbids synchronization primitives on the packet path
 // ("locks ... can take tens of nanoseconds to acquire", §4.1). The table
-// is therefore sharded by scope, and each shard publishes an immutable
-// snapshot through an atomic pointer: Lookup is one atomic load, one key
-// hash and a flat-table probe (two while the scope has unfolded writes),
-// with no locks and no allocation on the exact-match hit path; LookupBatch
-// probes a burst in passes so that its cache misses overlap. Entries are
-// immutable after publication — mutations (Add, Delete, UpdateDefault)
-// build fresh entries and a fresh snapshot under a per-shard writer mutex,
-// then publish it atomically. Readers always observe a consistent
-// snapshot; a stale one at worst, never a torn one.
+// is therefore sharded by scope, and each shard publishes a snapshot of
+// its scopes through an atomic pointer: Lookup is one atomic load, one
+// key hash and a flat-table probe, with no locks and no allocation on
+// the exact-match hit path; LookupBatch probes a burst in passes so that
+// its cache misses overlap. Writers serialize on a per-shard mutex.
+// Entries are immutable after publication — mutations (Add, Delete,
+// UpdateDefault) publish fresh entries — so a reader holding an entry
+// holds a consistent, if stale, rule.
 //
-// A scope's exact-match rules are a flat open-addressed base table that
-// every snapshot shares plus a small copy-on-write delta table of the
-// writes since (a sentinel tombstone entry deletes a base key), so a write
-// copies the delta, not the scope. Once the delta outgrows 256 rules plus
-// an eighth of the base, the write that overflowed it folds both into a
-// new base at most 4/5 full.
+// A scope's exact-match rules are one open-addressed slot array that
+// writers change in place (see exactSet): installing, replacing or
+// evicting a rule is a probe and an atomic store, whatever the scope's
+// size. The snapshot itself — the scope maps and the wildcard lists — is
+// copy-on-write and republished only when a scope appears or disappears
+// or a wildcard list changes. A write of many rules is therefore not
+// visible atomically per shard: a lookup may see some of a batch's rules
+// before the rest. No reader needs more, because lookups are per key, and
+// writers stay serialized, so a read-then-write under the mutex (the
+// specialization of UpdateDefault) is still one step.
 package flowtable
 
 import (
@@ -352,84 +355,45 @@ const numShards = 16
 //sdnfv:hotpath
 func shardIndex(s ServiceID) int { return int(s) & (numShards - 1) }
 
-// snapshot is the immutable published state of one shard. Neither the
-// maps nor anything reachable from them is mutated after publication, bar
-// each entry's atomic idle clock and its writer-only expiry link; writers
-// clone the containers they need to change and publish a fresh snapshot.
+// snapshot is the published state of one shard. Its maps and wildcard
+// lists are never mutated after publication; writers clone the ones they
+// change and publish a fresh snapshot. The exact sets it points to are
+// the exception: they are shared by every snapshot from the one that
+// added the scope on, and written in place (see exactSet), so a write of
+// many exact rules is not seen atomically through a snapshot.
 type snapshot struct {
-	// exact[scope] -> the scope's exact-match rules, base plus delta
+	// exact[scope] -> the scope's exact-match rules
 	exact map[ServiceID]*exactSet
 	// wild[scope] -> wildcard entries, kept sorted most-specific-first
 	wild map[ServiceID][]*Entry
 
-	// privateExact / privateWild track which per-scope containers this
-	// (not-yet-published) snapshot already owns privately, so a batched
-	// write clones each scope's delta once instead of once per rule. Only
-	// the writer building the snapshot touches these; publish drops them.
-	privateExact map[ServiceID]bool
-	privateWild  map[ServiceID]bool
+	// privateWild tracks which wildcard lists this (not-yet-published)
+	// snapshot already owns privately, so a batched write clones each
+	// scope's list once instead of once per rule. Only the writer
+	// building the snapshot touches it; publish drops it.
+	privateWild map[ServiceID]bool
 }
 
 // emptySnapshot's maps are non-nil so that cloneTop's clones are too.
 var emptySnapshot = &snapshot{exact: map[ServiceID]*exactSet{}, wild: map[ServiceID][]*Entry{}}
 
 // cloneTop shallow-copies the snapshot's top-level maps so per-scope
-// containers can be swapped without touching the published snapshot. The
-// per-scope containers themselves still alias the published ones until
-// exactFor/cloneWild replaces them.
+// containers can be added, dropped or swapped without touching the
+// published snapshot.
 func (s *snapshot) cloneTop() *snapshot {
 	return &snapshot{exact: maps.Clone(s.exact), wild: maps.Clone(s.wild)}
 }
 
-// exactFor returns next's private exact set for scope, creating it or
-// cloning the published set's delta (never its base) the first time this
-// snapshot build touches the scope; a sparse delta is shrunk. next must
-// already be a cloneTop result.
-func (next *snapshot) exactFor(scope ServiceID) *exactSet {
-	if next.privateExact[scope] {
-		return next.exact[scope]
-	}
-	set := new(exactSet)
-	if cur := next.exact[scope]; cur != nil {
-		*set = *cur // shares cur's base; the delta is replaced below
-	} else {
-		set.base = new(flatTab)
-	}
-	if d := &set.delta; d.n*5 < len(d.slots) {
-		d.resize(max(8, (d.n*5+3)/4)) // removals left it under 1/5 full: shrink it
-	} else {
-		d.slots = slices.Clone(d.slots)
-	}
-	next.exact[scope] = set
-	if next.privateExact == nil {
-		next.privateExact = make(map[ServiceID]bool)
-	}
-	next.privateExact[scope] = true
-	return set
-}
-
-// cloneWild replaces next's wildcard slice for scope with a private copy
-// and returns it, or the existing copy when already privatized. next
-// must already be a cloneTop result.
-func (next *snapshot) cloneWild(scope ServiceID) []*Entry {
-	if next.privateWild[scope] {
-		return next.wild[scope]
-	}
-	ws := append([]*Entry(nil), next.wild[scope]...)
-	next.wild[scope] = ws
-	if next.privateWild == nil {
-		next.privateWild = make(map[ServiceID]bool)
-	}
-	next.privateWild[scope] = true
-	return ws
-}
-
-// shard is one copy-on-write partition of the table. The snapshot pointer
-// is the only field the data path touches; mu serializes writers only.
-// Counters are shard-local to spread hot-path atomic traffic.
+// shard is one partition of the table. The snapshot pointer is the only
+// field the data path touches; mu serializes writers only. Counters are
+// shard-local to spread hot-path atomic traffic.
 type shard struct {
 	snap atomic.Pointer[snapshot]
 	mu   sync.Mutex
+	// next is the write in progress's private clone of snap, made the
+	// first time the write adds or drops a scope or changes a wildcard
+	// list, and published by publish; nil otherwise. Guarded by mu.
+	next *snapshot
 	// buckets files every timed entry the shard has published by its
 	// coarse deadline; guarded by mu. due is the start of the earliest
 	// bucket (MaxInt64 when none), written under mu and read lock-free,
@@ -446,19 +410,84 @@ type shard struct {
 	_       [64]byte // keep neighbouring shards off this cache line
 }
 
-// publish makes next the shard's snapshot. Each exact set the build
-// touched is dropped when empty, so a drained scope frees its base, and
-// folded when its delta is over budget. Caller holds sh.mu.
-func (sh *shard) publish(next *snapshot) {
-	for scope := range next.privateExact {
-		if set := next.exact[scope]; set.n == 0 {
-			delete(next.exact, scope)
-		} else {
-			set.fold()
-		}
+// view is the snapshot a write under sh.mu reads: its private clone once
+// it has one, else the published snapshot.
+func (sh *shard) view() *snapshot {
+	if sh.next != nil {
+		return sh.next
 	}
-	next.privateExact, next.privateWild = nil, nil
-	sh.snap.Store(next)
+	return sh.snap.Load()
+}
+
+// edit returns the write's private clone, making it on first use.
+func (sh *shard) edit() *snapshot {
+	if sh.next == nil {
+		sh.next = sh.snap.Load().cloneTop()
+	}
+	return sh.next
+}
+
+// publish makes the write's clone, if it made one, the shard's snapshot.
+// Caller holds sh.mu.
+func (sh *shard) publish() {
+	if next := sh.next; next != nil {
+		next.privateWild, sh.next = nil, nil
+		sh.snap.Store(next)
+	}
+}
+
+// exactFor returns scope's exact set, adding an empty one to the write's
+// clone when the scope has none.
+func (sh *shard) exactFor(scope ServiceID) *exactSet {
+	set := sh.view().exact[scope]
+	if set == nil {
+		set = newExactSet()
+		sh.edit().exact[scope] = set
+	}
+	return set
+}
+
+// cloneWild replaces the write's wildcard list for scope with a private
+// copy and returns it, or the existing copy when already privatized.
+func (sh *shard) cloneWild(scope ServiceID) []*Entry {
+	next := sh.edit()
+	if next.privateWild[scope] {
+		return next.wild[scope]
+	}
+	ws := append([]*Entry(nil), next.wild[scope]...)
+	next.wild[scope] = ws
+	if next.privateWild == nil {
+		next.privateWild = make(map[ServiceID]bool)
+	}
+	next.privateWild[scope] = true
+	return ws
+}
+
+// remove deletes e from the shard and reports whether the shard held it:
+// an exact rule's slot becomes a tombstone in place, and a scope left
+// with no exact rule, or a wildcard list that changes, goes through the
+// write's clone. Caller holds sh.mu.
+func (sh *shard) remove(e *Entry) bool {
+	if e.Match.IsExact() {
+		set := sh.view().exact[e.Scope]
+		if set == nil || !set.drop(e) {
+			return false
+		}
+		if set.n.Load() == 0 {
+			delete(sh.edit().exact, e.Scope)
+		}
+		return true
+	}
+	if !slices.Contains(sh.view().wild[e.Scope], e) {
+		return false
+	}
+	ws := slices.DeleteFunc(sh.cloneWild(e.Scope), func(w *Entry) bool { return w == e })
+	if len(ws) == 0 {
+		delete(sh.next.wild, e.Scope)
+	} else {
+		sh.next.wild[e.Scope] = ws
+	}
+	return true
 }
 
 // Table is a per-host flow table. The data-path Lookup is lock-free: one
@@ -530,17 +559,17 @@ func (t *Table) Add(r Rule) (uint64, error) {
 	sh := &t.shards[shardIndex(r.Scope)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	next := sh.snap.Load().cloneTop()
-	id := t.addLocked(sh, next, r)
-	sh.publish(next)
+	id := t.addLocked(sh, r)
+	sh.publish()
 	return id, nil
 }
 
-// AddBatch installs rules, publishing at most one new snapshot per shard
-// — the batched writer API used when the Flow Controller installs a
-// FLOW_MOD burst or a whole service graph at once. It returns the ID of
-// every installed rule, in order. A rule with no actions fails the whole
-// batch before any rule is installed.
+// AddBatch installs rules, taking each shard's mutex once — the batched
+// writer API used when the Flow Controller installs a FLOW_MOD burst or a
+// whole service graph at once. It returns the ID of every installed rule,
+// in order. A rule with no actions fails the whole batch before any rule
+// is installed. A run of rules for one scope first reserves room for its
+// new keys, so a large batch rebuilds the scope's array at most once.
 func (t *Table) AddBatch(rules []Rule) ([]uint64, error) {
 	if len(rules) == 0 {
 		return nil, nil
@@ -562,27 +591,34 @@ func (t *Table) AddBatch(rules []Rule) ([]uint64, error) {
 		}
 		sh := &t.shards[si]
 		sh.mu.Lock()
-		next := sh.snap.Load().cloneTop()
 		for _, i := range idxs {
-			ids[i] = t.addLocked(sh, next, rules[i])
+			if r := &rules[i]; r.Match.IsExact() && (i == 0 || rules[i-1].Scope != r.Scope) {
+				end := i + 1
+				for end < len(rules) && rules[end].Scope == r.Scope {
+					end++
+				}
+				sh.exactFor(r.Scope).reserve(rules[i:end])
+			}
+			ids[i] = t.addLocked(sh, rules[i])
 		}
-		sh.publish(next)
+		sh.publish()
 		sh.mu.Unlock()
 	}
 	return ids, nil
 }
 
-// addLocked installs r into next (a writable clone of sh's snapshot),
-// files the new entry under its deadline, and returns its ID. Caller
-// holds sh.mu.
-func (t *Table) addLocked(sh *shard, next *snapshot, r Rule) uint64 {
+// addLocked installs r, files the new entry under its deadline, and
+// returns its ID. An exact rule is stored in place once complete; a
+// wildcard one goes into the write's clone. Caller holds sh.mu.
+func (t *Table) addLocked(sh *shard, r Rule) uint64 {
 	acts := make([]Action, len(r.Actions))
 	copy(acts, r.Actions)
 	r.Actions = acts
 	t.modifies.Add(1)
+	e := &Entry{Rule: r}
 	if r.Match.IsExact() {
-		e := &Entry{Rule: r}
-		if old := next.exactFor(r.Scope).put(r.Match.Key, e); old != nil {
+		sl, old := sh.exactFor(r.Scope).claim(r.Match.Key)
+		if old != nil {
 			e.ID = old.ID // replacement keeps identity
 		} else {
 			e.ID = t.nextID.Add(1)
@@ -592,15 +628,16 @@ func (t *Table) addLocked(sh *shard, next *snapshot, r Rule) uint64 {
 		// OpenFlow flow-mods refresh a flow's lease.
 		t.armLife(e)
 		sh.link(e)
+		sl.e.Store(e)
 		return e.ID
 	}
-	e := &Entry{Rule: r, ID: t.nextID.Add(1)}
+	e.ID = t.nextID.Add(1)
 	t.adds.Add(1)
 	t.armLife(e)
 	sh.link(e)
-	ws := append(next.cloneWild(r.Scope), e)
+	ws := append(sh.cloneWild(r.Scope), e)
 	sortWild(ws)
-	next.wild[r.Scope] = ws
+	sh.next.wild[r.Scope] = ws
 	return e.ID
 }
 
@@ -649,16 +686,15 @@ func sortWild(ws []*Entry) {
 	})
 }
 
-// Delete removes the rules with the given IDs, scanning each shard once
-// and publishing at most one snapshot per shard, so replacing k rules
-// costs one pass over the table rather than k. Every id that names a rule
-// is deleted; ErrNoRule reports that at least one named none.
+// Delete removes the rules with the given IDs, scanning each shard once,
+// so replacing k rules costs one pass over the table rather than k. Every
+// id that names a rule is deleted; ErrNoRule reports that at least one
+// named none.
 func (t *Table) Delete(ids ...uint64) error {
 	want := make(map[uint64]bool, len(ids))
 	for _, id := range ids {
 		want[id] = true
 	}
-	doomed := func(e *Entry) bool { return want[e.ID] }
 	found := 0
 	for si := range t.shards {
 		if found == len(want) {
@@ -667,36 +703,21 @@ func (t *Table) Delete(ids ...uint64) error {
 		sh := &t.shards[si]
 		sh.mu.Lock()
 		cur := sh.snap.Load()
-		var next *snapshot
-		for scope, set := range cur.exact {
-			for k, e := range set.all() {
-				if doomed(e) {
-					if next == nil {
-						next = cur.cloneTop()
-					}
-					next.exactFor(scope).del(k)
+		for _, set := range cur.exact {
+			for e := range set.all() {
+				if want[e.ID] && sh.remove(e) {
 					found++
 				}
 			}
 		}
-		for scope, ws := range cur.wild {
-			if !slices.ContainsFunc(ws, doomed) {
-				continue
-			}
-			if next == nil {
-				next = cur.cloneTop()
-			}
-			nws := slices.DeleteFunc(next.cloneWild(scope), doomed)
-			found += len(ws) - len(nws)
-			if len(nws) == 0 {
-				delete(next.wild, scope)
-			} else {
-				next.wild[scope] = nws
+		for _, ws := range cur.wild {
+			for _, e := range ws {
+				if want[e.ID] && sh.remove(e) {
+					found++
+				}
 			}
 		}
-		if next != nil {
-			sh.publish(next)
-		}
+		sh.publish()
 		sh.mu.Unlock()
 	}
 	t.modifies.Add(uint64(found))
@@ -808,8 +829,9 @@ const lookupChunk = 64
 // have equal length. Like DPDK rte_hash's bulk lookup, it works through
 // the burst 64 descriptors at a time in passes whose cache misses are
 // independent, so they overlap: hash every key, load every home slot,
-// probe, load each hit's expiry word, then its idle clock and default
-// action, and only then check expiry and fall back to the wildcards. A run
+// then the key of the entry in it, probe, load each hit's expiry word,
+// then its idle clock and default action, and only then check expiry and
+// fall back to the wildcards. A run
 // of descriptors sharing a scope — an RX burst from one port — loads the
 // snapshot once, and the per-shard counters are updated once per batch,
 // amortizing hot-path atomics across the burst (§4.1).
@@ -819,7 +841,7 @@ func (t *Table) LookupBatch(scopes []ServiceID, keys []packet.FlowKey, out []*En
 	var (
 		nLookups, nMisses, nExpired [numShards]uint32
 		snaps                       [lookupChunk]*snapshot
-		sets                        [lookupChunk]*exactSet
+		tabs                        [lookupChunk]*flatTab
 		hashes                      [lookupChunk]uint64
 		sink                        uint64
 	)
@@ -829,20 +851,29 @@ func (t *Table) LookupBatch(scopes []ServiceID, keys []packet.FlowKey, out []*En
 		scopes, keys, out := scopes[lo:lo+n], keys[lo:lo+n], out[lo:lo+n]
 		for i, scope := range scopes {
 			if i == 0 || scope != scopes[i-1] {
-				snaps[i] = t.shards[shardIndex(scope)].snap.Load()
-				sets[i] = snaps[i].exact[scope]
+				snaps[i], tabs[i] = t.shards[shardIndex(scope)].snap.Load(), nil
+				if set := snaps[i].exact[scope]; set != nil {
+					tabs[i] = set.tab.Load()
+				}
 			} else {
-				snaps[i], sets[i] = snaps[i-1], sets[i-1]
+				snaps[i], tabs[i] = snaps[i-1], tabs[i-1]
 			}
 			hashes[i] = keys[i].Hash()
 		}
-		for i, set := range sets[:n] {
-			if set != nil {
-				sink += set.delta.touch(hashes[i]) + set.base.touch(hashes[i])
+		for i, tab := range tabs[:n] {
+			if out[i] = nil; tab != nil {
+				out[i] = tab.slots[tab.home(hashes[i])].e.Load()
 			}
 		}
-		for i, set := range sets[:n] {
-			out[i] = set.find(keys[i], hashes[i])
+		for _, e := range out {
+			if e != nil {
+				sink += uint64(e.Match.Key.SrcIP)
+			}
+		}
+		for i, tab := range tabs[:n] {
+			if out[i] = nil; tab != nil {
+				_, out[i] = tab.probe(keys[i], hashes[i])
+			}
 		}
 		for _, e := range out {
 			if e != nil {
@@ -934,7 +965,6 @@ func (t *Table) UpdateDefault(scope ServiceID, f Match, newDefault Action, const
 		return t.specializeDefaultLocked(sh, scope, f, newDefault, constrain)
 	}
 	cur := sh.snap.Load()
-	var next *snapshot // cloned lazily, on the first entry actually changed
 	n := 0
 	rewrite := func(e *Entry) (*Entry, bool) {
 		if !overlaps(e.Match, f) {
@@ -949,38 +979,22 @@ func (t *Table) UpdateDefault(scope ServiceID, f Match, newDefault Action, const
 		return ne, true
 	}
 	if set := cur.exact[scope]; set != nil {
-		for k, e := range set.all() {
-			ne, changed := rewrite(e)
-			if !changed {
-				continue
+		for e := range set.all() {
+			if ne, changed := rewrite(e); changed {
+				set.put(e.Match.Key, ne)
 			}
-			if next == nil {
-				next = cur.cloneTop()
-			}
-			next.exactFor(scope).put(k, ne)
 		}
 	}
-	if ws := cur.wild[scope]; ws != nil {
-		var nws []*Entry
-		for i, e := range ws {
-			ne, changed := rewrite(e)
-			if !changed {
-				continue
-			}
-			if nws == nil {
-				if next == nil {
-					next = cur.cloneTop()
-				}
-				nws = next.cloneWild(scope)
-			}
-			nws[i] = ne
+	for i, e := range cur.wild[scope] {
+		if ne, changed := rewrite(e); changed {
+			sh.cloneWild(scope)[i] = ne
 		}
 	}
-	if next == nil {
+	if n == 0 {
 		return 0
 	}
 	t.modifies.Add(1)
-	sh.publish(next)
+	sh.publish()
 	return n
 }
 
@@ -1008,7 +1022,7 @@ func (e *Entry) withDefault(a Action) *Entry {
 // lock here and could lose such an update).
 func (t *Table) specializeDefaultLocked(sh *shard, scope ServiceID, f Match, newDefault Action, constrain bool) int {
 	key := f.Key
-	gov := lookupSnap(sh.snap.Load(), scope, key)
+	gov := lookupSnap(sh.view(), scope, key)
 	if gov == nil {
 		return 0
 	}
@@ -1016,19 +1030,17 @@ func (t *Table) specializeDefaultLocked(sh *shard, scope ServiceID, f Match, new
 		return 0
 	}
 	spec := gov.withDefault(newDefault)
-	next := sh.snap.Load().cloneTop()
 	if gov.Match.IsExact() {
 		// The governing rule IS the exact rule for f: rewrite it in
 		// place, keeping its ID and — because withDefault copies the
 		// entry — its lifecycle clock. A default change is not flow
 		// activity, so it must not refresh the idle lease.
 		t.modifies.Add(1)
-		next.exactFor(scope).put(key, spec)
 		sh.link(spec)
-		sh.publish(next)
+		sh.exactFor(scope).put(key, spec)
 		return 1
 	}
-	t.addLocked(sh, next, Rule{
+	t.addLocked(sh, Rule{
 		Scope:       scope,
 		Match:       f,
 		Actions:     spec.Actions,
@@ -1037,7 +1049,7 @@ func (t *Table) specializeDefaultLocked(sh *shard, scope ServiceID, f Match, new
 		IdleTimeout: gov.IdleTimeout,
 		HardTimeout: gov.HardTimeout,
 	})
-	sh.publish(next)
+	sh.publish()
 	return 1
 }
 
@@ -1058,7 +1070,7 @@ func (t *Table) AnyEntry(scope ServiceID) *Entry {
 	}
 	var best *Entry
 	if set := snap.exact[scope]; set != nil {
-		for _, e := range set.all() {
+		for e := range set.all() {
 			if best == nil || e.ID < best.ID {
 				best = e
 			}
@@ -1087,7 +1099,7 @@ func (t *Table) ScopesWithActionTo(f Match, dest ServiceID) []ServiceID {
 	for si := range t.shards {
 		snap := t.shards[si].snap.Load()
 		for scope, set := range snap.exact {
-			for _, e := range set.all() {
+			for e := range set.all() {
 				consider(scope, e)
 			}
 		}
@@ -1117,7 +1129,7 @@ func (t *Table) Len() int {
 	for si := range t.shards {
 		snap := t.shards[si].snap.Load()
 		for _, set := range snap.exact {
-			n += set.n
+			n += int(set.n.Load())
 		}
 		for _, ws := range snap.wild {
 			n += len(ws)
@@ -1187,8 +1199,8 @@ func (t *Table) Dump() string {
 	for si := range t.shards {
 		snap := t.shards[si].snap.Load()
 		for scope, set := range snap.exact {
-			for k, e := range set.all() {
-				lines = append(lines, fmt.Sprintf("%s %s -> %s", scope, k, actionsString(e)))
+			for e := range set.all() {
+				lines = append(lines, fmt.Sprintf("%s %s -> %s", scope, e.Match.Key, actionsString(e)))
 			}
 		}
 		for scope, ws := range snap.wild {

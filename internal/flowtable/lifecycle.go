@@ -23,13 +23,15 @@
 //     deleted entry stays filed until its old deadline: at most one
 //     timeout.
 //
-// Removing a base rule writes a tombstone into the delta (see the package
-// doc), so a sweep that reaps a few rules rebuilds only the delta; a mass
-// expiry overflows the delta's budget and folds the survivors into a
-// right-sized base, or frees the scope outright, so shard memory shrinks
-// (a flat table never shrinks in place). Only the sweeper removes and
-// only the sweeper notifies, so every eviction is observed exactly once
-// by OnEvict.
+// Evicting an exact rule turns its slot into a tombstone in place (see
+// exactSet): a probe and a store, with no copy of the scope. A mass
+// expiry that leaves a scope under a quarter full rebuilds it into a
+// smaller array, and one that empties it drops the scope outright, so
+// shard memory shrinks with the rules. Only the sweeper removes and only
+// the sweeper notifies, so every eviction is observed exactly once by
+// OnEvict. A write that evicts several rules is not visible atomically:
+// a lookup may find some of them gone and others not yet, which no
+// per-key reader can tell from the sweep running a moment later.
 package flowtable
 
 import (
@@ -72,11 +74,19 @@ type LifecycleConfig struct {
 	// OnEvict, when non-nil, receives each sweep's eviction batch (only
 	// non-empty batches). Called from the sweeper goroutine — it may
 	// take locks and allocate, but must not call back into StopSweeper.
+	// The slice is the sweeper's buffer, reused by the next tick: it is
+	// valid only during the call, so copy what you keep.
 	OnEvict func([]Evicted)
 }
 
 // DefaultSweepInterval is the sweeper tick when none is configured.
 const DefaultSweepInterval = 100 * time.Millisecond
+
+// quietTicks is how many ticks in a row must use under an eighth of the
+// sweeper's eviction buffer before it is let go: a cohort of rules often
+// expires one tick late, so single quiet ticks alternate with double ones
+// under steady load.
+const quietTicks = 20
 
 // SetDefaultTimeouts sets the table-wide default idle/hard timeouts
 // applied at install time to exact-match rules that carry none of their
@@ -149,6 +159,8 @@ func (t *Table) sweepLoop(interval time.Duration, onEvict func([]Evicted), stop,
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	last := time.Now()
+	var buf []Evicted // reused by every tick: OnEvict must not keep it
+	quiet := 0        // ticks in a row that used under an eighth of buf
 	for {
 		select {
 		case <-stop:
@@ -156,8 +168,13 @@ func (t *Table) sweepLoop(interval time.Duration, onEvict func([]Evicted), stop,
 		case now := <-ticker.C:
 			t.Advance(now.Sub(last))
 			last = now
-			if ev := t.Sweep(); len(ev) > 0 && onEvict != nil {
-				onEvict(ev)
+			if buf = t.sweep(buf[:0]); len(buf) > 0 && onEvict != nil {
+				onEvict(buf)
+			}
+			if quiet++; len(buf) >= cap(buf)/8 {
+				quiet = 0
+			} else if quiet == quietTicks {
+				buf, quiet = nil, 0 // the load fell: let the peak's buffer go
 			}
 		}
 	}
@@ -168,10 +185,12 @@ func (t *Table) sweepLoop(interval time.Duration, onEvict func([]Evicted), stop,
 // others detach their due buckets under it, so an entry replaced (its
 // lease refreshed) concurrently survives, and two concurrent sweeps can
 // never both collect the same entry.
-func (t *Table) Sweep() []Evicted {
+func (t *Table) Sweep() []Evicted { return t.sweep(nil) }
+
+// sweep is Sweep appending to evicted.
+func (t *Table) sweep(evicted []Evicted) []Evicted {
 	start := time.Now()
 	now := t.now.Load()
-	var evicted []Evicted
 	for si := range t.shards {
 		evicted = t.sweepShard(&t.shards[si], now, evicted)
 	}
@@ -223,25 +242,23 @@ func (t *Table) sweepShard(sh *shard, now int64, evicted []Evicted) []Evicted {
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	cur := sh.snap.Load()
-	var next *snapshot
 	var again *Entry // survivors, filed again once every due bucket is detached
-	visits := uint64(0)
+	visits, reaped := uint64(0), len(evicted)
 	for e := sh.buckets.popDue(now); e != nil; e = sh.buckets.popDue(now) {
 		for e != nil {
 			link := e.nextDue
 			e.nextDue = nil
 			visits++
+			// An entry the shard no longer holds was replaced, rewritten
+			// or deleted since it was filed: it is dropped, once due. One
+			// still due later in the bucket the clock is in goes back to
+			// that bucket unchecked, to be judged when it expires.
 			switch reason, exp := expiredAt(e, now); {
-			case !cur.holds(e):
-				// Replaced, rewritten or deleted since it was filed.
 			case exp:
-				if next == nil {
-					next = cur.cloneTop()
+				if sh.remove(e) {
+					evicted = append(evicted, Evicted{ID: e.ID, Scope: e.Scope, Match: e.Match, Reason: reason})
 				}
-				next.remove(e)
-				evicted = append(evicted, Evicted{ID: e.ID, Scope: e.Scope, Match: e.Match, Reason: reason})
-			default:
+			case expiresBy(e)>>bucketShift == now>>bucketShift || sh.view().holds(e):
 				e.nextDue, again = again, e
 			}
 			e = link
@@ -254,10 +271,10 @@ func (t *Table) sweepShard(sh *shard, now int64, evicted []Evicted) []Evicted {
 	}
 	sh.due.Store(sh.buckets.earliest())
 	t.sweepVisits.Add(visits)
-	if next != nil {
+	if len(evicted) > reaped {
 		t.modifies.Add(1)
-		sh.publish(next)
 	}
+	sh.publish()
 	return evicted
 }
 
@@ -267,20 +284,6 @@ func (s *snapshot) holds(e *Entry) bool {
 		return s.exact[e.Scope].find(k, k.Hash()) == e
 	}
 	return slices.Contains(s.wild[e.Scope], e)
-}
-
-// remove deletes e, which s holds, from s, a writable clone.
-func (s *snapshot) remove(e *Entry) {
-	if k, ok := e.Match.ExactKey(); ok {
-		s.exactFor(e.Scope).del(k)
-		return
-	}
-	ws := slices.DeleteFunc(s.cloneWild(e.Scope), func(w *Entry) bool { return w == e })
-	if len(ws) == 0 {
-		delete(s.wild, e.Scope)
-	} else {
-		s.wild[e.Scope] = ws
-	}
 }
 
 // bucketShift sets the expiry bucket width: deadlines d and d' share a

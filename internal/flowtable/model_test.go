@@ -15,7 +15,7 @@ import (
 
 // The differential test drives a Table and a plain-map reference model
 // with the same seeded operation sequence and compares them after every
-// step. The model has no snapshots, bases, deltas or tombstones: one map
+// step. The model has no snapshots, slot arrays or tombstones: one map
 // of exact rules and one list of wildcard rules per scope, with the
 // table's lookup, expiry and rewrite rules written out naively.
 
@@ -284,9 +284,9 @@ func modelKey(i int) packet.FlowKey {
 var modelActions = []Action{Forward(1), Forward(2), Forward(3), Out(1), Drop()}
 
 // modelCoverage counts the structural cases a run reached, read white-box
-// off the published snapshots after every step.
+// off the table after every step.
 type modelCoverage struct {
-	folded, tombstones, readded, shadowedDue int
+	rebuilt, tombstones, readded, staleDue int
 }
 
 // differential drives tb and m through one step and compares them.
@@ -297,7 +297,7 @@ type differential struct {
 	m    *model
 	step int
 	cov  modelCoverage
-	dead map[packet.FlowKey]bool // Port(0) keys last seen tombstoned
+	tab  *flatTab // Port(0)'s slot array at the last step
 }
 
 func (d *differential) fail(format string, args ...any) {
@@ -488,31 +488,43 @@ func (d *differential) check() {
 	d.observe()
 }
 
+// observe records, for Port(0): a non-empty scope whose array was
+// rebuilt since the last step; tombstones; a key live again in an array
+// that still holds its tombstone; and a rule that was replaced while
+// filed for expiry and is now due while its replacement lives, which a
+// sweep must drop, not evict.
 func (d *differential) observe() {
-	set := d.tb.shards[shardIndex(Port(0))].snap.Load().exact[Port(0)]
+	sh := &d.tb.shards[shardIndex(Port(0))]
+	set := sh.snap.Load().exact[Port(0)]
 	if set == nil {
+		d.tab = nil
 		return
 	}
-	if set.base.n > 256 {
-		d.cov.folded++
+	tab := set.tab.Load()
+	if d.tab != nil && tab != d.tab {
+		d.cov.rebuilt++
 	}
-	dead := map[packet.FlowKey]bool{}
-	for _, sl := range set.delta.slots {
-		if sl.e == nil {
-			continue
-		}
-		base := set.base.find(sl.key, sl.key.Hash())
-		switch {
-		case sl.e == tombstone:
-			dead[sl.key] = true
+	d.tab = tab
+	dead := map[uint64]bool{}
+	for i := range tab.slots {
+		if tab.slots[i].e.Load() == tombstone {
+			dead[tab.slots[i].hash] = true
 			d.cov.tombstones++
-		case d.dead[sl.key]:
-			d.cov.readded++
-		case base != nil && expiresBy(base) <= d.m.now:
-			d.cov.shadowedDue++
 		}
 	}
-	d.dead = dead
+	for i := range tab.slots {
+		if e := tab.slots[i].e.Load(); e != nil && e != tombstone && dead[tab.slots[i].hash] {
+			d.cov.readded++
+		}
+	}
+	for _, e := range sh.buckets.heads {
+		for ; e != nil; e = e.nextDue {
+			if e.Scope == Port(0) && e.Match.IsExact() && expiresBy(e) <= d.m.now &&
+				!sh.snap.Load().holds(e) && set.find(e.Match.Key, e.Match.Key.Hash()) != nil {
+				d.cov.staleDue++
+			}
+		}
+	}
 }
 
 // TestTableMatchesModel is the differential test: random Add, AddBatch,
@@ -520,8 +532,8 @@ func (d *differential) observe() {
 // against the plain-map model, with lookups, Len, the lifecycle identity
 // and every sweep's evictions compared after each step. A scripted
 // opening reaches the structural cases the random walk might miss: a
-// scope past the fold budget, a deleted base key re-added, and a base rule
-// that expires under the delta rule shadowing it.
+// key deleted and re-added beside its tombstone, and a replaced rule
+// whose old lease runs out while its replacement lives.
 func TestTableMatchesModel(t *testing.T) {
 	steps := 400
 	if testing.Short() {
@@ -537,7 +549,7 @@ func TestTableMatchesModel(t *testing.T) {
 				op()
 				d.check()
 			}
-			// A base of 600 rules, 100 with a short hard lease.
+			// 600 rules, 100 with a short hard lease.
 			rules := make([]Rule, 600)
 			for i := range rules {
 				rules[i] = Rule{Scope: Port(0), Match: ExactMatch(modelKey(i)), Actions: []Action{Forward(1), Forward(2)}}
@@ -546,12 +558,12 @@ func TestTableMatchesModel(t *testing.T) {
 				}
 			}
 			next(func() { d.addBatch(rules) })
-			// Delete base keys, then re-add them.
+			// Delete keys, then re-add them.
 			gone := []uint64{d.m.exact[Port(0)][modelKey(200)].id, d.m.exact[Port(0)][modelKey(201)].id}
 			next(func() { d.delete(gone) })
 			next(func() { d.addBatch(rules[200:202]) })
-			// Shadow short-lease base rules with long-lived replacements,
-			// then let the base rules' leases run out.
+			// Replace short-lease rules with long-lived ones, then let
+			// the replaced rules' leases run out.
 			shadow := slices.Clone(rules[:10])
 			for i := range shadow {
 				shadow[i].HardTimeout = time.Hour
@@ -562,7 +574,7 @@ func TestTableMatchesModel(t *testing.T) {
 			for range steps {
 				next(d.randomStep)
 			}
-			if d.cov.folded == 0 || d.cov.tombstones == 0 || d.cov.readded == 0 || d.cov.shadowedDue == 0 {
+			if d.cov.rebuilt == 0 || d.cov.tombstones == 0 || d.cov.readded == 0 || d.cov.staleDue == 0 {
 				t.Fatalf("run missed a structural case: %+v", d.cov)
 			}
 		})

@@ -37,9 +37,9 @@ func TestDecodeMatchNoAllocs(t *testing.T) {
 	}
 }
 
-// TestRecvNoAllocs: once warm, Recv hands out a PacketIn or a FlowMod
-// without allocating, apart from the FlowMod's Actions, which the
-// caller keeps.
+// TestRecvNoAllocs: once warm, Recv hands out a PacketIn, a FlowMod or
+// a FlowRemoved without allocating, apart from the FlowMod's Actions,
+// which the caller keeps.
 func TestRecvNoAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		mt     MsgType
@@ -47,6 +47,7 @@ func TestRecvNoAllocs(t *testing.T) {
 	}{
 		{TypePacketIn, 0},
 		{TypeFlowMod, 1},
+		{TypeFlowRemoved, 0},
 	} {
 		frame, err := Encode(exemplarFor(tc.mt), 1)
 		if err != nil {

@@ -365,17 +365,19 @@ func Encode(msg Message, xid uint32) ([]byte, error) {
 	return AppendFrame(make([]byte, 0, 64), msg, xid)
 }
 
-// Decode parses one complete frame produced by Encode. A PacketIn or
-// FlowMod comes back as a *PacketIn or *FlowMod; every other message as
-// a value.
+// Decode parses one complete frame produced by Encode. A PacketIn,
+// FlowMod or FlowRemoved comes back as a *PacketIn, *FlowMod or
+// *FlowRemoved; every other message as a value.
 func Decode(frame []byte) (Message, Header, error) { return new(decoder).decode(frame) }
 
 // decoder owns the storage that the per-flow messages decode into, so a
-// Conn's reader hands out PacketIns and FlowMods without boxing a fresh
-// value per frame. Each decode overwrites the previous one's.
+// Conn's reader hands out PacketIns, FlowMods and FlowRemoveds without
+// boxing a fresh value, or growing a fresh entry list, per frame. Each
+// decode overwrites the previous one's.
 type decoder struct {
-	packetIn PacketIn
-	flowMod  FlowMod
+	packetIn    PacketIn
+	flowMod     FlowMod
+	flowRemoved FlowRemoved
 }
 
 func (d *decoder) decode(frame []byte) (Message, Header, error) {
@@ -418,19 +420,20 @@ func (d *decoder) decode(frame []byte) (Message, Header, error) {
 	case TypeError:
 		return decodeError(b, h)
 	case TypeFlowRemoved:
-		return decodeFlowRemoved(b, h)
+		return d.decodeFlowRemoved(b, h)
 	default:
 		return nil, h, ErrBadType
 	}
 }
 
-func decodeFlowRemoved(b []byte, h Header) (Message, Header, error) {
+func (d *decoder) decodeFlowRemoved(b []byte, h Header) (Message, Header, error) {
 	if len(b) < 2 {
 		return nil, h, ErrTruncated
 	}
 	n := int(binary.BigEndian.Uint16(b))
 	b = b[2:]
-	var m FlowRemoved
+	m := &d.flowRemoved
+	m.Removals = m.Removals[:0]
 	for i := 0; i < n; i++ {
 		if len(b) < 2 {
 			return nil, h, ErrTruncated
@@ -629,10 +632,11 @@ func (c *Conn) Buffered() bool {
 // Recv decodes the next frame. When no whole frame is buffered it moves
 // the partial one to the front of the buffer, which then holds any frame,
 // and refills it with one Read. A message copies out every byte it keeps,
-// so the buffer is free for reuse once Recv returns. A PacketIn or
-// FlowMod comes back as a *PacketIn or *FlowMod that points into storage
-// the Conn owns: it is valid until the next Recv, apart from the
-// FlowMod's Actions, which are the caller's to keep. A stream that ends
+// so the buffer is free for reuse once Recv returns. A PacketIn, FlowMod
+// or FlowRemoved comes back as a *PacketIn, *FlowMod or *FlowRemoved that
+// points into storage the Conn owns, its Removals included: it is valid
+// until the next Recv, apart from the FlowMod's Actions, which are the
+// caller's to keep. A stream that ends
 // inside a frame fails with io.ErrUnexpectedEOF; io.EOF comes only at a
 // frame boundary.
 func (c *Conn) Recv() (Message, Header, error) {

@@ -31,8 +31,8 @@ func roundtrip(t *testing.T, msg Message) Message {
 	return detach(got)
 }
 
-// detach copies a decoded PacketIn or FlowMod out of the storage the
-// decoder reuses, as a value.
+// detach copies a decoded PacketIn, FlowMod or FlowRemoved out of the
+// storage the decoder reuses, as a value.
 func detach(msg Message) Message {
 	switch m := msg.(type) {
 	case *PacketIn:
@@ -41,6 +41,8 @@ func detach(msg Message) Message {
 		return p
 	case *FlowMod:
 		return *m
+	case *FlowRemoved:
+		return FlowRemoved{Removals: append([]FlowRemovedEntry(nil), m.Removals...)}
 	}
 	return msg
 }
