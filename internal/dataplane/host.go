@@ -35,10 +35,6 @@ type Config struct {
 	// DisableLookupCache turns OFF descriptor-carried flow entries (§4.2
 	// "Caching flow table lookups"); used by the ablation benchmark.
 	DisableLookupCache bool
-	// SpinLimit bounds the first two rungs of an idle thread's wait
-	// ladder: it busy-polls SpinLimit times, yields the processor
-	// SpinLimit more times, then parks until a producer wakes it.
-	SpinLimit int
 	// Control is the host's typed southbound endpoint (the control
 	// package API). The Flow Controller thread resolves flow-table
 	// misses off the critical path (§4.1): each call to
@@ -75,9 +71,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.TXThreads == 0 {
 		c.TXThreads = 2
-	}
-	if c.SpinLimit == 0 {
-		c.SpinLimit = 256
 	}
 }
 
@@ -1174,39 +1167,83 @@ func (h *Host) park(w *waker) {
 	w.parked.Store(false) // a kick leaves it set
 }
 
+// The idle ladder's two thresholds. A thread that finds no work polls
+// idleSpins more times, then yields the processor until idleYield has
+// passed, then parks. The yield rung is bounded in time, not in calls:
+// every yield keeps a run queue non-empty, and Go polls the network only
+// when the run queues are empty (or on sysmon's tick), so yielding holds
+// up the socket reads of the controller and the drivers; but what a
+// yield costs depends on who else is runnable, so no count of them
+// bounds that wait under every load. Chosen on 2 vCPUs (README "How
+// engine threads wait"): shorter budgets did as well on cmd/sdnfv-bench
+// but made TestFig6ParallelBeatsSequential fail under -race, where every
+// hop is several times slower.
+const (
+	idleSpins = 16
+	idleYield = 100 * time.Microsecond
+)
+
+// The rungs of the idle ladder (idler.rung).
+const (
+	spinning = iota
+	yielding
+	armed // parked is set; the next empty poll blocks
+)
+
 // idler is a consumer thread's position on its idle ladder. It lives in
 // the thread's own frame; only that thread touches it.
 type idler struct {
 	h     *Host
 	w     *waker
-	woke  *bool // the thread woke a parked consumer during this burst
-	n     int   // empty polls since the last one that found work
-	limit int   // Config.SpinLimit
+	woke  *bool                // the thread woke a parked consumer during this burst
+	clock func() time.Duration // sinceStart; TestIdlerRungs passes a fake
+	rung  uint8
+	n     int           // empty polls on the spin rung
+	until time.Duration // clock reading that ends the yield rung
 }
+
+// sinceStart is the idle ladder's clock: monotonic, one vDSO read.
+//
+//sdnfv:hotpath
+func sinceStart() time.Duration { return time.Since(processStart) }
+
+var processStart = time.Now()
 
 //sdnfv:hotpath
 func (h *Host) idler(w *waker, woke *bool) idler {
-	return idler{h: h, w: w, woke: woke, limit: h.cfg.SpinLimit}
+	return idler{h: h, w: w, woke: woke, clock: sinceStart}
 }
 
-// wait is called after an empty poll. The first limit calls return at
-// once (spin), the next limit yield the processor, the one after sets
-// parked and returns so the caller polls once more, and the next blocks
-// until a producer or a lifecycle kick wakes the thread.
+// wait is called after an empty poll. The first idleSpins calls return
+// at once (spin). The calls after them yield the processor, reading the
+// clock once each, until idleYield has passed since the first yield;
+// the call that finds it passed sets parked and returns so the caller
+// polls once more, and the next blocks until a producer or a lifecycle
+// kick wakes the thread.
 //
 //sdnfv:hotpath
 func (l *idler) wait() {
-	l.n++
-	switch {
-	case l.n <= l.limit:
-	case l.n <= 2*l.limit:
+	switch l.rung {
+	case spinning:
+		if l.n++; l.n <= idleSpins {
+			return
+		}
+		l.rung = yielding
+		//sdnfv:allow(dyncall) the clock is sinceStart outside the ladder's own test
+		l.until = l.clock() + idleYield
 		runtime.Gosched()
-	case l.n == 2*l.limit+1:
+	case yielding:
+		//sdnfv:allow(dyncall) the clock is sinceStart outside the ladder's own test
+		if l.clock() < l.until {
+			runtime.Gosched()
+			return
+		}
 		l.w.parked.Store(true)
+		l.rung = armed
 	default:
 		//sdnfv:allow(call) blocking on the waker channel is idle time, not per-packet work
 		l.h.park(l.w)
-		l.n = 0
+		l.n, l.rung = 0, spinning
 	}
 }
 
@@ -1214,11 +1251,11 @@ func (l *idler) wait() {
 //
 //sdnfv:hotpath
 func (l *idler) busy() {
-	if l.n > 2*l.limit {
+	if l.rung == armed {
 		// The re-poll after arming found work: producers need not signal.
 		l.w.parked.Store(false)
 	}
-	l.n = 0
+	l.n, l.rung = 0, spinning
 	if *l.woke {
 		// Hand the processor to the consumer this burst woke (see waker).
 		*l.woke = false
@@ -1236,7 +1273,7 @@ func (l *idler) busy() {
 // exhausted, NIC ring full, host stopped) wrap ErrIngestRefused. Safe
 // for concurrent use.
 func (h *Host) Inject(port int, frame []byte) error {
-	d, err := h.admit(port, frame)
+	d, err := h.admit(port, frame, time.Now().UnixNano())
 	if err != nil {
 		return err
 	}

@@ -191,7 +191,7 @@ func (h *Host) Ingest(port int, frame []byte) error {
 		h.countRxDrop(1)
 		return fmt.Errorf("%w %d", ErrPortUnbound, port)
 	}
-	d, err := h.admit(port, frame)
+	d, err := h.admit(port, frame, time.Now().UnixNano())
 	if err == nil {
 		err = h.enqueue(d)
 	}
@@ -233,7 +233,9 @@ func (h *Host) enqueue(d Desc) error {
 // touched no counter at all, so the driver may re-offer them once the
 // backlog drains instead of losing a whole burst to a momentary stall.
 // An unbound port consumes (and counts) the entire burst: retrying a
-// dead port is pointless. Frame slices are copied, not retained.
+// dead port is pointless. Frame slices are copied, not retained. The
+// frames arrived together, so they share one ArrivalNanos: the clock is
+// read once per call.
 func (h *Host) IngestBurst(port int, frames [][]byte) (admitted, consumed int) {
 	if len(frames) == 0 {
 		return 0, 0
@@ -251,6 +253,7 @@ func (h *Host) IngestBurst(port int, frames [][]byte) (admitted, consumed int) {
 		// tail back to the driver uncounted, malformed frames included).
 		drops   []int
 		stopped = false
+		now     = time.Now().UnixNano()
 	)
 	flush := func(scanned int) {
 		if n == 0 {
@@ -283,7 +286,7 @@ func (h *Host) IngestBurst(port int, frames [][]byte) (admitted, consumed int) {
 		n = 0
 	}
 	for i, f := range frames {
-		d, err := h.admit(port, f)
+		d, err := h.admit(port, f, now)
 		if err != nil {
 			if errors.Is(err, ErrIngestRefused) {
 				flush(i)
@@ -328,8 +331,9 @@ func (h *Host) countRxDrop(n uint64) {
 }
 
 // admit copies frame into a pool buffer and builds its descriptor,
-// enforcing the strict wire-ingress checks (size cap, parseability).
-func (h *Host) admit(port int, frame []byte) (Desc, error) {
+// stamped as arrived at now (UnixNano), enforcing the strict
+// wire-ingress checks (size cap, parseability).
+func (h *Host) admit(port int, frame []byte, now int64) (Desc, error) {
 	if len(frame) > h.cfg.BufSize {
 		return Desc{}, fmt.Errorf("%w: %dB > %dB", ErrFrameOversize, len(frame), h.cfg.BufSize)
 	}
@@ -350,6 +354,6 @@ func (h *Host) admit(port int, frame []byte) (Desc, error) {
 		Scope:        flowtable.Port(port),
 		View:         v,
 		Key:          v.FlowKey(),
-		ArrivalNanos: time.Now().UnixNano(),
+		ArrivalNanos: now,
 	}, nil
 }

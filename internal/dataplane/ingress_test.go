@@ -152,7 +152,8 @@ func TestIngestAccountingIdentity(t *testing.T) {
 }
 
 // TestIngestBurstAccounting mixes valid and malformed frames in one
-// burst and checks admitted-count plus RxDrops classification.
+// burst and checks admitted-count plus RxDrops classification, and that
+// the frames of one burst share one arrival stamp.
 func TestIngestBurstAccounting(t *testing.T) {
 	h := NewHost(Config{PoolSize: 256, RingSize: 256, TXThreads: 1})
 	h.BindIngress(2)
@@ -165,8 +166,8 @@ func TestIngestBurstAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Stop()
-	var delivered atomic.Int64
-	h.BindDefault(func(int, []byte, *Desc) { delivered.Add(1) })
+	stamps := make(chan int64, 2*len(frames)) // room for every delivery: the TX thread never blocks
+	h.BindDefault(func(_ int, _ []byte, d *Desc) { stamps <- d.ArrivalNanos })
 	if _, err := h.Table().Add(flowtable.Rule{
 		Scope:   flowtable.Port(2),
 		Match:   flowtable.MatchAll,
@@ -187,6 +188,20 @@ func TestIngestBurstAccounting(t *testing.T) {
 	}
 	if !st.Conserved() {
 		t.Fatalf("identity broken: %+v", st)
+	}
+	first := <-stamps
+	for i := 1; i < got; i++ {
+		if s := <-stamps; s != first {
+			t.Fatalf("frame %d of the burst stamped %d, frame 0 %d: want one clock read per burst", i, s, first)
+		}
+	}
+	// A later burst reads the clock again.
+	time.Sleep(time.Millisecond)
+	if n, _ := h.IngestBurst(2, frames[:1]); n != 1 {
+		t.Fatalf("second burst admitted %d, want 1", n)
+	}
+	if s := <-stamps; s <= first {
+		t.Fatalf("second burst stamped %d, not after the first (%d)", s, first)
 	}
 	// Unbound-port burst: every frame counted and consumed, none
 	// admitted — retrying a dead port is pointless.

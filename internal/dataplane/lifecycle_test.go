@@ -268,7 +268,7 @@ func TestConcurrentStopSafe(t *testing.T) {
 // and InUse would go negative). Run under -race in CI.
 func TestStopMidBurstReleasesDescriptorsOnce(t *testing.T) {
 	h := dataplane.NewHost(dataplane.Config{
-		PoolSize: 64, RingSize: 4, TXThreads: 1, SpinLimit: 16,
+		PoolSize: 64, RingSize: 4, TXThreads: 1,
 	})
 	gate := make(chan struct{})
 	var entered atomic.Int32

@@ -39,7 +39,109 @@ func gap(d time.Duration) {
 	}
 }
 
-// parkRig is a started host whose threads park after a few idle polls:
+// fakeClock is the idle ladder's clock in TestIdlerRungs: it moves only
+// when the test moves it, and counts its reads.
+type fakeClock struct {
+	now   time.Duration
+	reads int
+}
+
+func (c *fakeClock) read() time.Duration {
+	c.reads++
+	return c.now
+}
+
+// TestIdlerRungs drives one idler through its ladder on a fake clock.
+// A spin reads no clock; a yield reads it once; the yield rung lasts
+// until idleYield has passed since its first call, however many calls
+// that takes; then one call arms parked and returns (the caller's
+// re-poll), and the next parks until a producer wakes it. busy() on the
+// armed rung disarms, and any busy() starts the ladder over.
+func TestIdlerRungs(t *testing.T) {
+	h := &Host{} // park only counts h.asleep
+	w := newWaker()
+	woke := false
+	clk := &fakeClock{now: time.Hour}
+	l := idler{h: h, w: w, woke: &woke, clock: clk.read}
+	// A pending kick makes a park the test does not expect return at
+	// once, and shows: the park takes the kick.
+	w.kick()
+	expect := func(step string, reads int, parked bool) {
+		t.Helper()
+		if clk.reads != reads || w.parked.Load() != parked || len(w.ch) != 1 {
+			t.Fatalf("%s: clock reads %d parked %v kick pending %v, want %d %v true",
+				step, clk.reads, w.parked.Load(), len(w.ch) == 1, reads, parked)
+		}
+	}
+	spin := func(step string) {
+		t.Helper()
+		reads := clk.reads
+		for i := 0; i < idleSpins; i++ {
+			l.wait()
+			expect(step, reads, false)
+		}
+	}
+
+	spin("spin rung")
+	reads := clk.reads
+	start := clk.now
+	// A clock that stands still keeps the thread yielding: the rung is
+	// bounded in time, not in calls.
+	for i := 1; i <= 1000; i++ {
+		l.wait()
+		expect("yield rung", reads+i, false)
+	}
+	clk.now = start + idleYield - 1
+	l.wait()
+	expect("yield rung, budget not yet passed", reads+1001, false)
+	clk.now = start + idleYield
+	l.wait()
+	expect("budget passed", reads+1002, true)
+
+	// The next empty poll blocks until a producer's wake.
+	<-w.ch
+	done := make(chan struct{})
+	go func() {
+		l.wait()
+		close(done)
+	}()
+	waitFor(t, func() bool { return h.asleep.Load() == 1 }, "the idler to park")
+	if !w.wake() {
+		t.Fatal("a producer found the parked thread unarmed")
+	}
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the wake did not unpark the idler")
+	}
+	w.kick()
+	expect("woken", clk.reads, false)
+
+	// After a park the ladder starts over at the spin rung.
+	spin("spin rung after the park")
+
+	// busy() on the armed rung disarms, and the ladder starts over.
+	l.wait() // first yield: the budget starts now
+	clk.now += idleYield
+	l.wait()
+	expect("armed again", clk.reads, true)
+	l.busy()
+	expect("busy disarms", clk.reads, false)
+	spin("spin rung after busy")
+
+	// busy() on the yield rung restarts the budget too.
+	l.wait()
+	l.busy()
+	spin("spin rung after a busy yield")
+	reads = clk.reads
+	l.wait()
+	clk.now += idleYield - 1
+	l.wait()
+	expect("a fresh budget", reads+2, false)
+}
+
+// parkRig is a started host whose threads park after the ladder's
+// short spin and yield rungs:
 // port 0 misses go to the Flow Controller, whose southbound installs
 // exact per-flow rules port 0 → svcA → out 1; svcA emits a cross-layer
 // message on the first packet of every flow, so every waker in the host
@@ -55,7 +157,7 @@ func parkRig(t *testing.T) (*Host, *atomic.Int64) {
 		},
 	}
 	var out atomic.Int64
-	h := NewHost(Config{PoolSize: 256, RingSize: 64, TXThreads: 2, SpinLimit: 8, Control: sb})
+	h := NewHost(Config{PoolSize: 256, RingSize: 64, TXThreads: 2, Control: sb})
 	h.BindDefault(func(int, []byte, *Desc) { out.Add(1) })
 	fn := ppNF("announce", func(ctx *nf.Context, p *nf.Packet) nf.Decision {
 		if _, seen := ctx.Flows.Get(p.Key); !seen {
@@ -75,7 +177,8 @@ func parkRig(t *testing.T) (*Host, *atomic.Int64) {
 }
 
 // TestParkLostWakeupStress sends single frames separated by random
-// gaps that straddle the spin and yield budgets, so producers keep
+// gaps (0–200 µs) that straddle the spin rung and the yield rung's
+// idleYield budget, so producers keep
 // racing consumers that are just arming or just parked. A lost wake-up
 // leaves a frame stranded in a ring: the delivery wait times out. At
 // most window frames are in flight, fewer than any ring holds, so no
@@ -114,7 +217,7 @@ func TestParkLostWakeupStress(t *testing.T) {
 			}
 			runtime.Gosched()
 		}
-		gap(time.Duration(rng.Intn(50)) * time.Microsecond)
+		gap(time.Duration(rng.Intn(200)) * time.Microsecond)
 	}
 	waitFor(t, func() bool { return out.Load() == int64(n) }, "every frame delivered")
 	if !h.WaitIdle(10 * time.Second) {

@@ -55,12 +55,10 @@ const (
 // per second. newNF builds the NF behind each vertex; lat, when not nil,
 // records each frame's latency from stamp to egress (ns).
 func runChain(seed int64, cfg chainConfig, newNF func() nf.BatchFunction, frameBytes, n, window int, lat *metrics.Histogram, tally *chainTally) float64 {
-	// One TX thread and a short spin: the chain runs more engine threads
-	// than a small machine has cores, and an idle thread that spins long
-	// holds a core the next hop needs (with the defaults, two TX threads
-	// and 256 spins, 3VM (sequential) measures ≈45 µs p50 on 2 vCPUs
-	// instead of ≈16 µs).
-	host := dataplane.NewHost(dataplane.Config{TXThreads: 1, SpinLimit: 32})
+	// One TX thread: the chain runs more engine threads than a small
+	// machine has cores, and a second idle TX thread holds a core the
+	// next hop needs.
+	host := dataplane.NewHost(dataplane.Config{TXThreads: 1})
 	vs := make([]graph.Vertex, cfg.vms)
 	for i := range vs {
 		vs[i] = graph.Vertex{Service: flowtable.ServiceID(i + 1), Name: fmt.Sprintf("nf%d", i+1), ReadOnly: cfg.parallel}

@@ -12,6 +12,7 @@ package ring
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // pad separates hot atomics onto different cache lines to avoid false
@@ -21,8 +22,11 @@ type pad [56]byte
 // MPSC is a bounded multi-producer/single-consumer queue used for control
 // messages (cross-layer messages from NFs to the NF Manager, §3.4). Control
 // traffic is orders of magnitude rarer than packet traffic, so a mutex is
-// acceptable here; the packet path never touches an MPSC ring.
+// acceptable for Push and for a Pop that finds a message; the consumer
+// polls the ring on every pass, so an empty Pop reads only an atomic
+// count. The packet path never touches an MPSC ring.
 type MPSC struct {
+	n     atomic.Int64 // messages queued; written under mu
 	mu    sync.Mutex
 	items []any
 	cap   int
@@ -45,11 +49,17 @@ func (r *MPSC) Push(m any) error {
 		return fmt.Errorf("ring: control queue full (cap %d)", r.cap)
 	}
 	r.items = append(r.items, m)
+	r.n.Add(1)
 	return nil
 }
 
 // Pop removes and returns the oldest message, or (nil, false) when empty.
+// An empty ring costs one atomic load. A Pop that starts after a Push
+// returned sees its message: Push counts it before releasing the mutex.
 func (r *MPSC) Pop() (any, bool) {
+	if r.n.Load() == 0 {
+		return nil, false
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.items) == 0 {
@@ -58,5 +68,6 @@ func (r *MPSC) Pop() (any, bool) {
 	m := r.items[0]
 	copy(r.items, r.items[1:])
 	r.items = r.items[:len(r.items)-1]
+	r.n.Add(-1)
 	return m, true
 }

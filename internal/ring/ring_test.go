@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestSPSCBasic(t *testing.T) {
@@ -222,6 +223,67 @@ func TestMPSCConcurrentProducers(t *testing.T) {
 	if len(seen) != producers*per {
 		t.Fatalf("got %d values, want %d", len(seen), producers*per)
 	}
+}
+
+// TestMPSCPushPopRace runs pushers against one popper on a ring small
+// enough to fill: every message arrives exactly once and each producer's
+// messages in the order it pushed them. A refused Push is retried.
+func TestMPSCPushPopRace(t *testing.T) {
+	r := NewMPSC(8)
+	const producers, per = 4, 2000
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; {
+				if r.Push([2]int{p, i}) == nil {
+					i++
+				} else {
+					runtime.Gosched()
+				}
+			}
+		}()
+	}
+	next := make([]int, producers)
+	for got := 0; got < producers*per; {
+		v, ok := r.Pop()
+		if !ok {
+			runtime.Gosched()
+			continue
+		}
+		m := v.([2]int)
+		if m[1] != next[m[0]] {
+			t.Fatalf("producer %d: got message %d, want %d", m[0], m[1], next[m[0]])
+		}
+		next[m[0]]++
+		got++
+	}
+	wg.Wait()
+	if v, ok := r.Pop(); ok {
+		t.Fatalf("extra message %v", v)
+	}
+}
+
+// TestMPSCEmptyPopSkipsMutex: an empty Pop returns while a Push holds
+// the mutex.
+func TestMPSCEmptyPopSkipsMutex(t *testing.T) {
+	r := NewMPSC(4)
+	r.mu.Lock()
+	done := make(chan bool)
+	go func() {
+		_, ok := r.Pop()
+		done <- ok
+	}()
+	select {
+	case ok := <-done:
+		if ok {
+			t.Fatal("Pop on an empty ring succeeded")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("empty Pop blocked on the mutex")
+	}
+	r.mu.Unlock()
 }
 
 func TestSPSCOfStructs(t *testing.T) {
