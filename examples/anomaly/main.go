@@ -98,7 +98,7 @@ func main() {
 	ctl.Start()
 	defer ctl.Stop()
 
-	host := dataplane.NewHost(dataplane.Config{PoolSize: 2048, TXThreads: 1, Control: ctl.Session(0)})
+	host := dataplane.NewHost(dataplane.Config{PoolSize: 2048, Control: ctl.Session(0)})
 	start := time.Now()
 	fw := &nfs.Firewall{DefaultAllow: true}
 	sampler := &nfs.Sampler{Rate: 1.0} // sample everything in the demo

@@ -31,7 +31,7 @@ func main() {
 	}
 	proxy := &nfs.MemcachedProxy{Servers: backends, OutPort: 1}
 
-	host := dataplane.NewHost(dataplane.Config{PoolSize: 2048, TXThreads: 1})
+	host := dataplane.NewHost(dataplane.Config{PoolSize: 2048})
 	if _, err := host.AddNF(svcProxy, proxy, 0); err != nil {
 		log.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func main() {
 	fmt.Print(g)
 
 	// 2. Build a host, register the NFs, and install the compiled rules.
-	host := dataplane.NewHost(dataplane.Config{PoolSize: 1024, TXThreads: 1})
+	host := dataplane.NewHost(dataplane.Config{PoolSize: 1024})
 	fw := &nfs.Firewall{DefaultAllow: true}
 	counter := &nfs.Counter{}
 	tally := &flowTally{}

@@ -47,7 +47,7 @@ func main() {
 	must(g.AddEdge(svcTranscoder, graph.Sink, true))
 	fmt.Print(g)
 
-	host := dataplane.NewHost(dataplane.Config{PoolSize: 2048, TXThreads: 1})
+	host := dataplane.NewHost(dataplane.Config{PoolSize: 2048})
 	policy := &nfs.PolicyState{}
 	detector := &nfs.VideoDetector{PolicyEngine: svcPolicy, Bypass: flowtable.Port(1)}
 	engine := &nfs.PolicyEngine{State: policy, Transcoder: svcTranscoder, Bypass: flowtable.Port(1)}

@@ -29,6 +29,8 @@ type Config struct {
 	// RingSize is the capacity of every descriptor ring.
 	RingSize int
 	// TXThreads is the number of TX "cores" draining NF output rings.
+	// Zero means one: a second TX thread pays off only with a core of its
+	// own, and on a small machine it holds the core the next hop needs.
 	TXThreads int
 	// LoadBalancer selects the replica-selection policy.
 	LoadBalancer LBPolicy
@@ -70,7 +72,7 @@ func (c *Config) fillDefaults() {
 		c.RingSize = 1024
 	}
 	if c.TXThreads == 0 {
-		c.TXThreads = 2
+		c.TXThreads = 1
 	}
 }
 

@@ -54,9 +54,6 @@ func startHost(t *testing.T, cfg Config, setup func(h *Host)) (*Host, *collector
 	if cfg.PoolSize == 0 {
 		cfg.PoolSize = 256
 	}
-	if cfg.TXThreads == 0 {
-		cfg.TXThreads = 1
-	}
 	h := NewHost(cfg)
 	out := &collector{}
 	h.BindDefault(out.fn)

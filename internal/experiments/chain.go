@@ -55,10 +55,7 @@ const (
 // per second. newNF builds the NF behind each vertex; lat, when not nil,
 // records each frame's latency from stamp to egress (ns).
 func runChain(seed int64, cfg chainConfig, newNF func() nf.BatchFunction, frameBytes, n, window int, lat *metrics.Histogram, tally *chainTally) float64 {
-	// One TX thread: the chain runs more engine threads than a small
-	// machine has cores, and a second idle TX thread holds a core the
-	// next hop needs.
-	host := dataplane.NewHost(dataplane.Config{TXThreads: 1})
+	host := dataplane.NewHost(dataplane.Config{})
 	vs := make([]graph.Vertex, cfg.vms)
 	for i := range vs {
 		vs[i] = graph.Vertex{Service: flowtable.ServiceID(i + 1), Name: fmt.Sprintf("nf%d", i+1), ReadOnly: cfg.parallel}

@@ -115,7 +115,7 @@ func Scale(seed int64) *ScaleResult {
 	)
 
 	host := dataplane.NewHost(dataplane.Config{
-		PoolSize: 8192, RingSize: 512, TXThreads: 1,
+		PoolSize: 8192, RingSize: 512,
 		LoadBalancer: dataplane.LBFlowHash,
 	})
 	var delivered atomic.Uint64

@@ -118,7 +118,7 @@ func (w *wireEnd) close() {
 }
 
 func wireHostConfig() dataplane.Config {
-	return dataplane.Config{PoolSize: 4096, RingSize: 1024, TXThreads: 1}
+	return dataplane.Config{PoolSize: 4096, RingSize: 1024}
 }
 
 // bindWirePorts opens both UDP sockets on ephemeral loopback ports and

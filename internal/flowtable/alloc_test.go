@@ -144,6 +144,41 @@ func TestLookupWithExpiryZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestAddBatchOneAllocPerRule pins a timed rule to one heap object: an
+// AddBatch of n timed exact rules that share one action list, into a
+// scope whose array has room for them, allocates the n entries plus a
+// few objects per batch (the ID and ordering slices, the one copy of the
+// action list, the expiry bucket) — no idle clock and no action list per
+// rule.
+func TestAddBatchOneAllocPerRule(t *testing.T) {
+	const n, resident, perBatch = 256, 4 * 256, 16
+	tb := New()
+	rules := make([]Rule, resident)
+	for i := range rules {
+		rules[i] = Rule{Scope: Port(0), Match: ExactMatch(allocTestKey(i)), Actions: []Action{Out(1)}}
+	}
+	if _, err := tb.AddBatch(rules); err != nil {
+		t.Fatal(err)
+	}
+	tab := scopeSet(tb, Port(0)).tab.Load()
+	acts := []Action{Forward(1), Forward(2), Out(1)}
+	rules = rules[:n]
+	for i := range rules {
+		rules[i] = Rule{Scope: Port(0), Match: ExactMatch(allocTestKey(resident + i)), Actions: acts, IdleTimeout: time.Second, HardTimeout: time.Minute}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := tb.AddBatch(rules)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.Mallocs - before.Mallocs; got > n+perBatch || scopeSet(tb, Port(0)).tab.Load() != tab || tb.Len() != resident+n {
+		t.Fatalf("AddBatch of %d timed rules: %d allocations (want at most %d), same array %v, %d rules",
+			n, got, n+perBatch, scopeSet(tb, Port(0)).tab.Load() == tab, tb.Len())
+	}
+}
+
 // TestMatchNoAllocs: the value Match is built and tested without
 // allocating.
 func TestMatchNoAllocs(t *testing.T) {

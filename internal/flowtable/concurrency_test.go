@@ -1,6 +1,7 @@
 package flowtable
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -390,6 +391,74 @@ func TestLookupsDuringInPlaceWrites(t *testing.T) {
 	wg.Wait()
 	if len(arrays) < 4 {
 		t.Fatalf("the writes published %d arrays: too few rebuilds to test", len(arrays))
+	}
+}
+
+// TestHitRacingRewrite runs hits on one timed flow — LookupBatch, then
+// EntryLive on the entry it returned, as the next hop checks a
+// descriptor-cached entry — while another goroutine rewrites the flow's
+// default through UpdateDefault and sweeps. Each round moves the coarse
+// clock on by less than the idle timeout, and ends with one hit after the
+// rewrites have stopped, so the published rule is never idle for longer
+// than a round. Whichever entry a racing hit reaches, the rewrites must
+// carry the idle clock over: the rule never misses and is never evicted,
+// and Adds == Rules + Deleted + Evicted holds. Run with -race.
+func TestHitRacingRewrite(t *testing.T) {
+	const idle, step, rounds, hits = time.Second, 700 * time.Millisecond, 50, 64
+	scope, k := Port(0), key(9)
+	tb := New()
+	id, err := tb.Add(Rule{Scope: scope, Match: ExactMatch(k), Actions: []Action{Forward(1), Forward(2)}, IdleTimeout: idle})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scopes, keys, out := []ServiceID{scope}, []packet.FlowKey{k}, make([]*Entry, 1)
+	hit := func(round int) bool {
+		if tb.LookupBatch(scopes, keys, out) != 1 || out[0].ID != id {
+			t.Errorf("round %d: the flow's rule missed (%v)", round, out[0])
+			return false
+		}
+		if !tb.EntryLive(out[0]) {
+			t.Errorf("round %d: EntryLive rejected the entry a hit just returned", round)
+			return false
+		}
+		return true
+	}
+	for round := range rounds {
+		tb.Advance(step)
+		var done atomic.Bool
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; !done.Load(); i++ {
+				if n := tb.UpdateDefault(scope, ExactMatch(k), Forward(ServiceID(1+i%2)), true); n != 1 {
+					t.Errorf("round %d: UpdateDefault = %d", round, n)
+					return
+				}
+				if ev := tb.Sweep(); len(ev) != 0 {
+					t.Errorf("round %d: swept %+v", round, ev)
+					return
+				}
+				if i%4 == 0 {
+					runtime.Gosched()
+				}
+			}
+		}()
+		for i := 0; i < hits && hit(round); i++ {
+			if i%8 == 0 {
+				runtime.Gosched()
+			}
+		}
+		done.Store(true)
+		wg.Wait()
+		if t.Failed() || !hit(round) {
+			return
+		}
+	}
+	tb.Advance(step)
+	ev := tb.Sweep()
+	if st := tb.Stats(); len(ev) != 0 || st.Evicted() != 0 || st.Rules != 1 || st.Adds != uint64(st.Rules)+st.Deleted+st.Evicted() {
+		t.Fatalf("after %d rounds: swept %+v; adds=%d rules=%d deleted=%d evicted=%d", rounds, ev, st.Adds, st.Rules, st.Deleted, st.Evicted())
 	}
 }
 

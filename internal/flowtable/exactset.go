@@ -32,6 +32,9 @@ type exactSet struct {
 	// n counts the live rules. Writers, serialized by the shard mutex,
 	// load and store it without a locked add; Len reads it lock-free.
 	n atomic.Int64
+	// rebuilds counts the arrays rebuild published in place of another;
+	// written under the shard mutex, read by tests.
+	rebuilds int
 }
 
 // flatTab is one slot array, probed linearly from the home slot that
@@ -129,16 +132,17 @@ func (s *exactSet) drop(e *Entry) bool {
 	return true
 }
 
-// reserve makes room for the new keys among rules, so that installing
-// them all takes at most this one rebuild. Caller holds the shard mutex.
-func (s *exactSet) reserve(rules []Rule) {
+// reserve makes room for the new keys among the n keys that keys yields,
+// so that inserting them all takes at most this one rebuild. Caller holds
+// the shard mutex.
+func (s *exactSet) reserve(n int, keys iter.Seq[packet.FlowKey]) {
 	t := s.tab.Load()
-	if (t.used+len(rules))*5 <= len(t.slots)*4 {
+	if (t.used+n)*5 <= len(t.slots)*4 {
 		return
 	}
 	fresh := 0
-	for _, r := range rules {
-		if r.Match.IsExact() && s.find(r.Match.Key, r.Match.Key.Hash()) == nil {
+	for k := range keys {
+		if s.find(k, k.Hash()) == nil {
 			fresh++
 		}
 	}
@@ -152,6 +156,7 @@ func (s *exactSet) reserve(rules []Rule) {
 func (s *exactSet) rebuild(need int) *flatTab {
 	nt := &flatTab{slots: make([]slot, max(8, need*5/3))}
 	if t := s.tab.Load(); t != nil {
+		s.rebuilds++
 		for i := range t.slots {
 			sl := &t.slots[i]
 			e := sl.e.Load()

@@ -156,6 +156,46 @@ func TestFoldPatchesOrRebuilds(t *testing.T) {
 	}
 }
 
+// TestInterleavedBatchRebuildsOnce pins AddBatch's grouping by scope: a
+// miss burst resolved to 113 new three-hop flows arrives as one batch in
+// the order the controller compiles them, each flow's rule at the ingress
+// port, then at the firewall, then at the IDS, so no two neighbouring
+// rules share a scope. Installing it into an empty table must still
+// rebuild each scope's array at most once (the scope's first, 8-slot
+// array aside), as a batch already grouped by scope does, and every rule
+// must answer under the ID returned in its place.
+func TestInterleavedBatchRebuildsOnce(t *testing.T) {
+	const flows = 113
+	hops := []struct {
+		scope ServiceID
+		act   Action
+	}{{Port(0), Forward(1)}, {ServiceID(1), Forward(2)}, {ServiceID(2), Out(1)}}
+	flow := func(i int) packet.FlowKey {
+		return packet.FlowKey{SrcIP: packet.IPv4(10, 0, byte(i>>8), byte(i)), DstIP: packet.IPv4(10, 255, 0, 1), SrcPort: uint16(i), DstPort: 80, Proto: packet.ProtoUDP}
+	}
+	var rules []Rule
+	for i := range flows {
+		for _, h := range hops {
+			rules = append(rules, Rule{Scope: h.scope, Match: ExactMatch(flow(i)), Actions: []Action{h.act}, IdleTimeout: time.Second})
+		}
+	}
+	tb := New()
+	ids, err := tb.AddBatch(rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range hops {
+		if s := scopeSet(tb, h.scope); s.n.Load() != flows || s.rebuilds > 1 {
+			t.Errorf("%v: %d rules, array rebuilt %d times by one batch, want %d rules and at most one rebuild", h.scope, s.n.Load(), s.rebuilds, flows)
+		}
+	}
+	for i, r := range rules {
+		if e, err := tb.Lookup(r.Scope, r.Match.Key); err != nil || e.ID != ids[i] || e.Actions[0] != r.Actions[0] {
+			t.Fatalf("rule %d at %v: %v, %v; want ID %d", i, r.Scope, e, err, ids[i])
+		}
+	}
+}
+
 // FuzzFlatTab drives one exact set's add, replace, tombstone and rebuild
 // cycle against a plain map, on arrays small enough that probe runs wrap
 // past the end, tombstones fill runs and force rebuilds, and removals

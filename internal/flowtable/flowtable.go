@@ -44,6 +44,7 @@
 package flowtable
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"maps"
@@ -280,11 +281,19 @@ type Rule struct {
 // Entries are never mutated after publication: rewriting a rule installs a
 // fresh Entry with the same ID, so a pointer obtained from Lookup remains
 // a consistent (if stale) snapshot forever. The lifecycle fields are the
-// exceptions to full immutability: life.lastHit is an atomic the
-// lookup path advances on every hit, shared across rewrites of the same
-// rule so a default change does not reset the idle clock; nextDue is the
-// shard writer's expiry-bucket link, which no reader loads. The words a
-// hit reads (expiry, life, Actions) lead the struct, sharing a cache line.
+// exceptions to full immutability: lastHit is an atomic the lookup path
+// advances on every hit; nextDue is the shard writer's expiry-bucket
+// link, which no reader loads. A rule is this one heap object, beside the
+// action list it may share with other rules (see AddBatch). The words a
+// hit reads (expiry, lastHit, Actions) lead the struct, sharing a cache
+// line.
+//
+// Because lastHit lives in the entry, an Entry is never copied as a
+// value: withDefault builds a rewrite field by field and carries the idle
+// clock over under the shard mutex. A hit that reaches the superseded
+// entry after that copy (a descriptor-cached pointer, or a lookup that
+// loaded it just before the rewrite was published) moves only the
+// superseded entry's clock, not its successor's.
 type Entry struct {
 	// idleNs / hardAt are the precomputed expiry parameters against the
 	// table's coarse clock: idleNs is the idle window in nanoseconds and
@@ -293,8 +302,9 @@ type Entry struct {
 	// expiry with one comparison and never loads the clock.
 	idleNs int64
 	hardAt int64
-	// life holds the mutable last-hit clock; nil unless idleNs != 0.
-	life *entryLife
+	// lastHit is the coarse-clock time of the last hit, or of the
+	// install; read only when idleNs != 0.
+	lastHit atomic.Int64
 
 	Rule
 	ID uint64 // table-assigned, stable for the rule's lifetime
@@ -303,14 +313,6 @@ type Entry struct {
 	// lifecycle.go). Only the shard writer, under the shard mutex, reads
 	// or writes it.
 	nextDue *Entry
-}
-
-// entryLife is the mutable half of an entry's lifecycle, held behind a
-// pointer so entry rewrites (withDefault), which copy the Entry struct,
-// keep sharing one idle clock, and so Entry itself stays copyable (no
-// atomic embedded in a copied struct).
-type entryLife struct {
-	lastHit atomic.Int64
 }
 
 // Default returns the rule's default action (the first in the list).
@@ -400,6 +402,9 @@ type shard struct {
 	// so a sweep passes over a shard with nothing due without the mutex.
 	buckets expiryBuckets
 	due     atomic.Int64
+	// pending is the write's latest run of entries for one bucket, not
+	// yet in buckets; guarded by mu, and empty between writes.
+	pending filing
 	lookups atomic.Uint64
 	misses  atomic.Uint64
 	// expired counts lookups that found an entry but rejected it as
@@ -427,9 +432,11 @@ func (sh *shard) edit() *snapshot {
 	return sh.next
 }
 
-// publish makes the write's clone, if it made one, the shard's snapshot.
-// Caller holds sh.mu.
+// publish ends every write under sh.mu: it files the entries the write
+// linked that are not yet in a bucket, and makes the write's clone, if it
+// made one, the shard's snapshot.
 func (sh *shard) publish() {
+	sh.fileChain()
 	if next := sh.next; next != nil {
 		next.privateWild, sh.next = nil, nil
 		sh.snap.Store(next)
@@ -551,15 +558,18 @@ func New() *Table {
 
 // Add installs a rule and returns its stable ID. Adding an exact rule for a
 // (scope, flow) that already has one replaces it — this is how FLOW_MOD
-// updates and cross-layer messages rewrite defaults.
+// updates and cross-layer messages rewrite defaults. The table keeps a
+// copy of r.Actions.
 func (t *Table) Add(r Rule) (uint64, error) {
 	if len(r.Actions) == 0 {
 		return 0, ErrNoAction
 	}
+	r.Actions = slices.Clip(slices.Clone(r.Actions))
 	sh := &t.shards[shardIndex(r.Scope)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	id := t.addLocked(sh, r)
+	run := t.newScopeRun(r.Scope)
+	id := t.addLocked(sh, &run, r)
 	sh.publish()
 	return id, nil
 }
@@ -568,8 +578,16 @@ func (t *Table) Add(r Rule) (uint64, error) {
 // writer API used when the Flow Controller installs a FLOW_MOD burst or a
 // whole service graph at once. It returns the ID of every installed rule,
 // in order. A rule with no actions fails the whole batch before any rule
-// is installed. A run of rules for one scope first reserves room for its
-// new keys, so a large batch rebuilds the scope's array at most once.
+// is installed.
+//
+// Each shard's rules are installed in runs of one scope, whatever their
+// order in rules (a miss burst arrives as port, firewall, IDS rules per
+// flow), keeping the order of the rules within a scope. A run looks up
+// its scope's exact set and default timeouts once, and reserves room for
+// all of its new keys first, so it rebuilds the scope's array at most
+// once. Rules with equal action lists share one copy the table owns:
+// entries never change their lists, so a batch of many flows with one
+// next hop stores one list, not one per rule.
 func (t *Table) AddBatch(rules []Rule) ([]uint64, error) {
 	if len(rules) == 0 {
 		return nil, nil
@@ -580,26 +598,41 @@ func (t *Table) AddBatch(rules []Rule) ([]uint64, error) {
 		}
 	}
 	ids := make([]uint64, len(rules))
-	var byShard [numShards][]int
+	// A stable counting sort by shard, then a stable sort by scope within
+	// each shard that is not already in scope order.
+	var start [numShards + 1]int
+	for _, r := range rules {
+		start[shardIndex(r.Scope)+1]++
+	}
+	for si := range numShards {
+		start[si+1] += start[si]
+	}
+	order := make([]int, len(rules))
+	next := start
 	for i, r := range rules {
 		si := shardIndex(r.Scope)
-		byShard[si] = append(byShard[si], i)
+		order[next[si]] = i
+		next[si]++
 	}
-	for si, idxs := range byShard {
+	byScope := func(i, j int) int { return cmp.Compare(rules[i].Scope, rules[j].Scope) }
+	var lists actionLists
+	for si := range numShards {
+		idxs := order[start[si]:start[si+1]]
 		if len(idxs) == 0 {
 			continue
 		}
+		if !slices.IsSortedFunc(idxs, byScope) {
+			slices.SortStableFunc(idxs, byScope)
+		}
 		sh := &t.shards[si]
 		sh.mu.Lock()
-		for _, i := range idxs {
-			if r := &rules[i]; r.Match.IsExact() && (i == 0 || rules[i-1].Scope != r.Scope) {
-				end := i + 1
-				for end < len(rules) && rules[end].Scope == r.Scope {
-					end++
-				}
-				sh.exactFor(r.Scope).reserve(rules[i:end])
+		for len(idxs) > 0 {
+			n := 1
+			for n < len(idxs) && rules[idxs[n]].Scope == rules[idxs[0]].Scope {
+				n++
 			}
-			ids[i] = t.addLocked(sh, rules[i])
+			t.addRun(sh, rules, idxs[:n], ids, &lists)
+			idxs = idxs[n:]
 		}
 		sh.publish()
 		sh.mu.Unlock()
@@ -607,17 +640,88 @@ func (t *Table) AddBatch(rules []Rule) ([]uint64, error) {
 	return ids, nil
 }
 
-// addLocked installs r, files the new entry under its deadline, and
-// returns its ID. An exact rule is stored in place once complete; a
-// wildcard one goes into the write's clone. Caller holds sh.mu.
-func (t *Table) addLocked(sh *shard, r Rule) uint64 {
-	acts := make([]Action, len(r.Actions))
-	copy(acts, r.Actions)
-	r.Actions = acts
+// addRun installs rules[i] for every i in run, which all share one
+// scope, and records each one's ID in ids[i]. Caller holds sh.mu.
+func (t *Table) addRun(sh *shard, rules []Rule, run []int, ids []uint64, lists *actionLists) {
+	sr := t.newScopeRun(rules[run[0]].Scope)
+	exact := 0
+	for _, i := range run {
+		if rules[i].Match.IsExact() {
+			exact++
+		}
+	}
+	if exact > 0 {
+		sr.exact(sh).reserve(exact, func(yield func(packet.FlowKey) bool) {
+			for _, i := range run {
+				if m := rules[i].Match; m.IsExact() && !yield(m.Key) {
+					return
+				}
+			}
+		})
+	}
+	for _, i := range run {
+		r := rules[i]
+		r.Actions = lists.own(r.Actions)
+		ids[i] = t.addLocked(sh, &sr, r)
+	}
+}
+
+// scopeRun is what a run of installs at one scope looks up once: the
+// scope's default timeouts and, from the run's first exact rule on, its
+// exact set.
+type scopeRun struct {
+	scope ServiceID
+	def   timeoutPair
+	set   *exactSet
+}
+
+// newScopeRun starts a run of installs at scope.
+func (t *Table) newScopeRun(scope ServiceID) scopeRun {
+	return scopeRun{scope: scope, def: t.defaultTimeouts(scope)}
+}
+
+// exact returns the run's exact set, adding an empty one to the write's
+// clone the first time when the scope has none. Caller holds sh.mu.
+func (sr *scopeRun) exact(sh *shard) *exactSet {
+	if sr.set == nil {
+		sr.set = sh.exactFor(sr.scope)
+	}
+	return sr.set
+}
+
+// actionLists hands out the action lists a write stores, copying a list
+// only when it differs from the last few it copied: rules whose lists are
+// equal by value then share one slice the table owns. Entries never
+// change their lists (withDefault builds a new one), so sharing is safe,
+// and remembering a few lists is enough for a batch installed in runs of
+// one scope.
+type actionLists struct {
+	recent [4][]Action
+	n      int
+}
+
+// own returns a table-owned list equal to acts.
+func (c *actionLists) own(acts []Action) []Action {
+	for _, o := range c.recent[:min(c.n, len(c.recent))] {
+		if slices.Equal(o, acts) {
+			return o
+		}
+	}
+	o := slices.Clip(slices.Clone(acts))
+	c.recent[c.n%len(c.recent)] = o
+	c.n++
+	return o
+}
+
+// addLocked installs r, whose Actions the table owns, as one of the run
+// sr at r's scope, files the new entry under its deadline, and returns
+// its ID. An exact rule is stored in place once complete; a wildcard one
+// goes into the write's clone. Caller holds sh.mu.
+func (t *Table) addLocked(sh *shard, sr *scopeRun, r Rule) uint64 {
 	t.modifies.Add(1)
 	e := &Entry{Rule: r}
 	if r.Match.IsExact() {
-		sl, old := sh.exactFor(r.Scope).claim(r.Match.Key)
+		sl, old := sr.exact(sh).claim(r.Match.Key)
 		if old != nil {
 			e.ID = old.ID // replacement keeps identity
 		} else {
@@ -626,14 +730,14 @@ func (t *Table) addLocked(sh *shard, r Rule) uint64 {
 		}
 		// A replacement arms fresh timers — reinstalling a rule is how
 		// OpenFlow flow-mods refresh a flow's lease.
-		t.armLife(e)
+		t.armLife(e, sr.def)
 		sh.link(e)
 		sl.e.Store(e)
 		return e.ID
 	}
 	e.ID = t.nextID.Add(1)
 	t.adds.Add(1)
-	t.armLife(e)
+	t.armLife(e, sr.def)
 	sh.link(e)
 	ws := append(sh.cloneWild(r.Scope), e)
 	sortWild(ws)
@@ -642,12 +746,13 @@ func (t *Table) addLocked(sh *shard, r Rule) uint64 {
 }
 
 // armLife precomputes e's expiry parameters from its rule timeouts,
-// falling back to the table/scope defaults for exact-match rules. Called
-// on the writer path (shard mutex held) before e is published.
-func (t *Table) armLife(e *Entry) {
+// falling back to def, its scope's default timeouts, for exact-match
+// rules. Called on the writer path (shard mutex held) before e is
+// published.
+func (t *Table) armLife(e *Entry, def timeoutPair) {
 	idle, hard := e.IdleTimeout, e.HardTimeout
 	if idle == 0 && hard == 0 && e.Match.IsExact() {
-		idle, hard = t.defaultTimeouts(e.Scope)
+		idle, hard = def.idle, def.hard
 	}
 	if idle <= 0 && hard <= 0 {
 		return
@@ -658,20 +763,19 @@ func (t *Table) armLife(e *Entry) {
 	}
 	if idle > 0 {
 		e.idleNs = int64(idle)
-		e.life = &entryLife{}
-		e.life.lastHit.Store(now)
+		e.lastHit.Store(now)
 	}
 }
 
 // defaultTimeouts resolves the effective default (idle, hard) pair for
 // scope: the per-scope override when set, else the table-wide default.
-func (t *Table) defaultTimeouts(scope ServiceID) (idle, hard time.Duration) {
+func (t *Table) defaultTimeouts(scope ServiceID) timeoutPair {
 	t.defMu.RLock()
 	defer t.defMu.RUnlock()
 	if p, ok := t.scopeTOs[scope]; ok {
-		return p.idle, p.hard
+		return p
 	}
-	return t.defIdle, t.defHard
+	return timeoutPair{idle: t.defIdle, hard: t.defHard}
 }
 
 // sortWild keeps wildcard entries most-specific-first, ties broken by
@@ -758,12 +862,12 @@ func (t *Table) liveTouch(e *Entry) bool {
 		return false
 	}
 	if e.idleNs != 0 {
-		last := e.life.lastHit.Load()
+		last := e.lastHit.Load()
 		if now-last >= e.idleNs {
 			return false
 		}
 		if last != now {
-			e.life.lastHit.Store(now)
+			e.lastHit.Store(now)
 		}
 	}
 	return true
@@ -884,9 +988,7 @@ func (t *Table) LookupBatch(scopes []ServiceID, keys []packet.FlowKey, out []*En
 			if e == nil {
 				continue
 			}
-			if e.life != nil {
-				sink += uint64(e.life.lastHit.Load())
-			}
+			sink += uint64(e.lastHit.Load())
 			sink += uint64(e.Actions[0].Dest) // every rule has an action
 		}
 		for i, scope := range scopes {
@@ -999,7 +1101,12 @@ func (t *Table) UpdateDefault(scope ServiceID, f Match, newDefault Action, const
 }
 
 // withDefault returns a fresh, unlinked entry (same ID) whose default is
-// a, with the previous actions preserved as alternatives.
+// a, with the previous actions preserved as alternatives. It keeps e's
+// timeouts and carries e's idle clock over as it stands now: a default
+// change is not flow activity, so it neither refreshes nor resets the
+// lease. The entry is built field by field, because a struct copy would
+// copy lastHit non-atomically. Caller holds the shard mutex; a hit that
+// touches e after the copy is not carried over (see Entry).
 func (e *Entry) withDefault(a Action) *Entry {
 	acts := make([]Action, 0, len(e.Actions)+1)
 	acts = append(acts, a)
@@ -1008,9 +1115,10 @@ func (e *Entry) withDefault(a Action) *Entry {
 			acts = append(acts, x)
 		}
 	}
-	ne := *e
-	ne.Actions, ne.nextDue = acts, nil
-	return &ne
+	ne := &Entry{idleNs: e.idleNs, hardAt: e.hardAt, Rule: e.Rule, ID: e.ID}
+	ne.Actions = acts
+	ne.lastHit.Store(e.lastHit.Load())
+	return ne
 }
 
 // specializeDefaultLocked installs (or rewrites) the exact-flow rule for f
@@ -1032,15 +1140,17 @@ func (t *Table) specializeDefaultLocked(sh *shard, scope ServiceID, f Match, new
 	spec := gov.withDefault(newDefault)
 	if gov.Match.IsExact() {
 		// The governing rule IS the exact rule for f: rewrite it in
-		// place, keeping its ID and — because withDefault copies the
-		// entry — its lifecycle clock. A default change is not flow
-		// activity, so it must not refresh the idle lease.
+		// place, keeping its ID and — withDefault carries it over — its
+		// idle clock. A default change is not flow activity, so it must
+		// not refresh the idle lease.
 		t.modifies.Add(1)
 		sh.link(spec)
 		sh.exactFor(scope).put(key, spec)
+		sh.publish()
 		return 1
 	}
-	t.addLocked(sh, Rule{
+	run := t.newScopeRun(scope)
+	t.addLocked(sh, &run, Rule{
 		Scope:       scope,
 		Match:       f,
 		Actions:     spec.Actions,

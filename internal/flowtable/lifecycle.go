@@ -12,9 +12,11 @@
 //     timed entry it publishes, exact or wildcard, in an expiry bucket
 //     for its coarse deadline (expiresBy, in 2^22 ns ≈ 4 ms buckets),
 //     linked through the entry's own nextDue field, so filing allocates
-//     nothing per rule. A sweep takes the shard writer mutex only when a
-//     bucket is due, detaches the due buckets, and for each entry in them
-//     drops it if the shard no longer publishes it (it was replaced,
+//     nothing per rule, and a write's consecutive entries for one bucket
+//     enter the bucket map together (one map operation for a batch of
+//     rules with one lease). A sweep takes the shard writer mutex only
+//     when a bucket is due, detaches the due buckets, and for each entry
+//     in them drops it if the shard no longer publishes it (it was replaced,
 //     rewritten or deleted since it was filed), evicts it if it is still
 //     past its timeouts, and otherwise — a hit moved its idle clock on —
 //     files it again at its new deadline. A deadline only moves later, so
@@ -22,6 +24,15 @@
 //     sweep's cost follows the expiries, not the residents. A replaced or
 //     deleted entry stays filed until its old deadline: at most one
 //     timeout.
+//
+// The idle clock is the entry's own lastHit, so a timed rule is one heap
+// object. A default rewrite (withDefault) publishes a fresh entry that
+// carries the clock over, read under the shard mutex: a default change
+// neither refreshes nor resets the lease. A hit that lands on the
+// superseded entry after that read — a descriptor-cached pointer, or a
+// lookup that loaded the entry just before the rewrite — moves only the
+// superseded entry's clock, so the rule can idle out up to that much
+// sooner.
 //
 // Evicting an exact rule turns its slot into a tombstone in place (see
 // exactSet): a probe and a store, with no copy of the scope. A mass
@@ -231,7 +242,7 @@ func expiresBy(e *Entry) int64 {
 		at = e.hardAt
 	}
 	if e.idleNs != 0 {
-		at = min(at, e.life.lastHit.Load()+e.idleNs)
+		at = min(at, e.lastHit.Load()+e.idleNs)
 	}
 	return at
 }
@@ -269,12 +280,12 @@ func (t *Table) sweepShard(sh *shard, now int64, evicted []Evicted) []Evicted {
 		again = e.nextDue
 		sh.link(e)
 	}
+	sh.publish()
 	sh.due.Store(sh.buckets.earliest())
 	t.sweepVisits.Add(visits)
 	if len(evicted) > reaped {
 		t.modifies.Add(1)
 	}
-	sh.publish()
 	return evicted
 }
 
@@ -301,17 +312,18 @@ type expiryBuckets struct {
 	order []int64          // min-heap of the buckets in heads
 }
 
-// link files e, which must be in no bucket, in bucket b.
-func (bs *expiryBuckets) link(e *Entry, b int64) {
-	head, ok := bs.heads[b]
+// link files the chain from head to tail, which must be in no bucket, in
+// bucket b.
+func (bs *expiryBuckets) link(head, tail *Entry, b int64) {
+	old, ok := bs.heads[b]
 	if !ok {
 		if bs.heads == nil {
 			bs.heads = make(map[int64]*Entry)
 		}
 		bs.push(b)
 	}
-	e.nextDue = head
-	bs.heads[b] = e
+	tail.nextDue = old
+	bs.heads[b] = head
 }
 
 // popDue detaches the earliest bucket if it is due by now, and returns
@@ -368,17 +380,41 @@ func (bs *expiryBuckets) pop() {
 	bs.order = h
 }
 
-// link files e under its current deadline if it has one, and lowers the
-// shard's due time to that bucket's. Caller holds sh.mu; e is in no
-// bucket.
+// filing is the chain of entries a write has filed in one bucket so far,
+// not yet in the bucket map: head is the latest filed, tail the first.
+type filing struct {
+	bucket     int64
+	head, tail *Entry
+}
+
+// link files e under its current deadline if it has one. Entries filed
+// one after another in one bucket are chained in the shard's pending
+// filing and enter the bucket map together, when the bucket changes or
+// the write publishes, so a run of rules with one lease costs one map
+// operation. Caller holds sh.mu; e is in no bucket.
 func (sh *shard) link(e *Entry) {
 	at := expiresBy(e)
 	if at == math.MaxInt64 {
 		return
 	}
-	b := at >> bucketShift
-	sh.buckets.link(e, b)
-	if start := b << bucketShift; start < sh.due.Load() {
+	p := &sh.pending
+	if b := at >> bucketShift; p.head == nil || b != p.bucket {
+		sh.fileChain()
+		p.bucket, p.tail = b, e
+	}
+	e.nextDue, p.head = p.head, e
+}
+
+// fileChain moves the pending filing into its bucket and lowers the
+// shard's due time to that bucket's start. Caller holds sh.mu.
+func (sh *shard) fileChain() {
+	p := &sh.pending
+	if p.head == nil {
+		return
+	}
+	sh.buckets.link(p.head, p.tail, p.bucket)
+	if start := p.bucket << bucketShift; start < sh.due.Load() {
 		sh.due.Store(start)
 	}
+	*p = filing{}
 }

@@ -31,7 +31,7 @@ type modelRule struct {
 	hardTO  time.Duration
 	idleNs  int64
 	hardAt  int64
-	life    *int64 // last hit; shared by default rewrites, like entryLife
+	lastHit int64 // last hit; a default rewrite's struct copy carries it over, as withDefault does
 }
 
 type model struct {
@@ -53,14 +53,13 @@ func (m *model) arm(r *modelRule) {
 	if idle == 0 && hard == 0 && r.match.IsExact() {
 		idle = m.defIdle
 	}
-	r.idleNs, r.hardAt, r.life = 0, 0, nil
+	r.idleNs, r.hardAt, r.lastHit = 0, 0, 0
 	if hard > 0 {
 		r.hardAt = m.now + int64(hard)
 	}
 	if idle > 0 {
 		r.idleNs = int64(idle)
-		last := m.now
-		r.life = &last
+		r.lastHit = m.now
 	}
 }
 
@@ -106,7 +105,7 @@ func (m *model) expired(r *modelRule) (EvictReason, bool) {
 	if r.hardAt != 0 && m.now >= r.hardAt {
 		return EvictHard, true
 	}
-	if r.idleNs != 0 && m.now-*r.life >= r.idleNs {
+	if r.idleNs != 0 && m.now-r.lastHit >= r.idleNs {
 		return EvictIdle, true
 	}
 	return EvictIdle, false
@@ -118,9 +117,7 @@ func (m *model) lookup(scope ServiceID, k packet.FlowKey) *modelRule {
 		if _, exp := m.expired(r); exp {
 			return false
 		}
-		if r.life != nil {
-			*r.life = m.now
-		}
+		r.lastHit = m.now
 		return true
 	}
 	if r := m.exact[scope][k]; r != nil && touch(r) {

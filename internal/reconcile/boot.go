@@ -113,7 +113,7 @@ func Boot(sp *spec.Spec, nfs *spec.NFRegistry, t Timings, remote func(control.Da
 	}
 	for _, name := range sp.HostNames() {
 		h := dataplane.NewHost(dataplane.Config{
-			PoolSize: 4096, RingSize: hostRingSize, TXThreads: 1,
+			PoolSize: 4096, RingSize: hostRingSize,
 			Control:         remote(c.Datapaths[name]),
 			FlowIdleTimeout: flowIdle, FlowHardTimeout: flowHard,
 			FlowSweepInterval: sweep,
